@@ -27,6 +27,8 @@ from .seeding import DEFAULT_SEED, derive_rng, run_replicates
 from .simulator import (
     Grid,
     Variogram,
+    _f17,
+    field_csv_rows,
     field_csv_text,
     simulate_brown_resnick,
     simulate_general,
@@ -77,8 +79,16 @@ def parse_grid(spec: str) -> np.ndarray:
         raise UsageError(f"bad grid spec {spec!r}: {exc}") from exc
 
 
+def parse_floats(spec: str, what: str) -> np.ndarray:
+    """Comma-separated numbers; a token that is not a number is a usage error."""
+    try:
+        return np.array([float(x) for x in spec.split(",")])
+    except ValueError as exc:
+        raise UsageError(f"bad {what} {spec!r}: {exc}") from exc
+
+
 def parse_matrix(spec: str):
-    vals = np.array([float(x) for x in spec.split(",")])
+    vals = parse_floats(spec, "matrix spec")
     d = int(round(np.sqrt(vals.size)))
     if d * d != vals.size:
         raise UsageError(f"matrix spec {spec!r} must have a square number of entries")
@@ -99,8 +109,8 @@ def parse_box(spec: str) -> np.ndarray:
 
 def parse_variogram(spec: str) -> Variogram:
     kind, _, body = spec.partition(":")
-    params = dict(part.split("=", 1) for part in body.split(";") if part)
     try:
+        params = dict(part.split("=", 1) for part in body.split(";") if part)
         if kind == "fractional":
             return Variogram.fractional(
                 float(params.get("scale", 1.0)), float(params["alpha"])
@@ -120,9 +130,9 @@ def parse_kappa(spec: str, dist) -> ShapeFunction:
     kind, _, body = spec.partition(":")
     if kind != "quadratic":
         raise UsageError(f"unknown kappa spec {spec!r} (use 'cgf' or 'quadratic:...')")
-    params = dict(part.split("=", 1) for part in body.split(";") if part)
     try:
-        mu = np.array([float(x) for x in params["mu"].split(",")])
+        params = dict(part.split("=", 1) for part in body.split(";") if part)
+        mu = parse_floats(params["mu"], "kappa mu")
         sigma = parse_matrix(params["sigma"])
         c0 = float(params.get("c0", 0.0))
         return ShapeFunction.quadratic(mu, sigma, c0)
@@ -139,10 +149,6 @@ def parse_dist(spec: str):
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-
-def _f17(x) -> str:
-    return format(float(x), ".17g")
 
 
 def dump_json(obj) -> str:
@@ -179,6 +185,16 @@ def run_config_dict(args, keys) -> dict:
 # subcommands
 
 
+def _window_core(spec, grid: Grid) -> np.ndarray:
+    """Moving-maxima core window: the --window box, else the grid's bounding
+    box, padded by 0.5 along axes where the grid has no extent."""
+    if spec:
+        return parse_box(spec)
+    lo, hi = grid.locations.min(axis=0), grid.locations.max(axis=0)
+    pad = np.where(hi - lo > 0, 0.0, 0.5)
+    return np.column_stack([lo - pad, hi + pad])
+
+
 def cmd_simulate(args) -> int:
     grid = Grid(parse_grid(args.grid))
     rng = derive_rng(args.seed)
@@ -197,15 +213,9 @@ def cmd_simulate(args) -> int:
     elif args.construction == "mmm":
         if args.sigma is None:
             raise UsageError("moving-maxima construction requires --sigma")
-        if args.window:
-            core = parse_box(args.window)
-        else:
-            lo = grid.locations.min(axis=0)
-            hi = grid.locations.max(axis=0)
-            pad = np.where(hi - lo > 0, 0.0, 0.5)
-            core = np.column_stack([lo - pad, hi + pad])
         field = simulate_moving_maxima(
-            parse_matrix(args.sigma), grid, core, rng, seed_record=args.seed
+            parse_matrix(args.sigma), grid, _window_core(args.window, grid), rng,
+            seed_record=args.seed,
         )
     elif args.construction == "general":
         if args.dist is None:
@@ -222,16 +232,9 @@ def cmd_simulate(args) -> int:
         args, ["construction", "sigma", "variogram", "dist", "kappa", "grid", "n_points"]
     )
     header = {k: v for k, v in cfg.items() if v is not None}
-    text = field_csv_text(field, extra_header=header)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_output(field_csv_text(field, extra_header=header), args.output)
     if args.plot_data:
-        with open(args.plot_data, "w") as fh:
-            for loc, val in zip(field.grid.locations, field.values):
-                fh.write(",".join(_f17(c) for c in loc) + "," + _f17(val) + "\n")
+        write_output("\n".join(field_csv_rows(field)), args.plot_data)
     return EXIT_OK
 
 
@@ -278,7 +281,6 @@ def cmd_verify(args) -> int:
         rng,
         n_points=args.n_points,
         budget=args.budget,
-        threads=args.threads,
     )
     out = report.to_dict()
     out["config"] = run_config_dict(args, ["dist", "grid", "replicates", "n_points", "budget"])
@@ -290,7 +292,7 @@ def cmd_fdd(args) -> int:
     dist = parse_dist(args.dist)
     kappa = parse_kappa(args.kappa, dist)
     ts = parse_grid(args.ts)
-    xs = np.array([float(x) for x in args.xs.split(",")])
+    xs = parse_floats(args.xs, "threshold list")
     query = fddmod.FddQuery(ts, xs)
     rng = derive_rng(args.seed)
     ev = fddmod.fdd_exponent(dist, kappa, query, args.method, rng, args.mc_n)
@@ -312,12 +314,7 @@ def cmd_compare_reps(args) -> int:
     grid = Grid(parse_grid(args.grid))
     if grid.size < 2:
         raise UsageError("compare-reps needs at least two grid points")
-    if args.window:
-        core = parse_box(args.window)
-    else:
-        lo, hi = grid.locations.min(axis=0), grid.locations.max(axis=0)
-        pad = np.where(hi - lo > 0, 0.0, 0.5)
-        core = np.column_stack([lo - pad, hi + pad])
+    core = _window_core(args.window, grid)
 
     def smith_job(rep, rng):
         return simulate_smith(sigma, grid, args.n_points, rng).values[:2]
@@ -325,12 +322,8 @@ def cmd_compare_reps(args) -> int:
     def mmm_job(rep, rng):
         return simulate_moving_maxima(sigma, grid, core, rng).values[:2]
 
-    smith_pairs = np.array(
-        run_replicates(smith_job, args.replicates, args.seed, args.threads)
-    )
-    mmm_pairs = np.array(
-        run_replicates(mmm_job, args.replicates, args.seed + 1, args.threads)
-    )
+    smith_pairs = np.array(run_replicates(smith_job, args.replicates, args.seed))
+    mmm_pairs = np.array(run_replicates(mmm_job, args.replicates, args.seed + 1))
     thresholds = fddmod.frechet_threshold_grid()
     sup = fddmod.bivariate_ecdf_distance(smith_pairs, mmm_pairs, thresholds)
     out = {
@@ -364,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed (default: MAXSTABLE_SEED or 0xC0FFEE)")
         p.add_argument("--output", default=None, help="output file (default stdout)")
         p.add_argument("--config", default=None, help="flat 'key = value' config file mirroring flags")
-        p.add_argument("--threads", type=int, default=1, help="replicate parallelism (output independent of the count)")
 
     def add_parser(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -455,7 +447,7 @@ def resolve_seed(seed) -> int:
     return DEFAULT_SEED
 
 
-_INT_KEYS = {"n_points", "replicates", "budget", "n", "mc_n", "threads", "seed"}
+_INT_KEYS = {"n_points", "replicates", "budget", "n", "mc_n", "seed"}
 _FLOAT_KEYS = {"tol", "threshold"}
 
 
@@ -473,12 +465,11 @@ def main(argv=None) -> int:
             for key, value in overrides.items():
                 if key in given or not hasattr(args, key):
                     continue
-                if key in _INT_KEYS:
-                    setattr(args, key, int(value))
-                elif key in _FLOAT_KEYS:
-                    setattr(args, key, float(value))
-                else:
-                    setattr(args, key, value)
+                cast = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+                try:
+                    setattr(args, key, cast(value))
+                except ValueError as exc:
+                    raise UsageError(f"config file {args.config}: bad {key}: {exc}") from exc
         args.seed = resolve_seed(args.seed)
         return args.func(args)
     except UsageError as exc:

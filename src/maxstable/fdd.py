@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .seeding import spawn
+from .simulator import has_duplicate_points
 from .spectral import ShapeFunction, SpectralDistribution, cgf
 
 _MC_CHUNK = 1 << 16
@@ -39,12 +39,12 @@ class FddQuery:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if ts.shape[0] != xs.shape[0] or ts.shape[0] < 1:
             raise ValueError("need matching, non-empty points and thresholds")
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(xs))):
+            raise ValueError("query points and thresholds must be finite")
         if np.any(xs <= 0):
             raise ValueError("thresholds must be positive")
-        for i in range(ts.shape[0]):
-            for j in range(i + 1, ts.shape[0]):
-                if np.linalg.norm(ts[i] - ts[j]) <= 1e-12:
-                    raise ValueError("query points must be pairwise distinct")
+        if has_duplicate_points(ts):
+            raise ValueError("query points must be pairwise distinct")
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "xs", xs)
 
@@ -60,11 +60,10 @@ class ExponentValue:
     method: str
 
 
-def std_normal_cdf(z) -> np.ndarray:
+def std_normal_cdf(z: float) -> float:
     """Standard normal CDF via the complementary error function
     (|error| < 1e-15, accurate far into the tails)."""
-    z = np.asarray(z, dtype=float)
-    return 0.5 * erfc(-z / math.sqrt(2.0))
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def exponent_mc(

@@ -1,12 +1,11 @@
-"""Deterministic RNG derivation for reproducible, parallel replicates.
+"""Deterministic RNG derivation for reproducible replicates.
 
 All randomness flows from one master seed.  Replicate k uses the
-generator derived from the entropy pair (seed, k), so results are
-identical regardless of how replicates are scheduled across workers.
+generator derived from the entropy pair (seed, k), so each replicate's
+result depends only on (seed, k), never on which replicates ran before
+it or how many there are; replicates run serially.
 """
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,15 +23,8 @@ def spawn(rng, n: int):
     return rng.spawn(n)
 
 
-def run_replicates(fn, replicates: int, seed: int, threads: int = 1) -> list:
-    """Evaluate fn(rep_index, rng) for each replicate with per-replicate
-    sub-seeded generators.  Output order (and content) is independent of
-    the thread count.
-    """
-    def job(rep):
-        return fn(rep, derive_rng(seed, rep))
-
-    if threads <= 1:
-        return [job(rep) for rep in range(replicates)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(job, range(replicates)))
+def run_replicates(fn, replicates: int, seed: int) -> list:
+    """[fn(k, derive_rng(seed, k)) for k < replicates], in replicate order."""
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    return [fn(rep, derive_rng(seed, rep)) for rep in range(replicates)]

@@ -1,13 +1,14 @@
 """Field simulators for the four max-stable constructions.
 
 All constructions evaluate spectral contributions in log space
-(log U_i + <X_i, t> - kappa(t)), max-reduce, and exponentiate once, so a
-single huge contribution cannot overflow intermediate arithmetic.  The
-cascade-based constructions (general / Smith / Brown-Resnick) are
-truncated at n_points cascade atoms; the moving-maxima construction uses
-an exact-on-grid stopping rule with an explicit edge-error bound.
+(log U_i + log W_i(t)), max-reduce, and exponentiate once, so a single
+huge contribution cannot overflow intermediate arithmetic.  The general,
+Smith (gaussian X, quadratic kappa) and Brown-Resnick constructions share
+one cascade engine truncated at n_points atoms and differ only in log W;
+the moving-maxima construction uses an exact-on-grid stopping rule with
+an explicit edge-error bound.
 
-Randomness layout: each simulator splits its generator into two child
+Randomness layout: the engine splits its generator into two child
 streams (cascade arrivals, spectral draws).  Because child streams are
 consumed as prefix-stable block draws, a run with 2 * n_points extends
 rather than reshuffles the run with n_points -- the basis of the
@@ -15,16 +16,15 @@ doubling truncation diagnostic.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .pointproc import FrechetCascade, frechet_cascade, window_volume
 from .seeding import spawn
 from .spectral import (
-    DomainError,
     Gaussian,
     ShapeFunction,
     SpectralDistribution,
@@ -34,6 +34,32 @@ from .spectral import (
 
 _LOG_MAX = math.log(np.finfo(float).max)
 _CHUNK = 2048
+_DUPLICATE_TOL = 1e-12
+
+
+def has_duplicate_points(points) -> bool:
+    """True when two rows of an (m, d) array lie within _DUPLICATE_TOL.
+
+    Exact: rows are sorted by their projection on a fixed unit vector v,
+    and since |<v, p - q>| <= ||p - q||, only rows whose projections lie
+    within the tolerance (plus a round-off margin) are compared in full.
+    """
+    m, d = points.shape
+    # irrational coordinate ratios: lattice grids have no ties in projection
+    v = np.sqrt(np.arange(2.0, d + 2.0))
+    proj = points @ (v / np.linalg.norm(v))
+    order = np.argsort(proj)
+    proj, pts = proj[order], points[order]
+    window = _DUPLICATE_TOL + 8 * d * np.finfo(float).eps * float(np.abs(pts).max(initial=0.0))
+    lo = np.arange(m)
+    lag = 1
+    while lo.size:
+        lo = lo[lo + lag < m]
+        lo = lo[proj[lo + lag] - proj[lo] <= window]
+        if np.any(np.linalg.norm(pts[lo + lag] - pts[lo], axis=1) <= _DUPLICATE_TOL):
+            return True
+        lag += 1
+    return False
 
 
 @dataclass(frozen=True)
@@ -50,8 +76,8 @@ class Grid:
             raise ValueError("grid must be a non-empty (m, d) array of locations")
         if not np.all(np.isfinite(pts)):
             raise ValueError("grid locations must be finite")
-        if pts.shape[0] > 1 and cKDTree(pts).query_pairs(1e-12):
-            raise ValueError("grid contains duplicate locations (tolerance 1e-12)")
+        if pts.shape[0] > 1 and has_duplicate_points(pts):
+            raise ValueError(f"grid contains duplicate locations (tolerance {_DUPLICATE_TOL:g})")
         object.__setattr__(self, "locations", pts)
 
     @property
@@ -143,7 +169,33 @@ def _max_reduce(log_contrib_chunks, m):
     return best, best_idx
 
 
-def _finalize(grid, best, best_idx, n_points, provenance):
+def _log_contributions(log_w, n_points, rng, cascade=None, split=None):
+    """Chunks of log U_i + log W_i(t) for one realization, in cascade order.
+
+    ``log_w`` is a pair (start, shift): start(count, rng_x) draws the
+    spectral side from its child stream and returns chunk(i0, i1), the
+    (i1 - i0, m) array that the (m,) ``shift`` is subtracted from.  Chunks
+    hold at most _CHUNK rows and also end at ``split``, so the chunks
+    before ``split`` are exactly those of a run with n_points = split.
+    """
+    start, shift = log_w
+    rng_u, rng_x = spawn(rng, 2)
+    if cascade is None:
+        cascade = frechet_cascade(n_points, rng_u)
+    chunk = start(cascade.count, rng_x)
+    logu = np.log(cascade.points)
+    edges = [0, cascade.count] if split is None else [0, split, cascade.count]
+    for lo, hi in zip(edges, edges[1:]):
+        for i0 in range(lo, hi, _CHUNK):
+            i1 = min(i0 + _CHUNK, hi)
+            yield logu[i0:i1, None] + chunk(i0, i1) - shift[None, :]
+
+
+def _cascade_field(grid, log_w, n_points, rng, provenance, cascade=None) -> Field:
+    """The cascade engine: max over i <= n_points of U_i W_i(t) on the grid."""
+    best, best_idx = _max_reduce(
+        _log_contributions(log_w, n_points, rng, cascade), grid.size
+    )
     if np.any(best > _LOG_MAX):
         raise ValueError(
             "spectral contribution overflows the double range "
@@ -159,14 +211,27 @@ def _finalize(grid, best, best_idx, n_points, provenance):
     return Field(grid, np.exp(best), provenance)
 
 
-def _general_chunks(dist, kappa, grid, cascade, spectral):
+def _general_log_w(dist, kappa, grid, spectral=None):
+    """log W_i(t) = <X_i, t> - kappa(t); the X_i are drawn in one block per
+    field unless given."""
+    grid.validate_domain(dist)
     t_mat = grid.locations
-    kap = kappa.values(t_mat)
-    logu = np.log(cascade.points)
-    n = cascade.count
-    for i0 in range(0, n, _CHUNK):
-        i1 = min(i0 + _CHUNK, n)
-        yield logu[i0:i1, None] + spectral[i0:i1] @ t_mat.T - kap[None, :]
+
+    def start(count, rng_x):
+        x = dist.sample(count, rng_x) if spectral is None else spectral
+        x = np.asarray(x, dtype=float)
+        if x.shape != (count, grid.dim):
+            raise ValueError("spectral draws must have shape (n_points, d)")
+        return lambda i0, i1: x[i0:i1] @ t_mat.T
+
+    return start, kappa.values(t_mat)
+
+
+def _smith_law(sigma):
+    """Smith's spectral law gaussian(0, Sigma) and its CGF 0.5 <t, Sigma t>."""
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    d = sigma.shape[0]
+    return Gaussian(np.zeros(d), sigma), ShapeFunction.quadratic(np.zeros(d), sigma)
 
 
 def simulate_general(
@@ -183,41 +248,28 @@ def simulate_general(
 ) -> Field:
     """max over i <= n_points of U_i exp(<X_i, t> - kappa(t)) on the grid.
 
-    ``cascade`` / ``spectral`` may be supplied explicitly (diagnostics,
-    stubbed tests); otherwise both are drawn from child streams of rng.
+    ``cascade`` / ``spectral`` may be supplied explicitly (stubbed tests);
+    otherwise both are drawn from child streams of rng.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    grid.validate_domain(dist)
-    rng_u, rng_x = spawn(rng, 2)
-    if cascade is None:
-        cascade = frechet_cascade(n_points, rng_u)
-    if spectral is None:
-        spectral = dist.sample(cascade.count, rng_x)
-    spectral = np.asarray(spectral, dtype=float)
-    if spectral.shape != (cascade.count, grid.dim):
-        raise ValueError("spectral draws must have shape (n_points, d)")
-    best, best_idx = _max_reduce(
-        _general_chunks(dist, kappa, grid, cascade, spectral), grid.size
-    )
+    log_w = _general_log_w(dist, kappa, grid, spectral)
+    count = n_points if cascade is None else cascade.count
     prov = {
         "construction": construction,
         "dist": dist.spec_string(),
         "kappa": kappa.kind,
-        "n_points": cascade.count,
+        "n_points": count,
         "seed": seed_record,
     }
-    return _finalize(grid, best, best_idx, cascade.count, prov)
+    return _cascade_field(grid, log_w, count, rng, prov, cascade)
 
 
 def simulate_smith(sigma, grid: Grid, n_points: int, rng, *, seed_record=None) -> Field:
     """Smith construction: gaussian(0, Sigma) spectral law with quadratic
     normalizer 0.5 <t, Sigma t>."""
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    dist = Gaussian(np.zeros(sigma.shape[0]), sigma)
-    kappa = ShapeFunction.quadratic(np.zeros(sigma.shape[0]), sigma)
     return simulate_general(
-        dist, kappa, grid, n_points, rng, seed_record=seed_record, construction="smith"
+        *_smith_law(sigma), grid, n_points, rng, seed_record=seed_record, construction="smith"
     )
 
 
@@ -241,32 +293,33 @@ def _br_cov_factor(variogram: Variogram, grid: Grid):
     return factor, g, pts.shape[0]
 
 
+def _brown_resnick_log_w(variogram: Variogram, grid: Grid):
+    """log W_i(t) = Z_i(t) - gamma(t) / 2; the Gaussian increments Z_i are
+    drawn per chunk, as a whole field's would hold n_points x m doubles."""
+    factor, g, m_all = _br_cov_factor(variogram, grid)
+    m = grid.size
+
+    def start(count, rng_z):
+        return lambda i0, i1: (
+            np.asarray(rng_z.standard_normal((i1 - i0, m_all))) @ factor.T
+        )[:, :m]
+
+    return start, 0.5 * g[:m]
+
+
 def simulate_brown_resnick(
     variogram: Variogram, grid: Grid, n_points: int, rng, *, seed_record=None
 ) -> Field:
     """Brown-Resnick construction from grid-sampled Gaussian increments."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    factor, g, m_all = _br_cov_factor(variogram, grid)
-    m = grid.size
-    rng_u, rng_z = spawn(rng, 2)
-    cascade = frechet_cascade(n_points, rng_u)
-    logu = np.log(cascade.points)
-
-    def chunks():
-        for i0 in range(0, n_points, _CHUNK):
-            i1 = min(i0 + _CHUNK, n_points)
-            z = np.asarray(rng_z.standard_normal((i1 - i0, m_all))) @ factor.T
-            yield logu[i0:i1, None] + z[:, :m] - 0.5 * g[None, :m]
-
-    best, best_idx = _max_reduce(chunks(), m)
     prov = {
         "construction": "brown_resnick",
         "variogram": variogram.kind,
         "n_points": n_points,
         "seed": seed_record,
     }
-    return _finalize(grid, best, best_idx, n_points, prov)
+    return _cascade_field(grid, _brown_resnick_log_w(variogram, grid), n_points, rng, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -404,37 +457,23 @@ class TruncationDiagnostic:
 def _paired_log_max(construction: str, params: dict, grid: Grid, n: int, rng):
     """Log-field after n and after 2n cascade atoms of one realization.
 
-    Uses the same stream layout as the simulators, so the first n atoms
-    are shared exactly between the two truncation levels.
+    One engine run over 2n atoms whose first n atoms, and the chunks that
+    reduce them, are those of the simulator run with n_points = n.
     """
-    n2 = 2 * n
-    rng_u, rng_x = spawn(rng, 2)
-    if construction in ("general", "smith"):
-        if construction == "smith":
-            sigma = np.atleast_2d(np.asarray(params["sigma"], dtype=float))
-            dist = Gaussian(np.zeros(sigma.shape[0]), sigma)
-            kappa = ShapeFunction.quadratic(np.zeros(sigma.shape[0]), sigma)
-        else:
-            dist, kappa = params["dist"], params["kappa"]
-        cascade = params.get("cascade") or frechet_cascade(n2, rng_u)
-        spectral = params.get("spectral")
-        if spectral is None:
-            spectral = dist.sample(n2, rng_x)
-        kap = kappa.values(grid.locations)
-        contrib = np.log(cascade.points)[:, None] + spectral @ grid.locations.T - kap[None, :]
+    if construction == "smith":
+        log_w = _general_log_w(*_smith_law(params["sigma"]), grid)
+    elif construction == "general":
+        log_w = _general_log_w(params["dist"], params["kappa"], grid)
     elif construction == "brown_resnick":
-        variogram = params["variogram"]
-        factor, g, m_all = _br_cov_factor(variogram, grid)
-        cascade = frechet_cascade(n2, rng_u)
-        z = np.asarray(rng_x.standard_normal((n2, m_all))) @ factor.T
-        contrib = (
-            np.log(cascade.points)[:, None] + z[:, : grid.size] - 0.5 * g[None, : grid.size]
-        )
+        log_w = _brown_resnick_log_w(params["variogram"], grid)
     else:
         raise ValueError(
             f"truncation diagnostic applies to cascade constructions, not {construction!r}"
         )
-    return contrib[:n].max(axis=0), contrib.max(axis=0)
+    chunks = _log_contributions(log_w, 2 * n, rng, split=n)
+    at_n, _ = _max_reduce(itertools.islice(chunks, math.ceil(n / _CHUNK)), grid.size)
+    rest, _ = _max_reduce(chunks, grid.size)
+    return at_n, np.maximum(at_n, rest)
 
 
 def truncation_check(
@@ -473,9 +512,16 @@ def _f17(x) -> str:
     return format(float(x), ".17g")
 
 
+def field_csv_rows(field: Field) -> list:
+    """``t_1,...,t_d,value`` rows in grid order with 17 significant digits."""
+    return [
+        ",".join(_f17(c) for c in loc) + "," + _f17(val)
+        for loc, val in zip(field.grid.locations, field.values)
+    ]
+
+
 def field_csv_text(field: Field, extra_header: dict | None = None) -> str:
-    """Field CSV: one comment header line, then ``t_1,...,t_d,value`` rows
-    in grid order with 17 significant digits."""
+    """Field CSV: one comment header line, then the ``field_csv_rows``."""
     prov = field.provenance
     trunc = prov.get("truncation", {})
     header = (
@@ -488,8 +534,7 @@ def field_csv_text(field: Field, extra_header: dict | None = None) -> str:
     if extra_header:
         for key, value in extra_header.items():
             lines.append(f"# {key}={value}")
-    for loc, val in zip(field.grid.locations, field.values):
-        lines.append(",".join(_f17(c) for c in loc) + "," + _f17(val))
+    lines.extend(field_csv_rows(field))
     return "\n".join(lines) + "\n"
 
 

@@ -299,27 +299,13 @@ def marginal_frechet_ks(
     rng,
     n_points: int = 10_000,
     level: float = 0.01,
-    threads: int = 1,
 ) -> list:
     """KS distance of simulated marginals against unit Frechet at each grid
     point, with kappa equal to the CGF of the spectral law."""
     kappa = ShapeFunction.from_cgf(dist)
     values = np.empty((replicates, grid.size))
-    children = spawn(rng, replicates)
-    jobs = ((rep, children[rep]) for rep in range(replicates))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def job(item):
-            rep, child = item
-            return rep, simulate_general(dist, kappa, grid, n_points, child).values
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rep, vals in pool.map(job, jobs):
-                values[rep] = vals
-    else:
-        for rep, child in jobs:
-            values[rep] = simulate_general(dist, kappa, grid, n_points, child).values
+    for rep, child in enumerate(spawn(rng, replicates)):
+        values[rep] = simulate_general(dist, kappa, grid, n_points, child).values
     threshold = fdd.ks_threshold(replicates, level)
     table = []
     for j in range(grid.size):
@@ -343,7 +329,6 @@ def empirical_shift_distance(
     replicates: int,
     rng,
     n_points: int = 10_000,
-    threads: int = 1,
 ) -> float:
     """Two-sample sup distance between the bivariate empirical CDFs at
     (t1, t2) and (t1 + h, t2 + h), over the Frechet-quantile threshold grid."""
@@ -367,20 +352,8 @@ def empirical_shift_distance(
     grid = Grid(np.array(uniq))
     index = np.array(index)
     pairs = np.empty((replicates, 4))
-    children = spawn(rng, replicates)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def job(rep):
-            return rep, simulate_general(dist, kappa, grid, n_points, children[rep]).values
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rep, vals in pool.map(job, range(replicates)):
-                pairs[rep] = vals[index]
-    else:
-        for rep in range(replicates):
-            vals = simulate_general(dist, kappa, grid, n_points, children[rep]).values
-            pairs[rep] = vals[index]
+    for rep, child in enumerate(spawn(rng, replicates)):
+        pairs[rep] = simulate_general(dist, kappa, grid, n_points, child).values[index]
     thresholds = fdd.frechet_threshold_grid()
     return fdd.bivariate_ecdf_distance(pairs[:, :2], pairs[:, 2:], thresholds)
 
@@ -395,7 +368,6 @@ def verify_characterization(
     budget: int = 1000,
     box=None,
     shift=None,
-    threads: int = 1,
 ) -> CharacterizationReport:
     """End-to-end experiment with kappa set to the CGF of the spectral law:
     (a) simulated marginals vs unit Frechet at every grid point, (b) the
@@ -405,6 +377,8 @@ def verify_characterization(
     "non-stationary in dimension 2" otherwise (marginals are Frechet
     either way).
     """
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     if grid.size < 2:
         raise ValueError("characterization needs at least two grid points")
     grid.validate_domain(dist)
@@ -416,12 +390,10 @@ def verify_characterization(
     if shift is None:
         shift = default_shift(dist, grid)
 
-    marg = marginal_frechet_ks(dist, grid, replicates, rng, n_points, threads=threads)
+    marg = marginal_frechet_ks(dist, grid, replicates, rng, n_points)
     report = search_violation(dist, 2, budget, box, rng)
     t1, t2 = grid.locations[0], grid.locations[1]
-    shift_dist = empirical_shift_distance(
-        dist, t1, t2, shift, replicates, rng, n_points, threads=threads
-    )
+    shift_dist = empirical_shift_distance(dist, t1, t2, shift, replicates, rng, n_points)
     verdict = (
         "Gaussian-consistent"
         if report.verdict == "stationary-consistent"

@@ -33,7 +33,6 @@ from maxstable.stationarity import (
     search_violation,
 )
 
-THREADS = 8
 N_POINTS = 10_000
 REPLICATES = 10_000
 
@@ -75,7 +74,7 @@ def smith_quad_pairs():
     def job(rep, rng):
         return simulate_smith([[1.0]], GRID4, N_POINTS, rng).values
 
-    return np.array(run_replicates(job, REPLICATES, seed=4001, threads=THREADS))
+    return np.array(run_replicates(job, REPLICATES, seed=4001))
 
 
 def test_criterion_1_forward_direction_analytic(report):
@@ -132,7 +131,7 @@ def test_criterion_3_frechet_marginals(report):
     details = []
     for k, (dist, grid) in enumerate(FAMILY_GRIDS):
         table = marginal_frechet_ks(
-            dist, grid, REPLICATES, derive_rng(3001 + k), n_points=N_POINTS, threads=THREADS
+            dist, grid, REPLICATES, derive_rng(3001 + k), n_points=N_POINTS
         )
         worst = max(row["ks"] for row in table)
         ok = ok and all(row["pass"] for row in table)
@@ -154,7 +153,7 @@ def test_criterion_4_gaussian_stationarity(report, smith_quad_pairs):
     exp_rep = search_violation(Exponential(1.0), 2, 1000, [[0.0, 0.6]], derive_rng(4101))
     exp_shift = empirical_shift_distance(
         Exponential(1.0), [0.0], [0.25], [0.25], REPLICATES, derive_rng(4102),
-        n_points=N_POINTS, threads=THREADS,
+        n_points=N_POINTS,
     )
     ok = sup < 0.02 and exp_rep.verdict == "violated"
     report(
@@ -198,7 +197,7 @@ def test_criterion_6_representation_equivalence(report, smith_quad_pairs):
     def job(rep, rng):
         return simulate_moving_maxima([[1.0]], grid, core, rng).values
 
-    mmm_pairs = np.array(run_replicates(job, REPLICATES, seed=6001, threads=THREADS))
+    mmm_pairs = np.array(run_replicates(job, REPLICATES, seed=6001))
     sup = bivariate_ecdf_distance(smith_quad_pairs[:, :2], mmm_pairs, THRESHOLDS_10)
     report(
         6,
@@ -215,7 +214,7 @@ def test_criterion_7_max_stability(report, smith_quad_pairs):
         return simulate_smith([[1.0]], grid, N_POINTS, rng).values
 
     groups = [
-        np.array(run_replicates(job, REPLICATES, seed=7001 + k, threads=THREADS))
+        np.array(run_replicates(job, REPLICATES, seed=7001 + k))
         for k in range(5)
     ]
     pooled = np.max(groups, axis=0) / 5.0
@@ -242,15 +241,17 @@ def test_criterion_8_numerical_hygiene(report):
             worst_rel = max(worst_rel, abs(grad - fd) / max(1.0, abs(fd)))
     grad_ok = worst_rel < 1e-6
 
-    # (b) bit-exact determinism across thread counts
+    # (b) replicate determinism, bit-exact: each replicate depends only on
+    # (seed, index), not on the order or the number of replicates run
     grid = Grid([0.0, 1.0])
 
     def job(rep, rng_):
         return simulate_smith([[1.0]], grid, 2000, rng_).values
 
-    serial = np.array(run_replicates(job, 64, seed=8101, threads=1))
-    parallel = np.array(run_replicates(job, 64, seed=8101, threads=THREADS))
-    thread_ok = np.array_equal(serial, parallel)
+    batch = np.array(run_replicates(job, 64, seed=8101))
+    reverse = np.array([job(k, derive_rng(8101, k)) for k in reversed(range(64))])[::-1]
+    longer = np.array(run_replicates(job, 128, seed=8101))[:64]
+    replicate_ok = np.array_equal(batch, reverse) and np.array_equal(batch, longer)
 
     # (c) truncation convergence for every configuration used in criteria 3-7
     trunc_ok = True
@@ -267,11 +268,11 @@ def test_criterion_8_numerical_hygiene(report):
     mmm_field = simulate_moving_maxima([[1.0]], grid, [[0.0, 1.0]], derive_rng(8401))
     trunc_ok = trunc_ok and mmm_field.provenance["truncation"]["exact_on_grid"]
 
-    ok = grad_ok and thread_ok and trunc_ok
+    ok = grad_ok and replicate_ok and trunc_ok
     report(
         8,
         ok,
-        f"gradient vs FD worst rel err {worst_rel:.2e} < 1e-6; thread determinism "
-        f"{'bit-exact' if thread_ok else 'BROKEN'}; truncation converged for all "
+        f"gradient vs FD worst rel err {worst_rel:.2e} < 1e-6; replicate determinism "
+        f"{'bit-exact' if replicate_ok else 'BROKEN'}; truncation converged for all "
         f"criteria 3-7 configs (worst change fraction {worst_frac:.4f})",
     )

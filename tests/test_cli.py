@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maxstable
 from maxstable.cli import (
     UsageError,
     main,
@@ -300,3 +305,52 @@ def test_negative_grid_values_parse_as_arguments(tmp_path):
         "--grid", "-1,0,1", "--n-points", "500",
         "--output", str(tmp_path / "f.csv"),
     ]) == 0
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["compare-reps", "--sigma", "1", "--grid", "0,1", "--replicates", "0"], 3),
+        (["compare-reps", "--sigma", "1", "--grid", "0,1", "--replicates", "-5"], 3),
+        (["verify", "--dist", "gaussian:mu=0;sigma=1", "--replicates", "0"], 3),
+        (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0;nan", "--xs", "1,1"], 3),
+        (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0;1", "--xs", "1,inf"], 3),
+        (["simulate", "--construction", "smith", "--sigma", "x", "--grid", "0,1"], 2),
+        (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0;1", "--xs", "1,x"], 2),
+        (["simulate", "--construction", "br", "--variogram", "fractional:alpha",
+          "--grid", "0,1"], 2),
+        (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--kappa", "quadratic:mu",
+          "--ts", "0;1", "--xs", "1,1"], 2),
+    ],
+    ids=[
+        "zero-replicates", "negative-replicates", "verify-zero-replicates",
+        "nan-point", "inf-threshold", "sigma-not-a-number", "threshold-not-a-number",
+        "variogram-param-without-equals", "kappa-param-without-equals",
+    ],
+)
+def test_bad_input_exit_codes(argv, code, capsys):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err and err.startswith(("error:", "numeric error:"))
+
+
+def test_config_file_value_that_is_not_a_number(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("budget = abc\n")
+    assert main(["defect", "--dist", "exp:lambda=1", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "budget" in err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(maxstable.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys, maxstable.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -18,7 +18,8 @@ from maxstable.simulator import (
     truncation_check,
     write_field_csv,
 )
-from maxstable.spectral import DomainError, Exponential, Gaussian, ShapeFunction
+from maxstable.simulator import _paired_log_max
+from maxstable.spectral import DomainError, Exponential, Gamma, Gaussian, ShapeFunction
 
 
 def unit_smith_dist():
@@ -42,6 +43,15 @@ def test_grid_rejects_duplicates_and_nonfinite():
         Grid([0.0, np.inf])
     with pytest.raises(ValueError):
         Grid(np.empty((0, 1)))
+
+
+def test_grid_duplicate_check_in_2d():
+    # a vertical line: every point shares its first coordinate
+    line = np.column_stack([np.zeros(3000), np.arange(3000) * 1e-3])
+    assert Grid(line).size == 3000
+    # lexicographic order puts (2e-13, 1) between two points 5e-13 apart
+    with pytest.raises(ValueError, match="duplicate"):
+        Grid([[0.0, 0.0], [2e-13, 1.0], [5e-13, 0.0]])
 
 
 def test_grid_validate_domain():
@@ -249,6 +259,41 @@ def test_truncation_check_general_and_br(rng):
         Grid([0.0, 1.0]), 4000, rng, replicates=10,
     )
     assert diag.converged
+
+
+GAMMA = Gamma(2.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [5, 3000])
+@pytest.mark.parametrize(
+    "construction, params, simulate, grid",
+    [
+        ("general", {"dist": GAMMA, "kappa": ShapeFunction.from_cgf(GAMMA)},
+         lambda p, *args: simulate_general(p["dist"], p["kappa"], *args),
+         Grid([0.0, 0.5, 0.9, 0.99])),
+        ("smith", {"sigma": [[1.0]]}, lambda p, *args: simulate_smith(p["sigma"], *args),
+         Grid([0.0, 2.0, 5.0, 8.0])),
+        ("brown_resnick", {"variogram": Variogram.fractional(1.0, 1.0)},
+         lambda p, *args: simulate_brown_resnick(p["variogram"], *args),
+         Grid([0.0, 5.0, 20.0, 60.0])),
+    ],
+    ids=["general-gamma", "smith", "brown-resnick"],
+)
+def test_doubling_diagnostic_extends_the_simulated_field(construction, params, simulate, grid, n):
+    # the n-atom level of the doubling diagnostic is the field simulate_*
+    # draws from the same generator (n = 3000 spans two chunks); far grid
+    # points, where atoms beyond n often win, make a wrong level show.
+    # The 2n level is simulate_*(2n) too where log W is one product per
+    # entry (d = 1 general and Smith): a max does not depend on how the
+    # rows are chunked.  Brown-Resnick's increments pass through a matrix
+    # product whose rounding may depend on the chunk shape.
+    for seed in range(4):
+        at_n, at_2n = _paired_log_max(construction, params, grid, n, derive_rng(seed))
+        field = simulate(params, grid, n, derive_rng(seed))
+        assert np.array_equal(np.exp(at_n), field.values)
+        if construction != "brown_resnick":
+            field = simulate(params, grid, 2 * n, derive_rng(seed))
+            assert np.array_equal(np.exp(at_2n), field.values)
 
 
 def test_truncation_check_rejects_unknown_construction(rng):

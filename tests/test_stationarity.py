@@ -11,7 +11,6 @@ from maxstable.spectral import (
     Gamma,
     Gaussian,
     SimplexWeights,
-    Uniform,
 )
 from maxstable.stationarity import (
     TOL_DEFECT,
@@ -157,13 +156,6 @@ def test_marginal_frechet_ks_small_run():
     )
     assert len(table) == 2
     assert all(row["pass"] for row in table)
-
-
-def test_marginal_ks_thread_count_does_not_change_results():
-    args = (Uniform(0.0, 1.0), Grid([0.0, 1.0]), 120)
-    serial = marginal_frechet_ks(*args, derive_rng(33), n_points=1500, threads=1)
-    parallel = marginal_frechet_ks(*args, derive_rng(33), n_points=1500, threads=4)
-    assert serial == parallel
 
 
 def test_empirical_shift_distance_gaussian_small():
