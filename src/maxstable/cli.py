@@ -25,6 +25,7 @@ from . import fdd as fddmod
 from . import stationarity
 from .seeding import DEFAULT_SEED, derive_rng, run_replicates
 from .simulator import (
+    DEFAULT_N_POINTS,
     Grid,
     Variogram,
     _f17,
@@ -152,7 +153,8 @@ def parse_dist(spec: str):
 
 
 def dump_json(obj) -> str:
-    """JSON with every number printed at 17 significant digits."""
+    """JSON with every number printed at 17 significant digits; a number
+    that is not finite has no JSON form and raises ValueError."""
     if isinstance(obj, dict):
         return "{" + ", ".join(f"{json.dumps(str(k))}: {dump_json(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
@@ -162,6 +164,8 @@ def dump_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise ValueError(f"non-finite number {float(obj)!r} in the output")
         return _f17(obj)
     return json.dumps(obj)
 
@@ -310,6 +314,8 @@ def cmd_fdd(args) -> int:
 
 
 def cmd_compare_reps(args) -> int:
+    if not np.isfinite(args.threshold):
+        raise ValueError("compare-reps threshold must be finite")
     sigma = parse_matrix(args.sigma)
     grid = Grid(parse_grid(args.grid))
     if grid.size < 2:
@@ -370,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", default=None, help="spectral law spec string")
     p.add_argument("--kappa", default="cgf", help="'cgf' or quadratic:mu=..;sigma=..;c0=..")
     p.add_argument("--grid", required=True, help="start:step:count per axis, or explicit points")
-    p.add_argument("--n-points", type=int, default=10_000)
+    p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
     p.add_argument("--window", default=None, help="moving-maxima core window, lo,hi per axis")
     p.add_argument("--plot-data", default=None, help="also write bare (t, value) pairs here")
     common(p)
@@ -389,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True)
     p.add_argument("--grid", default=None)
     p.add_argument("--replicates", type=int, default=10_000)
-    p.add_argument("--n-points", type=int, default=10_000)
+    p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
     p.add_argument("--budget", type=int, default=1000)
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -408,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True)
     p.add_argument("--grid", required=True)
     p.add_argument("--replicates", type=int, default=10_000)
-    p.add_argument("--n-points", type=int, default=10_000)
+    p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
     p.add_argument("--window", default=None, help="moving-maxima core window, lo,hi per axis")
     p.add_argument("--threshold", type=float, default=0.02)
     common(p)
@@ -447,8 +453,23 @@ def resolve_seed(seed) -> int:
     return DEFAULT_SEED
 
 
-_INT_KEYS = {"n_points", "replicates", "budget", "n", "mc_n", "seed"}
-_FLOAT_KEYS = {"tol", "threshold"}
+def apply_config_file(parser: argparse.ArgumentParser, args) -> None:
+    """Make the ``--config`` file's values the defaults of the subcommand's
+    flags, so that a flag on the command line still wins.  A key must name
+    a long flag of the subcommand, and its value passes that flag's own
+    ``type`` and ``choices``, as on the command line."""
+    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    for key, raw in load_config_file(args.config).items():
+        action = sub._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None or action.dest in ("help", "config"):
+            raise UsageError(f"config file {args.config}: {key!r} is not a flag of {args.command}")
+        try:
+            value = raw if action.type is None else action.type(raw)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{value!r} is not one of {', '.join(action.choices)}")
+        except ValueError as exc:
+            raise UsageError(f"config file {args.config}: bad {key}: {exc}") from exc
+        sub.set_defaults(**{action.dest: value})
 
 
 def main(argv=None) -> int:
@@ -456,20 +477,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            overrides = load_config_file(args.config)
-            given = set()
-            probe = argv if argv is not None else sys.argv[1:]
-            for token in probe:
-                if token.startswith("--"):
-                    given.add(token[2:].split("=", 1)[0].replace("-", "_"))
-            for key, value in overrides.items():
-                if key in given or not hasattr(args, key):
-                    continue
-                cast = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
-                try:
-                    setattr(args, key, cast(value))
-                except ValueError as exc:
-                    raise UsageError(f"config file {args.config}: bad {key}: {exc}") from exc
+            apply_config_file(parser, args)
+            args = parser.parse_args(argv)
         args.seed = resolve_seed(args.seed)
         return args.func(args)
     except UsageError as exc:

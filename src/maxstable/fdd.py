@@ -239,26 +239,23 @@ def ks_threshold(n: int, level: float = 0.01) -> float:
     return coeff / math.sqrt(n)
 
 
-def bivariate_ecdf_distance(pairs_a, pairs_b, thresholds_x, thresholds_y=None) -> float:
-    """sup over a threshold grid of |F_a(x, y) - F_b(x, y)| for two samples
-    of bivariate observations (N, 2)."""
+def bivariate_ecdf_distance(pairs_a, pairs_b, thresholds) -> float:
+    """sup over the threshold grid (x, y both in ``thresholds``) of
+    |F_a(x, y) - F_b(x, y)| for two samples of bivariate observations (N, 2)."""
     a = np.asarray(pairs_a, dtype=float)
     b = np.asarray(pairs_b, dtype=float)
-    tx = np.asarray(thresholds_x, dtype=float)
-    ty = tx if thresholds_y is None else np.asarray(thresholds_y, dtype=float)
+    ts = np.asarray(thresholds, dtype=float)
     worst = 0.0
-    for x in tx:
+    for x in ts:
         a1 = a[:, 0] <= x
         b1 = b[:, 0] <= x
-        for y in ty:
+        for y in ts:
             fa = float(np.mean(a1 & (a[:, 1] <= y)))
             fb = float(np.mean(b1 & (b[:, 1] <= y)))
             worst = max(worst, abs(fa - fb))
     return worst
 
 
-def frechet_threshold_grid(levels=None) -> np.ndarray:
-    """Frechet quantiles at probability levels 0.1 .. 0.9 (default)."""
-    if levels is None:
-        levels = np.arange(0.1, 0.95, 0.1)
-    return np.array([frechet_quantile(float(p)) for p in levels])
+def frechet_threshold_grid() -> np.ndarray:
+    """Frechet quantiles at probability levels 0.1 .. 0.9."""
+    return np.array([frechet_quantile(float(p)) for p in np.arange(0.1, 0.95, 0.1)])

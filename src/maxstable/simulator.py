@@ -1,12 +1,16 @@
 """Field simulators for the four max-stable constructions.
 
-All constructions evaluate spectral contributions in log space
-(log U_i + log W_i(t)), max-reduce, and exponentiate once, so a single
-huge contribution cannot overflow intermediate arithmetic.  The general,
-Smith (gaussian X, quadratic kappa) and Brown-Resnick constructions share
-one cascade engine truncated at n_points atoms and differ only in log W;
-the moving-maxima construction uses an exact-on-grid stopping rule with
-an explicit edge-error bound.
+All constructions evaluate spectral contributions in log space,
+max-reduce, and exponentiate once, so a single huge contribution cannot
+overflow intermediate arithmetic.  The general, Smith (gaussian X,
+quadratic kappa) and Brown-Resnick constructions share one cascade
+engine truncated at n_points atoms and differ only in log W.  Its
+normaliser (kappa(t), or gamma(t) / 2) does not depend on the atom, so
+the engine keeps one running max of log U_i + <X_i, t> and subtracts the
+normaliser once.  A field carries no convergence flag: the doubling
+diagnostic ``truncation_check`` is the one convergence diagnostic.  The
+moving-maxima construction uses an exact-on-grid stopping rule with an
+explicit edge-error bound.
 
 Randomness layout: the engine splits its generator into two child
 streams (cascade arrivals, spectral draws).  Because child streams are
@@ -32,8 +36,11 @@ from .spectral import (
     psd_factor,
 )
 
+DEFAULT_N_POINTS = 10_000  # cascade atoms per field unless a caller asks otherwise
 _LOG_MAX = math.log(np.finfo(float).max)
 _CHUNK = 2048
+_STORM_CHUNK = 256
+_MAX_STORMS = 2_000_000
 _DUPLICATE_TOL = 1e-12
 
 
@@ -154,31 +161,22 @@ class Variogram:
 
 
 def _max_reduce(log_contrib_chunks, m):
-    """Running max and argmax (cascade index) over chunks of (k, m) arrays."""
+    """Running max over chunks of (k, m) arrays."""
     best = np.full(m, -np.inf)
-    best_idx = np.zeros(m, dtype=int)
-    offset = 0
     for chunk in log_contrib_chunks:
-        k = chunk.shape[0]
-        cmax = chunk.max(axis=0)
-        carg = chunk.argmax(axis=0) + offset
-        take = cmax > best
-        best = np.where(take, cmax, best)
-        best_idx = np.where(take, carg, best_idx)
-        offset += k
-    return best, best_idx
+        np.maximum(best, chunk.max(axis=0), out=best)
+    return best
 
 
-def _log_contributions(log_w, n_points, rng, cascade=None, split=None):
-    """Chunks of log U_i + log W_i(t) for one realization, in cascade order.
+def _log_contributions(start, n_points, rng, cascade=None, split=None):
+    """Chunks of log U_i + log W_i(t) + shift(t), in cascade order.
 
-    ``log_w`` is a pair (start, shift): start(count, rng_x) draws the
-    spectral side from its child stream and returns chunk(i0, i1), the
-    (i1 - i0, m) array that the (m,) ``shift`` is subtracted from.  Chunks
-    hold at most _CHUNK rows and also end at ``split``, so the chunks
-    before ``split`` are exactly those of a run with n_points = split.
+    The shift of log W does not depend on i, so callers subtract it once
+    after the max.  start(count, rng_x) draws the spectral side from its
+    child stream and returns chunk(i0, i1), a fresh (i1 - i0, m) array.
+    Chunks hold at most _CHUNK rows and also end at ``split``, so the
+    chunks before ``split`` are exactly those of a run with n_points = split.
     """
-    start, shift = log_w
     rng_u, rng_x = spawn(rng, 2)
     if cascade is None:
         cascade = frechet_cascade(n_points, rng_u)
@@ -188,32 +186,27 @@ def _log_contributions(log_w, n_points, rng, cascade=None, split=None):
     for lo, hi in zip(edges, edges[1:]):
         for i0 in range(lo, hi, _CHUNK):
             i1 = min(i0 + _CHUNK, hi)
-            yield logu[i0:i1, None] + chunk(i0, i1) - shift[None, :]
+            block = chunk(i0, i1)
+            block += logu[i0:i1, None]
+            yield block
 
 
 def _cascade_field(grid, log_w, n_points, rng, provenance, cascade=None) -> Field:
     """The cascade engine: max over i <= n_points of U_i W_i(t) on the grid."""
-    best, best_idx = _max_reduce(
-        _log_contributions(log_w, n_points, rng, cascade), grid.size
-    )
+    start, shift = log_w
+    best = _max_reduce(_log_contributions(start, n_points, rng, cascade), grid.size)
+    best -= shift
     if np.any(best > _LOG_MAX):
         raise ValueError(
             "spectral contribution overflows the double range "
             f"(max log value {best.max():.3g})"
         )
-    # cheap per-realization diagnostic: did the second half of the cascade
-    # ever set the max?  (the full doubling check is truncation_check)
-    tail_frac = float(np.mean(best_idx >= n_points // 2)) if n_points > 1 else 1.0
-    provenance["truncation"] = {
-        "tail_improvement_fraction": tail_frac,
-        "converged": bool(tail_frac < 0.01),
-    }
     return Field(grid, np.exp(best), provenance)
 
 
 def _general_log_w(dist, kappa, grid, spectral=None):
-    """log W_i(t) = <X_i, t> - kappa(t); the X_i are drawn in one block per
-    field unless given."""
+    """log W_i(t) = <X_i, t> - kappa(t) as (start, shift = kappa(t)); the
+    X_i are drawn in one block per field unless given."""
     grid.validate_domain(dist)
     t_mat = grid.locations
 
@@ -294,8 +287,9 @@ def _br_cov_factor(variogram: Variogram, grid: Grid):
 
 
 def _brown_resnick_log_w(variogram: Variogram, grid: Grid):
-    """log W_i(t) = Z_i(t) - gamma(t) / 2; the Gaussian increments Z_i are
-    drawn per chunk, as a whole field's would hold n_points x m doubles."""
+    """log W_i(t) = Z_i(t) - gamma(t) / 2 as (start, shift = gamma(t) / 2);
+    the Gaussian increments Z_i are drawn per chunk, as a whole field's
+    would hold n_points x m doubles."""
     factor, g, m_all = _br_cov_factor(variogram, grid)
     m = grid.size
 
@@ -367,9 +361,6 @@ def simulate_moving_maxima(
     *,
     storms=None,
     seed_record=None,
-    edge_rel_err: float = 1e-8,
-    chunk: int = 256,
-    max_storms: int = 2_000_000,
 ) -> Field:
     """Moving-maxima construction: max over storms of
     c * V_i * exp(-0.5 <(t - T_i), Sigma (t - T_i)>), c = det(Sigma)^1/2 / (2 pi)^{d/2}.
@@ -401,11 +392,11 @@ def simulate_moving_maxima(
             "construction": "mmm",
             "n_points": storms.count,
             "seed": seed_record,
-            "truncation": {"converged": True, "exact_on_grid": True},
+            "truncation": {"exact_on_grid": True},
         }
         return Field(grid, np.exp(best), prov)
 
-    r_buf = moving_maxima_buffer(sigma, core, edge_rel_err)
+    r_buf = moving_maxima_buffer(sigma, core)
     window = np.column_stack([core[:, 0] - r_buf, core[:, 1] + r_buf])
     vol = window_volume(window)
     _, eigs, _ = clamp_psd(sigma)
@@ -416,17 +407,17 @@ def simulate_moving_maxima(
     gamma_total = 0.0
     n_storms = 0
     while True:
-        arrivals = np.asarray(rng_v.exponential(size=chunk), dtype=float)
+        arrivals = np.asarray(rng_v.exponential(size=_STORM_CHUNK), dtype=float)
         gammas = gamma_total + np.cumsum(arrivals)
         gamma_total = float(gammas[-1])
         strengths = vol / gammas
-        centers = np.asarray(rng_t.uniform(window[:, 0], window[:, 1], size=(chunk, grid.dim)))
+        centers = np.asarray(rng_t.uniform(window[:, 0], window[:, 1], size=(_STORM_CHUNK, grid.dim)))
         best = np.maximum(best, kernel_log(centers, strengths).max(axis=0))
-        n_storms += chunk
+        n_storms += _STORM_CHUNK
         if log_c + math.log(strengths[-1]) < best.min():
             break
-        if n_storms >= max_storms:
-            raise ValueError("moving-maxima stopping rule not reached within max_storms")
+        if n_storms >= _MAX_STORMS:
+            raise ValueError(f"moving-maxima stopping rule not reached within {_MAX_STORMS} storms")
     if np.any(best > _LOG_MAX):
         raise ValueError("storm contribution overflows the double range")
     prov = {
@@ -436,7 +427,7 @@ def simulate_moving_maxima(
         "window": window.tolist(),
         "buffer_radius": r_buf,
         "edge_error_bound": edge_bound,
-        "truncation": {"converged": True, "exact_on_grid": True},
+        "truncation": {"exact_on_grid": True},
     }
     return Field(grid, np.exp(best), prov)
 
@@ -470,10 +461,11 @@ def _paired_log_max(construction: str, params: dict, grid: Grid, n: int, rng):
         raise ValueError(
             f"truncation diagnostic applies to cascade constructions, not {construction!r}"
         )
-    chunks = _log_contributions(log_w, 2 * n, rng, split=n)
-    at_n, _ = _max_reduce(itertools.islice(chunks, math.ceil(n / _CHUNK)), grid.size)
-    rest, _ = _max_reduce(chunks, grid.size)
-    return at_n, np.maximum(at_n, rest)
+    start, shift = log_w
+    chunks = _log_contributions(start, 2 * n, rng, split=n)
+    at_n = _max_reduce(itertools.islice(chunks, math.ceil(n / _CHUNK)), grid.size)
+    at_2n = np.maximum(at_n, _max_reduce(chunks, grid.size))
+    return at_n - shift, at_2n - shift
 
 
 def truncation_check(
@@ -523,12 +515,10 @@ def field_csv_rows(field: Field) -> list:
 def field_csv_text(field: Field, extra_header: dict | None = None) -> str:
     """Field CSV: one comment header line, then the ``field_csv_rows``."""
     prov = field.provenance
-    trunc = prov.get("truncation", {})
     header = (
         f"# construction={prov.get('construction', '?')}"
         f" seed={prov.get('seed') if prov.get('seed') is not None else 'none'}"
         f" n_points={prov.get('n_points', '?')}"
-        f" converged={'true' if trunc.get('converged') else 'false'}"
     )
     lines = [header]
     if extra_header:

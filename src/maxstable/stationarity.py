@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fdd
 from .seeding import spawn
-from .simulator import Grid, simulate_general
+from .simulator import DEFAULT_N_POINTS, Grid, simulate_general
 from .spectral import (
     DomainError,
     ShapeFunction,
@@ -172,6 +172,8 @@ def search_violation(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if not (math.isfinite(tol_defect) and tol_defect >= 0):
+        raise ValueError("defect tolerance must be finite and >= 0")
     box = np.asarray(box, dtype=float).reshape(-1, 2)
     if box.shape[0] != dist.dim:
         raise ValueError("box dimension must match the distribution")
@@ -297,7 +299,7 @@ def marginal_frechet_ks(
     grid: Grid,
     replicates: int,
     rng,
-    n_points: int = 10_000,
+    n_points: int = DEFAULT_N_POINTS,
     level: float = 0.01,
 ) -> list:
     """KS distance of simulated marginals against unit Frechet at each grid
@@ -328,7 +330,7 @@ def empirical_shift_distance(
     h,
     replicates: int,
     rng,
-    n_points: int = 10_000,
+    n_points: int = DEFAULT_N_POINTS,
 ) -> float:
     """Two-sample sup distance between the bivariate empirical CDFs at
     (t1, t2) and (t1 + h, t2 + h), over the Frechet-quantile threshold grid."""
@@ -364,10 +366,8 @@ def verify_characterization(
     replicates: int,
     rng,
     *,
-    n_points: int = 10_000,
+    n_points: int = DEFAULT_N_POINTS,
     budget: int = 1000,
-    box=None,
-    shift=None,
 ) -> CharacterizationReport:
     """End-to-end experiment with kappa set to the CGF of the spectral law:
     (a) simulated marginals vs unit Frechet at every grid point, (b) the
@@ -382,13 +382,10 @@ def verify_characterization(
     if grid.size < 2:
         raise ValueError("characterization needs at least two grid points")
     grid.validate_domain(dist)
-    if box is None:
-        lo = grid.locations.min(axis=0)
-        hi = grid.locations.max(axis=0)
-        width = np.where(hi - lo > 0, hi - lo, 1.0)
-        box = np.column_stack([lo, np.where(hi > lo, hi, lo + 0.5 * width)])
-    if shift is None:
-        shift = default_shift(dist, grid)
+    lo = grid.locations.min(axis=0)
+    hi = grid.locations.max(axis=0)
+    box = np.column_stack([lo, np.where(hi > lo, hi, lo + 0.5)])
+    shift = default_shift(dist, grid)
 
     marg = marginal_frechet_ks(dist, grid, replicates, rng, n_points)
     report = search_violation(dist, 2, budget, box, rng)

@@ -91,7 +91,7 @@ def test_simulate_smith_csv(tmp_path):
     ])
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("# construction=smith seed=7 n_points=2000 converged=")
+    assert lines[0] == "# construction=smith seed=7 n_points=2000"
     header_lines = [ln for ln in lines if ln.startswith("#")]
     assert any("subcommand=simulate" in ln for ln in header_lines)
     data = [ln for ln in lines if not ln.startswith("#")]
@@ -285,6 +285,14 @@ def test_config_file_fills_missing_flags(tmp_path, capsys):
     assert report["config"]["box"] == "0,0.5"
 
 
+def test_config_file_yields_to_an_abbreviated_flag(tmp_path, capsys):
+    # argparse accepts --budg for --budget; the file must not override it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("budget = 77\n")
+    main(["defect", "--dist", "exp:lambda=1", "--box", "0,0.6", "--budg", "5", "--config", str(cfg)])
+    assert json.loads(capsys.readouterr().out)["config"]["budget"] == 5
+
+
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no equals sign here\n")
@@ -325,11 +333,16 @@ def test_negative_grid_values_parse_as_arguments(tmp_path):
           "--grid", "0,1"], 2),
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--kappa", "quadratic:mu",
           "--ts", "0;1", "--xs", "1,1"], 2),
+        (["defect", "--dist", "exp:lambda=1", "--box", "0,0.6", "--tol", "nan"], 3),
+        (["compare-reps", "--sigma", "1", "--grid", "0,1", "--threshold", "inf"], 3),
+        (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0", "--xs", "1e-320",
+          "--method", "closed-marginal"], 3),
     ],
     ids=[
         "zero-replicates", "negative-replicates", "verify-zero-replicates",
         "nan-point", "inf-threshold", "sigma-not-a-number", "threshold-not-a-number",
         "variogram-param-without-equals", "kappa-param-without-equals",
+        "nan-defect-tolerance", "inf-compare-threshold", "infinite-exponent",
     ],
 )
 def test_bad_input_exit_codes(argv, code, capsys):
@@ -344,6 +357,27 @@ def test_config_file_value_that_is_not_a_number(tmp_path, capsys):
     assert main(["defect", "--dist", "exp:lambda=1", "--config", str(cfg)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["defect", "--dist", "exp:lambda=1", "--box", "0,0.6"], "budgte = 5"),
+        (["defect", "--dist", "exp:lambda=1", "--box", "0,0.6"], "func = x"),
+        (["defect", "--dist", "exp:lambda=1", "--box", "0,0.6"], "command = verify"),
+        (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0", "--xs", "1"], "method = foo"),
+    ],
+    ids=["misspelt-flag", "parser-attribute", "subcommand", "not-a-choice"],
+)
+def test_config_file_keys_follow_the_flag_contract(tmp_path, capsys, argv, line):
+    # a key must name a long flag of the subcommand, and its value must pass
+    # that flag's type and choices
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    key = line.split(" ")[0]
+    assert out == "" and err.startswith("error:") and key in err and "Traceback" not in err
 
 
 def test_cli_import_does_not_load_scipy():

@@ -18,7 +18,7 @@ from maxstable.simulator import (
     truncation_check,
     write_field_csv,
 )
-from maxstable.simulator import _paired_log_max
+from maxstable.simulator import _CHUNK, _paired_log_max
 from maxstable.spectral import DomainError, Exponential, Gamma, Gaussian, ShapeFunction
 
 
@@ -121,6 +121,21 @@ def test_simulate_general_determinism():
     assert np.array_equal(a.values, b.values)
 
 
+def test_engine_is_one_max_with_kappa_subtracted_once():
+    # n = 5000 spans three chunks, the last one ragged; in d = 1 each
+    # <X_i, t> is one rounded product, so chunking cannot change it
+    assert 2 * _CHUNK < 5000 < 3 * _CHUNK
+    dist, kappa = unit_smith_dist()
+    grid = Grid(np.linspace(-4.0, 4.0, 9))
+    cascade = frechet_cascade(5000, derive_rng(41))
+    spectral = np.asarray(derive_rng(42).standard_normal((5000, 1)))
+    field = simulate_general(dist, kappa, grid, 5000, derive_rng(43),
+                             cascade=cascade, spectral=spectral)
+    t = grid.locations
+    log_max = (np.log(cascade.points)[:, None] + spectral @ t.T).max(axis=0)
+    assert np.array_equal(field.values, np.exp(log_max - kappa.values(t)))
+
+
 def test_smith_is_general_with_gaussian_and_quadratic():
     grid = Grid([0.0, 0.7, 1.0])
     dist, kappa = unit_smith_dist()
@@ -160,7 +175,7 @@ def test_provenance_records_run(rng):
     prov = field.provenance
     assert prov["seed"] == 42
     assert prov["n_points"] == 5000
-    assert "truncation" in prov and "converged" in prov["truncation"]
+    assert "truncation" not in prov
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +324,7 @@ def test_field_csv_round_trip(tmp_path, rng):
     field = simulate_smith([[1.0]], Grid([0.0, 1.0]), 1000, rng, seed_record=3)
     text = field_csv_text(field, extra_header={"note": "x"})
     lines = text.strip().split("\n")
-    assert lines[0].startswith("# construction=smith seed=3 n_points=1000 converged=")
+    assert lines[0] == "# construction=smith seed=3 n_points=1000"
     assert lines[1] == "# note=x"
     for j, line in enumerate(lines[2:]):
         t, v = (float(x) for x in line.split(","))
