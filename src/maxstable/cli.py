@@ -370,55 +370,55 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add_parser("simulate", help="simulate one field realization to CSV")
-    p.add_argument("--construction", choices=["smith", "br", "mmm", "general"], required=True)
+    p.add_argument("--construction", choices=["smith", "br", "mmm", "general"])
     p.add_argument("--sigma", default=None, help="row-major covariance entries")
     p.add_argument("--variogram", default=None, help="fractional:scale=..;alpha=.. or quadratic:sigma=..")
     p.add_argument("--dist", default=None, help="spectral law spec string")
     p.add_argument("--kappa", default="cgf", help="'cgf' or quadratic:mu=..;sigma=..;c0=..")
-    p.add_argument("--grid", required=True, help="start:step:count per axis, or explicit points")
+    p.add_argument("--grid", help="start:step:count per axis, or explicit points")
     p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
     p.add_argument("--window", default=None, help="moving-maxima core window, lo,hi per axis")
     p.add_argument("--plot-data", default=None, help="also write bare (t, value) pairs here")
     common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, needs=("construction", "grid"))
 
     p = add_parser("defect", help="search for stationarity-criterion violations")
-    p.add_argument("--dist", required=True)
+    p.add_argument("--dist")
     p.add_argument("--n", type=int, default=2, help="tuple size of the criterion")
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--box", default=None, help="search box, lo,hi per axis")
     p.add_argument("--tol", type=float, default=stationarity.TOL_DEFECT)
     common(p)
-    p.set_defaults(func=cmd_defect)
+    p.set_defaults(func=cmd_defect, needs=("dist",))
 
     p = add_parser("verify", help="full characterization experiment")
-    p.add_argument("--dist", required=True)
+    p.add_argument("--dist")
     p.add_argument("--grid", default=None)
     p.add_argument("--replicates", type=int, default=10_000)
     p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
     p.add_argument("--budget", type=int, default=1000)
     common(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, needs=("dist",))
 
     p = add_parser("fdd", help="finite-dimensional distribution queries")
-    p.add_argument("--dist", required=True)
+    p.add_argument("--dist")
     p.add_argument("--kappa", default="cgf")
-    p.add_argument("--ts", required=True, help="query points, ';'-separated")
-    p.add_argument("--xs", required=True, help="thresholds, comma-separated")
+    p.add_argument("--ts", help="query points, ';'-separated")
+    p.add_argument("--xs", help="thresholds, comma-separated")
     p.add_argument("--method", choices=["mc", "closed-marginal", "closed-bivariate"], default="mc")
     p.add_argument("--mc-n", type=int, default=100_000)
     common(p)
-    p.set_defaults(func=cmd_fdd)
+    p.set_defaults(func=cmd_fdd, needs=("dist", "ts", "xs"))
 
     p = add_parser("compare-reps", help="Smith vs moving-maxima equivalence")
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--grid", required=True)
+    p.add_argument("--sigma")
+    p.add_argument("--grid")
     p.add_argument("--replicates", type=int, default=10_000)
     p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
     p.add_argument("--window", default=None, help="moving-maxima core window, lo,hi per axis")
     p.add_argument("--threshold", type=float, default=0.02)
     common(p)
-    p.set_defaults(func=cmd_compare_reps)
+    p.set_defaults(func=cmd_compare_reps, needs=("sigma", "grid"))
 
     return parser
 
@@ -453,12 +453,26 @@ def resolve_seed(seed) -> int:
     return DEFAULT_SEED
 
 
+def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    return next(a for a in parser._actions if a.dest == "command").choices[command]
+
+
+def check_needed_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Each flag in the subcommand's ``needs`` must have come from the
+    command line or the config file; argparse's own error (exit 2) if not."""
+    missing = ["--" + dest.replace("_", "-") for dest in args.needs if getattr(args, dest) is None]
+    if missing:
+        _subparser(parser, args.command).error(
+            "the following arguments are required: " + ", ".join(missing)
+        )
+
+
 def apply_config_file(parser: argparse.ArgumentParser, args) -> None:
     """Make the ``--config`` file's values the defaults of the subcommand's
     flags, so that a flag on the command line still wins.  A key must name
     a long flag of the subcommand, and its value passes that flag's own
     ``type`` and ``choices``, as on the command line."""
-    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    sub = _subparser(parser, args.command)
     for key, raw in load_config_file(args.config).items():
         action = sub._option_string_actions.get("--" + key.replace("_", "-"))
         if action is None or action.dest in ("help", "config"):
@@ -479,6 +493,7 @@ def main(argv=None) -> int:
         if args.config:
             apply_config_file(parser, args)
             args = parser.parse_args(argv)
+        check_needed_flags(parser, args)
         args.seed = resolve_seed(args.seed)
         return args.func(args)
     except UsageError as exc:

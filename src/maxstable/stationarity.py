@@ -32,7 +32,6 @@ from .spectral import (
     SpectralDistribution,
     cgf,
     cgf_gradient,
-    cgf_multi,
 )
 
 TOL_DEFECT = 1e-6  # separates round-off (<=1e-10 gaussian) from genuine violations (>=1e-3)
@@ -74,13 +73,44 @@ class CriterionConfig:
         }
 
 
+def _criterion_points(ts, u, h) -> np.ndarray:
+    """The 2n + 3 points each of K configs touches, shape (K, 2n + 3, d):
+    ts, ts + h, sum u_i t_i, sum u_i (t_i + h) and sum u_i t_i + h, for
+    ts (K, n, d), simplex weights u (K, n) and shifts h (K, d)."""
+    shifted = ts + h[:, None, :]
+    # stacked matmul rounds each config exactly as u @ ts does for one
+    combo = np.matmul(u[:, None, :], ts)
+    combo_shifted = np.matmul(u[:, None, :], shifted)
+    return np.concatenate([ts, shifted, combo, combo_shifted, combo + h[:, None, :]], axis=1)
+
+
+def _centred_cgfs(dist: SpectralDistribution, ts, u, h):
+    """Both sides of the criterion for K configs in one CGF pass.
+
+    Returns the mask of configs whose 2n + 3 points all lie inside the CGF
+    domain, and for those configs, in order, the centred CGFs
+    phi(sum u_i t_i) - sum u_i phi(t_i) and the same at ts + h.
+    """
+    n = ts.shape[1]
+    pts = _criterion_points(ts, u, h)
+    lo, hi = dist.domain_lower(), dist.domain_upper()
+    feasible = ~((pts >= hi) | (pts <= lo)).any(axis=(1, 2))
+    # the last point, sum u_i t_i + h, is only checked, never evaluated
+    pts = pts[feasible, :-1]
+    w = u[feasible, None, :]
+    phi = dist.cgf(pts.reshape(-1, dist.dim)).reshape(len(pts), 2 * n + 2)
+    base = phi[:, 2 * n] - np.matmul(w, phi[:, :n, None])[:, 0, 0]
+    shifted = phi[:, 2 * n + 1] - np.matmul(w, phi[:, n : 2 * n, None])[:, 0, 0]
+    return feasible, base, shifted
+
+
 def defect(dist: SpectralDistribution, cfg: CriterionConfig) -> float:
     """Difference of the two sides of the shift-invariance criterion;
     zero for all configs iff the construction is stationary."""
-    cfg.validate_domain(dist)
-    base = cgf_multi(dist, cfg.ts, cfg.weights)
-    shifted = cgf_multi(dist, cfg.ts + cfg.h, cfg.weights)
-    return base - shifted
+    ts, u, h = cfg.ts[None], cfg.weights.u[None], cfg.h[None]
+    dist.check_domain(_criterion_points(ts, u, h)[0])
+    _, base, shifted = _centred_cgfs(dist, ts, u, h)
+    return float(base[0] - shifted[0])
 
 
 def gradient_affinity_defect(dist, t1, t2, delta: float, h_dir) -> float:
@@ -126,34 +156,38 @@ class DefectReport:
         }
 
 
-def _simplex_grid(n: int) -> list:
-    """Coarse simplex grid: weights with entries in multiples of 1/4."""
+def _simplex_grid(n: int) -> np.ndarray:
+    """Coarse simplex grid, shape (G, n): weights with entries in multiples
+    of 1/4, in itertools.product order."""
     steps = _GRID_VALUES_PER_SCALAR - 1
-    out = []
-    for combo in itertools.product(range(steps + 1), repeat=n):
-        if sum(combo) == steps:
-            out.append(np.array(combo, dtype=float) / steps)
-    return out
+    combos = [c for c in itertools.product(range(steps + 1), repeat=n) if sum(c) == steps]
+    return np.array(combos, dtype=float) / steps
 
 
-def _coarse_grid_configs(n: int, box: np.ndarray):
+def _coarse_grid(n: int, box: np.ndarray):
     """Deterministic coarse grid: 5 values per free scalar of (ts, h),
-    crossed with the coarse simplex grid, capped by stride subsampling."""
+    crossed with the coarse simplex grid, keeping every stride-th entry of
+    the itertools.product walk so that about _GRID_CAP remain.
+
+    The kept entries are found by index arithmetic, without the walk.
+    Returns ts (K, n, d), u (K, n) and h (K, d).
+    """
     d = box.shape[0]
-    axis = [np.linspace(box[j, 0], box[j, 1], _GRID_VALUES_PER_SCALAR) for j in range(d)]
+    axis = np.array([np.linspace(lo, hi, _GRID_VALUES_PER_SCALAR) for lo, hi in box])
     u_grid = _simplex_grid(n)
     n_scalars = n * d + d
-    total = (_GRID_VALUES_PER_SCALAR**n_scalars) * len(u_grid)
+    shape = (_GRID_VALUES_PER_SCALAR,) * n_scalars + (len(u_grid),)
+    total = math.prod(shape)
     stride = max(1, total // _GRID_CAP)
-    idx = 0
-    scalar_axes = [axis[j % d] for j in range(n_scalars)]
-    for values in itertools.product(*scalar_axes):
-        ts = np.array(values[: n * d]).reshape(n, d)
-        h = np.array(values[n * d :])
-        for u in u_grid:
-            if idx % stride == 0:
-                yield CriterionConfig(ts, u, h)
-            idx += 1
+    # mixed-radix digits of 0, stride, 2 stride, ... (last digit fastest);
+    # Python integers once the walk's length leaves int64
+    flat = np.arange(-(-total // stride), dtype=np.int64 if total < 2**63 else object) * stride
+    digits = np.empty((len(flat), len(shape)), dtype=np.intp)
+    for j in reversed(range(len(shape))):
+        digits[:, j] = flat % shape[j]
+        flat //= shape[j]
+    values = axis[np.arange(n_scalars) % d, digits[:, :-1]]
+    return values[:, : n * d].reshape(-1, n, d), u_grid[digits[:, -1]], values[:, n * d :]
 
 
 def search_violation(
@@ -170,6 +204,8 @@ def search_violation(
     The verdict is "violated" iff max |defect| > tol_defect.  Configs
     whose shifted points leave the CGF domain are skipped.
     """
+    if n < 1:
+        raise ValueError("criterion tuple size n must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if not (math.isfinite(tol_defect) and tol_defect >= 0):
@@ -182,30 +218,36 @@ def search_violation(
     # the box itself must be feasible for the CGF
     dist.check_domain(box.T)
 
-    configs = list(_coarse_grid_configs(n, box))
-    for _ in range(budget):
-        ts = np.asarray(rng.uniform(box[:, 0], box[:, 1], size=(n, dist.dim)))
-        h = np.asarray(rng.uniform(box[:, 0], box[:, 1], size=dist.dim))
-        u = np.asarray(rng.dirichlet(np.ones(n)))
-        configs.append(CriterionConfig(ts, u, h))
+    grid_ts, grid_u, grid_h = _coarse_grid(n, box)
+    rand_ts = np.empty((budget, n, dist.dim))
+    rand_h = np.empty((budget, dist.dim))
+    rand_u = np.empty((budget, n))
+    for k in range(budget):
+        rand_ts[k] = rng.uniform(box[:, 0], box[:, 1], size=(n, dist.dim))
+        rand_h[k] = rng.uniform(box[:, 0], box[:, 1], size=dist.dim)
+        rand_u[k] = rng.dirichlet(np.ones(n))
+    ts = np.concatenate([grid_ts, rand_ts])
+    raw_u = np.concatenate([grid_u, rand_u])
+    h = np.concatenate([grid_h, rand_h])
+    # SimplexWeights' normalisation, row by row (its clip to [0, 1] is a
+    # no-op on grid and Dirichlet weights)
+    u = raw_u / raw_u.sum(axis=1, keepdims=True)
 
-    defects = []
-    kept = []
-    skipped = 0
-    for cfg in configs:
-        try:
-            defects.append(defect(dist, cfg))
-            kept.append(cfg)
-        except DomainError:
-            skipped += 1
-    if not kept:
+    feasible, base, shifted = _centred_cgfs(dist, ts, u, h)
+    kept = np.flatnonzero(feasible)
+    if not len(kept):
         raise DomainError("no feasible criterion configs inside the box")
-    defects = np.array(defects)
+    defects = base - shifted
     # lowest index wins ties: np.argmax keeps the first maximum
     arg = int(np.argmax(np.abs(defects)))
     max_abs = float(abs(defects[arg]))
     verdict = "violated" if max_abs > tol_defect else "stationary-consistent"
-    return DefectReport(defects, max_abs, kept[arg], verdict, tol_defect, len(kept), skipped)
+    best = kept[arg]
+    # built from the raw weights, so that SimplexWeights normalises them once
+    argmax_config = CriterionConfig(ts[best].copy(), raw_u[best], h[best].copy())
+    return DefectReport(
+        defects, max_abs, argmax_config, verdict, tol_defect, len(kept), len(ts) - len(kept)
+    )
 
 
 # ---------------------------------------------------------------------------

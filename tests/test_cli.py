@@ -293,6 +293,33 @@ def test_config_file_yields_to_an_abbreviated_flag(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["budget"] == 5
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["simulate", "--construction", "smith", "--sigma", "1", "--n-points", "10"], "grid = 0,1"),
+        (["defect"], "dist = exp:lambda=1\nbox = 0,0.6\nbudget = 5"),
+    ],
+    ids=["simulate-grid", "defect-dist"],
+)
+def test_config_file_supplies_a_needed_flag(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main([*argv, "--config", str(cfg)]) in (0, 1)
+    out, err = capsys.readouterr()
+    assert out and err == ""
+
+
+def test_needed_flag_missing_from_command_line_and_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma = 1\n")
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--construction", "smith", "--config", str(cfg)])
+    assert err.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == "maxstable simulate: error: the following arguments are required: --grid"
+
+
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no equals sign here\n")

@@ -1,8 +1,11 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
+from maxstable import stationarity
 from maxstable.seeding import derive_rng
 from maxstable.simulator import Grid
 from maxstable.spectral import (
@@ -10,11 +13,13 @@ from maxstable.spectral import (
     Exponential,
     Gamma,
     Gaussian,
-    SimplexWeights,
+    Uniform,
+    cgf_multi,
 )
 from maxstable.stationarity import (
     TOL_DEFECT,
     CriterionConfig,
+    _coarse_grid,
     defect,
     default_shift,
     empirical_shift_distance,
@@ -107,9 +112,142 @@ def test_search_violation_input_checks(rng):
     with pytest.raises(ValueError):
         search_violation(dist, 2, 0, [[-1.0, 1.0]], rng)
     with pytest.raises(ValueError):
+        search_violation(dist, 0, 10, [[-1.0, 1.0]], rng)
+    with pytest.raises(ValueError):
         search_violation(dist, 2, 10, [[1.0, -1.0]], rng)
     with pytest.raises(ValueError):
         search_violation(dist, 2, 10, [[-1.0, 1.0], [-1.0, 1.0]], rng)
+
+
+# The per-config search the batched one replaces, kept as its reference:
+# the itertools.product walk for the coarse grid, then one CriterionConfig
+# and one validate_domain + two cgf_multi calls per config.
+
+
+def _walk_coarse_grid(n, box):
+    d = box.shape[0]
+    axis = [np.linspace(box[j, 0], box[j, 1], 5) for j in range(d)]
+    u_grid = [np.array(c, dtype=float) / 4 for c in itertools.product(range(5), repeat=n) if sum(c) == 4]
+    total = 5 ** (n * d + d) * len(u_grid)
+    stride = max(1, total // stationarity._GRID_CAP)
+    idx = 0
+    for values in itertools.product(*[axis[j % d] for j in range(n * d + d)]):
+        for u in u_grid:
+            if idx % stride == 0:
+                yield np.array(values[: n * d]).reshape(n, d), u, np.array(values[n * d :])
+            idx += 1
+
+
+def _reference_defect(dist, cfg):
+    cfg.validate_domain(dist)
+    return cgf_multi(dist, cfg.ts, cfg.weights) - cgf_multi(dist, cfg.ts + cfg.h, cfg.weights)
+
+
+def _reference_search(dist, n, budget, box, rng):
+    box = np.asarray(box, dtype=float).reshape(-1, 2)
+    configs = [CriterionConfig(ts, u, h) for ts, u, h in _walk_coarse_grid(n, box)]
+    for _ in range(budget):
+        ts = rng.uniform(box[:, 0], box[:, 1], size=(n, dist.dim))
+        h = rng.uniform(box[:, 0], box[:, 1], size=dist.dim)
+        configs.append(CriterionConfig(ts, rng.dirichlet(np.ones(n)), h))
+    defects, kept = [], []
+    for cfg in configs:
+        try:
+            defects.append(_reference_defect(dist, cfg))
+            kept.append(cfg)
+        except DomainError:
+            pass
+    defects = np.array(defects)
+    arg = int(np.argmax(np.abs(defects)))
+    return defects, float(abs(defects[arg])), kept[arg], len(kept), len(configs) - len(kept)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.fixture
+def small_grid_cap(monkeypatch):
+    # a quarter of the default cap keeps the d = 2 reference loops short; the
+    # grid at the default cap is compared with the walk row for row below
+    monkeypatch.setattr(stationarity, "_GRID_CAP", 5000)
+
+
+SEARCH_CASES = [
+    *[(Gaussian([0.0], [[1.0]]), n, [[-1.0, 1.0]]) for n in (2, 3)],
+    *[(Exponential(1.0), n, [[0.0, 0.6]]) for n in (2, 3)],
+    *[(Uniform(0.0, 1.0), n, [[-1.0, 1.0]]) for n in (2, 3)],
+    *[(Gamma(2.0, 1.0), n, [[0.0, 0.6]]) for n in (2, 3)],
+    (Exponential(1.0), 2, [[0.0, 0.99]]),
+    (Exponential([1.0, 2.0]), 2, [[0.0, 0.6], [0.0, 1.2]]),
+    (Uniform([0.0, -1.0], [1.0, 2.0]), 2, [[-1.0, 1.0], [-1.0, 1.0]]),
+    (Gamma([2.0, 0.5], [1.0, 3.0]), 2, [[0.0, 0.6], [-0.5, 2.9]]),
+]
+
+
+@pytest.mark.parametrize(
+    "dist, n, box", SEARCH_CASES, ids=[f"{c[0].family}-d{c[0].dim}-n{c[1]}-{c[2][0][1]}" for c in SEARCH_CASES]
+)
+def test_batched_search_equals_the_per_config_loop(dist, n, box, small_grid_cap):
+    want_defects, want_max, want_cfg, want_eval, want_skip = _reference_search(
+        dist, n, 150, box, derive_rng(4242)
+    )
+    got = search_violation(dist, n, 150, box, derive_rng(4242))
+    assert _bits(got.defects) == _bits(want_defects)
+    assert got.max_abs_defect == want_max
+    for name in ("ts", "h"):
+        assert _bits(getattr(got.argmax_config, name)) == _bits(getattr(want_cfg, name))
+    assert _bits(got.argmax_config.weights.u) == _bits(want_cfg.weights.u)
+    assert (got.n_evaluated, got.n_skipped) == (want_eval, want_skip)
+    # the bounded-domain cases exercise the skipping of configs
+    assert (want_skip > 0) == (dist.family in ("exp", "gamma"))
+
+
+def test_batched_search_on_a_2d_gaussian_agrees_to_round_off(small_grid_cap):
+    # one CGF call on all points may take another BLAS kernel than the
+    # per-point calls, so only the round-off may differ
+    dist = Gaussian([0.0, 0.0], [[1.0, 0.3], [0.3, 2.0]])
+    box = [[-1.0, 1.0], [-1.0, 1.0]]
+    want_defects, _, _, want_eval, want_skip = _reference_search(dist, 2, 150, box, derive_rng(4343))
+    got = search_violation(dist, 2, 150, box, derive_rng(4343))
+    assert (got.n_evaluated, got.n_skipped) == (want_eval, want_skip) == (len(want_defects), 0)
+    assert np.abs(got.defects - want_defects).max() < 1e-12
+    assert got.max_abs_defect < 1e-12
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (2, 2)])
+def test_coarse_grid_equals_the_product_walk(n, d):
+    box = np.array([[-1.0, 1.0], [0.0, 0.6]][:d])
+    ts, u, h = _coarse_grid(n, box)
+    walk = list(_walk_coarse_grid(n, box))
+    assert len(ts) == len(u) == len(h) == len(walk)
+    assert _bits(ts) == _bits([w[0] for w in walk])
+    assert _bits(u) == _bits([w[1] for w in walk])
+    assert _bits(h) == _bits([w[2] for w in walk])
+
+
+def test_coarse_grid_does_not_walk_a_long_product():
+    # n = 2, d = 3: the walk has 5^9 * 5 (about 10^7) entries
+    n, d = 2, 3
+    box = np.array([[-1.0, 1.0]] * d)
+    ts, u, h = _coarse_grid(n, box)
+    total = 5 ** (n * d + d) * 5
+    cap = stationarity._GRID_CAP
+    stride = total // cap
+    assert len(ts) == len(u) == len(h) == math.ceil(total / stride) == 20_012
+    assert len(ts) <= cap + cap // stride + 1
+    # the first rows are those of the walk
+    head = list(itertools.islice(_walk_coarse_grid(n, box), 5))
+    assert _bits(ts[:5]) == _bits([w[0] for w in head])
+    assert _bits(u[:5]) == _bits([w[1] for w in head])
+    assert _bits(h[:5]) == _bits([w[2] for w in head])
+
+
+def test_coarse_grid_beyond_int64_indices():
+    # 5^25 * 35 entries do not fit in int64; the grid still keeps about the cap
+    ts, u, h = _coarse_grid(4, np.array([[-1.0, 1.0]] * 5))
+    assert ts.shape == (20_001, 4, 5) and u.shape == (20_001, 4) and h.shape == (20_001, 5)
+    assert np.allclose(u.sum(axis=1), 1.0)
 
 
 # ---------------------------------------------------------------------------
