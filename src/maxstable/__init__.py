@@ -26,7 +26,6 @@ from .simulator import (
     simulate_general,
     simulate_moving_maxima,
     simulate_smith,
-    truncation_check,
 )
 from .spectral import (
     DomainError,

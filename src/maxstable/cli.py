@@ -29,6 +29,7 @@ from .simulator import (
     Grid,
     Variogram,
     _f17,
+    _smith_law,
     field_csv_rows,
     field_csv_text,
     simulate_brown_resnick,
@@ -47,6 +48,9 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+
+
+N_POINTS_HELP = "most spectral draws at one grid location; a field that needs more exits 3"
 
 
 class UsageError(Exception):
@@ -322,8 +326,12 @@ def cmd_compare_reps(args) -> int:
         raise UsageError("compare-reps needs at least two grid points")
     core = _window_core(args.window, grid)
 
+    smith_dist, smith_kappa = _smith_law(sigma)
+
     def smith_job(rep, rng):
-        return simulate_smith(sigma, grid, args.n_points, rng).values[:2]
+        return simulate_general(
+            smith_dist, smith_kappa, grid, args.n_points, rng, construction="smith"
+        ).values[:2]
 
     def mmm_job(rep, rng):
         return simulate_moving_maxima(sigma, grid, core, rng).values[:2]
@@ -376,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", default=None, help="spectral law spec string")
     p.add_argument("--kappa", default="cgf", help="'cgf' or quadratic:mu=..;sigma=..;c0=..")
     p.add_argument("--grid", help="start:step:count per axis, or explicit points")
-    p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
+    p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS, help=N_POINTS_HELP)
     p.add_argument("--window", default=None, help="moving-maxima core window, lo,hi per axis")
     p.add_argument("--plot-data", default=None, help="also write bare (t, value) pairs here")
     common(p)
@@ -395,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist")
     p.add_argument("--grid", default=None)
     p.add_argument("--replicates", type=int, default=10_000)
-    p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
+    p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS, help=N_POINTS_HELP)
     p.add_argument("--budget", type=int, default=1000)
     common(p)
     p.set_defaults(func=cmd_verify, needs=("dist",))
@@ -414,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma")
     p.add_argument("--grid")
     p.add_argument("--replicates", type=int, default=10_000)
-    p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
+    p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS, help=N_POINTS_HELP)
     p.add_argument("--window", default=None, help="moving-maxima core window, lo,hi per axis")
     p.add_argument("--threshold", type=float, default=0.02)
     common(p)

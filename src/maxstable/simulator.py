@@ -1,32 +1,39 @@
 """Field simulators for the four max-stable constructions.
 
-All constructions evaluate spectral contributions in log space,
-max-reduce, and exponentiate once, so a single huge contribution cannot
-overflow intermediate arithmetic.  The general, Smith (gaussian X,
-quadratic kappa) and Brown-Resnick constructions share one cascade
-engine truncated at n_points atoms and differ only in log W.  Its
-normaliser (kappa(t), or gamma(t) / 2) does not depend on the atom, so
-the engine keeps one running max of log U_i + <X_i, t> and subtracts the
-normaliser once.  A field carries no convergence flag: the doubling
-diagnostic ``truncation_check`` is the one convergence diagnostic.  The
-moving-maxima construction uses an exact-on-grid stopping rule with an
-explicit edge-error bound.
+The general, Smith (gaussian X, quadratic kappa) and Brown-Resnick
+constructions share one exact engine, simulation by extremal functions
+(Dombry, Engelke & Oesting, Biometrika 2016; for Brown-Resnick also
+Dieker & Mikosch, Extremes 2015).  It visits the grid locations in order
+and draws, at each, Poisson arrivals whose spectral functions come from
+the law tilted at that location, until the arrivals fall below the field
+there; a candidate that beats the field at an earlier location is
+rejected.  It costs about one spectral draw per grid location, and every
+grid value has the exact law of the infinite max.  A construction only
+supplies log Y = log(W / W(t_j)) under the t_j-tilted law: the family's
+``tilted_sampler`` for general and Smith, Gaussian increments from one
+covariance factor for Brown-Resnick.  The engine works in log space and
+exponentiates once, so a single huge value cannot overflow intermediate
+arithmetic.  ``n_points`` is a loop guard, not a truncation: the most
+spectral draws at one grid location; a field that needs more raises
+ValueError.  The moving-maxima construction uses an exact-on-grid
+stopping rule with an explicit edge-error bound.
 
 Randomness layout: the engine splits its generator into two child
-streams (cascade arrivals, spectral draws).  Because child streams are
-consumed as prefix-stable block draws, a run with 2 * n_points extends
-rather than reshuffles the run with n_points -- the basis of the
-doubling truncation diagnostic.
+streams, arrivals (one standard exponential per arrival) and spectral
+draws (one base row per candidate), each consumed in the algorithm's
+order.  Both are read ahead in blocks of _BLOCK, and what a location does
+not consume goes to the next, so the output does not depend on the block
+size.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pointproc import FrechetCascade, frechet_cascade, window_volume
+# the benchmark's tracer tests still look frechet_cascade up on this module
+from .pointproc import frechet_cascade, window_volume  # noqa: F401
 from .seeding import spawn
 from .spectral import (
     Gaussian,
@@ -36,9 +43,10 @@ from .spectral import (
     psd_factor,
 )
 
-DEFAULT_N_POINTS = 10_000  # cascade atoms per field unless a caller asks otherwise
+DEFAULT_N_POINTS = 10_000  # most spectral draws at one grid location unless a caller asks otherwise
 _LOG_MAX = math.log(np.finfo(float).max)
-_CHUNK = 2048
+_BLOCK = 64  # arrivals and spectral base rows read ahead at a time
+_BATCH_CELLS = 1 << 15  # most candidate-by-location values scored at once
 _STORM_CHUNK = 256
 _MAX_STORMS = 2_000_000
 _DUPLICATE_TOL = 1e-12
@@ -157,67 +165,122 @@ class Variogram:
 
 
 # ---------------------------------------------------------------------------
-# cascade-based constructions
+# exact simulation by extremal functions
 
 
-def _max_reduce(log_contrib_chunks, m):
-    """Running max over chunks of (k, m) arrays."""
-    best = np.full(m, -np.inf)
-    for chunk in log_contrib_chunks:
-        np.maximum(best, chunk.max(axis=0), out=best)
-    return best
+def _extremal_log_field(m, draw, log_y, n_points, rng):
+    """log Z on m grid locations, exactly, by extremal functions (Dombry,
+    Engelke & Oesting, Biometrika 2016, Algorithm 2).
 
+    Location t_j runs its own Poisson process of arrivals zeta = 1 / Gamma
+    while zeta > Z(t_j).  Each arrival is a candidate zeta * Y, where
+    Y = W / W(t_j) is drawn under the t_j-tilted law; it is kept iff it
+    stays below Z at t_1 ... t_{j-1}, and then Z = max(Z, zeta * Y).  A kept
+    candidate sets Z(t_j) = zeta, so it is the last candidate at t_j.
 
-def _log_contributions(start, n_points, rng, cascade=None, split=None):
-    """Chunks of log U_i + log W_i(t) + shift(t), in cascade order.
+    draw(n, rng_x) gives n base rows of the spectral stream and
+    log_y(rows, js) the (n, m) values log Y of the rows, row r tilted at
+    location js[r].  The arrival stream gives one standard exponential per
+    arrival, the spectral stream one base row per candidate; both are read
+    _BLOCK at a time, and what is read ahead and not consumed is consumed
+    next, so the field is the one drawn one number at a time.
 
-    The shift of log W does not depend on i, so callers subtract it once
-    after the max.  start(count, rng_x) draws the spectral side from its
-    child stream and returns chunk(i0, i1), a fresh (i1 - i0, m) array.
-    Chunks hold at most _CHUNK rows and also end at ``split``, so the
-    chunks before ``split`` are exactly those of a run with n_points = split.
+    Z changes only when a candidate is kept, which is rare on a dense grid.
+    So the candidates are scored in batches that run across locations, as
+    if none were kept: 1, 2, 4, ... up to _BATCH_CELLS / m rows, back to 1
+    after a kept one.  Up to the first kept candidate of a batch every
+    decision is the one the location-by-location loop makes; the scan
+    restarts after it.  Returns (log Z, spectral draws, rejections).
     """
-    rng_u, rng_x = spawn(rng, 2)
-    if cascade is None:
-        cascade = frechet_cascade(n_points, rng_u)
-    chunk = start(cascade.count, rng_x)
-    logu = np.log(cascade.points)
-    edges = [0, cascade.count] if split is None else [0, split, cascade.count]
-    for lo, hi in zip(edges, edges[1:]):
-        for i0 in range(lo, hi, _CHUNK):
-            i1 = min(i0 + _CHUNK, hi)
-            block = chunk(i0, i1)
-            block += logu[i0:i1, None]
-            yield block
+    if n_points < 1:
+        raise ValueError("n_points must be >= 1")
+    rng_e, rng_x = spawn(rng, 2)
+    arrivals = []
+    rows = draw(_BLOCK, rng_x)  # spectral base rows not yet consumed
+    log_z = np.full(m, -np.inf)
+    cap = max(1, _BATCH_CELLS // m)
+    width = 1
+    draws = kept_total = 0
+    # the scan: location j, Z(t_j), the next arrival k, Gamma, and the
+    # candidates at t_j so far
+    j, log_z_j, k, gamma, at_j = 0, -math.inf, 0, 0.0, 0
+    while j < m:
+        locs, log_zeta, resume = [], [], []
+        over_bound = False  # t_j has n_points candidates and one more arrival
+        while len(locs) < width and j < m:
+            while k >= len(arrivals):
+                arrivals += np.asarray(rng_e.exponential(size=_BLOCK)).tolist()
+            gamma += arrivals[k]
+            k += 1
+            log_zeta_k = -math.log(gamma)
+            if not log_zeta_k > log_z_j:
+                j, gamma, at_j = j + 1, 0.0, 0
+                log_z_j = float(log_z[j]) if j < m else 0.0
+            elif at_j == n_points:
+                over_bound = True
+                break
+            else:
+                at_j += 1
+                locs.append(j)
+                log_zeta.append(log_zeta_k)
+                # if kept, one more arrival falls below it and t_j ends
+                resume.append(k + 1)
+        if locs:
+            n = len(locs)
+            while len(rows) < n:
+                rows = np.concatenate([rows, draw(_BLOCK, rng_x)])
+            js = np.array(locs)
+            cand = np.array(log_zeta)[:, None] + log_y(rows[:n], js)
+            # a candidate reaches Z at its own location, so it is kept iff
+            # that is the first location where it does
+            kept = (cand >= log_z).argmax(axis=1) == js
+            first = int(kept.argmax())
+            if kept[first]:
+                np.maximum(log_z, cand[first], out=log_z)
+                kept_total += 1
+                draws += first + 1
+                rows = rows[first + 1:]
+                j, k, gamma, at_j = locs[first] + 1, resume[first], 0.0, 0
+                log_z_j = float(log_z[j]) if j < m else 0.0
+                width = 1
+                continue
+            draws += n
+            rows = rows[n:]
+            width = min(2 * width, cap)
+        if over_bound:
+            raise ValueError(
+                f"grid location {j} needs more than n_points = {n_points} spectral draws"
+            )
+    return log_z, draws, draws - kept_total
 
 
-def _cascade_field(grid, log_w, n_points, rng, provenance, cascade=None) -> Field:
-    """The cascade engine: max over i <= n_points of U_i W_i(t) on the grid."""
-    start, shift = log_w
-    best = _max_reduce(_log_contributions(start, n_points, rng, cascade), grid.size)
-    best -= shift
-    if np.any(best > _LOG_MAX):
+def _extremal_field(grid, sampler, n_points, rng, provenance, shift=None) -> Field:
+    """The engine's field exp(log Z + shift), with its draw counts recorded."""
+    log_z, draws, rejections = _extremal_log_field(grid.size, *sampler, n_points, rng)
+    if shift is not None:
+        log_z += shift
+    if np.any(log_z > _LOG_MAX):
         raise ValueError(
             "spectral contribution overflows the double range "
-            f"(max log value {best.max():.3g})"
+            f"(max log value {log_z.max():.3g})"
         )
-    return Field(grid, np.exp(best), provenance)
+    provenance.update(spectral_draws=draws, rejections=rejections)
+    return Field(grid, np.exp(log_z), provenance)
 
 
-def _general_log_w(dist, kappa, grid, spectral=None):
-    """log W_i(t) = <X_i, t> - kappa(t) as (start, shift = kappa(t)); the
-    X_i are drawn in one block per field unless given."""
-    grid.validate_domain(dist)
-    t_mat = grid.locations
+def _general_sampler(dist, t_mat, phi):
+    """(draw, log_y) with log Y = <X, t - t_j> - (phi(t) - phi(t_j)) for X
+    under the t_j-tilted law: Y = W / W(t_j) for W(t) = exp(<X, t> - phi(t)).
+    It is evaluated as a(t) - a(t_j), a(t) = <X, t> - phi(t): one product
+    and two passes over the candidates, and exactly 0 at t_j."""
+    draw, tilt = dist.tilted_sampler(t_mat)
+    t_cols = np.ascontiguousarray(t_mat.T)
 
-    def start(count, rng_x):
-        x = dist.sample(count, rng_x) if spectral is None else spectral
-        x = np.asarray(x, dtype=float)
-        if x.shape != (count, grid.dim):
-            raise ValueError("spectral draws must have shape (n_points, d)")
-        return lambda i0, i1: x[i0:i1] @ t_mat.T
+    def log_y(rows, js):
+        a = tilt(rows, js) @ t_cols - phi
+        return a - a[np.arange(len(js)), js][:, None]
 
-    return start, kappa.values(t_mat)
+    return draw, log_y
 
 
 def _smith_law(sigma):
@@ -234,28 +297,29 @@ def simulate_general(
     n_points: int,
     rng,
     *,
-    cascade: FrechetCascade | None = None,
-    spectral: np.ndarray | None = None,
     seed_record=None,
     construction: str = "general",
 ) -> Field:
-    """max over i <= n_points of U_i exp(<X_i, t> - kappa(t)) on the grid.
+    """max_i U_i exp(<X_i, t> - kappa(t)) on the grid, exactly.
 
-    ``cascade`` / ``spectral`` may be supplied explicitly (stubbed tests);
-    otherwise both are drawn from child streams of rng.
+    The engine simulates the unit-Frechet field with kappa = phi, the CGF
+    of X, and shifts it once by phi(t) - kappa(t).  n_points bounds the
+    spectral draws at one grid location.
     """
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
-    log_w = _general_log_w(dist, kappa, grid, spectral)
-    count = n_points if cascade is None else cascade.count
+    t_mat = grid.locations
+    phi = np.asarray(dist.cgf(t_mat), dtype=float)  # checks the domain, as validate_domain does
     prov = {
         "construction": construction,
         "dist": dist.spec_string(),
         "kappa": kappa.kind,
-        "n_points": count,
+        "n_points": n_points,
         "seed": seed_record,
     }
-    return _cascade_field(grid, log_w, count, rng, prov, cascade)
+    is_cgf = kappa.kind == "cgf" and kappa.dist == dist
+    return _extremal_field(
+        grid, _general_sampler(dist, t_mat, phi), n_points, rng, prov,
+        shift=None if is_cgf else phi - kappa.values(t_mat),
+    )
 
 
 def simulate_smith(sigma, grid: Grid, n_points: int, rng, *, seed_record=None) -> Field:
@@ -267,7 +331,8 @@ def simulate_smith(sigma, grid: Grid, n_points: int, rng, *, seed_record=None) -
 
 
 def _br_cov_factor(variogram: Variogram, grid: Grid):
-    """Factor of the increment covariance pinned at the origin.
+    """Factor of the increment covariance pinned at the origin, and the
+    pairwise variogram gamma(s - t) it is built from.
 
     C(s, t) = 0.5 (gamma(s) + gamma(t) - gamma(s - t)); the origin is
     appended internally if absent so Z(0) = 0 anchors the realization.
@@ -283,37 +348,39 @@ def _br_cov_factor(variogram: Variogram, grid: Grid):
         factor = psd_factor(cov, rel_tol=1e-8)
     except ValueError as exc:
         raise ValueError(f"variogram is not valid on this grid: {exc}") from exc
-    return factor, g, pts.shape[0]
+    return factor, pairwise
 
 
-def _brown_resnick_log_w(variogram: Variogram, grid: Grid):
-    """log W_i(t) = Z_i(t) - gamma(t) / 2 as (start, shift = gamma(t) / 2);
-    the Gaussian increments Z_i are drawn per chunk, as a whole field's
-    would hold n_points x m doubles."""
-    factor, g, m_all = _br_cov_factor(variogram, grid)
+def _brown_resnick_sampler(variogram: Variogram, grid: Grid):
+    """(draw, log_y) with log Y = G(t) - G(t_j) - gamma(t - t_j) / 2, the
+    t_j-tilted law of W / W(t_j) for W(t) = exp(G(t) - gamma(t) / 2)."""
+    factor, pairwise = _br_cov_factor(variogram, grid)
     m = grid.size
+    grid_factor = factor[:m].T
+    half_pairwise = 0.5 * pairwise[:m, :m]
 
-    def start(count, rng_z):
-        return lambda i0, i1: (
-            np.asarray(rng_z.standard_normal((i1 - i0, m_all))) @ factor.T
-        )[:, :m]
+    def draw(n, rng_z):
+        return np.asarray(rng_z.standard_normal((int(n), factor.shape[0])))
 
-    return start, 0.5 * g[:m]
+    def log_y(rows, js):
+        g = rows @ grid_factor
+        return g - g[np.arange(len(js)), js][:, None] - half_pairwise[js]
+
+    return draw, log_y
 
 
 def simulate_brown_resnick(
     variogram: Variogram, grid: Grid, n_points: int, rng, *, seed_record=None
 ) -> Field:
-    """Brown-Resnick construction from grid-sampled Gaussian increments."""
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
+    """Brown-Resnick construction from grid-sampled Gaussian increments,
+    exactly; n_points bounds the spectral draws at one grid location."""
     prov = {
         "construction": "brown_resnick",
         "variogram": variogram.kind,
         "n_points": n_points,
         "seed": seed_record,
     }
-    return _cascade_field(grid, _brown_resnick_log_w(variogram, grid), n_points, rng, prov)
+    return _extremal_field(grid, _brown_resnick_sampler(variogram, grid), n_points, rng, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -430,70 +497,6 @@ def simulate_moving_maxima(
         "truncation": {"exact_on_grid": True},
     }
     return Field(grid, np.exp(best), prov)
-
-
-# ---------------------------------------------------------------------------
-# truncation diagnostic
-
-
-@dataclass(frozen=True)
-class TruncationDiagnostic:
-    change_fraction: float
-    max_rel_change: float
-    converged: bool
-    n_points: int
-    replicates: int
-
-
-def _paired_log_max(construction: str, params: dict, grid: Grid, n: int, rng):
-    """Log-field after n and after 2n cascade atoms of one realization.
-
-    One engine run over 2n atoms whose first n atoms, and the chunks that
-    reduce them, are those of the simulator run with n_points = n.
-    """
-    if construction == "smith":
-        log_w = _general_log_w(*_smith_law(params["sigma"]), grid)
-    elif construction == "general":
-        log_w = _general_log_w(params["dist"], params["kappa"], grid)
-    elif construction == "brown_resnick":
-        log_w = _brown_resnick_log_w(params["variogram"], grid)
-    else:
-        raise ValueError(
-            f"truncation diagnostic applies to cascade constructions, not {construction!r}"
-        )
-    start, shift = log_w
-    chunks = _log_contributions(start, 2 * n, rng, split=n)
-    at_n = _max_reduce(itertools.islice(chunks, math.ceil(n / _CHUNK)), grid.size)
-    at_2n = np.maximum(at_n, _max_reduce(chunks, grid.size))
-    return at_n - shift, at_2n - shift
-
-
-def truncation_check(
-    construction: str,
-    params: dict,
-    grid: Grid,
-    n_points: int,
-    rng,
-    replicates: int = 20,
-) -> TruncationDiagnostic:
-    """Doubling diagnostic: rerun with 2 * n_points sharing the first
-    n_points of the cascade; converged iff the field changed at fewer than
-    1% of grid-replicate pairs."""
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
-    changed = 0
-    total = 0
-    max_rel = 0.0
-    for _ in range(replicates):
-        child = spawn(rng, 1)[0]
-        at_n, at_2n = _paired_log_max(construction, params, grid, n_points, child)
-        diff = at_2n > at_n
-        changed += int(diff.sum())
-        total += at_n.size
-        if diff.any():
-            max_rel = max(max_rel, float(np.expm1((at_2n - at_n)[diff]).max()))
-    frac = changed / total
-    return TruncationDiagnostic(frac, max_rel, frac < 0.01, n_points, replicates)
 
 
 # ---------------------------------------------------------------------------

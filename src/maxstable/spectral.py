@@ -143,7 +143,21 @@ class SpectralDistribution:
 
         The tilt of each registry family stays in the family (gaussian: mean
         shift; exp/gamma: rate shift; uniform: explicit inverse CDF), which
-        is what makes low-variance exponent estimation possible.
+        is what makes low-variance exponent estimation possible.  Every
+        family draws through its ``tilted_sampler`` (``_tilted_draws``) and
+        defines this method in its own class, where ``bench/tracer.py``
+        wraps it per family.
+        """
+        raise NotImplementedError
+
+    def tilted_sampler(self, ts):
+        """The tilted laws at the rows of ts, an (m, d) array in the domain,
+        as a pair ``(draw, tilt)``: draw(n, rng) gives n base rows, and
+        tilt(rows, js) maps row r to a draw of X under the ts[js[r]]-tilted
+        law (js an index array, or one index for all rows).  What the tilts
+        need of ts is computed once, here.  Base rows are drawn one number
+        after another, so n rows drawn at once equal n rows drawn one at a
+        time, and each row is mapped on its own.
         """
         raise NotImplementedError
 
@@ -152,6 +166,13 @@ class SpectralDistribution:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.spec_string()!r})"
+
+
+def _tilted_draws(dist: SpectralDistribution, t, n: int, rng) -> np.ndarray:
+    """``sample_tilted`` of every family: n draws of its tilted sampler at t."""
+    t = dist.check_domain(np.asarray(t, dtype=float))
+    draw, tilt = dist.tilted_sampler(t[None, :])
+    return tilt(draw(n, rng), 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +214,18 @@ class Gaussian(SpectralDistribution):
         return z @ self._factor.T + self.mu
 
     def sample_tilted(self, t, n: int, rng) -> np.ndarray:
-        t = self.check_domain(np.asarray(t, dtype=float))
-        return self.sample(n, rng) + self.sigma @ t
+        return _tilted_draws(self, t, n, rng)
+
+    def tilted_sampler(self, ts):
+        shift = ts @ self.sigma  # row j is Sigma t_j, Sigma being symmetric
+
+        def draw(n, rng):
+            return np.asarray(rng.standard_normal((int(n), self.dim)))
+
+        def tilt(rows, js):
+            return rows @ self._factor.T + self.mu + shift[js]
+
+        return draw, tilt
 
     def spec_string(self) -> str:
         return f"gaussian:mu={_fmt_vec(self.mu)};sigma={_fmt_vec(self.sigma)}"
@@ -248,11 +279,19 @@ class Exponential(SpectralDistribution):
         return x
 
     def sample_tilted(self, t, n: int, rng) -> np.ndarray:
-        t = self.check_domain(np.asarray(t, dtype=float))
-        x = np.asarray(rng.exponential(size=(int(n), self.dim))) / (self.rate - t)
-        if self.centered:
-            x = x - 1.0 / self.rate
-        return x
+        return _tilted_draws(self, t, n, rng)
+
+    def tilted_sampler(self, ts):
+        rates = self.rate - ts
+
+        def draw(n, rng):
+            return np.asarray(rng.exponential(size=(int(n), self.dim)))
+
+        def tilt(rows, js):
+            x = rows / rates[js]
+            return x - 1.0 / self.rate if self.centered else x
+
+        return draw, tilt
 
     def spec_string(self) -> str:
         return f"exp:lambda={_fmt_vec(self.rate)};centered={'true' if self.centered else 'false'}"
@@ -316,21 +355,39 @@ class Uniform(SpectralDistribution):
         return np.asarray(rng.uniform(self.a, self.b, size=(int(n), self.dim)))
 
     def sample_tilted(self, t, n: int, rng) -> np.ndarray:
+        return _tilted_draws(self, t, n, rng)
+
+    def tilted_sampler(self, ts):
         # inverse CDF of the density proportional to e^{t x} on [a, b]
-        t = self.check_domain(np.asarray(t, dtype=float))
-        u = np.asarray(rng.uniform(size=(int(n), self.dim)))
-        w = (self.b - self.a) * t
-        out = np.empty_like(u)
-        for j in range(self.dim):
-            wj, tj = w[j], t[j]
-            if abs(tj) < UNIFORM_SMALL_T:
-                out[:, j] = self.a[j] + (self.b[j] - self.a[j]) * u[:, j]
-            elif wj > 0:
-                # anchored at b: stable for arbitrarily large positive w
-                out[:, j] = self.b[j] + np.log(u[:, j] + (1 - u[:, j]) * math.exp(-wj)) / tj
-            else:
-                out[:, j] = self.a[j] + np.log1p(u[:, j] * math.expm1(wj)) / tj
-        return out
+        w = (self.b - self.a) * ts
+
+        def draw(n, rng):
+            return np.asarray(rng.uniform(size=(int(n), self.dim)))
+
+        def tilt_at(u, j):
+            out = np.empty_like(u)
+            for c in range(self.dim):
+                wc, tc = w[j, c], ts[j, c]
+                if abs(tc) < UNIFORM_SMALL_T:
+                    out[:, c] = self.a[c] + (self.b[c] - self.a[c]) * u[:, c]
+                elif wc > 0:
+                    # anchored at b: stable for arbitrarily large positive w
+                    out[:, c] = self.b[c] + np.log(u[:, c] + (1 - u[:, c]) * math.exp(-wc)) / tc
+                else:
+                    out[:, c] = self.a[c] + np.log1p(u[:, c] * math.expm1(wc)) / tc
+            return out
+
+        def tilt(u, js):
+            points = {js} if np.ndim(js) == 0 else set(js.tolist())
+            if len(points) == 1:
+                return tilt_at(u, points.pop())
+            out = np.empty_like(u)
+            for j in points:
+                at = js == j
+                out[at] = tilt_at(u[at], j)
+            return out
+
+        return draw, tilt
 
     def spec_string(self) -> str:
         return f"uniform:a={_fmt_vec(self.a)};b={_fmt_vec(self.b)}"
@@ -382,8 +439,19 @@ class Gamma(SpectralDistribution):
         return np.asarray(rng.gamma(self.shape, 1.0 / self.rate, size=(int(n), self.dim)))
 
     def sample_tilted(self, t, n: int, rng) -> np.ndarray:
-        t = self.check_domain(np.asarray(t, dtype=float))
-        return np.asarray(rng.gamma(self.shape, 1.0 / (self.rate - t), size=(int(n), self.dim)))
+        return _tilted_draws(self, t, n, rng)
+
+    def tilted_sampler(self, ts):
+        # a gamma draw with scale s is s times a standard gamma draw
+        scales = 1.0 / (self.rate - ts)
+
+        def draw(n, rng):
+            return np.asarray(rng.standard_gamma(self.shape, size=(int(n), self.dim)))
+
+        def tilt(rows, js):
+            return rows * scales[js]
+
+        return draw, tilt
 
     def spec_string(self) -> str:
         return f"gamma:k={_fmt_vec(self.shape)};theta={_fmt_vec(self.rate)}"

@@ -15,7 +15,6 @@ vanishes identically only for Gaussian laws (quadratic phi).
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -156,12 +155,23 @@ class DefectReport:
         }
 
 
+def _compositions(total: int, n: int):
+    """The n-tuples of nonnegative integers summing to total, in ascending
+    lexicographic (itertools.product) order."""
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, n - 1):
+            yield (first, *rest)
+
+
 def _simplex_grid(n: int) -> np.ndarray:
     """Coarse simplex grid, shape (G, n): weights with entries in multiples
-    of 1/4, in itertools.product order."""
+    of 1/4, in itertools.product order.  The C(n + 3, 4) compositions of 4
+    are enumerated directly, not filtered out of the 5^n product."""
     steps = _GRID_VALUES_PER_SCALAR - 1
-    combos = [c for c in itertools.product(range(steps + 1), repeat=n) if sum(c) == steps]
-    return np.array(combos, dtype=float) / steps
+    return np.array(list(_compositions(steps, n)), dtype=float) / steps
 
 
 def _coarse_grid(n: int, box: np.ndarray):

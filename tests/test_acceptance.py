@@ -6,6 +6,7 @@ seed, so the suite is deterministic.
 """
 import numpy as np
 import pytest
+from conftest import general_reference
 
 from maxstable.fdd import (
     FddQuery,
@@ -15,7 +16,13 @@ from maxstable.fdd import (
     husler_reiss_V,
 )
 from maxstable.seeding import derive_rng, run_replicates
-from maxstable.simulator import Grid, simulate_moving_maxima, simulate_smith, truncation_check
+from maxstable.simulator import (
+    Grid,
+    _smith_law,
+    simulate_general,
+    simulate_moving_maxima,
+    simulate_smith,
+)
 from maxstable.spectral import (
     Exponential,
     Gamma,
@@ -35,6 +42,7 @@ from maxstable.stationarity import (
 
 N_POINTS = 10_000
 REPLICATES = 10_000
+EXACTNESS_FIELDS = 50  # per configuration, in criterion 8
 
 # marginal grids per family: up to 60% of the domain edge for the bounded
 # families, symmetric around the origin otherwise
@@ -253,26 +261,33 @@ def test_criterion_8_numerical_hygiene(report):
     longer = np.array(run_replicates(job, 128, seed=8101))[:64]
     replicate_ok = np.array_equal(batch, reverse) and np.array_equal(batch, longer)
 
-    # (c) truncation convergence for every configuration used in criteria 3-7
-    trunc_ok = True
-    worst_frac = 0.0
-    for k, (dist, fam_grid) in enumerate(FAMILY_GRIDS):
-        params = {"dist": dist, "kappa": ShapeFunction.from_cgf(dist)}
-        diag = truncation_check("general", params, fam_grid, N_POINTS, derive_rng(8201 + k))
-        trunc_ok = trunc_ok and diag.converged
-        worst_frac = max(worst_frac, diag.change_fraction)
-    for k, g in enumerate((GRID4, grid)):
-        diag = truncation_check("smith", {"sigma": [[1.0]]}, g, N_POINTS, derive_rng(8301 + k))
-        trunc_ok = trunc_ok and diag.converged
-        worst_frac = max(worst_frac, diag.change_fraction)
+    # (c) exactness for every configuration used in criteria 3-7: each
+    # simulated field is, bit for bit, the one of the textbook
+    # extremal-function loop; moving maxima is exact on the grid
+    configs = [
+        (lambda g, rng, d=dist: simulate_general(d, ShapeFunction.from_cgf(d), g, N_POINTS, rng),
+         dist, ShapeFunction.from_cgf(dist), fam_grid)
+        for dist, fam_grid in FAMILY_GRIDS
+    ] + [
+        (lambda g, rng: simulate_smith([[1.0]], g, N_POINTS, rng), *_smith_law([[1.0]]), g)
+        for g in (GRID4, grid)
+    ]
+    exact_fields = 0
+    for k, (simulate, dist, kappa, g) in enumerate(configs):
+        for rep in range(EXACTNESS_FIELDS):
+            field = simulate(g, derive_rng(8201 + k, rep))
+            values, _, _ = general_reference(dist, kappa, g, N_POINTS, derive_rng(8201 + k, rep))
+            exact_fields += int(np.array_equal(field.values, values))
+    exact_ok = exact_fields == len(configs) * EXACTNESS_FIELDS
     mmm_field = simulate_moving_maxima([[1.0]], grid, [[0.0, 1.0]], derive_rng(8401))
-    trunc_ok = trunc_ok and mmm_field.provenance["truncation"]["exact_on_grid"]
+    exact_ok = exact_ok and mmm_field.provenance["truncation"]["exact_on_grid"]
 
-    ok = grad_ok and replicate_ok and trunc_ok
+    ok = grad_ok and replicate_ok and exact_ok
     report(
         8,
         ok,
         f"gradient vs FD worst rel err {worst_rel:.2e} < 1e-6; replicate determinism "
-        f"{'bit-exact' if replicate_ok else 'BROKEN'}; truncation converged for all "
-        f"criteria 3-7 configs (worst change fraction {worst_frac:.4f})",
+        f"{'bit-exact' if replicate_ok else 'BROKEN'}; exact simulation: "
+        f"{exact_fields}/{len(configs) * EXACTNESS_FIELDS} fields of the criteria 3-7 "
+        f"configs equal the textbook extremal-function loop bit for bit",
     )

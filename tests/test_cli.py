@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import maxstable
+import maxstable.cli
 from maxstable.cli import (
     UsageError,
     main,
@@ -17,8 +18,9 @@ from maxstable.cli import (
     parse_variogram,
     resolve_seed,
 )
-from maxstable.fdd import husler_reiss_V
-from maxstable.seeding import DEFAULT_SEED
+from maxstable.fdd import bivariate_ecdf_distance, frechet_threshold_grid, husler_reiss_V
+from maxstable.seeding import DEFAULT_SEED, run_replicates
+from maxstable.simulator import Grid, simulate_moving_maxima, simulate_smith
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +147,14 @@ def test_simulate_missing_required_parameter():
     assert main(["simulate", "--construction", "smith", "--grid", "0,1"]) == 2
 
 
+def test_simulate_n_points_bounds_the_draws_at_one_location(capsys):
+    # with seed 2 the second grid location needs two spectral draws
+    args = ["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0,1", "--seed", "2"]
+    assert main(args + ["--n-points", "1"]) == 3
+    assert "n_points = 1" in capsys.readouterr().err
+    assert main(args + ["--n-points", "2"]) == 0
+
+
 def test_simulate_numeric_error_exit_code(tmp_path):
     # singular sigma makes the moving-maxima representation ill-posed
     assert main([
@@ -245,6 +255,30 @@ def test_compare_reps_small(capsys):
     assert code == 0
     assert report["equivalent"] is True
     assert report["sup_cdf_difference"] < 0.2
+
+
+def test_compare_reps_builds_the_smith_law_once(monkeypatch, capsys):
+    built = []
+
+    def counted(sigma):
+        built.append(sigma)
+        return law(sigma)
+
+    law = maxstable.cli._smith_law
+    monkeypatch.setattr(maxstable.cli, "_smith_law", counted)
+    assert main([
+        "compare-reps", "--sigma", "1", "--grid", "0,1", "--replicates", "100",
+        "--n-points", "1000", "--threshold", "0.3", "--seed", "17",
+    ]) == 0
+    assert len(built) == 1
+    # the same report as one simulate_smith call per replicate
+    grid = Grid([0.0, 1.0])
+    smith = run_replicates(lambda k, rng: simulate_smith([[1.0]], grid, 1000, rng).values, 100, 17)
+    mmm = run_replicates(
+        lambda k, rng: simulate_moving_maxima([[1.0]], grid, [[0.0, 1.0]], rng).values, 100, 18
+    )
+    sup = bivariate_ecdf_distance(np.array(smith), np.array(mmm), frechet_threshold_grid())
+    assert json.loads(capsys.readouterr().out)["sup_cdf_difference"] == sup
 
 
 def test_compare_reps_needs_two_points(capsys):

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import brown_resnick_reference, general_reference
 
-from maxstable.pointproc import FrechetCascade, StormSet, frechet_cascade
-from maxstable.seeding import derive_rng, spawn
+from maxstable import simulator
+from maxstable.fdd import frechet_cdf, ks_distance, ks_threshold
+from maxstable.pointproc import StormSet, frechet_cascade
+from maxstable.seeding import derive_rng, run_replicates, spawn
 from maxstable.simulator import (
+    DEFAULT_N_POINTS,
     Field,
     Grid,
     Variogram,
@@ -15,11 +19,9 @@ from maxstable.simulator import (
     simulate_general,
     simulate_moving_maxima,
     simulate_smith,
-    truncation_check,
     write_field_csv,
 )
-from maxstable.simulator import _CHUNK, _paired_log_max
-from maxstable.spectral import DomainError, Exponential, Gamma, Gaussian, ShapeFunction
+from maxstable.spectral import DomainError, Exponential, Gamma, Gaussian, ShapeFunction, Uniform
 
 
 def unit_smith_dist():
@@ -90,27 +92,46 @@ def test_variogram_validation():
 # general / Smith construction
 
 
-def test_simulate_general_with_stubbed_inputs(rng):
-    dist, kappa = unit_smith_dist()
-    grid = Grid([0.0, 1.0])
-    cascade = FrechetCascade(np.array([1.0, 0.5]))
-    spectral = np.array([[0.0], [1.0]])
-    field = simulate_general(dist, kappa, grid, 2, rng, cascade=cascade, spectral=spectral)
-    # contributions: log U_i + x_i t - t^2 / 2, maximized by hand
-    expected_t0 = math.exp(max(math.log(1.0), math.log(0.5)))
-    expected_t1 = math.exp(max(math.log(1.0) - 0.5, math.log(0.5) + 1.0 - 0.5))
-    assert field.values[0] == pytest.approx(expected_t0, rel=1e-15)
-    assert field.values[1] == pytest.approx(expected_t1, rel=1e-15)
+def test_simulate_general_with_stubbed_inputs(stub_rng):
+    # StubRng: every arrival E = 1, every normal 0, so at t_j the first
+    # arrival is zeta = 1 and X = Sigma t_j.  On the grid (1, 0):
+    # t_1 = 1: X = 1, log Y(t) = X (t - 1) - (t^2 - 1) / 2 = (0, -1/2), kept;
+    #          the next arrival 1/2 is below Z(1) = 1.
+    # t_2 = 0: 1 > Z(0) = e^{-1/2}; X = 0, log Y = (-1/2, 0) stays below
+    #          Z(1) = 1, kept; Z = max((1, e^{-1/2}), (e^{-1/2}, 1)) = (1, 1).
+    field = simulate_smith([[1.0]], Grid([1.0, 0.0]), 10, stub_rng)
+    assert np.array_equal(field.values, [1.0, 1.0])
+    assert field.provenance["spectral_draws"] == 2 and field.provenance["rejections"] == 0
+    # kappa = phi + 1/4 scales the same field by e^{-1/4}
+    dist, _ = unit_smith_dist()
+    kappa = ShapeFunction.quadratic([0.0], [[1.0]], c0=0.25)
+    field = simulate_general(dist, kappa, Grid([1.0, 0.0]), 10, stub_rng)
+    assert field.values == pytest.approx([math.exp(-0.25)] * 2, rel=1e-15)
 
 
 def test_origin_value_is_cascade_max(rng):
-    # with kappa(0) = 0 the origin value equals the largest cascade point
+    # with kappa(0) = 0 and the origin first, the origin value is the first
+    # arrival 1/E_1, the largest point of a cascade on the arrival stream
     dist, kappa = unit_smith_dist()
     grid = Grid([0.0, 0.5])
     rng_u, _ = spawn(derive_rng(21), 2)
     cascade = frechet_cascade(500, rng_u)
     field = simulate_general(dist, kappa, grid, 500, derive_rng(21))
     assert field.values[0] == pytest.approx(cascade.points[0], rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Gaussian([0.3], [[2.0]]), Exponential([1.0]), Uniform([0.0], [1.0]), Gamma([2.0], [1.0])],
+    ids=lambda d: d.family,
+)
+def test_first_location_is_the_first_arrival(dist):
+    # at t_1 the one candidate is zeta = 1/E_1 with Y(t_1) = 1, and kappa = phi
+    grid = Grid([0.7, 0.1, 0.4])
+    for seed in range(4):
+        field = simulate_general(dist, ShapeFunction.from_cgf(dist), grid, 100, derive_rng(seed))
+        e_1 = spawn(derive_rng(seed), 2)[0].exponential()
+        assert field.values[0] == pytest.approx(1.0 / e_1, rel=1e-15)
 
 
 def test_simulate_general_determinism():
@@ -121,19 +142,80 @@ def test_simulate_general_determinism():
     assert np.array_equal(a.values, b.values)
 
 
-def test_engine_is_one_max_with_kappa_subtracted_once():
-    # n = 5000 spans three chunks, the last one ragged; in d = 1 each
-    # <X_i, t> is one rounded product, so chunking cannot change it
-    assert 2 * _CHUNK < 5000 < 3 * _CHUNK
+def with_cgf(dist, grid):
+    return dist, ShapeFunction.from_cgf(dist), grid
+
+
+# grids that reach far from the origin, where candidates are often rejected
+REFERENCE_CASES = {
+    "gaussian": with_cgf(Gaussian([0.0], [[1.0]]), Grid(np.linspace(-5.0, 5.0, 21))),
+    "exp": with_cgf(Exponential([1.0]), Grid([0.0, 0.9, 0.3, 0.6, 0.95])),
+    "uniform": with_cgf(Uniform([0.0], [1.0]), Grid([-4.0, 0.3, 4.0, 1.0, -1.0])),
+    "gamma": with_cgf(Gamma([2.0], [1.0]), Grid([0.0, 0.9, 0.3, 0.6, 0.95])),
+    "smith": (*simulator._smith_law([[1.0]]), Grid([0.0, 4.0, -2.0, 5.0, 1.0, -5.0])),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_engine_equals_the_textbook_loop(case):
+    # d = 1: every log Y is one product and two subtractions per entry, so
+    # scoring candidates in batches across locations cannot change a bit
+    dist, kappa, grid = REFERENCE_CASES[case]
+    for seed in range(4):
+        field = simulate_general(dist, kappa, grid, DEFAULT_N_POINTS, derive_rng(seed))
+        values, draws, kept = general_reference(
+            dist, kappa, grid, DEFAULT_N_POINTS, derive_rng(seed)
+        )
+        assert np.array_equal(field.values, values)
+        prov = field.provenance
+        assert prov["spectral_draws"] == draws
+        assert prov["spectral_draws"] == prov["rejections"] + kept
+
+
+def test_two_dimensional_and_brown_resnick_agree_with_the_textbook_loop():
+    # the engine multiplies many rows at once: equal up to round-off
+    sigma = [[1.0, 0.3], [0.3, 2.0]]
+    dist, kappa = simulator._smith_law(sigma)
+    square = Grid(np.array(np.meshgrid(np.arange(4.0), np.arange(3.0))).reshape(2, -1).T)
+    line = Grid(np.linspace(-3.0, 6.0, 19))
+    vario = Variogram.fractional(1.0, 1.0)
+    for seed in range(4):
+        field = simulate_smith(sigma, square, DEFAULT_N_POINTS, derive_rng(seed))
+        values, draws, _ = general_reference(
+            dist, kappa, square, DEFAULT_N_POINTS, derive_rng(seed)
+        )
+        assert np.allclose(field.values, values, rtol=1e-13, atol=0.0)
+        assert field.provenance["spectral_draws"] == draws
+        field = simulate_brown_resnick(vario, line, DEFAULT_N_POINTS, derive_rng(seed))
+        values, draws, _ = brown_resnick_reference(vario, line, DEFAULT_N_POINTS, derive_rng(seed))
+        assert np.allclose(field.values, values, rtol=1e-13, atol=0.0)
+        assert field.provenance["spectral_draws"] == draws
+
+
+def test_output_does_not_depend_on_block_sizes(monkeypatch):
     dist, kappa = unit_smith_dist()
-    grid = Grid(np.linspace(-4.0, 4.0, 9))
-    cascade = frechet_cascade(5000, derive_rng(41))
-    spectral = np.asarray(derive_rng(42).standard_normal((5000, 1)))
-    field = simulate_general(dist, kappa, grid, 5000, derive_rng(43),
-                             cascade=cascade, spectral=spectral)
-    t = grid.locations
-    log_max = (np.log(cascade.points)[:, None] + spectral @ t.T).max(axis=0)
-    assert np.array_equal(field.values, np.exp(log_max - kappa.values(t)))
+    grid = Grid(np.linspace(-5.0, 5.0, 41))
+    base = simulate_general(dist, kappa, grid, DEFAULT_N_POINTS, derive_rng(3)).values
+    for block, cells in [(1, 1), (3, 50), (1000, 1 << 20)]:
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        monkeypatch.setattr(simulator, "_BATCH_CELLS", cells)
+        field = simulate_general(dist, kappa, grid, DEFAULT_N_POINTS, derive_rng(3))
+        assert np.array_equal(field.values, base)
+
+
+def test_engine_is_one_max_with_kappa_subtracted_once():
+    # kappa only shifts the field once, by phi - kappa, after the engine:
+    # the draws are those of kappa = phi
+    dist, phi = unit_smith_dist()
+    kappa = ShapeFunction.quadratic([0.5], [[3.0]], c0=-0.2)
+    grid = Grid(np.linspace(-2.0, 2.0, 9))
+    for seed in range(4):
+        a = simulate_general(dist, phi, grid, DEFAULT_N_POINTS, derive_rng(seed))
+        b = simulate_general(dist, kappa, grid, DEFAULT_N_POINTS, derive_rng(seed))
+        t = grid.locations
+        shift = phi.values(t) - kappa.values(t)
+        assert np.allclose(b.values, a.values * np.exp(shift), rtol=1e-14, atol=0.0)
+        assert b.provenance["spectral_draws"] == a.provenance["spectral_draws"]
 
 
 def test_smith_is_general_with_gaussian_and_quadratic():
@@ -150,24 +232,27 @@ def test_simulate_general_validates_inputs(rng):
     grid = Grid([0.0, 1.0])
     with pytest.raises(ValueError):
         simulate_general(dist, kappa, grid, 0, rng)
-    with pytest.raises(ValueError):
-        simulate_general(
-            dist, kappa, grid, 2, rng,
-            cascade=FrechetCascade(np.array([1.0, 0.5])),
-            spectral=np.zeros((3, 1)),
-        )
     with pytest.raises(DomainError):
         simulate_general(Exponential(1.0), ShapeFunction.from_cgf(Exponential(1.0)),
                          Grid([0.0, 1.5]), 10, rng)
 
 
+def test_n_points_bounds_the_draws_at_one_location():
+    # with seed 2 the second location draws two candidates: one rejected
+    grid = Grid([0.0, 1.0])
+    with pytest.raises(ValueError, match="n_points = 1"):
+        simulate_smith([[1.0]], grid, 1, derive_rng(2))
+    field = simulate_smith([[1.0]], grid, 2, derive_rng(2))
+    assert field.provenance["spectral_draws"] == 3 and field.provenance["rejections"] == 1
+    assert np.array_equal(field.values, simulate_smith([[1.0]], grid, 10_000, derive_rng(2)).values)
+
+
 def test_overflowing_contribution_raises(rng):
-    dist, kappa = unit_smith_dist()
-    grid = Grid([1.0])
-    cascade = FrechetCascade(np.array([1.0]))
+    # kappa = phi - 800 scales the field by e^800, beyond the double range
+    dist, _ = unit_smith_dist()
+    kappa = ShapeFunction.quadratic([0.0], [[1.0]], c0=-800.0)
     with pytest.raises(ValueError, match="overflow"):
-        simulate_general(dist, kappa, grid, 1, rng,
-                         cascade=cascade, spectral=np.array([[1000.0]]))
+        simulate_general(dist, kappa, Grid([0.0, 1.0]), 10, rng)
 
 
 def test_provenance_records_run(rng):
@@ -175,7 +260,35 @@ def test_provenance_records_run(rng):
     prov = field.provenance
     assert prov["seed"] == 42
     assert prov["n_points"] == 5000
+    assert prov["spectral_draws"] >= 2 and 0 <= prov["rejections"] < prov["spectral_draws"]
     assert "truncation" not in prov
+
+
+EXACTNESS_REPLICATES = 4000
+GAMMA = Gamma(2.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "simulate, grid, far, seed",
+    [
+        (lambda g, rng: simulate_smith([[1.0]], g, DEFAULT_N_POINTS, rng),
+         Grid([0.0, 3.0, 4.0, 5.0]), [1, 2, 3], 9101),
+        (lambda g, rng: simulate_brown_resnick(
+            Variogram.fractional(1.0, 1.0), g, DEFAULT_N_POINTS, rng),
+         Grid([0.0, 5.0]), [1], 9201),
+        (lambda g, rng: simulate_general(
+            GAMMA, ShapeFunction.from_cgf(GAMMA), g, DEFAULT_N_POINTS, rng),
+         Grid([0.0, 0.9]), [1], 9301),
+    ],
+    ids=["smith", "brown-resnick", "general-gamma"],
+)
+def test_marginals_are_frechet_far_from_the_origin(simulate, grid, far, seed):
+    # a 10^4-atom cascade gave KS 0.015, 0.149, 0.437 for Smith at t = 3, 4, 5
+    # and 0.272 for gamma at t = 0.9 here; Brown-Resnick at t = 5 passed
+    values = np.array(run_replicates(lambda k, rng: simulate(grid, rng).values,
+                                     EXACTNESS_REPLICATES, seed))
+    for j in far:
+        assert ks_distance(values[:, j], frechet_cdf) < ks_threshold(EXACTNESS_REPLICATES)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +306,8 @@ def test_brown_resnick_runs_and_is_deterministic():
 
 
 def test_brown_resnick_origin_is_cascade_max():
-    # Z(0) = 0 and gamma(0) = 0 pin the origin to the largest cascade point
+    # Z(0) = 0 and gamma(0) = 0 make Y(0) = 1: the origin, visited first, is
+    # the first arrival 1/E_1, the largest point of a cascade on that stream
     grid = Grid([0.0, 1.0])
     rng_u, _ = spawn(derive_rng(13), 2)
     cascade = frechet_cascade(3000, rng_u)
@@ -248,72 +362,37 @@ def test_moving_maxima_buffer_meets_error_target():
 
 
 # ---------------------------------------------------------------------------
-# truncation diagnostic
-
-
-def test_truncation_check_converges_for_smith(rng):
-    diag = truncation_check("smith", {"sigma": [[1.0]]}, Grid([0.0, 1.0]), 5000, rng)
-    assert diag.converged
-    assert diag.change_fraction < 0.01
-
-
-def test_truncation_check_flags_tiny_cascades(rng):
-    diag = truncation_check("smith", {"sigma": [[1.0]]}, Grid([0.0, 1.0]), 1, rng)
-    assert not diag.converged
-    assert diag.max_rel_change > 0
-
-
-def test_truncation_check_general_and_br(rng):
-    dist, kappa = unit_smith_dist()
-    diag = truncation_check(
-        "general", {"dist": dist, "kappa": kappa}, Grid([0.0, 1.0]), 4000, rng, replicates=10
-    )
-    assert diag.converged
-    diag = truncation_check(
-        "brown_resnick", {"variogram": Variogram.fractional(1.0, 1.0)},
-        Grid([0.0, 1.0]), 4000, rng, replicates=10,
-    )
-    assert diag.converged
-
-
-GAMMA = Gamma(2.0, 1.0)
+# n_points is a loop guard, not a truncation
 
 
 @pytest.mark.parametrize("n", [5, 3000])
 @pytest.mark.parametrize(
-    "construction, params, simulate, grid",
+    "simulate",
     [
-        ("general", {"dist": GAMMA, "kappa": ShapeFunction.from_cgf(GAMMA)},
-         lambda p, *args: simulate_general(p["dist"], p["kappa"], *args),
-         Grid([0.0, 0.5, 0.9, 0.99])),
-        ("smith", {"sigma": [[1.0]]}, lambda p, *args: simulate_smith(p["sigma"], *args),
-         Grid([0.0, 2.0, 5.0, 8.0])),
-        ("brown_resnick", {"variogram": Variogram.fractional(1.0, 1.0)},
-         lambda p, *args: simulate_brown_resnick(p["variogram"], *args),
-         Grid([0.0, 5.0, 20.0, 60.0])),
+        lambda n, rng: simulate_general(
+            GAMMA, ShapeFunction.from_cgf(GAMMA), Grid([0.0, 0.5, 0.9, 0.99]), n, rng
+        ),
+        lambda n, rng: simulate_smith([[1.0]], Grid([0.0, 2.0, 5.0, 8.0]), n, rng),
+        lambda n, rng: simulate_brown_resnick(
+            Variogram.fractional(1.0, 1.0), Grid([0.0, 5.0, 20.0, 60.0]), n, rng
+        ),
     ],
     ids=["general-gamma", "smith", "brown-resnick"],
 )
-def test_doubling_diagnostic_extends_the_simulated_field(construction, params, simulate, grid, n):
-    # the n-atom level of the doubling diagnostic is the field simulate_*
-    # draws from the same generator (n = 3000 spans two chunks); far grid
-    # points, where atoms beyond n often win, make a wrong level show.
-    # The 2n level is simulate_*(2n) too where log W is one product per
-    # entry (d = 1 general and Smith): a max does not depend on how the
-    # rows are chunked.  Brown-Resnick's increments pass through a matrix
-    # product whose rounding may depend on the chunk shape.
+def test_doubling_diagnostic_extends_the_simulated_field(simulate, n):
+    # the doubling check a truncated cascade needed, by hand: on grids far
+    # from the origin, doubling n_points leaves an exact field as it is.  A
+    # field either stays within the bound n and equals the field with 2n,
+    # or needs more than n draws at a location and raises.
     for seed in range(4):
-        at_n, at_2n = _paired_log_max(construction, params, grid, n, derive_rng(seed))
-        field = simulate(params, grid, n, derive_rng(seed))
-        assert np.array_equal(np.exp(at_n), field.values)
-        if construction != "brown_resnick":
-            field = simulate(params, grid, 2 * n, derive_rng(seed))
-            assert np.array_equal(np.exp(at_2n), field.values)
-
-
-def test_truncation_check_rejects_unknown_construction(rng):
-    with pytest.raises(ValueError):
-        truncation_check("mmm", {}, Grid([0.0, 1.0]), 100, rng)
+        try:
+            field = simulate(n, derive_rng(seed))
+        except ValueError as exc:
+            assert f"n_points = {n}" in str(exc) and n == 5
+            continue
+        doubled = simulate(2 * n, derive_rng(seed))
+        assert np.array_equal(field.values, doubled.values)
+        assert field.provenance["spectral_draws"] == doubled.provenance["spectral_draws"]
 
 
 # ---------------------------------------------------------------------------

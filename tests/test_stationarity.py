@@ -20,6 +20,7 @@ from maxstable.stationarity import (
     TOL_DEFECT,
     CriterionConfig,
     _coarse_grid,
+    _simplex_grid,
     defect,
     default_shift,
     empirical_shift_distance,
@@ -213,6 +214,12 @@ def test_batched_search_on_a_2d_gaussian_agrees_to_round_off(small_grid_cap):
     assert (got.n_evaluated, got.n_skipped) == (want_eval, want_skip) == (len(want_defects), 0)
     assert np.abs(got.defects - want_defects).max() < 1e-12
     assert got.max_abs_defect < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_simplex_grid_equals_the_product_walk(n):
+    walk = [c for c in itertools.product(range(5), repeat=n) if sum(c) == 4]
+    assert _bits(_simplex_grid(n)) == _bits(np.array(walk, dtype=float) / 4)
 
 
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (2, 2)])
