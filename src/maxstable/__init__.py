@@ -11,12 +11,11 @@ from .fdd import (
     FddQuery,
     empirical_cdf,
     exponent_mc,
-    fdd_cdf,
     frechet_cdf,
     husler_reiss_V,
     ks_distance,
 )
-from .pointproc import FrechetCascade, StormSet, frechet_cascade, storm_set
+from .pointproc import FrechetCascade, frechet_cascade
 from .seeding import DEFAULT_SEED, derive_rng
 from .simulator import (
     Field,
@@ -41,7 +40,6 @@ from .spectral import (
     cgf_multi,
     format_distribution,
     parse_distribution,
-    sample,
 )
 from .stationarity import (
     CriterionConfig,

@@ -92,8 +92,15 @@ def parse_floats(spec: str, what: str) -> np.ndarray:
         raise UsageError(f"bad {what} {spec!r}: {exc}") from exc
 
 
+def finite(value, spec: str):
+    """A number or array parsed from a spec string; inf and nan are usage errors."""
+    if not np.all(np.isfinite(value)):
+        raise UsageError(f"non-finite number in spec {spec!r}")
+    return value
+
+
 def parse_matrix(spec: str):
-    vals = parse_floats(spec, "matrix spec")
+    vals = finite(parse_floats(spec, "matrix spec"), spec)
     d = int(round(np.sqrt(vals.size)))
     if d * d != vals.size:
         raise UsageError(f"matrix spec {spec!r} must have a square number of entries")
@@ -118,7 +125,7 @@ def parse_variogram(spec: str) -> Variogram:
         params = dict(part.split("=", 1) for part in body.split(";") if part)
         if kind == "fractional":
             return Variogram.fractional(
-                float(params.get("scale", 1.0)), float(params["alpha"])
+                finite(float(params.get("scale", 1.0)), spec), finite(float(params["alpha"]), spec)
             )
         if kind == "quadratic":
             return Variogram.quadratic(parse_matrix(params["sigma"]))
@@ -137,9 +144,9 @@ def parse_kappa(spec: str, dist) -> ShapeFunction:
         raise UsageError(f"unknown kappa spec {spec!r} (use 'cgf' or 'quadratic:...')")
     try:
         params = dict(part.split("=", 1) for part in body.split(";") if part)
-        mu = parse_floats(params["mu"], "kappa mu")
+        mu = finite(parse_floats(params["mu"], "kappa mu"), spec)
         sigma = parse_matrix(params["sigma"])
-        c0 = float(params.get("c0", 0.0))
+        c0 = finite(float(params.get("c0", 0.0)), spec)
         return ShapeFunction.quadratic(mu, sigma, c0)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"bad kappa spec {spec!r}: {exc}") from exc
@@ -444,7 +451,7 @@ def load_config_file(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
                 out[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return out
 

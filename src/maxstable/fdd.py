@@ -162,21 +162,9 @@ def _closed_bivariate(dist, kappa, query) -> ExponentValue:
     return husler_reiss_V(gamma_h, float(query.xs[0]), float(query.xs[1]))
 
 
-def fdd_cdf(
-    dist: SpectralDistribution,
-    kappa: ShapeFunction,
-    query: FddQuery,
-    method: str = "mc",
-    rng=None,
-    mc_n: int = 100_000,
-) -> float:
-    """exp(-V) with the exponent from the chosen method
-    ({mc, closed-marginal, closed-bivariate})."""
-    ev = fdd_exponent(dist, kappa, query, method, rng, mc_n)
-    return math.exp(-ev.value)
-
-
 def fdd_exponent(dist, kappa, query, method="mc", rng=None, mc_n=100_000) -> ExponentValue:
+    """The exponent V by the chosen method ({mc, closed-marginal,
+    closed-bivariate}); the probability is exp(-V)."""
     if method == "mc":
         if rng is None:
             raise ValueError("mc method requires a generator")

@@ -1,11 +1,9 @@
-"""Poisson point configurations driving the max-stable constructions.
+"""Poisson points of the u^-2 du process on (0, inf), and window volumes.
 
-Two flavours: the decreasing cascade {U_i} of the point process on
-(0, inf) with intensity u^-2 du, and storm points {(T_i, V_i)} of the
-process with intensity dt x v^-2 dv restricted to a window.  Both are
-materialized eagerly (fixed n, or streamed in decreasing order by the
-simulator) from partial sums of standard-exponential arrivals:
-U_i = 1 / (E_1 + ... + E_i).
+The decreasing cascade {U_i} is materialized from partial sums of
+standard-exponential arrivals: U_i = 1 / (E_1 + ... + E_i).  The
+simulator draws its arrivals (and the moving-maxima storms) the same way,
+streamed in decreasing order.
 """
 from __future__ import annotations
 
@@ -34,38 +32,6 @@ class FrechetCascade:
         return self.points.size
 
 
-@dataclass(frozen=True)
-class StormSet:
-    """Storm centers and strengths on a (buffered) window.
-
-    Strengths decrease: V_i = |window| / Gamma_i; centers are i.i.d.
-    uniform on the window, independent of the strength order.
-    """
-
-    centers: np.ndarray
-    strengths: np.ndarray
-    window: np.ndarray
-    seed_record: tuple | None = None
-
-    def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        strengths = np.asarray(self.strengths, dtype=float)
-        window = np.asarray(self.window, dtype=float).reshape(-1, 2)
-        if centers.shape[0] != strengths.size:
-            raise ValueError("centers and strengths disagree in count")
-        if np.any(strengths <= 0) or np.any(np.diff(strengths) >= 0):
-            raise ValueError("storm strengths must be positive and strictly decreasing")
-        if np.any(centers < window[:, 0]) or np.any(centers > window[:, 1]):
-            raise ValueError("storm centers must lie inside the window")
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "strengths", strengths)
-        object.__setattr__(self, "window", window)
-
-    @property
-    def count(self) -> int:
-        return self.strengths.size
-
-
 def frechet_cascade(n: int, rng, seed_record: tuple | None = None) -> FrechetCascade:
     """The n largest points of the u^-2 du process via exponential arrivals."""
     if n < 1:
@@ -82,17 +48,3 @@ def window_volume(window) -> float:
     if np.any(widths <= 0):
         raise ValueError("window must have positive volume")
     return float(np.prod(widths))
-
-
-def storm_set(window, n: int, rng, seed_record: tuple | None = None) -> StormSet:
-    """The n strongest storms of the dt x v^-2 dv process on the window."""
-    if n < 1:
-        raise ValueError("storm count must be >= 1")
-    window = np.asarray(window, dtype=float).reshape(-1, 2)
-    vol = window_volume(window)
-    arrivals = np.asarray(rng.exponential(size=int(n)), dtype=float)
-    strengths = vol / np.cumsum(arrivals)
-    centers = np.asarray(
-        rng.uniform(window[:, 0], window[:, 1], size=(int(n), window.shape[0]))
-    )
-    return StormSet(centers, strengths, window, seed_record)

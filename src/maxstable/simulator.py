@@ -103,10 +103,6 @@ class Grid:
     def dim(self) -> int:
         return self.locations.shape[1]
 
-    def validate_domain(self, dist: SpectralDistribution):
-        """For CGF-bounded spectral families all locations must be inside."""
-        dist.check_domain(self.locations)
-
 
 @dataclass(frozen=True)
 class Field:
@@ -307,7 +303,7 @@ def simulate_general(
     spectral draws at one grid location.
     """
     t_mat = grid.locations
-    phi = np.asarray(dist.cgf(t_mat), dtype=float)  # checks the domain, as validate_domain does
+    phi = np.asarray(dist.cgf(t_mat), dtype=float)  # checks the grid against the CGF domain
     prov = {
         "construction": construction,
         "dist": dist.spec_string(),
@@ -387,59 +383,43 @@ def simulate_brown_resnick(
 # moving maxima
 
 
-def _mmm_prefactor(sigma) -> float:
-    d = sigma.shape[0]
-    det = float(np.linalg.det(sigma))
-    return math.sqrt(det) / (2.0 * math.pi) ** (d / 2.0)
+def moving_maxima_buffer(c: float, lam_min: float, window_core):
+    """Buffer radius r and edge-error bound for the moving-maxima window.
 
-
-def moving_maxima_buffer(sigma, window_core, edge_rel_err: float = 1e-8) -> float:
-    """Buffer radius so storms outside it contribute < edge_rel_err.
-
-    Solves c * exp(-0.5 lam_min r^2) * V_max < edge_rel_err by fixed-point
-    iteration, with V_max estimated as |buffered window| * 1e3 (the 1e-3
-    upper quantile of the largest storm strength).
+    c is the kernel constant and lam_min the smallest eigenvalue of Sigma.
+    The bound c * exp(-0.5 lam_min r^2) * V_max on what a storm outside the
+    buffer adds, with V_max = |buffered window| * 1e3 (the 1e-3 upper
+    quantile of the largest storm strength), is brought to 1e-8 by
+    fixed-point iteration; it holds with probability about 1 - 1e-3.
+    Returns (r, the bound).
     """
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    _, eigs, _ = clamp_psd(sigma)
-    lam_min = float(eigs.min())
-    if lam_min <= 0:
-        raise ValueError("moving-maxima representation requires nonsingular Sigma")
-    c = _mmm_prefactor(sigma)
     core = np.asarray(window_core, dtype=float).reshape(-1, 2)
     widths = core[:, 1] - core[:, 0]
     r = 0.0
     for _ in range(200):
-        vol = float(np.prod(widths + 2.0 * r))
-        v_max = vol * 1e3
-        arg = c * v_max / edge_rel_err
+        v_max = float(np.prod(widths + 2.0 * r)) * 1e3
+        arg = c * v_max / 1e-8
         r_new = math.sqrt(2.0 * math.log(arg) / lam_min) if arg > 1.0 else 0.0
         if abs(r_new - r) < 1e-9:
-            return r_new
+            return r_new, c * math.exp(-0.5 * lam_min * r_new**2) * v_max
         r = r_new
-    raise ValueError("buffer radius iteration did not converge for the requested edge error")
+    raise ValueError("buffer radius iteration did not converge")
 
 
-def simulate_moving_maxima(
-    sigma,
-    grid: Grid,
-    window_core,
-    rng,
-    *,
-    storms=None,
-    seed_record=None,
-) -> Field:
+def simulate_moving_maxima(sigma, grid: Grid, window_core, rng, *, seed_record=None) -> Field:
     """Moving-maxima construction: max over storms of
     c * V_i * exp(-0.5 <(t - T_i), Sigma (t - T_i)>), c = det(Sigma)^1/2 / (2 pi)^{d/2}.
 
-    Storms are streamed in decreasing strength on the buffered window and
-    generation stops once c * V_i drops below the current field minimum on
-    the grid, so the result is exact on the grid up to the recorded
-    outside-buffer error bound.  A fixed StormSet may be supplied for
-    deterministic tests (no stopping rule applied then).
+    Sigma is validated once, up front.  Storms are streamed in decreasing
+    strength on the buffered window and generation stops once c * V_i drops
+    below the current field minimum on the grid, so the result is exact on
+    the grid up to the recorded outside-buffer error bound.
     """
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    c = _mmm_prefactor(sigma)
+    sigma, eigs, _ = clamp_psd(sigma)
+    lam_min = float(eigs.min())
+    if lam_min <= 0:
+        raise ValueError("moving-maxima representation requires nonsingular Sigma")
+    c = math.sqrt(float(np.linalg.det(sigma))) / (2.0 * math.pi) ** (sigma.shape[0] / 2.0)
     log_c = math.log(c) if c > 0 else -math.inf
     grid_pts = grid.locations
     core = np.asarray(window_core, dtype=float).reshape(-1, 2)
@@ -447,27 +427,9 @@ def simulate_moving_maxima(
         raise ValueError("window_core dimension must match the grid")
     if np.any(grid_pts < core[:, 0]) or np.any(grid_pts > core[:, 1]):
         raise ValueError("grid must lie inside window_core")
-
-    def kernel_log(centers, strengths):
-        diff = grid_pts[None, :, :] - centers[:, None, :]
-        quad = np.einsum("kmd,de,kme->km", diff, sigma, diff)
-        return log_c + np.log(strengths)[:, None] - 0.5 * quad
-
-    if storms is not None:
-        best = kernel_log(storms.centers, storms.strengths).max(axis=0)
-        prov = {
-            "construction": "mmm",
-            "n_points": storms.count,
-            "seed": seed_record,
-            "truncation": {"exact_on_grid": True},
-        }
-        return Field(grid, np.exp(best), prov)
-
-    r_buf = moving_maxima_buffer(sigma, core)
+    r_buf, edge_bound = moving_maxima_buffer(c, lam_min, core)
     window = np.column_stack([core[:, 0] - r_buf, core[:, 1] + r_buf])
     vol = window_volume(window)
-    _, eigs, _ = clamp_psd(sigma)
-    edge_bound = c * math.exp(-0.5 * float(eigs.min()) * r_buf**2) * vol * 1e3
 
     rng_v, rng_t = spawn(rng, 2)
     best = np.full(grid.size, -np.inf)
@@ -479,7 +441,9 @@ def simulate_moving_maxima(
         gamma_total = float(gammas[-1])
         strengths = vol / gammas
         centers = np.asarray(rng_t.uniform(window[:, 0], window[:, 1], size=(_STORM_CHUNK, grid.dim)))
-        best = np.maximum(best, kernel_log(centers, strengths).max(axis=0))
+        diff = grid_pts[None, :, :] - centers[:, None, :]
+        quad = np.einsum("kmd,de,kme->km", diff, sigma, diff)
+        best = np.maximum(best, (log_c + np.log(strengths)[:, None] - 0.5 * quad).max(axis=0))
         n_storms += _STORM_CHUNK
         if log_c + math.log(strengths[-1]) < best.min():
             break
@@ -529,8 +493,3 @@ def field_csv_text(field: Field, extra_header: dict | None = None) -> str:
             lines.append(f"# {key}={value}")
     lines.extend(field_csv_rows(field))
     return "\n".join(lines) + "\n"
-
-
-def write_field_csv(field: Field, path, extra_header: dict | None = None):
-    with open(path, "w") as fh:
-        fh.write(field_csv_text(field, extra_header))

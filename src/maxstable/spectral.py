@@ -511,13 +511,6 @@ def cgf_gradient(dist: SpectralDistribution, t) -> np.ndarray:
     return grad
 
 
-def sample(dist: SpectralDistribution, n: int, rng) -> np.ndarray:
-    """n independent draws of X, shape (n, d)."""
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    return dist.sample(n, rng)
-
-
 # ---------------------------------------------------------------------------
 # shape function and simplex weights
 
@@ -603,9 +596,12 @@ def _parse_params(body: str, spec: str) -> dict:
 
 def _parse_vec(s: str, spec: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in s.split(",")])
+        vec = np.array([float(x) for x in s.split(",")])
     except ValueError as exc:
         raise SpecParseError(f"bad numeric list {s!r} in {spec!r}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise SpecParseError(f"non-finite number in {s!r} in {spec!r}")
+    return vec
 
 
 def parse_distribution(spec: str) -> SpectralDistribution:
@@ -650,9 +646,6 @@ def parse_distribution(spec: str) -> SpectralDistribution:
 def format_distribution(dist: SpectralDistribution) -> str:
     """Canonical specification string; parse(format(d)) == d."""
     return dist.spec_string()
-
-
-REGISTRY = ("gaussian", "exp", "uniform", "gamma")
 
 
 def registry_examples(d: int = 1) -> list:

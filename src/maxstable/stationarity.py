@@ -15,7 +15,6 @@ vanishes identically only for Gaussian laws (quadratic phi).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -177,7 +176,8 @@ def _simplex_grid(n: int) -> np.ndarray:
 def _coarse_grid(n: int, box: np.ndarray):
     """Deterministic coarse grid: 5 values per free scalar of (ts, h),
     crossed with the coarse simplex grid, keeping every stride-th entry of
-    the itertools.product walk so that about _GRID_CAP remain.
+    the itertools.product walk, the stride rounded up so that at most
+    _GRID_CAP remain.
 
     The kept entries are found by index arithmetic, without the walk.
     Returns ts (K, n, d), u (K, n) and h (K, d).
@@ -188,7 +188,7 @@ def _coarse_grid(n: int, box: np.ndarray):
     n_scalars = n * d + d
     shape = (_GRID_VALUES_PER_SCALAR,) * n_scalars + (len(u_grid),)
     total = math.prod(shape)
-    stride = max(1, total // _GRID_CAP)
+    stride = -(-total // _GRID_CAP)
     # mixed-radix digits of 0, stride, 2 stride, ... (last digit fastest);
     # Python integers once the walk's length leaves int64
     flat = np.arange(-(-total // stride), dtype=np.int64 if total < 2**63 else object) * stride
@@ -329,9 +329,6 @@ class CharacterizationReport:
             "replicates": self.replicates,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def default_shift(dist: SpectralDistribution, grid: Grid) -> np.ndarray:
     """A shift keeping the grid inside the CGF domain: half the headroom
@@ -352,15 +349,15 @@ def marginal_frechet_ks(
     replicates: int,
     rng,
     n_points: int = DEFAULT_N_POINTS,
-    level: float = 0.01,
 ) -> list:
     """KS distance of simulated marginals against unit Frechet at each grid
-    point, with kappa equal to the CGF of the spectral law."""
+    point, with kappa equal to the CGF of the spectral law, against the
+    1%-level threshold."""
     kappa = ShapeFunction.from_cgf(dist)
     values = np.empty((replicates, grid.size))
     for rep, child in enumerate(spawn(rng, replicates)):
         values[rep] = simulate_general(dist, kappa, grid, n_points, child).values
-    threshold = fdd.ks_threshold(replicates, level)
+    threshold = fdd.ks_threshold(replicates)
     table = []
     for j in range(grid.size):
         ks = fdd.ks_distance(values[:, j], fdd.frechet_cdf)
@@ -433,7 +430,7 @@ def verify_characterization(
         raise ValueError("replicates must be >= 1")
     if grid.size < 2:
         raise ValueError("characterization needs at least two grid points")
-    grid.validate_domain(dist)
+    dist.check_domain(grid.locations)
     lo = grid.locations.min(axis=0)
     hi = grid.locations.max(axis=0)
     box = np.column_stack([lo, np.where(hi > lo, hi, lo + 0.5)])

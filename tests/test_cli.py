@@ -155,12 +155,15 @@ def test_simulate_n_points_bounds_the_draws_at_one_location(capsys):
     assert main(args + ["--n-points", "2"]) == 0
 
 
-def test_simulate_numeric_error_exit_code(tmp_path):
+def test_simulate_numeric_error_exit_code(tmp_path, capsys):
     # singular sigma makes the moving-maxima representation ill-posed
     assert main([
         "simulate", "--construction", "mmm", "--sigma", "0",
         "--grid", "0,1", "--output", str(tmp_path / "x.csv"),
     ]) == 3
+    # Sigma is checked before anything is computed from it
+    assert main(["simulate", "--construction", "mmm", "--sigma", "-1", "--grid", "0,1"]) == 3
+    assert "not positive semidefinite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +357,15 @@ def test_needed_flag_missing_from_command_line_and_config_file(tmp_path, capsys)
     assert err.splitlines()[-1] == "maxstable simulate: error: the following arguments are required: --grid"
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no equals sign here\n")
     assert main(["defect", "--dist", "exp:lambda=1", "--config", str(bad)]) == 2
     assert main(["defect", "--dist", "exp:lambda=1", "--config", str(tmp_path / "gone")]) == 2
+    capsys.readouterr()
+    bad.write_bytes(b"budget = 5\n\xff\xfe\n")  # not UTF-8
+    assert main(["defect", "--dist", "exp:lambda=1", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config file")
 
 
 def test_unknown_flag_exits_two():
@@ -410,6 +417,32 @@ def test_bad_input_exit_codes(argv, code, capsys):
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err and err.startswith(("error:", "numeric error:"))
+
+
+SIM = ["simulate", "--grid", "0,1", "--construction"]
+FDD = ["fdd", "--ts", "0;1", "--xs", "1,1", "--mc-n", "1000", "--dist"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*SIM, "general", "--dist", "exp:lambda=inf"],
+        [*FDD, "exp:lambda=inf"],
+        [*SIM, "general", "--dist", "gaussian:mu=nan;sigma=1"],
+        [*FDD, "uniform:a=-inf;b=1"],
+        [*SIM, "smith", "--sigma", "nan"],
+        [*SIM, "br", "--variogram", "fractional:scale=inf;alpha=1"],
+        [*SIM, "br", "--variogram", "quadratic:sigma=inf"],
+        [*FDD, "gaussian:mu=0;sigma=1", "--kappa", "quadratic:mu=0;sigma=1;c0=inf"],
+        [*FDD, "gaussian:mu=0;sigma=1", "--kappa", "quadratic:mu=nan;sigma=1"],
+    ],
+    ids=["dist-simulate", "dist-fdd", "gaussian-mu", "uniform-a", "sigma", "variogram-scale",
+         "variogram-sigma", "kappa-c0", "kappa-mu"],
+)
+def test_non_finite_spec_number_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "non-finite" in err
 
 
 def test_config_file_value_that_is_not_a_number(tmp_path, capsys):

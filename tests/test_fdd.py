@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from maxstable.fdd import (
     bivariate_ecdf_distance,
     empirical_cdf,
     exponent_mc,
-    fdd_cdf,
     fdd_exponent,
     frechet_cdf,
     frechet_quantile,
@@ -77,9 +74,6 @@ def test_closed_marginal_is_frechet_rate():
     dist, kappa = unit_gaussian()
     ev = fdd_exponent(dist, kappa, FddQuery([1.3], [2.0]), "closed-marginal")
     assert ev.value == pytest.approx(0.5, abs=1e-14)
-    assert fdd_cdf(dist, kappa, FddQuery([1.3], [2.0]), "closed-marginal") == pytest.approx(
-        math.exp(-0.5), abs=1e-14
-    )
 
 
 def test_closed_bivariate_requires_gaussian_cgf():

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from maxstable.pointproc import (
-    FrechetCascade,
-    StormSet,
-    frechet_cascade,
-    storm_set,
-    window_volume,
-)
+from maxstable.pointproc import FrechetCascade, frechet_cascade, window_volume
 from maxstable.seeding import derive_rng
 
 
@@ -44,31 +38,6 @@ def test_cascade_prefix_stability():
 def test_cascade_seed_record_is_kept():
     cascade = frechet_cascade(3, derive_rng(1), seed_record=(1, 0))
     assert cascade.seed_record == (1, 0)
-
-
-def test_storm_set_from_unit_arrivals(stub_rng):
-    window = [[-1.0, 3.0]]
-    storms = storm_set(window, 3, stub_rng)
-    assert np.allclose(storms.strengths, [4.0, 2.0, 4.0 / 3.0])
-    assert np.allclose(storms.centers, 1.0)  # midpoint
-    assert storms.count == 3
-
-
-def test_storm_set_respects_window(rng):
-    window = [[0.0, 2.0], [-1.0, 1.0]]
-    storms = storm_set(window, 500, rng)
-    assert np.all(storms.centers >= [0.0, -1.0])
-    assert np.all(storms.centers <= [2.0, 1.0])
-    assert np.all(np.diff(storms.strengths) < 0)
-
-
-def test_storm_set_validation(rng):
-    with pytest.raises(ValueError):
-        StormSet(np.array([[5.0]]), np.array([1.0]), np.array([[0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        StormSet(np.array([[0.5]]), np.array([1.0, 2.0]), np.array([[0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        storm_set([[0.0, 1.0]], 0, rng)
 
 
 def test_window_volume():

@@ -81,6 +81,6 @@ def test_every_searched_config_is_evaluated_or_skipped(family, n, d, budget, lo,
     box = [[lo, lo + width * (1.0 - lo)]] * d
     report = search_violation(dist, n, budget, box, derive_rng(seed))
     total = 5 ** (n * d + d) * math.comb(n + 3, 4)  # (ts, h) values x simplex grid
-    stride = max(1, total // stationarity._GRID_CAP)
+    stride = -(-total // stationarity._GRID_CAP)
     assert report.n_evaluated + report.n_skipped == -(-total // stride) + budget
     assert report.n_evaluated == len(report.defects) > 0

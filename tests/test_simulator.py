@@ -6,7 +6,7 @@ from conftest import brown_resnick_reference, general_reference
 
 from maxstable import simulator
 from maxstable.fdd import frechet_cdf, ks_distance, ks_threshold
-from maxstable.pointproc import StormSet, frechet_cascade
+from maxstable.pointproc import frechet_cascade
 from maxstable.seeding import derive_rng, run_replicates, spawn
 from maxstable.simulator import (
     DEFAULT_N_POINTS,
@@ -19,7 +19,6 @@ from maxstable.simulator import (
     simulate_general,
     simulate_moving_maxima,
     simulate_smith,
-    write_field_csv,
 )
 from maxstable.spectral import DomainError, Exponential, Gamma, Gaussian, ShapeFunction, Uniform
 
@@ -54,12 +53,6 @@ def test_grid_duplicate_check_in_2d():
     # lexicographic order puts (2e-13, 1) between two points 5e-13 apart
     with pytest.raises(ValueError, match="duplicate"):
         Grid([[0.0, 0.0], [2e-13, 1.0], [5e-13, 0.0]])
-
-
-def test_grid_validate_domain():
-    grid = Grid([0.0, 2.0])
-    with pytest.raises(DomainError):
-        grid.validate_domain(Exponential(1.0))
 
 
 def test_field_validation():
@@ -324,14 +317,18 @@ def test_brown_resnick_quadratic_variogram(rng):
 # moving maxima
 
 
-def test_moving_maxima_single_stub_storm(rng):
-    # one storm of unit strength at the origin: values are the gaussian kernel
-    storms = StormSet(np.array([[0.0]]), np.array([1.0]), np.array([[-3.0, 3.0]]))
+def test_moving_maxima_single_stub_storm(stub_rng):
+    # StubRng puts every storm at the window's midpoint, the origin, with
+    # strength |window| / k: the first storm, |window| strong, is the
+    # gaussian kernel times |window|, and the 256 of the first chunk end the run
     grid = Grid([0.0, 1.0])
-    field = simulate_moving_maxima([[1.0]], grid, [[-3.0, 3.0]], rng, storms=storms)
+    field = simulate_moving_maxima([[1.0]], grid, [[-3.0, 3.0]], stub_rng)
+    [[lo, hi]] = field.provenance["window"]
+    assert lo == -hi
     c = 1.0 / math.sqrt(2.0 * math.pi)
-    assert field.values[0] == pytest.approx(c, rel=1e-14)
-    assert field.values[1] == pytest.approx(c * math.exp(-0.5), rel=1e-14)
+    assert field.values[0] == pytest.approx(c * (hi - lo), rel=1e-14)
+    assert field.values[1] == pytest.approx(c * (hi - lo) * math.exp(-0.5), rel=1e-14)
+    assert field.provenance["n_points"] == 256
     assert field.provenance["truncation"]["exact_on_grid"]
 
 
@@ -355,10 +352,11 @@ def test_moving_maxima_rejects_bad_geometry(rng):
 
 
 def test_moving_maxima_buffer_meets_error_target():
-    r = moving_maxima_buffer([[1.0]], [[0.0, 1.0]], edge_rel_err=1e-8)
     c = 1.0 / math.sqrt(2.0 * math.pi)
+    r, bound = moving_maxima_buffer(c, 1.0, [[0.0, 1.0]])
     vol = 1.0 + 2.0 * r
     assert c * math.exp(-0.5 * r * r) * vol * 1e3 <= 1.01e-8
+    assert bound == pytest.approx(1e-8, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +397,7 @@ def test_doubling_diagnostic_extends_the_simulated_field(simulate, n):
 # CSV output
 
 
-def test_field_csv_round_trip(tmp_path, rng):
+def test_field_csv_round_trip(rng):
     field = simulate_smith([[1.0]], Grid([0.0, 1.0]), 1000, rng, seed_record=3)
     text = field_csv_text(field, extra_header={"note": "x"})
     lines = text.strip().split("\n")
@@ -409,6 +407,3 @@ def test_field_csv_round_trip(tmp_path, rng):
         t, v = (float(x) for x in line.split(","))
         assert t == field.grid.locations[j, 0]
         assert v == field.values[j]  # 17 significant digits round-trip exactly
-    path = tmp_path / "field.csv"
-    write_field_csv(field, path, extra_header={"note": "x"})
-    assert path.read_text() == text

@@ -21,7 +21,6 @@ from maxstable.spectral import (
     parse_distribution,
     psd_factor,
     registry_examples,
-    sample,
 )
 
 
@@ -188,20 +187,15 @@ def test_fd_gradient_rejects_boundary_points():
 
 def test_sample_shapes_and_means(rng):
     for dist in registry_examples(2):
-        x = sample(dist, 200_000, rng)
+        x = dist.sample(200_000, rng)
         assert x.shape == (200_000, 2)
         assert np.allclose(x.mean(axis=0), dist.mean(), atol=0.02)
 
 
-def test_sample_rejects_nonpositive_count(rng):
-    with pytest.raises(ValueError):
-        sample(Gaussian(0.0, 1.0), 0, rng)
-
-
 def test_sample_is_deterministic_per_seed():
     for dist in registry_examples(1):
-        a = sample(dist, 50, derive_rng(7))
-        b = sample(dist, 50, derive_rng(7))
+        a = dist.sample(50, derive_rng(7))
+        b = dist.sample(50, derive_rng(7))
         assert np.array_equal(a, b)
 
 

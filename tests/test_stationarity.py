@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maxstable import stationarity
+from maxstable.cli import dump_json
 from maxstable.seeding import derive_rng
 from maxstable.simulator import Grid
 from maxstable.spectral import (
@@ -130,7 +131,7 @@ def _walk_coarse_grid(n, box):
     axis = [np.linspace(box[j, 0], box[j, 1], 5) for j in range(d)]
     u_grid = [np.array(c, dtype=float) / 4 for c in itertools.product(range(5), repeat=n) if sum(c) == 4]
     total = 5 ** (n * d + d) * len(u_grid)
-    stride = max(1, total // stationarity._GRID_CAP)
+    stride = -(-total // stationarity._GRID_CAP)
     idx = 0
     for values in itertools.product(*[axis[j % d] for j in range(n * d + d)]):
         for u in u_grid:
@@ -227,7 +228,7 @@ def test_coarse_grid_equals_the_product_walk(n, d):
     box = np.array([[-1.0, 1.0], [0.0, 0.6]][:d])
     ts, u, h = _coarse_grid(n, box)
     walk = list(_walk_coarse_grid(n, box))
-    assert len(ts) == len(u) == len(h) == len(walk)
+    assert len(ts) == len(u) == len(h) == len(walk) <= stationarity._GRID_CAP
     assert _bits(ts) == _bits([w[0] for w in walk])
     assert _bits(u) == _bits([w[1] for w in walk])
     assert _bits(h) == _bits([w[2] for w in walk])
@@ -239,10 +240,8 @@ def test_coarse_grid_does_not_walk_a_long_product():
     box = np.array([[-1.0, 1.0]] * d)
     ts, u, h = _coarse_grid(n, box)
     total = 5 ** (n * d + d) * 5
-    cap = stationarity._GRID_CAP
-    stride = total // cap
-    assert len(ts) == len(u) == len(h) == math.ceil(total / stride) == 20_012
-    assert len(ts) <= cap + cap // stride + 1
+    stride = math.ceil(total / stationarity._GRID_CAP)
+    assert len(ts) == len(u) == len(h) == math.ceil(total / stride) == 19_971
     # the first rows are those of the walk
     head = list(itertools.islice(_walk_coarse_grid(n, box), 5))
     assert _bits(ts[:5]) == _bits([w[0] for w in head])
@@ -251,9 +250,9 @@ def test_coarse_grid_does_not_walk_a_long_product():
 
 
 def test_coarse_grid_beyond_int64_indices():
-    # 5^25 * 35 entries do not fit in int64; the grid still keeps about the cap
+    # 5^25 * 35 entries do not fit in int64; the grid still keeps at most the cap
     ts, u, h = _coarse_grid(4, np.array([[-1.0, 1.0]] * 5))
-    assert ts.shape == (20_001, 4, 5) and u.shape == (20_001, 4) and h.shape == (20_001, 5)
+    assert ts.shape == (20_000, 4, 5) and u.shape == (20_000, 4) and h.shape == (20_000, 5)
     assert np.allclose(u.sum(axis=1), 1.0)
 
 
@@ -321,7 +320,7 @@ def test_verify_characterization_verdicts():
     )
     assert rep.verdict == "Gaussian-consistent"
     assert rep.marginals_pass
-    parsed = json.loads(rep.to_json())
+    parsed = json.loads(dump_json(rep.to_dict()))
     assert parsed["verdict"] == "Gaussian-consistent"
 
     rep = verify_characterization(
@@ -335,6 +334,12 @@ def test_verify_characterization_verdicts():
     assert rep.verdict == "non-stationary in dimension 2"
     assert rep.marginals_pass  # marginals are Frechet regardless
     assert rep.defect_report.max_abs_defect > TOL_DEFECT
+
+
+def test_verify_checks_the_grid_domain(rng):
+    # the grid is checked against the CGF domain before anything is simulated
+    with pytest.raises(DomainError):
+        verify_characterization(Exponential(1.0), Grid([0.0, 2.0]), 100, rng)
 
 
 def test_verify_characterization_needs_two_points(rng):
