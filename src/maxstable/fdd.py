@@ -219,12 +219,9 @@ def ks_distance(samples, reference_cdf) -> float:
     return float(max(upper.max(), lower.max(), 0.0))
 
 
-def ks_threshold(n: int, level: float = 0.01) -> float:
-    """Asymptotic KS critical value; 1.628/sqrt(n) at the 1% level."""
-    coeff = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}.get(round(level, 2))
-    if coeff is None:
-        raise ValueError("supported levels: 0.10, 0.05, 0.01")
-    return coeff / math.sqrt(n)
+def ks_threshold(n: int) -> float:
+    """Asymptotic KS critical value at the 1% level, 1.628/sqrt(n)."""
+    return 1.628 / math.sqrt(n)
 
 
 def bivariate_ecdf_distance(pairs_a, pairs_b, thresholds) -> float:

@@ -11,11 +11,12 @@ rejected.  It costs about one spectral draw per grid location, and every
 grid value has the exact law of the infinite max.  A construction only
 supplies log Y = log(W / W(t_j)) under the t_j-tilted law: the family's
 ``tilted_sampler`` for general and Smith, Gaussian increments from one
-covariance factor for Brown-Resnick.  The engine works in log space and
-exponentiates once, so a single huge value cannot overflow intermediate
-arithmetic.  ``n_points`` is a loop guard, not a truncation: the most
-spectral draws at one grid location; a field that needs more raises
-ValueError.  The moving-maxima construction uses an exact-on-grid
+Cholesky factor of the grid's covariance for Brown-Resnick (whose
+quadratic variograms give Smith's field, simulated as one).  The engine
+works in log space and exponentiates once, so a single huge value cannot
+overflow intermediate arithmetic.  ``n_points`` is a loop guard, not a
+truncation: the most spectral draws at one grid location; a field that
+needs more raises ValueError.  The moving-maxima construction uses an exact-on-grid
 stopping rule with an explicit edge-error bound.
 
 Randomness layout: the engine splits its generator into two child
@@ -327,21 +328,19 @@ def simulate_smith(sigma, grid: Grid, n_points: int, rng, *, seed_record=None) -
 
 
 def _br_cov_factor(variogram: Variogram, grid: Grid):
-    """Factor of the increment covariance pinned at the origin, and the
-    pairwise variogram gamma(s - t) it is built from.
-
-    C(s, t) = 0.5 (gamma(s) + gamma(t) - gamma(s - t)); the origin is
-    appended internally if absent so Z(0) = 0 anchors the realization.
-    """
+    """Factor of the covariance C(s, t) = 0.5 (gamma(s) + gamma(t) - gamma(s - t))
+    of G (G(0) = 0, variogram gamma) on the grid, and the pairwise
+    gamma(s - t).  A location with gamma(t) = 0 has G(t) = 0 exactly and a
+    zero factor row; the others are positive definite for 0 < alpha < 2
+    and share one Cholesky factor."""
     pts = grid.locations
-    has_origin = np.any(np.all(np.abs(pts) <= 1e-12, axis=1))
-    if not has_origin:
-        pts = np.vstack([pts, np.zeros((1, grid.dim))])
     g = variogram(pts)
     pairwise = variogram(pts[:, None, :] - pts[None, :, :])
-    cov = 0.5 * (g[:, None] + g[None, :] - pairwise)
+    moving = g > 0
+    cov = 0.5 * (g[moving, None] + g[None, moving] - pairwise[np.ix_(moving, moving)])
+    factor = np.zeros((grid.size, cov.shape[0]))
     try:
-        factor = psd_factor(cov, rel_tol=1e-8)
+        factor[moving] = psd_factor(cov, rel_tol=1e-8)
     except ValueError as exc:
         raise ValueError(f"variogram is not valid on this grid: {exc}") from exc
     return factor, pairwise
@@ -351,15 +350,14 @@ def _brown_resnick_sampler(variogram: Variogram, grid: Grid):
     """(draw, log_y) with log Y = G(t) - G(t_j) - gamma(t - t_j) / 2, the
     t_j-tilted law of W / W(t_j) for W(t) = exp(G(t) - gamma(t) / 2)."""
     factor, pairwise = _br_cov_factor(variogram, grid)
-    m = grid.size
-    grid_factor = factor[:m].T
-    half_pairwise = 0.5 * pairwise[:m, :m]
+    factor_t = factor.T
+    half_pairwise = 0.5 * pairwise
 
     def draw(n, rng_z):
-        return np.asarray(rng_z.standard_normal((int(n), factor.shape[0])))
+        return np.asarray(rng_z.standard_normal((int(n), factor.shape[1])))
 
     def log_y(rows, js):
-        g = rows @ grid_factor
+        g = rows @ factor_t
         return g - g[np.arange(len(js)), js][:, None] - half_pairwise[js]
 
     return draw, log_y
@@ -369,7 +367,14 @@ def simulate_brown_resnick(
     variogram: Variogram, grid: Grid, n_points: int, rng, *, seed_record=None
 ) -> Field:
     """Brown-Resnick construction from grid-sampled Gaussian increments,
-    exactly; n_points bounds the spectral draws at one grid location."""
+    exactly; n_points bounds the spectral draws at one grid location.
+    gamma(h) = <h, Sigma h> (quadratic, or alpha = 2 with Sigma = scale I)
+    has G(t) = <X, t>, X ~ N(0, Sigma): Smith's field, simulated as such."""
+    quadratic = variogram.kind == "quadratic"
+    if quadratic or variogram.alpha == 2.0:
+        sigma = variogram.sigma if quadratic else variogram.scale * np.eye(grid.dim)
+        return simulate_general(*_smith_law(sigma), grid, n_points, rng,
+                                seed_record=seed_record, construction="brown_resnick")
     prov = {
         "construction": "brown_resnick",
         "variogram": variogram.kind,
@@ -422,6 +427,8 @@ def simulate_moving_maxima(sigma, grid: Grid, window_core, rng, *, seed_record=N
     c = math.sqrt(float(np.linalg.det(sigma))) / (2.0 * math.pi) ** (sigma.shape[0] / 2.0)
     log_c = math.log(c) if c > 0 else -math.inf
     grid_pts = grid.locations
+    if len(sigma) != grid.dim:
+        raise ValueError(f"expected points in R^{len(sigma)}, got shape {grid_pts.shape}")
     core = np.asarray(window_core, dtype=float).reshape(-1, 2)
     if core.shape[0] != grid.dim:
         raise ValueError("window_core dimension must match the grid")

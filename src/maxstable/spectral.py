@@ -65,13 +65,13 @@ def clamp_psd(sigma, rel_tol: float = PSD_REL_TOL):
     return sym, w, v
 
 
-def psd_factor(sigma, rel_tol: float = PSD_REL_TOL) -> np.ndarray:
-    """A factor L with L @ L.T equal to the (clamped) PSD matrix."""
-    sym, w, v = clamp_psd(sigma, rel_tol)
+def psd_factor(sym, rel_tol: float = PSD_REL_TOL) -> np.ndarray:
+    """L with L @ L.T = sym for a symmetric PSD ``sym``: Cholesky, or if that
+    fails the eigen factor of ``clamp_psd``, which rejects indefinite input."""
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
-        # singular but PSD after clamping: eigen factor
+        _, w, v = clamp_psd(sym, rel_tol)
         return v * np.sqrt(w)
 
 

@@ -85,11 +85,10 @@ def brown_resnick_reference(variogram, grid, n_points, rng):
     """extremal_reference for Brown-Resnick: one vector of Gaussian
     increments G per candidate, log Y = G(t) - G(t_j) - gamma(t - t_j) / 2."""
     factor, pairwise = _br_cov_factor(variogram, grid)
-    m = grid.size
 
     def candidate(j, rng_x):
-        g = (rng_x.standard_normal((1, factor.shape[0])) @ factor.T)[0, :m]
-        return g - g[j] - 0.5 * pairwise[j, :m]
+        g = (rng_x.standard_normal((1, factor.shape[1])) @ factor.T)[0]
+        return g - g[j] - 0.5 * pairwise[j]
 
-    log_z, draws, kept = extremal_reference(m, candidate, n_points, rng)
+    log_z, draws, kept = extremal_reference(grid.size, candidate, n_points, rng)
     return np.exp(log_z), draws, kept

@@ -164,6 +164,10 @@ def test_simulate_numeric_error_exit_code(tmp_path, capsys):
     # Sigma is checked before anything is computed from it
     assert main(["simulate", "--construction", "mmm", "--sigma", "-1", "--grid", "0,1"]) == 3
     assert "not positive semidefinite" in capsys.readouterr().err
+    # Sigma must have the grid's dimension, as for Smith
+    for sigma, grid in [("1,0,0,1", "0,1"), ("1", "0,0;1,1")]:
+        assert main(["simulate", "--construction", "mmm", "--sigma", sigma, "--grid", grid]) == 3
+        assert "expected points in R^" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -482,3 +486,32 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_brown_resnick_does_not_depend_on_the_blas_thread_count():
+    # LAPACK's Cholesky and the increment product round with the BLAS thread
+    # count, so a fractional field agrees to round-off; a quadratic
+    # variogram is Smith's field, which takes no such factor: equal bytes
+    src = str(Path(maxstable.__file__).resolve().parents[1])
+    grid = ["--grid", "-5:0.02:501", "--seed", "3"]
+
+    def run(variogram, threads):
+        env = {
+            **os.environ,
+            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+            "OPENBLAS_NUM_THREADS": str(threads),
+        }
+        argv = ["simulate", "--construction", "br", "--variogram", variogram, *grid]
+        return subprocess.run(
+            [sys.executable, "-m", "maxstable.cli", *argv],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+
+    def values(out):
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        return np.array([float(line.split(",")[-1]) for line in rows])
+
+    one, two = (values(run("fractional:scale=1;alpha=1", n)) for n in (1, 2))
+    assert one.shape == (501,)
+    assert np.allclose(one, two, rtol=1e-10, atol=0.0)
+    assert run("quadratic:sigma=2", 1) == run("quadratic:sigma=2", 2)

@@ -163,7 +163,7 @@ def test_ks_distance_of_frechet_sample(rng):
     # inverse-transform Frechet sample: KS well under the 1% critical value
     u = rng.uniform(0.0, 1.0, size=20_000)
     samples = -1.0 / np.log(u)
-    assert ks_distance(samples, frechet_cdf) < ks_threshold(20_000, 0.01)
+    assert ks_distance(samples, frechet_cdf) < ks_threshold(20_000)
 
 
 def test_ks_distance_detects_wrong_reference(rng):
@@ -172,10 +172,7 @@ def test_ks_distance_detects_wrong_reference(rng):
 
 
 def test_ks_threshold_values():
-    assert ks_threshold(10_000, 0.01) == pytest.approx(0.01628)
-    assert ks_threshold(100, 0.05) == pytest.approx(0.1358)
-    with pytest.raises(ValueError):
-        ks_threshold(100, 0.2)
+    assert ks_threshold(10_000) == pytest.approx(0.01628)
 
 
 def test_bivariate_ecdf_distance():

@@ -308,9 +308,33 @@ def test_brown_resnick_origin_is_cascade_max():
     assert field.values[0] == pytest.approx(cascade.points[0], rel=1e-15)
 
 
-def test_brown_resnick_quadratic_variogram(rng):
-    field = simulate_brown_resnick(Variogram.quadratic([[1.0]]), Grid([0.0, 1.0]), 1000, rng)
-    assert np.all(np.isfinite(field.values))
+def test_brown_resnick_quadratic_variogram():
+    # gamma(h) = <h, Sigma h> gives G(t) = <X, t>, X ~ N(0, Sigma): Smith's field
+    line = Grid(np.linspace(-2.0, 3.0, 11))
+    square = Grid(np.array(np.meshgrid(np.arange(3.0), np.arange(2.0))).reshape(2, -1).T)
+    cases = [
+        (Variogram.quadratic([[1.5]]), [[1.5]], line),
+        (Variogram.quadratic([[1.0, 0.3], [0.3, 2.0]]), [[1.0, 0.3], [0.3, 2.0]], square),
+        (Variogram.fractional(0.7, 2.0), 0.7 * np.eye(1), line),
+        (Variogram.fractional(0.7, 2.0), 0.7 * np.eye(2), square),
+    ]
+    for seed, (vario, sigma, grid) in enumerate(cases):
+        br = simulate_brown_resnick(vario, grid, DEFAULT_N_POINTS, derive_rng(seed))
+        smith = simulate_smith(sigma, grid, DEFAULT_N_POINTS, derive_rng(seed))
+        assert np.array_equal(br.values, smith.values)
+        assert br.provenance["construction"] == "brown_resnick"
+
+
+def test_fractional_brown_resnick_never_eigendecomposes(monkeypatch):
+    # the grid's origin has G(0) = 0 and a zero factor row; the other
+    # locations are positive definite and take a Cholesky factor
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    grid = Grid(np.linspace(-5.0, 5.0, 101))
+    field = simulate_brown_resnick(Variogram.fractional(1.0, 1.0), grid, DEFAULT_N_POINTS, derive_rng(4))
+    assert field.values.shape == (101,)
 
 
 # ---------------------------------------------------------------------------
