@@ -7,9 +7,11 @@ equivalence report).
 
 Exit codes are a stable scripting contract: 0 success / consistent,
 1 violation verdict, 2 usage or config parse error, 3 domain or numeric
-error.  All randomness flows from one seed (flag, else MAXSTABLE_SEED,
-else the fixed constant 0xC0FFEE -- never wall clock), and every output
-file embeds the run configuration that produced it.
+error; a spec string (--dist, --kappa, --variogram, --sigma) that breaks
+the grammar of ``spectral.parse_spec`` is a usage error.  All randomness
+flows from one seed (flag, else MAXSTABLE_SEED, else the fixed constant
+0xC0FFEE -- never wall clock), and every output file embeds the run
+configuration that produced it.
 """
 from __future__ import annotations
 
@@ -27,11 +29,11 @@ from .seeding import DEFAULT_SEED, derive_rng, run_replicates
 from .simulator import (
     DEFAULT_N_POINTS,
     Grid,
-    Variogram,
     _f17,
     _smith_law,
     field_csv_rows,
     field_csv_text,
+    parse_variogram,
     simulate_brown_resnick,
     simulate_general,
     simulate_moving_maxima,
@@ -39,9 +41,10 @@ from .simulator import (
 )
 from .spectral import (
     DomainError,
-    ShapeFunction,
     SpecParseError,
     parse_distribution,
+    parse_kappa,
+    parse_matrix,
 )
 
 EXIT_OK = 0
@@ -92,21 +95,6 @@ def parse_floats(spec: str, what: str) -> np.ndarray:
         raise UsageError(f"bad {what} {spec!r}: {exc}") from exc
 
 
-def finite(value, spec: str):
-    """A number or array parsed from a spec string; inf and nan are usage errors."""
-    if not np.all(np.isfinite(value)):
-        raise UsageError(f"non-finite number in spec {spec!r}")
-    return value
-
-
-def parse_matrix(spec: str):
-    vals = finite(parse_floats(spec, "matrix spec"), spec)
-    d = int(round(np.sqrt(vals.size)))
-    if d * d != vals.size:
-        raise UsageError(f"matrix spec {spec!r} must have a square number of entries")
-    return vals.reshape(d, d)
-
-
 def parse_box(spec: str) -> np.ndarray:
     """Box spec ``lo,hi`` per axis, axes joined by ';'."""
     try:
@@ -117,46 +105,6 @@ def parse_box(spec: str) -> np.ndarray:
         return box
     except ValueError as exc:
         raise UsageError(f"bad box spec {spec!r}: {exc}") from exc
-
-
-def parse_variogram(spec: str) -> Variogram:
-    kind, _, body = spec.partition(":")
-    try:
-        params = dict(part.split("=", 1) for part in body.split(";") if part)
-        if kind == "fractional":
-            return Variogram.fractional(
-                finite(float(params.get("scale", 1.0)), spec), finite(float(params["alpha"]), spec)
-            )
-        if kind == "quadratic":
-            return Variogram.quadratic(parse_matrix(params["sigma"]))
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"bad variogram spec {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown variogram kind {kind!r}")
-
-
-def parse_kappa(spec: str, dist) -> ShapeFunction:
-    if spec == "cgf":
-        if dist is None:
-            raise UsageError("--kappa cgf requires --dist")
-        return ShapeFunction.from_cgf(dist)
-    kind, _, body = spec.partition(":")
-    if kind != "quadratic":
-        raise UsageError(f"unknown kappa spec {spec!r} (use 'cgf' or 'quadratic:...')")
-    try:
-        params = dict(part.split("=", 1) for part in body.split(";") if part)
-        mu = finite(parse_floats(params["mu"], "kappa mu"), spec)
-        sigma = parse_matrix(params["sigma"])
-        c0 = finite(float(params.get("c0", 0.0)), spec)
-        return ShapeFunction.quadratic(mu, sigma, c0)
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"bad kappa spec {spec!r}: {exc}") from exc
-
-
-def parse_dist(spec: str):
-    try:
-        return parse_distribution(spec)
-    except SpecParseError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +148,6 @@ def run_config_dict(args, keys) -> dict:
 # subcommands
 
 
-def _window_core(spec, grid: Grid) -> np.ndarray:
-    """Moving-maxima core window: the --window box, else the grid's bounding
-    box, padded by 0.5 along axes where the grid has no extent."""
-    if spec:
-        return parse_box(spec)
-    lo, hi = grid.locations.min(axis=0), grid.locations.max(axis=0)
-    pad = np.where(hi - lo > 0, 0.0, 0.5)
-    return np.column_stack([lo - pad, hi + pad])
-
-
 def cmd_simulate(args) -> int:
     grid = Grid(parse_grid(args.grid))
     rng = derive_rng(args.seed)
@@ -228,14 +166,11 @@ def cmd_simulate(args) -> int:
     elif args.construction == "mmm":
         if args.sigma is None:
             raise UsageError("moving-maxima construction requires --sigma")
-        field = simulate_moving_maxima(
-            parse_matrix(args.sigma), grid, _window_core(args.window, grid), rng,
-            seed_record=args.seed,
-        )
+        field = simulate_moving_maxima(parse_matrix(args.sigma), grid, rng, seed_record=args.seed)
     elif args.construction == "general":
         if args.dist is None:
             raise UsageError("general construction requires --dist")
-        dist = parse_dist(args.dist)
+        dist = parse_distribution(args.dist)
         kappa = parse_kappa(args.kappa, dist)
         field = simulate_general(
             dist, kappa, grid, args.n_points, rng, seed_record=args.seed
@@ -265,7 +200,7 @@ def _default_box(dist) -> np.ndarray:
 
 
 def cmd_defect(args) -> int:
-    dist = parse_dist(args.dist)
+    dist = parse_distribution(args.dist)
     box = parse_box(args.box) if args.box else _default_box(dist)
     rng = derive_rng(args.seed)
     report = stationarity.search_violation(
@@ -286,7 +221,7 @@ def _default_verify_grid(dist) -> Grid:
 
 
 def cmd_verify(args) -> int:
-    dist = parse_dist(args.dist)
+    dist = parse_distribution(args.dist)
     grid = Grid(parse_grid(args.grid)) if args.grid else _default_verify_grid(dist)
     rng = derive_rng(args.seed)
     report = stationarity.verify_characterization(
@@ -304,7 +239,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fdd(args) -> int:
-    dist = parse_dist(args.dist)
+    dist = parse_distribution(args.dist)
     kappa = parse_kappa(args.kappa, dist)
     ts = parse_grid(args.ts)
     xs = parse_floats(args.xs, "threshold list")
@@ -331,7 +266,6 @@ def cmd_compare_reps(args) -> int:
     grid = Grid(parse_grid(args.grid))
     if grid.size < 2:
         raise UsageError("compare-reps needs at least two grid points")
-    core = _window_core(args.window, grid)
 
     smith_dist, smith_kappa = _smith_law(sigma)
 
@@ -341,7 +275,7 @@ def cmd_compare_reps(args) -> int:
         ).values[:2]
 
     def mmm_job(rep, rng):
-        return simulate_moving_maxima(sigma, grid, core, rng).values[:2]
+        return simulate_moving_maxima(sigma, grid, rng).values[:2]
 
     smith_pairs = np.array(run_replicates(smith_job, args.replicates, args.seed))
     mmm_pairs = np.array(run_replicates(mmm_job, args.replicates, args.seed + 1))
@@ -392,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", default="cgf", help="'cgf' or quadratic:mu=..;sigma=..;c0=..")
     p.add_argument("--grid", help="start:step:count per axis, or explicit points")
     p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS, help=N_POINTS_HELP)
-    p.add_argument("--window", default=None, help="moving-maxima core window, lo,hi per axis")
     p.add_argument("--plot-data", default=None, help="also write bare (t, value) pairs here")
     common(p)
     p.set_defaults(func=cmd_simulate, needs=("construction", "grid"))
@@ -430,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid")
     p.add_argument("--replicates", type=int, default=10_000)
     p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS, help=N_POINTS_HELP)
-    p.add_argument("--window", default=None, help="moving-maxima core window, lo,hi per axis")
     p.add_argument("--threshold", type=float, default=0.02)
     common(p)
     p.set_defaults(func=cmd_compare_reps, needs=("sigma", "grid"))
@@ -511,7 +443,7 @@ def main(argv=None) -> int:
         check_needed_flags(parser, args)
         args.seed = resolve_seed(args.seed)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, SpecParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:

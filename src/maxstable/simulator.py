@@ -41,6 +41,9 @@ from .spectral import (
     ShapeFunction,
     SpectralDistribution,
     clamp_psd,
+    parse_matrix,
+    parse_numbers,
+    parse_spec,
     psd_factor,
 )
 
@@ -159,6 +162,16 @@ class Variogram:
         else:
             out = np.einsum("...d,de,...e->...", pts, self.sigma, pts)
         return out
+
+
+def parse_variogram(spec: str) -> Variogram:
+    """``fractional:scale=..;alpha=..`` (scale 1 unless given) or ``quadratic:sigma=..``."""
+    return parse_spec(spec, {
+        "fractional": (Variogram.fractional, lambda take: (
+            parse_numbers(take("scale", "1"), 1)[0], parse_numbers(take("alpha"), 1)[0]
+        )),
+        "quadratic": (Variogram.quadratic, lambda take: (parse_matrix(take("sigma")),)),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +294,10 @@ def _general_sampler(dist, t_mat, phi):
 
 
 def _smith_law(sigma):
-    """Smith's spectral law gaussian(0, Sigma) and its CGF 0.5 <t, Sigma t>."""
+    """Smith's law: gaussian(0, Sigma) X and, as kappa, its CGF 0.5 <t, Sigma t>."""
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    d = sigma.shape[0]
-    return Gaussian(np.zeros(d), sigma), ShapeFunction.quadratic(np.zeros(d), sigma)
+    law = Gaussian(np.zeros(sigma.shape[0]), sigma)
+    return law, ShapeFunction.from_cgf(law)
 
 
 def simulate_general(
@@ -388,7 +401,7 @@ def simulate_brown_resnick(
 # moving maxima
 
 
-def moving_maxima_buffer(c: float, lam_min: float, window_core):
+def moving_maxima_buffer(c: float, lam_min: float, core):
     """Buffer radius r and edge-error bound for the moving-maxima window.
 
     c is the kernel constant and lam_min the smallest eigenvalue of Sigma.
@@ -398,7 +411,7 @@ def moving_maxima_buffer(c: float, lam_min: float, window_core):
     fixed-point iteration; it holds with probability about 1 - 1e-3.
     Returns (r, the bound).
     """
-    core = np.asarray(window_core, dtype=float).reshape(-1, 2)
+    core = np.asarray(core, dtype=float).reshape(-1, 2)
     widths = core[:, 1] - core[:, 0]
     r = 0.0
     for _ in range(200):
@@ -411,14 +424,15 @@ def moving_maxima_buffer(c: float, lam_min: float, window_core):
     raise ValueError("buffer radius iteration did not converge")
 
 
-def simulate_moving_maxima(sigma, grid: Grid, window_core, rng, *, seed_record=None) -> Field:
+def simulate_moving_maxima(sigma, grid: Grid, rng, *, seed_record=None) -> Field:
     """Moving-maxima construction: max over storms of
     c * V_i * exp(-0.5 <(t - T_i), Sigma (t - T_i)>), c = det(Sigma)^1/2 / (2 pi)^{d/2}.
 
     Sigma is validated once, up front.  Storms are streamed in decreasing
-    strength on the buffered window and generation stops once c * V_i drops
-    below the current field minimum on the grid, so the result is exact on
-    the grid up to the recorded outside-buffer error bound.
+    strength on the grid's bounding box (padded by 0.5 on flat axes) plus a
+    buffer, and generation stops once c * V_i drops below the current field
+    minimum on the grid, so the result is exact on the grid up to the
+    recorded outside-buffer error bound.
     """
     sigma, eigs, _ = clamp_psd(sigma)
     lam_min = float(eigs.min())
@@ -429,11 +443,9 @@ def simulate_moving_maxima(sigma, grid: Grid, window_core, rng, *, seed_record=N
     grid_pts = grid.locations
     if len(sigma) != grid.dim:
         raise ValueError(f"expected points in R^{len(sigma)}, got shape {grid_pts.shape}")
-    core = np.asarray(window_core, dtype=float).reshape(-1, 2)
-    if core.shape[0] != grid.dim:
-        raise ValueError("window_core dimension must match the grid")
-    if np.any(grid_pts < core[:, 0]) or np.any(grid_pts > core[:, 1]):
-        raise ValueError("grid must lie inside window_core")
+    lo, hi = grid_pts.min(axis=0), grid_pts.max(axis=0)
+    pad = np.where(hi - lo > 0, 0.0, 0.5)
+    core = np.column_stack([lo - pad, hi + pad])
     r_buf, edge_bound = moving_maxima_buffer(c, lam_min, core)
     window = np.column_stack([core[:, 0] - r_buf, core[:, 1] + r_buf])
     vol = window_volume(window)

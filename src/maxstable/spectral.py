@@ -6,7 +6,7 @@ coordinates for the non-gaussian families) -- each providing a sampler,
 a closed-form CGF phi(t) = log E exp(<X, t>), its domain, and (for the
 gaussian) a closed-form gradient.  The registry is deliberately closed:
 every family needs a matched sampler + closed-form CGF for the
-stationarity experiments.
+stationarity experiments.  ``parse_spec`` reads every spec string.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ class DomainError(ValueError):
 
 
 class SpecParseError(ValueError):
-    """A distribution specification string could not be parsed."""
+    """A specification string could not be parsed."""
 
 
 def clamp_psd(sigma, rel_tol: float = PSD_REL_TOL):
@@ -578,69 +578,102 @@ class ShapeFunction:
         return float(self.values(np.atleast_1d(np.asarray(t, dtype=float))[None, :])[0])
 
 
+def parse_kappa(spec: str, dist: SpectralDistribution) -> ShapeFunction:
+    """The normalizer spec: ``cgf``, the CGF of dist, or
+    ``quadratic:mu=..;sigma=..;c0=..`` (c0 = 0 unless given)."""
+    return parse_spec(spec, {
+        "cgf": (ShapeFunction.from_cgf, lambda take: (dist,)),
+        "quadratic": (ShapeFunction.quadratic, lambda take: (parse_numbers(take("mu")),
+                      parse_matrix(take("sigma")), parse_numbers(take("c0", "0"), 1)[0])),
+    })
+
+
 # ---------------------------------------------------------------------------
 # specification strings
 
 
-def _parse_params(body: str, spec: str) -> dict:
-    params = {}
+def parse_spec(spec: str, kinds: dict):
+    """``make(*read(take))`` for the kind a ``kind:key=value;...`` string names.
+
+    ``kinds`` maps each kind, in lower case, to ``(make, read)``; ``take(key,
+    default=None)`` gives a value's text, stripped (no default: the key must
+    be given).  A part without '=', a repeated key, an unknown kind, a
+    missing key, a key not taken and a value ``read`` cannot read each raise
+    SpecParseError; a value ``make`` rejects raises its own ValueError."""
+    name, _, body = spec.partition(":")
+    kind = name.strip().lower()
+    if kind not in kinds:
+        known = ", ".join(kinds)
+        raise SpecParseError(f"unknown kind {name.strip()!r} in {spec!r} (expected one of {known})")
+    make, read = kinds[kind]
+    texts = {}
     for part in body.split(";"):
-        if not part:
+        key, eq, value = (s.strip() for s in part.partition("="))
+        if not (eq or key):
             continue
-        if "=" not in part:
-            raise SpecParseError(f"malformed parameter {part!r} in {spec!r}")
-        key, _, value = part.partition("=")
-        params[key.strip()] = value.strip()
-    return params
+        if not eq:
+            raise SpecParseError(f"malformed parameter {part!r} in {spec!r} (expected key=value)")
+        if key in texts:
+            raise SpecParseError(f"repeated parameter {key!r} in {spec!r}")
+        texts[key] = value
 
+    def take(key, default=None):
+        if default is None and key not in texts:
+            raise SpecParseError(f"missing parameter {key!r}")
+        return texts.pop(key, default)
 
-def _parse_vec(s: str, spec: str) -> np.ndarray:
     try:
-        vec = np.array([float(x) for x in s.split(",")])
+        args = read(take)
+    except SpecParseError as exc:
+        raise SpecParseError(f"{exc} in {spec!r}") from exc
+    if texts:
+        raise SpecParseError(f"unknown parameter {next(iter(texts))!r} in {spec!r}")
+    return make(*args)
+
+
+def parse_numbers(text: str, size: int | None = None) -> np.ndarray:
+    """Comma-separated finite numbers, ``size`` of them if given."""
+    try:
+        vec = np.array([float(x) for x in text.split(",")])
     except ValueError as exc:
-        raise SpecParseError(f"bad numeric list {s!r} in {spec!r}") from exc
+        raise SpecParseError(f"bad number list {text!r}") from exc
     if not np.all(np.isfinite(vec)):
-        raise SpecParseError(f"non-finite number in {s!r} in {spec!r}")
+        raise SpecParseError(f"non-finite number in {text!r}")
+    if size is not None and vec.size != size:
+        raise SpecParseError(f"expected {size} number(s), got {text!r}")
     return vec
 
 
-def parse_distribution(spec: str) -> SpectralDistribution:
-    """Parse a ``family:param=value;...`` specification string.
+def parse_matrix(text: str) -> np.ndarray:
+    """A square matrix from its row-major entries, comma-separated."""
+    vec = parse_numbers(text)
+    d = math.isqrt(vec.size)
+    if d * d != vec.size:
+        raise SpecParseError(f"matrix {text!r} must have a square number of entries (row-major)")
+    return vec.reshape(d, d)
 
-    Examples: ``gaussian:mu=0,0;sigma=1,0.5,0.5,1`` (row-major Sigma),
-    ``exp:lambda=1;centered=false``, ``uniform:a=0;b=1``,
-    ``gamma:k=2;theta=1``.
-    """
-    family, _, body = spec.strip().partition(":")
-    family = family.strip().lower()
-    params = _parse_params(body, spec)
-    try:
-        if family == "gaussian":
-            mu = _parse_vec(params.pop("mu"), spec)
-            flat = _parse_vec(params.pop("sigma"), spec)
-            d = mu.shape[0]
-            if flat.size != d * d:
-                raise SpecParseError(
-                    f"sigma must have {d * d} entries (row-major) in {spec!r}"
-                )
-            dist = Gaussian(mu, flat.reshape(d, d))
-        elif family in ("exp", "exponential"):
-            rate = _parse_vec(params.pop("lambda"), spec)
-            centered = params.pop("centered", "false").lower()
-            if centered not in ("true", "false"):
-                raise SpecParseError(f"centered must be true/false in {spec!r}")
-            dist = Exponential(rate, centered == "true")
-        elif family == "uniform":
-            dist = Uniform(_parse_vec(params.pop("a"), spec), _parse_vec(params.pop("b"), spec))
-        elif family == "gamma":
-            dist = Gamma(_parse_vec(params.pop("k"), spec), _parse_vec(params.pop("theta"), spec))
-        else:
-            raise SpecParseError(f"unknown distribution family {family!r} in {spec!r}")
-    except KeyError as exc:
-        raise SpecParseError(f"missing parameter {exc.args[0]!r} in {spec!r}") from exc
-    if params:
-        raise SpecParseError(f"unknown parameters {sorted(params)} in {spec!r}")
-    return dist
+
+def _flag(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise SpecParseError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+_EXP = (Exponential, lambda take: (parse_numbers(take("lambda")), _flag(take("centered", "false"))))
+_DISTRIBUTIONS = {
+    "gaussian": (Gaussian, lambda take: (parse_numbers(take("mu")), parse_matrix(take("sigma")))),
+    "exp": _EXP,
+    "exponential": _EXP,
+    "uniform": (Uniform, lambda take: (parse_numbers(take("a")), parse_numbers(take("b")))),
+    "gamma": (Gamma, lambda take: (parse_numbers(take("k")), parse_numbers(take("theta")))),
+}
+
+
+def parse_distribution(spec: str) -> SpectralDistribution:
+    """A spectral law from its spec, such as ``gaussian:mu=0,0;sigma=1,0.5,0.5,1``
+    (row-major Sigma), ``exp:lambda=1;centered=false``, ``uniform:a=0;b=1``
+    or ``gamma:k=2;theta=1``."""
+    return parse_spec(spec, _DISTRIBUTIONS)
 
 
 def format_distribution(dist: SpectralDistribution) -> str:

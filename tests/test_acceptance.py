@@ -199,11 +199,10 @@ def test_criterion_5_closed_vs_mc_exponent(report):
 
 
 def test_criterion_6_representation_equivalence(report, smith_quad_pairs):
-    core = [[0.0, 1.0]]
     grid = Grid([0.0, 1.0])
 
     def job(rep, rng):
-        return simulate_moving_maxima([[1.0]], grid, core, rng).values
+        return simulate_moving_maxima([[1.0]], grid, rng).values
 
     mmm_pairs = np.array(run_replicates(job, REPLICATES, seed=6001))
     sup = bivariate_ecdf_distance(smith_quad_pairs[:, :2], mmm_pairs, THRESHOLDS_10)
@@ -279,7 +278,7 @@ def test_criterion_8_numerical_hygiene(report):
             values, _, _ = general_reference(dist, kappa, g, N_POINTS, derive_rng(8201 + k, rep))
             exact_fields += int(np.array_equal(field.values, values))
     exact_ok = exact_fields == len(configs) * EXACTNESS_FIELDS
-    mmm_field = simulate_moving_maxima([[1.0]], grid, [[0.0, 1.0]], derive_rng(8401))
+    mmm_field = simulate_moving_maxima([[1.0]], grid, derive_rng(8401))
     exact_ok = exact_ok and mmm_field.provenance["truncation"]["exact_on_grid"]
 
     ok = grad_ok and replicate_ok and exact_ok

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,13 +15,12 @@ from maxstable.cli import (
     main,
     parse_box,
     parse_grid,
-    parse_matrix,
-    parse_variogram,
     resolve_seed,
 )
 from maxstable.fdd import bivariate_ecdf_distance, frechet_threshold_grid, husler_reiss_V
 from maxstable.seeding import DEFAULT_SEED, run_replicates
-from maxstable.simulator import Grid, simulate_moving_maxima, simulate_smith
+from maxstable.simulator import Grid, parse_variogram, simulate_moving_maxima, simulate_smith
+from maxstable.spectral import SpecParseError, parse_distribution, parse_kappa, parse_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +51,7 @@ def test_parse_grid_point_lists():
 
 def test_parse_matrix_and_box():
     assert parse_matrix("1,0.5,0.5,1").shape == (2, 2)
-    with pytest.raises(UsageError):
+    with pytest.raises(SpecParseError):
         parse_matrix("1,2,3")
     box = parse_box("0,1;-1,1")
     assert box.shape == (2, 2)
@@ -63,10 +63,37 @@ def test_parse_variogram():
     v = parse_variogram("fractional:scale=2;alpha=1.5")
     assert v.kind == "fractional" and v.alpha == 1.5
     assert parse_variogram("quadratic:sigma=1").kind == "quadratic"
-    with pytest.raises(UsageError):
+    with pytest.raises(SpecParseError):
         parse_variogram("spherical:range=1")
-    with pytest.raises(UsageError):
+    with pytest.raises(SpecParseError):
         parse_variogram("fractional:scale=2")
+
+
+SPEC_PARSERS = {
+    "sigma": parse_matrix,
+    "variogram": parse_variogram,
+    "grid": parse_grid,
+    "ts": parse_grid,
+    "box": parse_box,
+}
+
+
+def test_readme_cli_examples_parse():
+    # every documented command passes the argument parser and every spec
+    # flag its parser, without running the command
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("maxstable ")]
+    assert lines
+    parser = maxstable.cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        dist = parse_distribution(args.dist) if getattr(args, "dist", None) else None
+        if dist is not None and hasattr(args, "kappa"):
+            parse_kappa(args.kappa, dist)
+        for key, parse in SPEC_PARSERS.items():
+            if getattr(args, key, None) is not None:
+                parse(getattr(args, key))
 
 
 def test_resolve_seed_precedence(monkeypatch):
@@ -282,7 +309,7 @@ def test_compare_reps_builds_the_smith_law_once(monkeypatch, capsys):
     grid = Grid([0.0, 1.0])
     smith = run_replicates(lambda k, rng: simulate_smith([[1.0]], grid, 1000, rng).values, 100, 17)
     mmm = run_replicates(
-        lambda k, rng: simulate_moving_maxima([[1.0]], grid, [[0.0, 1.0]], rng).values, 100, 18
+        lambda k, rng: simulate_moving_maxima([[1.0]], grid, rng).values, 100, 18
     )
     sup = bivariate_ecdf_distance(np.array(smith), np.array(mmm), frechet_threshold_grid())
     assert json.loads(capsys.readouterr().out)["sup_cdf_difference"] == sup
@@ -409,18 +436,42 @@ def test_negative_grid_values_parse_as_arguments(tmp_path):
         (["compare-reps", "--sigma", "1", "--grid", "0,1", "--threshold", "inf"], 3),
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0", "--xs", "1e-320",
           "--method", "closed-marginal"], 3),
+        (["simulate", "--construction", "br", "--variogram", "fractional:alpha=1;sacle=2",
+          "--grid", "0,1"], 2),
+        (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--kappa", "quadratic:mu=0;sigma=1;sgima=3",
+          "--ts", "0;1", "--xs", "1,1"], 2),
+        (["simulate", "--construction", "general", "--dist", "gaussian:mu=0;sigma=1;mu=5",
+          "--grid", "0,1"], 2),
+        (["simulate", "--construction", "br", "--variogram", "fractional:alpha=3",
+          "--grid", "0,1"], 3),
+        (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--kappa", "quadratic:mu=0;sigma=-1",
+          "--ts", "0;1", "--xs", "1,1"], 3),
     ],
     ids=[
         "zero-replicates", "negative-replicates", "verify-zero-replicates",
         "nan-point", "inf-threshold", "sigma-not-a-number", "threshold-not-a-number",
         "variogram-param-without-equals", "kappa-param-without-equals",
         "nan-defect-tolerance", "inf-compare-threshold", "infinite-exponent",
+        "misspelt-variogram-key", "misspelt-kappa-key", "repeated-key",
+        "variogram-alpha-out-of-range", "indefinite-kappa-sigma",
     ],
 )
 def test_bad_input_exit_codes(argv, code, capsys):
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err and err.startswith(("error:", "numeric error:"))
+
+
+def test_spaces_around_spec_keys_and_values(capsys):
+    def field_rows(variogram):
+        argv = ["simulate", "--construction", "br", "--variogram", variogram, "--grid", "0:0.25:9",
+                "--seed", "3"]
+        assert main(argv) == 0
+        return [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+
+    assert field_rows("fractional:alpha=1; scale=2") == field_rows("fractional:alpha=1;scale=2")
+    kappa = parse_kappa(" Quadratic : mu = 0 ; sigma=1 ;", None)
+    assert kappa.kind == "quadratic" and kappa.sigma.tolist() == [[1.0]]
 
 
 SIM = ["simulate", "--grid", "0,1", "--construction"]

@@ -342,24 +342,25 @@ def test_fractional_brown_resnick_never_eigendecomposes(monkeypatch):
 
 
 def test_moving_maxima_single_stub_storm(stub_rng):
-    # StubRng puts every storm at the window's midpoint, the origin, with
-    # strength |window| / k: the first storm, |window| strong, is the
-    # gaussian kernel times |window|, and the 256 of the first chunk end the run
+    # StubRng puts every storm at the window's midpoint, 0.5 for the box of
+    # the grid, with strength |window| / k: the first storm, |window| strong,
+    # is the gaussian kernel times |window|, and the 256 of the first chunk
+    # end the run
     grid = Grid([0.0, 1.0])
-    field = simulate_moving_maxima([[1.0]], grid, [[-3.0, 3.0]], stub_rng)
+    field = simulate_moving_maxima([[1.0]], grid, stub_rng)
     [[lo, hi]] = field.provenance["window"]
-    assert lo == -hi
+    assert (lo + hi) / 2 == pytest.approx(0.5, abs=1e-15)
     c = 1.0 / math.sqrt(2.0 * math.pi)
-    assert field.values[0] == pytest.approx(c * (hi - lo), rel=1e-14)
-    assert field.values[1] == pytest.approx(c * (hi - lo) * math.exp(-0.5), rel=1e-14)
+    for value in field.values:
+        assert value == pytest.approx(c * (hi - lo) * math.exp(-1.0 / 8.0), rel=1e-14)
     assert field.provenance["n_points"] == 256
     assert field.provenance["truncation"]["exact_on_grid"]
 
 
 def test_moving_maxima_streaming_run():
     grid = Grid([0.0, 0.5, 1.0])
-    a = simulate_moving_maxima([[1.0]], grid, [[0.0, 1.0]], derive_rng(17))
-    b = simulate_moving_maxima([[1.0]], grid, [[0.0, 1.0]], derive_rng(17))
+    a = simulate_moving_maxima([[1.0]], grid, derive_rng(17))
+    b = simulate_moving_maxima([[1.0]], grid, derive_rng(17))
     assert np.array_equal(a.values, b.values)
     prov = a.provenance
     assert prov["truncation"]["exact_on_grid"]
@@ -370,9 +371,16 @@ def test_moving_maxima_streaming_run():
 def test_moving_maxima_rejects_bad_geometry(rng):
     grid = Grid([0.0, 2.0])
     with pytest.raises(ValueError):
-        simulate_moving_maxima([[1.0]], grid, [[0.0, 1.0]], rng)  # grid outside core
-    with pytest.raises(ValueError):
-        simulate_moving_maxima([[0.0]], grid, [[0.0, 2.0]], rng)  # singular sigma
+        simulate_moving_maxima([[0.0]], grid, rng)  # singular sigma
+
+
+def test_moving_maxima_window_is_the_grids_buffered_box(stub_rng):
+    # the box is padded by 0.5 along the axis where the grid has no extent
+    grid = Grid([[0.0, 2.0], [1.0, 2.0], [3.0, 2.0]])
+    field = simulate_moving_maxima(np.eye(2), grid, stub_rng)
+    r, _ = moving_maxima_buffer(1.0 / (2.0 * math.pi), 1.0, [[0.0, 3.0], [1.5, 2.5]])
+    assert field.provenance["buffer_radius"] == r
+    assert field.provenance["window"] == [[0.0 - r, 3.0 + r], [1.5 - r, 2.5 + r]]
 
 
 def test_moving_maxima_buffer_meets_error_target():

@@ -327,6 +327,7 @@ def test_parse_examples():
         "exp:lambda=1;centered=maybe",
         "gaussian:mu=0,0;sigma=1,0,0",
         "exp:lambda",
+        "gaussian:mu=0;sigma=1;mu=5",
     ],
 )
 def test_parse_rejects_malformed_specs(bad):
