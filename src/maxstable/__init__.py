@@ -20,7 +20,12 @@ from .seeding import DEFAULT_SEED, derive_rng
 from .simulator import (
     Field,
     Grid,
+    PreparedLaw,
     Variogram,
+    prepare_brown_resnick,
+    prepare_general,
+    prepare_moving_maxima,
+    prepare_smith,
     simulate_brown_resnick,
     simulate_general,
     simulate_moving_maxima,

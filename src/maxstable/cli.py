@@ -30,14 +30,13 @@ from .simulator import (
     DEFAULT_N_POINTS,
     Grid,
     _f17,
-    _smith_law,
     field_csv_rows,
     field_csv_text,
     parse_variogram,
-    simulate_brown_resnick,
-    simulate_general,
-    simulate_moving_maxima,
-    simulate_smith,
+    prepare_brown_resnick,
+    prepare_general,
+    prepare_moving_maxima,
+    prepare_smith,
 )
 from .spectral import (
     DomainError,
@@ -51,7 +50,6 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
 
 N_POINTS_HELP = "most spectral draws at one grid location; a field that needs more exits 3"
 
@@ -148,40 +146,40 @@ def run_config_dict(args, keys) -> dict:
 # subcommands
 
 
-def cmd_simulate(args) -> int:
-    grid = Grid(parse_grid(args.grid))
-    rng = derive_rng(args.seed)
-    if args.construction == "smith":
-        if args.sigma is None:
-            raise UsageError("smith construction requires --sigma")
-        field = simulate_smith(
-            parse_matrix(args.sigma), grid, args.n_points, rng, seed_record=args.seed
-        )
-    elif args.construction == "br":
-        if args.variogram is None:
-            raise UsageError("brown-resnick construction requires --variogram")
-        field = simulate_brown_resnick(
-            parse_variogram(args.variogram), grid, args.n_points, rng, seed_record=args.seed
-        )
-    elif args.construction == "mmm":
-        if args.sigma is None:
-            raise UsageError("moving-maxima construction requires --sigma")
-        field = simulate_moving_maxima(parse_matrix(args.sigma), grid, rng, seed_record=args.seed)
-    elif args.construction == "general":
-        if args.dist is None:
-            raise UsageError("general construction requires --dist")
-        dist = parse_distribution(args.dist)
-        kappa = parse_kappa(args.kappa, dist)
-        field = simulate_general(
-            dist, kappa, grid, args.n_points, rng, seed_record=args.seed
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown construction {args.construction!r}")
+def _prepare_general(grid, args):
+    dist = parse_distribution(args.dist)
+    return prepare_general(dist, parse_kappa(args.kappa, dist), grid, args.n_points)
 
-    cfg = run_config_dict(
-        args, ["construction", "sigma", "variogram", "dist", "kappa", "grid", "n_points"]
-    )
-    header = {k: v for k, v in cfg.items() if v is not None}
+
+# construction -> the flags it reads, and its law on a grid from their values.
+# SIMULATE_FLAGS: each flag's default (None: required); one not read exits 2.
+CONSTRUCTIONS = {
+    "smith": (("sigma", "n_points"),
+              lambda grid, a: prepare_smith(parse_matrix(a.sigma), grid, a.n_points)),
+    "br": (("variogram", "n_points"),
+           lambda grid, a: prepare_brown_resnick(parse_variogram(a.variogram), grid, a.n_points)),
+    "mmm": (("sigma",), lambda grid, a: prepare_moving_maxima(parse_matrix(a.sigma), grid)),
+    "general": (("dist", "kappa", "n_points"), _prepare_general),
+}
+SIMULATE_FLAGS = {"sigma": None, "variogram": None, "dist": None, "kappa": "cgf",
+                  "n_points": DEFAULT_N_POINTS}
+
+
+def cmd_simulate(args) -> int:
+    reads, prepare = CONSTRUCTIONS[args.construction]
+    for flag, default in SIMULATE_FLAGS.items():
+        option = "--" + flag.replace("_", "-")
+        if getattr(args, flag) is not None and flag not in reads:
+            raise UsageError(f"--construction {args.construction} does not read {option}")
+        if getattr(args, flag) is None and flag in reads:
+            if default is None:
+                raise UsageError(f"--construction {args.construction} requires {option}")
+            setattr(args, flag, default)
+    grid = Grid(parse_grid(args.grid))
+    field = prepare(grid, args).simulate(derive_rng(args.seed), seed_record=args.seed)
+    keys = ["construction", "sigma", "variogram", "dist", "kappa", "grid", "n_points"]
+    # every flag read is set now, and every other one of SIMULATE_FLAGS is None
+    header = {k: v for k, v in run_config_dict(args, keys).items() if v is not None}
     write_output(field_csv_text(field, extra_header=header), args.output)
     if args.plot_data:
         write_output("\n".join(field_csv_rows(field)), args.plot_data)
@@ -189,14 +187,8 @@ def cmd_simulate(args) -> int:
 
 
 def _default_box(dist) -> np.ndarray:
-    upper = dist.domain_upper()
-    rows = []
-    for j in range(dist.dim):
-        if np.isinf(upper[j]):
-            rows.append([-1.0, 1.0])
-        else:
-            rows.append([0.0, 0.6 * upper[j]])
-    return np.array(rows)
+    """[-1, 1] on an axis where the CGF domain is unbounded, else [0, 0.6 upper]."""
+    return np.array([[-1.0, 1.0] if np.isinf(u) else [0.0, 0.6 * u] for u in dist.domain_upper()])
 
 
 def cmd_defect(args) -> int:
@@ -267,27 +259,19 @@ def cmd_compare_reps(args) -> int:
     if grid.size < 2:
         raise UsageError("compare-reps needs at least two grid points")
 
-    smith_dist, smith_kappa = _smith_law(sigma)
-
-    def smith_job(rep, rng):
-        return simulate_general(
-            smith_dist, smith_kappa, grid, args.n_points, rng, construction="smith"
-        ).values[:2]
-
-    def mmm_job(rep, rng):
-        return simulate_moving_maxima(sigma, grid, rng).values[:2]
-
-    smith_pairs = np.array(run_replicates(smith_job, args.replicates, args.seed))
-    mmm_pairs = np.array(run_replicates(mmm_job, args.replicates, args.seed + 1))
+    smith = prepare_smith(sigma, grid, args.n_points)
+    mmm = prepare_moving_maxima(sigma, grid)
+    smith_pairs = np.array(run_replicates(
+        lambda rep, rng: smith.simulate(rng).values[:2], args.replicates, args.seed))
+    mmm_pairs = np.array(run_replicates(
+        lambda rep, rng: mmm.simulate(rng).values[:2], args.replicates, args.seed + 1))
     thresholds = fddmod.frechet_threshold_grid()
     sup = fddmod.bivariate_ecdf_distance(smith_pairs, mmm_pairs, thresholds)
     out = {
         "sup_cdf_difference": sup,
         "threshold": args.threshold,
         "equivalent": bool(sup < args.threshold),
-        "config": run_config_dict(
-            args, ["sigma", "grid", "replicates", "n_points", "threshold"]
-        ),
+        "config": run_config_dict(args, ["sigma", "grid", "replicates", "n_points", "threshold"]),
     }
     write_output(dump_json(out), args.output)
     return EXIT_OK if sup < args.threshold else EXIT_VIOLATED
@@ -303,8 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate de Haan-type max-stable fields and verify the "
         "Gaussian stationarity characterization.",
     )
-    # let values like "-5:0.01:1001" or "-1,1" pass as flag arguments
-    numberish = re.compile(r"^-\d[\d.,:;x+-]*$")
+    # let values like "-5:0.01:1001", "-1,1", "-.5,0.5" or "-1e-3,0.5" pass
+    # as flag arguments
+    numberish = re.compile(r"^-\.?\d[\deE.,:;x+-]*$")
     parser._negative_number_matcher = numberish
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -323,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", default=None, help="row-major covariance entries")
     p.add_argument("--variogram", default=None, help="fractional:scale=..;alpha=.. or quadratic:sigma=..")
     p.add_argument("--dist", default=None, help="spectral law spec string")
-    p.add_argument("--kappa", default="cgf", help="'cgf' or quadratic:mu=..;sigma=..;c0=..")
+    p.add_argument("--kappa", default=None, help="'cgf' (the default) or quadratic:mu=..;sigma=..;c0=..")
     p.add_argument("--grid", help="start:step:count per axis, or explicit points")
-    p.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS, help=N_POINTS_HELP)
+    p.add_argument("--n-points", type=int, default=None, help=N_POINTS_HELP)
     p.add_argument("--plot-data", default=None, help="also write bare (t, value) pairs here")
     common(p)
     p.set_defaults(func=cmd_simulate, needs=("construction", "grid"))

@@ -16,8 +16,14 @@ quadratic variograms give Smith's field, simulated as one).  The engine
 works in log space and exponentiates once, so a single huge value cannot
 overflow intermediate arithmetic.  ``n_points`` is a loop guard, not a
 truncation: the most spectral draws at one grid location; a field that
-needs more raises ValueError.  The moving-maxima construction uses an exact-on-grid
-stopping rule with an explicit edge-error bound.
+needs more raises ValueError.  The moving-maxima construction uses an
+exact-on-grid stopping rule with an explicit edge-error bound.
+
+Each construction is prepared once per grid by its ``prepare_*``
+function, into a ``PreparedLaw`` that holds what all its fields share (phi
+on the grid, the tilted-sampler tables and the shift phi - kappa, the
+Brown-Resnick factor, or moving maxima's checked Sigma, buffer and window)
+and whose ``simulate(rng)`` draws one field; ``simulate_*`` draw one.
 
 Randomness layout: the engine splits its generator into two child
 streams, arrivals (one standard exponential per arrival) and spectral
@@ -200,10 +206,8 @@ def _extremal_log_field(m, draw, log_y, n_points, rng):
     if none were kept: 1, 2, 4, ... up to _BATCH_CELLS / m rows, back to 1
     after a kept one.  Up to the first kept candidate of a batch every
     decision is the one the location-by-location loop makes; the scan
-    restarts after it.  Returns (log Z, spectral draws, rejections).
+    restarts after it.  Returns log Z and the spectral draws and rejections.
     """
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
     rng_e, rng_x = spawn(rng, 2)
     arrivals = []
     rows = draw(_BLOCK, rng_x)  # spectral base rows not yet consumed
@@ -261,28 +265,49 @@ def _extremal_log_field(m, draw, log_y, n_points, rng):
             raise ValueError(
                 f"grid location {j} needs more than n_points = {n_points} spectral draws"
             )
-    return log_z, draws, draws - kept_total
+    return log_z, {"spectral_draws": draws, "rejections": draws - kept_total}
 
 
-def _extremal_field(grid, sampler, n_points, rng, provenance, shift=None) -> Field:
-    """The engine's field exp(log Z + shift), with its draw counts recorded."""
-    log_z, draws, rejections = _extremal_log_field(grid.size, *sampler, n_points, rng)
-    if shift is not None:
-        log_z += shift
-    if np.any(log_z > _LOG_MAX):
-        raise ValueError(
-            "spectral contribution overflows the double range "
-            f"(max log value {log_z.max():.3g})"
-        )
-    provenance.update(spectral_draws=draws, rejections=rejections)
-    return Field(grid, np.exp(log_z), provenance)
+@dataclass(frozen=True)
+class PreparedLaw:
+    """One construction's law on one grid, its grid invariants computed
+    once.  ``log_field(rng)`` gives log Z on the grid and the field's own
+    counts; ``provenance`` holds what every field records besides them."""
+
+    grid: Grid
+    provenance: dict
+    log_field: object
+
+    def simulate(self, rng, *, seed_record=None) -> Field:
+        """One field, drawn from rng alone: k fields of one prepared law are
+        those of k ``simulate_*`` calls with the same generators."""
+        log_z, counts = self.log_field(rng)
+        if np.any(log_z > _LOG_MAX):
+            raise ValueError(f"{self.provenance['construction']} field overflows the double "
+                             f"range (max log value {log_z.max():.3g})")
+        return Field(self.grid, np.exp(log_z), {**self.provenance, "seed": seed_record, **counts})
 
 
-def _general_sampler(dist, t_mat, phi):
-    """(draw, log_y) with log Y = <X, t - t_j> - (phi(t) - phi(t_j)) for X
-    under the t_j-tilted law: Y = W / W(t_j) for W(t) = exp(<X, t> - phi(t)).
-    It is evaluated as a(t) - a(t_j), a(t) = <X, t> - phi(t): one product
-    and two passes over the candidates, and exactly 0 at t_j."""
+def _engine_law(grid, sampler, n_points, provenance, shift=0.0) -> PreparedLaw:
+    """The engine's field exp(log Z + shift) for a (draw, log_y) sampler."""
+    if n_points < 1:
+        raise ValueError("n_points must be >= 1")
+
+    def log_field(rng):
+        log_z, counts = _extremal_log_field(grid.size, *sampler, n_points, rng)
+        return log_z + shift, counts
+
+    return PreparedLaw(grid, {**provenance, "n_points": n_points}, log_field)
+
+
+def _spectral_law(dist, kappa, grid, n_points, construction) -> PreparedLaw:
+    """max_i U_i exp(<X_i, t> - kappa(t)): the engine simulates the
+    unit-Frechet field with kappa = phi, the CGF of X, and shifts it by
+    phi(t) - kappa(t).  Y = W / W(t_j) for W(t) = exp(<X, t> - phi(t)) and X
+    under the t_j-tilted law has log Y = a(t) - a(t_j), a(t) = <X, t> - phi(t):
+    one product and two passes over the candidates, and exactly 0 at t_j."""
+    t_mat = grid.locations
+    phi = np.asarray(dist.cgf(t_mat), dtype=float)  # checks the grid against the CGF domain
     draw, tilt = dist.tilted_sampler(t_mat)
     t_cols = np.ascontiguousarray(t_mat.T)
 
@@ -290,7 +315,9 @@ def _general_sampler(dist, t_mat, phi):
         a = tilt(rows, js) @ t_cols - phi
         return a - a[np.arange(len(js)), js][:, None]
 
-    return draw, log_y
+    shift = 0.0 if kappa.kind == "cgf" and kappa.dist == dist else phi - kappa.values(t_mat)
+    prov = {"construction": construction, "dist": dist.spec_string(), "kappa": kappa.kind}
+    return _engine_law(grid, (draw, log_y), n_points, prov, shift)
 
 
 def _smith_law(sigma):
@@ -300,44 +327,18 @@ def _smith_law(sigma):
     return law, ShapeFunction.from_cgf(law)
 
 
-def simulate_general(
-    dist: SpectralDistribution,
-    kappa: ShapeFunction,
-    grid: Grid,
-    n_points: int,
-    rng,
-    *,
-    seed_record=None,
-    construction: str = "general",
-) -> Field:
-    """max_i U_i exp(<X_i, t> - kappa(t)) on the grid, exactly.
-
-    The engine simulates the unit-Frechet field with kappa = phi, the CGF
-    of X, and shifts it once by phi(t) - kappa(t).  n_points bounds the
-    spectral draws at one grid location.
-    """
-    t_mat = grid.locations
-    phi = np.asarray(dist.cgf(t_mat), dtype=float)  # checks the grid against the CGF domain
-    prov = {
-        "construction": construction,
-        "dist": dist.spec_string(),
-        "kappa": kappa.kind,
-        "n_points": n_points,
-        "seed": seed_record,
-    }
-    is_cgf = kappa.kind == "cgf" and kappa.dist == dist
-    return _extremal_field(
-        grid, _general_sampler(dist, t_mat, phi), n_points, rng, prov,
-        shift=None if is_cgf else phi - kappa.values(t_mat),
-    )
+def prepare_general(
+    dist: SpectralDistribution, kappa: ShapeFunction, grid: Grid, n_points: int
+) -> PreparedLaw:
+    """max_i U_i exp(<X_i, t> - kappa(t)) on the grid, exactly; n_points
+    bounds the spectral draws at one grid location."""
+    return _spectral_law(dist, kappa, grid, n_points, "general")
 
 
-def simulate_smith(sigma, grid: Grid, n_points: int, rng, *, seed_record=None) -> Field:
+def prepare_smith(sigma, grid: Grid, n_points: int) -> PreparedLaw:
     """Smith construction: gaussian(0, Sigma) spectral law with quadratic
     normalizer 0.5 <t, Sigma t>."""
-    return simulate_general(
-        *_smith_law(sigma), grid, n_points, rng, seed_record=seed_record, construction="smith"
-    )
+    return _spectral_law(*_smith_law(sigma), grid, n_points, "smith")
 
 
 def _br_cov_factor(variogram: Variogram, grid: Grid):
@@ -359,9 +360,17 @@ def _br_cov_factor(variogram: Variogram, grid: Grid):
     return factor, pairwise
 
 
-def _brown_resnick_sampler(variogram: Variogram, grid: Grid):
-    """(draw, log_y) with log Y = G(t) - G(t_j) - gamma(t - t_j) / 2, the
-    t_j-tilted law of W / W(t_j) for W(t) = exp(G(t) - gamma(t) / 2)."""
+def prepare_brown_resnick(variogram: Variogram, grid: Grid, n_points: int) -> PreparedLaw:
+    """Brown-Resnick construction from grid-sampled Gaussian increments,
+    exactly: log Y = G(t) - G(t_j) - gamma(t - t_j) / 2 is the t_j-tilted
+    law of W / W(t_j) for W(t) = exp(G(t) - gamma(t) / 2).  n_points bounds
+    the spectral draws at one grid location.  gamma(h) = <h, Sigma h>
+    (quadratic, or alpha = 2 with Sigma = scale I) has G(t) = <X, t>,
+    X ~ N(0, Sigma): Smith's field, simulated as such."""
+    quadratic = variogram.kind == "quadratic"
+    if quadratic or variogram.alpha == 2.0:
+        sigma = variogram.sigma if quadratic else variogram.scale * np.eye(grid.dim)
+        return _spectral_law(*_smith_law(sigma), grid, n_points, "brown_resnick")
     factor, pairwise = _br_cov_factor(variogram, grid)
     factor_t = factor.T
     half_pairwise = 0.5 * pairwise
@@ -373,28 +382,8 @@ def _brown_resnick_sampler(variogram: Variogram, grid: Grid):
         g = rows @ factor_t
         return g - g[np.arange(len(js)), js][:, None] - half_pairwise[js]
 
-    return draw, log_y
-
-
-def simulate_brown_resnick(
-    variogram: Variogram, grid: Grid, n_points: int, rng, *, seed_record=None
-) -> Field:
-    """Brown-Resnick construction from grid-sampled Gaussian increments,
-    exactly; n_points bounds the spectral draws at one grid location.
-    gamma(h) = <h, Sigma h> (quadratic, or alpha = 2 with Sigma = scale I)
-    has G(t) = <X, t>, X ~ N(0, Sigma): Smith's field, simulated as such."""
-    quadratic = variogram.kind == "quadratic"
-    if quadratic or variogram.alpha == 2.0:
-        sigma = variogram.sigma if quadratic else variogram.scale * np.eye(grid.dim)
-        return simulate_general(*_smith_law(sigma), grid, n_points, rng,
-                                seed_record=seed_record, construction="brown_resnick")
-    prov = {
-        "construction": "brown_resnick",
-        "variogram": variogram.kind,
-        "n_points": n_points,
-        "seed": seed_record,
-    }
-    return _extremal_field(grid, _brown_resnick_sampler(variogram, grid), n_points, rng, prov)
+    prov = {"construction": "brown_resnick", "variogram": variogram.kind}
+    return _engine_law(grid, (draw, log_y), n_points, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +413,15 @@ def moving_maxima_buffer(c: float, lam_min: float, core):
     raise ValueError("buffer radius iteration did not converge")
 
 
-def simulate_moving_maxima(sigma, grid: Grid, rng, *, seed_record=None) -> Field:
+def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
     """Moving-maxima construction: max over storms of
     c * V_i * exp(-0.5 <(t - T_i), Sigma (t - T_i)>), c = det(Sigma)^1/2 / (2 pi)^{d/2}.
 
-    Sigma is validated once, up front.  Storms are streamed in decreasing
-    strength on the grid's bounding box (padded by 0.5 on flat axes) plus a
-    buffer, and generation stops once c * V_i drops below the current field
-    minimum on the grid, so the result is exact on the grid up to the
-    recorded outside-buffer error bound.
+    Sigma is checked once per prepared law.  Storms are streamed in
+    decreasing strength on the grid's bounding box (padded by 0.5 on flat
+    axes) plus a buffer, and generation stops once c * V_i drops below the
+    current field minimum on the grid, so each field is exact on the grid
+    up to the recorded outside-buffer error bound.
     """
     sigma, eigs, _ = clamp_psd(sigma)
     lam_min = float(eigs.min())
@@ -450,36 +439,54 @@ def simulate_moving_maxima(sigma, grid: Grid, rng, *, seed_record=None) -> Field
     window = np.column_stack([core[:, 0] - r_buf, core[:, 1] + r_buf])
     vol = window_volume(window)
 
-    rng_v, rng_t = spawn(rng, 2)
-    best = np.full(grid.size, -np.inf)
-    gamma_total = 0.0
-    n_storms = 0
-    while True:
-        arrivals = np.asarray(rng_v.exponential(size=_STORM_CHUNK), dtype=float)
-        gammas = gamma_total + np.cumsum(arrivals)
-        gamma_total = float(gammas[-1])
-        strengths = vol / gammas
-        centers = np.asarray(rng_t.uniform(window[:, 0], window[:, 1], size=(_STORM_CHUNK, grid.dim)))
-        diff = grid_pts[None, :, :] - centers[:, None, :]
-        quad = np.einsum("kmd,de,kme->km", diff, sigma, diff)
-        best = np.maximum(best, (log_c + np.log(strengths)[:, None] - 0.5 * quad).max(axis=0))
-        n_storms += _STORM_CHUNK
-        if log_c + math.log(strengths[-1]) < best.min():
-            break
-        if n_storms >= _MAX_STORMS:
-            raise ValueError(f"moving-maxima stopping rule not reached within {_MAX_STORMS} storms")
-    if np.any(best > _LOG_MAX):
-        raise ValueError("storm contribution overflows the double range")
+    def log_field(rng):
+        rng_v, rng_t = spawn(rng, 2)
+        best = np.full(grid.size, -np.inf)
+        gamma_total = 0.0
+        n_storms = 0
+        while True:
+            arrivals = np.asarray(rng_v.exponential(size=_STORM_CHUNK), dtype=float)
+            gammas = gamma_total + np.cumsum(arrivals)
+            gamma_total = float(gammas[-1])
+            strengths = vol / gammas
+            centers = np.asarray(rng_t.uniform(window[:, 0], window[:, 1], size=(_STORM_CHUNK, grid.dim)))
+            diff = grid_pts[None, :, :] - centers[:, None, :]
+            quad = np.einsum("kmd,de,kme->km", diff, sigma, diff)
+            best = np.maximum(best, (log_c + np.log(strengths)[:, None] - 0.5 * quad).max(axis=0))
+            n_storms += _STORM_CHUNK
+            if log_c + math.log(strengths[-1]) < best.min():
+                return best, {"n_points": n_storms}
+            if n_storms >= _MAX_STORMS:
+                raise ValueError(f"moving-maxima stopping rule not reached within {_MAX_STORMS} storms")
+
     prov = {
         "construction": "mmm",
-        "n_points": n_storms,
-        "seed": seed_record,
         "window": window.tolist(),
         "buffer_radius": r_buf,
         "edge_error_bound": edge_bound,
         "truncation": {"exact_on_grid": True},
     }
-    return Field(grid, np.exp(best), prov)
+    return PreparedLaw(grid, prov, log_field)
+
+
+# ---------------------------------------------------------------------------
+# the public simulators: one field of a law prepared for it
+
+
+def simulate_general(dist, kappa, grid: Grid, n_points: int, rng) -> Field:
+    return prepare_general(dist, kappa, grid, n_points).simulate(rng)
+
+
+def simulate_smith(sigma, grid: Grid, n_points: int, rng) -> Field:
+    return prepare_smith(sigma, grid, n_points).simulate(rng)
+
+
+def simulate_brown_resnick(variogram: Variogram, grid: Grid, n_points: int, rng) -> Field:
+    return prepare_brown_resnick(variogram, grid, n_points).simulate(rng)
+
+
+def simulate_moving_maxima(sigma, grid: Grid, rng) -> Field:
+    return prepare_moving_maxima(sigma, grid).simulate(rng)
 
 
 # ---------------------------------------------------------------------------

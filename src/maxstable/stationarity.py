@@ -22,13 +22,12 @@ import numpy as np
 
 from . import fdd
 from .seeding import spawn
-from .simulator import DEFAULT_N_POINTS, Grid, simulate_general
+from .simulator import DEFAULT_N_POINTS, Grid, prepare_general
 from .spectral import (
     DomainError,
     ShapeFunction,
     SimplexWeights,
     SpectralDistribution,
-    cgf,
     cgf_gradient,
 )
 
@@ -212,7 +211,8 @@ def search_violation(
     random configs (ts, h uniform in the box, u uniform on the simplex).
 
     The verdict is "violated" iff max |defect| > tol_defect.  Configs
-    whose shifted points leave the CGF domain are skipped.
+    whose shifted points leave the CGF domain are skipped; a defect that is
+    not finite (the CGF overflows) raises ValueError, so no verdict is given.
     """
     if n < 1:
         raise ValueError("criterion tuple size n must be >= 1")
@@ -221,6 +221,8 @@ def search_violation(
     if not (math.isfinite(tol_defect) and tol_defect >= 0):
         raise ValueError("defect tolerance must be finite and >= 0")
     box = np.asarray(box, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(box)):
+        raise ValueError("box must be finite")
     if box.shape[0] != dist.dim:
         raise ValueError("box dimension must match the distribution")
     if np.any(box[:, 1] <= box[:, 0]):
@@ -243,11 +245,15 @@ def search_violation(
     # no-op on grid and Dirichlet weights)
     u = raw_u / raw_u.sum(axis=1, keepdims=True)
 
-    feasible, base, shifted = _centred_cgfs(dist, ts, u, h)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        feasible, base, shifted = _centred_cgfs(dist, ts, u, h)
+        defects = base - shifted
     kept = np.flatnonzero(feasible)
     if not len(kept):
         raise DomainError("no feasible criterion configs inside the box")
-    defects = base - shifted
+    if not np.all(np.isfinite(defects)):
+        raise ValueError(f"{np.count_nonzero(~np.isfinite(defects))} of {len(kept)} criterion "
+                         "defects are not finite (the CGF overflows)")
     # lowest index wins ties: np.argmax keeps the first maximum
     arg = int(np.argmax(np.abs(defects)))
     max_abs = float(abs(defects[arg]))
@@ -335,9 +341,7 @@ def default_shift(dist: SpectralDistribution, grid: Grid) -> np.ndarray:
     to a bounded boundary, 0.7 per coordinate otherwise."""
     upper = dist.domain_upper()
     t_max = grid.locations.max(axis=0)
-    h = np.empty(dist.dim)
-    for j in range(dist.dim):
-        h[j] = 0.7 if math.isinf(upper[j]) else 0.5 * (upper[j] - t_max[j])
+    h = np.where(np.isinf(upper), 0.7, 0.5 * (upper - t_max))
     if np.any(h <= 0):
         raise DomainError("grid leaves no headroom for a domain-respecting shift")
     return h
@@ -353,10 +357,10 @@ def marginal_frechet_ks(
     """KS distance of simulated marginals against unit Frechet at each grid
     point, with kappa equal to the CGF of the spectral law, against the
     1%-level threshold."""
-    kappa = ShapeFunction.from_cgf(dist)
+    law = prepare_general(dist, ShapeFunction.from_cgf(dist), grid, n_points)
     values = np.empty((replicates, grid.size))
     for rep, child in enumerate(spawn(rng, replicates)):
-        values[rep] = simulate_general(dist, kappa, grid, n_points, child).values
+        values[rep] = law.simulate(child).values
     threshold = fdd.ks_threshold(replicates)
     table = []
     for j in range(grid.size):
@@ -386,7 +390,6 @@ def empirical_shift_distance(
     t1 = np.atleast_1d(np.asarray(t1, dtype=float))
     t2 = np.atleast_1d(np.asarray(t2, dtype=float))
     h = np.atleast_1d(np.asarray(h, dtype=float))
-    kappa = ShapeFunction.from_cgf(dist)
     # the four query points may coincide (e.g. t2 = t1 + h); simulate on the
     # distinct locations and index back into them
     wanted = np.vstack([t1, t2, t1 + h, t2 + h])
@@ -400,11 +403,11 @@ def empirical_shift_distance(
         else:
             index.append(len(uniq))
             uniq.append(p)
-    grid = Grid(np.array(uniq))
+    law = prepare_general(dist, ShapeFunction.from_cgf(dist), Grid(np.array(uniq)), n_points)
     index = np.array(index)
     pairs = np.empty((replicates, 4))
     for rep, child in enumerate(spawn(rng, replicates)):
-        pairs[rep] = simulate_general(dist, kappa, grid, n_points, child).values[index]
+        pairs[rep] = law.simulate(child).values[index]
     thresholds = fdd.frechet_threshold_grid()
     return fdd.bivariate_ecdf_distance(pairs[:, :2], pairs[:, 2:], thresholds)
 

@@ -19,6 +19,8 @@ from maxstable.seeding import derive_rng, run_replicates
 from maxstable.simulator import (
     Grid,
     _smith_law,
+    prepare_moving_maxima,
+    prepare_smith,
     simulate_general,
     simulate_moving_maxima,
     simulate_smith,
@@ -79,8 +81,10 @@ def random_psd(rng, d):
 def smith_quad_pairs():
     """10^4 Smith replicates (Sigma = 1) on {0, 1, 0.7, 1.7}; columns 0:2
     serve as the reference (t1, t2) sample, columns 2:4 as the shifted pair."""
+    law = prepare_smith([[1.0]], GRID4, N_POINTS)
+
     def job(rep, rng):
-        return simulate_smith([[1.0]], GRID4, N_POINTS, rng).values
+        return law.simulate(rng).values
 
     return np.array(run_replicates(job, REPLICATES, seed=4001))
 
@@ -199,10 +203,10 @@ def test_criterion_5_closed_vs_mc_exponent(report):
 
 
 def test_criterion_6_representation_equivalence(report, smith_quad_pairs):
-    grid = Grid([0.0, 1.0])
+    law = prepare_moving_maxima([[1.0]], Grid([0.0, 1.0]))
 
     def job(rep, rng):
-        return simulate_moving_maxima([[1.0]], grid, rng).values
+        return law.simulate(rng).values
 
     mmm_pairs = np.array(run_replicates(job, REPLICATES, seed=6001))
     sup = bivariate_ecdf_distance(smith_quad_pairs[:, :2], mmm_pairs, THRESHOLDS_10)
@@ -215,10 +219,10 @@ def test_criterion_6_representation_equivalence(report, smith_quad_pairs):
 
 
 def test_criterion_7_max_stability(report, smith_quad_pairs):
-    grid = Grid([0.0, 1.0])
+    law = prepare_smith([[1.0]], Grid([0.0, 1.0]), N_POINTS)
 
     def job(rep, rng):
-        return simulate_smith([[1.0]], grid, N_POINTS, rng).values
+        return law.simulate(rng).values
 
     groups = [
         np.array(run_replicates(job, REPLICATES, seed=7001 + k))
@@ -251,9 +255,10 @@ def test_criterion_8_numerical_hygiene(report):
     # (b) replicate determinism, bit-exact: each replicate depends only on
     # (seed, index), not on the order or the number of replicates run
     grid = Grid([0.0, 1.0])
+    law = prepare_smith([[1.0]], grid, 2000)
 
     def job(rep, rng_):
-        return simulate_smith([[1.0]], grid, 2000, rng_).values
+        return law.simulate(rng_).values
 
     batch = np.array(run_replicates(job, 64, seed=8101))
     reverse = np.array([job(k, derive_rng(8101, k)) for k in reversed(range(64))])[::-1]

@@ -291,21 +291,27 @@ def test_compare_reps_small(capsys):
     assert report["sup_cdf_difference"] < 0.2
 
 
-def test_compare_reps_builds_the_smith_law_once(monkeypatch, capsys):
-    built = []
+def test_compare_reps_and_verify_prepare_each_law_once(monkeypatch, capsys):
+    prepared = []
 
-    def counted(sigma):
-        built.append(sigma)
-        return law(sigma)
+    def counted(module, name):
+        prepare = getattr(module, name)
 
-    law = maxstable.cli._smith_law
-    monkeypatch.setattr(maxstable.cli, "_smith_law", counted)
+        def wrapper(*args):
+            prepared.append(name)
+            return prepare(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(maxstable.cli, "prepare_smith")
+    counted(maxstable.cli, "prepare_moving_maxima")
+    counted(maxstable.stationarity, "prepare_general")
     assert main([
         "compare-reps", "--sigma", "1", "--grid", "0,1", "--replicates", "100",
         "--n-points", "1000", "--threshold", "0.3", "--seed", "17",
     ]) == 0
-    assert len(built) == 1
-    # the same report as one simulate_smith call per replicate
+    assert sorted(prepared) == ["prepare_moving_maxima", "prepare_smith"]
+    # the same report as one simulate_smith / simulate_moving_maxima call per replicate
     grid = Grid([0.0, 1.0])
     smith = run_replicates(lambda k, rng: simulate_smith([[1.0]], grid, 1000, rng).values, 100, 17)
     mmm = run_replicates(
@@ -313,6 +319,13 @@ def test_compare_reps_builds_the_smith_law_once(monkeypatch, capsys):
     )
     sup = bivariate_ecdf_distance(np.array(smith), np.array(mmm), frechet_threshold_grid())
     assert json.loads(capsys.readouterr().out)["sup_cdf_difference"] == sup
+    # verify: one law for the marginal ensemble, one for the shift ensemble
+    prepared.clear()
+    assert main([
+        "verify", "--dist", "gaussian:mu=0;sigma=1", "--replicates", "100",
+        "--n-points", "1000", "--budget", "5",
+    ]) == 0
+    assert prepared == ["prepare_general", "prepare_general"]
 
 
 def test_compare_reps_needs_two_points(capsys):
@@ -405,13 +418,62 @@ def test_unknown_flag_exits_two():
     assert err.value.code == 2
 
 
-def test_negative_grid_values_parse_as_arguments(tmp_path):
-    # "-1,0,1" must be treated as a value of --grid, not as a flag
-    assert main([
-        "simulate", "--construction", "smith", "--sigma", "1",
-        "--grid", "-1,0,1", "--n-points", "500",
-        "--output", str(tmp_path / "f.csv"),
-    ]) == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--construction", "smith", "--sigma", "1", "--grid", "-1,0,1", "--n-points", "500"],
+        ["defect", "--dist", "exp:lambda=1", "--box", "-1e-3,0.5", "--budget", "5"],
+        ["simulate", "--construction", "smith", "--sigma", "1", "--grid", "-.5,0.5"],
+        ["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "-1E0;1", "--xs", "1,1",
+         "--method", "closed-bivariate"],
+    ],
+    ids=["comma-list", "exponent", "leading-dot", "capital-exponent"],
+)
+def test_negative_grid_values_parse_as_arguments(argv, capsys):
+    # a negative number is a value of its flag, not a flag
+    assert main(argv) in (0, 1)
+    out, err = capsys.readouterr()
+    assert out and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["smith", "--sigma", "1", "--kappa", "nonsense", "--dist", "also:nonsense"],
+        ["smith", "--sigma", "1", "--variogram", "fractional:alpha=1"],
+        ["br", "--variogram", "fractional:alpha=1", "--sigma", "1"],
+        ["br", "--variogram", "fractional:alpha=1", "--kappa", "cgf"],
+        ["mmm", "--sigma", "1", "--n-points", "5"],
+        ["mmm", "--sigma", "1", "--dist", "exp:lambda=1"],
+        ["general", "--dist", "exp:lambda=1", "--sigma", "1"],
+        ["general", "--dist", "exp:lambda=1", "--variogram", "quadratic:sigma=1"],
+    ],
+    ids=["smith-kappa-dist", "smith-variogram", "br-sigma", "br-kappa", "mmm-n-points",
+         "mmm-dist", "general-sigma", "general-variogram"],
+)
+def test_simulate_rejects_a_flag_its_construction_does_not_read(argv, capsys):
+    assert main(["simulate", "--grid", "0,1", "--construction", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "does not read" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["smith", "--sigma", "1"], ["sigma=1", "grid=0,1", "n_points=10000"]),
+        (["br", "--variogram", "quadratic:sigma=1"], ["variogram=quadratic:sigma=1", "grid=0,1",
+                                                      "n_points=10000"]),
+        (["mmm", "--sigma", "1"], ["sigma=1", "grid=0,1"]),
+        (["general", "--dist", "exp:lambda=2"], ["dist=exp:lambda=2", "kappa=cgf", "grid=0,1",
+                                                 "n_points=10000"]),
+    ],
+    ids=["smith", "br", "mmm", "general"],
+)
+def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
+    assert main(["simulate", "--grid", "0,1", "--seed", "1", "--construction", *argv]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# ")]
+    assert lines[1:] == ["# subcommand=simulate", "# seed=1", f"# construction={argv[0]}",
+                         *(f"# {item}" for item in header)]
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +508,9 @@ def test_negative_grid_values_parse_as_arguments(tmp_path):
           "--grid", "0,1"], 3),
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--kappa", "quadratic:mu=0;sigma=-1",
           "--ts", "0;1", "--xs", "1,1"], 3),
+        (["defect", "--dist", "gaussian:mu=0;sigma=1", "--n", "2", "--budget", "5",
+          "--box", "0,1e160"], 3),
+        (["defect", "--dist", "gaussian:mu=0;sigma=1", "--box", "nan,nan"], 3),
     ],
     ids=[
         "zero-replicates", "negative-replicates", "verify-zero-replicates",
@@ -453,7 +518,7 @@ def test_negative_grid_values_parse_as_arguments(tmp_path):
         "variogram-param-without-equals", "kappa-param-without-equals",
         "nan-defect-tolerance", "inf-compare-threshold", "infinite-exponent",
         "misspelt-variogram-key", "misspelt-kappa-key", "repeated-key",
-        "variogram-alpha-out-of-range", "indefinite-kappa-sigma",
+        "variogram-alpha-out-of-range", "indefinite-kappa-sigma", "cgf-overflow", "nan-box",
     ],
 )
 def test_bad_input_exit_codes(argv, code, capsys):
@@ -515,8 +580,10 @@ def test_config_file_value_that_is_not_a_number(tmp_path, capsys):
         (["defect", "--dist", "exp:lambda=1", "--box", "0,0.6"], "func = x"),
         (["defect", "--dist", "exp:lambda=1", "--box", "0,0.6"], "command = verify"),
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0", "--xs", "1"], "method = foo"),
+        (["simulate", "--construction", "general", "--dist", "exp:lambda=2", "--grid", "0,1"],
+         "sigma = 1"),
     ],
-    ids=["misspelt-flag", "parser-attribute", "subcommand", "not-a-choice"],
+    ids=["misspelt-flag", "parser-attribute", "subcommand", "not-a-choice", "not-read-by-construction"],
 )
 def test_config_file_keys_follow_the_flag_contract(tmp_path, capsys, argv, line):
     # a key must name a long flag of the subcommand, and its value must pass

@@ -15,6 +15,7 @@ from maxstable.simulator import (
     Variogram,
     field_csv_text,
     moving_maxima_buffer,
+    prepare_smith,
     simulate_brown_resnick,
     simulate_general,
     simulate_moving_maxima,
@@ -249,7 +250,7 @@ def test_overflowing_contribution_raises(rng):
 
 
 def test_provenance_records_run(rng):
-    field = simulate_smith([[1.0]], Grid([0.0, 1.0]), 5000, rng, seed_record=42)
+    field = prepare_smith([[1.0]], Grid([0.0, 1.0]), 5000).simulate(rng, seed_record=42)
     prov = field.provenance
     assert prov["seed"] == 42
     assert prov["n_points"] == 5000
@@ -430,7 +431,7 @@ def test_doubling_diagnostic_extends_the_simulated_field(simulate, n):
 
 
 def test_field_csv_round_trip(rng):
-    field = simulate_smith([[1.0]], Grid([0.0, 1.0]), 1000, rng, seed_record=3)
+    field = prepare_smith([[1.0]], Grid([0.0, 1.0]), 1000).simulate(rng, seed_record=3)
     text = field_csv_text(field, extra_header={"note": "x"})
     lines = text.strip().split("\n")
     assert lines[0] == "# construction=smith seed=3 n_points=1000"

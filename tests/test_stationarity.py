@@ -121,6 +121,16 @@ def test_search_violation_input_checks(rng):
         search_violation(dist, 2, 10, [[-1.0, 1.0], [-1.0, 1.0]], rng)
 
 
+def test_search_violation_gives_no_verdict_on_a_cgf_overflow(rng):
+    # phi(t) = t^2 / 2 overflows at t = 1e160: most defects would be nan
+    dist = Gaussian([0.0], [[1.0]])
+    with pytest.raises(ValueError, match="not finite"):
+        search_violation(dist, 2, 5, [[0.0, 1e160]], rng)
+    for box in ([[np.nan, np.nan]], [[0.0, np.inf]], [[-np.inf, 0.0]]):
+        with pytest.raises(ValueError, match="box must be finite"):
+            search_violation(dist, 2, 5, box, rng)
+
+
 # The per-config search the batched one replaces, kept as its reference:
 # the itertools.product walk for the coarse grid, then one CriterionConfig
 # and one validate_domain + two cgf_multi calls per config.
