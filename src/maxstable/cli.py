@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fdd as fddmod
 from . import stationarity
-from .seeding import DEFAULT_SEED, derive_rng, run_replicates
+from .seeding import DEFAULT_SEED, derive_rng
 from .simulator import (
     DEFAULT_N_POINTS,
     Grid,
@@ -215,12 +215,11 @@ def _default_verify_grid(dist) -> Grid:
 def cmd_verify(args) -> int:
     dist = parse_distribution(args.dist)
     grid = Grid(parse_grid(args.grid)) if args.grid else _default_verify_grid(dist)
-    rng = derive_rng(args.seed)
     report = stationarity.verify_characterization(
         dist,
         grid,
         args.replicates,
-        rng,
+        args.seed,
         n_points=args.n_points,
         budget=args.budget,
     )
@@ -261,10 +260,8 @@ def cmd_compare_reps(args) -> int:
 
     smith = prepare_smith(sigma, grid, args.n_points)
     mmm = prepare_moving_maxima(sigma, grid)
-    smith_pairs = np.array(run_replicates(
-        lambda rep, rng: smith.simulate(rng).values[:2], args.replicates, args.seed))
-    mmm_pairs = np.array(run_replicates(
-        lambda rep, rng: mmm.simulate(rng).values[:2], args.replicates, args.seed + 1))
+    smith_pairs = smith.simulate_many(args.seed, range(args.replicates))[0][:, :2]
+    mmm_pairs = mmm.simulate_many(args.seed + 1, range(args.replicates))[0][:, :2]
     thresholds = fddmod.frechet_threshold_grid()
     sup = fddmod.bivariate_ecdf_distance(smith_pairs, mmm_pairs, thresholds)
     out = {
@@ -399,6 +396,13 @@ def check_needed_flags(parser: argparse.ArgumentParser, args) -> None:
         )
 
 
+def check_flag_values(args) -> None:
+    """argparse reads ``--flag=--`` as an empty list, not as a missing value."""
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            raise UsageError(f"--{dest.replace('_', '-')} needs a value")
+
+
 def apply_config_file(parser: argparse.ArgumentParser, args) -> None:
     """Make the ``--config`` file's values the defaults of the subcommand's
     flags, so that a flag on the command line still wins.  A key must name
@@ -425,6 +429,7 @@ def main(argv=None) -> int:
         if args.config:
             apply_config_file(parser, args)
             args = parser.parse_args(argv)
+        check_flag_values(args)
         check_needed_flags(parser, args)
         args.seed = resolve_seed(args.seed)
         return args.func(args)

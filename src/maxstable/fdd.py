@@ -19,6 +19,7 @@ from .simulator import has_duplicate_points
 from .spectral import ShapeFunction, SpectralDistribution, cgf
 
 _MC_CHUNK = 1 << 16
+MIN_SAMPLES = 100  # fewest samples of an empirical CDF or KS distance
 
 # lambda below this routes to the complete-dependence branch; the
 # log-ratio term is numerically explosive there.
@@ -200,10 +201,10 @@ def frechet_quantile(p: float) -> float:
 
 
 def empirical_cdf(samples, x) -> float:
-    """Right-continuous empirical CDF of >= 100 samples at x."""
+    """Right-continuous empirical CDF of >= MIN_SAMPLES samples at x."""
     samples = np.sort(np.asarray(samples, dtype=float))
-    if samples.size < 100:
-        raise ValueError("need at least 100 samples")
+    if samples.size < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     return float(np.searchsorted(samples, x, side="right")) / samples.size
 
 
@@ -211,8 +212,8 @@ def ks_distance(samples, reference_cdf) -> float:
     """sup over sample points of |F_emp - F_ref| (both one-sided gaps)."""
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
-    if n < 100:
-        raise ValueError("need at least 100 samples")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     ref = np.asarray(reference_cdf(samples), dtype=float)
     upper = np.arange(1, n + 1) / n - ref
     lower = ref - np.arange(0, n) / n

@@ -22,15 +22,25 @@ exact-on-grid stopping rule with an explicit edge-error bound.
 Each construction is prepared once per grid by its ``prepare_*``
 function, into a ``PreparedLaw`` that holds what all its fields share (phi
 on the grid, the tilted-sampler tables and the shift phi - kappa, the
-Brown-Resnick factor, or moving maxima's checked Sigma, buffer and window)
-and whose ``simulate(rng)`` draws one field; ``simulate_*`` draw one.
+Brown-Resnick factor, or moving maxima's checked Sigma, buffer and window).
+Its ``simulate(rng)`` draws one field and its ``simulate_many(seed,
+indices)`` a whole ensemble; ``simulate_*`` draw one field.
 
-Randomness layout: the engine splits its generator into two child
-streams, arrivals (one standard exponential per arrival) and spectral
-draws (one base row per candidate), each consumed in the algorithm's
-order.  Both are read ahead in blocks of _BLOCK, and what a location does
-not consume goes to the next, so the output does not depend on the block
-size.
+Randomness layout.  One field (``simulate``): the engine splits its
+generator into two child streams, arrivals (one standard exponential per
+arrival) and spectral draws (one base row per candidate), each consumed in
+the algorithm's order.  Both are read ahead in blocks of _BLOCK, and what
+a location does not consume goes to the next, so the output does not
+depend on the block size.  An ensemble (``simulate_many``): replicate k
+belongs to block k // _REPLICATE_BLOCK, whose one stream is
+``seeding.block_rng(seed, block)``.  The engine runs the replicates in
+lockstep, one arrival each per scan step; at step s every block still
+running draws _REPLICATE_BLOCK standard exponentials and then
+_REPLICATE_BLOCK base rows, in full, and replicate k reads entry
+k mod _REPLICATE_BLOCK of each.  So a replicate's field depends only on
+(seed, k), not on which or how many replicates are asked for, nor their
+order.  Moving maxima runs its storms one replicate at a time, replicate k
+on ``seeding.derive_rng(seed, k)``.
 """
 from __future__ import annotations
 
@@ -41,7 +51,7 @@ import numpy as np
 
 # the benchmark's tracer tests still look frechet_cascade up on this module
 from .pointproc import frechet_cascade, window_volume  # noqa: F401
-from .seeding import spawn
+from .seeding import block_rng, replicate_indices, run_replicates, spawn
 from .spectral import (
     Gaussian,
     ShapeFunction,
@@ -56,6 +66,7 @@ from .spectral import (
 DEFAULT_N_POINTS = 10_000  # most spectral draws at one grid location unless a caller asks otherwise
 _LOG_MAX = math.log(np.finfo(float).max)
 _BLOCK = 64  # arrivals and spectral base rows read ahead at a time
+_REPLICATE_BLOCK = 64  # replicates that share one stream in an ensemble
 _BATCH_CELLS = 1 << 15  # most candidate-by-location values scored at once
 _STORM_CHUNK = 256
 _MAX_STORMS = 2_000_000
@@ -126,9 +137,13 @@ class Field:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.size,):
             raise ValueError("field values must match the grid size")
-        if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be strictly positive and finite")
+        _check_values(vals)
         object.__setattr__(self, "values", vals)
+
+
+def _check_values(values):
+    if np.any(values <= 0) or not np.all(np.isfinite(values)):
+        raise ValueError("field values must be strictly positive and finite")
 
 
 class Variogram:
@@ -245,9 +260,7 @@ def _extremal_log_field(m, draw, log_y, n_points, rng):
                 rows = np.concatenate([rows, draw(_BLOCK, rng_x)])
             js = np.array(locs)
             cand = np.array(log_zeta)[:, None] + log_y(rows[:n], js)
-            # a candidate reaches Z at its own location, so it is kept iff
-            # that is the first location where it does
-            kept = (cand >= log_z).argmax(axis=1) == js
+            kept = _kept(cand, log_z, js)
             first = int(kept.argmax())
             if kept[first]:
                 np.maximum(log_z, cand[first], out=log_z)
@@ -262,30 +275,120 @@ def _extremal_log_field(m, draw, log_y, n_points, rng):
             rows = rows[n:]
             width = min(2 * width, cap)
         if over_bound:
-            raise ValueError(
-                f"grid location {j} needs more than n_points = {n_points} spectral draws"
-            )
+            raise _over_bound(j, n_points)
     return log_z, {"spectral_draws": draws, "rejections": draws - kept_total}
+
+
+def _extremal_log_fields(m, draw, log_y, n_points, seed, indices):
+    """log Z on m grid locations of replicates ``indices`` of seed, in
+    lockstep: the scan of ``_extremal_log_field``, one arrival per
+    replicate per step, with the same sampler, keep rule and n_points guard.
+
+    Replicate k reads the stream of block k // _REPLICATE_BLOCK: at each
+    step every block with a replicate still running draws _REPLICATE_BLOCK
+    standard exponentials and then _REPLICATE_BLOCK base rows (the module
+    docstring's layout), and replicate k takes entry k mod _REPLICATE_BLOCK
+    of each.  The exponential adds to Gamma at the replicate's location
+    t_j.  If zeta = 1 / Gamma > Z(t_j), the row makes a candidate; a kept
+    one sets Z(t_j) = zeta, so the next arrival would fall below it and t_j
+    ends at once.  Otherwise t_j ends and the row goes unused.  Returns
+    log Z (R, m) and the per-replicate spectral draws and rejections.
+    """
+    blocks, slots = np.divmod(indices, _REPLICATE_BLOCK)
+    block_ids, owner = np.unique(blocks, return_inverse=True)
+    streams = [block_rng(seed, b) for b in block_ids]
+    r = len(indices)
+    log_z = np.full((r, m), -np.inf)
+    loc = np.zeros(r, dtype=np.int64)  # each replicate's location t_j
+    gamma = np.zeros(r)
+    at_loc = np.zeros(r, dtype=np.int64)  # its candidates at t_j so far
+    draws = np.zeros(r, dtype=np.int64)
+    kept_total = np.zeros(r, dtype=np.int64)
+    run = np.arange(r)  # the replicates still scanning
+    arrivals = np.empty((len(streams), _REPLICATE_BLOCK))
+    rows = None
+    while run.size:
+        # bincount, not np.unique, which imports numpy.ma (1.5 MB)
+        for b in np.flatnonzero(np.bincount(owner[run])):
+            arrivals[b] = streams[b].exponential(size=_REPLICATE_BLOCK)
+            step_rows = draw(_REPLICATE_BLOCK, streams[b])
+            if rows is None:
+                rows = np.empty((len(streams), *step_rows.shape))
+            rows[b] = step_rows
+        at_b, at_slot = owner[run], slots[run]
+        g = gamma[run] + arrivals[at_b, at_slot]
+        log_zeta = -np.log(g)
+        is_cand = log_zeta > log_z[run, loc[run]]
+        cands = run[is_cand]
+        kept = cands[:0]
+        if cands.size:
+            full = at_loc[cands] == n_points
+            if full.any():
+                raise _over_bound(int(loc[cands[full.argmax()]]), n_points)
+            at_loc[cands] += 1
+            draws[cands] += 1
+            js = loc[cands]
+            cand = log_zeta[is_cand][:, None] + log_y(rows[at_b[is_cand], at_slot[is_cand]], js)
+            keep = _kept(cand, log_z[cands], js)
+            kept = cands[keep]
+            log_z[kept] = np.maximum(log_z[kept], cand[keep])
+            kept_total[kept] += 1
+        gamma[run] = g
+        ended = np.concatenate([run[~is_cand], kept])
+        loc[ended] += 1
+        gamma[ended] = 0.0
+        at_loc[ended] = 0
+        run = run[loc[run] < m]
+    counts = {"replicate_block": _REPLICATE_BLOCK, "spectral_draws": draws,
+              "rejections": draws - kept_total}
+    return log_z, counts
+
+
+def _kept(cand, log_z, js):
+    """The keep rule for candidates (rows of cand) at locations js: a
+    candidate reaches Z at its own location, so it is kept iff that is the
+    first location where it does."""
+    return (cand >= log_z).argmax(axis=1) == js
+
+
+def _over_bound(j, n_points):
+    return ValueError(f"grid location {j} needs more than n_points = {n_points} spectral draws")
 
 
 @dataclass(frozen=True)
 class PreparedLaw:
     """One construction's law on one grid, its grid invariants computed
     once.  ``log_field(rng)`` gives log Z on the grid and the field's own
-    counts; ``provenance`` holds what every field records besides them."""
+    counts, ``log_fields(seed, indices)`` the (R, m) log Z of those
+    replicates and their counts as arrays; ``provenance`` holds what every
+    field records besides them."""
 
     grid: Grid
     provenance: dict
     log_field: object
+    log_fields: object
 
     def simulate(self, rng, *, seed_record=None) -> Field:
         """One field, drawn from rng alone: k fields of one prepared law are
         those of k ``simulate_*`` calls with the same generators."""
         log_z, counts = self.log_field(rng)
+        return Field(self.grid, self._exp(log_z), {**self.provenance, "seed": seed_record, **counts})
+
+    def simulate_many(self, seed: int, indices):
+        """Replicates ``indices`` (integers >= 0) of seed: an (R, m) array
+        whose row r is replicate indices[r] on the grid, and one record of
+        the law, the seed and the per-replicate counts.  A replicate's row
+        depends only on (seed, index): see the module docstring's layout."""
+        log_z, counts = self.log_fields(int(seed), replicate_indices(indices))
+        values = self._exp(log_z)
+        _check_values(values)
+        return values, {**self.provenance, "seed": seed, **counts}
+
+    def _exp(self, log_z):
         if np.any(log_z > _LOG_MAX):
             raise ValueError(f"{self.provenance['construction']} field overflows the double "
                              f"range (max log value {log_z.max():.3g})")
-        return Field(self.grid, np.exp(log_z), {**self.provenance, "seed": seed_record, **counts})
+        return np.exp(log_z)
 
 
 def _engine_law(grid, sampler, n_points, provenance, shift=0.0) -> PreparedLaw:
@@ -297,7 +400,11 @@ def _engine_law(grid, sampler, n_points, provenance, shift=0.0) -> PreparedLaw:
         log_z, counts = _extremal_log_field(grid.size, *sampler, n_points, rng)
         return log_z + shift, counts
 
-    return PreparedLaw(grid, {**provenance, "n_points": n_points}, log_field)
+    def log_fields(seed, indices):
+        log_z, counts = _extremal_log_fields(grid.size, *sampler, n_points, seed, indices)
+        return log_z + shift, counts
+
+    return PreparedLaw(grid, {**provenance, "n_points": n_points}, log_field, log_fields)
 
 
 def _spectral_law(dist, kappa, grid, n_points, construction) -> PreparedLaw:
@@ -459,6 +566,10 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
             if n_storms >= _MAX_STORMS:
                 raise ValueError(f"moving-maxima stopping rule not reached within {_MAX_STORMS} storms")
 
+    def log_fields(seed, indices):
+        runs = run_replicates(lambda k, rng: log_field(rng), indices, seed)
+        return np.array([z for z, _ in runs]), {"n_points": np.array([c["n_points"] for _, c in runs])}
+
     prov = {
         "construction": "mmm",
         "window": window.tolist(),
@@ -466,7 +577,7 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
         "edge_error_bound": edge_bound,
         "truncation": {"exact_on_grid": True},
     }
-    return PreparedLaw(grid, prov, log_field)
+    return PreparedLaw(grid, prov, log_field, log_fields)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fdd
-from .seeding import spawn
+from .seeding import derive_rng
 from .simulator import DEFAULT_N_POINTS, Grid, prepare_general
 from .spectral import (
     DomainError,
@@ -351,16 +351,14 @@ def marginal_frechet_ks(
     dist: SpectralDistribution,
     grid: Grid,
     replicates: int,
-    rng,
+    seed: int,
     n_points: int = DEFAULT_N_POINTS,
 ) -> list:
     """KS distance of simulated marginals against unit Frechet at each grid
     point, with kappa equal to the CGF of the spectral law, against the
-    1%-level threshold."""
+    1%-level threshold; replicates 0 .. replicates - 1 of seed."""
     law = prepare_general(dist, ShapeFunction.from_cgf(dist), grid, n_points)
-    values = np.empty((replicates, grid.size))
-    for rep, child in enumerate(spawn(rng, replicates)):
-        values[rep] = law.simulate(child).values
+    values, _ = law.simulate_many(seed, range(replicates))
     threshold = fdd.ks_threshold(replicates)
     table = []
     for j in range(grid.size):
@@ -382,11 +380,12 @@ def empirical_shift_distance(
     t2,
     h,
     replicates: int,
-    rng,
+    seed: int,
     n_points: int = DEFAULT_N_POINTS,
 ) -> float:
     """Two-sample sup distance between the bivariate empirical CDFs at
-    (t1, t2) and (t1 + h, t2 + h), over the Frechet-quantile threshold grid."""
+    (t1, t2) and (t1 + h, t2 + h), over the Frechet-quantile threshold grid;
+    both pairs come from replicates 0 .. replicates - 1 of seed."""
     t1 = np.atleast_1d(np.asarray(t1, dtype=float))
     t2 = np.atleast_1d(np.asarray(t2, dtype=float))
     h = np.atleast_1d(np.asarray(h, dtype=float))
@@ -404,10 +403,8 @@ def empirical_shift_distance(
             index.append(len(uniq))
             uniq.append(p)
     law = prepare_general(dist, ShapeFunction.from_cgf(dist), Grid(np.array(uniq)), n_points)
-    index = np.array(index)
-    pairs = np.empty((replicates, 4))
-    for rep, child in enumerate(spawn(rng, replicates)):
-        pairs[rep] = law.simulate(child).values[index]
+    values, _ = law.simulate_many(seed, range(replicates))
+    pairs = values[:, index]
     thresholds = fdd.frechet_threshold_grid()
     return fdd.bivariate_ecdf_distance(pairs[:, :2], pairs[:, 2:], thresholds)
 
@@ -416,21 +413,23 @@ def verify_characterization(
     dist: SpectralDistribution,
     grid: Grid,
     replicates: int,
-    rng,
+    seed: int,
     *,
     n_points: int = DEFAULT_N_POINTS,
     budget: int = 1000,
 ) -> CharacterizationReport:
     """End-to-end experiment with kappa set to the CGF of the spectral law:
-    (a) simulated marginals vs unit Frechet at every grid point, (b) the
-    analytic defect search, (c) the empirical bivariate shift comparison.
+    (a) simulated marginals vs unit Frechet at every grid point, from
+    replicates of seed, (b) the analytic defect search on derive_rng(seed),
+    (c) the empirical bivariate shift comparison, from replicates of
+    seed + 1.
 
     Concludes "Gaussian-consistent" when the defect search finds nothing,
     "non-stationary in dimension 2" otherwise (marginals are Frechet
     either way).
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    if replicates < fdd.MIN_SAMPLES:
+        raise ValueError(f"replicates must be >= {fdd.MIN_SAMPLES}, the fewest a KS distance takes")
     if grid.size < 2:
         raise ValueError("characterization needs at least two grid points")
     dist.check_domain(grid.locations)
@@ -439,10 +438,10 @@ def verify_characterization(
     box = np.column_stack([lo, np.where(hi > lo, hi, lo + 0.5)])
     shift = default_shift(dist, grid)
 
-    marg = marginal_frechet_ks(dist, grid, replicates, rng, n_points)
-    report = search_violation(dist, 2, budget, box, rng)
+    marg = marginal_frechet_ks(dist, grid, replicates, seed, n_points)
+    report = search_violation(dist, 2, budget, box, derive_rng(seed))
     t1, t2 = grid.locations[0], grid.locations[1]
-    shift_dist = empirical_shift_distance(dist, t1, t2, shift, replicates, rng, n_points)
+    shift_dist = empirical_shift_distance(dist, t1, t2, shift, replicates, seed + 1, n_points)
     verdict = (
         "Gaussian-consistent"
         if report.verdict == "stationary-consistent"

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from maxstable.seeding import derive_rng, spawn
-from maxstable.simulator import _br_cov_factor
+from maxstable.seeding import block_rng, derive_rng, spawn
+from maxstable.simulator import _REPLICATE_BLOCK, _br_cov_factor
 
 
 class StubRng:
@@ -91,4 +91,73 @@ def brown_resnick_reference(variogram, grid, n_points, rng):
         return g - g[j] - 0.5 * pairwise[j]
 
     log_z, draws, kept = extremal_reference(grid.size, candidate, n_points, rng)
+    return np.exp(log_z), draws, kept
+
+
+def extremal_block_reference(m, draw, candidate, n_points, seed, k):
+    """The textbook loop for replicate k of seed in the ensemble layout.
+
+    Block k // B (B = _REPLICATE_BLOCK) has the stream block_rng(seed,
+    block); at every step it draws B standard exponentials and then
+    draw(B, stream) base rows, and replicate k reads entry k mod B of each.
+    One arrival per step: it adds to Gamma at t_j, and zeta = 1 / Gamma
+    either falls to Z(t_j) or below, which ends t_j, or makes a candidate
+    from the step's row, candidate(j, row) being its log Y.  A kept
+    candidate sets Z(t_j) = zeta, so t_j ends with it.  The stream is drawn
+    afresh for each replicate.  Returns (log Z, draws, kept).
+    """
+    block, slot = divmod(k, _REPLICATE_BLOCK)
+    rng = block_rng(seed, block)
+    log_z = np.full(m, -np.inf)
+    draws = kept = 0
+    j, gamma, count = 0, 0.0, 0
+    while j < m:
+        gamma += rng.exponential(size=_REPLICATE_BLOCK)[slot]
+        row = draw(_REPLICATE_BLOCK, rng)[slot]
+        log_zeta = -np.log(gamma)
+        if not log_zeta > log_z[j]:
+            j, gamma, count = j + 1, 0.0, 0
+            continue
+        if count == n_points:
+            raise ValueError(f"location {j} needs more than n_points = {n_points}")
+        count += 1
+        draws += 1
+        cand = log_zeta + candidate(j, row)
+        if np.all(cand[:j] < log_z[:j]):
+            log_z = np.maximum(log_z, cand)
+            kept += 1
+            j, gamma, count = j + 1, 0.0, 0
+    return log_z, draws, kept
+
+
+def general_block_reference(dist, kappa, grid, n_points, seed, k):
+    """extremal_block_reference for max_i U_i exp(<X_i, t> - kappa(t)): X
+    from the family's one-point tilt at t_j of the row, log Y = a(t) - a(t_j)
+    with a(t) = <X, t> - phi(t), the field shifted by phi - kappa."""
+    t = grid.locations
+    phi = np.asarray(dist.cgf(t), dtype=float)
+    draw, _ = dist.tilted_sampler(t)
+    tilts = [dist.tilted_sampler(t[j][None])[1] for j in range(grid.size)]
+
+    def candidate(j, row):
+        a = (tilts[j](row[None], 0) @ t.T)[0] - phi
+        return a - a[j]
+
+    log_z, draws, kept = extremal_block_reference(grid.size, draw, candidate, n_points, seed, k)
+    return np.exp(log_z + (phi - kappa.values(t))), draws, kept
+
+
+def brown_resnick_block_reference(variogram, grid, n_points, seed, k):
+    """extremal_block_reference for Brown-Resnick: a row of standard normals
+    gives G = factor @ row and log Y = G(t) - G(t_j) - gamma(t - t_j) / 2."""
+    factor, pairwise = _br_cov_factor(variogram, grid)
+
+    def draw(n, rng):
+        return rng.standard_normal((n, factor.shape[1]))
+
+    def candidate(j, row):
+        g = factor @ row
+        return g - g[j] - 0.5 * pairwise[j]
+
+    log_z, draws, kept = extremal_block_reference(grid.size, draw, candidate, n_points, seed, k)
     return np.exp(log_z), draws, kept

@@ -6,7 +6,7 @@ seed, so the suite is deterministic.
 """
 import numpy as np
 import pytest
-from conftest import general_reference
+from conftest import general_block_reference, general_reference
 
 from maxstable.fdd import (
     FddQuery,
@@ -15,15 +15,14 @@ from maxstable.fdd import (
     frechet_quantile,
     husler_reiss_V,
 )
-from maxstable.seeding import derive_rng, run_replicates
+from maxstable.seeding import derive_rng
 from maxstable.simulator import (
     Grid,
     _smith_law,
+    prepare_general,
     prepare_moving_maxima,
     prepare_smith,
-    simulate_general,
     simulate_moving_maxima,
-    simulate_smith,
 )
 from maxstable.spectral import (
     Exponential,
@@ -81,12 +80,7 @@ def random_psd(rng, d):
 def smith_quad_pairs():
     """10^4 Smith replicates (Sigma = 1) on {0, 1, 0.7, 1.7}; columns 0:2
     serve as the reference (t1, t2) sample, columns 2:4 as the shifted pair."""
-    law = prepare_smith([[1.0]], GRID4, N_POINTS)
-
-    def job(rep, rng):
-        return law.simulate(rng).values
-
-    return np.array(run_replicates(job, REPLICATES, seed=4001))
+    return prepare_smith([[1.0]], GRID4, N_POINTS).simulate_many(4001, range(REPLICATES))[0]
 
 
 def test_criterion_1_forward_direction_analytic(report):
@@ -142,9 +136,7 @@ def test_criterion_3_frechet_marginals(report):
     ok = True
     details = []
     for k, (dist, grid) in enumerate(FAMILY_GRIDS):
-        table = marginal_frechet_ks(
-            dist, grid, REPLICATES, derive_rng(3001 + k), n_points=N_POINTS
-        )
+        table = marginal_frechet_ks(dist, grid, REPLICATES, 3001 + k, n_points=N_POINTS)
         worst = max(row["ks"] for row in table)
         ok = ok and all(row["pass"] for row in table)
         details.append(f"{dist.family} max KS {worst:.4f}")
@@ -164,7 +156,7 @@ def test_criterion_4_gaussian_stationarity(report, smith_quad_pairs):
     # the empirical shift distance is reported but not gated
     exp_rep = search_violation(Exponential(1.0), 2, 1000, [[0.0, 0.6]], derive_rng(4101))
     exp_shift = empirical_shift_distance(
-        Exponential(1.0), [0.0], [0.25], [0.25], REPLICATES, derive_rng(4102),
+        Exponential(1.0), [0.0], [0.25], [0.25], REPLICATES, 4102,
         n_points=N_POINTS,
     )
     ok = sup < 0.02 and exp_rep.verdict == "violated"
@@ -204,11 +196,7 @@ def test_criterion_5_closed_vs_mc_exponent(report):
 
 def test_criterion_6_representation_equivalence(report, smith_quad_pairs):
     law = prepare_moving_maxima([[1.0]], Grid([0.0, 1.0]))
-
-    def job(rep, rng):
-        return law.simulate(rng).values
-
-    mmm_pairs = np.array(run_replicates(job, REPLICATES, seed=6001))
+    mmm_pairs, _ = law.simulate_many(6001, range(REPLICATES))
     sup = bivariate_ecdf_distance(smith_quad_pairs[:, :2], mmm_pairs, THRESHOLDS_10)
     report(
         6,
@@ -220,14 +208,7 @@ def test_criterion_6_representation_equivalence(report, smith_quad_pairs):
 
 def test_criterion_7_max_stability(report, smith_quad_pairs):
     law = prepare_smith([[1.0]], Grid([0.0, 1.0]), N_POINTS)
-
-    def job(rep, rng):
-        return law.simulate(rng).values
-
-    groups = [
-        np.array(run_replicates(job, REPLICATES, seed=7001 + k))
-        for k in range(5)
-    ]
+    groups = [law.simulate_many(7001 + k, range(REPLICATES))[0] for k in range(5)]
     pooled = np.max(groups, axis=0) / 5.0
     sup = bivariate_ecdf_distance(smith_quad_pairs[:, :2], pooled, THRESHOLDS_10)
     report(
@@ -256,32 +237,33 @@ def test_criterion_8_numerical_hygiene(report):
     # (seed, index), not on the order or the number of replicates run
     grid = Grid([0.0, 1.0])
     law = prepare_smith([[1.0]], grid, 2000)
-
-    def job(rep, rng_):
-        return law.simulate(rng_).values
-
-    batch = np.array(run_replicates(job, 64, seed=8101))
-    reverse = np.array([job(k, derive_rng(8101, k)) for k in reversed(range(64))])[::-1]
-    longer = np.array(run_replicates(job, 128, seed=8101))[:64]
+    batch, _ = law.simulate_many(8101, range(64))
+    reverse = np.array([law.simulate_many(8101, [k])[0][0] for k in reversed(range(64))])[::-1]
+    longer = law.simulate_many(8101, range(128))[0][:64]
     replicate_ok = np.array_equal(batch, reverse) and np.array_equal(batch, longer)
 
     # (c) exactness for every configuration used in criteria 3-7: each
     # simulated field is, bit for bit, the one of the textbook
-    # extremal-function loop; moving maxima is exact on the grid
+    # extremal-function loop, for one field (``simulate``, one generator)
+    # and for an ensemble (``simulate_many``, the block layout); moving
+    # maxima is exact on the grid
     configs = [
-        (lambda g, rng, d=dist: simulate_general(d, ShapeFunction.from_cgf(d), g, N_POINTS, rng),
+        (lambda g, d=dist: prepare_general(d, ShapeFunction.from_cgf(d), g, N_POINTS),
          dist, ShapeFunction.from_cgf(dist), fam_grid)
         for dist, fam_grid in FAMILY_GRIDS
     ] + [
-        (lambda g, rng: simulate_smith([[1.0]], g, N_POINTS, rng), *_smith_law([[1.0]]), g)
+        (lambda g: prepare_smith([[1.0]], g, N_POINTS), *_smith_law([[1.0]]), g)
         for g in (GRID4, grid)
     ]
     exact_fields = 0
-    for k, (simulate, dist, kappa, g) in enumerate(configs):
+    for k, (prepare, dist, kappa, g) in enumerate(configs):
+        law = prepare(g)
+        many, _ = law.simulate_many(8201 + k, range(EXACTNESS_FIELDS))
         for rep in range(EXACTNESS_FIELDS):
-            field = simulate(g, derive_rng(8201 + k, rep))
+            field = law.simulate(derive_rng(8201 + k, rep))
             values, _, _ = general_reference(dist, kappa, g, N_POINTS, derive_rng(8201 + k, rep))
-            exact_fields += int(np.array_equal(field.values, values))
+            block, _, _ = general_block_reference(dist, kappa, g, N_POINTS, 8201 + k, rep)
+            exact_fields += int(np.array_equal(field.values, values) and np.array_equal(many[rep], block))
     exact_ok = exact_fields == len(configs) * EXACTNESS_FIELDS
     mmm_field = simulate_moving_maxima([[1.0]], grid, derive_rng(8401))
     exact_ok = exact_ok and mmm_field.provenance["truncation"]["exact_on_grid"]

@@ -17,9 +17,15 @@ from maxstable.cli import (
     parse_grid,
     resolve_seed,
 )
-from maxstable.fdd import bivariate_ecdf_distance, frechet_threshold_grid, husler_reiss_V
+from maxstable.fdd import MIN_SAMPLES, bivariate_ecdf_distance, frechet_threshold_grid, husler_reiss_V
 from maxstable.seeding import DEFAULT_SEED, run_replicates
-from maxstable.simulator import Grid, parse_variogram, simulate_moving_maxima, simulate_smith
+from maxstable.simulator import (
+    Grid,
+    PreparedLaw,
+    parse_variogram,
+    prepare_smith,
+    simulate_moving_maxima,
+)
 from maxstable.spectral import SpecParseError, parse_distribution, parse_kappa, parse_matrix
 
 
@@ -311,13 +317,14 @@ def test_compare_reps_and_verify_prepare_each_law_once(monkeypatch, capsys):
         "--n-points", "1000", "--threshold", "0.3", "--seed", "17",
     ]) == 0
     assert sorted(prepared) == ["prepare_moving_maxima", "prepare_smith"]
-    # the same report as one simulate_smith / simulate_moving_maxima call per replicate
+    # the same report as one Smith ensemble and one simulate_moving_maxima
+    # call per replicate
     grid = Grid([0.0, 1.0])
-    smith = run_replicates(lambda k, rng: simulate_smith([[1.0]], grid, 1000, rng).values, 100, 17)
+    smith, _ = prepare_smith([[1.0]], grid, 1000).simulate_many(17, range(100))
     mmm = run_replicates(
-        lambda k, rng: simulate_moving_maxima([[1.0]], grid, rng).values, 100, 18
+        lambda k, rng: simulate_moving_maxima([[1.0]], grid, rng).values, range(100), 18
     )
-    sup = bivariate_ecdf_distance(np.array(smith), np.array(mmm), frechet_threshold_grid())
+    sup = bivariate_ecdf_distance(smith, np.array(mmm), frechet_threshold_grid())
     assert json.loads(capsys.readouterr().out)["sup_cdf_difference"] == sup
     # verify: one law for the marginal ensemble, one for the shift ensemble
     prepared.clear()
@@ -326,6 +333,28 @@ def test_compare_reps_and_verify_prepare_each_law_once(monkeypatch, capsys):
         "--n-points", "1000", "--budget", "5",
     ]) == 0
     assert prepared == ["prepare_general", "prepare_general"]
+
+
+def test_verify_checks_the_replicate_count_before_simulating(monkeypatch, capsys):
+    calls = []
+    simulate_many = PreparedLaw.simulate_many
+
+    def counted(self, *args):
+        calls.append(args)
+        return simulate_many(self, *args)
+
+    monkeypatch.setattr(PreparedLaw, "simulate_many", counted)
+    assert main([
+        "verify", "--dist", "gaussian:mu=0;sigma=1", "--replicates", "50",
+        "--n-points", "1000", "--budget", "5",
+    ]) == 3
+    assert calls == []
+    assert f">= {MIN_SAMPLES}" in capsys.readouterr().err
+    assert main([
+        "verify", "--dist", "gaussian:mu=0;sigma=1", "--replicates", str(MIN_SAMPLES),
+        "--n-points", "1000", "--budget", "5",
+    ]) == 0
+    assert len(calls) == 2
 
 
 def test_compare_reps_needs_two_points(capsys):
@@ -511,6 +540,7 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         (["defect", "--dist", "gaussian:mu=0;sigma=1", "--n", "2", "--budget", "5",
           "--box", "0,1e160"], 3),
         (["defect", "--dist", "gaussian:mu=0;sigma=1", "--box", "nan,nan"], 3),
+        (["verify", "--dist", "gaussian:mu=0;sigma=1", "--replicates=--"], 2),
     ],
     ids=[
         "zero-replicates", "negative-replicates", "verify-zero-replicates",
@@ -519,6 +549,7 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         "nan-defect-tolerance", "inf-compare-threshold", "infinite-exponent",
         "misspelt-variogram-key", "misspelt-kappa-key", "repeated-key",
         "variogram-alpha-out-of-range", "indefinite-kappa-sigma", "cgf-overflow", "nan-box",
+        "double-dash-value",
     ],
 )
 def test_bad_input_exit_codes(argv, code, capsys):

@@ -1,20 +1,31 @@
-"""Property tests of the stationarity criterion and the spec grammar
+"""Property tests of the stationarity criterion, the exponent V, the
+replicate layout, the spec grammar and the CLI's value parsers
 (hypothesis, derandomized so that every run draws the same examples)."""
 import contextlib
+import io
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from maxstable import stationarity
+from maxstable.cli import UsageError, main, parse_box, parse_floats, parse_grid
+from maxstable.fdd import FddQuery, fdd_exponent, husler_reiss_V
 from maxstable.seeding import derive_rng
-from maxstable.simulator import parse_variogram
+from maxstable.simulator import (
+    _REPLICATE_BLOCK,
+    Grid,
+    parse_variogram,
+    prepare_general,
+    prepare_smith,
+)
 from maxstable.spectral import (
     Exponential,
     Gamma,
     Gaussian,
+    ShapeFunction,
     Uniform,
     format_distribution,
     parse_distribution,
@@ -164,3 +175,113 @@ def test_spec_parsers_return_or_reject_cleanly(text):
     for parse in (parse_distribution, parse_variogram, lambda s: parse_kappa(s, _law("exp", 1))):
         with contextlib.suppress(ValueError):
             parse(text)
+
+
+# ---------------------------------------------------------------------------
+# the exponent V of unit-Frechet margins: max_j 1/x_j <= V <= sum_j 1/x_j
+
+THRESHOLD = st.floats(0.05, 20.0)
+ROUND_OFF = 1e-12
+
+
+@PROPERTY
+@given(st.sampled_from(["gaussian", "exp", "uniform", "gamma"]), st.integers(1, 3),
+       st.integers(1, 2), st.data())
+def test_every_fdd_method_keeps_v_within_its_bounds(family, n, d, data):
+    dist = _law(family, d)
+    kappa = ShapeFunction.from_cgf(dist)
+    upper = dist.domain_upper()
+    fractions = hnp.arrays(float, (n, d), elements=st.sampled_from([0.0, 0.3, 0.6, 1.0]))
+    ts = data.draw(fractions.filter(lambda f: len(np.unique(f, axis=0)) == n))
+    ts = ts * np.where(np.isinf(upper), 2.0, 0.9 * upper)
+    xs = data.draw(hnp.arrays(float, n, elements=THRESHOLD))
+    query = FddQuery(ts, xs)
+    methods = ["mc"] + (["closed-marginal"] if n == 1 else [])
+    methods += ["closed-bivariate"] if n == 2 and family == "gaussian" else []
+    lo, hi_v = max(1.0 / xs), sum(1.0 / xs)
+    for method in methods:
+        ev = fdd_exponent(dist, kappa, query, method, derive_rng(n, d), 4000)
+        # the Monte Carlo estimate of a probability can fall below its floor
+        # by sampling error, never above 1
+        assert lo * (1 - ROUND_OFF) - 6 * ev.se <= ev.value <= hi_v * (1 + ROUND_OFF)
+
+
+@PROPERTY
+@given(st.floats(0.0, 100.0), THRESHOLD, THRESHOLD, st.floats(1.0, 4.0))
+def test_husler_reiss_v_is_symmetric_and_non_increasing(gamma_h, x1, x2, factor):
+    v = husler_reiss_V(gamma_h, x1, x2).value
+    assert math.isclose(v, husler_reiss_V(gamma_h, x2, x1).value, rel_tol=ROUND_OFF)
+    assert husler_reiss_V(gamma_h, x1 * factor, x2).value <= v * (1 + ROUND_OFF)
+    assert husler_reiss_V(gamma_h, x1, x2 * factor).value <= v * (1 + ROUND_OFF)
+    assert max(1 / x1, 1 / x2) * (1 - ROUND_OFF) <= v <= (1 / x1 + 1 / x2) * (1 + ROUND_OFF)
+
+
+# ---------------------------------------------------------------------------
+# the replicate layout: a replicate's row depends only on (seed, index)
+
+UNIFORM = Uniform([0.0], [1.0])
+LAYOUT_LAWS = {
+    "smith": prepare_smith([[1.0]], Grid([0.0, 1.0, -2.0]), 10_000),
+    "uniform": prepare_general(UNIFORM, ShapeFunction.from_cgf(UNIFORM), Grid([-1.0, 0.3, 1.0]), 10_000),
+}
+B = _REPLICATE_BLOCK
+
+
+@st.composite
+def replicate_subsets(draw):
+    """R across block edges, and up to 12 indices below R (any order,
+    repeats allowed) that include R - 1."""
+    r = draw(st.sampled_from([1, B - 1, B, B + 1, 2 * B + 1]))
+    idx = draw(st.lists(st.integers(0, r - 1), max_size=11))
+    return draw(st.permutations([*idx, r - 1]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(list(LAYOUT_LAWS)), st.integers(0, 2**32 - 1), replicate_subsets())
+def test_an_ensemble_row_depends_only_on_seed_and_index(law, seed, idx):
+    # d = 1, where a candidate's log Y has one product per entry; in more
+    # dimensions BLAS products may round differently with the batch
+    values, record = LAYOUT_LAWS[law].simulate_many(seed, idx)
+    full, full_record = LAYOUT_LAWS[law].simulate_many(seed, range(max(idx) + 1))
+    assert np.array_equal(values, full[idx])
+    assert np.array_equal(record["spectral_draws"], full_record["spectral_draws"][idx])
+
+
+# ---------------------------------------------------------------------------
+# CLI value parsers: any text parses or is a usage error (exit 2)
+
+# tokens keep grid counts small: at most 12 of them make one text
+VALUE_TEXT = st.lists(
+    st.sampled_from([*"0129:;,x- .e", "nan", "inf", "-inf", "1e400", "0.5", "-1", "1e-3", "abc"]),
+    max_size=12,
+).map("".join)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(VALUE_TEXT)
+def test_value_parsers_return_an_array_or_a_usage_error(text):
+    for parse in (parse_grid, parse_box, lambda s: parse_floats(s, "value")):
+        with contextlib.suppress(UsageError):
+            assert isinstance(parse(text), np.ndarray)
+
+
+GAUSS = "--dist=gaussian:mu=0;sigma=1"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(VALUE_TEXT, st.sampled_from(["grid", "box", "ts", "xs"]))
+@example("--", "ts")  # argparse reads --ts=-- as an empty list
+def test_cli_exits_with_a_contract_code_for_any_value_text(text, flag):
+    # each flag goes to a command that parses it and then stops early:
+    # verify with too few replicates, a one-config defect search, an fdd
+    # closed form
+    argv = {
+        "grid": ["verify", GAUSS, f"--grid={text}", "--replicates=50"],
+        "box": ["defect", GAUSS, f"--box={text}", "--budget=1"],
+        "ts": ["fdd", GAUSS, f"--ts={text}", "--xs=1,1", "--method=closed-bivariate"],
+        "xs": ["fdd", GAUSS, "--ts=0;1", f"--xs={text}", "--method=closed-bivariate"],
+    }[flag]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from conftest import brown_resnick_reference, general_reference
+from conftest import (
+    brown_resnick_block_reference,
+    brown_resnick_reference,
+    general_block_reference,
+    general_reference,
+)
 
 from maxstable import simulator
 from maxstable.fdd import frechet_cdf, ks_distance, ks_threshold
 from maxstable.pointproc import frechet_cascade
-from maxstable.seeding import derive_rng, run_replicates, spawn
+from maxstable.seeding import derive_rng, spawn
 from maxstable.simulator import (
     DEFAULT_N_POINTS,
     Field,
@@ -15,6 +20,9 @@ from maxstable.simulator import (
     Variogram,
     field_csv_text,
     moving_maxima_buffer,
+    prepare_brown_resnick,
+    prepare_general,
+    prepare_moving_maxima,
     prepare_smith,
     simulate_brown_resnick,
     simulate_general,
@@ -186,6 +194,79 @@ def test_two_dimensional_and_brown_resnick_agree_with_the_textbook_loop():
         assert field.provenance["spectral_draws"] == draws
 
 
+# replicates on both sides of block edges
+ENSEMBLE_INDICES = [0, 1, 62, 63, 64, 65, 127, 128, 200]
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_ensemble_equals_the_textbook_loop_in_the_block_layout(case):
+    # d = 1: bit for bit, with the reference's draws and rejections
+    dist, kappa, grid = REFERENCE_CASES[case]
+    law = simulator.prepare_general(dist, kappa, grid, DEFAULT_N_POINTS)
+    values, record = law.simulate_many(17, ENSEMBLE_INDICES)
+    for r, k in enumerate(ENSEMBLE_INDICES):
+        want, draws, kept = general_block_reference(dist, kappa, grid, DEFAULT_N_POINTS, 17, k)
+        assert np.array_equal(values[r], want)
+        assert record["spectral_draws"][r] == draws
+        assert record["rejections"][r] == draws - kept
+
+
+def test_two_dimensional_and_brown_resnick_ensembles_agree_with_the_textbook_loop():
+    # rows of many replicates are multiplied at once: equal up to round-off
+    sigma = [[1.0, 0.3], [0.3, 2.0]]
+    dist, kappa = simulator._smith_law(sigma)
+    square = Grid(np.array(np.meshgrid(np.arange(4.0), np.arange(3.0))).reshape(2, -1).T)
+    line = Grid(np.linspace(-3.0, 6.0, 19))
+    vario = Variogram.fractional(1.0, 1.0)
+    smith, _ = prepare_smith(sigma, square, DEFAULT_N_POINTS).simulate_many(5, ENSEMBLE_INDICES)
+    br, record = prepare_brown_resnick(vario, line, DEFAULT_N_POINTS).simulate_many(5, ENSEMBLE_INDICES)
+    for r, k in enumerate(ENSEMBLE_INDICES):
+        want, _, _ = general_block_reference(dist, kappa, square, DEFAULT_N_POINTS, 5, k)
+        assert np.allclose(smith[r], want, rtol=1e-13, atol=0.0)
+        want, draws, _ = brown_resnick_block_reference(vario, line, DEFAULT_N_POINTS, 5, k)
+        assert np.allclose(br[r], want, rtol=1e-13, atol=0.0)
+        assert record["spectral_draws"][r] == draws
+
+
+def test_ensemble_record():
+    law = prepare_smith([[1.0]], Grid([0.0, 1.0]), 5000)
+    values, record = law.simulate_many(42, range(3, 8))
+    assert values.shape == (5, 2)
+    assert record["seed"] == 42 and record["n_points"] == 5000
+    assert record["construction"] == "smith"
+    assert record["replicate_block"] == simulator._REPLICATE_BLOCK
+    draws, rejections = record["spectral_draws"], record["rejections"]
+    assert draws.shape == rejections.shape == (5,)
+    assert np.all(draws >= 1) and np.all((0 <= rejections) & (rejections < draws))
+
+
+def test_ensemble_n_points_guard_and_overflow():
+    grid = Grid([0.0, 2.0, 5.0, 8.0])
+    with pytest.raises(ValueError, match="needs more than n_points = 1 spectral draws"):
+        prepare_smith([[1.0]], grid, 1).simulate_many(1, range(100))
+    dist, _ = unit_smith_dist()
+    kappa = ShapeFunction.quadratic([0.0], [[1.0]], c0=-800.0)
+    with pytest.raises(ValueError, match="overflow"):
+        simulator.prepare_general(dist, kappa, Grid([0.0, 1.0]), 10).simulate_many(1, [0])
+
+
+@pytest.mark.parametrize("indices", [[], range(0), [-1], [0.5], [[0, 1]]])
+def test_ensemble_rejects_bad_indices(indices):
+    with pytest.raises(ValueError):
+        prepare_smith([[1.0]], Grid([0.0, 1.0]), 100).simulate_many(1, indices)
+
+
+def test_moving_maxima_ensemble_is_its_replicate_loop():
+    grid = Grid([0.0, 0.5, 1.0])
+    law = prepare_moving_maxima([[1.0]], grid)
+    values, record = law.simulate_many(23, [4, 0, 9])
+    for r, k in enumerate([4, 0, 9]):
+        field = law.simulate(derive_rng(23, k))
+        assert np.array_equal(values[r], field.values)
+        assert record["n_points"][r] == field.provenance["n_points"]
+    assert record["seed"] == 23 and record["construction"] == "mmm"
+
+
 def test_output_does_not_depend_on_block_sizes(monkeypatch):
     dist, kappa = unit_smith_dist()
     grid = Grid(np.linspace(-5.0, 5.0, 41))
@@ -263,24 +344,21 @@ GAMMA = Gamma(2.0, 1.0)
 
 
 @pytest.mark.parametrize(
-    "simulate, grid, far, seed",
+    "prepare, grid, far, seed",
     [
-        (lambda g, rng: simulate_smith([[1.0]], g, DEFAULT_N_POINTS, rng),
+        (lambda g: prepare_smith([[1.0]], g, DEFAULT_N_POINTS),
          Grid([0.0, 3.0, 4.0, 5.0]), [1, 2, 3], 9101),
-        (lambda g, rng: simulate_brown_resnick(
-            Variogram.fractional(1.0, 1.0), g, DEFAULT_N_POINTS, rng),
+        (lambda g: prepare_brown_resnick(Variogram.fractional(1.0, 1.0), g, DEFAULT_N_POINTS),
          Grid([0.0, 5.0]), [1], 9201),
-        (lambda g, rng: simulate_general(
-            GAMMA, ShapeFunction.from_cgf(GAMMA), g, DEFAULT_N_POINTS, rng),
+        (lambda g: prepare_general(GAMMA, ShapeFunction.from_cgf(GAMMA), g, DEFAULT_N_POINTS),
          Grid([0.0, 0.9]), [1], 9301),
     ],
     ids=["smith", "brown-resnick", "general-gamma"],
 )
-def test_marginals_are_frechet_far_from_the_origin(simulate, grid, far, seed):
+def test_marginals_are_frechet_far_from_the_origin(prepare, grid, far, seed):
     # a 10^4-atom cascade gave KS 0.015, 0.149, 0.437 for Smith at t = 3, 4, 5
     # and 0.272 for gamma at t = 0.9 here; Brown-Resnick at t = 5 passed
-    values = np.array(run_replicates(lambda k, rng: simulate(grid, rng).values,
-                                     EXACTNESS_REPLICATES, seed))
+    values, _ = prepare(grid).simulate_many(seed, range(EXACTNESS_REPLICATES))
     for j in far:
         assert ks_distance(values[:, j], frechet_cdf) < ks_threshold(EXACTNESS_REPLICATES)
 
