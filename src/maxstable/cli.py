@@ -6,12 +6,12 @@ probability JSON lines), ``compare-reps`` (Smith vs moving-maxima
 equivalence report).
 
 Exit codes are a stable scripting contract: 0 success / consistent,
-1 violation verdict, 2 usage or config parse error, 3 domain or numeric
-error; a spec string (--dist, --kappa, --variogram, --sigma) that breaks
-the grammar of ``spectral.parse_spec`` is a usage error.  All randomness
-flows from one seed (flag, else MAXSTABLE_SEED, else the fixed constant
-0xC0FFEE -- never wall clock), and every output file embeds the run
-configuration that produced it.
+1 violation verdict, 2 usage or config parse error, 3 domain, numeric
+or out-of-memory error; a spec string (--dist, --kappa, --variogram,
+--sigma) that breaks the grammar of ``spectral.parse_spec`` is a usage
+error.  All randomness flows from one seed (flag, else MAXSTABLE_SEED,
+else the fixed constant 0xC0FFEE -- never wall clock), and every output
+file embeds the run configuration that produced it.
 """
 from __future__ import annotations
 
@@ -441,6 +441,9 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except (ValueError, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:
+        print(f"memory error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

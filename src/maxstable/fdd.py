@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import spawn
 from .simulator import has_duplicate_points
 from .spectral import ShapeFunction, SpectralDistribution, cgf
 
@@ -87,9 +86,10 @@ def exponent_mc(
     its standard error stay reliable even when the naive summand
     e^{<X, t_j>} is catastrophically heavy-tailed (large ||t_j|| Sigma).
 
-    mc_n samples are split evenly over the query points; each point draws
-    in fixed-size chunks from its own sub-stream and reduces in index
-    order, so the estimate does not depend on how chunks are scheduled.
+    mc_n samples are split evenly over the query points, which read rng
+    one after another in chunks of at most _MC_CHUNK rows.  A tilted
+    sampler draws n rows at once as it draws them one at a time, so the
+    estimate does not depend on the chunk size.
     """
     if mc_n < 1000:
         raise ValueError("mc_n must be >= 1000")
@@ -99,20 +99,14 @@ def exponent_mc(
     log_x = np.log(query.xs)
     weights = np.exp(phi - kap - log_x)
     m = max(mc_n // query.n, 1)
-    point_streams = spawn(rng, query.n)
     value = 0.0
     var = 0.0
     for j in range(query.n):
-        n_chunks = (m + _MC_CHUNK - 1) // _MC_CHUNK
-        children = spawn(point_streams[j], n_chunks)
         hits = 0
-        done = 0
-        for child in children:
-            size = min(_MC_CHUNK, m - done)
-            x = dist.sample_tilted(query.ts[j], size, child)
+        for done in range(0, m, _MC_CHUNK):
+            x = dist.sample_tilted(query.ts[j], min(_MC_CHUNK, m - done), rng)
             log_terms = x @ query.ts.T - kap[None, :] - log_x[None, :]
             hits += int((log_terms.argmax(axis=1) == j).sum())
-            done += size
         p = hits / m
         value += weights[j] * p
         var += weights[j] ** 2 * p * (1.0 - p) / m
@@ -228,18 +222,14 @@ def ks_threshold(n: int) -> float:
 def bivariate_ecdf_distance(pairs_a, pairs_b, thresholds) -> float:
     """sup over the threshold grid (x, y both in ``thresholds``) of
     |F_a(x, y) - F_b(x, y)| for two samples of bivariate observations (N, 2)."""
-    a = np.asarray(pairs_a, dtype=float)
-    b = np.asarray(pairs_b, dtype=float)
     ts = np.asarray(thresholds, dtype=float)
-    worst = 0.0
-    for x in ts:
-        a1 = a[:, 0] <= x
-        b1 = b[:, 0] <= x
-        for y in ts:
-            fa = float(np.mean(a1 & (a[:, 1] <= y)))
-            fb = float(np.mean(b1 & (b[:, 1] <= y)))
-            worst = max(worst, abs(fa - fb))
-    return worst
+
+    def ecdf(pairs):
+        # F(x, y) = #{first <= x and second <= y} / N: an indicator product
+        below = (np.asarray(pairs, dtype=float)[:, :2, None] <= ts).astype(float)
+        return below[:, 0].T @ below[:, 1] / len(below)
+
+    return float(np.abs(ecdf(pairs_a) - ecdf(pairs_b)).max(initial=0.0))
 
 
 def frechet_threshold_grid() -> np.ndarray:

@@ -153,23 +153,28 @@ class DefectReport:
         }
 
 
-def _compositions(total: int, n: int):
-    """The n-tuples of nonnegative integers summing to total, in ascending
-    lexicographic (itertools.product) order."""
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n - 1):
-            yield (first, *rest)
-
-
-def _simplex_grid(n: int) -> np.ndarray:
-    """Coarse simplex grid, shape (G, n): weights with entries in multiples
-    of 1/4, in itertools.product order.  The C(n + 3, 4) compositions of 4
-    are enumerated directly, not filtered out of the 5^n product."""
+def _simplex_grid(n: int, ranks) -> np.ndarray:
+    """Rows ``ranks`` of the coarse simplex grid, shape (len(ranks), n): the
+    C(n + 3, 4) weights with entries in multiples of 1/4, in ascending
+    lexicographic (itertools.product) order.  Each rank is unranked on its
+    own, so the grid is never built whole."""
     steps = _GRID_VALUES_PER_SCALAR - 1
-    return np.array(list(_compositions(steps, n)), dtype=float) / steps
+    ranks = np.array(ranks, dtype=np.int64)
+    left = np.full(len(ranks), steps)
+    parts = np.empty((len(ranks), n), dtype=np.int64)
+    for i in range(n - 1):
+        # the compositions of k into the n - i - 1 entries after entry i
+        count = np.array([math.comb(k + n - i - 2, k) for k in range(steps + 1)], dtype=np.int64)
+        first = np.zeros(len(ranks), dtype=np.int64)
+        for _ in range(steps):
+            # entry i = first leaves count[left - first] rows; skip them if the rank lies beyond
+            skip = (first < left) & (ranks >= count[left - first])
+            ranks -= np.where(skip, count[left - first], 0)
+            first += skip
+        parts[:, i] = first
+        left -= first
+    parts[:, n - 1] = left
+    return parts / steps
 
 
 def _coarse_grid(n: int, box: np.ndarray):
@@ -183,9 +188,9 @@ def _coarse_grid(n: int, box: np.ndarray):
     """
     d = box.shape[0]
     axis = np.array([np.linspace(lo, hi, _GRID_VALUES_PER_SCALAR) for lo, hi in box])
-    u_grid = _simplex_grid(n)
     n_scalars = n * d + d
-    shape = (_GRID_VALUES_PER_SCALAR,) * n_scalars + (len(u_grid),)
+    steps = _GRID_VALUES_PER_SCALAR - 1
+    shape = (_GRID_VALUES_PER_SCALAR,) * n_scalars + (math.comb(n + steps - 1, steps),)
     total = math.prod(shape)
     stride = -(-total // _GRID_CAP)
     # mixed-radix digits of 0, stride, 2 stride, ... (last digit fastest);
@@ -196,7 +201,7 @@ def _coarse_grid(n: int, box: np.ndarray):
         digits[:, j] = flat % shape[j]
         flat //= shape[j]
     values = axis[np.arange(n_scalars) % d, digits[:, :-1]]
-    return values[:, : n * d].reshape(-1, n, d), u_grid[digits[:, -1]], values[:, n * d :]
+    return values[:, : n * d].reshape(-1, n, d), _simplex_grid(n, digits[:, -1]), values[:, n * d :]
 
 
 def search_violation(
@@ -208,7 +213,9 @@ def search_violation(
     tol_defect: float = TOL_DEFECT,
 ) -> DefectReport:
     """Probe the criterion on a deterministic coarse grid plus ``budget``
-    random configs (ts, h uniform in the box, u uniform on the simplex).
+    random configs (ts, h uniform in the box, u uniform on the simplex),
+    drawn from rng in three array calls: every ts, then every h, then
+    every u.
 
     The verdict is "violated" iff max |defect| > tol_defect.  Configs
     whose shifted points leave the CGF domain are skipped; a defect that is
@@ -231,16 +238,9 @@ def search_violation(
     dist.check_domain(box.T)
 
     grid_ts, grid_u, grid_h = _coarse_grid(n, box)
-    rand_ts = np.empty((budget, n, dist.dim))
-    rand_h = np.empty((budget, dist.dim))
-    rand_u = np.empty((budget, n))
-    for k in range(budget):
-        rand_ts[k] = rng.uniform(box[:, 0], box[:, 1], size=(n, dist.dim))
-        rand_h[k] = rng.uniform(box[:, 0], box[:, 1], size=dist.dim)
-        rand_u[k] = rng.dirichlet(np.ones(n))
-    ts = np.concatenate([grid_ts, rand_ts])
-    raw_u = np.concatenate([grid_u, rand_u])
-    h = np.concatenate([grid_h, rand_h])
+    ts = np.concatenate([grid_ts, rng.uniform(box[:, 0], box[:, 1], size=(budget, n, dist.dim))])
+    h = np.concatenate([grid_h, rng.uniform(box[:, 0], box[:, 1], size=(budget, dist.dim))])
+    raw_u = np.concatenate([grid_u, rng.dirichlet(np.ones(n), size=budget)])
     # SimplexWeights' normalisation, row by row (its clip to [0, 1] is a
     # no-op on grid and Dirichlet weights)
     u = raw_u / raw_u.sum(axis=1, keepdims=True)
@@ -419,8 +419,8 @@ def verify_characterization(
     budget: int = 1000,
 ) -> CharacterizationReport:
     """End-to-end experiment with kappa set to the CGF of the spectral law:
-    (a) simulated marginals vs unit Frechet at every grid point, from
-    replicates of seed, (b) the analytic defect search on derive_rng(seed),
+    (a) the analytic defect search on derive_rng(seed), (b) simulated
+    marginals vs unit Frechet at every grid point, from replicates of seed,
     (c) the empirical bivariate shift comparison, from replicates of
     seed + 1.
 
@@ -438,8 +438,9 @@ def verify_characterization(
     box = np.column_stack([lo, np.where(hi > lo, hi, lo + 0.5)])
     shift = default_shift(dist, grid)
 
-    marg = marginal_frechet_ks(dist, grid, replicates, seed, n_points)
+    # the search checks its budget, so it runs before anything is simulated
     report = search_violation(dist, 2, budget, box, derive_rng(seed))
+    marg = marginal_frechet_ks(dist, grid, replicates, seed, n_points)
     t1, t2 = grid.locations[0], grid.locations[1]
     shift_dist = empirical_shift_distance(dist, t1, t2, shift, replicates, seed + 1, n_points)
     verdict = (

@@ -558,6 +558,16 @@ def test_bad_input_exit_codes(argv, code, capsys):
     assert out == "" and "Traceback" not in err and err.startswith(("error:", "numeric error:"))
 
 
+def test_out_of_memory_exits_3_without_a_traceback(monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(maxstable.cli.stationarity, "search_violation", no_memory)
+    assert main(["defect", "--dist", "gaussian:mu=0;sigma=1", "--budget", "1000000000000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "memory error: Unable to allocate 7.28 TiB for an array\n"
+
+
 def test_spaces_around_spec_keys_and_values(capsys):
     def field_rows(variogram):
         argv = ["simulate", "--construction", "br", "--variogram", variogram, "--grid", "0:0.25:9",

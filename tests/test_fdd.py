@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maxstable import fdd
 from maxstable.fdd import (
     ExponentValue,
     FddQuery,
@@ -17,7 +18,7 @@ from maxstable.fdd import (
     std_normal_cdf,
 )
 from maxstable.seeding import derive_rng
-from maxstable.spectral import Exponential, Gaussian, ShapeFunction
+from maxstable.spectral import Exponential, Gamma, Gaussian, ShapeFunction, Uniform
 
 
 def unit_gaussian():
@@ -125,6 +126,19 @@ def test_exponent_mc_is_deterministic():
     a = exponent_mc(dist, kappa, q, 150_000, derive_rng(5))
     b = exponent_mc(dist, kappa, q, 150_000, derive_rng(5))
     assert a.value == b.value and a.se == b.se
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Gaussian([0.3], [[2.0]]), Exponential(1.0), Uniform(0.0, 1.0), Gamma(2.0, 1.0)],
+    ids=lambda d: d.family,
+)
+def test_exponent_mc_does_not_depend_on_the_chunk_size(dist, monkeypatch):
+    kappa = ShapeFunction.from_cgf(dist)
+    q = FddQuery([0.0, 0.3, 0.6], [1.0, 1.5, 0.8])
+    whole = exponent_mc(dist, kappa, q, 30_000, derive_rng(8))
+    monkeypatch.setattr(fdd, "_MC_CHUNK", 1000)
+    assert exponent_mc(dist, kappa, q, 30_000, derive_rng(8)) == whole
 
 
 def test_exponent_mc_minimum_sample_size(rng):

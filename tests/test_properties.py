@@ -1,6 +1,7 @@
 """Property tests of the stationarity criterion, the exponent V, the
-replicate layout, the spec grammar and the CLI's value parsers
-(hypothesis, derandomized so that every run draws the same examples)."""
+bivariate ECDF distance, the replicate layout, the spec grammar and the
+CLI's value parsers (hypothesis, derandomized so that every run draws the
+same examples)."""
 import contextlib
 import io
 import math
@@ -12,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from maxstable import stationarity
 from maxstable.cli import UsageError, main, parse_box, parse_floats, parse_grid
-from maxstable.fdd import FddQuery, fdd_exponent, husler_reiss_V
+from maxstable.fdd import FddQuery, bivariate_ecdf_distance, fdd_exponent, husler_reiss_V
 from maxstable.seeding import derive_rng
 from maxstable.simulator import (
     _REPLICATE_BLOCK,
@@ -285,3 +286,29 @@ def test_cli_exits_with_a_contract_code_for_any_value_text(text, flag):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main(argv) in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def _cell_by_cell_ecdf_distance(a, b, thresholds):
+    worst = 0.0
+    for x in thresholds:
+        for y in thresholds:
+            fa = float(np.mean((a[:, 0] <= x) & (a[:, 1] <= y)))
+            fb = float(np.mean((b[:, 0] <= x) & (b[:, 1] <= y)))
+            worst = max(worst, abs(fa - fb))
+    return worst
+
+
+@PROPERTY
+@given(
+    st.integers(1, 300),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(0.05, 20.0), min_size=1, max_size=12),
+)
+def test_bivariate_ecdf_distance_equals_the_cell_by_cell_loop(n_a, n_b, seed, thresholds):
+    rng = np.random.default_rng(seed)
+    # Frechet pairs and thresholds rounded to two decimals, so that they tie
+    a = np.round(-1.0 / np.log(rng.uniform(size=(n_a, 2))), 2)
+    b = np.round(-1.0 / np.log(rng.uniform(size=(n_b, 2))), 2)
+    ts = np.round(thresholds, 2)
+    assert bivariate_ecdf_distance(a, b, ts) == _cell_by_cell_ecdf_distance(a, b, ts)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -132,8 +133,9 @@ def test_search_violation_gives_no_verdict_on_a_cgf_overflow(rng):
 
 
 # The per-config search the batched one replaces, kept as its reference:
-# the itertools.product walk for the coarse grid, then one CriterionConfig
-# and one validate_domain + two cgf_multi calls per config.
+# the itertools.product walk for the coarse grid, the random configs in the
+# search's three array calls, then one CriterionConfig and one
+# validate_domain + two cgf_multi calls per config.
 
 
 def _walk_coarse_grid(n, box):
@@ -158,10 +160,10 @@ def _reference_defect(dist, cfg):
 def _reference_search(dist, n, budget, box, rng):
     box = np.asarray(box, dtype=float).reshape(-1, 2)
     configs = [CriterionConfig(ts, u, h) for ts, u, h in _walk_coarse_grid(n, box)]
-    for _ in range(budget):
-        ts = rng.uniform(box[:, 0], box[:, 1], size=(n, dist.dim))
-        h = rng.uniform(box[:, 0], box[:, 1], size=dist.dim)
-        configs.append(CriterionConfig(ts, rng.dirichlet(np.ones(n)), h))
+    rand_ts = rng.uniform(box[:, 0], box[:, 1], size=(budget, n, dist.dim))
+    rand_h = rng.uniform(box[:, 0], box[:, 1], size=(budget, dist.dim))
+    rand_u = rng.dirichlet(np.ones(n), size=budget)
+    configs += [CriterionConfig(ts, u, h) for ts, u, h in zip(rand_ts, rand_u, rand_h)]
     defects, kept = [], []
     for cfg in configs:
         try:
@@ -230,7 +232,10 @@ def test_batched_search_on_a_2d_gaussian_agrees_to_round_off(small_grid_cap):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_simplex_grid_equals_the_product_walk(n):
     walk = [c for c in itertools.product(range(5), repeat=n) if sum(c) == 4]
-    assert _bits(_simplex_grid(n)) == _bits(np.array(walk, dtype=float) / 4)
+    assert _bits(_simplex_grid(n, np.arange(len(walk)))) == _bits(np.array(walk, dtype=float) / 4)
+    # any subset of the ranks, in any order, unranks row by row
+    ranks = np.arange(len(walk))[::-3]
+    assert _bits(_simplex_grid(n, ranks)) == _bits(np.array(walk, dtype=float)[ranks] / 4)
 
 
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (2, 2)])
@@ -257,6 +262,15 @@ def test_coarse_grid_does_not_walk_a_long_product():
     assert _bits(ts[:5]) == _bits([w[0] for w in head])
     assert _bits(u[:5]) == _bits([w[1] for w in head])
     assert _bits(h[:5]) == _bits([w[2] for w in head])
+
+
+def test_coarse_grid_builds_only_the_weights_it_keeps():
+    # the whole simplex grid of n = 100 has C(103, 4) (about 4.4 million) rows
+    start = time.perf_counter()
+    ts, u, h = _coarse_grid(100, np.array([[-1.0, 1.0]]))
+    assert time.perf_counter() - start < 5.0
+    assert len(ts) == len(u) == len(h) <= stationarity._GRID_CAP
+    assert u.shape[1] == 100 and np.all(u.sum(axis=1) == 1.0)
 
 
 def test_coarse_grid_beyond_int64_indices():
@@ -350,6 +364,20 @@ def test_verify_checks_the_grid_domain():
     # the grid is checked against the CGF domain before anything is simulated
     with pytest.raises(DomainError):
         verify_characterization(Exponential(1.0), Grid([0.0, 2.0]), 100, 5)
+
+
+def test_verify_checks_the_budget_before_simulating(monkeypatch):
+    prepared = []
+    prepare_general = stationarity.prepare_general
+
+    def counted(*args):
+        prepared.append(args)
+        return prepare_general(*args)
+
+    monkeypatch.setattr(stationarity, "prepare_general", counted)
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        verify_characterization(Gaussian([0.0], [[1.0]]), Grid([0.0, 1.0]), 100_000, 5, budget=0)
+    assert prepared == []
 
 
 def test_verify_characterization_needs_two_points():
