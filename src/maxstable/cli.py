@@ -30,7 +30,6 @@ from .simulator import (
     DEFAULT_N_POINTS,
     Grid,
     _f17,
-    field_csv_rows,
     field_csv_text,
     parse_variogram,
     prepare_brown_resnick,
@@ -181,8 +180,6 @@ def cmd_simulate(args) -> int:
     # every flag read is set now, and every other one of SIMULATE_FLAGS is None
     header = {k: v for k, v in run_config_dict(args, keys).items() if v is not None}
     write_output(field_csv_text(field, extra_header=header), args.output)
-    if args.plot_data:
-        write_output("\n".join(field_csv_rows(field)), args.plot_data)
     return EXIT_OK
 
 
@@ -195,11 +192,9 @@ def cmd_defect(args) -> int:
     dist = parse_distribution(args.dist)
     box = parse_box(args.box) if args.box else _default_box(dist)
     rng = derive_rng(args.seed)
-    report = stationarity.search_violation(
-        dist, args.n, args.budget, box, rng, tol_defect=args.tol
-    )
+    report = stationarity.search_violation(dist, args.n, args.budget, box, rng)
     out = report.to_dict()
-    out["config"] = run_config_dict(args, ["dist", "n", "budget", "box", "tol"])
+    out["config"] = run_config_dict(args, ["dist", "n", "budget", "box"])
     write_output(dump_json(out), args.output)
     return EXIT_VIOLATED if report.verdict == "violated" else EXIT_OK
 
@@ -308,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", default=None, help="'cgf' (the default) or quadratic:mu=..;sigma=..;c0=..")
     p.add_argument("--grid", help="start:step:count per axis, or explicit points")
     p.add_argument("--n-points", type=int, default=None, help=N_POINTS_HELP)
-    p.add_argument("--plot-data", default=None, help="also write bare (t, value) pairs here")
     common(p)
     p.set_defaults(func=cmd_simulate, needs=("construction", "grid"))
 
@@ -317,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="tuple size of the criterion")
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--box", default=None, help="search box, lo,hi per axis")
-    p.add_argument("--tol", type=float, default=stationarity.TOL_DEFECT)
     common(p)
     p.set_defaults(func=cmd_defect, needs=("dist",))
 

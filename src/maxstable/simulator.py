@@ -608,16 +608,9 @@ def _f17(x) -> str:
     return format(float(x), ".17g")
 
 
-def field_csv_rows(field: Field) -> list:
-    """``t_1,...,t_d,value`` rows in grid order with 17 significant digits."""
-    return [
-        ",".join(_f17(c) for c in loc) + "," + _f17(val)
-        for loc, val in zip(field.grid.locations, field.values)
-    ]
-
-
 def field_csv_text(field: Field, extra_header: dict | None = None) -> str:
-    """Field CSV: one comment header line, then the ``field_csv_rows``."""
+    """Field CSV: one comment header line, then ``t_1,...,t_d,value`` rows
+    in grid order with 17 significant digits."""
     prov = field.provenance
     header = (
         f"# construction={prov.get('construction', '?')}"
@@ -628,5 +621,8 @@ def field_csv_text(field: Field, extra_header: dict | None = None) -> str:
     if extra_header:
         for key, value in extra_header.items():
             lines.append(f"# {key}={value}")
-    lines.extend(field_csv_rows(field))
+    lines.extend(
+        ",".join(_f17(c) for c in loc) + "," + _f17(val)
+        for loc, val in zip(field.grid.locations, field.values)
+    )
     return "\n".join(lines) + "\n"

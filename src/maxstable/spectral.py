@@ -24,7 +24,7 @@ FD_STEP = float(np.cbrt(np.finfo(float).eps))
 # hard error.
 PSD_REL_TOL = 1e-10
 
-# Below this |t_j| the uniform CGF routes to its removable-singularity limit.
+# Below this |t_j| the uniform tilted sampler draws from the untilted law.
 UNIFORM_SMALL_T = 1e-8
 
 
@@ -330,22 +330,19 @@ class Uniform(SpectralDistribution):
     def cgf(self, t):
         t = self.check_domain(t)
         pts = np.atleast_2d(t)
-        # per coordinate: log((e^{bt} - e^{at}) / ((b-a) t)), with the
-        # removable singularity at t=0 handled by its analytic limit.
-        w = (self.b - self.a) * pts
-        small = np.abs(pts) < UNIFORM_SMALL_T
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            core = np.where(
-                w > 30.0,
-                w - np.log(np.where(w > 30.0, w, 1.0)),
-                np.where(
-                    w < -30.0,
-                    -np.log(np.where(w < -30.0, -w, 1.0)),
-                    np.log(np.expm1(np.where(small, 1.0, w)) / np.where(small, 1.0, w)),
-                ),
-            )
-        per_coord = np.where(small, pts * (self.a + self.b) / 2.0, self.a * pts + core)
-        val = per_coord.sum(axis=1)
+        # per coordinate: m t + log(sinh v / v), with m = (a + b) / 2 and
+        # v = (b - a) t / 2; below |v| = 1 the log is log1p of the Taylor
+        # series of sinh v / v - 1, whose eight terms reach round-off there
+        v = np.abs(0.5 * (self.b - self.a) * pts)
+        v2 = np.minimum(v, 1.0) ** 2
+        series = 0.0
+        for k in range(8, 0, -1):
+            series = (series + 1.0 / math.factorial(2 * k + 1)) * v2
+        big = np.maximum(v, 1.0)
+        log_sinhc = np.where(
+            v < 1.0, np.log1p(series), big + np.log1p(-np.exp(-2.0 * big)) - np.log(2.0 * big)
+        )
+        val = (0.5 * (self.a + self.b) * pts + log_sinhc).sum(axis=1)
         return float(val[0]) if t.ndim == 1 else val
 
     def mean(self) -> np.ndarray:

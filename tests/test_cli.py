@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -92,6 +93,15 @@ def test_readme_cli_examples_parse():
     lines = [line for line in block.splitlines() if line.startswith("maxstable ")]
     assert lines
     parser = maxstable.cli.build_parser()
+    # every --flag the README names, in prose or in a maxstable command (not
+    # in the commands of other programs), is a long flag of some subcommand
+    chunks = readme.split("```")
+    text = "\n".join(chunks[::2] + [line for code in chunks[1::2] for line in code.splitlines()
+                                    if line.startswith("maxstable ")])
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices.values()
+    flags = {option for sub in subparsers for option in sub._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
+    assert named and named <= flags, sorted(named - flags)
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         dist = parse_distribution(args.dist) if getattr(args, "dist", None) else None
@@ -163,17 +173,6 @@ def test_simulate_other_constructions(tmp_path):
         "--grid", "0:0.5:3", "--n-points", "1000",
         "--output", str(tmp_path / "gen.csv"),
     ]) == 0
-
-
-def test_simulate_plot_data(tmp_path):
-    plot = tmp_path / "plot.csv"
-    assert main([
-        "simulate", "--construction", "smith", "--sigma", "1",
-        "--grid", "0:0.5:3", "--n-points", "500",
-        "--output", str(tmp_path / "f.csv"), "--plot-data", str(plot),
-    ]) == 0
-    rows = plot.read_text().strip().split("\n")
-    assert len(rows) == 3 and not rows[0].startswith("#")
 
 
 def test_simulate_missing_required_parameter():
@@ -523,7 +522,6 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
           "--grid", "0,1"], 2),
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--kappa", "quadratic:mu",
           "--ts", "0;1", "--xs", "1,1"], 2),
-        (["defect", "--dist", "exp:lambda=1", "--box", "0,0.6", "--tol", "nan"], 3),
         (["compare-reps", "--sigma", "1", "--grid", "0,1", "--threshold", "inf"], 3),
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0", "--xs", "1e-320",
           "--method", "closed-marginal"], 3),
@@ -546,7 +544,7 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         "zero-replicates", "negative-replicates", "verify-zero-replicates",
         "nan-point", "inf-threshold", "sigma-not-a-number", "threshold-not-a-number",
         "variogram-param-without-equals", "kappa-param-without-equals",
-        "nan-defect-tolerance", "inf-compare-threshold", "infinite-exponent",
+        "inf-compare-threshold", "infinite-exponent",
         "misspelt-variogram-key", "misspelt-kappa-key", "repeated-key",
         "variogram-alpha-out-of-range", "indefinite-kappa-sigma", "cgf-overflow", "nan-box",
         "double-dash-value",

@@ -1,10 +1,11 @@
-"""Property tests of the stationarity criterion, the exponent V, the
-bivariate ECDF distance, the replicate layout, the spec grammar and the
-CLI's value parsers (hypothesis, derandomized so that every run draws the
-same examples)."""
+"""Property tests of the stationarity criterion and its verdict, the
+uniform CGF, the exponent V, the bivariate ECDF distance, the replicate
+layout, the spec grammar and the CLI's value parsers (hypothesis,
+derandomized so that every run draws the same examples)."""
 import contextlib
 import io
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -63,7 +64,7 @@ def config_batches(draw):
 @given(st.sampled_from(["gaussian", "exp", "uniform", "gamma"]), config_batches())
 def test_centred_cgf_is_nonpositive_by_jensen(family, batch):
     ts, u, h = batch
-    feasible, base, shifted = _centred_cgfs(_law(family, ts.shape[2]), ts, u, h)
+    feasible, base, shifted, _ = _centred_cgfs(_law(family, ts.shape[2]), ts, u, h)
     assert len(base) == len(shifted) == feasible.sum()
     assert np.all(base <= 1e-12) and np.all(shifted <= 1e-12)
 
@@ -106,6 +107,43 @@ def test_every_searched_config_is_evaluated_or_skipped(family, n, d, budget, lo,
     stride = -(-total // stationarity._GRID_CAP)
     assert report.n_evaluated + report.n_skipped == -(-total // stride) + budget
     assert report.n_evaluated == len(report.defects) > 0
+
+
+@st.composite
+def scaled_gaussians(draw):
+    """Gaussians in d <= 3 with mu and Sigma each scaled by 10^U(-2, 2)."""
+    d = draw(st.integers(1, 3))
+    scale = st.floats(-2.0, 2.0)
+    mu = draw(hnp.arrays(float, d, elements=st.floats(-1.0, 1.0))) * 10 ** draw(scale)
+    a = draw(hnp.arrays(float, (d, d), elements=st.floats(-1.0, 1.0)))
+    return Gaussian(mu, (a @ a.T + 0.1 * np.eye(d)) * 10 ** draw(scale))
+
+
+@PROPERTY
+@given(scaled_gaussians(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_every_gaussian_is_stationary_consistent(dist, n, seed):
+    report = search_violation(dist, n, 200, [[-2.0, 2.0]] * dist.dim, derive_rng(seed))
+    assert report.verdict == "stationary-consistent"
+
+
+def _uniform_cgf_reference(a, b, t):
+    a, b, t = Decimal(a), Decimal(b), Decimal(t)
+    if t == 0:
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = 100  # 50 digits lose the t^2 term of the ratio below |t| ~ 1e-12
+        return float((((b * t).exp() - (a * t).exp()) / ((b - a) * t)).ln())
+
+
+@PROPERTY
+@given(st.floats(-5.0, 5.0), st.floats(1e-3, 5.0), st.floats(-12.0, 2.8), st.sampled_from([-1.0, 1.0]))
+@example(0.0, 1.0, math.log10(1.1e-8), 1.0)
+def test_uniform_cgf_is_accurate_to_round_off(a, width, log_t, sign):
+    # the round-off scale of phi: its size, and that of the terms a t and b t
+    b, t = a + width, sign * 10**log_t
+    want = _uniform_cgf_reference(a, b, t)
+    got = Uniform(a, b).cgf([t])
+    assert abs(got - want) <= 16 * np.finfo(float).eps * (abs(want) + abs(t) * max(abs(a), abs(b)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ from maxstable.spectral import (
     Exponential,
     Gamma,
     Gaussian,
+    SpectralDistribution,
     Uniform,
     cgf_multi,
 )
 from maxstable.stationarity import (
-    TOL_DEFECT,
     CriterionConfig,
     _coarse_grid,
     _simplex_grid,
@@ -229,6 +229,49 @@ def test_batched_search_on_a_2d_gaussian_agrees_to_round_off(small_grid_cap):
     assert got.max_abs_defect < 1e-12
 
 
+@pytest.mark.parametrize(
+    "dist, n, box", SEARCH_CASES, ids=[f"{c[0].family}-d{c[0].dim}-n{c[1]}-{c[2][0][1]}" for c in SEARCH_CASES]
+)
+def test_search_does_not_depend_on_the_config_block(dist, n, box, small_grid_cap, monkeypatch):
+    # d = 1 or independent coordinates: every CGF value is computed row by row
+    monkeypatch.setattr(stationarity, "_CONFIG_BLOCK", 10**9)
+    whole = search_violation(dist, n, 150, box, derive_rng(4444))
+    monkeypatch.setattr(stationarity, "_CONFIG_BLOCK", 7)
+    blocks = search_violation(dist, n, 150, box, derive_rng(4444))
+    assert _bits(blocks.defects) == _bits(whole.defects)
+    assert blocks.to_dict() == whole.to_dict()
+
+
+class _LocationMixture(SpectralDistribution):
+    """1/2 N(-a, 1) + 1/2 N(a, 1): phi(t) = t^2/2 + log cosh(a t), quadratic
+    only at a = 0, with a defect of order a^4."""
+
+    family = "mixture"
+    dim = 1
+
+    def __init__(self, a):
+        self.a = a
+
+    def cgf(self, t):
+        t = self.check_domain(t)
+        s = np.atleast_2d(t)[:, 0]
+        val = 0.5 * s**2 + np.logaddexp(self.a * s, -self.a * s) - math.log(2.0)
+        return float(val[0]) if t.ndim == 1 else val
+
+
+@pytest.mark.parametrize("a, verdict", [
+    (0.0, "stationary-consistent"),
+    (0.003, "violated"),
+    (0.01, "violated"),
+    (0.03, "violated"),
+])
+def test_search_finds_a_near_gaussian_mixture(a, verdict):
+    # max |defect| runs from 4e-11 (a = 0.003) to 4e-7 (a = 0.03); each
+    # config's round-off bound tells them from the Gaussian a = 0
+    report = search_violation(_LocationMixture(a), 2, 1000, [[-1.0, 1.0]], derive_rng(1))
+    assert report.verdict == verdict
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_simplex_grid_equals_the_product_walk(n):
     walk = [c for c in itertools.product(range(5), repeat=n) if sum(c) == 4]
@@ -357,7 +400,7 @@ def test_verify_characterization_verdicts():
     )
     assert rep.verdict == "non-stationary in dimension 2"
     assert rep.marginals_pass  # marginals are Frechet regardless
-    assert rep.defect_report.max_abs_defect > TOL_DEFECT
+    assert rep.defect_report.verdict == "violated"
 
 
 def test_verify_checks_the_grid_domain():
