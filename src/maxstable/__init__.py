@@ -43,7 +43,6 @@ from .spectral import (
     cgf,
     cgf_gradient,
     cgf_multi,
-    format_distribution,
     parse_distribution,
 )
 from .stationarity import (

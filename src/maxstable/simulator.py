@@ -422,8 +422,10 @@ def _spectral_law(dist, kappa, grid, n_points, construction) -> PreparedLaw:
         a = tilt(rows, js) @ t_cols - phi
         return a - a[np.arange(len(js)), js][:, None]
 
-    shift = 0.0 if kappa.kind == "cgf" and kappa.dist == dist else phi - kappa.values(t_mat)
-    prov = {"construction": construction, "dist": dist.spec_string(), "kappa": kappa.kind}
+    # exactly 0.0 when kappa is the CGF of X itself
+    shift = phi - kappa.values(t_mat)
+    prov = {"construction": construction, "dist": dist.spec_string(),
+            "kappa": kappa.law.spec_string(), "c0": kappa.c0}
     return _engine_law(grid, (draw, log_y), n_points, prov, shift)
 
 

@@ -134,6 +134,12 @@ class SpectralDistribution:
     def mean(self) -> np.ndarray:
         raise NotImplementedError
 
+    def term_scale(self, pts) -> np.ndarray:
+        """Size of the terms phi adds up at each row of an (m, d) array, the
+        scale of its round-off: sum_i |E[X_i] p_i| unless the family knows
+        more terms."""
+        return np.abs(pts * self.mean()).sum(axis=1)
+
     def sample(self, n: int, rng) -> np.ndarray:
         """n independent draws of X, shape (n, d); deterministic per rng state."""
         raise NotImplementedError
@@ -166,6 +172,10 @@ class SpectralDistribution:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.spec_string()!r})"
+
+    def __eq__(self, other):
+        # spec_string prints every float with repr, which round-trips
+        return type(other) is type(self) and other.spec_string() == self.spec_string()
 
 
 def _tilted_draws(dist: SpectralDistribution, t, n: int, rng) -> np.ndarray:
@@ -209,6 +219,11 @@ class Gaussian(SpectralDistribution):
     def mean(self) -> np.ndarray:
         return self.mu.copy()
 
+    def term_scale(self, pts) -> np.ndarray:
+        # sum_i |mu_i p_i| + 0.5 |p|^T |Sigma| |p|: the linear and quadratic terms may cancel
+        size = np.abs(pts)
+        return size @ np.abs(self.mu) + 0.5 * np.einsum("md,de,me->m", size, np.abs(self.sigma), size)
+
     def sample(self, n: int, rng) -> np.ndarray:
         z = np.asarray(rng.standard_normal((int(n), self.dim)))
         return z @ self._factor.T + self.mu
@@ -230,29 +245,20 @@ class Gaussian(SpectralDistribution):
     def spec_string(self) -> str:
         return f"gaussian:mu={_fmt_vec(self.mu)};sigma={_fmt_vec(self.sigma)}"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Gaussian)
-            and np.array_equal(self.mu, other.mu)
-            and np.array_equal(self.sigma, other.sigma)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Exponential(SpectralDistribution):
     """Independent exponential coordinates with rates lambda_j > 0."""
 
     rate: np.ndarray
-    centered: bool
 
     family = "exp"
 
-    def __init__(self, rate, centered: bool = False):
+    def __init__(self, rate):
         rate = np.atleast_1d(np.asarray(rate, dtype=float))
         if np.any(rate <= 0):
             raise ValueError("exponential rates must be positive")
         object.__setattr__(self, "rate", rate)
-        object.__setattr__(self, "centered", bool(centered))
 
     @property
     def dim(self) -> int:
@@ -265,18 +271,13 @@ class Exponential(SpectralDistribution):
         t = self.check_domain(t)
         pts = np.atleast_2d(t)
         val = -np.log1p(-pts / self.rate).sum(axis=1)
-        if self.centered:
-            val = val - (pts / self.rate).sum(axis=1)
         return float(val[0]) if t.ndim == 1 else val
 
     def mean(self) -> np.ndarray:
-        return np.zeros(self.dim) if self.centered else 1.0 / self.rate
+        return 1.0 / self.rate
 
     def sample(self, n: int, rng) -> np.ndarray:
-        x = np.asarray(rng.exponential(size=(int(n), self.dim))) / self.rate
-        if self.centered:
-            x = x - 1.0 / self.rate
-        return x
+        return np.asarray(rng.exponential(size=(int(n), self.dim))) / self.rate
 
     def sample_tilted(self, t, n: int, rng) -> np.ndarray:
         return _tilted_draws(self, t, n, rng)
@@ -288,20 +289,12 @@ class Exponential(SpectralDistribution):
             return np.asarray(rng.exponential(size=(int(n), self.dim)))
 
         def tilt(rows, js):
-            x = rows / rates[js]
-            return x - 1.0 / self.rate if self.centered else x
+            return rows / rates[js]
 
         return draw, tilt
 
     def spec_string(self) -> str:
-        return f"exp:lambda={_fmt_vec(self.rate)};centered={'true' if self.centered else 'false'}"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Exponential)
-            and np.array_equal(self.rate, other.rate)
-            and self.centered == other.centered
-        )
+        return f"exp:lambda={_fmt_vec(self.rate)}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,46 +348,31 @@ class Uniform(SpectralDistribution):
         return _tilted_draws(self, t, n, rng)
 
     def tilted_sampler(self, ts):
-        # inverse CDF of the density proportional to e^{t x} on [a, b]
+        # inverse CDF of the density proportional to e^{t x} on [a, b], per
+        # coordinate: flat below |t| = UNIFORM_SMALL_T, else anchored at b
+        # where w = (b - a) t > 0 (stable for arbitrarily large w), else at
+        # a.  Each table is filled only where its branch is taken (e^{-w}
+        # overflows at w < -709); 1 and 0 elsewhere keep the others finite.
         w = (self.b - self.a) * ts
+        flat = np.abs(ts) < UNIFORM_SMALL_T
+        up = ~flat & (w > 0)
+        divisor = np.where(flat, 1.0, ts)
+        exp_neg = np.array([math.exp(-x) if x > 0 else 1.0 for x in w.ravel()]).reshape(w.shape)
+        expm1 = np.array([math.expm1(x) if x <= 0 else 0.0 for x in w.ravel()]).reshape(w.shape)
 
         def draw(n, rng):
             return np.asarray(rng.uniform(size=(int(n), self.dim)))
 
-        def tilt_at(u, j):
-            out = np.empty_like(u)
-            for c in range(self.dim):
-                wc, tc = w[j, c], ts[j, c]
-                if abs(tc) < UNIFORM_SMALL_T:
-                    out[:, c] = self.a[c] + (self.b[c] - self.a[c]) * u[:, c]
-                elif wc > 0:
-                    # anchored at b: stable for arbitrarily large positive w
-                    out[:, c] = self.b[c] + np.log(u[:, c] + (1 - u[:, c]) * math.exp(-wc)) / tc
-                else:
-                    out[:, c] = self.a[c] + np.log1p(u[:, c] * math.expm1(wc)) / tc
-            return out
-
         def tilt(u, js):
-            points = {js} if np.ndim(js) == 0 else set(js.tolist())
-            if len(points) == 1:
-                return tilt_at(u, points.pop())
-            out = np.empty_like(u)
-            for j in points:
-                at = js == j
-                out[at] = tilt_at(u[at], j)
-            return out
+            t = divisor[js]
+            curved = np.where(up[js], self.b + np.log(u + (1 - u) * exp_neg[js]) / t,
+                              self.a + np.log1p(u * expm1[js]) / t)
+            return np.where(flat[js], self.a + (self.b - self.a) * u, curved)
 
         return draw, tilt
 
     def spec_string(self) -> str:
         return f"uniform:a={_fmt_vec(self.a)};b={_fmt_vec(self.b)}"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Uniform)
-            and np.array_equal(self.a, other.a)
-            and np.array_equal(self.b, other.b)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,13 +430,6 @@ class Gamma(SpectralDistribution):
 
     def spec_string(self) -> str:
         return f"gamma:k={_fmt_vec(self.shape)};theta={_fmt_vec(self.rate)}"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Gamma)
-            and np.array_equal(self.shape, other.shape)
-            and np.array_equal(self.rate, other.rate)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -533,43 +504,29 @@ class SimplexWeights:
         return len(self.u)
 
 
+@dataclass(frozen=True)
 class ShapeFunction:
-    """The normalizer kappa(t) in the max-stable construction.
+    """The normalizer kappa(t) = phi_law(t) + c0 in the max-stable
+    construction: the CGF of a spectral law plus a constant.  The
+    characterization reads kappa only through kappa(t) - kappa(0), which
+    must be a CGF, so this is every kappa it admits."""
 
-    Two kinds: the CGF of a spectral law (which has kappa(0) = 0), or an
-    explicit quadratic <mu, t> + 0.5 <t, Sigma t> + c0.
-    """
-
-    def __init__(self, kind: str, *, dist=None, mu=None, sigma=None, c0=0.0):
-        if kind not in ("cgf", "quadratic"):
-            raise ValueError(f"unknown shape-function kind {kind!r}")
-        self.kind = kind
-        if kind == "cgf":
-            if dist is None:
-                raise ValueError("cgf shape function requires a distribution")
-            self.dist = dist
-        else:
-            self.mu = np.atleast_1d(np.asarray(mu, dtype=float))
-            self.sigma, _, _ = clamp_psd(sigma)
-            if self.sigma.shape[0] != self.mu.shape[0]:
-                raise ValueError("mu and sigma dimensions disagree")
-            self.c0 = float(c0)
+    law: SpectralDistribution
+    c0: float = 0.0
 
     @classmethod
     def from_cgf(cls, dist: SpectralDistribution) -> "ShapeFunction":
-        return cls("cgf", dist=dist)
+        return cls(dist)
 
     @classmethod
     def quadratic(cls, mu, sigma, c0: float = 0.0) -> "ShapeFunction":
-        return cls("quadratic", mu=mu, sigma=sigma, c0=c0)
+        """<mu, t> + 0.5 <t, Sigma t> + c0, the gaussian(mu, Sigma) CGF plus c0."""
+        return cls(Gaussian(mu, sigma), float(c0))
 
     def values(self, points) -> np.ndarray:
         """kappa at an (m, d) array of points, shape (m,)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "cgf":
-            return np.asarray(self.dist.cgf(pts), dtype=float)
-        quad = np.einsum("md,de,me->m", pts, self.sigma, pts)
-        return pts @ self.mu + 0.5 * quad + self.c0
+        return np.asarray(self.law.cgf(pts), dtype=float) + self.c0
 
     def __call__(self, t) -> float:
         return float(self.values(np.atleast_1d(np.asarray(t, dtype=float))[None, :])[0])
@@ -650,17 +607,9 @@ def parse_matrix(text: str) -> np.ndarray:
     return vec.reshape(d, d)
 
 
-def _flag(text: str) -> bool:
-    if text.lower() not in ("true", "false"):
-        raise SpecParseError(f"expected true or false, got {text!r}")
-    return text.lower() == "true"
-
-
-_EXP = (Exponential, lambda take: (parse_numbers(take("lambda")), _flag(take("centered", "false"))))
 _DISTRIBUTIONS = {
     "gaussian": (Gaussian, lambda take: (parse_numbers(take("mu")), parse_matrix(take("sigma")))),
-    "exp": _EXP,
-    "exponential": _EXP,
+    "exp": (Exponential, lambda take: (parse_numbers(take("lambda")),)),
     "uniform": (Uniform, lambda take: (parse_numbers(take("a")), parse_numbers(take("b")))),
     "gamma": (Gamma, lambda take: (parse_numbers(take("k")), parse_numbers(take("theta")))),
 }
@@ -668,14 +617,9 @@ _DISTRIBUTIONS = {
 
 def parse_distribution(spec: str) -> SpectralDistribution:
     """A spectral law from its spec, such as ``gaussian:mu=0,0;sigma=1,0.5,0.5,1``
-    (row-major Sigma), ``exp:lambda=1;centered=false``, ``uniform:a=0;b=1``
+    (row-major Sigma), ``exp:lambda=1``, ``uniform:a=0;b=1``
     or ``gamma:k=2;theta=1``."""
     return parse_spec(spec, _DISTRIBUTIONS)
-
-
-def format_distribution(dist: SpectralDistribution) -> str:
-    """Canonical specification string; parse(format(d)) == d."""
-    return dist.spec_string()
 
 
 def registry_examples(d: int = 1) -> list:

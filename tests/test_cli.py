@@ -27,7 +27,14 @@ from maxstable.simulator import (
     prepare_smith,
     simulate_moving_maxima,
 )
-from maxstable.spectral import SpecParseError, parse_distribution, parse_kappa, parse_matrix
+from maxstable.spectral import (
+    Gaussian,
+    ShapeFunction,
+    SpecParseError,
+    parse_distribution,
+    parse_kappa,
+    parse_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +117,20 @@ def test_readme_cli_examples_parse():
         for key, parse in SPEC_PARSERS.items():
             if getattr(args, key, None) is not None:
                 parse(getattr(args, key))
+    # each backticked spec in the --dist, --kappa and --variogram bullets
+    # parses with its flag's reader
+    readers = {
+        "--dist": parse_distribution,
+        "--kappa": lambda spec: parse_kappa(spec, parse_distribution("gaussian:mu=0;sigma=1")),
+        "--variogram": parse_variogram,
+    }
+    bullets = dict(re.findall(r"^- `(--[a-z]+)`:(.*\n(?:  .*\n)*)", readme, re.M))
+    assert bullets.keys() == readers.keys()
+    for flag, text in bullets.items():
+        specs = re.findall(r"`([^`]+)`", text)
+        assert specs, flag
+        for spec in specs:
+            readers[flag](spec)
 
 
 def test_resolve_seed_precedence(monkeypatch):
@@ -575,7 +596,7 @@ def test_spaces_around_spec_keys_and_values(capsys):
 
     assert field_rows("fractional:alpha=1; scale=2") == field_rows("fractional:alpha=1;scale=2")
     kappa = parse_kappa(" Quadratic : mu = 0 ; sigma=1 ;", None)
-    assert kappa.kind == "quadratic" and kappa.sigma.tolist() == [[1.0]]
+    assert kappa == ShapeFunction(Gaussian([0.0], [[1.0]]), 0.0)
 
 
 SIM = ["simulate", "--grid", "0,1", "--construction"]

@@ -12,12 +12,12 @@ from maxstable.spectral import (
     ShapeFunction,
     SimplexWeights,
     SpecParseError,
+    UNIFORM_SMALL_T,
     Uniform,
     cgf,
     cgf_gradient,
     cgf_multi,
     clamp_psd,
-    format_distribution,
     parse_distribution,
     psd_factor,
     registry_examples,
@@ -47,13 +47,6 @@ def test_gaussian_cgf_matches_direct_formula(rng):
             t = rng.standard_normal(d)
             expected = float(mu @ t + 0.5 * t @ sigma @ t)
             assert cgf(dist, t) == pytest.approx(expected, rel=1e-13, abs=1e-13)
-
-
-def test_centered_exponential_shifts_cgf():
-    t = 0.3
-    plain = cgf(Exponential(2.0), t)
-    centered = cgf(Exponential(2.0, centered=True), t)
-    assert centered == pytest.approx(plain - t / 2.0, abs=1e-15)
 
 
 def test_gamma_cgf_is_shape_times_exponential():
@@ -232,6 +225,40 @@ def test_uniform_sample_tilted_stays_in_interval(rng):
         assert np.all(x >= -0.5) and np.all(x <= 2.0)
 
 
+def _uniform_tilt_reference(a, b, t, u):
+    """One coordinate of one row of the uniform tilt, by the scalar formulas."""
+    if abs(t) < UNIFORM_SMALL_T:
+        return a + (b - a) * u
+    w = (b - a) * t
+    if w > 0:
+        return b + np.log(u + (1 - u) * math.exp(-w)) / t
+    return a + np.log1p(u * math.expm1(w)) / t
+
+
+TILT_TS = [0.0, 1e-9, -1e-9, 1e-8, -1e-8, 0.3, -0.3, 2.0, -2.0, 45.0, -45.0, 700.0, -700.0]
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0), (-3.0, 0.5)])
+@pytest.mark.parametrize("d", [1, 2])
+def test_uniform_tilt_equals_the_scalar_formulas(a, b, d):
+    # bit for bit, with js an index array and with one index for all rows;
+    # |w| up to 2450, where e^{-w} of the other branch would overflow
+    dist = Uniform(np.full(d, a), np.full(d, b))
+    ts = np.array(TILT_TS)[:, None] if d == 1 else np.column_stack([TILT_TS, TILT_TS[::-1]])
+    draw, tilt = dist.tilted_sampler(ts)
+    rng = derive_rng(d)
+    u = draw(60, rng)
+    js = rng.integers(0, len(ts), size=60)
+
+    def reference(js):
+        return np.array([[_uniform_tilt_reference(dist.a[c], dist.b[c], ts[j, c], u[r, c]) for c in range(d)]
+                         for r, j in enumerate(np.broadcast_to(js, len(u)))])
+
+    assert tilt(u, js).tobytes() == reference(js).tobytes()
+    for j in range(len(ts)):
+        assert tilt(u, j).tobytes() == reference(j).tobytes()
+
+
 def test_gaussian_sample_covariance(rng):
     sigma = np.array([[1.0, 0.6], [0.6, 2.0]])
     x = Gaussian([0.0, 0.0], sigma).sample(300_000, rng)
@@ -271,11 +298,6 @@ def test_shape_function_constant_offset():
     assert quad([0.0]) == 2.5
 
 
-def test_shape_function_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        ShapeFunction("cubic")
-
-
 def test_clamp_psd_accepts_roundoff_negatives():
     sigma = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-14]])
     sym, w, _ = clamp_psd(sigma)
@@ -303,10 +325,10 @@ def test_psd_factor_reconstructs_matrix(rng):
 def test_parse_format_round_trip():
     examples = registry_examples(1) + [
         Gaussian([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]]),
-        Exponential([1.0, 3.0], centered=True),
+        Exponential([1.0, 3.0]),
     ]
     for dist in examples:
-        assert parse_distribution(format_distribution(dist)) == dist
+        assert parse_distribution(dist.spec_string()) == dist
 
 
 def test_parse_examples():
@@ -325,6 +347,8 @@ def test_parse_examples():
         "gaussian:mu=0;sigma=1;extra=2",
         "exp:lambda=abc",
         "exp:lambda=1;centered=maybe",
+        "exp:lambda=1;centered=true",
+        "exponential:lambda=1",
         "gaussian:mu=0,0;sigma=1,0,0",
         "exp:lambda",
         "gaussian:mu=0;sigma=1;mu=5",

@@ -46,10 +46,10 @@ def test_criterion_config_validation():
 def test_config_domain_includes_shifted_points():
     # ts are inside the domain of exp(1); the shifted point 0.5 + 0.6 is not
     cfg = CriterionConfig([[0.0], [0.5]], [0.5, 0.5], [0.4])
-    cfg.validate_domain(Exponential(1.0))
+    assert math.isfinite(defect(Exponential(1.0), cfg))
     cfg = CriterionConfig([[0.0], [0.5]], [0.5, 0.5], [0.6])
     with pytest.raises(DomainError):
-        cfg.validate_domain(Exponential(1.0))
+        defect(Exponential(1.0), cfg)
 
 
 def test_gaussian_defect_vanishes(rng):
@@ -134,8 +134,8 @@ def test_search_violation_gives_no_verdict_on_a_cgf_overflow(rng):
 
 # The per-config search the batched one replaces, kept as its reference:
 # the itertools.product walk for the coarse grid, the random configs in the
-# search's three array calls, then one CriterionConfig and one
-# validate_domain + two cgf_multi calls per config.
+# search's three array calls, then one CriterionConfig, one domain check
+# of its 2n + 3 points and two cgf_multi calls per config.
 
 
 def _walk_coarse_grid(n, box):
@@ -153,7 +153,8 @@ def _walk_coarse_grid(n, box):
 
 
 def _reference_defect(dist, cfg):
-    cfg.validate_domain(dist)
+    combo = cfg.weights.u @ cfg.ts
+    dist.check_domain(np.vstack([cfg.ts, cfg.ts + cfg.h, [combo, combo + cfg.h]]))
     return cgf_multi(dist, cfg.ts, cfg.weights) - cgf_multi(dist, cfg.ts + cfg.h, cfg.weights)
 
 
@@ -258,6 +259,9 @@ class _LocationMixture(SpectralDistribution):
         val = 0.5 * s**2 + np.logaddexp(self.a * s, -self.a * s) - math.log(2.0)
         return float(val[0]) if t.ndim == 1 else val
 
+    def mean(self):
+        return np.zeros(1)
+
 
 @pytest.mark.parametrize("a, verdict", [
     (0.0, "stationary-consistent"),
@@ -270,6 +274,24 @@ def test_search_finds_a_near_gaussian_mixture(a, verdict):
     # config's round-off bound tells them from the Gaussian a = 0
     report = search_violation(_LocationMixture(a), 2, 1000, [[-1.0, 1.0]], derive_rng(1))
     assert report.verdict == verdict
+
+
+DELTA = 1e-6
+NEAR_SINGULAR = np.array([1.0, -1.0])
+
+
+@pytest.mark.parametrize("dist, ts, u, h", [
+    # linear and quadratic terms cancel at every point
+    (Gaussian([-1.0], [[1.0]]), [[2 + DELTA], [2 + 3 * DELTA]], [0.5, 0.5], [-2.0]),
+    # t along the null direction of a nearly singular Sigma
+    (Gaussian([0.0, 0.0], [[1.0, 1.0 - 1e-9], [1.0 - 1e-9, 1.0]]),
+     [0.7 * NEAR_SINGULAR, 1.9 * NEAR_SINGULAR], [0.3, 0.7], -1.3 * NEAR_SINGULAR),
+], ids=["cancelling-terms", "near-singular"])
+def test_gaussian_roundoff_scale_sees_cancelling_terms(dist, ts, u, h):
+    ts, u, h = (np.asarray(x, dtype=float)[None] for x in (ts, u, h))
+    _, base, shifted, scale = stationarity._centred_cgfs(dist, ts, u, h)
+    ratio = abs(base[0] - shifted[0]) / (np.finfo(float).eps * scale[0])
+    assert ratio <= stationarity.ROUNDOFF_FACTOR
 
 
 @pytest.mark.parametrize("n", range(1, 8))
