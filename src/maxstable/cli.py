@@ -29,7 +29,6 @@ from .seeding import DEFAULT_SEED, derive_rng
 from .simulator import (
     DEFAULT_N_POINTS,
     Grid,
-    _f17,
     field_csv_text,
     parse_variogram,
     prepare_brown_resnick,
@@ -122,7 +121,7 @@ def dump_json(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         if not np.isfinite(obj):
             raise ValueError(f"non-finite number {float(obj)!r} in the output")
-        return _f17(obj)
+        return format(float(obj), ".17g")
     return json.dumps(obj)
 
 

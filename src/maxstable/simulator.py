@@ -9,15 +9,23 @@ the law tilted at that location, until the arrivals fall below the field
 there; a candidate that beats the field at an earlier location is
 rejected.  It costs about one spectral draw per grid location, and every
 grid value has the exact law of the infinite max.  A construction only
-supplies log Y = log(W / W(t_j)) under the t_j-tilted law: the family's
-``tilted_sampler`` for general and Smith, Gaussian increments from one
-Cholesky factor of the grid's covariance for Brown-Resnick (whose
-quadratic variograms give Smith's field, simulated as one).  The engine
-works in log space and exponentiates once, so a single huge value cannot
-overflow intermediate arithmetic.  ``n_points`` is a loop guard, not a
-truncation: the most spectral draws at one grid location; a field that
-needs more raises ValueError.  The moving-maxima construction uses an
-exact-on-grid stopping rule with an explicit edge-error bound.
+supplies log Y = log(W / W(t_j)) under the t_j-tilted law, on the whole
+grid and at one location per row: the family's ``tilted_sampler`` for
+general and Smith, Gaussian increments from one Cholesky factor of the
+grid's covariance for Brown-Resnick (whose quadratic variograms give
+Smith's field, simulated as one).  One field screens each candidate at
+t_{j-1} first: on a dense grid nearly every rejected candidate already
+reaches the field there, so only the few left are scored on all m
+locations.  The screen's value at t_{j-1} must be the full row's entry bit
+for bit, or the screen could reject a candidate the full row would keep;
+the spectral laws sum <X, t> in coordinate order for that reason
+(Brown-Resnick's full rows are one BLAS product, so its screen agrees with
+them up to round-off).  The engine works in log space and exponentiates
+once, so a single huge value cannot overflow intermediate arithmetic.
+``n_points`` is a loop guard, not a truncation: the most spectral draws
+at one grid location; a field that needs more raises ValueError.  The
+moving-maxima construction uses an exact-on-grid stopping rule with an
+explicit edge-error bound.
 
 Each construction is prepared once per grid by its ``prepare_*``
 function, into a ``PreparedLaw`` that holds what all its fields share (phi
@@ -57,6 +65,7 @@ from .spectral import (
     ShapeFunction,
     SpectralDistribution,
     clamp_psd,
+    ordered_dot,
     parse_matrix,
     parse_numbers,
     parse_spec,
@@ -199,7 +208,7 @@ def parse_variogram(spec: str) -> Variogram:
 # exact simulation by extremal functions
 
 
-def _extremal_log_field(m, draw, log_y, n_points, rng):
+def _extremal_log_field(m, draw, log_y, log_y_at, n_points, rng):
     """log Z on m grid locations, exactly, by extremal functions (Dombry,
     Engelke & Oesting, Biometrika 2016, Algorithm 2).
 
@@ -209,19 +218,29 @@ def _extremal_log_field(m, draw, log_y, n_points, rng):
     stays below Z at t_1 ... t_{j-1}, and then Z = max(Z, zeta * Y).  A kept
     candidate sets Z(t_j) = zeta, so it is the last candidate at t_j.
 
-    draw(n, rng_x) gives n base rows of the spectral stream and
+    draw(n, rng_x) gives n base rows of the spectral stream,
     log_y(rows, js) the (n, m) values log Y of the rows, row r tilted at
-    location js[r].  The arrival stream gives one standard exponential per
-    arrival, the spectral stream one base row per candidate; both are read
-    _BLOCK at a time, and what is read ahead and not consumed is consumed
-    next, so the field is the one drawn one number at a time.
+    location js[r], and log_y_at(rows, js, cols) entry cols[r] of row r
+    alone.  The arrival stream gives one standard exponential per arrival,
+    the spectral stream one base row per candidate; both are read _BLOCK
+    at a time, and what is read ahead and not consumed is consumed next,
+    so the field is the one drawn one number at a time.
 
     Z changes only when a candidate is kept, which is rare on a dense grid.
     So the candidates are scored in batches that run across locations, as
     if none were kept: 1, 2, 4, ... up to _BATCH_CELLS / m rows, back to 1
     after a kept one.  Up to the first kept candidate of a batch every
     decision is the one the location-by-location loop makes; the scan
-    restarts after it.  Returns log Z and the spectral draws and rejections.
+    restarts after it.  Before a batch is scored on all m locations it is
+    screened at the previous location: a candidate at t_j (j >= 1) with
+    zeta * Y(t_{j-1}) >= Z(t_{j-1}) reaches Z before t_j and is rejected,
+    and only the others go through log_y and the keep rule.  On a dense
+    grid most rejected candidates end there, so only the few left cost m
+    values each.  Any earlier location would be as exact a witness; t_{j-1}
+    needs no table, and on an unsorted grid it only screens less.  The
+    screen decides what the full row would only if log_y_at gives the full
+    row's entry bit for bit.  Returns log Z and the spectral draws, the
+    rejections and the rows scored in full.
     """
     rng_e, rng_x = spawn(rng, 2)
     arrivals = []
@@ -229,7 +248,7 @@ def _extremal_log_field(m, draw, log_y, n_points, rng):
     log_z = np.full(m, -np.inf)
     cap = max(1, _BATCH_CELLS // m)
     width = 1
-    draws = kept_total = 0
+    draws = kept_total = full_scores = 0
     # the scan: location j, Z(t_j), the next arrival k, Gamma, and the
     # candidates at t_j so far
     j, log_z_j, k, gamma, at_j = 0, -math.inf, 0, 0.0, 0
@@ -259,24 +278,32 @@ def _extremal_log_field(m, draw, log_y, n_points, rng):
             while len(rows) < n:
                 rows = np.concatenate([rows, draw(_BLOCK, rng_x)])
             js = np.array(locs)
-            cand = np.array(log_zeta)[:, None] + log_y(rows[:n], js)
-            kept = _kept(cand, log_z, js)
-            first = int(kept.argmax())
-            if kept[first]:
-                np.maximum(log_z, cand[first], out=log_z)
-                kept_total += 1
-                draws += first + 1
-                rows = rows[first + 1:]
-                j, k, gamma, at_j = locs[first] + 1, resume[first], 0.0, 0
-                log_z_j = float(log_z[j]) if j < m else 0.0
-                width = 1
-                continue
+            zeta = np.array(log_zeta)
+            # t_0 is its own witness, where every candidate reaches Z
+            witness = np.maximum(js - 1, 0)
+            live = np.flatnonzero((js == 0) | (zeta + log_y_at(rows[:n], js, witness) < log_z[witness]))
+            full_scores += live.size
+            if live.size:
+                cand = zeta[live, None] + log_y(rows[live], js[live])
+                kept = _kept(cand, log_z, js[live])
+                first = int(kept.argmax())
+                if kept[first]:
+                    np.maximum(log_z, cand[first], out=log_z)
+                    first = int(live[first])
+                    kept_total += 1
+                    draws += first + 1
+                    rows = rows[first + 1:]
+                    j, k, gamma, at_j = locs[first] + 1, resume[first], 0.0, 0
+                    log_z_j = float(log_z[j]) if j < m else 0.0
+                    width = 1
+                    continue
             draws += n
             rows = rows[n:]
             width = min(2 * width, cap)
         if over_bound:
             raise _over_bound(j, n_points)
-    return log_z, {"spectral_draws": draws, "rejections": draws - kept_total}
+    return log_z, {"spectral_draws": draws, "rejections": draws - kept_total,
+                   "full_scores": full_scores}
 
 
 def _extremal_log_fields(m, draw, log_y, n_points, seed, indices):
@@ -392,16 +419,18 @@ class PreparedLaw:
 
 
 def _engine_law(grid, sampler, n_points, provenance, shift=0.0) -> PreparedLaw:
-    """The engine's field exp(log Z + shift) for a (draw, log_y) sampler."""
+    """The engine's field exp(log Z + shift) for a (draw, log_y, log_y_at)
+    sampler; the ensemble scan does not screen, so it takes no log_y_at."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
+    draw, log_y, log_y_at = sampler
 
     def log_field(rng):
-        log_z, counts = _extremal_log_field(grid.size, *sampler, n_points, rng)
+        log_z, counts = _extremal_log_field(grid.size, draw, log_y, log_y_at, n_points, rng)
         return log_z + shift, counts
 
     def log_fields(seed, indices):
-        log_z, counts = _extremal_log_fields(grid.size, *sampler, n_points, seed, indices)
+        log_z, counts = _extremal_log_fields(grid.size, draw, log_y, n_points, seed, indices)
         return log_z + shift, counts
 
     return PreparedLaw(grid, {**provenance, "n_points": n_points}, log_field, log_fields)
@@ -412,21 +441,26 @@ def _spectral_law(dist, kappa, grid, n_points, construction) -> PreparedLaw:
     unit-Frechet field with kappa = phi, the CGF of X, and shifts it by
     phi(t) - kappa(t).  Y = W / W(t_j) for W(t) = exp(<X, t> - phi(t)) and X
     under the t_j-tilted law has log Y = a(t) - a(t_j), a(t) = <X, t> - phi(t):
-    one product and two passes over the candidates, and exactly 0 at t_j."""
+    one product and two passes over the candidates, and exactly 0 at t_j.
+    <X, t> is summed in coordinate order, so log_y_at's entry is log_y's
+    bit for bit and a row's values do not depend on its batch."""
     t_mat = grid.locations
     phi = np.asarray(dist.cgf(t_mat), dtype=float)  # checks the grid against the CGF domain
     draw, tilt = dist.tilted_sampler(t_mat)
-    t_cols = np.ascontiguousarray(t_mat.T)
 
     def log_y(rows, js):
-        a = tilt(rows, js) @ t_cols - phi
+        a = ordered_dot(tilt(rows, js)[:, None, :], t_mat) - phi
         return a - a[np.arange(len(js)), js][:, None]
+
+    def log_y_at(rows, js, cols):
+        x = tilt(rows, js)
+        return (ordered_dot(x, t_mat[cols]) - phi[cols]) - (ordered_dot(x, t_mat[js]) - phi[js])
 
     # exactly 0.0 when kappa is the CGF of X itself
     shift = phi - kappa.values(t_mat)
     prov = {"construction": construction, "dist": dist.spec_string(),
             "kappa": kappa.law.spec_string(), "c0": kappa.c0}
-    return _engine_law(grid, (draw, log_y), n_points, prov, shift)
+    return _engine_law(grid, (draw, log_y, log_y_at), n_points, prov, shift)
 
 
 def _smith_law(sigma):
@@ -491,8 +525,13 @@ def prepare_brown_resnick(variogram: Variogram, grid: Grid, n_points: int) -> Pr
         g = rows @ factor_t
         return g - g[np.arange(len(js)), js][:, None] - half_pairwise[js]
 
+    def log_y_at(rows, js, cols):
+        # one dot product per row: may differ from the GEMM entry in the last bits
+        g_at = np.einsum("nk,nk->n", rows, factor[cols])
+        return g_at - np.einsum("nk,nk->n", rows, factor[js]) - half_pairwise[js, cols]
+
     prov = {"construction": "brown_resnick", "variogram": variogram.kind}
-    return _engine_law(grid, (draw, log_y), n_points, prov)
+    return _engine_law(grid, (draw, log_y, log_y_at), n_points, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +645,6 @@ def simulate_moving_maxima(sigma, grid: Grid, rng) -> Field:
 # output format
 
 
-def _f17(x) -> str:
-    return format(float(x), ".17g")
-
-
 def field_csv_text(field: Field, extra_header: dict | None = None) -> str:
     """Field CSV: one comment header line, then ``t_1,...,t_d,value`` rows
     in grid order with 17 significant digits."""
@@ -623,8 +658,7 @@ def field_csv_text(field: Field, extra_header: dict | None = None) -> str:
     if extra_header:
         for key, value in extra_header.items():
             lines.append(f"# {key}={value}")
-    lines.extend(
-        ",".join(_f17(c) for c in loc) + "," + _f17(val)
-        for loc, val in zip(field.grid.locations, field.values)
-    )
+    # "%.17g" % x is format(x, ".17g"): one format per row
+    row = ",".join(["%.17g"] * (field.grid.dim + 1))
+    lines.extend(row % tuple(r) for r in np.column_stack([field.grid.locations, field.values]).tolist())
     return "\n".join(lines) + "\n"

@@ -75,6 +75,19 @@ def psd_factor(sym, rel_tol: float = PSD_REL_TOL) -> np.ndarray:
         return v * np.sqrt(w)
 
 
+def ordered_dot(x, t) -> np.ndarray:
+    """<x, t> over the last axis, broadcast, summed in coordinate order.
+
+    Each entry is the same fixed sequence of roundings wherever it sits, so
+    a row's products do not depend on the other rows of its batch, and one
+    entry taken alone equals the same entry of a whole matrix bit for bit;
+    a BLAS product gives neither for d >= 2."""
+    out = x[..., 0] * t[..., 0]
+    for k in range(1, x.shape[-1]):
+        out += x[..., k] * t[..., k]
+    return out
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -238,7 +251,7 @@ class Gaussian(SpectralDistribution):
             return np.asarray(rng.standard_normal((int(n), self.dim)))
 
         def tilt(rows, js):
-            return rows @ self._factor.T + self.mu + shift[js]
+            return ordered_dot(rows[:, None, :], self._factor) + self.mu + shift[js]
 
         return draw, tilt
 
@@ -534,12 +547,17 @@ class ShapeFunction:
 
 def parse_kappa(spec: str, dist: SpectralDistribution) -> ShapeFunction:
     """The normalizer spec: ``cgf``, the CGF of dist, or
-    ``quadratic:mu=..;sigma=..;c0=..`` (c0 = 0 unless given)."""
-    return parse_spec(spec, {
+    ``quadratic:mu=..;sigma=..;c0=..`` (c0 = 0 unless given), which must
+    have dist's dimension."""
+    kappa = parse_spec(spec, {
         "cgf": (ShapeFunction.from_cgf, lambda take: (dist,)),
         "quadratic": (ShapeFunction.quadratic, lambda take: (parse_numbers(take("mu")),
                       parse_matrix(take("sigma")), parse_numbers(take("c0", "0"), 1)[0])),
     })
+    if kappa.law.dim != dist.dim:
+        raise SpecParseError(f"kappa {spec!r} is in R^{kappa.law.dim}, but the law "
+                             f"{dist.spec_string()!r} is in R^{dist.dim}")
+    return kappa
 
 
 # ---------------------------------------------------------------------------

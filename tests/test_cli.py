@@ -560,6 +560,10 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
           "--box", "0,1e160"], 3),
         (["defect", "--dist", "gaussian:mu=0;sigma=1", "--box", "nan,nan"], 3),
         (["verify", "--dist", "gaussian:mu=0;sigma=1", "--replicates=--"], 2),
+        (["fdd", "--dist", "exp:lambda=1", "--kappa", "quadratic:mu=0,0;sigma=1,0,0,1",
+          "--ts", "0;0.3", "--xs", "1,1"], 2),
+        (["simulate", "--construction", "general", "--dist", "exp:lambda=1",
+          "--kappa", "quadratic:mu=0,0;sigma=1,0,0,1", "--grid", "0,0.5"], 2),
     ],
     ids=[
         "zero-replicates", "negative-replicates", "verify-zero-replicates",
@@ -568,7 +572,7 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         "inf-compare-threshold", "infinite-exponent",
         "misspelt-variogram-key", "misspelt-kappa-key", "repeated-key",
         "variogram-alpha-out-of-range", "indefinite-kappa-sigma", "cgf-overflow", "nan-box",
-        "double-dash-value",
+        "double-dash-value", "fdd-kappa-dimension", "simulate-kappa-dimension",
     ],
 )
 def test_bad_input_exit_codes(argv, code, capsys):
@@ -595,7 +599,7 @@ def test_spaces_around_spec_keys_and_values(capsys):
         return [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
 
     assert field_rows("fractional:alpha=1; scale=2") == field_rows("fractional:alpha=1;scale=2")
-    kappa = parse_kappa(" Quadratic : mu = 0 ; sigma=1 ;", None)
+    kappa = parse_kappa(" Quadratic : mu = 0 ; sigma=1 ;", Gaussian([0.0], [[1.0]]))
     assert kappa == ShapeFunction(Gaussian([0.0], [[1.0]]), 0.0)
 
 

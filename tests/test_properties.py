@@ -258,9 +258,12 @@ def test_husler_reiss_v_is_symmetric_and_non_increasing(gamma_h, x1, x2, factor)
 # the replicate layout: a replicate's row depends only on (seed, index)
 
 UNIFORM = Uniform([0.0], [1.0])
+GAUSSIAN_2D = Gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 2.0]])
 LAYOUT_LAWS = {
     "smith": prepare_smith([[1.0]], Grid([0.0, 1.0, -2.0]), 10_000),
     "uniform": prepare_general(UNIFORM, ShapeFunction.from_cgf(UNIFORM), Grid([-1.0, 0.3, 1.0]), 10_000),
+    "gaussian-2d": prepare_general(GAUSSIAN_2D, ShapeFunction.from_cgf(GAUSSIAN_2D),
+                                   Grid([[0.0, 0.0], [1.0, 0.5], [-2.0, 1.5], [0.5, -1.0]]), 10_000),
 }
 B = _REPLICATE_BLOCK
 
@@ -276,9 +279,12 @@ def replicate_subsets(draw):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.sampled_from(list(LAYOUT_LAWS)), st.integers(0, 2**32 - 1), replicate_subsets())
+# a BLAS product of X with the grid rounded this lone replicate's row differently
+@example("gaussian-2d", 4, [63])
 def test_an_ensemble_row_depends_only_on_seed_and_index(law, seed, idx):
-    # d = 1, where a candidate's log Y has one product per entry; in more
-    # dimensions BLAS products may round differently with the batch
+    # the spectral laws sum <X, t> in coordinate order, so a candidate's
+    # log Y does not depend on the other rows of its batch, in any dimension;
+    # Brown-Resnick's BLAS product may round differently with the batch
     values, record = LAYOUT_LAWS[law].simulate_many(seed, idx)
     full, full_record = LAYOUT_LAWS[law].simulate_many(seed, range(max(idx) + 1))
     assert np.array_equal(values, full[idx])

@@ -155,6 +155,11 @@ REFERENCE_CASES = {
     "uniform": with_cgf(Uniform([0.0], [1.0]), Grid([-4.0, 0.3, 4.0, 1.0, -1.0])),
     "gamma": with_cgf(Gamma([2.0], [1.0]), Grid([0.0, 0.9, 0.3, 0.6, 0.95])),
     "smith": (*simulator._smith_law([[1.0]]), Grid([0.0, 4.0, -2.0, 5.0, 1.0, -5.0])),
+    # dense grids, where most candidates are rejected by the engine's screen
+    # at the previous location: in grid order, and shuffled
+    "smith-201": (*simulator._smith_law([[1.0]]), Grid(np.linspace(-5.0, 5.0, 201))),
+    "smith-201-shuffled": (*simulator._smith_law([[1.0]]),
+                           Grid(np.random.default_rng(0).permutation(np.linspace(-5.0, 5.0, 201)))),
 }
 
 
@@ -172,6 +177,17 @@ def test_engine_equals_the_textbook_loop(case):
         prov = field.provenance
         assert prov["spectral_draws"] == draws
         assert prov["spectral_draws"] == prov["rejections"] + kept
+
+
+def test_the_screen_leaves_few_candidates_to_score_on_the_whole_grid():
+    dist, kappa = simulator._smith_law([[1.0]])
+    grid = Grid(np.linspace(-5.0, 5.0, 1001))
+    field = simulate_smith([[1.0]], grid, DEFAULT_N_POINTS, derive_rng(7))
+    values, draws, kept = general_reference(dist, kappa, grid, DEFAULT_N_POINTS, derive_rng(7))
+    assert np.array_equal(field.values, values)
+    prov = field.provenance
+    assert prov["full_scores"] * 10 < prov["spectral_draws"] == draws
+    assert prov["spectral_draws"] == prov["rejections"] + kept
 
 
 def test_two_dimensional_and_brown_resnick_agree_with_the_textbook_loop():
