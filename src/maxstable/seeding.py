@@ -2,18 +2,18 @@
 
 All randomness flows from one master seed, and replicate k's result
 depends only on (seed, k): never on which other replicates run, how many,
-or in which order.  Two stream layouts keep that promise.
+or in which order.
 
-* Block streams (the exact engine's ``simulate_many``).  Replicates are
-  grouped in blocks of a fixed width B; replicate k belongs to block
-  k // B, and each block has one stream, ``block_rng(seed, block)``.  At
-  every scan step the block draws one number (or base row) for each of
-  its B slots, in full, and replicate k reads slot k mod B.  So the B
-  replicates of a block run in lockstep from one generator, and a
-  replicate's numbers depend only on (seed, k).
-* Replicate streams (moving maxima, and any one-at-a-time loop).
-  Replicate k uses the generator ``derive_rng(seed, k)`` alone;
-  ``run_replicates`` runs such a loop.
+Every ensemble (``PreparedLaw.simulate_many``, whatever the construction)
+uses block streams.  Replicates are grouped in blocks of a fixed width B;
+replicate k belongs to block k // B, and each block has one stream,
+``block_rng(seed, block)``.  At every scan step the block draws what the
+step needs for each of its B slots, in full, and replicate k reads slot
+k mod B.  So the B replicates of a block run in lockstep from one
+generator, and a replicate's numbers depend only on (seed, k).
+
+A caller that makes one field at a time takes its generator from
+``derive_rng(seed, ...)`` and passes it to ``PreparedLaw.simulate``.
 """
 from __future__ import annotations
 
@@ -51,5 +51,10 @@ def replicate_indices(indices) -> np.ndarray:
 
 
 def run_replicates(fn, indices, seed: int) -> list:
-    """[fn(k, derive_rng(seed, k)) for k in indices], in the order given."""
+    """[fn(k, derive_rng(seed, k)) for k in indices], in the order given.
+
+    Nothing in the package calls it: every ensemble runs on block streams.
+    It stays while the benchmark's tracer wraps it and
+    ``tests/test_bench_layers.py`` checks that the tracer's names exist; it
+    goes together with that tracer layer."""
     return [fn(int(k), derive_rng(seed, k)) for k in replicate_indices(indices)]

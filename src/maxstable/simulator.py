@@ -39,16 +39,19 @@ generator into two child streams, arrivals (one standard exponential per
 arrival) and spectral draws (one base row per candidate), each consumed in
 the algorithm's order.  Both are read ahead in blocks of _BLOCK, and what
 a location does not consume goes to the next, so the output does not
-depend on the block size.  An ensemble (``simulate_many``): replicate k
-belongs to block k // _REPLICATE_BLOCK, whose one stream is
-``seeding.block_rng(seed, block)``.  The engine runs the replicates in
-lockstep, one arrival each per scan step; at step s every block still
-running draws _REPLICATE_BLOCK standard exponentials and then
-_REPLICATE_BLOCK base rows, in full, and replicate k reads entry
-k mod _REPLICATE_BLOCK of each.  So a replicate's field depends only on
-(seed, k), not on which or how many replicates are asked for, nor their
-order.  Moving maxima runs its storms one replicate at a time, replicate k
-on ``seeding.derive_rng(seed, k)``.
+depend on the block size; a moving-maxima field reads its storms'
+strengths and centres from two child streams, _STORM_CHUNK at a time.
+An ensemble (``simulate_many``), of any construction: replicate k belongs
+to block k // _REPLICATE_BLOCK, whose one stream is
+``seeding.block_rng(seed, block)``, and the replicates run in lockstep
+(``_BlockStreams``).  At each scan step every block still running draws,
+in full, _REPLICATE_BLOCK slots of each of the step's draws, and
+replicate k reads slot k mod _REPLICATE_BLOCK of each: for the engine one
+standard exponential and then one base row per slot, one arrival per
+step; for moving maxima _STORM_STEP standard exponentials and then
+_STORM_STEP storm centres per slot.  So a replicate's field depends only
+on (seed, k), not on which or how many replicates are asked for, nor
+their order.
 """
 from __future__ import annotations
 
@@ -59,7 +62,7 @@ import numpy as np
 
 # the benchmark's tracer tests still look frechet_cascade up on this module
 from .pointproc import frechet_cascade, window_volume  # noqa: F401
-from .seeding import block_rng, replicate_indices, run_replicates, spawn
+from .seeding import block_rng, replicate_indices, spawn
 from .spectral import (
     Gaussian,
     ShapeFunction,
@@ -77,7 +80,8 @@ _LOG_MAX = math.log(np.finfo(float).max)
 _BLOCK = 64  # arrivals and spectral base rows read ahead at a time
 _REPLICATE_BLOCK = 64  # replicates that share one stream in an ensemble
 _BATCH_CELLS = 1 << 15  # most candidate-by-location values scored at once
-_STORM_CHUNK = 256
+_STORM_CHUNK = 256  # storms one moving-maxima field draws at a time
+_STORM_STEP = 32  # storms each replicate of a moving-maxima ensemble adds per lockstep step
 _MAX_STORMS = 2_000_000
 _DUPLICATE_TOL = 1e-12
 
@@ -306,24 +310,52 @@ def _extremal_log_field(m, draw, log_y, log_y_at, n_points, rng):
                    "full_scores": full_scores}
 
 
+class _BlockStreams:
+    """The block layout of an ensemble (the module docstring's): replicate
+    indices[r] belongs to block indices[r] // _REPLICATE_BLOCK, whose one
+    stream is ``block_rng(seed, block)``, and reads slot indices[r] mod
+    _REPLICATE_BLOCK of every draw of that stream."""
+
+    def __init__(self, seed, indices):
+        blocks, self.slot = np.divmod(indices, _REPLICATE_BLOCK)
+        block_ids, self.owner = np.unique(blocks, return_inverse=True)
+        self.streams = [block_rng(seed, b) for b in block_ids]
+        self._out = None
+
+    def step(self, run, draw):
+        """One scan step: each block with a replicate in ``run`` calls
+        draw(stream), which draws for all _REPLICATE_BLOCK slots in full.
+        Returns draw's arrays stacked by block (their leading axis is the
+        slot), to be read at ``at(replicates)``; each step overwrites the
+        last."""
+        for b in np.flatnonzero(np.bincount(self.owner[run])):
+            got = draw(self.streams[b])
+            if self._out is None:
+                self._out = tuple(np.empty((len(self.streams), *a.shape)) for a in got)
+            for out, a in zip(self._out, got):
+                out[b] = a
+        return self._out
+
+    def at(self, replicates):
+        """The (block, slot) index of each of ``replicates`` (positions in indices)."""
+        return self.owner[replicates], self.slot[replicates]
+
+
 def _extremal_log_fields(m, draw, log_y, n_points, seed, indices):
     """log Z on m grid locations of replicates ``indices`` of seed, in
     lockstep: the scan of ``_extremal_log_field``, one arrival per
     replicate per step, with the same sampler, keep rule and n_points guard.
 
-    Replicate k reads the stream of block k // _REPLICATE_BLOCK: at each
-    step every block with a replicate still running draws _REPLICATE_BLOCK
-    standard exponentials and then _REPLICATE_BLOCK base rows (the module
-    docstring's layout), and replicate k takes entry k mod _REPLICATE_BLOCK
-    of each.  The exponential adds to Gamma at the replicate's location
-    t_j.  If zeta = 1 / Gamma > Z(t_j), the row makes a candidate; a kept
-    one sets Z(t_j) = zeta, so the next arrival would fall below it and t_j
-    ends at once.  Otherwise t_j ends and the row goes unused.  Returns
-    log Z (R, m) and the per-replicate spectral draws and rejections.
+    At each step every block with a replicate still running draws
+    _REPLICATE_BLOCK standard exponentials and then _REPLICATE_BLOCK base
+    rows (``_BlockStreams``), and a replicate takes its slot of each.  The
+    exponential adds to Gamma at the replicate's location t_j.  If
+    zeta = 1 / Gamma > Z(t_j), the row makes a candidate; a kept one sets
+    Z(t_j) = zeta, so the next arrival would fall below it and t_j ends at
+    once.  Otherwise t_j ends and the row goes unused.  Returns log Z (R, m)
+    and the per-replicate spectral draws and rejections.
     """
-    blocks, slots = np.divmod(indices, _REPLICATE_BLOCK)
-    block_ids, owner = np.unique(blocks, return_inverse=True)
-    streams = [block_rng(seed, b) for b in block_ids]
+    layout = _BlockStreams(seed, indices)
     r = len(indices)
     log_z = np.full((r, m), -np.inf)
     loc = np.zeros(r, dtype=np.int64)  # each replicate's location t_j
@@ -332,18 +364,13 @@ def _extremal_log_fields(m, draw, log_y, n_points, seed, indices):
     draws = np.zeros(r, dtype=np.int64)
     kept_total = np.zeros(r, dtype=np.int64)
     run = np.arange(r)  # the replicates still scanning
-    arrivals = np.empty((len(streams), _REPLICATE_BLOCK))
-    rows = None
+
+    def arrivals_and_rows(stream):
+        return stream.exponential(size=_REPLICATE_BLOCK), draw(_REPLICATE_BLOCK, stream)
+
     while run.size:
-        # bincount, not np.unique, which imports numpy.ma (1.5 MB)
-        for b in np.flatnonzero(np.bincount(owner[run])):
-            arrivals[b] = streams[b].exponential(size=_REPLICATE_BLOCK)
-            step_rows = draw(_REPLICATE_BLOCK, streams[b])
-            if rows is None:
-                rows = np.empty((len(streams), *step_rows.shape))
-            rows[b] = step_rows
-        at_b, at_slot = owner[run], slots[run]
-        g = gamma[run] + arrivals[at_b, at_slot]
+        arrivals, rows = layout.step(run, arrivals_and_rows)
+        g = gamma[run] + arrivals[layout.at(run)]
         log_zeta = -np.log(g)
         is_cand = log_zeta > log_z[run, loc[run]]
         cands = run[is_cand]
@@ -355,7 +382,7 @@ def _extremal_log_fields(m, draw, log_y, n_points, seed, indices):
             at_loc[cands] += 1
             draws[cands] += 1
             js = loc[cands]
-            cand = log_zeta[is_cand][:, None] + log_y(rows[at_b[is_cand], at_slot[is_cand]], js)
+            cand = log_zeta[is_cand][:, None] + log_y(rows[layout.at(cands)], js)
             keep = _kept(cand, log_z[cands], js)
             kept = cands[keep]
             log_z[kept] = np.maximum(log_z[kept], cand[keep])
@@ -569,7 +596,13 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
     decreasing strength on the grid's bounding box (padded by 0.5 on flat
     axes) plus a buffer, and generation stops once c * V_i drops below the
     current field minimum on the grid, so each field is exact on the grid
-    up to the recorded outside-buffer error bound.
+    up to the recorded outside-buffer error bound.  One field adds
+    _STORM_CHUNK storms at a time.  An ensemble runs its replicates in
+    lockstep, _STORM_STEP storms each per step, and each stops by itself,
+    after the first step whose weakest storm falls below its field's
+    minimum; a step scores its replicates in slices of at most
+    _BATCH_CELLS storm-by-location values.  ``n_points`` records the
+    storms drawn, per replicate in an ensemble.
     """
     sigma, eigs, _ = clamp_psd(sigma)
     lam_min = float(eigs.min())
@@ -607,9 +640,36 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
             if n_storms >= _MAX_STORMS:
                 raise ValueError(f"moving-maxima stopping rule not reached within {_MAX_STORMS} storms")
 
+    def storms(stream):
+        return (stream.exponential(size=(_REPLICATE_BLOCK, _STORM_STEP)),
+                stream.uniform(window[:, 0], window[:, 1], size=(_REPLICATE_BLOCK, _STORM_STEP, grid.dim)))
+
     def log_fields(seed, indices):
-        runs = run_replicates(lambda k, rng: log_field(rng), indices, seed)
-        return np.array([z for z, _ in runs]), {"n_points": np.array([c["n_points"] for _, c in runs])}
+        layout = _BlockStreams(seed, indices)
+        best = np.full((len(indices), grid.size), -np.inf)
+        gamma_total = np.zeros(len(indices))
+        n_storms = np.zeros(len(indices), dtype=np.int64)
+        run = np.arange(len(indices))  # the replicates still adding storms
+        width = max(1, _BATCH_CELLS // (_STORM_STEP * grid.size))
+        while run.size:
+            arrivals, centers = layout.step(run, storms)
+            stopped = np.zeros(run.size, dtype=bool)
+            for lo in range(0, run.size, width):
+                part = run[lo:lo + width]
+                at = layout.at(part)
+                gammas = np.cumsum(arrivals[at], axis=1) + gamma_total[part, None]
+                gamma_total[part] = gammas[:, -1]
+                log_strengths = log_c + np.log(vol / gammas)
+                diff = grid_pts - centers[at][:, :, None, :]
+                # summed in coordinate order, so a row does not depend on its slice
+                quad = ordered_dot(ordered_dot(diff[..., None, :], sigma), diff)
+                best[part] = np.maximum(best[part], (log_strengths[:, :, None] - 0.5 * quad).max(axis=1))
+                stopped[lo:lo + width] = log_strengths[:, -1] < best[part].min(axis=1)
+            n_storms[run] += _STORM_STEP
+            if np.any(n_storms[run[~stopped]] >= _MAX_STORMS):
+                raise ValueError(f"moving-maxima stopping rule not reached within {_MAX_STORMS} storms")
+            run = run[~stopped]
+        return best, {"replicate_block": _REPLICATE_BLOCK, "n_points": n_storms}
 
     prov = {
         "construction": "mmm",

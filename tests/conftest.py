@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from maxstable.seeding import block_rng, derive_rng, spawn
-from maxstable.simulator import _REPLICATE_BLOCK, _br_cov_factor
+from maxstable.simulator import _REPLICATE_BLOCK, _STORM_STEP, _br_cov_factor, prepare_moving_maxima
+from maxstable.spectral import clamp_psd
 
 
 class StubRng:
@@ -161,3 +162,46 @@ def brown_resnick_block_reference(variogram, grid, n_points, seed, k):
 
     log_z, draws, kept = extremal_block_reference(grid.size, draw, candidate, n_points, seed, k)
     return np.exp(log_z), draws, kept
+
+
+def moving_maxima_block_reference(sigma, grid, seed, k):
+    """Replicate k of seed of a moving-maxima ensemble, alone and one step
+    at a time.
+
+    Block k // B (B = _REPLICATE_BLOCK) has the stream block_rng(seed,
+    block); at every step it draws B x C standard exponentials and then
+    B x C storm centres on the prepared law's window (C = _STORM_STEP), and
+    replicate k reads row k mod B of each.  Within a step the arrivals are
+    summed first and Gamma so far added after; storm i scores
+    log c + log(|window| / Gamma_i) - <t - T_i, Sigma (t - T_i)> / 2 at
+    every t, the quadratic form summed in coordinate order.  The replicate
+    stops after the first step whose last storm scores below the minimum
+    of its field.  Returns (log Z, storms).
+    """
+    law = prepare_moving_maxima(sigma, grid)
+    sigma = clamp_psd(sigma)[0]
+    window = np.array(law.provenance["window"])
+    vol = float(np.prod(window[:, 1] - window[:, 0]))
+    log_c = math.log(math.sqrt(np.linalg.det(sigma)) / (2.0 * math.pi) ** (grid.dim / 2.0))
+    block, slot = divmod(k, _REPLICATE_BLOCK)
+    rng = block_rng(seed, block)
+    best = np.full(grid.size, -np.inf)
+    gamma, storms = 0.0, 0
+    while True:
+        arrivals = rng.exponential(size=(_REPLICATE_BLOCK, _STORM_STEP))[slot]
+        centers = rng.uniform(window[:, 0], window[:, 1], size=(_REPLICATE_BLOCK, _STORM_STEP, grid.dim))[slot]
+        gammas = np.cumsum(arrivals) + gamma
+        gamma = gammas[-1]
+        log_strengths = log_c + np.log(vol / gammas)
+        storms += _STORM_STEP
+        for log_strength, center in zip(log_strengths, centers):
+            h = grid.locations - center
+            quad = np.zeros(grid.size)
+            for a in range(grid.dim):
+                sigma_h = h[:, 0] * sigma[a, 0]
+                for b in range(1, grid.dim):
+                    sigma_h = sigma_h + h[:, b] * sigma[a, b]
+                quad = sigma_h * h[:, a] if a == 0 else quad + sigma_h * h[:, a]
+            best = np.maximum(best, log_strength - 0.5 * quad)
+        if log_strengths[-1] < best.min():
+            return best, storms

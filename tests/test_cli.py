@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import moving_maxima_block_reference
 
 import maxstable
 import maxstable.cli
@@ -19,13 +20,12 @@ from maxstable.cli import (
     resolve_seed,
 )
 from maxstable.fdd import MIN_SAMPLES, bivariate_ecdf_distance, frechet_threshold_grid, husler_reiss_V
-from maxstable.seeding import DEFAULT_SEED, run_replicates
+from maxstable.seeding import DEFAULT_SEED
 from maxstable.simulator import (
     Grid,
     PreparedLaw,
     parse_variogram,
     prepare_smith,
-    simulate_moving_maxima,
 )
 from maxstable.spectral import (
     Gaussian,
@@ -337,14 +337,12 @@ def test_compare_reps_and_verify_prepare_each_law_once(monkeypatch, capsys):
         "--n-points", "1000", "--threshold", "0.3", "--seed", "17",
     ]) == 0
     assert sorted(prepared) == ["prepare_moving_maxima", "prepare_smith"]
-    # the same report as one Smith ensemble and one simulate_moving_maxima
-    # call per replicate
+    # the same report as one Smith ensemble and, on seed + 1, each
+    # moving-maxima replicate replayed alone from its block stream
     grid = Grid([0.0, 1.0])
     smith, _ = prepare_smith([[1.0]], grid, 1000).simulate_many(17, range(100))
-    mmm = run_replicates(
-        lambda k, rng: simulate_moving_maxima([[1.0]], grid, rng).values, range(100), 18
-    )
-    sup = bivariate_ecdf_distance(smith, np.array(mmm), frechet_threshold_grid())
+    mmm = np.exp([moving_maxima_block_reference([[1.0]], grid, 18, k)[0] for k in range(100)])
+    sup = bivariate_ecdf_distance(smith, mmm, frechet_threshold_grid())
     assert json.loads(capsys.readouterr().out)["sup_cdf_difference"] == sup
     # verify: one law for the marginal ensemble, one for the shift ensemble
     prepared.clear()

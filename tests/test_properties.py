@@ -21,6 +21,7 @@ from maxstable.simulator import (
     Grid,
     parse_variogram,
     prepare_general,
+    prepare_moving_maxima,
     prepare_smith,
 )
 from maxstable.spectral import (
@@ -264,6 +265,9 @@ LAYOUT_LAWS = {
     "uniform": prepare_general(UNIFORM, ShapeFunction.from_cgf(UNIFORM), Grid([-1.0, 0.3, 1.0]), 10_000),
     "gaussian-2d": prepare_general(GAUSSIAN_2D, ShapeFunction.from_cgf(GAUSSIAN_2D),
                                    Grid([[0.0, 0.0], [1.0, 0.5], [-2.0, 1.5], [0.5, -1.0]]), 10_000),
+    "moving-maxima": prepare_moving_maxima([[2.0]], Grid([0.0, 0.5, -3.0])),
+    "moving-maxima-2d": prepare_moving_maxima([[1.0, 0.6], [0.6, 0.5]],
+                                              Grid([[0.0, 0.0], [0.5, 0.5], [3.0, -2.0]])),
 }
 B = _REPLICATE_BLOCK
 
@@ -282,13 +286,18 @@ def replicate_subsets(draw):
 # a BLAS product of X with the grid rounded this lone replicate's row differently
 @example("gaussian-2d", 4, [63])
 def test_an_ensemble_row_depends_only_on_seed_and_index(law, seed, idx):
-    # the spectral laws sum <X, t> in coordinate order, so a candidate's
-    # log Y does not depend on the other rows of its batch, in any dimension;
-    # Brown-Resnick's BLAS product may round differently with the batch
+    # the spectral laws sum <X, t> in coordinate order, and moving maxima
+    # its storms' quadratic forms, so a row does not depend on the other
+    # rows of its batch, in any dimension; Brown-Resnick's BLAS product may
+    # round differently with the batch
     values, record = LAYOUT_LAWS[law].simulate_many(seed, idx)
     full, full_record = LAYOUT_LAWS[law].simulate_many(seed, range(max(idx) + 1))
     assert np.array_equal(values, full[idx])
-    assert np.array_equal(record["spectral_draws"], full_record["spectral_draws"][idx])
+    # the per-replicate counts: engine draws and rejections, or storms
+    counts = [key for key, value in record.items() if isinstance(value, np.ndarray)]
+    assert counts
+    for key in counts:
+        assert np.array_equal(record[key], full_record[key][idx])
 
 
 # ---------------------------------------------------------------------------

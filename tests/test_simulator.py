@@ -7,6 +7,7 @@ from conftest import (
     brown_resnick_reference,
     general_block_reference,
     general_reference,
+    moving_maxima_block_reference,
 )
 
 from maxstable import simulator
@@ -272,15 +273,49 @@ def test_ensemble_rejects_bad_indices(indices):
         prepare_smith([[1.0]], Grid([0.0, 1.0]), 100).simulate_many(1, indices)
 
 
-def test_moving_maxima_ensemble_is_its_replicate_loop():
-    grid = Grid([0.0, 0.5, 1.0])
-    law = prepare_moving_maxima([[1.0]], grid)
-    values, record = law.simulate_many(23, [4, 0, 9])
-    for r, k in enumerate([4, 0, 9]):
-        field = law.simulate(derive_rng(23, k))
-        assert np.array_equal(values[r], field.values)
-        assert record["n_points"][r] == field.provenance["n_points"]
+MMM_ENSEMBLE_INDICES = [4, 0, 130, 63, 64, 9]
+
+
+@pytest.mark.parametrize("sigma, grid", [
+    ([[1.0]], Grid(np.linspace(-5.0, 5.0, 21))),
+    ([[1.0, 0.6], [0.6, 0.5]], Grid([[0.0, 0.0], [0.5, 0.5], [3.0, -2.0]])),
+], ids=["1d", "2d"])
+def test_moving_maxima_ensemble_is_its_block_reference(sigma, grid):
+    # bit for bit, storm counts too: a row is its replicate's slot of its
+    # block stream, whatever else is asked for
+    law = prepare_moving_maxima(sigma, grid)
+    values, record = law.simulate_many(23, MMM_ENSEMBLE_INDICES)
+    # some replicate carries Gamma from one step to the next
+    assert record["n_points"].max() > simulator._STORM_STEP
+    for r, k in enumerate(MMM_ENSEMBLE_INDICES):
+        log_z, storms = moving_maxima_block_reference(sigma, grid, 23, k)
+        assert np.array_equal(values[r], np.exp(log_z))
+        assert record["n_points"][r] == storms
     assert record["seed"] == 23 and record["construction"] == "mmm"
+    assert record["replicate_block"] == simulator._REPLICATE_BLOCK
+
+
+def test_moving_maxima_ensemble_does_not_depend_on_the_slice_size(monkeypatch):
+    grid = Grid(np.linspace(-2.0, 3.0, 11))
+    law = prepare_moving_maxima([[2.0]], grid)
+    values, record = law.simulate_many(31, range(150))
+    # one replicate scored at a time
+    monkeypatch.setattr(simulator, "_BATCH_CELLS", 1)
+    one, one_record = law.simulate_many(31, range(150))
+    assert np.array_equal(one, values)
+    assert np.array_equal(one_record["n_points"], record["n_points"])
+
+
+def test_moving_maxima_ensemble_guard_is_per_replicate(monkeypatch):
+    law = prepare_moving_maxima([[1.0]], Grid([0.0, 1.0]))
+    _, record = law.simulate_many(5, range(100))
+    one_step = np.flatnonzero(record["n_points"] == simulator._STORM_STEP)
+    assert 0 < one_step.size < 100
+    monkeypatch.setattr(simulator, "_MAX_STORMS", simulator._STORM_STEP)
+    with pytest.raises(ValueError, match="stopping rule not reached"):
+        law.simulate_many(5, range(100))
+    # the replicates that stop after one step do not reach the guard
+    law.simulate_many(5, one_step)
 
 
 def test_output_does_not_depend_on_block_sizes(monkeypatch):
