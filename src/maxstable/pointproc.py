@@ -1,4 +1,4 @@
-"""Poisson points of the u^-2 du process on (0, inf), and window volumes.
+"""Poisson points of the u^-2 du process on (0, inf).
 
 The decreasing cascade {U_i} is materialized from partial sums of
 standard-exponential arrivals: U_i = 1 / (E_1 + ... + E_i).  The
@@ -41,10 +41,3 @@ def frechet_cascade(n: int, rng, seed_record: tuple | None = None) -> FrechetCas
         raise ValueError("generator produced non-positive exponential draws")
     return FrechetCascade(1.0 / np.cumsum(arrivals), seed_record)
 
-
-def window_volume(window) -> float:
-    window = np.asarray(window, dtype=float).reshape(-1, 2)
-    widths = window[:, 1] - window[:, 0]
-    if np.any(widths <= 0):
-        raise ValueError("window must have positive volume")
-    return float(np.prod(widths))

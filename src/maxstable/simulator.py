@@ -39,8 +39,8 @@ generator into two child streams, arrivals (one standard exponential per
 arrival) and spectral draws (one base row per candidate), each consumed in
 the algorithm's order.  Both are read ahead in blocks of _BLOCK, and what
 a location does not consume goes to the next, so the output does not
-depend on the block size; a moving-maxima field reads its storms'
-strengths and centres from two child streams, _STORM_CHUNK at a time.
+depend on the block size.  A moving-maxima field is replicate 0 of the
+block layout below, on a block whose one stream is its generator.
 An ensemble (``simulate_many``), of any construction: replicate k belongs
 to block k // _REPLICATE_BLOCK, whose one stream is
 ``seeding.block_rng(seed, block)``, and the replicates run in lockstep
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # the benchmark's tracer tests still look frechet_cascade up on this module
-from .pointproc import frechet_cascade, window_volume  # noqa: F401
+from .pointproc import frechet_cascade  # noqa: F401
 from .seeding import block_rng, replicate_indices, spawn
 from .spectral import (
     Gaussian,
@@ -80,8 +80,7 @@ _LOG_MAX = math.log(np.finfo(float).max)
 _BLOCK = 64  # arrivals and spectral base rows read ahead at a time
 _REPLICATE_BLOCK = 64  # replicates that share one stream in an ensemble
 _BATCH_CELLS = 1 << 15  # most candidate-by-location values scored at once
-_STORM_CHUNK = 256  # storms one moving-maxima field draws at a time
-_STORM_STEP = 32  # storms each replicate of a moving-maxima ensemble adds per lockstep step
+_STORM_STEP = 32  # storms each moving-maxima replicate (or one field) adds per lockstep step
 _MAX_STORMS = 2_000_000
 _DUPLICATE_TOL = 1e-12
 
@@ -313,13 +312,14 @@ def _extremal_log_field(m, draw, log_y, log_y_at, n_points, rng):
 class _BlockStreams:
     """The block layout of an ensemble (the module docstring's): replicate
     indices[r] belongs to block indices[r] // _REPLICATE_BLOCK, whose one
-    stream is ``block_rng(seed, block)``, and reads slot indices[r] mod
-    _REPLICATE_BLOCK of every draw of that stream."""
+    stream is ``stream(block)`` (``block_rng(seed, block)`` for an
+    ensemble), and reads slot indices[r] mod _REPLICATE_BLOCK of every
+    draw of that stream."""
 
-    def __init__(self, seed, indices):
+    def __init__(self, indices, stream):
         blocks, self.slot = np.divmod(indices, _REPLICATE_BLOCK)
         block_ids, self.owner = np.unique(blocks, return_inverse=True)
-        self.streams = [block_rng(seed, b) for b in block_ids]
+        self.streams = [stream(b) for b in block_ids]
         self._out = None
 
     def step(self, run, draw):
@@ -355,7 +355,7 @@ def _extremal_log_fields(m, draw, log_y, n_points, seed, indices):
     once.  Otherwise t_j ends and the row goes unused.  Returns log Z (R, m)
     and the per-replicate spectral draws and rejections.
     """
-    layout = _BlockStreams(seed, indices)
+    layout = _BlockStreams(indices, lambda block: block_rng(seed, block))
     r = len(indices)
     log_z = np.full((r, m), -np.inf)
     loc = np.zeros(r, dtype=np.int64)  # each replicate's location t_j
@@ -596,12 +596,15 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
     decreasing strength on the grid's bounding box (padded by 0.5 on flat
     axes) plus a buffer, and generation stops once c * V_i drops below the
     current field minimum on the grid, so each field is exact on the grid
-    up to the recorded outside-buffer error bound.  One field adds
-    _STORM_CHUNK storms at a time.  An ensemble runs its replicates in
-    lockstep, _STORM_STEP storms each per step, and each stops by itself,
-    after the first step whose weakest storm falls below its field's
-    minimum; a step scores its replicates in slices of at most
-    _BATCH_CELLS storm-by-location values.  ``n_points`` records the
+    up to the recorded outside-buffer error bound.  One scan serves both
+    calls: it runs its replicates in lockstep on block streams,
+    _STORM_STEP storms each per step, and each stops by itself, after the
+    first step whose weakest storm falls below its field's minimum; a step
+    scores its replicates in slices of at most _BATCH_CELLS
+    storm-by-location values.  An ensemble's block streams are
+    ``block_rng(seed, block)``; one field is replicate 0 of a block whose
+    stream is its own generator, so ``simulate(block_rng(seed, 0))`` is
+    row 0 of ``simulate_many(seed, [0])``.  ``n_points`` records the
     storms drawn, per replicate in an ensemble.
     """
     sigma, eigs, _ = clamp_psd(sigma)
@@ -618,34 +621,17 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
     core = np.column_stack([lo - pad, hi + pad])
     r_buf, edge_bound = moving_maxima_buffer(c, lam_min, core)
     window = np.column_stack([core[:, 0] - r_buf, core[:, 1] + r_buf])
-    vol = window_volume(window)
-
-    def log_field(rng):
-        rng_v, rng_t = spawn(rng, 2)
-        best = np.full(grid.size, -np.inf)
-        gamma_total = 0.0
-        n_storms = 0
-        while True:
-            arrivals = np.asarray(rng_v.exponential(size=_STORM_CHUNK), dtype=float)
-            gammas = gamma_total + np.cumsum(arrivals)
-            gamma_total = float(gammas[-1])
-            strengths = vol / gammas
-            centers = np.asarray(rng_t.uniform(window[:, 0], window[:, 1], size=(_STORM_CHUNK, grid.dim)))
-            diff = grid_pts[None, :, :] - centers[:, None, :]
-            quad = np.einsum("kmd,de,kme->km", diff, sigma, diff)
-            best = np.maximum(best, (log_c + np.log(strengths)[:, None] - 0.5 * quad).max(axis=0))
-            n_storms += _STORM_CHUNK
-            if log_c + math.log(strengths[-1]) < best.min():
-                return best, {"n_points": n_storms}
-            if n_storms >= _MAX_STORMS:
-                raise ValueError(f"moving-maxima stopping rule not reached within {_MAX_STORMS} storms")
+    widths = window[:, 1] - window[:, 0]
+    vol = float(np.prod(widths))
 
     def storms(stream):
+        # the centres are stream.uniform(window[:, 0], window[:, 1]) bit for
+        # bit, without the cost of its broadcast bounds
         return (stream.exponential(size=(_REPLICATE_BLOCK, _STORM_STEP)),
-                stream.uniform(window[:, 0], window[:, 1], size=(_REPLICATE_BLOCK, _STORM_STEP, grid.dim)))
+                window[:, 0] + widths * stream.random((_REPLICATE_BLOCK, _STORM_STEP, grid.dim)))
 
-    def log_fields(seed, indices):
-        layout = _BlockStreams(seed, indices)
+    def scan(indices, stream):
+        layout = _BlockStreams(indices, stream)
         best = np.full((len(indices), grid.size), -np.inf)
         gamma_total = np.zeros(len(indices))
         n_storms = np.zeros(len(indices), dtype=np.int64)
@@ -669,6 +655,14 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
             if np.any(n_storms[run[~stopped]] >= _MAX_STORMS):
                 raise ValueError(f"moving-maxima stopping rule not reached within {_MAX_STORMS} storms")
             run = run[~stopped]
+        return best, n_storms
+
+    def log_field(rng):
+        best, n_storms = scan([0], lambda block: rng)
+        return best[0], {"n_points": int(n_storms[0])}
+
+    def log_fields(seed, indices):
+        best, n_storms = scan(indices, lambda block: block_rng(seed, block))
         return best, {"replicate_block": _REPLICATE_BLOCK, "n_points": n_storms}
 
     prov = {

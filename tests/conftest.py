@@ -12,7 +12,7 @@ class StubRng:
     """Deterministic generator stand-in for construction-level tests.
 
     exponential -> ones (so cascades become 1, 1/2, 1/3, ...),
-    standard_normal -> zeros, uniform -> interval midpoints.
+    standard_normal -> zeros, uniform -> interval midpoints, random -> 0.5.
     """
 
     def exponential(self, size=None):
@@ -26,6 +26,9 @@ class StubRng:
         if size is None:
             return mid
         return np.broadcast_to(mid, size).copy()
+
+    def random(self, size=None):
+        return np.full(size if size is not None else (), 0.5)
 
     def spawn(self, n):
         return [self for _ in range(n)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maxstable.pointproc import FrechetCascade, frechet_cascade, window_volume
+from maxstable.pointproc import FrechetCascade, frechet_cascade
 from maxstable.seeding import derive_rng
 
 
@@ -39,8 +39,3 @@ def test_cascade_seed_record_is_kept():
     cascade = frechet_cascade(3, derive_rng(1), seed_record=(1, 0))
     assert cascade.seed_record == (1, 0)
 
-
-def test_window_volume():
-    assert window_volume([[0.0, 2.0], [1.0, 4.0]]) == 6.0
-    with pytest.raises(ValueError):
-        window_volume([[1.0, 1.0]])

@@ -301,6 +301,47 @@ def test_an_ensemble_row_depends_only_on_seed_and_index(law, seed, idx):
 
 
 # ---------------------------------------------------------------------------
+# the paper's identity: Smith's tilted spectral function is a storm kernel
+
+
+@st.composite
+def smith_tilts(draw):
+    """A positive-definite Sigma in d = 1 or 2, grid points, a location j
+    and base rows of the tilted sampler."""
+    d, m, n = draw(st.integers(1, 2)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    a = draw(hnp.arrays(float, (d, d), elements=st.floats(-1.0, 1.0)))
+    ts = draw(hnp.arrays(float, (m, d), elements=COORD))
+    z = draw(hnp.arrays(float, (n, d), elements=st.floats(-4.0, 4.0)))
+    return a @ a.T + 0.2 * np.eye(d), ts, draw(st.integers(0, m - 1)), z
+
+
+@PROPERTY
+@given(smith_tilts())
+def test_smith_tilted_spectral_function_is_a_storm_kernel_ratio(case):
+    # X tilted at t_j has log Y(t) = <X, t - t_j> - (<t, Sigma t> - <t_j, Sigma t_j>) / 2,
+    # the log of the storm kernel exp(-<t - T, Sigma (t - T)> / 2) at t over
+    # its value at t_j, for the storm centre T = t_j + Sigma^-1 (X - Sigma t_j)
+    sigma, ts, j, z = case
+    _, tilt = Gaussian(np.zeros(len(sigma)), sigma).tilted_sampler(ts)
+    x = tilt(z, j)
+    quad = np.einsum("md,de,me->m", ts, sigma, ts)
+    smith = (ts - ts[j]) @ x.T - 0.5 * (quad - quad[j])[:, None]
+    centres = ts[j] + np.linalg.solve(sigma, (x - sigma @ ts[j]).T).T
+    h = ts[:, None, :] - centres[None, :, :]
+    h_j = ts[j] - centres
+    storm_quad = np.einsum("mnd,de,mne->mn", h, sigma, h)
+    storm = -0.5 * storm_quad + 0.5 * np.einsum("nd,de,ne->n", h_j, sigma, h_j)
+    assert np.abs(smith - storm).max() <= 1e-13 * (1.0 + storm_quad.max())
+    # the identity holds for any X; in law, the sampler makes T - t_j a
+    # N(0, Sigma^-1) draw: base rows z map to T - t_j = M z with M M^T = Sigma^-1
+    d = len(sigma)
+    basis = tilt(np.vstack([np.zeros(d), np.eye(d)]), j)
+    centre_map = np.linalg.solve(sigma, (basis[1:] - basis[0]).T)
+    assert np.allclose(basis[0], sigma @ ts[j], rtol=1e-12, atol=1e-12)
+    assert np.allclose(centre_map @ centre_map.T, np.linalg.inv(sigma), rtol=1e-10, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # CLI value parsers: any text parses or is a usage error (exit 2)
 
 # tokens keep grid counts small: at most 12 of them make one text

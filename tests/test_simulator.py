@@ -13,7 +13,7 @@ from conftest import (
 from maxstable import simulator
 from maxstable.fdd import frechet_cdf, ks_distance, ks_threshold
 from maxstable.pointproc import frechet_cascade
-from maxstable.seeding import derive_rng, spawn
+from maxstable.seeding import block_rng, derive_rng, spawn
 from maxstable.simulator import (
     DEFAULT_N_POINTS,
     Field,
@@ -293,6 +293,11 @@ def test_moving_maxima_ensemble_is_its_block_reference(sigma, grid):
         assert record["n_points"][r] == storms
     assert record["seed"] == 23 and record["construction"] == "mmm"
     assert record["replicate_block"] == simulator._REPLICATE_BLOCK
+    # one field is replicate 0 of a block on its own generator
+    field = law.simulate(block_rng(23, 0))
+    log_z, storms = moving_maxima_block_reference(sigma, grid, 23, 0)
+    assert np.array_equal(field.values, np.exp(log_z))
+    assert field.provenance["n_points"] == storms
 
 
 def test_moving_maxima_ensemble_does_not_depend_on_the_slice_size(monkeypatch):
@@ -474,8 +479,8 @@ def test_fractional_brown_resnick_never_eigendecomposes(monkeypatch):
 def test_moving_maxima_single_stub_storm(stub_rng):
     # StubRng puts every storm at the window's midpoint, 0.5 for the box of
     # the grid, with strength |window| / k: the first storm, |window| strong,
-    # is the gaussian kernel times |window|, and the 256 of the first chunk
-    # end the run
+    # is the gaussian kernel times |window|, and the _STORM_STEP storms of
+    # the first step end the run
     grid = Grid([0.0, 1.0])
     field = simulate_moving_maxima([[1.0]], grid, stub_rng)
     [[lo, hi]] = field.provenance["window"]
@@ -483,7 +488,7 @@ def test_moving_maxima_single_stub_storm(stub_rng):
     c = 1.0 / math.sqrt(2.0 * math.pi)
     for value in field.values:
         assert value == pytest.approx(c * (hi - lo) * math.exp(-1.0 / 8.0), rel=1e-14)
-    assert field.provenance["n_points"] == 256
+    assert field.provenance["n_points"] == simulator._STORM_STEP
     assert field.provenance["truncation"]["exact_on_grid"]
 
 
