@@ -16,6 +16,7 @@ file embeds the run configuration that produced it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -344,6 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every call without ``--config`` parses with, built once
+    per process; ``apply_config_file`` changes the defaults of the parser
+    it is given, so a ``--config`` call builds a parser of its own."""
+    return build_parser()
+
+
 def load_config_file(path: str) -> dict:
     """Flat ``key = value`` file; keys mirror long flag names."""
     out = {}
@@ -415,10 +424,11 @@ def apply_config_file(parser: argparse.ArgumentParser, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
+            parser = build_parser()
             apply_config_file(parser, args)
             args = parser.parse_args(argv)
         check_flag_values(args)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulator import has_duplicate_points
-from .spectral import ShapeFunction, SpectralDistribution, cgf
+from .spectral import ShapeFunction, SpectralDistribution, cgf, ordered_dot
 
 _MC_CHUNK = 1 << 16
 MIN_SAMPLES = 100  # fewest samples of an empirical CDF or KS distance
@@ -90,6 +90,13 @@ def exponent_mc(
     one after another in chunks of at most _MC_CHUNK rows.  A tilted
     sampler draws n rows at once as it draws them one at a time, so the
     estimate does not depend on the chunk size.
+
+    Per chunk, each point l gets one column of log terms
+    c_l = (<x, t_l> - kappa(t_l)) - log x_l, with <x, t_l> summed in
+    coordinate order (``ordered_dot``) and no BLAS product, so the
+    estimate does not depend on the BLAS thread count either.  A row is
+    a hit for j under the first-wins rule: c_j > c_l for every l < j and
+    c_j >= c_l for every l > j, so a tie goes to the first tied point.
     """
     if mc_n < 1000:
         raise ValueError("mc_n must be >= 1000")
@@ -105,8 +112,16 @@ def exponent_mc(
         hits = 0
         for done in range(0, m, _MC_CHUNK):
             x = dist.sample_tilted(query.ts[j], min(_MC_CHUNK, m - done), rng)
-            log_terms = x @ query.ts.T - kap[None, :] - log_x[None, :]
-            hits += int((log_terms.argmax(axis=1) == j).sum())
+            cols = [ordered_dot(x, t) for t in query.ts]
+            for c, k, lx in zip(cols, kap, log_x):
+                c -= k
+                c -= lx
+            hit = np.ones(len(x), dtype=bool)
+            for c in cols[:j]:
+                hit &= cols[j] > c
+            for c in cols[j + 1:]:
+                hit &= cols[j] >= c
+            hits += int(np.count_nonzero(hit))
         p = hits / m
         value += weights[j] * p
         var += weights[j] ** 2 * p * (1.0 - p) / m

@@ -421,6 +421,18 @@ def test_config_file_yields_to_an_abbreviated_flag(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["budget"] == 5
 
 
+def test_config_file_defaults_do_not_outlive_their_call(tmp_path, capsys):
+    # the parser is built once per process; a --config call must not leave
+    # its file's values behind as defaults of later calls
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mc-n = 5000\n")
+    argv = ["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0", "--xs", "1", "--method", "closed-marginal"]
+    assert main([*argv, "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["mc_n"] == 5000
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["mc_n"] == 100_000
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [

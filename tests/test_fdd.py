@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,14 @@ from maxstable.fdd import (
     std_normal_cdf,
 )
 from maxstable.seeding import derive_rng
-from maxstable.spectral import Exponential, Gamma, Gaussian, ShapeFunction, Uniform
+from maxstable.spectral import (
+    Exponential,
+    Gamma,
+    Gaussian,
+    ShapeFunction,
+    SpectralDistribution,
+    Uniform,
+)
 
 
 def unit_gaussian():
@@ -128,17 +137,72 @@ def test_exponent_mc_is_deterministic():
     assert a.value == b.value and a.se == b.se
 
 
-@pytest.mark.parametrize(
-    "dist",
-    [Gaussian([0.3], [[2.0]]), Exponential(1.0), Uniform(0.0, 1.0), Gamma(2.0, 1.0)],
-    ids=lambda d: d.family,
-)
-def test_exponent_mc_does_not_depend_on_the_chunk_size(dist, monkeypatch):
+# (law, points, thresholds): the four families in d = 1 and a 2-D Gaussian
+MC_LAWS = [
+    *(pytest.param(d, [0.0, 0.3, 0.6], [1.0, 1.5, 0.8], id=d.family)
+      for d in (Gaussian([0.3], [[2.0]]), Exponential(1.0), Uniform(0.0, 1.0), Gamma(2.0, 1.0))),
+    pytest.param(Gaussian([0.1, -0.2], [[1.0, 0.3], [0.3, 2.0]]), [[0.0, 0.0], [0.5, -0.3], [1.0, 0.7]],
+                 [1.0, 1.5, 0.8], id="gaussian-2d"),
+]
+
+
+@pytest.mark.parametrize("dist, ts, xs", MC_LAWS)
+def test_exponent_mc_does_not_depend_on_the_chunk_size(dist, ts, xs, monkeypatch):
     kappa = ShapeFunction.from_cgf(dist)
-    q = FddQuery([0.0, 0.3, 0.6], [1.0, 1.5, 0.8])
+    q = FddQuery(ts, xs)
     whole = exponent_mc(dist, kappa, q, 30_000, derive_rng(8))
     monkeypatch.setattr(fdd, "_MC_CHUNK", 1000)
     assert exponent_mc(dist, kappa, q, 30_000, derive_rng(8)) == whole
+
+
+def argmax_reference(dist, kappa, query, mc_n, rng):
+    """exponent_mc in matrix form: every point's log terms in one (N, n)
+    product, and each row's point by argmax, which takes the first of tied
+    maxima.  Returns (value, se)."""
+    kap = kappa.values(query.ts)
+    log_x = np.log(query.xs)
+    weights = np.exp(np.asarray(dist.cgf(query.ts), dtype=float) - kap - log_x)
+    m = max(mc_n // query.n, 1)
+    value = var = 0.0
+    for j in range(query.n):
+        hits = 0
+        for done in range(0, m, fdd._MC_CHUNK):
+            x = dist.sample_tilted(query.ts[j], min(fdd._MC_CHUNK, m - done), rng)
+            log_terms = x @ query.ts.T - kap[None, :] - log_x[None, :]
+            hits += int((log_terms.argmax(axis=1) == j).sum())
+        p = hits / m
+        value += weights[j] * p
+        var += weights[j] ** 2 * p * (1.0 - p) / m
+    return value, math.sqrt(var)
+
+
+class SmallIntegers(SpectralDistribution):
+    """A stub law in R^2 whose tilted draws are integers in [-2, 2] at every
+    t.  Its CGF reads 0, so kappa and log x vanish at unit thresholds, and
+    the log terms at the points (0,0), (1,0), (0,1), (1,1) are 0, x_1, x_2
+    and x_1 + x_2: exact ties in most rows."""
+
+    family = "small-integers"
+    dim = 2
+
+    def cgf(self, t):
+        return np.zeros(len(np.atleast_2d(t)))
+
+    def sample_tilted(self, t, n, rng):
+        return rng.integers(-2, 3, size=(n, self.dim)).astype(float)
+
+
+@pytest.mark.parametrize(
+    "dist, ts, xs",
+    [*MC_LAWS, pytest.param(SmallIntegers(), [[0, 0], [1, 0], [0, 1], [1, 1]], [1.0] * 4, id="ties")],
+)
+def test_exponent_mc_equals_the_argmax_reference(dist, ts, xs, monkeypatch):
+    kappa = ShapeFunction.from_cgf(dist)
+    q = FddQuery(ts, xs)
+    monkeypatch.setattr(fdd, "_MC_CHUNK", 7000)  # several chunks per point, the last one short
+    for seed in (41, 42):
+        ev = exponent_mc(dist, kappa, q, 40_000, derive_rng(seed))
+        assert (ev.value, ev.se) == argmax_reference(dist, kappa, q, 40_000, derive_rng(seed))
 
 
 def test_exponent_mc_minimum_sample_size(rng):
