@@ -77,8 +77,8 @@ def exponent_mc(
 
     Uses the exact tilted decomposition
 
-        V = sum_j  e^{phi(t_j) - kappa(t_j)} / x_j
-                   * P(argmax is j under the t_j-tilted law of X),
+        V = sum_j  w_j * P(argmax is j under the t_j-tilted law of X),
+        w_j = e^{phi(t_j) - kappa(t_j)} / x_j,
 
     obtained by splitting the max over the (first-wins) argmax partition
     and absorbing each factor e^{<X, t_j>} into a change of measure.  Each
@@ -86,46 +86,65 @@ def exponent_mc(
     its standard error stay reliable even when the naive summand
     e^{<X, t_j>} is catastrophically heavy-tailed (large ||t_j|| Sigma).
 
-    mc_n samples are split evenly over the query points, which read rng
-    one after another in chunks of at most _MC_CHUNK rows.  A tilted
-    sampler draws n rows at once as it draws them one at a time, so the
-    estimate does not depend on the chunk size.
+    The query points share their base rows (common random numbers): m =
+    mc_n // n rows of the family's ``tilted_sampler`` are read from rng in
+    chunks of at most _MC_CHUNK, and every row is tilted to every t_j.  A
+    tilted sampler draws n rows at once as it draws them one at a time, so
+    the estimate does not depend on the chunk size.
 
-    Per chunk, each point l gets one column of log terms
-    c_l = (<x, t_l> - kappa(t_l)) - log x_l, with <x, t_l> summed in
-    coordinate order (``ordered_dot``) and no BLAS product, so the
-    estimate does not depend on the BLAS thread count either.  A row is
-    a hit for j under the first-wins rule: c_j > c_l for every l < j and
-    c_j >= c_l for every l > j, so a tie goes to the first tied point.
+    Per chunk and point j, each point l gets one column of log terms
+    c_l = (<x, t_l> - kappa(t_l)) - log x_l of the t_j-tilted rows, with
+    <x, t_l> summed in coordinate order (``ordered_dot``) and no BLAS
+    product, so the estimate does not depend on the BLAS thread count
+    either.  A row is a hit for j under the first-wins rule: c_j > c_l for
+    every l < j and c_j >= c_l for every l > j, so a tie goes to the first
+    tied point.
+
+    With N_jk the number of rows that hit both j and k (N_jj the hits of
+    j) and p_j = N_jj / m, V = sum_j w_j p_j is the mean over the rows of
+    Y = sum_j w_j hit_j, and se^2 = sum_jk w_j w_k (N_jk / m - p_j p_k) / m,
+    which is (sum_jk w_j w_k N_jk / m - V^2) / m, is the sample variance of
+    Y over m, the cross terms included (exactly 0 when every row hits the
+    same points).  The counts are integers, so chunking cannot move either
+    number.
     """
     if mc_n < 1000:
         raise ValueError("mc_n must be >= 1000")
+    n = query.n
+    m = mc_n // n
+    if m < MIN_SAMPLES:
+        raise ValueError(f"mc_n must give each of the {n} query points at least {MIN_SAMPLES} draws")
     dist.check_domain(query.ts)
     kap = kappa.values(query.ts)
     phi = np.asarray(dist.cgf(query.ts), dtype=float)
     log_x = np.log(query.xs)
     weights = np.exp(phi - kap - log_x)
-    m = max(mc_n // query.n, 1)
-    value = 0.0
-    var = 0.0
-    for j in range(query.n):
-        hits = 0
-        for done in range(0, m, _MC_CHUNK):
-            x = dist.sample_tilted(query.ts[j], min(_MC_CHUNK, m - done), rng)
+    draw, tilt = dist.tilted_sampler(query.ts)
+    pairs = np.zeros((n, n), dtype=np.int64)
+    for done in range(0, m, _MC_CHUNK):
+        rows = draw(min(_MC_CHUNK, m - done), rng)
+        hits = []
+        for j in range(n):
+            x = tilt(rows, j)
             cols = [ordered_dot(x, t) for t in query.ts]
             for c, k, lx in zip(cols, kap, log_x):
                 c -= k
                 c -= lx
-            hit = np.ones(len(x), dtype=bool)
+            hit = np.ones(len(rows), dtype=bool)
             for c in cols[:j]:
                 hit &= cols[j] > c
             for c in cols[j + 1:]:
                 hit &= cols[j] >= c
-            hits += int(np.count_nonzero(hit))
-        p = hits / m
-        value += weights[j] * p
-        var += weights[j] ** 2 * p * (1.0 - p) / m
-    return ExponentValue(value, math.sqrt(var), "mc")
+            hits.append(hit)
+        for j in range(n):
+            for k in range(j, n):
+                pairs[j, k] += np.count_nonzero(hits[j] & hits[k])
+    pairs += np.triu(pairs, 1).T  # N_kj = N_jk
+    p = np.diag(pairs) / m
+    cov = pairs / m - p[:, None] * p
+    value = float(ordered_dot(weights, p))
+    var = float(ordered_dot(ordered_dot(cov, weights), weights)) / m
+    return ExponentValue(value, math.sqrt(max(var, 0.0)), "mc")
 
 
 def husler_reiss_V(gamma_h: float, x1: float, x2: float) -> ExponentValue:

@@ -164,8 +164,11 @@ class SpectralDistribution:
         shift; exp/gamma: rate shift; uniform: explicit inverse CDF), which
         is what makes low-variance exponent estimation possible.  Every
         family draws through its ``tilted_sampler`` (``_tilted_draws``) and
-        defines this method in its own class, where ``bench/tracer.py``
-        wraps it per family.
+        defines this method in its own class.  No package code calls it:
+        ``fdd.exponent_mc`` tilts the base rows of ``tilted_sampler`` itself.
+        It stays because the benchmark's tracer (``bench/tracer.py``) wraps
+        it per family, until the benchmark's layers move to the sampler
+        (ROADMAP item 1).
         """
         raise NotImplementedError
 

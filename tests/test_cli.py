@@ -298,6 +298,19 @@ def test_fdd_mc_reports_se(capsys):
     assert line["method"] == "mc" and line["se"] > 0
 
 
+def test_fdd_mc_needs_min_samples_draws_per_point(capsys):
+    # 1000 draws over 600 points would leave one row per point and se = 0
+    ts = ";".join(str(i / 100) for i in range(600))
+    code = main([
+        "fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", ts, "--xs", ",".join(["1"] * 600),
+        "--method", "mc", "--mc-n", "1000",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("numeric error:") and f"at least {MIN_SAMPLES} draws" in err
+    assert "Traceback" not in err
+
+
 def test_fdd_closed_bivariate_needs_gaussian(capsys):
     assert main([
         "fdd", "--dist", "exp:lambda=1", "--ts", "0;0.5", "--xs", "1,1",
@@ -707,3 +720,26 @@ def test_brown_resnick_does_not_depend_on_the_blas_thread_count():
     assert one.shape == (501,)
     assert np.allclose(one, two, rtol=1e-10, atol=0.0)
     assert run("quadratic:sigma=2", 1) == run("quadratic:sigma=2", 2)
+
+
+def test_fdd_mc_does_not_depend_on_the_blas_thread_count():
+    # exponent_mc sums every <x, t> in coordinate order and counts integer
+    # hits, so a 2-D Gaussian query prints the same bytes on any thread count
+    src = str(Path(maxstable.__file__).resolve().parents[1])
+    argv = ["fdd", "--dist", "gaussian:mu=0.1,-0.2;sigma=1,0.3,0.3,2", "--ts", "0,0;0.5,-0.3;1,0.7",
+            "--xs", "1,1.5,0.8", "--method", "mc", "--mc-n", "300000", "--seed", "4"]
+
+    def run(threads):
+        env = {
+            **os.environ,
+            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+            "OPENBLAS_NUM_THREADS": str(threads),
+        }
+        return subprocess.run(
+            [sys.executable, "-m", "maxstable.cli", *argv],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+
+    one = run(1)
+    assert json.loads(one)["se"] > 0
+    assert one == run(2)

@@ -156,31 +156,34 @@ def test_exponent_mc_does_not_depend_on_the_chunk_size(dist, ts, xs, monkeypatch
 
 
 def argmax_reference(dist, kappa, query, mc_n, rng):
-    """exponent_mc in matrix form: every point's log terms in one (N, n)
-    product, and each row's point by argmax, which takes the first of tied
-    maxima.  Returns (value, se)."""
+    """exponent_mc in matrix form: each chunk of base rows tilted to every
+    point j, every point's log terms in one (N, n) product, each row's point
+    by argmax (which takes the first of tied maxima), and the counts of rows
+    that hit both j and k as an integer product of the (n, N) hit matrix.
+    Returns (value, se)."""
     kap = kappa.values(query.ts)
     log_x = np.log(query.xs)
     weights = np.exp(np.asarray(dist.cgf(query.ts), dtype=float) - kap - log_x)
-    m = max(mc_n // query.n, 1)
-    value = var = 0.0
-    for j in range(query.n):
-        hits = 0
-        for done in range(0, m, fdd._MC_CHUNK):
-            x = dist.sample_tilted(query.ts[j], min(fdd._MC_CHUNK, m - done), rng)
-            log_terms = x @ query.ts.T - kap[None, :] - log_x[None, :]
-            hits += int((log_terms.argmax(axis=1) == j).sum())
-        p = hits / m
-        value += weights[j] * p
-        var += weights[j] ** 2 * p * (1.0 - p) / m
+    draw, tilt = dist.tilted_sampler(query.ts)
+    n, m = query.n, mc_n // query.n
+    pairs = np.zeros((n, n), dtype=np.int64)
+    for done in range(0, m, fdd._MC_CHUNK):
+        rows = draw(min(fdd._MC_CHUNK, m - done), rng)
+        log_terms = [tilt(rows, j) @ query.ts.T - kap[None, :] - log_x[None, :] for j in range(n)]
+        hits = np.array([terms.argmax(axis=1) == j for j, terms in enumerate(log_terms)], dtype=np.int64)
+        pairs += hits @ hits.T
+    p = np.diag(pairs) / m
+    cov = pairs / m - np.outer(p, p)
+    value = sum(weights[j] * p[j] for j in range(n))
+    var = sum(sum(cov[j, k] * weights[k] for k in range(n)) * weights[j] for j in range(n)) / m
     return value, math.sqrt(var)
 
 
 class SmallIntegers(SpectralDistribution):
-    """A stub law in R^2 whose tilted draws are integers in [-2, 2] at every
-    t.  Its CGF reads 0, so kappa and log x vanish at unit thresholds, and
-    the log terms at the points (0,0), (1,0), (0,1), (1,1) are 0, x_1, x_2
-    and x_1 + x_2: exact ties in most rows."""
+    """A stub law in R^2 whose base rows are integers in [-2, 2], tilted to
+    every t by the identity.  Its CGF reads 0, so kappa and log x vanish at
+    unit thresholds, and the log terms at the points (0,0), (1,0), (0,1),
+    (1,1) are 0, x_1, x_2 and x_1 + x_2: exact ties in most rows."""
 
     family = "small-integers"
     dim = 2
@@ -188,8 +191,11 @@ class SmallIntegers(SpectralDistribution):
     def cgf(self, t):
         return np.zeros(len(np.atleast_2d(t)))
 
-    def sample_tilted(self, t, n, rng):
-        return rng.integers(-2, 3, size=(n, self.dim)).astype(float)
+    def tilted_sampler(self, ts):
+        def draw(n, rng):
+            return rng.integers(-2, 3, size=(n, self.dim)).astype(float)
+
+        return draw, lambda rows, js: rows
 
 
 @pytest.mark.parametrize(
@@ -199,16 +205,46 @@ class SmallIntegers(SpectralDistribution):
 def test_exponent_mc_equals_the_argmax_reference(dist, ts, xs, monkeypatch):
     kappa = ShapeFunction.from_cgf(dist)
     q = FddQuery(ts, xs)
-    monkeypatch.setattr(fdd, "_MC_CHUNK", 7000)  # several chunks per point, the last one short
+    monkeypatch.setattr(fdd, "_MC_CHUNK", 7000)  # several chunks, the last one short
     for seed in (41, 42):
         ev = exponent_mc(dist, kappa, q, 40_000, derive_rng(seed))
         assert (ev.value, ev.se) == argmax_reference(dist, kappa, q, 40_000, derive_rng(seed))
+
+
+@pytest.mark.parametrize(
+    "dist, ts, xs",
+    [(Gamma(2.0, 1.0), [0.0, 0.3, 0.6], [1.0, 1.5, 0.8]),
+     (Gaussian([0.1, -0.2], [[1.0, 0.3], [0.3, 2.0]]), [[0.0, 0.0], [0.5, -0.3], [1.0, 0.7]], [1.0] * 3)],
+    ids=["gamma", "gaussian-2d"],
+)
+def test_exponent_mc_se_matches_the_spread_of_v(dist, ts, xs):
+    # the query points share their rows, so the hits at different points are
+    # correlated: an se without the N_jk cross terms overstates the spread of
+    # V over these seeds by about a third (spread / se 0.73 and 0.74)
+    kappa = ShapeFunction.from_cgf(dist)
+    q = FddQuery(ts, xs)
+    evs = [exponent_mc(dist, kappa, q, 6000, derive_rng(7000 + seed)) for seed in range(400)]
+    spread = np.std([ev.value for ev in evs], ddof=1)
+    mean_se = np.mean([ev.se for ev in evs])
+    assert abs(spread / mean_se - 1.0) < 0.15
 
 
 def test_exponent_mc_minimum_sample_size(rng):
     dist, kappa = unit_gaussian()
     with pytest.raises(ValueError):
         exponent_mc(dist, kappa, FddQuery([0.0, 1.0], [1.0, 1.0]), 999, rng)
+
+
+@pytest.mark.parametrize("n, ok", [(10, True), (11, False), (600, False)])
+def test_exponent_mc_needs_min_samples_draws_per_point(n, ok, rng):
+    # mc_n = 1000 over n points gives each point 1000 // n rows
+    dist, kappa = unit_gaussian()
+    q = FddQuery(np.linspace(0.0, 1.0, n), np.ones(n))
+    if ok:
+        assert exponent_mc(dist, kappa, q, 1000, rng).se > 0
+    else:
+        with pytest.raises(ValueError, match="at least 100 draws"):
+            exponent_mc(dist, kappa, q, 1000, rng)
 
 
 def test_exponent_value_is_frozen():

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from maxstable import stationarity
 from maxstable.cli import UsageError, main, parse_box, parse_floats, parse_grid
-from maxstable.fdd import FddQuery, bivariate_ecdf_distance, fdd_exponent, husler_reiss_V
+from maxstable.fdd import FddQuery, bivariate_ecdf_distance, exponent_mc, fdd_exponent, husler_reiss_V
 from maxstable.seeding import derive_rng
 from maxstable.simulator import (
     _REPLICATE_BLOCK,
@@ -243,6 +243,20 @@ def test_every_fdd_method_keeps_v_within_its_bounds(family, n, d, data):
         # the Monte Carlo estimate of a probability can fall below its floor
         # by sampling error, never above 1
         assert lo * (1 - ROUND_OFF) - 6 * ev.se <= ev.value <= hi_v * (1 + ROUND_OFF)
+
+
+@PROPERTY
+@given(st.floats(0.05, 25.0), THRESHOLD, st.floats(0.2, 5.0), st.integers(0, 2**32 - 1))
+def test_exponent_mc_lands_within_4_se_of_husler_reiss(variance, x1, ratio, seed):
+    # Smith's 1-D field at t = 0, 1 has variogram value sigma^2; a point
+    # whose probability lies far below 1 / m shows no hit in m rows and
+    # leaves se = 0, so the bound allows one row's weight on top of 4 se
+    dist = Gaussian([0.0], [[variance]])
+    x2 = x1 * ratio
+    mc_n = 20_000
+    ev = exponent_mc(dist, ShapeFunction.from_cgf(dist), FddQuery([0.0, 1.0], [x1, x2]), mc_n, derive_rng(seed))
+    closed = husler_reiss_V(variance, x1, x2).value
+    assert abs(ev.value - closed) <= 4 * ev.se + (1 / x1 + 1 / x2) / (mc_n // 2)
 
 
 @PROPERTY
