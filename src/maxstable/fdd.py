@@ -143,6 +143,8 @@ def exponent_mc(
     p = np.diag(pairs) / m
     cov = pairs / m - p[:, None] * p
     value = float(ordered_dot(weights, p))
+    # a Y constant over rows that hit different points (exact ties) has
+    # variance 0, which round-off can leave a few ulps below 0
     var = float(ordered_dot(ordered_dot(cov, weights), weights)) / m
     return ExponentValue(value, math.sqrt(max(var, 0.0)), "mc")
 

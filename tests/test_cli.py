@@ -298,19 +298,6 @@ def test_fdd_mc_reports_se(capsys):
     assert line["method"] == "mc" and line["se"] > 0
 
 
-def test_fdd_mc_needs_min_samples_draws_per_point(capsys):
-    # 1000 draws over 600 points would leave one row per point and se = 0
-    ts = ";".join(str(i / 100) for i in range(600))
-    code = main([
-        "fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", ts, "--xs", ",".join(["1"] * 600),
-        "--method", "mc", "--mc-n", "1000",
-    ])
-    out, err = capsys.readouterr()
-    assert code == 3 and out == ""
-    assert err.startswith("numeric error:") and f"at least {MIN_SAMPLES} draws" in err
-    assert "Traceback" not in err
-
-
 def test_fdd_closed_bivariate_needs_gaussian(capsys):
     assert main([
         "fdd", "--dist", "exp:lambda=1", "--ts", "0;0.5", "--xs", "1,1",
@@ -587,6 +574,9 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
           "--ts", "0;0.3", "--xs", "1,1"], 2),
         (["simulate", "--construction", "general", "--dist", "exp:lambda=1",
           "--kappa", "quadratic:mu=0,0;sigma=1,0,0,1", "--grid", "0,0.5"], 2),
+        # 1000 draws over 600 points would leave one row per point and se = 0
+        (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", ";".join(str(i / 100) for i in range(600)),
+          "--xs", ",".join(["1"] * 600), "--mc-n", "1000"], 3),
     ],
     ids=[
         "zero-replicates", "negative-replicates", "verify-zero-replicates",
@@ -596,6 +586,7 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         "misspelt-variogram-key", "misspelt-kappa-key", "repeated-key",
         "variogram-alpha-out-of-range", "indefinite-kappa-sigma", "cgf-overflow", "nan-box",
         "double-dash-value", "fdd-kappa-dimension", "simulate-kappa-dimension",
+        "fdd-too-few-draws-per-point",
     ],
 )
 def test_bad_input_exit_codes(argv, code, capsys):
@@ -693,24 +684,28 @@ def test_cli_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
+def run_with_blas_threads(argv, threads):
+    """stdout of ``python -m maxstable.cli argv`` with OpenBLAS on ``threads`` threads."""
+    src = str(Path(maxstable.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        "OPENBLAS_NUM_THREADS": str(threads),
+    }
+    return subprocess.run(
+        [sys.executable, "-m", "maxstable.cli", *argv],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+
+
 def test_brown_resnick_does_not_depend_on_the_blas_thread_count():
     # LAPACK's Cholesky and the increment product round with the BLAS thread
     # count, so a fractional field agrees to round-off; a quadratic
     # variogram is Smith's field, which takes no such factor: equal bytes
-    src = str(Path(maxstable.__file__).resolve().parents[1])
     grid = ["--grid", "-5:0.02:501", "--seed", "3"]
 
     def run(variogram, threads):
-        env = {
-            **os.environ,
-            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-            "OPENBLAS_NUM_THREADS": str(threads),
-        }
-        argv = ["simulate", "--construction", "br", "--variogram", variogram, *grid]
-        return subprocess.run(
-            [sys.executable, "-m", "maxstable.cli", *argv],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
+        return run_with_blas_threads(["simulate", "--construction", "br", "--variogram", variogram, *grid], threads)
 
     def values(out):
         rows = [line for line in out.splitlines() if not line.startswith("#")]
@@ -725,21 +720,8 @@ def test_brown_resnick_does_not_depend_on_the_blas_thread_count():
 def test_fdd_mc_does_not_depend_on_the_blas_thread_count():
     # exponent_mc sums every <x, t> in coordinate order and counts integer
     # hits, so a 2-D Gaussian query prints the same bytes on any thread count
-    src = str(Path(maxstable.__file__).resolve().parents[1])
     argv = ["fdd", "--dist", "gaussian:mu=0.1,-0.2;sigma=1,0.3,0.3,2", "--ts", "0,0;0.5,-0.3;1,0.7",
             "--xs", "1,1.5,0.8", "--method", "mc", "--mc-n", "300000", "--seed", "4"]
-
-    def run(threads):
-        env = {
-            **os.environ,
-            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-            "OPENBLAS_NUM_THREADS": str(threads),
-        }
-        return subprocess.run(
-            [sys.executable, "-m", "maxstable.cli", *argv],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
-
-    one = run(1)
+    one = run_with_blas_threads(argv, 1)
     assert json.loads(one)["se"] > 0
-    assert one == run(2)
+    assert one == run_with_blas_threads(argv, 2)
