@@ -35,12 +35,17 @@ Its ``simulate(rng)`` draws one field and its ``simulate_many(seed,
 indices)`` a whole ensemble; ``simulate_*`` draw one field.
 
 Randomness layout.  One field (``simulate``): the engine splits its
-generator into two child streams, arrivals (one standard exponential per
-arrival) and spectral draws (one base row per candidate), each consumed in
-the algorithm's order.  Both are read ahead in blocks of _BLOCK, and what
-a location does not consume goes to the next, so the output does not
-depend on the block size.  A moving-maxima field is replicate 0 of the
-block layout below, on a block whose one stream is its generator.
+generator into two child streams, arrivals and spectral draws.  The
+arrival stream starts with a location-major table of _ARRIVALS standard
+exponentials per grid location: arrival c at t_j is entry (c, j) of a
+(_ARRIVALS, m) block, and Gamma is its running sum over c.  A location
+that needs more arrivals reads them from the stream after the table, in
+the order the scan reaches such locations.  The spectral stream gives one
+base row per candidate, in the algorithm's order.  Both are read ahead in
+blocks of _BLOCK, and what a location does not consume goes to the next,
+so the output does not depend on the block size.  A moving-maxima field
+is replicate 0 of the block layout below, on a block whose one stream is
+its generator.
 An ensemble (``simulate_many``), of any construction: replicate k belongs
 to block k // _REPLICATE_BLOCK, whose one stream is
 ``seeding.block_rng(seed, block)``, and the replicates run in lockstep
@@ -78,6 +83,7 @@ from .spectral import (
 DEFAULT_N_POINTS = 10_000  # most spectral draws at one grid location unless a caller asks otherwise
 _LOG_MAX = math.log(np.finfo(float).max)
 _BLOCK = 64  # arrivals and spectral base rows read ahead at a time
+_ARRIVALS = 8  # arrivals per grid location in the one-field arrival table
 _REPLICATE_BLOCK = 64  # replicates that share one stream in an ensemble
 _BATCH_CELLS = 1 << 15  # most candidate-by-location values scored at once
 _STORM_STEP = 32  # storms each moving-maxima replicate (or one field) adds per lockstep step
@@ -224,87 +230,131 @@ def _extremal_log_field(m, draw, log_y, log_y_at, n_points, rng):
     draw(n, rng_x) gives n base rows of the spectral stream,
     log_y(rows, js) the (n, m) values log Y of the rows, row r tilted at
     location js[r], and log_y_at(rows, js, cols) entry cols[r] of row r
-    alone.  The arrival stream gives one standard exponential per arrival,
-    the spectral stream one base row per candidate; both are read _BLOCK
-    at a time, and what is read ahead and not consumed is consumed next,
-    so the field is the one drawn one number at a time.
+    alone.  The arrival stream first gives a location-major table: arrival
+    c at t_j (c < _ARRIVALS) is entry (c, j) of a (_ARRIVALS, m) block of
+    standard exponentials, and its Gamma the sum of entries 0..c of column
+    j.  A location that needs more arrivals reads them from the same stream
+    after the table, in the order the scan reaches them.  The spectral
+    stream gives one base row per candidate, in scan order.  Both streams
+    are read _BLOCK at a time, and what is read ahead and not consumed is
+    consumed next, so the field is the one drawn one number at a time.
 
     Z changes only when a candidate is kept, which is rare on a dense grid.
-    So the candidates are scored in batches that run across locations, as
-    if none were kept: 1, 2, 4, ... up to _BATCH_CELLS / m rows, back to 1
-    after a kept one.  Up to the first kept candidate of a batch every
-    decision is the one the location-by-location loop makes; the scan
-    restarts after it.  Before a batch is scored on all m locations it is
+    So a pass of the scan lists candidates across locations as if none
+    were kept: at each location the table arrivals that beat Z there, a
+    prefix since Gamma grows, counted for all locations at once, up to the
+    first location all of whose table arrivals beat Z (it goes on after the
+    table in the next pass) or to _BATCH_CELLS base-row entries.  Up to the
+    first kept candidate every decision is the one the location-by-location
+    loop makes; the scan restarts after it.  The listed candidates are
     screened at the previous location: a candidate at t_j (j >= 1) with
-    zeta * Y(t_{j-1}) >= Z(t_{j-1}) reaches Z before t_j and is rejected,
-    and only the others go through log_y and the keep rule.  On a dense
-    grid most rejected candidates end there, so only the few left cost m
-    values each.  Any earlier location would be as exact a witness; t_{j-1}
-    needs no table, and on an unsorted grid it only screens less.  The
-    screen decides what the full row would only if log_y_at gives the full
-    row's entry bit for bit.  Returns log Z and the spectral draws, the
-    rejections and the rows scored in full.
+    zeta * Y(t_{j-1}) >= Z(t_{j-1}) reaches Z before t_j and is rejected.
+    Only the others are scored on all m locations, in slices of 1, 2, 4, ...
+    up to _BATCH_CELLS / m rows, and go through the keep rule.  On a dense
+    grid most rejected candidates end at the screen, so only the few left
+    cost m values each.  Any earlier location would be as exact a witness;
+    t_{j-1} needs no table, and on an unsorted grid it only screens less.
+    The screen decides what the full row would only if log_y_at gives the
+    full row's entry bit for bit.  n_points is checked only for candidates
+    the scan reaches: one past it that a kept candidate pre-empts does not
+    raise.  Returns log Z and the spectral draws, the rejections and the
+    rows scored in full.
     """
     rng_e, rng_x = spawn(rng, 2)
-    arrivals = []
+    # the arrival table: Gamma of arrival c at t_j, and log zeta = -log Gamma
+    gammas = np.cumsum(rng_e.exponential(size=(_ARRIVALS, m)), axis=0)
+    table = -np.log(gammas)
+    more, k = [], 0  # arrivals after the table read ahead, and the next one
     rows = draw(_BLOCK, rng_x)  # spectral base rows not yet consumed
+    list_cap = max(_ARRIVALS, _BATCH_CELLS // max(1, rows[0].size))
+    score_cap = max(1, _BATCH_CELLS // m)
     log_z = np.full(m, -np.inf)
-    cap = max(1, _BATCH_CELLS // m)
-    width = 1
     draws = kept_total = full_scores = 0
-    # the scan: location j, Z(t_j), the next arrival k, Gamma, and the
-    # candidates at t_j so far
-    j, log_z_j, k, gamma, at_j = 0, -math.inf, 0, 0.0, 0
+    # the scan: location j and, once t_j is past its table, its Gamma and
+    # candidates so far
+    j, front = 0, None
     while j < m:
-        locs, log_zeta, resume = [], [], []
-        over_bound = False  # t_j has n_points candidates and one more arrival
-        while len(locs) < width and j < m:
-            while k >= len(arrivals):
-                arrivals += np.asarray(rng_e.exponential(size=_BLOCK)).tolist()
-            gamma += arrivals[k]
-            k += 1
-            log_zeta_k = -math.log(gamma)
-            if not log_zeta_k > log_z_j:
-                j, gamma, at_j = j + 1, 0.0, 0
-                log_z_j = float(log_z[j]) if j < m else 0.0
-            elif at_j == n_points:
-                over_bound = True
-                break
-            else:
+        log_zeta, resume, kk = [], [], k
+        over_at = None  # the location of a candidate past n_points
+        start = j  # the first location the table lists; None while t_j lists on
+        if front is not None:
+            # t_j's arrivals after the table, while they beat Z(t_j)
+            gamma, at_j = front
+            start = None
+            while len(log_zeta) < list_cap:
+                while kk >= len(more):
+                    more += rng_e.exponential(size=_BLOCK).tolist()
+                gamma += more[kk]
+                kk += 1
+                log_zeta_k = -np.log(gamma)
+                if not log_zeta_k > log_z[j]:
+                    start = j + 1
+                    break
+                if at_j == n_points:
+                    over_at = j
+                    break
                 at_j += 1
-                locs.append(j)
                 log_zeta.append(log_zeta_k)
-                # if kept, one more arrival falls below it and t_j ends
-                resume.append(k + 1)
-        if locs:
-            n = len(locs)
-            while len(rows) < n:
-                rows = np.concatenate([rows, draw(_BLOCK, rng_x)])
-            js = np.array(locs)
-            zeta = np.array(log_zeta)
-            # t_0 is its own witness, where every candidate reaches Z
-            witness = np.maximum(js - 1, 0)
-            live = np.flatnonzero((js == 0) | (zeta + log_y_at(rows[:n], js, witness) < log_z[witness]))
-            full_scores += live.size
-            if live.size:
-                cand = zeta[live, None] + log_y(rows[live], js[live])
-                kept = _kept(cand, log_z, js[live])
-                first = int(kept.argmax())
-                if kept[first]:
-                    np.maximum(log_z, cand[first], out=log_z)
-                    first = int(live[first])
-                    kept_total += 1
-                    draws += first + 1
-                    rows = rows[first + 1:]
-                    j, k, gamma, at_j = locs[first] + 1, resume[first], 0.0, 0
-                    log_z_j = float(log_z[j]) if j < m else 0.0
-                    width = 1
-                    continue
-            draws += n
-            rows = rows[n:]
-            width = min(2 * width, cap)
-        if over_bound:
-            raise _over_bound(j, n_points)
+                resume.append(kk)
+        locs = np.full(len(log_zeta), j)
+        zeta = np.array(log_zeta, dtype=float)
+        counts = locs[:0]
+        if start is not None and start < m:
+            # a prefix of t_i's table arrivals beats Z(t_i), Z being fixed up
+            # to the first kept candidate; the list takes whole locations, up
+            # to the first all of whose table arrivals do, or to list_cap
+            counts = np.count_nonzero(table[:, start:] > log_z[start:], axis=0)
+            full = np.flatnonzero(counts == _ARRIVALS)
+            stop = full[0] + 1 if full.size else counts.size
+            fits = np.searchsorted(np.cumsum(counts[:stop]), list_cap - len(log_zeta), side="right")
+            counts = counts[:max(1, min(stop, int(fits)))]
+            past = np.flatnonzero(counts > n_points)
+            if past.size:
+                counts = counts[:past[0] + 1].copy()
+                counts[-1] = n_points
+                over_at = start + past[0]
+            at = np.repeat(np.arange(start, start + counts.size), counts)
+            c = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            locs = np.concatenate([locs, at])
+            zeta = np.concatenate([zeta, table[c, at]])
+        n = locs.size
+        if len(rows) < n:
+            rows = np.concatenate([rows, draw(_BLOCK * math.ceil((n - len(rows)) / _BLOCK), rng_x)])
+        # t_0 is its own witness, where every candidate reaches Z
+        witness = np.maximum(locs - 1, 0)
+        live = np.flatnonzero((locs == 0) | (zeta + log_y_at(rows[:n], locs, witness) < log_z[witness]))
+        first, lo, width = None, 0, 1  # the first kept candidate
+        while first is None and lo < live.size:
+            part = live[lo:lo + width]
+            cand = zeta[part, None] + log_y(rows[part], locs[part])
+            full_scores += part.size
+            kept = _kept(cand, log_z, locs[part])
+            if kept.any():
+                i = int(kept.argmax())
+                np.maximum(log_z, cand[i], out=log_z)
+                first = int(part[i])
+            lo += width
+            width = min(2 * width, score_cap)
+        if first is not None:
+            # a kept candidate sets Z(t_i) = zeta and so is t_i's last
+            kept_total += 1
+            draws += first + 1
+            rows = rows[first + 1:]
+            k = resume[first] if first < len(resume) else kk
+            j, front = int(locs[first]) + 1, None
+            continue
+        if over_at is not None:
+            raise _over_bound(over_at, n_points)
+        draws += n
+        rows = rows[n:]
+        k = kk
+        if start is None:  # list_cap ended the list inside t_j's arrivals
+            front = (gamma, at_j)
+        elif counts.size and counts[-1] == _ARRIVALS:
+            j = start + counts.size - 1
+            front = (float(gammas[-1, j]), _ARRIVALS)
+        else:
+            j, front = start + counts.size, None
     return log_z, {"spectral_draws": draws, "rejections": draws - kept_total,
                    "full_scores": full_scores}
 
@@ -513,20 +563,38 @@ def prepare_smith(sigma, grid: Grid, n_points: int) -> PreparedLaw:
 
 def _br_cov_factor(variogram: Variogram, grid: Grid):
     """Factor of the covariance C(s, t) = 0.5 (gamma(s) + gamma(t) - gamma(s - t))
-    of G (G(0) = 0, variogram gamma) on the grid, and the pairwise
-    gamma(s - t).  A location with gamma(t) = 0 has G(t) = 0 exactly and a
-    zero factor row; the others are positive definite for 0 < alpha < 2
-    and share one Cholesky factor."""
+    of G (G(0) = 0, fractional variogram gamma) on the grid, and the
+    pairwise gamma(s - t).  A location with gamma(t) = 0 has G(t) = 0
+    exactly and a zero factor row; the others are positive definite for
+    0 < alpha < 2 and share one Cholesky factor.
+
+    Both are built in place, from one m x m buffer per table: |s - t| sums
+    the squared coordinate differences in coordinate order, as
+    ``np.linalg.norm`` does, so the tables equal ``variogram(s - t)`` and
+    the covariance from them bit for bit."""
     pts = grid.locations
     g = variogram(pts)
-    pairwise = variogram(pts[:, None, :] - pts[None, :, :])
-    moving = g > 0
-    cov = 0.5 * (g[moving, None] + g[None, moving] - pairwise[np.ix_(moving, moving)])
-    factor = np.zeros((grid.size, cov.shape[0]))
+    pairwise = np.subtract.outer(pts[:, 0], pts[:, 0])
+    pairwise *= pairwise
+    for a in range(1, grid.dim):
+        diff = np.subtract.outer(pts[:, a], pts[:, a])
+        diff *= diff
+        pairwise += diff
+        del diff
+    np.sqrt(pairwise, out=pairwise)
+    pairwise **= variogram.alpha
+    pairwise *= variogram.scale
+    moving = np.flatnonzero(g > 0)
+    cov = np.add.outer(g[moving], g[moving])
+    cov -= pairwise[moving[:, None], moving]
+    cov *= 0.5
     try:
-        factor[moving] = psd_factor(cov, rel_tol=1e-8)
+        root = psd_factor(cov, rel_tol=1e-8)
     except ValueError as exc:
         raise ValueError(f"variogram is not valid on this grid: {exc}") from exc
+    del cov
+    factor = np.zeros((grid.size, moving.size))
+    factor[moving] = root
     return factor, pairwise
 
 
@@ -712,7 +780,7 @@ def field_csv_text(field: Field, extra_header: dict | None = None) -> str:
     if extra_header:
         for key, value in extra_header.items():
             lines.append(f"# {key}={value}")
-    # "%.17g" % x is format(x, ".17g"): one format per row
-    row = ",".join(["%.17g"] * (field.grid.dim + 1))
-    lines.extend(row % tuple(r) for r in np.column_stack([field.grid.locations, field.values]).tolist())
-    return "\n".join(lines) + "\n"
+    # "%.17g" % x is format(x, ".17g"): one format operation for the table
+    row = ",".join(["%.17g"] * (field.grid.dim + 1)) + "\n"
+    table = np.column_stack([field.grid.locations, field.values])
+    return "\n".join(lines) + "\n" + (row * field.grid.size) % tuple(table.ravel().tolist())

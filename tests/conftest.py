@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from maxstable import simulator
 from maxstable.seeding import block_rng, derive_rng, spawn
 from maxstable.simulator import _REPLICATE_BLOCK, _STORM_STEP, _br_cov_factor, prepare_moving_maxima
 from maxstable.spectral import clamp_psd
@@ -48,24 +49,32 @@ def extremal_reference(m, candidate, n_points, rng):
     """The textbook extremal-function loop (Dombry, Engelke & Oesting 2016,
     Algorithm 2), one candidate at a time and nothing drawn ahead.
 
+    The arrival stream gives first a (C, m) table of standard exponentials
+    (C = simulator._ARRIVALS, read at each call): arrival c at t_j adds
+    entry (c, j) to Gamma.  Arrivals past the table are read from the same
+    stream one at a time, as the loop needs them.  A kept candidate sets
+    Z(t_j) = zeta, so t_j ends with it.
     candidate(j, rng_x) draws one log Y = log(W / W(t_j)) on the m grid
     locations under the t_j-tilted law.  Returns (log Z, draws, kept).
     """
     rng_e, rng_x = spawn(rng, 2)
+    arrivals = simulator._ARRIVALS
+    table = rng_e.exponential(size=(arrivals, m))
     log_z = np.full(m, -np.inf)
     draws = kept = 0
     for j in range(m):
-        gamma = float(rng_e.exponential())
+        gamma = table[0, j]
         count = 0
-        while -math.log(gamma) > log_z[j]:
+        while -np.log(gamma) > log_z[j]:
             if count == n_points:
                 raise ValueError(f"location {j} needs more than n_points = {n_points}")
-            cand = -math.log(gamma) + candidate(j, rng_x)
+            cand = -np.log(gamma) + candidate(j, rng_x)
             count += 1
             if np.all(cand[:j] < log_z[:j]):
                 log_z = np.maximum(log_z, cand)
                 kept += 1
-            gamma += float(rng_e.exponential())
+                break
+            gamma += table[count, j] if count < arrivals else rng_e.exponential()
         draws += count
     return log_z, draws, kept
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from maxstable.simulator import (
     simulate_moving_maxima,
     simulate_smith,
 )
-from maxstable.spectral import DomainError, Exponential, Gamma, Gaussian, ShapeFunction, Uniform
+from maxstable.spectral import DomainError, Exponential, Gamma, Gaussian, ShapeFunction, Uniform, psd_factor
 
 
 def unit_smith_dist():
@@ -178,6 +179,63 @@ def test_engine_equals_the_textbook_loop(case):
         prov = field.provenance
         assert prov["spectral_draws"] == draws
         assert prov["spectral_draws"] == prov["rejections"] + kept
+
+
+def test_a_location_past_its_table_continues_from_the_arrival_stream(monkeypatch):
+    # with a one-arrival table every rejected candidate makes its location
+    # read on, after the table in location order; the textbook loop does too
+    monkeypatch.setattr(simulator, "_ARRIVALS", 1)
+    rejections = 0
+    for case in ("gaussian", "gamma", "smith", "smith-201"):
+        dist, kappa, grid = REFERENCE_CASES[case]
+        for seed in range(3):
+            field = simulate_general(dist, kappa, grid, DEFAULT_N_POINTS, derive_rng(seed))
+            values, draws, kept = general_reference(dist, kappa, grid, DEFAULT_N_POINTS, derive_rng(seed))
+            assert np.array_equal(field.values, values)
+            assert field.provenance["spectral_draws"] == draws
+            rejections += draws - kept
+    assert rejections > 0
+
+
+def engine_and_reference(case):
+    dist, kappa, grid = REFERENCE_CASES[case]
+    return (lambda n: prepare_general(dist, kappa, grid, n),
+            lambda n, rng: general_reference(dist, kappa, grid, n, rng))
+
+
+BR_LINE, BR_VARIO = Grid(np.linspace(-1.0, 3.0, 9)), Variogram.fractional(1.0, 1.0)
+N_POINTS_LAWS = {
+    "gaussian": engine_and_reference("gaussian"),
+    "gamma": engine_and_reference("gamma"),
+    "brown-resnick": (lambda n: prepare_brown_resnick(BR_VARIO, BR_LINE, n),
+                      lambda n, rng: brown_resnick_reference(BR_VARIO, BR_LINE, n, rng)),
+}
+
+
+@pytest.mark.parametrize("arrivals", [simulator._ARRIVALS, 1])
+@pytest.mark.parametrize("law", N_POINTS_LAWS)
+def test_n_points_raises_where_the_textbook_loop_does(monkeypatch, law, arrivals):
+    # every field's first pass lists t_0, where all table arrivals beat
+    # Z = -inf: with n_points < _ARRIVALS one past the bound is listed there
+    # and pre-empted by the first, which is kept.  A one-arrival table puts
+    # the bound on the arrivals after it.
+    monkeypatch.setattr(simulator, "_ARRIVALS", arrivals)
+    prepare, reference = N_POINTS_LAWS[law]
+    for n_points in (1, 2, 3):
+        prepared = prepare(n_points)
+        raised = 0
+        for seed in range(40):
+            try:
+                want, draws, _ = reference(n_points, derive_rng(seed))
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(f"grid {exc}")):
+                    prepared.simulate(derive_rng(seed))
+                raised += 1
+                continue
+            field = prepared.simulate(derive_rng(seed))
+            assert np.allclose(field.values, want, rtol=1e-13, atol=0.0)
+            assert field.provenance["spectral_draws"] == draws
+        assert 0 < raised < 40
 
 
 def test_the_screen_leaves_few_candidates_to_score_on_the_whole_grid():
@@ -386,8 +444,9 @@ def test_overflowing_contribution_raises(rng):
         simulate_general(dist, kappa, Grid([0.0, 1.0]), 10, rng)
 
 
-def test_provenance_records_run(rng):
-    field = prepare_smith([[1.0]], Grid([0.0, 1.0]), 5000).simulate(rng, seed_record=42)
+def test_provenance_records_run():
+    # with seed 12349 the second location draws a candidate
+    field = prepare_smith([[1.0]], Grid([0.0, 1.0]), 5000).simulate(derive_rng(12349), seed_record=42)
     prov = field.provenance
     assert prov["seed"] == 42
     assert prov["n_points"] == 5000
@@ -470,6 +529,35 @@ def test_fractional_brown_resnick_never_eigendecomposes(monkeypatch):
     grid = Grid(np.linspace(-5.0, 5.0, 101))
     field = simulate_brown_resnick(Variogram.fractional(1.0, 1.0), grid, DEFAULT_N_POINTS, derive_rng(4))
     assert field.values.shape == (101,)
+
+
+def norm_br_cov_factor(variogram, grid):
+    """The factor and pairwise table from variogram() on the m x m x d
+    differences and a fresh covariance matrix."""
+    pts = grid.locations
+    g = variogram(pts)
+    pairwise = variogram(pts[:, None, :] - pts[None, :, :])
+    moving = g > 0
+    cov = 0.5 * (g[moving, None] + g[None, moving] - pairwise[np.ix_(moving, moving)])
+    factor = np.zeros((grid.size, cov.shape[0]))
+    factor[moving] = psd_factor(cov, rel_tol=1e-8)
+    return factor, pairwise
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("origin", [False, True])
+def test_br_cov_factor_equals_the_norm_expression(d, alpha, origin):
+    pts = np.random.default_rng(d).uniform(-3.0, 3.0, size=(30, d))
+    if origin:
+        pts[4] = 0.0
+    grid = Grid(pts)
+    vario = Variogram.fractional(1.7, alpha)
+    factor, pairwise = simulator._br_cov_factor(vario, grid)
+    want_factor, want_pairwise = norm_br_cov_factor(vario, grid)
+    assert np.array_equal(pairwise, want_pairwise)
+    assert np.array_equal(factor, want_factor)
+    assert np.count_nonzero(~factor.any(axis=1)) == int(origin)
 
 
 # ---------------------------------------------------------------------------
@@ -574,3 +662,26 @@ def test_field_csv_round_trip(rng):
         t, v = (float(x) for x in line.split(","))
         assert t == field.grid.locations[j, 0]
         assert v == field.values[j]  # 17 significant digits round-trip exactly
+
+
+def row_by_row_csv_text(field, extra_header=None):
+    """field_csv_text with one format operation per grid location."""
+    prov = field.provenance
+    lines = [f"# construction={prov.get('construction', '?')}"
+             f" seed={prov.get('seed') if prov.get('seed') is not None else 'none'}"
+             f" n_points={prov.get('n_points', '?')}"]
+    for key, value in (extra_header or {}).items():
+        lines.append(f"# {key}={value}")
+    row = ",".join(["%.17g"] * (field.grid.dim + 1))
+    lines.extend(row % tuple(r) for r in np.column_stack([field.grid.locations, field.values]).tolist())
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("extra_header", [None, {"note": "x", "replicate": 2}])
+def test_field_csv_text_equals_the_row_by_row_writer(d, extra_header):
+    rng = np.random.default_rng(d)
+    grid = Grid(rng.normal(size=(25, d)) * 10.0 ** rng.integers(-3, 150, size=(25, d)))
+    values = np.exp(rng.normal(scale=100.0, size=25))
+    field = Field(grid, values, {"construction": "general", "seed": None, "n_points": 7})
+    assert field_csv_text(field, extra_header) == row_by_row_csv_text(field, extra_header)
