@@ -50,7 +50,6 @@ from .stationarity import (
     DefectReport,
     defect,
     gradient_affinity_defect,
-    quadratic_fit_check,
     search_violation,
     verify_characterization,
 )

@@ -4,16 +4,16 @@ All randomness flows from one master seed, and replicate k's result
 depends only on (seed, k): never on which other replicates run, how many,
 or in which order.
 
-Every ensemble (``PreparedLaw.simulate_many``, whatever the construction)
-uses block streams.  Replicates are grouped in blocks of a fixed width B;
-replicate k belongs to block k // B, and each block has one stream,
-``block_rng(seed, block)``.  At every scan step the block draws what the
-step needs for each of its B slots, in full, and replicate k reads slot
-k mod B.  So the B replicates of a block run in lockstep from one
-generator, and a replicate's numbers depend only on (seed, k).
-
-A caller that makes one field at a time takes its generator from
-``derive_rng(seed, ...)`` and passes it to ``PreparedLaw.simulate``.
+Every field and every ensemble uses one layout: replicates come in
+blocks of W slots that share one stream.  A block draws what its scan
+needs for all W slots and a slot reads only its own share, so the W
+replicates of a block run in lockstep from one generator.  An ensemble
+(``PreparedLaw.simulate_many``) has W = 64: replicate k is slot k mod W
+of block k // W, whose stream is ``block_rng(seed, block)``, so its
+numbers depend only on (seed, k).  One field (``PreparedLaw.simulate``)
+is the one replicate of a one-slot block on its own generator, which a
+caller that makes one field at a time takes from ``derive_rng(seed,
+...)``.
 """
 from __future__ import annotations
 

@@ -13,50 +13,46 @@ supplies log Y = log(W / W(t_j)) under the t_j-tilted law, on the whole
 grid and at one location per row: the family's ``tilted_sampler`` for
 general and Smith, Gaussian increments from one Cholesky factor of the
 grid's covariance for Brown-Resnick (whose quadratic variograms give
-Smith's field, simulated as one).  One field screens each candidate at
-t_{j-1} first: on a dense grid nearly every rejected candidate already
-reaches the field there, so only the few left are scored on all m
-locations.  The screen's value at t_{j-1} must be the full row's entry bit
-for bit, or the screen could reject a candidate the full row would keep;
-the spectral laws sum <X, t> in coordinate order for that reason
-(Brown-Resnick's full rows are one BLAS product, so its screen agrees with
-them up to round-off).  The engine works in log space and exponentiates
-once, so a single huge value cannot overflow intermediate arithmetic.
-``n_points`` is a loop guard, not a truncation: the most spectral draws
-at one grid location; a field that needs more raises ValueError.  The
-moving-maxima construction uses an exact-on-grid stopping rule with an
-explicit edge-error bound.
+Smith's field, simulated as one).  Each candidate is screened at t_{j-1}
+first: on a dense grid nearly every rejected candidate already reaches
+the field there, so only the few left are scored on all m locations.  The
+screen's value at t_{j-1} must be the full row's entry bit for bit, or
+the screen could reject a candidate the full row would keep; the spectral
+laws sum <X, t> in coordinate order for that reason (Brown-Resnick's full
+rows are one BLAS product, so its screen agrees with them up to
+round-off).  The engine works in log space and exponentiates once, so a
+single huge value cannot overflow intermediate arithmetic.  ``n_points``
+is a loop guard, not a truncation: the most spectral draws at one grid
+location; a field that needs more raises ValueError.  The moving-maxima
+construction uses an exact-on-grid stopping rule with an explicit
+edge-error bound.
 
 Each construction is prepared once per grid by its ``prepare_*``
 function, into a ``PreparedLaw`` that holds what all its fields share (phi
 on the grid, the tilted-sampler tables and the shift phi - kappa, the
 Brown-Resnick factor, or moving maxima's checked Sigma, buffer and window).
 Its ``simulate(rng)`` draws one field and its ``simulate_many(seed,
-indices)`` a whole ensemble; ``simulate_*`` draw one field.
+indices)`` a whole ensemble; ``simulate_*`` draw one field.  Both run one
+scan per construction, over the replicates of a block layout.
 
-Randomness layout.  One field (``simulate``): the engine splits its
-generator into two child streams, arrivals and spectral draws.  The
-arrival stream starts with a location-major table of _ARRIVALS standard
-exponentials per grid location: arrival c at t_j is entry (c, j) of a
-(_ARRIVALS, m) block, and Gamma is its running sum over c.  A location
-that needs more arrivals reads them from the stream after the table, in
-the order the scan reaches such locations.  The spectral stream gives one
-base row per candidate, in the algorithm's order.  Both are read ahead in
-blocks of _BLOCK, and what a location does not consume goes to the next,
-so the output does not depend on the block size.  A moving-maxima field
-is replicate 0 of the block layout below, on a block whose one stream is
-its generator.
-An ensemble (``simulate_many``), of any construction: replicate k belongs
-to block k // _REPLICATE_BLOCK, whose one stream is
-``seeding.block_rng(seed, block)``, and the replicates run in lockstep
-(``_BlockStreams``).  At each scan step every block still running draws,
-in full, _REPLICATE_BLOCK slots of each of the step's draws, and
-replicate k reads slot k mod _REPLICATE_BLOCK of each: for the engine one
-standard exponential and then one base row per slot, one arrival per
-step; for moving maxima _STORM_STEP standard exponentials and then
-_STORM_STEP storm centres per slot.  So a replicate's field depends only
-on (seed, k), not on which or how many replicates are asked for, nor
-their order.
+Randomness layout.  Replicates come in blocks of W slots that share one
+stream (``_Blocks``): an ensemble's replicate k is slot k mod W of block
+k // W, W = _REPLICATE_BLOCK, whose stream is ``seeding.block_rng(seed,
+block)``; one field is the one replicate of a one-slot block on its own
+generator.  A block draws for all its slots, and a slot reads only its
+own share, so a replicate's field depends only on its stream and slot
+(for an ensemble on (seed, k)), not on which or how many replicates are
+asked for, nor their order.  The engine splits a block's stream into an
+arrival and a spectral stream.  The arrival stream starts with a (W,
+_ARRIVALS, m) table of standard exponentials: arrival c at t_j of slot s
+is entry (s, c, j), and Gamma its running sum over c.  A location that
+needs more arrivals reads them after the table, and each candidate reads
+one base row of the spectral stream, both dealt to the slots in turn:
+value i of slot s is value i * W + s (``_Dealt``), in the order the
+slot's scan needs them.  Moving maxima draws W x _STORM_STEP standard
+exponentials and then W x _STORM_STEP storm centres per lockstep step, and
+slot s reads row s of each.  Reading ahead, in any amount, does not change
+what a slot reads.
 """
 from __future__ import annotations
 
@@ -82,11 +78,11 @@ from .spectral import (
 
 DEFAULT_N_POINTS = 10_000  # most spectral draws at one grid location unless a caller asks otherwise
 _LOG_MAX = math.log(np.finfo(float).max)
-_BLOCK = 64  # arrivals and spectral base rows read ahead at a time
-_ARRIVALS = 8  # arrivals per grid location in the one-field arrival table
+_BLOCK = 64  # arrivals and spectral base rows a block reads ahead at a time
+_ARRIVALS = 8  # arrivals per grid location in the arrival table
 _REPLICATE_BLOCK = 64  # replicates that share one stream in an ensemble
 _BATCH_CELLS = 1 << 15  # most candidate-by-location values scored at once
-_STORM_STEP = 32  # storms each moving-maxima replicate (or one field) adds per lockstep step
+_STORM_STEP = 32  # storms each moving-maxima replicate adds per lockstep step
 _MAX_STORMS = 2_000_000
 _DUPLICATE_TOL = 1e-12
 
@@ -214,238 +210,299 @@ def parse_variogram(spec: str) -> Variogram:
 
 
 # ---------------------------------------------------------------------------
+# replicates on block streams
+
+
+class _Blocks:
+    """The block layout (the module docstring's): replicate indices[r] is
+    slot indices[r] mod width of block indices[r] // width, whose stream is
+    ``stream(block)``."""
+
+    def __init__(self, indices, stream, width):
+        blocks, self.slot = np.divmod(np.asarray(indices), width)
+        block_ids = sorted(set(blocks.tolist()))
+        self.owner = np.searchsorted(block_ids, blocks)
+        self.streams = [stream(b) for b in block_ids]
+        self.width = width
+
+    def own(self, draws):
+        """Each replicate's slot of per-block draws whose leading axis is the slot."""
+        if len(draws) == 1:
+            return draws[0][self.slot]
+        return np.stack(draws)[self.owner, self.slot]
+
+
+class _Dealt:
+    """One stream per block, dealt to the block's slots in turn: value (or
+    row) i of a slot is value i * width + slot of its block's stream.
+    take(n, stream) reads a stream's next n values; they are read ahead
+    ``rounds`` rounds of width at a time, which does not change what a slot
+    reads, into a buffer that keeps only what some replicate may still
+    read."""
+
+    def __init__(self, blocks, streams, take, rounds):
+        self.blocks, self.streams, self.take, self.rounds = blocks, streams, take, rounds
+        self.values = self._read(rounds)
+        self.first, self.filled = 0, rounds  # the slot index of values[:, 0], and columns read
+
+    def _read(self, rounds):
+        width, parts = self.blocks.width, []
+        for stream in self.streams:
+            a = self.take(rounds * width, stream)
+            parts.append(a.reshape(rounds, width, *a.shape[1:]).swapaxes(0, 1))
+        return self.blocks.own(parts)
+
+    def at(self, replicates, index, low):
+        """Value index[i] of replicate replicates[i]'s slot; no replicate
+        reads below ``low`` any more."""
+        short = int(index.max(initial=-1)) + 1 - self.first - self.filled
+        if short > 0:
+            more = self._read(self.rounds * -(-short // self.rounds))
+            keep = self.filled - (low - self.first)
+            if self.filled + len(more[0]) > self.values.shape[1]:
+                # move what is kept to the front, into a larger buffer if need be
+                size = max(self.values.shape[1], 2 * (keep + len(more[0])))
+                kept = self.values[:, self.filled - keep:self.filled]
+                if size > self.values.shape[1]:
+                    self.values = np.empty((len(kept), size, *kept.shape[2:]))
+                self.values[:, :keep] = kept
+                self.first, self.filled = low, keep
+            self.values[:, self.filled:self.filled + len(more[0])] = more
+            self.filled += len(more[0])
+        return self.values[replicates, index - self.first]
+
+
+# ---------------------------------------------------------------------------
 # exact simulation by extremal functions
 
 
-def _extremal_log_field(m, draw, log_y, log_y_at, n_points, rng):
-    """log Z on m grid locations, exactly, by extremal functions (Dombry,
-    Engelke & Oesting, Biometrika 2016, Algorithm 2).
+def _extremal_log_fields(m, sampler, n_points, blocks):
+    """log Z on m grid locations of every replicate of ``blocks`` (the
+    module docstring's layout), exactly, by extremal functions (Dombry,
+    Engelke & Oesting, Biometrika 2016, Algorithm 2), the replicates in
+    lockstep.
 
     Location t_j runs its own Poisson process of arrivals zeta = 1 / Gamma
     while zeta > Z(t_j).  Each arrival is a candidate zeta * Y, where
     Y = W / W(t_j) is drawn under the t_j-tilted law; it is kept iff it
     stays below Z at t_1 ... t_{j-1}, and then Z = max(Z, zeta * Y).  A kept
-    candidate sets Z(t_j) = zeta, so it is the last candidate at t_j.
-
-    draw(n, rng_x) gives n base rows of the spectral stream,
-    log_y(rows, js) the (n, m) values log Y of the rows, row r tilted at
-    location js[r], and log_y_at(rows, js, cols) entry cols[r] of row r
-    alone.  The arrival stream first gives a location-major table: arrival
-    c at t_j (c < _ARRIVALS) is entry (c, j) of a (_ARRIVALS, m) block of
-    standard exponentials, and its Gamma the sum of entries 0..c of column
-    j.  A location that needs more arrivals reads them from the same stream
-    after the table, in the order the scan reaches them.  The spectral
-    stream gives one base row per candidate, in scan order.  Both streams
-    are read _BLOCK at a time, and what is read ahead and not consumed is
-    consumed next, so the field is the one drawn one number at a time.
+    candidate sets Z(t_j) = zeta, so it is the last candidate at t_j; t_0's
+    first one is always kept.  sampler is (draw, log_y, log_y_at): draw(n,
+    rng_x) gives n base rows of a spectral stream, log_y(rows, js) the
+    (n, m) values log Y of the rows, row r tilted at location js[r], and
+    log_y_at(rows, js, cols) entry cols[r] of row r alone.
 
     Z changes only when a candidate is kept, which is rare on a dense grid.
-    So a pass of the scan lists candidates across locations as if none
-    were kept: at each location the table arrivals that beat Z there, a
-    prefix since Gamma grows, counted for all locations at once, up to the
+    So a pass lists, for every running replicate, candidates across
+    locations as if none were kept: at each location the table arrivals
+    that beat Z there (a prefix, since Gamma grows; their count is kept per
+    location and recounted only when a kept candidate raised Z), up to the
     first location all of whose table arrivals beat Z (it goes on after the
-    table in the next pass) or to _BATCH_CELLS base-row entries.  Up to the
-    first kept candidate every decision is the one the location-by-location
-    loop makes; the scan restarts after it.  The listed candidates are
-    screened at the previous location: a candidate at t_j (j >= 1) with
-    zeta * Y(t_{j-1}) >= Z(t_{j-1}) reaches Z before t_j and is rejected.
-    Only the others are scored on all m locations, in slices of 1, 2, 4, ...
-    up to _BATCH_CELLS / m rows, and go through the keep rule.  On a dense
-    grid most rejected candidates end at the screen, so only the few left
-    cost m values each.  Any earlier location would be as exact a witness;
-    t_{j-1} needs no table, and on an unsorted grid it only screens less.
-    The screen decides what the full row would only if log_y_at gives the
-    full row's entry bit for bit.  n_points is checked only for candidates
-    the scan reaches: one past it that a kept candidate pre-empts does not
-    raise.  Returns log Z and the spectral draws, the rejections and the
-    rows scored in full.
+    table in the next pass), or to the pass's share of _BATCH_CELLS
+    base-row entries or locations.  Up to a replicate's first kept
+    candidate every decision is the one the location-by-location loop
+    makes; it restarts after it, and the other replicates keep what was
+    listed for them.  A candidate at t_j (j >= 1) with
+    zeta * Y(t_{j-1}) >= Z(t_{j-1}) reaches Z before t_j and is rejected
+    at this screen; only the others are scored on all m locations, each
+    replicate's in slices of 1, 2, 4, ... up to _BATCH_CELLS / m rows.  Any
+    earlier location would be as exact a witness; t_{j-1} needs no table,
+    and on an unsorted grid it only screens less.  The screen decides what
+    the full row would only if log_y_at gives the full row's entry bit for
+    bit.  A replicate's passes depend on nothing but its own draws, so
+    neither do its counts.  n_points is checked only for candidates the
+    scan reaches: one past it that a kept candidate pre-empts does not
+    raise.  Returns log Z (R, m) and, per replicate, the spectral draws,
+    the rejections and the rows scored in full.
     """
-    rng_e, rng_x = spawn(rng, 2)
-    # the arrival table: Gamma of arrival c at t_j, and log zeta = -log Gamma
-    gammas = np.cumsum(rng_e.exponential(size=(_ARRIVALS, m)), axis=0)
+    draw, log_y, log_y_at = sampler
+    width = blocks.width
+    arrivals, spectral = zip(*(spawn(stream, 2) for stream in blocks.streams))
+    # the arrival table: Gamma of arrival c at t_j, summed in order, and
+    # log zeta = -log Gamma
+    gammas = blocks.own([e.exponential(size=(width, _ARRIVALS, m)) for e in arrivals])
+    for c in range(1, _ARRIVALS):
+        gammas[:, c] += gammas[:, c - 1]
     table = -np.log(gammas)
-    more, k = [], 0  # arrivals after the table read ahead, and the next one
-    rows = draw(_BLOCK, rng_x)  # spectral base rows not yet consumed
-    list_cap = max(_ARRIVALS, _BATCH_CELLS // max(1, rows[0].size))
+    rounds = max(1, _BLOCK // width)
+    more = _Dealt(blocks, arrivals, lambda n, e: e.exponential(size=n), rounds)
+    rows = _Dealt(blocks, spectral, draw, rounds)
+    # what a block's pass lists at most, shared by its slots: _BATCH_CELLS
+    # base-row entries and _BATCH_CELLS locations; a replicate waits while
+    # it is lag rows ahead of the slowest, which bounds the rows kept
+    list_cap = max(_ARRIVALS, _BATCH_CELLS // (max(1, rows.values[0, 0].size) * width))
+    span = max(_ARRIVALS, _BATCH_CELLS // width)
+    lag = 4 * list_cap
     score_cap = max(1, _BATCH_CELLS // m)
-    log_z = np.full(m, -np.inf)
-    draws = kept_total = full_scores = 0
-    # the scan: location j and, once t_j is past its table, its Gamma and
-    # candidates so far
-    j, front = 0, None
-    while j < m:
-        log_zeta, resume, kk = [], [], k
-        over_at = None  # the location of a candidate past n_points
-        start = j  # the first location the table lists; None while t_j lists on
-        if front is not None:
-            # t_j's arrivals after the table, while they beat Z(t_j)
-            gamma, at_j = front
-            start = None
-            while len(log_zeta) < list_cap:
-                while kk >= len(more):
-                    more += rng_e.exponential(size=_BLOCK).tolist()
-                gamma += more[kk]
-                kk += 1
-                log_zeta_k = -np.log(gamma)
-                if not log_zeta_k > log_z[j]:
-                    start = j + 1
-                    break
-                if at_j == n_points:
-                    over_at = j
-                    break
-                at_j += 1
-                log_zeta.append(log_zeta_k)
-                resume.append(kk)
-        locs = np.full(len(log_zeta), j)
-        zeta = np.array(log_zeta, dtype=float)
-        counts = locs[:0]
-        if start is not None and start < m:
+    n_rep = blocks.slot.size
+    # t_0's first candidate is kept: nothing comes before it
+    ids = np.arange(n_rep)
+    zero = np.zeros(n_rep, np.int64)
+    log_z = table[:, 0, :1] + log_y(rows.at(ids, zero, 0), zero)
+    # table arrivals above Z at each location, and none past the grid
+    above = np.zeros((n_rep, m + min(span, m)), np.int64)
+    above[:, :m] = (table > log_z[:, None]).sum(axis=1)
+    draws, kept_total, full_scores = zero + 1, zero + 1, zero + 1
+    # the running replicates' ids and, by position, their location t_j
+    # and, once t_j is past its table, its Gamma and candidates so far;
+    # their next arrival after the table and next base row
+    ids = ids[:n_rep if m > 1 else 0]
+    loc, next_row = np.ones(ids.size, np.int64), np.ones(ids.size, np.int64)
+    past, gamma = np.zeros(ids.size, bool), np.zeros(ids.size)
+    at_loc, next_arrival = np.zeros(ids.size, np.int64), np.zeros(ids.size, np.int64)
+    chunk = np.arange(_ARRIVALS)
+    while ids.size:
+        # per running replicate: the candidates listed, where it goes on if
+        # it keeps nothing and whether that location is past its table, and
+        # where a candidate past n_points is
+        listed = np.zeros(ids.size, np.int64)
+        nxt, nxt_past, entered = loc.copy(), past.copy(), np.zeros(ids.size, bool)
+        over_at = np.zeros(ids.size, np.int64) - 1 if n_points < _ARRIVALS else None
+        low = int(next_row.min())
+        tab = (next_row < low + lag).nonzero()[0]  # the replicates that list this pass
+        front = past[tab].any()
+        if front:
+            # t_j's arrivals after the table, _ARRIVALS at a time, while they
+            # beat Z(t_j), up to n_points and to list_cap; the table lists on
+            # from t_{j+1} once they end
+            resume, front_p, front_zeta = next_arrival.copy(), [], []
+            over_at = np.zeros(ids.size, np.int64) - 1 if over_at is None else over_at
+            ahead = tab[past[tab]]
+            tab = tab[~past[tab]]
+            while ahead.size:
+                r, j = ids[ahead], loc[ahead]
+                e = more.at(r[:, None], resume[ahead, None] + chunk, int(next_arrival.min()))
+                g = np.cumsum(np.column_stack([gamma[ahead], e]), axis=1)[:, 1:]
+                log_zeta = -np.log(g)
+                beat = (log_zeta > log_z[r, j, None]).sum(axis=1)
+                room, left = list_cap - listed[ahead], n_points - at_loc[ahead]
+                # the first stop: list_cap, else an arrival below Z(t_j), which
+                # ends t_j, else one past n_points; both of those are read
+                n = np.minimum(np.minimum(room, beat), left)
+                read = n + ((n < _ARRIVALS) & (n < room))
+                front_p.append(np.repeat(ahead, n))
+                front_zeta.append(log_zeta[chunk < n[:, None]])
+                listed[ahead] += n
+                at_loc[ahead] += n
+                resume[ahead] += read
+                gamma[ahead] = g[np.arange(r.size), read - 1]
+                over = (read > n) & (left < beat)
+                ended = (read > n) & ~over
+                over_at[ahead[over]] = j[over]
+                nxt[ahead[ended]] += 1
+                nxt_past[ahead[ended]] = False
+                tab = np.concatenate([tab, ahead[ended & (j + 1 < m)]])
+                ahead = ahead[(n == _ARRIVALS) & (n < room)]
+            n_front = listed.copy()
+        p, locs, zeta = tab[:0], tab[:0], np.empty(0)
+        if tab.size:
             # a prefix of t_i's table arrivals beats Z(t_i), Z being fixed up
-            # to the first kept candidate; the list takes whole locations, up
-            # to the first all of whose table arrivals do, or to list_cap
-            counts = np.count_nonzero(table[:, start:] > log_z[start:], axis=0)
-            full = np.flatnonzero(counts == _ARRIVALS)
-            stop = full[0] + 1 if full.size else counts.size
-            fits = np.searchsorted(np.cumsum(counts[:stop]), list_cap - len(log_zeta), side="right")
-            counts = counts[:max(1, min(stop, int(fits)))]
-            past = np.flatnonzero(counts > n_points)
-            if past.size:
-                counts = counts[:past[0] + 1].copy()
-                counts[-1] = n_points
-                over_at = start + past[0]
-            at = np.repeat(np.arange(start, start + counts.size), counts)
-            c = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            locs = np.concatenate([locs, at])
-            zeta = np.concatenate([zeta, table[c, at]])
-        n = locs.size
-        if len(rows) < n:
-            rows = np.concatenate([rows, draw(_BLOCK * math.ceil((n - len(rows)) / _BLOCK), rng_x)])
-        # t_0 is its own witness, where every candidate reaches Z
-        witness = np.maximum(locs - 1, 0)
-        live = np.flatnonzero((locs == 0) | (zeta + log_y_at(rows[:n], locs, witness) < log_z[witness]))
-        first, lo, width = None, 0, 1  # the first kept candidate
-        while first is None and lo < live.size:
-            part = live[lo:lo + width]
-            cand = zeta[part, None] + log_y(rows[part], locs[part])
-            full_scores += part.size
-            kept = _kept(cand, log_z, locs[part])
-            if kept.any():
-                i = int(kept.argmax())
-                np.maximum(log_z, cand[i], out=log_z)
-                first = int(part[i])
-            lo += width
+            # to the first kept candidate; a replicate's list takes whole
+            # locations, up to the first all of whose table arrivals do, or
+            # to list_cap or span
+            first = nxt[tab]
+            cells = first[:, None] + np.arange(min(span, m - int(first.min())))
+            counts = above[ids[tab, None], cells]
+            full = counts == _ARRIVALS
+            has_full = full.any(axis=1)
+            stop = np.where(has_full, full.argmax(axis=1) + 1, cells.shape[1])
+            fits = (counts.cumsum(axis=1) <= list_cap - listed[tab, None]).sum(axis=1)
+            end = np.maximum(np.minimum(stop, fits), 1)
+            if over_at is not None:
+                beyond = (counts > n_points) & (np.arange(cells.shape[1]) < end[:, None])
+                hit = beyond.any(axis=1)
+                end[hit] = beyond[hit].argmax(axis=1) + 1
+                over_at[tab[hit]] = first[hit] + end[hit] - 1
+                np.minimum(counts, n_points, out=counts)
+            entered[tab] = has_full & (end == stop)
+            nxt[tab] = first + end - entered[tab]
+            nxt_past[tab] = entered[tab]
+            counts = counts[:, :end.max()]
+            counts[np.arange(counts.shape[1]) >= end[:, None]] = 0
+            listed[tab] += counts.sum(axis=1)
+            flat = counts.ravel()
+            cell = np.repeat(np.arange(flat.size), flat)
+            who, locs = np.divmod(cell, counts.shape[1])
+            locs += first[who]
+            p = tab[who]
+            c = np.arange(cell.size) - (flat.cumsum() - flat)[cell]
+            zeta = table.ravel()[(ids[p] * _ARRIVALS + c) * m + locs]
+        if front:
+            # a replicate's arrivals after the table come first
+            p = np.concatenate([*front_p, p])
+            order = p.argsort(kind="stable")
+            p = p[order]
+            locs = np.concatenate([*(loc[f] for f in front_p), locs])[order]
+            zeta = np.concatenate([*front_zeta, zeta])[order]
+        reps = ids[p]
+        row = np.arange(p.size) + (next_row - listed.cumsum() + listed)[p]  # each candidate's base row
+        x = rows.at(reps, row, low)
+        # the screen at t_{j-1}
+        witness = locs - 1
+        live = (zeta + log_y_at(x, locs, witness) < log_z[reps, witness]).nonzero()[0]
+        # score the survivors, each replicate's in slices of 1, 2, 4, ...:
+        # the k-th slices of all replicates at once, in order of rank
+        live_p = p[live]
+        rank = np.arange(live.size) - live_p.searchsorted(live_p)
+        order = rank.argsort(kind="stable")
+        live = live[order]
+        starts, width = [0], 1
+        while starts[-1] < live.size:
+            starts.append(starts[-1] + width)
             width = min(2 * width, score_cap)
-        if first is not None:
-            # a kept candidate sets Z(t_i) = zeta and so is t_i's last
-            kept_total += 1
-            draws += first + 1
-            rows = rows[first + 1:]
-            k = resume[first] if first < len(resume) else kk
-            j, front = int(locs[first]) + 1, None
-            continue
-        if over_at is not None:
-            raise _over_bound(over_at, n_points)
-        draws += n
-        rows = rows[n:]
-        k = kk
-        if start is None:  # list_cap ended the list inside t_j's arrivals
-            front = (gamma, at_j)
-        elif counts.size and counts[-1] == _ARRIVALS:
-            j = start + counts.size - 1
-            front = (float(gammas[-1, j]), _ARRIVALS)
-        else:
-            j, front = start + counts.size, None
-    return log_z, {"spectral_draws": draws, "rejections": draws - kept_total,
-                   "full_scores": full_scores}
-
-
-class _BlockStreams:
-    """The block layout of an ensemble (the module docstring's): replicate
-    indices[r] belongs to block indices[r] // _REPLICATE_BLOCK, whose one
-    stream is ``stream(block)`` (``block_rng(seed, block)`` for an
-    ensemble), and reads slot indices[r] mod _REPLICATE_BLOCK of every
-    draw of that stream."""
-
-    def __init__(self, indices, stream):
-        blocks, self.slot = np.divmod(indices, _REPLICATE_BLOCK)
-        block_ids, self.owner = np.unique(blocks, return_inverse=True)
-        self.streams = [stream(b) for b in block_ids]
-        self._out = None
-
-    def step(self, run, draw):
-        """One scan step: each block with a replicate in ``run`` calls
-        draw(stream), which draws for all _REPLICATE_BLOCK slots in full.
-        Returns draw's arrays stacked by block (their leading axis is the
-        slot), to be read at ``at(replicates)``; each step overwrites the
-        last."""
-        for b in np.flatnonzero(np.bincount(self.owner[run])):
-            got = draw(self.streams[b])
-            if self._out is None:
-                self._out = tuple(np.empty((len(self.streams), *a.shape)) for a in got)
-            for out, a in zip(self._out, got):
-                out[b] = a
-        return self._out
-
-    def at(self, replicates):
-        """The (block, slot) index of each of ``replicates`` (positions in indices)."""
-        return self.owner[replicates], self.slot[replicates]
-
-
-def _extremal_log_fields(m, draw, log_y, n_points, seed, indices):
-    """log Z on m grid locations of replicates ``indices`` of seed, in
-    lockstep: the scan of ``_extremal_log_field``, one arrival per
-    replicate per step, with the same sampler, keep rule and n_points guard.
-
-    At each step every block with a replicate still running draws
-    _REPLICATE_BLOCK standard exponentials and then _REPLICATE_BLOCK base
-    rows (``_BlockStreams``), and a replicate takes its slot of each.  The
-    exponential adds to Gamma at the replicate's location t_j.  If
-    zeta = 1 / Gamma > Z(t_j), the row makes a candidate; a kept one sets
-    Z(t_j) = zeta, so the next arrival would fall below it and t_j ends at
-    once.  Otherwise t_j ends and the row goes unused.  Returns log Z (R, m)
-    and the per-replicate spectral draws and rejections.
-    """
-    layout = _BlockStreams(indices, lambda block: block_rng(seed, block))
-    r = len(indices)
-    log_z = np.full((r, m), -np.inf)
-    loc = np.zeros(r, dtype=np.int64)  # each replicate's location t_j
-    gamma = np.zeros(r)
-    at_loc = np.zeros(r, dtype=np.int64)  # its candidates at t_j so far
-    draws = np.zeros(r, dtype=np.int64)
-    kept_total = np.zeros(r, dtype=np.int64)
-    run = np.arange(r)  # the replicates still scanning
-
-    def arrivals_and_rows(stream):
-        return stream.exponential(size=_REPLICATE_BLOCK), draw(_REPLICATE_BLOCK, stream)
-
-    while run.size:
-        arrivals, rows = layout.step(run, arrivals_and_rows)
-        g = gamma[run] + arrivals[layout.at(run)]
-        log_zeta = -np.log(g)
-        is_cand = log_zeta > log_z[run, loc[run]]
-        cands = run[is_cand]
-        kept = cands[:0]
-        if cands.size:
-            full = at_loc[cands] == n_points
-            if full.any():
-                raise _over_bound(int(loc[cands[full.argmax()]]), n_points)
-            at_loc[cands] += 1
-            draws[cands] += 1
-            js = loc[cands]
-            cand = log_zeta[is_cand][:, None] + log_y(rows[layout.at(cands)], js)
-            keep = _kept(cand, log_z[cands], js)
-            kept = cands[keep]
-            log_z[kept] = np.maximum(log_z[kept], cand[keep])
-            kept_total[kept] += 1
-        gamma[run] = g
-        ended = np.concatenate([run[~is_cand], kept])
-        loc[ended] += 1
-        gamma[ended] = 0.0
-        at_loc[ended] = 0
-        run = run[loc[run] < m]
-    counts = {"replicate_block": _REPLICATE_BLOCK, "spectral_draws": draws,
-              "rejections": draws - kept_total}
-    return log_z, counts
+        edges = rank[order].searchsorted(starts).tolist()
+        found = np.zeros(ids.size, np.int64) - 1  # each replicate's first kept candidate
+        n_found = 0
+        for lo, hi in zip(edges, edges[1:]):
+            part = live[lo:hi]
+            if n_found:
+                part = part[found[p[part]] < 0]
+            if not part.size:
+                break
+            rs = reps[part]
+            cand = zeta[part, None] + log_y(x[part], locs[part])
+            np.add.at(full_scores, rs, 1)
+            kept = _kept(cand, log_z[rs], locs[part]).nonzero()[0]
+            if kept.size:
+                if kept.size > 1:
+                    # each replicate's first kept candidate of the slice
+                    kept = kept[np.unique(rs[kept], return_index=True)[1]]
+                rk = rs[kept]
+                log_z[rk] = np.maximum(log_z[rk], cand[kept])
+                # Z changed only from the kept candidates' locations on
+                j = int(locs[part[kept]].min())
+                above[rk, j:m] = (table[rk, :, j:] > log_z[rk, None, j:]).sum(axis=1)
+                found[p[part[kept]]] = part[kept]
+                n_found += kept.size
+                if n_found == ids.size:
+                    break
+        kept = found >= 0
+        if over_at is not None and (over_at[~kept] >= 0).any():
+            raise _over_bound(int(over_at[~kept & (over_at >= 0)][0]), n_points)
+        if kept.any():
+            # a kept candidate sets Z(t_i) = zeta and so is t_i's last; one
+            # after t_i's table read the arrivals up to its own
+            f = found[kept]
+            used = row[f] - next_row[kept] + 1
+            if front:
+                resume[kept] = np.where(used <= n_front[kept], next_arrival[kept] + used, resume[kept])
+            listed[kept] = used
+            nxt[kept], nxt_past[kept], entered[kept] = locs[f] + 1, False, False
+            kept_total[ids[kept]] += 1
+        draws[ids] += listed
+        next_row += listed
+        if front:
+            next_arrival = resume
+        if entered.any():
+            # a location whose whole table beat Z goes on after the table
+            gamma[entered] = gammas[ids[entered], -1, nxt[entered]]
+            at_loc[entered] = _ARRIVALS
+        loc, past = nxt, nxt_past
+        go = loc < m
+        if not go.all():
+            ids, loc, past, gamma, at_loc, next_arrival, next_row = (
+                a[go] for a in (ids, loc, past, gamma, at_loc, next_arrival, next_row))
+    return log_z, {"spectral_draws": draws, "rejections": draws - kept_total, "full_scores": full_scores}
 
 
 def _kept(cand, log_z, js):
@@ -462,31 +519,32 @@ def _over_bound(j, n_points):
 @dataclass(frozen=True)
 class PreparedLaw:
     """One construction's law on one grid, its grid invariants computed
-    once.  ``log_field(rng)`` gives log Z on the grid and the field's own
-    counts, ``log_fields(seed, indices)`` the (R, m) log Z of those
-    replicates and their counts as arrays; ``provenance`` holds what every
-    field records besides them."""
+    once.  ``scan(blocks)`` gives the (R, m) log Z of the replicates of a
+    ``_Blocks`` layout and their per-replicate counts as arrays;
+    ``provenance`` holds what every field records besides them."""
 
     grid: Grid
     provenance: dict
-    log_field: object
-    log_fields: object
+    scan: object
 
     def simulate(self, rng, *, seed_record=None) -> Field:
-        """One field, drawn from rng alone: k fields of one prepared law are
-        those of k ``simulate_*`` calls with the same generators."""
-        log_z, counts = self.log_field(rng)
-        return Field(self.grid, self._exp(log_z), {**self.provenance, "seed": seed_record, **counts})
+        """One field, drawn from rng alone: the one replicate of a one-slot
+        block whose stream is rng.  k fields of one prepared law are those
+        of k ``simulate_*`` calls with the same generators."""
+        log_z, counts = self.scan(_Blocks([0], lambda block: rng, 1))
+        counts = {key: int(value[0]) for key, value in counts.items()}
+        return Field(self.grid, self._exp(log_z[0]), {**self.provenance, "seed": seed_record, **counts})
 
     def simulate_many(self, seed: int, indices):
         """Replicates ``indices`` (integers >= 0) of seed: an (R, m) array
         whose row r is replicate indices[r] on the grid, and one record of
         the law, the seed and the per-replicate counts.  A replicate's row
         depends only on (seed, index): see the module docstring's layout."""
-        log_z, counts = self.log_fields(int(seed), replicate_indices(indices))
+        blocks = _Blocks(replicate_indices(indices), lambda block: block_rng(int(seed), block), _REPLICATE_BLOCK)
+        log_z, counts = self.scan(blocks)
         values = self._exp(log_z)
         _check_values(values)
-        return values, {**self.provenance, "seed": seed, **counts}
+        return values, {**self.provenance, "seed": seed, "replicate_block": _REPLICATE_BLOCK, **counts}
 
     def _exp(self, log_z):
         if np.any(log_z > _LOG_MAX):
@@ -496,21 +554,15 @@ class PreparedLaw:
 
 
 def _engine_law(grid, sampler, n_points, provenance, shift=0.0) -> PreparedLaw:
-    """The engine's field exp(log Z + shift) for a (draw, log_y, log_y_at)
-    sampler; the ensemble scan does not screen, so it takes no log_y_at."""
+    """The engine's field exp(log Z + shift) for a (draw, log_y, log_y_at) sampler."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    draw, log_y, log_y_at = sampler
 
-    def log_field(rng):
-        log_z, counts = _extremal_log_field(grid.size, draw, log_y, log_y_at, n_points, rng)
+    def scan(blocks):
+        log_z, counts = _extremal_log_fields(grid.size, sampler, n_points, blocks)
         return log_z + shift, counts
 
-    def log_fields(seed, indices):
-        log_z, counts = _extremal_log_fields(grid.size, draw, log_y, n_points, seed, indices)
-        return log_z + shift, counts
-
-    return PreparedLaw(grid, {**provenance, "n_points": n_points}, log_field, log_fields)
+    return PreparedLaw(grid, {**provenance, "n_points": n_points}, scan)
 
 
 def _spectral_law(dist, kappa, grid, n_points, construction) -> PreparedLaw:
@@ -669,11 +721,8 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
     _STORM_STEP storms each per step, and each stops by itself, after the
     first step whose weakest storm falls below its field's minimum; a step
     scores its replicates in slices of at most _BATCH_CELLS
-    storm-by-location values.  An ensemble's block streams are
-    ``block_rng(seed, block)``; one field is replicate 0 of a block whose
-    stream is its own generator, so ``simulate(block_rng(seed, 0))`` is
-    row 0 of ``simulate_many(seed, [0])``.  ``n_points`` records the
-    storms drawn, per replicate in an ensemble.
+    storm-by-location values.  ``n_points`` records the storms drawn, per
+    replicate in an ensemble.
     """
     sigma, eigs, _ = clamp_psd(sigma)
     lam_min = float(eigs.min())
@@ -692,29 +741,28 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
     widths = window[:, 1] - window[:, 0]
     vol = float(np.prod(widths))
 
-    def storms(stream):
-        # the centres are stream.uniform(window[:, 0], window[:, 1]) bit for
-        # bit, without the cost of its broadcast bounds
-        return (stream.exponential(size=(_REPLICATE_BLOCK, _STORM_STEP)),
-                window[:, 0] + widths * stream.random((_REPLICATE_BLOCK, _STORM_STEP, grid.dim)))
+    def scan(blocks):
+        def storms(stream):
+            # the centres are stream.uniform(window[:, 0], window[:, 1]) bit for
+            # bit, without the cost of its broadcast bounds
+            return (stream.exponential(size=(blocks.width, _STORM_STEP)),
+                    window[:, 0] + widths * stream.random((blocks.width, _STORM_STEP, grid.dim)))
 
-    def scan(indices, stream):
-        layout = _BlockStreams(indices, stream)
-        best = np.full((len(indices), grid.size), -np.inf)
-        gamma_total = np.zeros(len(indices))
-        n_storms = np.zeros(len(indices), dtype=np.int64)
-        run = np.arange(len(indices))  # the replicates still adding storms
+        n_rep = blocks.slot.size
+        best = np.full((n_rep, grid.size), -np.inf)
+        gamma_total = np.zeros(n_rep)
+        n_storms = np.zeros(n_rep, dtype=np.int64)
+        run = np.arange(n_rep)  # the replicates still adding storms
         width = max(1, _BATCH_CELLS // (_STORM_STEP * grid.size))
         while run.size:
-            arrivals, centers = layout.step(run, storms)
+            arrivals, centers = (blocks.own(list(a)) for a in zip(*map(storms, blocks.streams)))
             stopped = np.zeros(run.size, dtype=bool)
             for lo in range(0, run.size, width):
                 part = run[lo:lo + width]
-                at = layout.at(part)
-                gammas = np.cumsum(arrivals[at], axis=1) + gamma_total[part, None]
+                gammas = np.cumsum(arrivals[part], axis=1) + gamma_total[part, None]
                 gamma_total[part] = gammas[:, -1]
                 log_strengths = log_c + np.log(vol / gammas)
-                diff = grid_pts - centers[at][:, :, None, :]
+                diff = grid_pts - centers[part][:, :, None, :]
                 # summed in coordinate order, so a row does not depend on its slice
                 quad = ordered_dot(ordered_dot(diff[..., None, :], sigma), diff)
                 best[part] = np.maximum(best[part], (log_strengths[:, :, None] - 0.5 * quad).max(axis=1))
@@ -723,15 +771,7 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
             if np.any(n_storms[run[~stopped]] >= _MAX_STORMS):
                 raise ValueError(f"moving-maxima stopping rule not reached within {_MAX_STORMS} storms")
             run = run[~stopped]
-        return best, n_storms
-
-    def log_field(rng):
-        best, n_storms = scan([0], lambda block: rng)
-        return best[0], {"n_points": int(n_storms[0])}
-
-    def log_fields(seed, indices):
-        best, n_storms = scan(indices, lambda block: block_rng(seed, block))
-        return best, {"replicate_block": _REPLICATE_BLOCK, "n_points": n_storms}
+        return best, {"n_points": n_storms}
 
     prov = {
         "construction": "mmm",
@@ -740,7 +780,7 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
         "edge_error_bound": edge_bound,
         "truncation": {"exact_on_grid": True},
     }
-    return PreparedLaw(grid, prov, log_field, log_fields)
+    return PreparedLaw(grid, prov, scan)
 
 
 # ---------------------------------------------------------------------------

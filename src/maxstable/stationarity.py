@@ -8,10 +8,10 @@ the centered multivariate CGF is shift invariant:
 
 for every shift h and simplex weights u.  This module evaluates the
 defect (the difference of the two sides), tests the equivalent affinity
-of the CGF gradient, searches for violations, fits quadratics to phi,
-and runs the end-to-end characterization experiment: marginals are
-Frechet for any spectral law once kappa is its CGF, but the defect
-vanishes identically only for Gaussian laws (quadratic phi).
+of the CGF gradient, searches for violations, and runs the end-to-end
+characterization experiment: marginals are Frechet for any spectral law
+once kappa is its CGF, but the defect vanishes identically only for
+Gaussian laws (quadratic phi).
 """
 from __future__ import annotations
 
@@ -274,50 +274,6 @@ def search_violation(
     return DefectReport(
         defects, max_abs, argmax_config, verdict, ratio, len(kept), len(ts) - len(kept)
     )
-
-
-# ---------------------------------------------------------------------------
-# quadratic fit
-
-
-@dataclass(frozen=True)
-class QuadraticFitReport:
-    mu: np.ndarray
-    sigma: np.ndarray
-    max_residual: float
-
-
-def quadratic_fit_check(dist: SpectralDistribution, points) -> QuadraticFitReport:
-    """Least-squares fit of phi by <mu, t> + 0.5 <t, Sigma t> (no constant:
-    phi(0) = 0).  For gaussian input the fit is exact to round-off."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = dist.dim
-    n_params = d + d * (d + 1) // 2
-    if pts.shape[0] < (d * d + 3 * d + 2) // 2:
-        raise ValueError(
-            f"need at least {(d * d + 3 * d + 2) // 2} sample points in dimension {d}"
-        )
-    dist.check_domain(pts)
-    phi = np.asarray(dist.cgf(pts), dtype=float)
-    cols = [pts[:, j] for j in range(d)]
-    quad_index = []
-    for a in range(d):
-        for b in range(a, d):
-            cols.append(pts[:, a] * pts[:, b])
-            quad_index.append((a, b))
-    design = np.column_stack(cols)
-    coef, _, rank, _ = np.linalg.lstsq(design, phi, rcond=None)
-    if rank < n_params:
-        raise ValueError("sample points are not in general position (rank-deficient fit)")
-    mu = coef[:d]
-    sigma = np.zeros((d, d))
-    for (a, b), beta in zip(quad_index, coef[d:]):
-        if a == b:
-            sigma[a, a] = 2.0 * beta
-        else:
-            sigma[a, b] = sigma[b, a] = beta
-    max_residual = float(np.abs(design @ coef - phi).max())
-    return QuadraticFitReport(mu, sigma, max_residual)
 
 
 # ---------------------------------------------------------------------------

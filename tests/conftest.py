@@ -45,21 +45,26 @@ def rng():
     return derive_rng(12345)
 
 
-def extremal_reference(m, candidate, n_points, rng):
+def extremal_reference(m, draw, candidate, n_points, rng, width=1, slot=0):
     """The textbook extremal-function loop (Dombry, Engelke & Oesting 2016,
-    Algorithm 2), one candidate at a time and nothing drawn ahead.
+    Algorithm 2) for slot ``slot`` of a block of ``width`` slots whose
+    stream is rng, one candidate at a time and nothing drawn ahead.
 
-    The arrival stream gives first a (C, m) table of standard exponentials
+    rng splits into an arrival and a spectral stream.  The arrival stream
+    gives first a (width, C, m) table of standard exponentials
     (C = simulator._ARRIVALS, read at each call): arrival c at t_j adds
-    entry (c, j) to Gamma.  Arrivals past the table are read from the same
-    stream one at a time, as the loop needs them.  A kept candidate sets
-    Z(t_j) = zeta, so t_j ends with it.
-    candidate(j, rng_x) draws one log Y = log(W / W(t_j)) on the m grid
-    locations under the t_j-tilted law.  Returns (log Z, draws, kept).
+    entry (slot, c, j) to Gamma.  Arrivals past the table are read one
+    round of width at a time, as the loop needs them, and the slot takes
+    entry ``slot`` of each; so are the base rows of the spectral stream,
+    draw(width, rng_x), one round per candidate.  candidate(j, row) is the
+    row's log Y = log(W / W(t_j)) on the m grid locations under the
+    t_j-tilted law.  A kept candidate sets Z(t_j) = zeta, so t_j ends with
+    it.  At width 1 this is one field's layout.  Returns (log Z, draws,
+    kept).
     """
     rng_e, rng_x = spawn(rng, 2)
     arrivals = simulator._ARRIVALS
-    table = rng_e.exponential(size=(arrivals, m))
+    table = rng_e.exponential(size=(width, arrivals, m))[slot]
     log_z = np.full(m, -np.inf)
     draws = kept = 0
     for j in range(m):
@@ -68,84 +73,20 @@ def extremal_reference(m, candidate, n_points, rng):
         while -np.log(gamma) > log_z[j]:
             if count == n_points:
                 raise ValueError(f"location {j} needs more than n_points = {n_points}")
-            cand = -np.log(gamma) + candidate(j, rng_x)
+            cand = -np.log(gamma) + candidate(j, draw(width, rng_x)[slot])
             count += 1
             if np.all(cand[:j] < log_z[:j]):
                 log_z = np.maximum(log_z, cand)
                 kept += 1
                 break
-            gamma += table[count, j] if count < arrivals else rng_e.exponential()
+            gamma += table[count, j] if count < arrivals else rng_e.exponential(size=width)[slot]
         draws += count
     return log_z, draws, kept
 
 
-def general_reference(dist, kappa, grid, n_points, rng):
+def _general(dist, kappa, grid, n_points, rng, width, slot):
     """extremal_reference for max_i U_i exp(<X_i, t> - kappa(t)): X from
-    ``sample_tilted`` one row at a time, log Y = a(t) - a(t_j) with
-    a(t) = <X, t> - phi(t), the field shifted by phi - kappa."""
-    t = grid.locations
-    phi = np.asarray(dist.cgf(t), dtype=float)
-
-    def candidate(j, rng_x):
-        a = (dist.sample_tilted(t[j], 1, rng_x) @ t.T)[0] - phi
-        return a - a[j]
-
-    log_z, draws, kept = extremal_reference(grid.size, candidate, n_points, rng)
-    return np.exp(log_z + (phi - kappa.values(t))), draws, kept
-
-
-def brown_resnick_reference(variogram, grid, n_points, rng):
-    """extremal_reference for Brown-Resnick: one vector of Gaussian
-    increments G per candidate, log Y = G(t) - G(t_j) - gamma(t - t_j) / 2."""
-    factor, pairwise = _br_cov_factor(variogram, grid)
-
-    def candidate(j, rng_x):
-        g = (rng_x.standard_normal((1, factor.shape[1])) @ factor.T)[0]
-        return g - g[j] - 0.5 * pairwise[j]
-
-    log_z, draws, kept = extremal_reference(grid.size, candidate, n_points, rng)
-    return np.exp(log_z), draws, kept
-
-
-def extremal_block_reference(m, draw, candidate, n_points, seed, k):
-    """The textbook loop for replicate k of seed in the ensemble layout.
-
-    Block k // B (B = _REPLICATE_BLOCK) has the stream block_rng(seed,
-    block); at every step it draws B standard exponentials and then
-    draw(B, stream) base rows, and replicate k reads entry k mod B of each.
-    One arrival per step: it adds to Gamma at t_j, and zeta = 1 / Gamma
-    either falls to Z(t_j) or below, which ends t_j, or makes a candidate
-    from the step's row, candidate(j, row) being its log Y.  A kept
-    candidate sets Z(t_j) = zeta, so t_j ends with it.  The stream is drawn
-    afresh for each replicate.  Returns (log Z, draws, kept).
-    """
-    block, slot = divmod(k, _REPLICATE_BLOCK)
-    rng = block_rng(seed, block)
-    log_z = np.full(m, -np.inf)
-    draws = kept = 0
-    j, gamma, count = 0, 0.0, 0
-    while j < m:
-        gamma += rng.exponential(size=_REPLICATE_BLOCK)[slot]
-        row = draw(_REPLICATE_BLOCK, rng)[slot]
-        log_zeta = -np.log(gamma)
-        if not log_zeta > log_z[j]:
-            j, gamma, count = j + 1, 0.0, 0
-            continue
-        if count == n_points:
-            raise ValueError(f"location {j} needs more than n_points = {n_points}")
-        count += 1
-        draws += 1
-        cand = log_zeta + candidate(j, row)
-        if np.all(cand[:j] < log_z[:j]):
-            log_z = np.maximum(log_z, cand)
-            kept += 1
-            j, gamma, count = j + 1, 0.0, 0
-    return log_z, draws, kept
-
-
-def general_block_reference(dist, kappa, grid, n_points, seed, k):
-    """extremal_block_reference for max_i U_i exp(<X_i, t> - kappa(t)): X
-    from the family's one-point tilt at t_j of the row, log Y = a(t) - a(t_j)
+    the family's one-point tilt at t_j of the row, log Y = a(t) - a(t_j)
     with a(t) = <X, t> - phi(t), the field shifted by phi - kappa."""
     t = grid.locations
     phi = np.asarray(dist.cgf(t), dtype=float)
@@ -156,52 +97,73 @@ def general_block_reference(dist, kappa, grid, n_points, seed, k):
         a = (tilts[j](row[None], 0) @ t.T)[0] - phi
         return a - a[j]
 
-    log_z, draws, kept = extremal_block_reference(grid.size, draw, candidate, n_points, seed, k)
+    log_z, draws, kept = extremal_reference(grid.size, draw, candidate, n_points, rng, width, slot)
     return np.exp(log_z + (phi - kappa.values(t))), draws, kept
 
 
-def brown_resnick_block_reference(variogram, grid, n_points, seed, k):
-    """extremal_block_reference for Brown-Resnick: a row of standard normals
+def _brown_resnick(variogram, grid, n_points, rng, width, slot):
+    """extremal_reference for Brown-Resnick: a row of standard normals
     gives G = factor @ row and log Y = G(t) - G(t_j) - gamma(t - t_j) / 2."""
     factor, pairwise = _br_cov_factor(variogram, grid)
 
-    def draw(n, rng):
-        return rng.standard_normal((n, factor.shape[1]))
+    def draw(n, rng_x):
+        return rng_x.standard_normal((n, factor.shape[1]))
 
     def candidate(j, row):
         g = factor @ row
         return g - g[j] - 0.5 * pairwise[j]
 
-    log_z, draws, kept = extremal_block_reference(grid.size, draw, candidate, n_points, seed, k)
+    log_z, draws, kept = extremal_reference(grid.size, draw, candidate, n_points, rng, width, slot)
     return np.exp(log_z), draws, kept
 
 
-def moving_maxima_block_reference(sigma, grid, seed, k):
-    """Replicate k of seed of a moving-maxima ensemble, alone and one step
-    at a time.
+def general_reference(dist, kappa, grid, n_points, rng):
+    """One general field drawn from rng: the one slot of a one-slot block."""
+    return _general(dist, kappa, grid, n_points, rng, 1, 0)
 
-    Block k // B (B = _REPLICATE_BLOCK) has the stream block_rng(seed,
-    block); at every step it draws B x C standard exponentials and then
-    B x C storm centres on the prepared law's window (C = _STORM_STEP), and
-    replicate k reads row k mod B of each.  Within a step the arrivals are
+
+def brown_resnick_reference(variogram, grid, n_points, rng):
+    """One Brown-Resnick field drawn from rng: the one slot of a one-slot block."""
+    return _brown_resnick(variogram, grid, n_points, rng, 1, 0)
+
+
+def general_block_reference(dist, kappa, grid, n_points, seed, k):
+    """Replicate k of seed of a general ensemble: slot k mod B of block
+    k // B (B = _REPLICATE_BLOCK), whose stream is block_rng(seed, block)."""
+    block, slot = divmod(k, _REPLICATE_BLOCK)
+    return _general(dist, kappa, grid, n_points, block_rng(seed, block), _REPLICATE_BLOCK, slot)
+
+
+def brown_resnick_block_reference(variogram, grid, n_points, seed, k):
+    """Replicate k of seed of a Brown-Resnick ensemble, as general_block_reference."""
+    block, slot = divmod(k, _REPLICATE_BLOCK)
+    return _brown_resnick(variogram, grid, n_points, block_rng(seed, block), _REPLICATE_BLOCK, slot)
+
+
+def moving_maxima_reference(sigma, grid, rng, width=1, slot=0):
+    """Slot ``slot`` of a moving-maxima block of ``width`` slots whose
+    stream is rng, alone and one step at a time.
+
+    At every step the block draws width x C standard exponentials and then
+    width x C storm centres on the prepared law's window (C = _STORM_STEP),
+    and the slot reads row ``slot`` of each.  Within a step the arrivals are
     summed first and Gamma so far added after; storm i scores
     log c + log(|window| / Gamma_i) - <t - T_i, Sigma (t - T_i)> / 2 at
     every t, the quadratic form summed in coordinate order.  The replicate
     stops after the first step whose last storm scores below the minimum
-    of its field.  Returns (log Z, storms).
+    of its field.  At width 1 this is one field's layout.  Returns (log Z,
+    storms).
     """
     law = prepare_moving_maxima(sigma, grid)
     sigma = clamp_psd(sigma)[0]
     window = np.array(law.provenance["window"])
     vol = float(np.prod(window[:, 1] - window[:, 0]))
     log_c = math.log(math.sqrt(np.linalg.det(sigma)) / (2.0 * math.pi) ** (grid.dim / 2.0))
-    block, slot = divmod(k, _REPLICATE_BLOCK)
-    rng = block_rng(seed, block)
     best = np.full(grid.size, -np.inf)
     gamma, storms = 0.0, 0
     while True:
-        arrivals = rng.exponential(size=(_REPLICATE_BLOCK, _STORM_STEP))[slot]
-        centers = rng.uniform(window[:, 0], window[:, 1], size=(_REPLICATE_BLOCK, _STORM_STEP, grid.dim))[slot]
+        arrivals = rng.exponential(size=(width, _STORM_STEP))[slot]
+        centers = rng.uniform(window[:, 0], window[:, 1], size=(width, _STORM_STEP, grid.dim))[slot]
         gammas = np.cumsum(arrivals) + gamma
         gamma = gammas[-1]
         log_strengths = log_c + np.log(vol / gammas)
@@ -217,3 +179,10 @@ def moving_maxima_block_reference(sigma, grid, seed, k):
             best = np.maximum(best, log_strength - 0.5 * quad)
         if log_strengths[-1] < best.min():
             return best, storms
+
+
+def moving_maxima_block_reference(sigma, grid, seed, k):
+    """Replicate k of seed of a moving-maxima ensemble: slot k mod B of
+    block k // B (B = _REPLICATE_BLOCK), whose stream is block_rng(seed, block)."""
+    block, slot = divmod(k, _REPLICATE_BLOCK)
+    return moving_maxima_reference(sigma, grid, block_rng(seed, block), _REPLICATE_BLOCK, slot)

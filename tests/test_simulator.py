@@ -9,12 +9,13 @@ from conftest import (
     general_block_reference,
     general_reference,
     moving_maxima_block_reference,
+    moving_maxima_reference,
 )
 
 from maxstable import simulator
 from maxstable.fdd import frechet_cdf, ks_distance, ks_threshold
 from maxstable.pointproc import frechet_cascade
-from maxstable.seeding import block_rng, derive_rng, spawn
+from maxstable.seeding import derive_rng, spawn
 from maxstable.simulator import (
     DEFAULT_N_POINTS,
     Field,
@@ -247,6 +248,9 @@ def test_the_screen_leaves_few_candidates_to_score_on_the_whole_grid():
     prov = field.provenance
     assert prov["full_scores"] * 10 < prov["spectral_draws"] == draws
     assert prov["spectral_draws"] == prov["rejections"] + kept
+    # and for every replicate of an ensemble
+    _, record = prepare_smith([[1.0]], grid, DEFAULT_N_POINTS).simulate_many(7, range(64))
+    assert np.all(record["full_scores"] * 10 < record["spectral_draws"])
 
 
 def test_two_dimensional_and_brown_resnick_agree_with_the_textbook_loop():
@@ -310,9 +314,11 @@ def test_ensemble_record():
     assert record["seed"] == 42 and record["n_points"] == 5000
     assert record["construction"] == "smith"
     assert record["replicate_block"] == simulator._REPLICATE_BLOCK
-    draws, rejections = record["spectral_draws"], record["rejections"]
-    assert draws.shape == rejections.shape == (5,)
+    draws, rejections, full = record["spectral_draws"], record["rejections"], record["full_scores"]
+    assert draws.shape == rejections.shape == full.shape == (5,)
     assert np.all(draws >= 1) and np.all((0 <= rejections) & (rejections < draws))
+    # the candidates kept are scored in full, and no candidate twice
+    assert np.all((draws - rejections <= full) & (full <= draws))
 
 
 def test_ensemble_n_points_guard_and_overflow():
@@ -351,9 +357,9 @@ def test_moving_maxima_ensemble_is_its_block_reference(sigma, grid):
         assert record["n_points"][r] == storms
     assert record["seed"] == 23 and record["construction"] == "mmm"
     assert record["replicate_block"] == simulator._REPLICATE_BLOCK
-    # one field is replicate 0 of a block on its own generator
-    field = law.simulate(block_rng(23, 0))
-    log_z, storms = moving_maxima_block_reference(sigma, grid, 23, 0)
+    # one field is the one replicate of a one-slot block on its own generator
+    field = law.simulate(derive_rng(23))
+    log_z, storms = moving_maxima_reference(sigma, grid, derive_rng(23))
     assert np.array_equal(field.values, np.exp(log_z))
     assert field.provenance["n_points"] == storms
 

@@ -28,7 +28,6 @@ from maxstable.stationarity import (
     empirical_shift_distance,
     gradient_affinity_defect,
     marginal_frechet_ks,
-    quadratic_fit_check,
     search_violation,
     verify_characterization,
 )
@@ -343,33 +342,6 @@ def test_coarse_grid_beyond_int64_indices():
     ts, u, h = _coarse_grid(4, np.array([[-1.0, 1.0]] * 5))
     assert ts.shape == (20_000, 4, 5) and u.shape == (20_000, 4) and h.shape == (20_000, 5)
     assert np.allclose(u.sum(axis=1), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# quadratic fit
-
-
-def test_quadratic_fit_recovers_gaussian(rng):
-    mu = np.array([0.4, -0.2])
-    sigma = np.array([[1.0, 0.3], [0.3, 0.8]])
-    pts = rng.uniform(-1, 1, size=(60, 2))
-    report = quadratic_fit_check(Gaussian(mu, sigma), pts)
-    assert report.max_residual < 1e-10
-    assert np.allclose(report.mu, mu, atol=1e-8)
-    assert np.allclose(report.sigma, sigma, atol=1e-8)
-
-
-def test_quadratic_fit_rejects_nonquadratic_cgf(rng):
-    pts = rng.uniform(0.0, 0.6, size=(40, 1))
-    report = quadratic_fit_check(Exponential(1.0), pts)
-    assert report.max_residual > 1e-4
-
-
-def test_quadratic_fit_needs_enough_points():
-    with pytest.raises(ValueError):
-        quadratic_fit_check(Gaussian([0.0], [[1.0]]), [[0.1], [0.2]])
-    with pytest.raises(ValueError):
-        quadratic_fit_check(Gaussian([0.0], [[1.0]]), [[0.1]] * 10)  # rank deficient
 
 
 # ---------------------------------------------------------------------------
