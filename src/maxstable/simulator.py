@@ -235,15 +235,17 @@ class _Blocks:
 class _Dealt:
     """One stream per block, dealt to the block's slots in turn: value (or
     row) i of a slot is value i * width + slot of its block's stream.
-    take(n, stream) reads a stream's next n values; they are read ahead
-    ``rounds`` rounds of width at a time, which does not change what a slot
-    reads, into a buffer that keeps only what some replicate may still
-    read."""
+    take(n, stream) reads a stream's next n values; they are read ahead in
+    whole rounds of width, at least ``rounds`` and up to as many as were
+    read so far or _BATCH_CELLS values a block, which does not change what
+    a slot reads, into a buffer that keeps only what some replicate may
+    still read."""
 
     def __init__(self, blocks, streams, take, rounds):
         self.blocks, self.streams, self.take, self.rounds = blocks, streams, take, rounds
         self.values = self._read(rounds)
         self.first, self.filled = 0, rounds  # the slot index of values[:, 0], and columns read
+        self.most = max(rounds, _BATCH_CELLS // (self.values[0, 0].size * blocks.width))
 
     def _read(self, rounds):
         width, parts = self.blocks.width, []
@@ -257,7 +259,7 @@ class _Dealt:
         reads below ``low`` any more."""
         short = int(index.max(initial=-1)) + 1 - self.first - self.filled
         if short > 0:
-            more = self._read(self.rounds * -(-short // self.rounds))
+            more = self._read(max(self.rounds * -(-short // self.rounds), min(self.filled, self.most)))
             keep = self.filled - (low - self.first)
             if self.filled + len(more[0]) > self.values.shape[1]:
                 # move what is kept to the front, into a larger buffer if need be
@@ -269,6 +271,9 @@ class _Dealt:
                 self.first, self.filled = low, keep
             self.values[:, self.filled:self.filled + len(more[0])] = more
             self.filled += len(more[0])
+        if index.ndim == 1 and index.size and replicates[0] == replicates[-1]:
+            # one replicate's values are a run of its own: no copy
+            return self.values[replicates[0], index[0] - self.first:index[-1] + 1 - self.first]
         return self.values[replicates, index - self.first]
 
 
@@ -360,14 +365,14 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
         over_at = np.zeros(ids.size, np.int64) - 1 if n_points < _ARRIVALS else None
         low = int(next_row.min())
         tab = (next_row < low + lag).nonzero()[0]  # the replicates that list this pass
-        front = past[tab].any()
+        ahead = tab[past[tab]]
+        front = ahead.size > 0
         if front:
             # t_j's arrivals after the table, _ARRIVALS at a time, while they
             # beat Z(t_j), up to n_points and to list_cap; the table lists on
             # from t_{j+1} once they end
             resume, front_p, front_zeta = next_arrival.copy(), [], []
             over_at = np.zeros(ids.size, np.int64) - 1 if over_at is None else over_at
-            ahead = tab[past[tab]]
             tab = tab[~past[tab]]
             while ahead.size:
                 r, j = ids[ahead], loc[ahead]
@@ -402,29 +407,29 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
             # to list_cap or span
             first = nxt[tab]
             cells = first[:, None] + np.arange(min(span, m - int(first.min())))
-            counts = above[ids[tab, None], cells]
+            counts = above[ids[tab][:, None], cells]
             full = counts == _ARRIVALS
             has_full = full.any(axis=1)
             stop = np.where(has_full, full.argmax(axis=1) + 1, cells.shape[1])
-            fits = (counts.cumsum(axis=1) <= list_cap - listed[tab, None]).sum(axis=1)
-            end = np.maximum(np.minimum(stop, fits), 1)
+            room = list_cap - listed[tab, None] if front else list_cap
+            end = np.maximum(np.minimum(stop, (counts.cumsum(axis=1) <= room).sum(axis=1)), 1)
             if over_at is not None:
                 beyond = (counts > n_points) & (np.arange(cells.shape[1]) < end[:, None])
                 hit = beyond.any(axis=1)
                 end[hit] = beyond[hit].argmax(axis=1) + 1
                 over_at[tab[hit]] = first[hit] + end[hit] - 1
                 np.minimum(counts, n_points, out=counts)
-            entered[tab] = has_full & (end == stop)
-            nxt[tab] = first + end - entered[tab]
-            nxt_past[tab] = entered[tab]
-            counts = counts[:, :end.max()]
-            counts[np.arange(counts.shape[1]) >= end[:, None]] = 0
+            full = has_full & (end == stop)
+            entered[tab], nxt_past[tab] = full, full
+            nxt[tab] = first + end - full
+            width = end.max()
+            counts = counts[:, :width]
+            counts[np.arange(width) >= end[:, None]] = 0
             listed[tab] += counts.sum(axis=1)
             flat = counts.ravel()
             cell = np.repeat(np.arange(flat.size), flat)
-            who, locs = np.divmod(cell, counts.shape[1])
-            locs += first[who]
-            p = tab[who]
+            p = tab[cell // width]
+            locs = cells[:, :width].ravel()[cell]
             c = np.arange(cell.size) - (flat.cumsum() - flat)[cell]
             zeta = table.ravel()[(ids[p] * _ARRIVALS + c) * m + locs]
         if front:
@@ -442,44 +447,49 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
         live = (zeta + log_y_at(x, locs, witness) < log_z[reps, witness]).nonzero()[0]
         # score the survivors, each replicate's in slices of 1, 2, 4, ...:
         # the k-th slices of all replicates at once, in order of rank
-        live_p = p[live]
-        rank = np.arange(live.size) - live_p.searchsorted(live_p)
-        order = rank.argsort(kind="stable")
-        live = live[order]
-        starts, width = [0], 1
-        while starts[-1] < live.size:
-            starts.append(starts[-1] + width)
+        edges, width = [0], 1
+        while edges[-1] < live.size:
+            edges.append(edges[-1] + width)
             width = min(2 * width, score_cap)
-        edges = rank[order].searchsorted(starts).tolist()
+        if live.size and p[live[0]] != p[live[-1]]:
+            live_p = p[live]
+            rank = np.arange(live.size) - live_p.searchsorted(live_p)
+            order = rank.argsort(kind="stable")
+            live = live[order]
+            edges = rank[order].searchsorted(edges).tolist()
         found = np.zeros(ids.size, np.int64) - 1  # each replicate's first kept candidate
-        n_found = 0
+        n_found, scored = 0, []
         for lo, hi in zip(edges, edges[1:]):
             part = live[lo:hi]
             if n_found:
                 part = part[found[p[part]] < 0]
             if not part.size:
                 break
-            rs = reps[part]
-            cand = zeta[part, None] + log_y(x[part], locs[part])
-            np.add.at(full_scores, rs, 1)
-            kept = _kept(cand, log_z[rs], locs[part]).nonzero()[0]
+            scored.append(part)
+            rs, at = reps[part], locs[part]
+            cand = zeta[part, None] + log_y(x[part], at)
+            kept = _kept(cand, log_z[rs], at).nonzero()[0]
             if kept.size:
                 if kept.size > 1:
                     # each replicate's first kept candidate of the slice
                     kept = kept[np.unique(rs[kept], return_index=True)[1]]
-                rk = rs[kept]
+                rk, pk = rs[kept], part[kept]
                 log_z[rk] = np.maximum(log_z[rk], cand[kept])
                 # Z changed only from the kept candidates' locations on
-                j = int(locs[part[kept]].min())
+                j = int(at[kept].min())
                 above[rk, j:m] = (table[rk, :, j:] > log_z[rk, None, j:]).sum(axis=1)
-                found[p[part[kept]]] = part[kept]
+                found[p[pk]] = pk
                 n_found += kept.size
                 if n_found == ids.size:
                     break
-        kept = found >= 0
-        if over_at is not None and (over_at[~kept] >= 0).any():
-            raise _over_bound(int(over_at[~kept & (over_at >= 0)][0]), n_points)
-        if kept.any():
+        if scored:
+            np.add.at(full_scores, reps[np.concatenate(scored)], 1)
+        kept = (found >= 0).nonzero()[0]
+        if over_at is not None:
+            over_at[kept] = -1
+            if over_at.max() >= 0:
+                raise _over_bound(int(over_at[over_at >= 0][0]), n_points)
+        if kept.size:
             # a kept candidate sets Z(t_i) = zeta and so is t_i's last; one
             # after t_i's table read the arrivals up to its own
             f = found[kept]
@@ -493,13 +503,14 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
         next_row += listed
         if front:
             next_arrival = resume
-        if entered.any():
+        fresh = entered.nonzero()[0]
+        if fresh.size:
             # a location whose whole table beat Z goes on after the table
-            gamma[entered] = gammas[ids[entered], -1, nxt[entered]]
-            at_loc[entered] = _ARRIVALS
+            gamma[fresh] = gammas[ids[fresh], -1, nxt[fresh]]
+            at_loc[fresh] = _ARRIVALS
         loc, past = nxt, nxt_past
-        go = loc < m
-        if not go.all():
+        if loc.max() >= m:
+            go = loc < m
             ids, loc, past, gamma, at_loc, next_arrival, next_row = (
                 a[go] for a in (ids, loc, past, gamma, at_loc, next_arrival, next_row))
     return log_z, {"spectral_draws": draws, "rejections": draws - kept_total, "full_scores": full_scores}
