@@ -235,17 +235,17 @@ class _Blocks:
 class _Dealt:
     """One stream per block, dealt to the block's slots in turn: value (or
     row) i of a slot is value i * width + slot of its block's stream.
-    take(n, stream) reads a stream's next n values; they are read ahead in
-    whole rounds of width, at least ``rounds`` and up to as many as were
-    read so far or _BATCH_CELLS values a block, which does not change what
-    a slot reads, into a buffer that keeps only what some replicate may
-    still read."""
+    take(n, stream) reads a stream's next n values.  They are read ahead in
+    whole rounds of width, _BLOCK values a block at least and up to as many
+    as were read so far or _BATCH_CELLS, which does not change what a slot
+    reads, into a buffer that keeps only what some replicate may still read."""
 
-    def __init__(self, blocks, streams, take, rounds):
-        self.blocks, self.streams, self.take, self.rounds = blocks, streams, take, rounds
-        self.values = self._read(rounds)
-        self.first, self.filled = 0, rounds  # the slot index of values[:, 0], and columns read
-        self.most = max(rounds, _BATCH_CELLS // (self.values[0, 0].size * blocks.width))
+    def __init__(self, blocks, streams, take):
+        self.blocks, self.streams, self.take = blocks, streams, take
+        self.rounds = max(1, _BLOCK // blocks.width)
+        self.values = self._read(self.rounds)
+        self.first, self.filled = 0, self.rounds  # the slot index of values[:, 0], and columns read
+        self.most = max(self.rounds, _BATCH_CELLS // (self.values[0, 0].size * blocks.width))
 
     def _read(self, rounds):
         width, parts = self.blocks.width, []
@@ -257,7 +257,7 @@ class _Dealt:
     def at(self, replicates, index, low):
         """Value index[i] of replicate replicates[i]'s slot; no replicate
         reads below ``low`` any more."""
-        short = int(index.max(initial=-1)) + 1 - self.first - self.filled
+        short = int(index.flat[index.argmax()]) + 1 - self.first - self.filled if index.size else 0
         if short > 0:
             more = self._read(max(self.rounds * -(-short // self.rounds), min(self.filled, self.most)))
             keep = self.filled - (low - self.first)
@@ -321,22 +321,19 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
     the rejections and the rows scored in full.
     """
     draw, log_y, log_y_at = sampler
-    width = blocks.width
     arrivals, spectral = zip(*(spawn(stream, 2) for stream in blocks.streams))
-    # the arrival table: Gamma of arrival c at t_j, summed in order, and
-    # log zeta = -log Gamma
-    gammas = blocks.own([e.exponential(size=(width, _ARRIVALS, m)) for e in arrivals])
+    # the arrival table: Gamma of arrival c at t_j, and log zeta = -log Gamma
+    gammas = blocks.own([e.exponential(size=(blocks.width, _ARRIVALS, m)) for e in arrivals])
     for c in range(1, _ARRIVALS):
         gammas[:, c] += gammas[:, c - 1]
     table = -np.log(gammas)
-    rounds = max(1, _BLOCK // width)
-    more = _Dealt(blocks, arrivals, lambda n, e: e.exponential(size=n), rounds)
-    rows = _Dealt(blocks, spectral, draw, rounds)
+    more = _Dealt(blocks, arrivals, lambda n, e: e.exponential(size=n))
+    rows = _Dealt(blocks, spectral, draw)
     # what a block's pass lists at most, shared by its slots: _BATCH_CELLS
     # base-row entries and _BATCH_CELLS locations; a replicate waits while
     # it is lag rows ahead of the slowest, which bounds the rows kept
-    list_cap = max(_ARRIVALS, _BATCH_CELLS // (max(1, rows.values[0, 0].size) * width))
-    span = max(_ARRIVALS, _BATCH_CELLS // width)
+    list_cap = max(_ARRIVALS, _BATCH_CELLS // (max(1, rows.values[0, 0].size) * blocks.width))
+    span = max(_ARRIVALS, _BATCH_CELLS // blocks.width)
     lag = 4 * list_cap
     score_cap = max(1, _BATCH_CELLS // m)
     n_rep = blocks.slot.size
@@ -352,9 +349,8 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
     # and, once t_j is past its table, its Gamma and candidates so far;
     # their next arrival after the table and next base row
     ids = ids[:n_rep if m > 1 else 0]
-    loc, next_row = np.ones(ids.size, np.int64), np.ones(ids.size, np.int64)
+    loc, next_row, at_loc, next_arrival = (np.zeros(ids.size, np.int64) + k for k in (1, 1, 0, 0))
     past, gamma = np.zeros(ids.size, bool), np.zeros(ids.size)
-    at_loc, next_arrival = np.zeros(ids.size, np.int64), np.zeros(ids.size, np.int64)
     chunk = np.arange(_ARRIVALS)
     while ids.size:
         # per running replicate: the candidates listed, where it goes on if
@@ -363,7 +359,7 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
         listed = np.zeros(ids.size, np.int64)
         nxt, nxt_past, entered = loc.copy(), past.copy(), np.zeros(ids.size, bool)
         over_at = np.zeros(ids.size, np.int64) - 1 if n_points < _ARRIVALS else None
-        low = int(next_row.min())
+        low = int(next_row[next_row.argmin()])
         tab = (next_row < low + lag).nonzero()[0]  # the replicates that list this pass
         ahead = tab[past[tab]]
         front = ahead.size > 0
@@ -406,7 +402,7 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
             # locations, up to the first all of whose table arrivals do, or
             # to list_cap or span
             first = nxt[tab]
-            cells = first[:, None] + np.arange(min(span, m - int(first.min())))
+            cells = first[:, None] + np.arange(min(span, m - int(first[first.argmin()])))
             counts = above[ids[tab][:, None], cells]
             full = counts == _ARRIVALS
             has_full = full.any(axis=1)
@@ -422,14 +418,14 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
             full = has_full & (end == stop)
             entered[tab], nxt_past[tab] = full, full
             nxt[tab] = first + end - full
-            width = end.max()
-            counts = counts[:, :width]
-            counts[np.arange(width) >= end[:, None]] = 0
+            cols = end[end.argmax()]
+            counts = counts[:, :cols]
+            counts[np.arange(cols) >= end[:, None]] = 0
             listed[tab] += counts.sum(axis=1)
             flat = counts.ravel()
             cell = np.repeat(np.arange(flat.size), flat)
-            p = tab[cell // width]
-            locs = cells[:, :width].ravel()[cell]
+            p = tab[cell // cols]
+            locs = cells[:, :cols].ravel()[cell]
             c = np.arange(cell.size) - (flat.cumsum() - flat)[cell]
             zeta = table.ravel()[(ids[p] * _ARRIVALS + c) * m + locs]
         if front:
@@ -447,10 +443,10 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
         live = (zeta + log_y_at(x, locs, witness) < log_z[reps, witness]).nonzero()[0]
         # score the survivors, each replicate's in slices of 1, 2, 4, ...:
         # the k-th slices of all replicates at once, in order of rank
-        edges, width = [0], 1
+        edges, size = [0], 1
         while edges[-1] < live.size:
-            edges.append(edges[-1] + width)
-            width = min(2 * width, score_cap)
+            edges.append(edges[-1] + size)
+            size = min(2 * size, score_cap)
         if live.size and p[live[0]] != p[live[-1]]:
             live_p = p[live]
             rank = np.arange(live.size) - live_p.searchsorted(live_p)
@@ -476,7 +472,7 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
                 rk, pk = rs[kept], part[kept]
                 log_z[rk] = np.maximum(log_z[rk], cand[kept])
                 # Z changed only from the kept candidates' locations on
-                j = int(at[kept].min())
+                j = at[kept][at[kept].argmin()]
                 above[rk, j:m] = (table[rk, :, j:] > log_z[rk, None, j:]).sum(axis=1)
                 found[p[pk]] = pk
                 n_found += kept.size
@@ -488,7 +484,8 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
         if over_at is not None:
             over_at[kept] = -1
             if over_at.max() >= 0:
-                raise _over_bound(int(over_at[over_at >= 0][0]), n_points)
+                j = over_at[over_at >= 0][0]
+                raise ValueError(f"grid location {j} needs more than n_points = {n_points} spectral draws")
         if kept.size:
             # a kept candidate sets Z(t_i) = zeta and so is t_i's last; one
             # after t_i's table read the arrivals up to its own
@@ -509,7 +506,7 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
             gamma[fresh] = gammas[ids[fresh], -1, nxt[fresh]]
             at_loc[fresh] = _ARRIVALS
         loc, past = nxt, nxt_past
-        if loc.max() >= m:
+        if loc[loc.argmax()] >= m:
             go = loc < m
             ids, loc, past, gamma, at_loc, next_arrival, next_row = (
                 a[go] for a in (ids, loc, past, gamma, at_loc, next_arrival, next_row))
@@ -521,10 +518,6 @@ def _kept(cand, log_z, js):
     candidate reaches Z at its own location, so it is kept iff that is the
     first location where it does."""
     return (cand >= log_z).argmax(axis=1) == js
-
-
-def _over_bound(j, n_points):
-    return ValueError(f"grid location {j} needs more than n_points = {n_points} spectral draws")
 
 
 @dataclass(frozen=True)
