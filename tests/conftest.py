@@ -84,7 +84,7 @@ def extremal_reference(m, draw, candidate, n_points, rng, width=1, slot=0):
     return log_z, draws, kept
 
 
-def _general(dist, kappa, grid, n_points, rng, width, slot):
+def general_reference(dist, kappa, grid, n_points, rng, width=1, slot=0):
     """extremal_reference for max_i U_i exp(<X_i, t> - kappa(t)): X from
     the family's one-point tilt at t_j of the row, log Y = a(t) - a(t_j)
     with a(t) = <X, t> - phi(t), the field shifted by phi - kappa."""
@@ -101,7 +101,7 @@ def _general(dist, kappa, grid, n_points, rng, width, slot):
     return np.exp(log_z + (phi - kappa.values(t))), draws, kept
 
 
-def _brown_resnick(variogram, grid, n_points, rng, width, slot):
+def brown_resnick_reference(variogram, grid, n_points, rng, width=1, slot=0):
     """extremal_reference for Brown-Resnick: a row of standard normals
     gives G = factor @ row and log Y = G(t) - G(t_j) - gamma(t - t_j) / 2."""
     factor, pairwise = _br_cov_factor(variogram, grid)
@@ -117,27 +117,17 @@ def _brown_resnick(variogram, grid, n_points, rng, width, slot):
     return np.exp(log_z), draws, kept
 
 
-def general_reference(dist, kappa, grid, n_points, rng):
-    """One general field drawn from rng: the one slot of a one-slot block."""
-    return _general(dist, kappa, grid, n_points, rng, 1, 0)
-
-
-def brown_resnick_reference(variogram, grid, n_points, rng):
-    """One Brown-Resnick field drawn from rng: the one slot of a one-slot block."""
-    return _brown_resnick(variogram, grid, n_points, rng, 1, 0)
-
-
 def general_block_reference(dist, kappa, grid, n_points, seed, k):
     """Replicate k of seed of a general ensemble: slot k mod B of block
     k // B (B = _REPLICATE_BLOCK), whose stream is block_rng(seed, block)."""
     block, slot = divmod(k, _REPLICATE_BLOCK)
-    return _general(dist, kappa, grid, n_points, block_rng(seed, block), _REPLICATE_BLOCK, slot)
+    return general_reference(dist, kappa, grid, n_points, block_rng(seed, block), _REPLICATE_BLOCK, slot)
 
 
 def brown_resnick_block_reference(variogram, grid, n_points, seed, k):
     """Replicate k of seed of a Brown-Resnick ensemble, as general_block_reference."""
     block, slot = divmod(k, _REPLICATE_BLOCK)
-    return _brown_resnick(variogram, grid, n_points, block_rng(seed, block), _REPLICATE_BLOCK, slot)
+    return brown_resnick_reference(variogram, grid, n_points, block_rng(seed, block), _REPLICATE_BLOCK, slot)
 
 
 def moving_maxima_reference(sigma, grid, rng, width=1, slot=0):
