@@ -406,13 +406,14 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
             counts = above[ids[tab][:, None], cells]
             full = counts == _ARRIVALS
             has_full = full.any(axis=1)
-            stop = np.where(has_full, full.argmax(axis=1) + 1, cells.shape[1])
-            room = list_cap - listed[tab, None] if front else list_cap
-            end = np.maximum(np.minimum(stop, (counts.cumsum(axis=1) <= room).sum(axis=1)), 1)
+            end = stop = np.where(has_full, full.argmax(axis=1) + 1, cells.shape[1])
+            if front or _ARRIVALS * cells.shape[1] > list_cap:  # else the window fits
+                room = list_cap - listed[tab, None]
+                end = np.maximum(np.minimum(stop, (counts.cumsum(axis=1) <= room).sum(axis=1)), 1)
             if over_at is not None:
                 beyond = (counts > n_points) & (np.arange(cells.shape[1]) < end[:, None])
                 hit = beyond.any(axis=1)
-                end[hit] = beyond[hit].argmax(axis=1) + 1
+                end = np.where(hit, beyond.argmax(axis=1) + 1, end)
                 over_at[tab[hit]] = first[hit] + end[hit] - 1
                 np.minimum(counts, n_points, out=counts)
             full = has_full & (end == stop)
@@ -420,7 +421,8 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
             nxt[tab] = first + end - full
             cols = end[end.argmax()]
             counts = counts[:, :cols]
-            counts[np.arange(cols) >= end[:, None]] = 0
+            if end[end.argmin()] < cols:
+                counts[np.arange(cols) >= end[:, None]] = 0
             listed[tab] += counts.sum(axis=1)
             flat = counts.ravel()
             cell = np.repeat(np.arange(flat.size), flat)
