@@ -329,9 +329,8 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
     table = -np.log(gammas)
     more = _Dealt(blocks, arrivals, lambda n, e: e.exponential(size=n))
     rows = _Dealt(blocks, spectral, draw)
-    # what a block's pass lists at most, shared by its slots: _BATCH_CELLS
-    # base-row entries and _BATCH_CELLS locations; a replicate waits while
-    # it is lag rows ahead of the slowest, which bounds the rows kept
+    # a block's pass lists at most _BATCH_CELLS base-row entries and locations;
+    # a replicate waits while lag rows ahead of the slowest: it bounds the rows kept
     list_cap = max(_ARRIVALS, _BATCH_CELLS // (max(1, rows.values[0, 0].size) * blocks.width))
     span = max(_ARRIVALS, _BATCH_CELLS // blocks.width)
     lag = 4 * list_cap
@@ -345,9 +344,8 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
     above = np.zeros((n_rep, m + min(span, m)), np.int64)
     above[:, :m] = (table > log_z[:, None]).sum(axis=1)
     draws, kept_total, full_scores = zero + 1, zero + 1, zero + 1
-    # the running replicates' ids and, by position, their location t_j
-    # and, once t_j is past its table, its Gamma and candidates so far;
-    # their next arrival after the table and next base row
+    # the running replicates' ids and, by position, their location t_j, once t_j is
+    # past its table its Gamma and candidates so far, next arrival after it, next row
     ids = ids[:n_rep if m > 1 else 0]
     loc, next_row, at_loc, next_arrival = (np.zeros(ids.size, np.int64) + k for k in (1, 1, 0, 0))
     past, gamma = np.zeros(ids.size, bool), np.zeros(ids.size)
