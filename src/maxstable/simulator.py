@@ -11,16 +11,19 @@ rejected.  It costs about one spectral draw per grid location, and every
 grid value has the exact law of the infinite max.  A construction only
 supplies log Y = log(W / W(t_j)) under the t_j-tilted law, on the whole
 grid and at one location per row: the family's ``tilted_sampler`` for
-general and Smith, Gaussian increments from one Cholesky factor of the
-grid's covariance for Brown-Resnick (whose quadratic variograms give
-Smith's field, simulated as one).  Each candidate is screened at t_{j-1}
-first: on a dense grid nearly every rejected candidate already reaches
-the field there, so only the few left are scored on all m locations.  The
-screen's value at t_{j-1} must be the full row's entry bit for bit, or
-the screen could reject a candidate the full row would keep; the spectral
-laws sum <X, t> in coordinate order for that reason (Brown-Resnick's full
-rows are one BLAS product, so its screen agrees with them up to
-round-off).  The engine works in log space and exponentiates once, so a
+general and Smith, Gaussian increments for Brown-Resnick (whose quadratic
+variograms give Smith's field, simulated as one).  Each candidate is
+screened at t_{j-1} first: on a dense grid nearly every rejected candidate
+already reaches the field there, so only the few left are scored on all m
+locations.  The screen's value at t_{j-1} must be the full row's entry
+bit for bit, or the screen could reject a candidate the full row would
+keep; the spectral laws sum <X, t> in coordinate order for that reason.
+A Brown-Resnick candidate is screened on one normal, its increment to
+t_{j-1}, and only one that passes draws a whole path, conditioned on that
+increment and holding it bit for bit: by circulant embedding on a 1-D
+lattice (FFTs, no BLAS), else from one Cholesky factor of the grid's
+covariance (a BLAS product, which rounds with the thread count and the
+batch).  The engine works in log space and exponentiates once, so a
 single huge value cannot overflow intermediate arithmetic.  ``n_points``
 is a loop guard, not a truncation: the most spectral draws at one grid
 location; a field that needs more raises ValueError.  The moving-maxima
@@ -30,10 +33,11 @@ edge-error bound.
 Each construction is prepared once per grid by its ``prepare_*``
 function, into a ``PreparedLaw`` that holds what all its fields share (phi
 on the grid, the tilted-sampler tables and the shift phi - kappa, the
-Brown-Resnick factor, or moving maxima's checked Sigma, buffer and window).
-Its ``simulate(rng)`` draws one field and its ``simulate_many(seed,
-indices)`` a whole ensemble; ``simulate_*`` draw one field.  Both run one
-scan per construction, over the replicates of a block layout.
+Brown-Resnick embedding or factor, or moving maxima's checked Sigma,
+buffer and window).  Its ``simulate(rng)`` draws one field and its
+``simulate_many(seed, indices)`` a whole ensemble; ``simulate_*`` draw one
+field.  Both run one scan per construction, over the replicates of a
+block layout.
 
 Randomness layout.  Replicates come in blocks of W slots that share one
 stream (``_Blocks``): an ensemble's replicate k is slot k mod W of block
@@ -43,21 +47,25 @@ generator.  A block draws for all its slots, and a slot reads only its
 own share, so a replicate's field depends only on its stream and slot
 (for an ensemble on (seed, k)), not on which or how many replicates are
 asked for, nor their order.  The engine splits a block's stream into an
-arrival and a spectral stream.  The arrival stream starts with a (W,
-_ARRIVALS, m) table of standard exponentials: arrival c at t_j of slot s
-is entry (s, c, j), and Gamma its running sum over c.  A location that
-needs more arrivals reads them after the table, and each candidate reads
-one base row of the spectral stream, both dealt to the slots in turn:
-value i of slot s is value i * W + s (``_Dealt``), in the order the
-slot's scan needs them.  Moving maxima draws W x _STORM_STEP standard
-exponentials and then W x _STORM_STEP storm centres per lockstep step, and
-slot s reads row s of each.  Reading ahead, in any amount, does not change
-what a slot reads.
+arrival and a spectral stream, ``spawn(stream, 2)``; Brown-Resnick takes a
+third, a completion stream, from ``spawn(stream, 3)``, whose first two
+children are the same two, so no other construction's streams move.  The
+arrival stream starts with a (W, _ARRIVALS, m) table of standard
+exponentials: arrival c at t_j of slot s is entry (s, c, j), and Gamma its
+running sum over c.  A location that needs more arrivals reads them after
+the table, and each candidate reads one base row of the spectral stream,
+both dealt to the slots in turn: value i of slot s is value i * W + s
+(``_Dealt``), in the order the slot's scan needs them; so are
+Brown-Resnick's completion rows, one for each candidate that passes the
+screen.  Moving maxima draws W x _STORM_STEP standard exponentials and then
+W x _STORM_STEP storm centres per lockstep step, and slot s reads row s of
+each.  Reading ahead, in any amount, does not change what a slot reads.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +93,8 @@ _BATCH_CELLS = 1 << 15  # most candidate-by-location values scored at once
 _STORM_STEP = 32  # storms each moving-maxima replicate adds per lockstep step
 _MAX_STORMS = 2_000_000
 _DUPLICATE_TOL = 1e-12
+_LATTICE_TOL = 1e-9  # relative spread of the steps of a grid simulated as a 1-D lattice
+_EMBED_TOL = 1e-10  # most negative circulant eigenvalue, relative to the largest, taken as round-off
 
 
 def has_duplicate_points(points) -> bool:
@@ -238,11 +248,12 @@ class _Dealt:
     take(n, stream) reads a stream's next n values.  They are read ahead in
     whole rounds of width, _BLOCK values a block at least and up to as many
     as were read so far or _BATCH_CELLS, which does not change what a slot
-    reads, into a buffer that keeps only what some replicate may still read."""
+    reads, into a buffer that keeps only what some replicate may still read.
+    ``rounds`` replaces the _BLOCK values a block reads at least."""
 
-    def __init__(self, blocks, streams, take):
+    def __init__(self, blocks, streams, take, rounds=None):
         self.blocks, self.streams, self.take = blocks, streams, take
-        self.rounds = max(1, _BLOCK // blocks.width)
+        self.rounds = rounds or max(1, _BLOCK // blocks.width)
         self.values = self._read(self.rounds)
         self.first, self.filled = 0, self.rounds  # the slot index of values[:, 0], and columns read
         self.most = max(self.rounds, _BATCH_CELLS // (self.values[0, 0].size * blocks.width))
@@ -281,6 +292,15 @@ class _Dealt:
 # exact simulation by extremal functions
 
 
+class _Sampler(NamedTuple):
+    """A construction's candidates for the engine (see _extremal_log_fields)."""
+
+    draw: object  # draw(n, rng): n base rows
+    log_y: object  # log_y(rows, js[, paths]): the (n, m) log Y, row r tilted at t_{js[r]}
+    screen: object  # screen(rows, js): log Y at t_{js[r] - 1}, log_y's entry bit for bit
+    complete: object = None  # complete(n, rng): n completion rows, or None
+
+
 def _extremal_log_fields(m, sampler, n_points, blocks):
     """log Z on m grid locations of every replicate of ``blocks`` (the
     module docstring's layout), exactly, by extremal functions (Dombry,
@@ -292,10 +312,13 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
     Y = W / W(t_j) is drawn under the t_j-tilted law; it is kept iff it
     stays below Z at t_1 ... t_{j-1}, and then Z = max(Z, zeta * Y).  A kept
     candidate sets Z(t_j) = zeta, so it is the last candidate at t_j; t_0's
-    first one is always kept.  sampler is (draw, log_y, log_y_at): draw(n,
-    rng_x) gives n base rows of a spectral stream, log_y(rows, js) the
-    (n, m) values log Y of the rows, row r tilted at location js[r], and
-    log_y_at(rows, js, cols) entry cols[r] of row r alone.
+    first one is always kept.  sampler is a ``_Sampler``: draw(n, rng_x)
+    gives n base rows of a spectral stream, log_y(rows, js) the (n, m)
+    values log Y of the rows, row r tilted at location js[r], and
+    screen(rows, js) entry js[r] - 1 of row r alone.  A sampler with
+    ``complete`` reads one more row, from a third stream dealt like the
+    base rows, for each candidate it scores in full (t_0's first, and each
+    that passes the screen), in candidate order: log_y(rows, js, paths).
 
     Z changes only when a candidate is kept, which is rare on a dense grid.
     So a pass lists, for every running replicate, candidates across
@@ -310,18 +333,22 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
     listed for them.  A candidate at t_j (j >= 1) with
     zeta * Y(t_{j-1}) >= Z(t_{j-1}) reaches Z before t_j and is rejected
     at this screen; only the others are scored on all m locations, each
-    replicate's in slices of 1, 2, 4, ... up to _BATCH_CELLS / m rows.  Any
-    earlier location would be as exact a witness; t_{j-1} needs no table,
-    and on an unsorted grid it only screens less.  The screen decides what
-    the full row would only if log_y_at gives the full row's entry bit for
-    bit.  A replicate's passes depend on nothing but its own draws, so
-    neither do its counts.  n_points is checked only for candidates the
-    scan reaches: one past it that a kept candidate pre-empts does not
-    raise.  Returns log Z (R, m) and, per replicate, the spectral draws,
-    the rejections and the rows scored in full.
+    replicate's in slices of 1, 2, 4, ... up to the block's share of
+    _BATCH_CELLS / m rows.  Any earlier location would be as exact a
+    witness; t_{j-1} needs no table, and on an unsorted grid it only
+    screens less.  The screen decides what the full row would only if it
+    gives the full row's entry bit for bit.  A replicate's completion
+    cursor advances as its row cursor does: past the survivors up to its
+    first kept candidate, or past all of them if it keeps none.  A
+    replicate's passes depend on nothing but its own draws, so neither do
+    its counts.  n_points is checked only for candidates the scan reaches:
+    one past it that a kept candidate pre-empts does not raise.  Returns
+    log Z (R, m) and, per replicate, the spectral draws, the rejections and
+    the rows scored in full.
     """
-    draw, log_y, log_y_at = sampler
-    arrivals, spectral = zip(*(spawn(stream, 2) for stream in blocks.streams))
+    draw, log_y, screen, complete = sampler
+    streams = [spawn(stream, 3 if complete else 2) for stream in blocks.streams]
+    arrivals, spectral, *completion = zip(*streams)
     # the arrival table: Gamma of arrival c at t_j, and log zeta = -log Gamma
     gammas = blocks.own([e.exponential(size=(blocks.width, _ARRIVALS, m)) for e in arrivals])
     for c in range(1, _ARRIVALS):
@@ -329,17 +356,23 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
     table = -np.log(gammas)
     more = _Dealt(blocks, arrivals, lambda n, e: e.exponential(size=n))
     rows = _Dealt(blocks, spectral, draw)
+    # completion rows are few and long: read them one round ahead at least
+    paths = _Dealt(blocks, completion[0], complete, rounds=1) if complete else None
     # a block's pass lists at most _BATCH_CELLS base-row entries and locations;
     # a replicate waits while lag rows ahead of the slowest: it bounds the rows kept
     list_cap = max(_ARRIVALS, _BATCH_CELLS // (max(1, rows.values[0, 0].size) * blocks.width))
     span = max(_ARRIVALS, _BATCH_CELLS // blocks.width)
     lag = 4 * list_cap
-    score_cap = max(1, _BATCH_CELLS // m)
+    if paths:
+        # and while its completion cursor is 4 block shares of _BATCH_CELLS ahead
+        path_lag = 4 * max(1, _BATCH_CELLS // (paths.values[0, 0].size * blocks.width))
+    score_cap = max(1, _BATCH_CELLS // (m * blocks.width))
     n_rep = blocks.slot.size
     # t_0's first candidate is kept: nothing comes before it
     ids = np.arange(n_rep)
     zero = np.zeros(n_rep, np.int64)
-    log_z = table[:, 0, :1] + log_y(rows.at(ids, zero, 0), zero)
+    first = (paths.at(ids, zero, 0),) if paths else ()
+    log_z = table[:, 0, :1] + log_y(rows.at(ids, zero, 0), zero, *first)
     # table arrivals above Z at each location, and none past the grid
     above = np.zeros((n_rep, m + min(span, m)), np.int64)
     above[:, :m] = (table > log_z[:, None]).sum(axis=1)
@@ -347,7 +380,8 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
     # the running replicates' ids and, by position, their location t_j, once t_j is
     # past its table its Gamma and candidates so far, next arrival after it, next row
     ids = ids[:n_rep if m > 1 else 0]
-    loc, next_row, at_loc, next_arrival = (np.zeros(ids.size, np.int64) + k for k in (1, 1, 0, 0))
+    loc, next_row, at_loc, next_arrival, next_path = (
+        np.zeros(ids.size, np.int64) + k for k in (1, 1, 0, 0, 1))
     past, gamma = np.zeros(ids.size, bool), np.zeros(ids.size)
     chunk = np.arange(_ARRIVALS)
     while ids.size:
@@ -358,7 +392,13 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
         nxt, nxt_past, entered = loc.copy(), past.copy(), np.zeros(ids.size, bool)
         over_at = np.zeros(ids.size, np.int64) - 1 if n_points < _ARRIVALS else None
         low = int(next_row[next_row.argmin()])
-        tab = (next_row < low + lag).nonzero()[0]  # the replicates that list this pass
+        listing = next_row < low + lag
+        if paths:
+            slowest = next_path.argmin()
+            low_path = int(next_path[slowest])
+            listing &= next_path < low_path + path_lag
+            listing[slowest] = True  # so that some replicate lists, whatever its row cursor
+        tab = listing.nonzero()[0]  # the replicates that list this pass
         ahead = tab[past[tab]]
         front = ahead.size > 0
         if front:
@@ -439,17 +479,23 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
         row = np.arange(p.size) + (next_row - listed.cumsum() + listed)[p]  # each candidate's base row
         x = rows.at(reps, row, low)
         # the screen at t_{j-1}
-        witness = locs - 1
-        live = (zeta + log_y_at(x, locs, witness) < log_z[reps, witness]).nonzero()[0]
+        live = (zeta + screen(x, locs) < log_z[reps, locs - 1]).nonzero()[0]
+        several = live.size and p[live[0]] != p[live[-1]]
+        if several or paths:
+            live_p = p[live]
+            rank = np.arange(live.size) - (live_p.searchsorted(live_p) if several else 0)
+        extra = ()
+        if paths:
+            # each survivor's completion row, in candidate order per replicate
+            path = np.zeros(p.size, np.int64)
+            path[live] = next_path[live_p] + rank
         # score the survivors, each replicate's in slices of 1, 2, 4, ...:
         # the k-th slices of all replicates at once, in order of rank
         edges, size = [0], 1
         while edges[-1] < live.size:
             edges.append(edges[-1] + size)
             size = min(2 * size, score_cap)
-        if live.size and p[live[0]] != p[live[-1]]:
-            live_p = p[live]
-            rank = np.arange(live.size) - live_p.searchsorted(live_p)
+        if several:
             order = rank.argsort(kind="stable")
             live = live[order]
             edges = rank[order].searchsorted(edges).tolist()
@@ -461,9 +507,13 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
                 part = part[found[p[part]] < 0]
             if not part.size:
                 break
+            if paths:
+                if several:
+                    part = np.sort(part)  # the completion rows are read per replicate, in order
+                extra = (paths.at(reps[part], path[part], low_path),)
             scored.append(part)
             rs, at = reps[part], locs[part]
-            cand = zeta[part, None] + log_y(x[part], at)
+            cand = zeta[part, None] + log_y(x[part], at, *extra)
             kept = _kept(cand, log_z[rs], at).nonzero()[0]
             if kept.size:
                 if kept.size > 1:
@@ -480,6 +530,8 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
                     break
         if scored:
             np.add.at(full_scores, reps[np.concatenate(scored)], 1)
+        if paths:
+            next_path += np.bincount(live_p, minlength=ids.size)
         kept = (found >= 0).nonzero()[0]
         if over_at is not None:
             over_at[kept] = -1
@@ -494,6 +546,8 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
             if front:
                 resume[kept] = np.where(used <= n_front[kept], next_arrival[kept] + used, resume[kept])
             listed[kept] = used
+            if paths:
+                next_path[kept] = path[f] + 1
             nxt[kept], nxt_past[kept], entered[kept] = locs[f] + 1, False, False
             kept_total[ids[kept]] += 1
         draws[ids] += listed
@@ -508,8 +562,8 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
         loc, past = nxt, nxt_past
         if loc[loc.argmax()] >= m:
             go = loc < m
-            ids, loc, past, gamma, at_loc, next_arrival, next_row = (
-                a[go] for a in (ids, loc, past, gamma, at_loc, next_arrival, next_row))
+            ids, loc, past, gamma, at_loc, next_arrival, next_row, next_path = (
+                a[go] for a in (ids, loc, past, gamma, at_loc, next_arrival, next_row, next_path))
     return log_z, {"spectral_draws": draws, "rejections": draws - kept_total, "full_scores": full_scores}
 
 
@@ -558,7 +612,7 @@ class PreparedLaw:
 
 
 def _engine_law(grid, sampler, n_points, provenance, shift=0.0) -> PreparedLaw:
-    """The engine's field exp(log Z + shift) for a (draw, log_y, log_y_at) sampler."""
+    """The engine's field exp(log Z + shift) for a ``_Sampler``."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
 
@@ -575,7 +629,7 @@ def _spectral_law(dist, kappa, grid, n_points, construction) -> PreparedLaw:
     phi(t) - kappa(t).  Y = W / W(t_j) for W(t) = exp(<X, t> - phi(t)) and X
     under the t_j-tilted law has log Y = a(t) - a(t_j), a(t) = <X, t> - phi(t):
     one product and two passes over the candidates, and exactly 0 at t_j.
-    <X, t> is summed in coordinate order, so log_y_at's entry is log_y's
+    <X, t> is summed in coordinate order, so the screen's entry is log_y's
     bit for bit and a row's values do not depend on its batch."""
     t_mat = grid.locations
     phi = np.asarray(dist.cgf(t_mat), dtype=float)  # checks the grid against the CGF domain
@@ -585,15 +639,15 @@ def _spectral_law(dist, kappa, grid, n_points, construction) -> PreparedLaw:
         a = ordered_dot(tilt(rows, js)[:, None, :], t_mat) - phi
         return a - a[np.arange(len(js)), js][:, None]
 
-    def log_y_at(rows, js, cols):
-        x = tilt(rows, js)
+    def screen(rows, js):
+        x, cols = tilt(rows, js), js - 1
         return (ordered_dot(x, t_mat[cols]) - phi[cols]) - (ordered_dot(x, t_mat[js]) - phi[js])
 
     # exactly 0.0 when kappa is the CGF of X itself
     shift = phi - kappa.values(t_mat)
     prov = {"construction": construction, "dist": dist.spec_string(),
             "kappa": kappa.law.spec_string(), "c0": kappa.c0}
-    return _engine_law(grid, (draw, log_y, log_y_at), n_points, prov, shift)
+    return _engine_law(grid, _Sampler(draw, log_y, screen), n_points, prov, shift)
 
 
 def _smith_law(sigma):
@@ -654,35 +708,141 @@ def _br_cov_factor(variogram: Variogram, grid: Grid):
     return factor, pairwise
 
 
+class _Increments(NamedTuple):
+    """Unconditioned paths of G on a grid: paths(z) turns n rows of
+    ``width`` standard normals into n paths on the m locations, each G up
+    to a constant of its own; gamma[i, j] = gamma(t_i - t_j), one symmetric
+    (m, m) table (or view) from which every variogram value is read."""
+
+    kind: str  # "circulant" or "cholesky"
+    width: int
+    paths: object
+    gamma: object
+
+
+def _lattice_step(grid: Grid):
+    """|h| when the grid is a 1-D lattice t_k = t_0 + k h of m >= 3 points,
+    its steps equal to within _LATTICE_TOL of |h|; else None."""
+    if grid.dim != 1 or grid.size < 3:
+        return None
+    t = grid.locations[:, 0]
+    h = (t[-1] - t[0]) / (grid.size - 1)
+    if np.abs(np.diff(t) - h).max() > _LATTICE_TOL * abs(h):
+        return None
+    return abs(h)
+
+
+def _circulant_increments(variogram: Variogram, m: int, h: float):
+    """Paths on a 1-D lattice of step h by circulant embedding (Davies &
+    Harte 1987; Wood & Chan 1994; Dietrich & Newsam 1997), or None when the
+    embedding has a negative eigenvalue beyond round-off.
+
+    The m - 1 increments G(t_{k+1}) - G(t_k) are stationary with covariance
+    r_k = (gamma((k + 1) h) + gamma(|k - 1| h) - 2 gamma(k h)) / 2, which the
+    circulant of size M = 2(m - 2) with first row r_0 .. r_{m-2},
+    r_{m-3} .. r_1 embeds; its eigenvalues lambda are one real FFT.  A path
+    puts M normals into a Hermitian spectrum, entry k scaled by
+    sqrt(M lambda_k / 2) (sqrt(M lambda_k) at k = 0 and M / 2), whose
+    inverse real FFT has the circulant as its covariance: its first m - 1
+    entries are the increments, and the path their running sum from 0.
+    gamma is read from the m-entry lag table gamma(k h) through a strided
+    view, so nothing m x m is built."""
+    lag = variogram(h * np.arange(m)[:, None])
+    k = np.arange(m - 1)
+    r = 0.5 * (lag[k + 1] + lag[np.abs(k - 1)] - 2.0 * lag[k])
+    eig = np.fft.rfft(np.concatenate([r, r[-2:0:-1]])).real
+    if eig.min() < -_EMBED_TOL * eig.max():
+        return None
+    size, half = 2 * (m - 2), m - 2
+    amp = np.sqrt(np.maximum(eig, 0.0) * (size / 2.0))
+    amp[[0, half]] *= math.sqrt(2.0)
+
+    def paths(z):
+        spectrum = np.zeros((len(z), half + 1), complex)
+        spectrum.real = z[:, :half + 1] * amp
+        spectrum.imag[:, 1:half] = z[:, half + 1:] * amp[1:half]
+        steps = np.fft.irfft(spectrum, n=size, axis=1)
+        g = np.zeros((len(z), m))
+        np.cumsum(steps[:, :m - 1], axis=1, out=g[:, 1:])
+        return g
+
+    # row j of the view is lag[|i - j|] over i
+    gamma = np.lib.stride_tricks.sliding_window_view(np.concatenate([lag[:0:-1], lag]), m)[::-1]
+    return _Increments("circulant", size, paths, gamma)
+
+
+def _br_increments(variogram: Variogram, grid: Grid) -> _Increments:
+    """The circulant embedding on a 1-D lattice when it is nonnegative,
+    else the Cholesky factor of the grid's covariance and its pairwise
+    table (BLAS products, which round with the thread count and batch)."""
+    h = _lattice_step(grid)
+    inc = _circulant_increments(variogram, grid.size, h) if h else None
+    if inc is None:
+        factor, pairwise = _br_cov_factor(variogram, grid)
+        factor_t = factor.T
+        inc = _Increments("cholesky", factor.shape[1], lambda z: z @ factor_t, pairwise)
+    return inc
+
+
 def prepare_brown_resnick(variogram: Variogram, grid: Grid, n_points: int) -> PreparedLaw:
     """Brown-Resnick construction from grid-sampled Gaussian increments,
-    exactly: log Y = G(t) - G(t_j) - gamma(t - t_j) / 2 is the t_j-tilted
-    law of W / W(t_j) for W(t) = exp(G(t) - gamma(t) / 2).  n_points bounds
-    the spectral draws at one grid location.  gamma(h) = <h, Sigma h>
-    (quadratic, or alpha = 2 with Sigma = scale I) has G(t) = <X, t>,
-    X ~ N(0, Sigma): Smith's field, simulated as such."""
+    exactly: log Y = D(t) - gamma(t - t_j) / 2 with D(t) = G(t) - G(t_j) is
+    the t_j-tilted law of W / W(t_j) for W(t) = exp(G(t) - gamma(t) / 2).
+    n_points bounds the spectral draws at one grid location.  gamma(h) =
+    <h, Sigma h> (quadratic, or alpha = 2 with Sigma = scale I) has
+    G(t) = <X, t>, X ~ N(0, Sigma): Smith's field, simulated as such.
+
+    A candidate's base row is one standard normal N, and its screen value
+    at t_{j-1} is log Y = S - gamma_1 / 2 with S = sqrt(gamma_1) N = D(t_{j-1}),
+    gamma_1 = gamma(t_j - t_{j-1}).  Only a candidate that passes the screen
+    reads a completion row: an unconditioned path D~ = G~ - G~(t_j) from
+    ``_br_increments``, conditioned on D(t_{j-1}) = S by
+    D = D~ + k_j (S - D~(t_{j-1})) / gamma_1, with k_j(t) the covariance
+    (gamma(t - t_j) + gamma_1 - gamma(t - t_{j-1})) / 2 of D(t) and
+    D(t_{j-1}), and D(t_{j-1}) set to S.  So the scored row's entry at
+    t_{j-1} is the screen value bit for bit, and since every gamma is read
+    from one symmetric table, k_j(t_j) = 0 and log Y(t_j) = 0 exactly.  t_0's
+    first candidate has no screen: D = D~ there."""
     quadratic = variogram.kind == "quadratic"
     if quadratic or variogram.alpha == 2.0:
         sigma = variogram.sigma if quadratic else variogram.scale * np.eye(grid.dim)
         return _spectral_law(*_smith_law(sigma), grid, n_points, "brown_resnick")
-    factor, pairwise = _br_cov_factor(variogram, grid)
-    factor_t = factor.T
-    half_pairwise = 0.5 * pairwise
+    sampler, kind = _brown_resnick_sampler(variogram, grid)
+    prov = {"construction": "brown_resnick", "variogram": variogram.kind, "increments": kind}
+    return _engine_law(grid, sampler, n_points, prov)
+
+
+def _brown_resnick_sampler(variogram: Variogram, grid: Grid):
+    """prepare_brown_resnick's ``_Sampler`` for a fractional variogram, and
+    the kind of its increments."""
+    inc = _br_increments(variogram, grid)
+    gamma = inc.gamma
 
     def draw(n, rng_z):
-        return np.asarray(rng_z.standard_normal((int(n), factor.shape[1])))
+        return np.asarray(rng_z.standard_normal((int(n), 1)))
 
-    def log_y(rows, js):
-        g = rows @ factor_t
-        return g - g[np.arange(len(js)), js][:, None] - half_pairwise[js]
+    def complete(n, rng_c):
+        return np.asarray(rng_c.standard_normal((int(n), inc.width)))
 
-    def log_y_at(rows, js, cols):
-        # one dot product per row: may differ from the GEMM entry in the last bits
-        g_at = np.einsum("nk,nk->n", rows, factor[cols])
-        return g_at - np.einsum("nk,nk->n", rows, factor[js]) - half_pairwise[js, cols]
+    def screen(rows, js):
+        g1 = gamma[js, js - 1]
+        return np.sqrt(g1) * rows[:, 0] - 0.5 * g1
 
-    prov = {"construction": "brown_resnick", "variogram": variogram.kind}
-    return _engine_law(grid, (draw, log_y, log_y_at), n_points, prov)
+    def log_y(rows, js, z):
+        g = inc.paths(z)
+        d = g - g[np.arange(len(js)), js][:, None]  # D~, exactly 0 at t_j
+        g_j = gamma[js]
+        up = js.nonzero()[0]  # t_0's first candidate has no screen
+        if up.size:
+            j = js[up]
+            g1 = g_j[up, j - 1]
+            s = np.sqrt(g1) * rows[up, 0]
+            k = 0.5 * (g_j[up] + g1[:, None] - gamma[j - 1])
+            d[up] += k * ((s - d[up, j - 1]) / g1)[:, None]
+            d[up, j - 1] = s
+        return d - 0.5 * g_j
+
+    return _Sampler(draw, log_y, screen, complete), inc.kind
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from maxstable import simulator
 from maxstable.seeding import block_rng, derive_rng, spawn
-from maxstable.simulator import _REPLICATE_BLOCK, _STORM_STEP, _br_cov_factor, prepare_moving_maxima
+from maxstable.simulator import _REPLICATE_BLOCK, _STORM_STEP, prepare_moving_maxima
 from maxstable.spectral import clamp_psd
 
 
@@ -45,24 +45,28 @@ def rng():
     return derive_rng(12345)
 
 
-def extremal_reference(m, draw, candidate, n_points, rng, width=1, slot=0):
+def extremal_reference(m, draw, candidate, n_points, rng, width=1, slot=0, screen=None, complete=None):
     """The textbook extremal-function loop (Dombry, Engelke & Oesting 2016,
     Algorithm 2) for slot ``slot`` of a block of ``width`` slots whose
     stream is rng, one candidate at a time and nothing drawn ahead.
 
-    rng splits into an arrival and a spectral stream.  The arrival stream
-    gives first a (width, C, m) table of standard exponentials
-    (C = simulator._ARRIVALS, read at each call): arrival c at t_j adds
-    entry (slot, c, j) to Gamma.  Arrivals past the table are read one
-    round of width at a time, as the loop needs them, and the slot takes
-    entry ``slot`` of each; so are the base rows of the spectral stream,
-    draw(width, rng_x), one round per candidate.  candidate(j, row) is the
-    row's log Y = log(W / W(t_j)) on the m grid locations under the
-    t_j-tilted law.  A kept candidate sets Z(t_j) = zeta, so t_j ends with
-    it.  At width 1 this is one field's layout.  Returns (log Z, draws,
-    kept).
+    rng splits into an arrival and a spectral stream, and a completion
+    stream when ``complete`` is given.  The arrival stream gives first a
+    (width, C, m) table of standard exponentials (C = simulator._ARRIVALS,
+    read at each call): arrival c at t_j adds entry (slot, c, j) to Gamma.
+    Arrivals past the table are read one round of width at a time, as the
+    loop needs them, and the slot takes entry ``slot`` of each; so are the
+    base rows of the spectral stream, draw(width, rng_x), one round per
+    candidate.  candidate(j, row) is the row's log Y = log(W / W(t_j)) on
+    the m grid locations under the t_j-tilted law.  With ``complete``, a
+    candidate at t_j (j >= 1) whose screen(j, row), its log Y at t_{j-1},
+    puts it at or above Z(t_{j-1}) is rejected there; t_0's candidate and
+    every other one read a completion row, complete(width, rng_c), one
+    round each, and are candidate(j, row, path).  A kept candidate sets
+    Z(t_j) = zeta, so t_j ends with it.  At width 1 this is one field's
+    layout.  Returns (log Z, draws, kept).
     """
-    rng_e, rng_x = spawn(rng, 2)
+    rng_e, rng_x, *rng_c = spawn(rng, 3 if complete else 2)
     arrivals = simulator._ARRIVALS
     table = rng_e.exponential(size=(width, arrivals, m))[slot]
     log_z = np.full(m, -np.inf)
@@ -73,12 +77,16 @@ def extremal_reference(m, draw, candidate, n_points, rng, width=1, slot=0):
         while -np.log(gamma) > log_z[j]:
             if count == n_points:
                 raise ValueError(f"location {j} needs more than n_points = {n_points}")
-            cand = -np.log(gamma) + candidate(j, draw(width, rng_x)[slot])
+            row = draw(width, rng_x)[slot]
             count += 1
-            if np.all(cand[:j] < log_z[:j]):
-                log_z = np.maximum(log_z, cand)
-                kept += 1
-                break
+            # a candidate the screen rejects reads no completion row
+            if not (complete and j and -np.log(gamma) + screen(j, row) >= log_z[j - 1]):
+                path = (complete(width, rng_c[0])[slot],) if complete else ()
+                cand = -np.log(gamma) + candidate(j, row, *path)
+                if np.all(cand[:j] < log_z[:j]):
+                    log_z = np.maximum(log_z, cand)
+                    kept += 1
+                    break
             gamma += table[count, j] if count < arrivals else rng_e.exponential(size=width)[slot]
         draws += count
     return log_z, draws, kept
@@ -102,18 +110,37 @@ def general_reference(dist, kappa, grid, n_points, rng, width=1, slot=0):
 
 
 def brown_resnick_reference(variogram, grid, n_points, rng, width=1, slot=0):
-    """extremal_reference for Brown-Resnick: a row of standard normals
-    gives G = factor @ row and log Y = G(t) - G(t_j) - gamma(t - t_j) / 2."""
-    factor, pairwise = _br_cov_factor(variogram, grid)
+    """extremal_reference for Brown-Resnick: the base row is one standard
+    normal N, S = sqrt(gamma_1) N with gamma_1 = gamma(t_j - t_{j-1}) the
+    increment D(t_{j-1}) = G(t_{j-1}) - G(t_j), and the screen S - gamma_1 / 2.
+    A completion row gives an unconditioned path of the prepared law's
+    increments, D~ = G~ - G~(t_j), and D is D~ conditioned on D(t_{j-1}) = S
+    by kriging its residual, with D(t_{j-1}) = S; log Y = D - gamma(t - t_j) / 2."""
+    inc = simulator._br_increments(variogram, grid)
+    gamma = inc.gamma
 
     def draw(n, rng_x):
-        return rng_x.standard_normal((n, factor.shape[1]))
+        return rng_x.standard_normal((n, 1))
 
-    def candidate(j, row):
-        g = factor @ row
-        return g - g[j] - 0.5 * pairwise[j]
+    def complete(n, rng_c):
+        return rng_c.standard_normal((n, inc.width))
 
-    log_z, draws, kept = extremal_reference(grid.size, draw, candidate, n_points, rng, width, slot)
+    def screen(j, row):
+        g1 = gamma[j, j - 1]
+        return np.sqrt(g1) * row[0] - 0.5 * g1
+
+    def candidate(j, row, path):
+        g = inc.paths(path[None])[0]
+        d = g - g[j]
+        if j:
+            g1 = gamma[j, j - 1]
+            s = np.sqrt(g1) * row[0]
+            d += 0.5 * (gamma[j] + g1 - gamma[j - 1]) * ((s - d[j - 1]) / g1)
+            d[j - 1] = s
+        return d - 0.5 * gamma[j]
+
+    log_z, draws, kept = extremal_reference(grid.size, draw, candidate, n_points, rng, width, slot,
+                                            screen, complete)
     return np.exp(log_z), draws, kept
 
 

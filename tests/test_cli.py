@@ -699,22 +699,26 @@ def run_with_blas_threads(argv, threads):
 
 
 def test_brown_resnick_does_not_depend_on_the_blas_thread_count():
-    # LAPACK's Cholesky and the increment product round with the BLAS thread
-    # count, so a fractional field agrees to round-off; a quadratic
+    # a 1-D lattice takes its increments from FFTs, with no BLAS: equal
+    # bytes; off a lattice LAPACK's Cholesky and the increment product round
+    # with the BLAS thread count, so a field agrees to round-off; a quadratic
     # variogram is Smith's field, which takes no such factor: equal bytes
-    grid = ["--grid", "-5:0.02:501", "--seed", "3"]
-
-    def run(variogram, threads):
-        return run_with_blas_threads(["simulate", "--construction", "br", "--variogram", variogram, *grid], threads)
+    def run(variogram, grid, threads):
+        argv = ["simulate", "--construction", "br", "--variogram", variogram, "--grid", grid, "--seed", "3"]
+        return run_with_blas_threads(argv, threads)
 
     def values(out):
         rows = [line for line in out.splitlines() if not line.startswith("#")]
         return np.array([float(line.split(",")[-1]) for line in rows])
 
-    one, two = (values(run("fractional:scale=1;alpha=1", n)) for n in (1, 2))
-    assert one.shape == (501,)
+    lattice = [run("fractional:scale=1;alpha=1", "-5:0.02:501", n) for n in (1, 2)]
+    assert values(lattice[0]).shape == (501,)
+    assert lattice[0] == lattice[1]
+    irregular = ",".join(f"{t:.6f}" for t in np.random.default_rng(3).uniform(-5.0, 5.0, 300))
+    one, two = (values(run("fractional:scale=1;alpha=1", irregular, n)) for n in (1, 2))
+    assert one.shape == (300,)
     assert np.allclose(one, two, rtol=1e-10, atol=0.0)
-    assert run("quadratic:sigma=2", 1) == run("quadratic:sigma=2", 2)
+    assert run("quadratic:sigma=2", "-5:0.02:501", 1) == run("quadratic:sigma=2", "-5:0.02:501", 2)
 
 
 def test_fdd_mc_does_not_depend_on_the_blas_thread_count():

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -526,15 +527,141 @@ def test_brown_resnick_quadratic_variogram():
 
 
 def test_fractional_brown_resnick_never_eigendecomposes(monkeypatch):
-    # the grid's origin has G(0) = 0 and a zero factor row; the other
-    # locations are positive definite and take a Cholesky factor
+    # off a lattice, the grid's origin has G(0) = 0 and a zero factor row;
+    # the other locations are positive definite and take a Cholesky factor
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh called")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    grid = Grid(np.linspace(-5.0, 5.0, 101))
+    grid = Grid(np.linspace(-5.0, 5.0, 101) ** 3 / 25.0)
     field = simulate_brown_resnick(Variogram.fractional(1.0, 1.0), grid, DEFAULT_N_POINTS, derive_rng(4))
     assert field.values.shape == (101,)
+    assert field.provenance["increments"] == "cholesky"
+
+
+BR_SQUARE = Grid(np.array(np.meshgrid(np.arange(4.0), np.arange(3.0))).reshape(2, -1).T)
+# grid -> the kind of increments prepare_brown_resnick takes on it
+BR_PATHS = {
+    "lattice": (Grid(np.linspace(-3.0, 6.0, 19)), "circulant"),
+    "lattice-descending": (Grid(np.linspace(4.0, -4.0, 33)), "circulant"),
+    "lattice-of-3": (Grid([1.0, 1.5, 2.0]), "circulant"),
+    "irregular": (Grid([0.0, 1.3, -0.4, 2.0, 5.0, -3.0, 0.9, 0.95]), "cholesky"),
+    "lattice-off-by-1e-6": (Grid(np.linspace(-3.0, 6.0, 19) + 1e-6 * (np.arange(19) == 7)), "cholesky"),
+    "two-points": (Grid([0.0, 5.0]), "cholesky"),
+    "square": (BR_SQUARE, "cholesky"),
+}
+
+
+@pytest.mark.parametrize("case", BR_PATHS)
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_brown_resnick_takes_the_circulant_embedding_on_1d_lattices_only(case, alpha):
+    grid, kind = BR_PATHS[case]
+    law = prepare_brown_resnick(Variogram.fractional(1.0, alpha), grid, DEFAULT_N_POINTS)
+    assert law.provenance["increments"] == kind
+    _, record = law.simulate_many(1, [0, 1])
+    assert record["increments"] == kind
+
+
+def test_a_lattice_whose_embedding_is_negative_takes_the_cholesky_factor(monkeypatch):
+    # a tolerance below -1 takes every embedding as negative beyond round-off
+    monkeypatch.setattr(simulator, "_EMBED_TOL", -2.0)
+    grid, _ = BR_PATHS["lattice"]
+    law = prepare_brown_resnick(BR_VARIO, grid, DEFAULT_N_POINTS)
+    assert law.provenance["increments"] == "cholesky"
+    field = law.simulate(derive_rng(2))
+    want, draws, _ = brown_resnick_reference(BR_VARIO, grid, DEFAULT_N_POINTS, derive_rng(2))
+    assert np.allclose(field.values, want, rtol=1e-13, atol=0.0)
+    assert field.provenance["spectral_draws"] == draws
+
+
+@pytest.mark.parametrize("case", BR_PATHS)
+def test_brown_resnick_engine_equals_the_textbook_loop(case):
+    # the lattice's FFT paths and elementwise conditioning give every row
+    # bit for bit; the Cholesky path's GEMM agrees to round-off
+    grid, kind = BR_PATHS[case]
+    law = prepare_brown_resnick(BR_VARIO, grid, DEFAULT_N_POINTS)
+
+    def agree(got, want):
+        if kind == "circulant":
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+    for seed in range(4):
+        field = law.simulate(derive_rng(seed))
+        want, draws, kept = brown_resnick_reference(BR_VARIO, grid, DEFAULT_N_POINTS, derive_rng(seed))
+        agree(field.values, want)
+        assert field.provenance["spectral_draws"] == draws
+        assert field.provenance["rejections"] == draws - kept
+    values, record = law.simulate_many(5, ENSEMBLE_INDICES)
+    for r, k in enumerate(ENSEMBLE_INDICES):
+        want, draws, kept = brown_resnick_block_reference(BR_VARIO, grid, DEFAULT_N_POINTS, 5, k)
+        agree(values[r], want)
+        assert record["spectral_draws"][r] == draws
+        assert record["rejections"][r] == draws - kept
+
+
+@pytest.mark.parametrize("arrivals, block, cells", [(1, 64, 1 << 15), (8, 1, 1), (1, 3, 50)])
+def test_brown_resnick_does_not_depend_on_read_ahead_or_batch_sizes(monkeypatch, arrivals, block, cells):
+    # small batches make an ensemble's replicates wait on each other's row
+    # and completion cursors, and a one-arrival table makes locations read
+    # on after it: still the textbook loop's fields, bit for bit
+    monkeypatch.setattr(simulator, "_ARRIVALS", arrivals)
+    monkeypatch.setattr(simulator, "_BLOCK", block)
+    monkeypatch.setattr(simulator, "_BATCH_CELLS", cells)
+    grid, _ = BR_PATHS["lattice"]
+    law = prepare_brown_resnick(BR_VARIO, grid, DEFAULT_N_POINTS)
+    for seed in range(3):
+        want, draws, _ = brown_resnick_reference(BR_VARIO, grid, DEFAULT_N_POINTS, derive_rng(seed))
+        field = law.simulate(derive_rng(seed))
+        assert np.array_equal(field.values, want)
+        assert field.provenance["spectral_draws"] == draws
+    values, record = law.simulate_many(5, ENSEMBLE_INDICES)
+    for r, k in enumerate(ENSEMBLE_INDICES):
+        want, draws, _ = brown_resnick_block_reference(BR_VARIO, grid, DEFAULT_N_POINTS, 5, k)
+        assert np.array_equal(values[r], want)
+        assert record["spectral_draws"][r] == draws
+
+
+@pytest.mark.parametrize("case", BR_PATHS)
+def test_brown_resnick_screen_is_the_scored_entry_and_log_y_vanishes_at_t_j(case):
+    # the screen at t_{j-1} must be the scored row's entry bit for bit, or
+    # it could reject a candidate the row keeps; log Y(t_j) = 0 exactly
+    grid, kind = BR_PATHS[case]
+    sampler, got_kind = simulator._brown_resnick_sampler(Variogram.fractional(1.3, 0.8), grid)
+    assert got_kind == kind
+    rng = np.random.default_rng(11)
+    js = np.repeat(np.arange(1, grid.size), 5)
+    n = np.arange(js.size)
+    rows, paths = sampler.draw(js.size, rng), sampler.complete(js.size, rng)
+    log_y = sampler.log_y(rows, js, paths)
+    assert np.array_equal(log_y[n, js - 1], sampler.screen(rows, js))
+    assert np.all(log_y[n, js] == 0.0)
+    # t_0's first candidate has no screen
+    first = sampler.log_y(rows[:4], np.zeros(4, np.int64), paths[:4])
+    assert np.all(first[:, 0] == 0.0)
+    if kind == "circulant":
+        # a row does not depend on the rows scored with it
+        for i in (0, 3, js.size - 1):
+            assert np.array_equal(sampler.log_y(rows[i:i + 1], js[i:i + 1], paths[i:i + 1])[0], log_y[i])
+
+
+def test_lattice_brown_resnick_prepare_builds_nothing_m_by_m(monkeypatch):
+    # one FFT and an m-entry lag table: no Cholesky factor, no pairwise table
+    def no_factor(*args, **kwargs):
+        raise AssertionError("psd_factor called")
+
+    monkeypatch.setattr(simulator, "psd_factor", no_factor)
+    m = 2001
+    grid = Grid(np.linspace(-10.0, 10.0, m))
+    tracemalloc.start()
+    try:
+        law = prepare_brown_resnick(Variogram.fractional(1.0, 1.0), grid, DEFAULT_N_POINTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert law.provenance["increments"] == "circulant"
+    assert peak < m * m * 8 / 20
 
 
 def norm_br_cov_factor(variogram, grid):
