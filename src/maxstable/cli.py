@@ -252,6 +252,8 @@ def cmd_compare_reps(args) -> int:
     grid = Grid(parse_grid(args.grid))
     if grid.size < 2:
         raise UsageError("compare-reps needs at least two grid points")
+    if args.replicates < fddmod.MIN_SAMPLES:
+        raise ValueError(f"replicates must be >= {fddmod.MIN_SAMPLES}, the fewest an empirical CDF takes")
 
     smith = prepare_smith(sigma, grid, args.n_points)
     mmm = prepare_moving_maxima(sigma, grid)

@@ -242,6 +242,12 @@ class _Blocks:
         return np.stack(draws)[self.owner, self.slot]
 
 
+def _block_share(width, blocks):
+    """A block's share of _BATCH_CELLS in rows of ``width`` values; a row of
+    none (a grid where nothing moves) counts as one value."""
+    return _BATCH_CELLS // (max(1, width) * blocks.width)
+
+
 class _Dealt:
     """One stream per block, dealt to the block's slots in turn: value (or
     row) i of a slot is value i * width + slot of its block's stream.
@@ -256,7 +262,7 @@ class _Dealt:
         self.rounds = rounds or max(1, _BLOCK // blocks.width)
         self.values = self._read(self.rounds)
         self.first, self.filled = 0, self.rounds  # the slot index of values[:, 0], and columns read
-        self.most = max(self.rounds, _BATCH_CELLS // (self.values[0, 0].size * blocks.width))
+        self.most = max(self.rounds, _block_share(self.values[0, 0].size, blocks))
 
     def _read(self, rounds):
         width, parts = self.blocks.width, []
@@ -321,13 +327,19 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
     that passes the screen), in candidate order: log_y(rows, js, paths).
 
     Z changes only when a candidate is kept, which is rare on a dense grid.
-    So a pass lists, for every running replicate, candidates across
-    locations as if none were kept: at each location the table arrivals
-    that beat Z there (a prefix, since Gamma grows; their count is kept per
-    location and recounted only when a kept candidate raised Z), up to the
-    first location all of whose table arrivals beat Z (it goes on after the
-    table in the next pass), or to the pass's share of _BATCH_CELLS
-    base-row entries or locations.  Up to a replicate's first kept
+    So a pass lists, for every running replicate, one window of candidates
+    across locations, in location order, as if none were kept: at each
+    location the table arrivals that beat Z there (a prefix, since Gamma
+    grows; their count is kept per location and recounted only when a kept
+    candidate raised Z), up to the first location all of whose arrivals
+    beat Z, or to the pass's share of _BATCH_CELLS base-row entries or
+    locations.  A location all of whose table arrivals beat Z is past its
+    table, and the next window starts there: its column 0 is the next
+    _ARRIVALS arrivals after the table, those that beat Z listed.  If all
+    of them do, the window ends there and the location stays past; else
+    the table's locations follow from t_{j+1}.  So a replicate's list is
+    one run in the loop's order, and the arrival cursor after the table
+    advances past what column 0 read.  Up to a replicate's first kept
     candidate every decision is the one the location-by-location loop
     makes; it restarts after it, and the other replicates keep what was
     listed for them.  A candidate at t_j (j >= 1) with
@@ -360,13 +372,13 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
     paths = _Dealt(blocks, completion[0], complete, rounds=1) if complete else None
     # a block's pass lists at most _BATCH_CELLS base-row entries and locations;
     # a replicate waits while lag rows ahead of the slowest: it bounds the rows kept
-    list_cap = max(_ARRIVALS, _BATCH_CELLS // (max(1, rows.values[0, 0].size) * blocks.width))
-    span = max(_ARRIVALS, _BATCH_CELLS // blocks.width)
+    list_cap = max(_ARRIVALS, _block_share(rows.values[0, 0].size, blocks))
+    span = max(_ARRIVALS, _block_share(1, blocks))
     lag = 4 * list_cap
     if paths:
         # and while its completion cursor is 4 block shares of _BATCH_CELLS ahead
-        path_lag = 4 * max(1, _BATCH_CELLS // (paths.values[0, 0].size * blocks.width))
-    score_cap = max(1, _BATCH_CELLS // (m * blocks.width))
+        path_lag = 4 * max(1, _block_share(paths.values[0, 0].size, blocks))
+    score_cap = max(1, _block_share(m, blocks))
     n_rep = blocks.slot.size
     # t_0's first candidate is kept: nothing comes before it
     ids = np.arange(n_rep)
@@ -389,8 +401,7 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
         # it keeps nothing and whether that location is past its table, and
         # where a candidate past n_points is
         listed = np.zeros(ids.size, np.int64)
-        nxt, nxt_past, entered = loc.copy(), past.copy(), np.zeros(ids.size, bool)
-        over_at = np.zeros(ids.size, np.int64) - 1 if n_points < _ARRIVALS else None
+        nxt, nxt_past, over_at = loc.copy(), past.copy(), None
         low = int(next_row[next_row.argmin()])
         listing = next_row < low + lag
         if paths:
@@ -399,82 +410,64 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
             listing &= next_path < low_path + path_lag
             listing[slowest] = True  # so that some replicate lists, whatever its row cursor
         tab = listing.nonzero()[0]  # the replicates that list this pass
-        ahead = tab[past[tab]]
-        front = ahead.size > 0
-        if front:
-            # t_j's arrivals after the table, _ARRIVALS at a time, while they
-            # beat Z(t_j), up to n_points and to list_cap; the table lists on
-            # from t_{j+1} once they end
-            resume, front_p, front_zeta = next_arrival.copy(), [], []
-            over_at = np.zeros(ids.size, np.int64) - 1 if over_at is None else over_at
-            tab = tab[~past[tab]]
-            while ahead.size:
-                r, j = ids[ahead], loc[ahead]
-                e = more.at(r[:, None], resume[ahead, None] + chunk, int(next_arrival.min()))
-                g = np.cumsum(np.column_stack([gamma[ahead], e]), axis=1)[:, 1:]
-                log_zeta = -np.log(g)
-                beat = (log_zeta > log_z[r, j, None]).sum(axis=1)
-                room, left = list_cap - listed[ahead], n_points - at_loc[ahead]
-                # the first stop: list_cap, else an arrival below Z(t_j), which
-                # ends t_j, else one past n_points; both of those are read
-                n = np.minimum(np.minimum(room, beat), left)
-                read = n + ((n < _ARRIVALS) & (n < room))
-                front_p.append(np.repeat(ahead, n))
-                front_zeta.append(log_zeta[chunk < n[:, None]])
-                listed[ahead] += n
-                at_loc[ahead] += n
-                resume[ahead] += read
-                gamma[ahead] = g[np.arange(r.size), read - 1]
-                over = (read > n) & (left < beat)
-                ended = (read > n) & ~over
-                over_at[ahead[over]] = j[over]
-                nxt[ahead[ended]] += 1
-                nxt_past[ahead[ended]] = False
-                tab = np.concatenate([tab, ahead[ended & (j + 1 < m)]])
-                ahead = ahead[(n == _ARRIVALS) & (n < room)]
-            n_front = listed.copy()
-        p, locs, zeta = tab[:0], tab[:0], np.empty(0)
-        if tab.size:
-            # a prefix of t_i's table arrivals beats Z(t_i), Z being fixed up
-            # to the first kept candidate; a replicate's list takes whole
-            # locations, up to the first all of whose table arrivals do, or
-            # to list_cap or span
-            first = nxt[tab]
-            cells = first[:, None] + np.arange(min(span, m - int(first[first.argmin()])))
-            counts = above[ids[tab][:, None], cells]
-            full = counts == _ARRIVALS
-            has_full = full.any(axis=1)
-            end = stop = np.where(has_full, full.argmax(axis=1) + 1, cells.shape[1])
-            if front or _ARRIVALS * cells.shape[1] > list_cap:  # else the window fits
-                room = list_cap - listed[tab, None]
-                end = np.maximum(np.minimum(stop, (counts.cumsum(axis=1) <= room).sum(axis=1)), 1)
-            if over_at is not None:
-                beyond = (counts > n_points) & (np.arange(cells.shape[1]) < end[:, None])
-                hit = beyond.any(axis=1)
-                end = np.where(hit, beyond.argmax(axis=1) + 1, end)
-                over_at[tab[hit]] = first[hit] + end[hit] - 1
-                np.minimum(counts, n_points, out=counts)
-            full = has_full & (end == stop)
-            entered[tab], nxt_past[tab] = full, full
-            nxt[tab] = first + end - full
-            cols = end[end.argmax()]
-            counts = counts[:, :cols]
-            if end[end.argmin()] < cols:
-                counts[np.arange(cols) >= end[:, None]] = 0
-            listed[tab] += counts.sum(axis=1)
-            flat = counts.ravel()
-            cell = np.repeat(np.arange(flat.size), flat)
-            p = tab[cell // cols]
-            locs = cells[:, :cols].ravel()[cell]
-            c = np.arange(cell.size) - (flat.cumsum() - flat)[cell]
-            zeta = table.ravel()[(ids[p] * _ARRIVALS + c) * m + locs]
-        if front:
-            # a replicate's arrivals after the table come first
-            p = np.concatenate([*front_p, p])
-            order = p.argsort(kind="stable")
-            p = p[order]
-            locs = np.concatenate([*(loc[f] for f in front_p), locs])[order]
-            zeta = np.concatenate([*front_zeta, zeta])[order]
+        # a prefix of t_i's arrivals beats Z(t_i), Z being fixed up to the
+        # first kept candidate; a replicate's window takes whole locations,
+        # up to the first all of whose arrivals do, or to list_cap or span.
+        # Column 0 of a location past its table is its next _ARRIVALS
+        # arrivals after the table
+        first = loc[tab]
+        cells = first[:, None] + np.arange(min(span, m - int(first[first.argmin()])))
+        counts = above[ids[tab][:, None], cells]
+        front = past[tab].nonzero()[0]
+        if front.size:
+            ahead = tab[front]
+            e = more.at(ids[ahead, None], next_arrival[ahead, None] + chunk,
+                        int(next_arrival[next_arrival.argmin()]))
+            g = np.cumsum(np.column_stack([gamma[ahead], e]), axis=1)[:, 1:]
+            log_zeta = -np.log(g)
+            counts[front, 0] = (log_zeta > log_z[ids[ahead], first[front], None]).sum(axis=1)
+        full = counts == _ARRIVALS
+        has_full = full.any(axis=1)
+        end = stop = np.where(has_full, full.argmax(axis=1) + 1, cells.shape[1])
+        if _ARRIVALS * cells.shape[1] > list_cap:  # else the window fits
+            end = np.minimum(stop, (counts.cumsum(axis=1) <= list_cap).sum(axis=1))
+        if n_points < _ARRIVALS or front.size:
+            # a location lists up to n_points candidates, with those of past passes
+            over_at = np.zeros(ids.size, np.int64) - 1
+            left = np.full(counts.shape, n_points)
+            left[front, 0] -= at_loc[tab[front]]
+            beyond = (counts > left) & (np.arange(cells.shape[1]) < end[:, None])
+            hit = beyond.any(axis=1)
+            end = np.where(hit, beyond.argmax(axis=1) + 1, end)
+            over_at[tab[hit]] = first[hit] + end[hit] - 1
+            np.minimum(counts, left, out=counts)
+        # a window that ends at a location all of whose arrivals beat Z goes
+        # on there next pass, past the table
+        full = has_full & (end == stop)
+        nxt_past[tab] = full
+        nxt[tab] = first + end - full
+        cols = end[end.argmax()]
+        counts = counts[:, :cols]
+        if end[end.argmin()] < cols:
+            counts[np.arange(cols) >= end[:, None]] = 0
+        listed[tab] = counts.sum(axis=1)
+        flat = counts.ravel()
+        start = flat.cumsum() - flat
+        cell = np.repeat(np.arange(flat.size), flat)
+        p = tab[cell // cols]
+        locs = cells[:, :cols].ravel()[cell]
+        c = np.arange(cell.size) - start[cell]
+        zeta = table.ravel()[(ids[p] * _ARRIVALS + c) * m + locs]
+        if front.size:
+            # column 0 past the table lists the arrivals that beat Z and reads
+            # one more, below Z or past n_points, unless all of them beat Z
+            n = counts[front, 0]
+            beat = chunk < n[:, None]
+            zeta[(start[front * cols, None] + chunk)[beat]] = log_zeta[beat]
+            read = np.zeros(ids.size, np.int64)
+            read[ahead] = n + (n < _ARRIVALS)
+            gamma[ahead] = g[np.arange(ahead.size), read[ahead] - 1]
+            at_loc[ahead] += n
         reps = ids[p]
         row = np.arange(p.size) + (next_row - listed.cumsum() + listed)[p]  # each candidate's base row
         x = rows.at(reps, row, low)
@@ -540,23 +533,23 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
                 raise ValueError(f"grid location {j} needs more than n_points = {n_points} spectral draws")
         if kept.size:
             # a kept candidate sets Z(t_i) = zeta and so is t_i's last; one
-            # after t_i's table read the arrivals up to its own
+            # in column 0 past t_i's table read the arrivals up to its own
             f = found[kept]
             used = row[f] - next_row[kept] + 1
-            if front:
-                resume[kept] = np.where(used <= n_front[kept], next_arrival[kept] + used, resume[kept])
+            if front.size:
+                read[kept] = np.minimum(read[kept], used)
             listed[kept] = used
             if paths:
                 next_path[kept] = path[f] + 1
-            nxt[kept], nxt_past[kept], entered[kept] = locs[f] + 1, False, False
+            nxt[kept], nxt_past[kept] = locs[f] + 1, False
             kept_total[ids[kept]] += 1
         draws[ids] += listed
         next_row += listed
-        if front:
-            next_arrival = resume
-        fresh = entered.nonzero()[0]
+        if front.size:
+            next_arrival += read
+        fresh = (nxt_past & ~(past & (nxt == loc))).nonzero()[0]
         if fresh.size:
-            # a location whose whole table beat Z goes on after the table
+            # a location whose whole table beat Z this pass goes on after it
             gamma[fresh] = gammas[ids[fresh], -1, nxt[fresh]]
             at_loc[fresh] = _ARRIVALS
         loc, past = nxt, nxt_past

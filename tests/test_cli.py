@@ -196,6 +196,19 @@ def test_simulate_other_constructions(tmp_path):
     ]) == 0
 
 
+@pytest.mark.parametrize("grid", ["0", "0,0;"])
+def test_simulate_brown_resnick_on_the_origin_alone(grid, capsys):
+    # no location moves: the completion rows have no entries
+    assert main([
+        "simulate", "--construction", "br", "--variogram", "fractional:alpha=1",
+        "--grid", grid, "--seed", "1",
+    ]) == 0
+    out, err = capsys.readouterr()
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 and float(rows[0].split(",")[-1]) > 0
+    assert err == ""
+
+
 def test_simulate_missing_required_parameter():
     assert main(["simulate", "--construction", "smith", "--grid", "0,1"]) == 2
 
@@ -544,6 +557,7 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
     [
         (["compare-reps", "--sigma", "1", "--grid", "0,1", "--replicates", "0"], 3),
         (["compare-reps", "--sigma", "1", "--grid", "0,1", "--replicates", "-5"], 3),
+        (["compare-reps", "--sigma", "1", "--grid", "0,1", "--replicates", "5"], 3),
         (["verify", "--dist", "gaussian:mu=0;sigma=1", "--replicates", "0"], 3),
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0;nan", "--xs", "1,1"], 3),
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0;1", "--xs", "1,inf"], 3),
@@ -579,7 +593,7 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
           "--xs", ",".join(["1"] * 600), "--mc-n", "1000"], 3),
     ],
     ids=[
-        "zero-replicates", "negative-replicates", "verify-zero-replicates",
+        "zero-replicates", "negative-replicates", "too-few-replicates", "verify-zero-replicates",
         "nan-point", "inf-threshold", "sigma-not-a-number", "threshold-not-a-number",
         "variogram-param-without-equals", "kappa-param-without-equals",
         "inf-compare-threshold", "infinite-exponent",

@@ -278,9 +278,22 @@ def test_two_dimensional_and_brown_resnick_agree_with_the_textbook_loop():
 ENSEMBLE_INDICES = [0, 1, 62, 63, 64, 65, 127, 128, 200]
 
 
-@pytest.mark.parametrize("case", REFERENCE_CASES)
-def test_ensemble_equals_the_textbook_loop_in_the_block_layout(case):
+# (case, _ARRIVALS, _BATCH_CELLS): a one-arrival table makes many slots of a
+# block list column 0 after the table in one pass, keep candidates there and
+# reach list_cap; one cell a batch also makes them wait on each other
+ENSEMBLE_LAYOUTS = {
+    **{case: (case, simulator._ARRIVALS, simulator._BATCH_CELLS) for case in REFERENCE_CASES},
+    **{f"{case}-one-arrival": (case, 1, simulator._BATCH_CELLS) for case in REFERENCE_CASES},
+    "smith-201-one-arrival-one-cell": ("smith-201", 1, 1),
+}
+
+
+@pytest.mark.parametrize("layout", ENSEMBLE_LAYOUTS)
+def test_ensemble_equals_the_textbook_loop_in_the_block_layout(monkeypatch, layout):
     # d = 1: bit for bit, with the reference's draws and rejections
+    case, arrivals, cells = ENSEMBLE_LAYOUTS[layout]
+    monkeypatch.setattr(simulator, "_ARRIVALS", arrivals)
+    monkeypatch.setattr(simulator, "_BATCH_CELLS", cells)
     dist, kappa, grid = REFERENCE_CASES[case]
     law = simulator.prepare_general(dist, kappa, grid, DEFAULT_N_POINTS)
     values, record = law.simulate_many(17, ENSEMBLE_INDICES)
@@ -621,6 +634,22 @@ def test_brown_resnick_does_not_depend_on_read_ahead_or_batch_sizes(monkeypatch,
         want, draws, _ = brown_resnick_block_reference(BR_VARIO, grid, DEFAULT_N_POINTS, 5, k)
         assert np.array_equal(values[r], want)
         assert record["spectral_draws"][r] == draws
+
+
+@pytest.mark.parametrize("origin", [[0.0], [[0.0, 0.0]]], ids=["1-d", "2-d"])
+def test_brown_resnick_on_the_origin_alone_equals_the_textbook_loop(origin):
+    # no location moves, so the completion rows have no entries
+    grid = Grid(origin)
+    law = prepare_brown_resnick(BR_VARIO, grid, DEFAULT_N_POINTS)
+    for seed in range(3):
+        want, draws, _ = brown_resnick_reference(BR_VARIO, grid, DEFAULT_N_POINTS, derive_rng(seed))
+        field = law.simulate(derive_rng(seed))
+        assert np.array_equal(field.values, want)
+        assert field.provenance["spectral_draws"] == draws == 1
+    values, _ = law.simulate_many(5, ENSEMBLE_INDICES)
+    for r, k in enumerate(ENSEMBLE_INDICES):
+        want, _, _ = brown_resnick_block_reference(BR_VARIO, grid, DEFAULT_N_POINTS, 5, k)
+        assert np.array_equal(values[r], want)
 
 
 @pytest.mark.parametrize("case", BR_PATHS)
