@@ -10,25 +10,18 @@ there; a candidate that beats the field at an earlier location is
 rejected.  It costs about one spectral draw per grid location, and every
 grid value has the exact law of the infinite max.  A construction only
 supplies log Y = log(W / W(t_j)) under the t_j-tilted law, on the whole
-grid and at one location per row: the family's ``tilted_sampler`` for
-general and Smith, Gaussian increments for Brown-Resnick (whose quadratic
-variograms give Smith's field, simulated as one).  Each candidate is
-screened at t_{j-1} first: on a dense grid nearly every rejected candidate
-already reaches the field there, so only the few left are scored on all m
-locations.  The screen's value at t_{j-1} must be the full row's entry
-bit for bit, or the screen could reject a candidate the full row would
-keep; the spectral laws sum <X, t> in coordinate order for that reason.
-A Brown-Resnick candidate is screened on one normal, its increment to
-t_{j-1}, and only one that passes draws a whole path, conditioned on that
-increment and holding it bit for bit: by circulant embedding on a 1-D
-lattice (FFTs, no BLAS), else from one Cholesky factor of the grid's
-covariance (a BLAS product, which rounds with the thread count and the
-batch).  The engine works in log space and exponentiates once, so a
-single huge value cannot overflow intermediate arithmetic.  ``n_points``
-is a loop guard, not a truncation: the most spectral draws at one grid
-location; a field that needs more raises ValueError.  The moving-maxima
-construction uses an exact-on-grid stopping rule with an explicit
-edge-error bound.
+grid and at one location per row (a ``_Sampler``): the family's
+``tilted_sampler`` for general and Smith, Gaussian increments for
+Brown-Resnick (whose quadratic variograms give Smith's field, simulated
+as one).  The engine runs in passes of four stages (``_Scan``): it lists
+candidates from a table of arrivals, screens each at t_{j-1}, where on a
+dense grid nearly every rejected candidate already reaches the field,
+scores the few left on all m locations, and advances past the first one
+kept.  It works in log space and exponentiates once, so a single huge
+value cannot overflow intermediate arithmetic.  ``n_points`` is a loop
+guard, not a truncation: the most spectral draws at one grid location; a
+field that needs more raises ValueError.  The moving-maxima construction
+uses an exact-on-grid stopping rule with an explicit edge-error bound.
 
 Each construction is prepared once per grid by its ``prepare_*``
 function, into a ``PreparedLaw`` that holds what all its fields share (phi
@@ -237,9 +230,7 @@ class _Blocks:
 
     def own(self, draws):
         """Each replicate's slot of per-block draws whose leading axis is the slot."""
-        if len(draws) == 1:
-            return draws[0][self.slot]
-        return np.stack(draws)[self.owner, self.slot]
+        return np.array(draws)[self.owner, self.slot]
 
 
 def _block_share(width, blocks):
@@ -307,6 +298,29 @@ class _Sampler(NamedTuple):
     complete: object = None  # complete(n, rng): n completion rows, or None
 
 
+class _Candidates(NamedTuple):
+    """A pass's candidate table, in list order (see _Scan.list)."""
+
+    rep: np.ndarray  # the position of the candidate's replicate in the running record
+    loc: np.ndarray  # its location j
+    log_zeta: np.ndarray
+    row: np.ndarray  # its base row's index in its slot's share of the spectral stream
+    path: np.ndarray = None  # a survivor's completion row index, if the sampler has ``complete``
+
+
+class _Running(NamedTuple):
+    """The running replicates' cursors, by position."""
+
+    ids: np.ndarray  # the replicate
+    loc: np.ndarray  # its location t_j
+    past: np.ndarray  # whether t_j is past its table, and once it is
+    gamma: np.ndarray  # the Gamma of t_j's last arrival read
+    at_loc: np.ndarray  # and t_j's candidates so far
+    next_arrival: np.ndarray  # its next arrival after the tables
+    next_row: np.ndarray  # its next base row
+    next_path: np.ndarray  # its next completion row
+
+
 def _extremal_log_fields(m, sampler, n_points, blocks):
     """log Z on m grid locations of every replicate of ``blocks`` (the
     module docstring's layout), exactly, by extremal functions (Dombry,
@@ -316,255 +330,236 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
     Location t_j runs its own Poisson process of arrivals zeta = 1 / Gamma
     while zeta > Z(t_j).  Each arrival is a candidate zeta * Y, where
     Y = W / W(t_j) is drawn under the t_j-tilted law; it is kept iff it
-    stays below Z at t_1 ... t_{j-1}, and then Z = max(Z, zeta * Y).  A kept
+    stays below Z at t_0 ... t_{j-1}, and then Z = max(Z, zeta * Y).  A kept
     candidate sets Z(t_j) = zeta, so it is the last candidate at t_j; t_0's
-    first one is always kept.  sampler is a ``_Sampler``: draw(n, rng_x)
-    gives n base rows of a spectral stream, log_y(rows, js) the (n, m)
-    values log Y of the rows, row r tilted at location js[r], and
-    screen(rows, js) entry js[r] - 1 of row r alone.  A sampler with
-    ``complete`` reads one more row, from a third stream dealt like the
-    base rows, for each candidate it scores in full (t_0's first, and each
-    that passes the screen), in candidate order: log_y(rows, js, paths).
+    first one is always kept.  A ``_Sampler`` with ``complete`` reads one
+    more row, from a third stream dealt like the base rows, for each
+    candidate it scores in full (t_0's first, and each that passes the
+    screen), in candidate order.
 
-    Z changes only when a candidate is kept, which is rare on a dense grid.
-    So a pass lists, for every running replicate, one window of candidates
-    across locations, in location order, as if none were kept: at each
-    location the table arrivals that beat Z there (a prefix, since Gamma
-    grows; their count is kept per location and recounted only when a kept
-    candidate raised Z), up to the first location all of whose arrivals
-    beat Z, or to the pass's share of _BATCH_CELLS base-row entries or
-    locations.  A location all of whose table arrivals beat Z is past its
-    table, and the next window starts there: its column 0 is the next
-    _ARRIVALS arrivals after the table, those that beat Z listed.  If all
-    of them do, the window ends there and the location stays past; else
-    the table's locations follow from t_{j+1}.  So a replicate's list is
-    one run in the loop's order, and the arrival cursor after the table
-    advances past what column 0 read.  Up to a replicate's first kept
-    candidate every decision is the one the location-by-location loop
-    makes; it restarts after it, and the other replicates keep what was
-    listed for them.  A candidate at t_j (j >= 1) with
-    zeta * Y(t_{j-1}) >= Z(t_{j-1}) reaches Z before t_j and is rejected
-    at this screen; only the others are scored on all m locations, each
-    replicate's in slices of 1, 2, 4, ... up to the block's share of
-    _BATCH_CELLS / m rows.  Any earlier location would be as exact a
-    witness; t_{j-1} needs no table, and on an unsorted grid it only
-    screens less.  The screen decides what the full row would only if it
-    gives the full row's entry bit for bit.  A replicate's completion
-    cursor advances as its row cursor does: past the survivors up to its
-    first kept candidate, or past all of them if it keeps none.  A
-    replicate's passes depend on nothing but its own draws, so neither do
-    its counts.  n_points is checked only for candidates the scan reaches:
-    one past it that a kept candidate pre-empts does not raise.  Returns
-    log Z (R, m) and, per replicate, the spectral draws, the rejections and
-    the rows scored in full.
+    A pass runs the four stages of ``_Scan`` on every running replicate at
+    once.  A replicate's passes depend on nothing but its own draws, so
+    neither do its counts.  Returns log Z (R, m) and, per replicate, the
+    spectral draws, the rejections and the rows scored in full.
     """
-    draw, log_y, screen, complete = sampler
-    streams = [spawn(stream, 3 if complete else 2) for stream in blocks.streams]
-    arrivals, spectral, *completion = zip(*streams)
-    # the arrival table: Gamma of arrival c at t_j, and log zeta = -log Gamma
-    gammas = blocks.own([e.exponential(size=(blocks.width, _ARRIVALS, m)) for e in arrivals])
-    for c in range(1, _ARRIVALS):
-        gammas[:, c] += gammas[:, c - 1]
-    table = -np.log(gammas)
-    more = _Dealt(blocks, arrivals, lambda n, e: e.exponential(size=n))
-    rows = _Dealt(blocks, spectral, draw)
-    # completion rows are few and long: read them one round ahead at least
-    paths = _Dealt(blocks, completion[0], complete, rounds=1) if complete else None
-    # a block's pass lists at most _BATCH_CELLS base-row entries and locations;
-    # a replicate waits while lag rows ahead of the slowest: it bounds the rows kept
-    list_cap = max(_ARRIVALS, _block_share(rows.values[0, 0].size, blocks))
-    span = max(_ARRIVALS, _block_share(1, blocks))
-    lag = 4 * list_cap
-    if paths:
-        # and while its completion cursor is 4 block shares of _BATCH_CELLS ahead
-        path_lag = 4 * max(1, _block_share(paths.values[0, 0].size, blocks))
-    score_cap = max(1, _block_share(m, blocks))
-    n_rep = blocks.slot.size
-    # t_0's first candidate is kept: nothing comes before it
-    ids = np.arange(n_rep)
-    zero = np.zeros(n_rep, np.int64)
-    first = (paths.at(ids, zero, 0),) if paths else ()
-    log_z = table[:, 0, :1] + log_y(rows.at(ids, zero, 0), zero, *first)
-    # table arrivals above Z at each location, and none past the grid
-    above = np.zeros((n_rep, m + min(span, m)), np.int64)
-    above[:, :m] = (table > log_z[:, None]).sum(axis=1)
-    draws, kept_total, full_scores = zero + 1, zero + 1, zero + 1
-    # the running replicates' ids and, by position, their location t_j, once t_j is
-    # past its table its Gamma and candidates so far, next arrival after it, next row
-    ids = ids[:n_rep if m > 1 else 0]
-    loc, next_row, at_loc, next_arrival, next_path = (
-        np.zeros(ids.size, np.int64) + k for k in (1, 1, 0, 0, 1))
-    past, gamma = np.zeros(ids.size, bool), np.zeros(ids.size)
-    chunk = np.arange(_ARRIVALS)
-    while ids.size:
-        # per running replicate: the candidates listed, where it goes on if
-        # it keeps nothing and whether that location is past its table, and
-        # where a candidate past n_points is
-        listed = np.zeros(ids.size, np.int64)
-        nxt, nxt_past, over_at = loc.copy(), past.copy(), None
-        low = int(next_row[next_row.argmin()])
-        listing = next_row < low + lag
-        if paths:
-            slowest = next_path.argmin()
-            low_path = int(next_path[slowest])
-            listing &= next_path < low_path + path_lag
+    scan = _Scan(m, sampler, n_points, blocks)
+    while scan.run.ids.size:
+        cand, ahead, over = scan.list()
+        survivors, x = scan.screen(cand)
+        scan.advance(ahead, over, survivors, scan.score(survivors, x))
+    return scan.log_z, {"spectral_draws": scan.draws, "rejections": scan.rejections, "full_scores": scan.scored}
+
+
+class _Scan:
+    """The state a pass's stages share: the arrival table, the dealt streams,
+    log Z, the per-replicate counts and the running record ``run``."""
+
+    def __init__(self, m, sampler, n_points, blocks):
+        self.m, self.sampler, self.n_points = m, sampler, n_points
+        streams = [spawn(stream, 3 if sampler.complete else 2) for stream in blocks.streams]
+        arrivals, spectral, *completion = zip(*streams)
+        # the arrival table: Gamma of arrival c at t_j, and log zeta = -log Gamma
+        gammas = blocks.own([e.exponential(size=(blocks.width, _ARRIVALS, m)) for e in arrivals])
+        for c in range(1, _ARRIVALS):
+            gammas[:, c] += gammas[:, c - 1]
+        self.gammas, self.table, self.chunk = gammas, -np.log(gammas), np.arange(_ARRIVALS)
+        self.more = _Dealt(blocks, arrivals, lambda n, e: e.exponential(size=n))
+        self.rows = _Dealt(blocks, spectral, sampler.draw)
+        # completion rows are few and long: read them one round ahead at least
+        self.paths = _Dealt(blocks, completion[0], sampler.complete, rounds=1) if completion else None
+        # a block's pass lists at most _BATCH_CELLS base-row entries and locations
+        self.list_cap = max(_ARRIVALS, _block_share(self.rows.values[0, 0].size, blocks))
+        self.span = max(_ARRIVALS, _block_share(1, blocks))
+        self.score_cap = max(1, _block_share(m, blocks))
+        n_rep = blocks.slot.size
+        # t_0's first candidate is kept: nothing comes before it
+        ids, zero = np.arange(n_rep), np.zeros(n_rep, np.int64)
+        first = (self.paths.at(ids, zero, 0),) if self.paths else ()
+        self.log_z = self.table[:, 0, :1] + sampler.log_y(self.rows.at(ids, zero, 0), zero, *first)
+        # table arrivals above Z at each location, and none past the grid
+        self.above = np.zeros((n_rep, m + min(self.span, m)), np.int64)
+        self.above[:, :m] = (self.table > self.log_z[:, None]).sum(axis=1)
+        self.draws, self.rejections, self.scored = zero + 1, zero.copy(), zero + 1
+        n = n_rep if m > 1 else 0
+        self.run = _Running(ids[:n], np.ones(n, np.int64), np.zeros(n, bool), np.zeros(n),
+                            *(np.zeros(n, np.int64) + k for k in (0, 0, 1, 1)))
+
+    def list(self):
+        """The pass's candidate table, the running record as the pass leaves
+        each replicate that keeps none, and which ones reach past n_points.
+
+        Z changes only when a candidate is kept, which is rare on a dense
+        grid.  So a pass lists, for every running replicate, one window of
+        candidates across locations, in location order, as if none were
+        kept: at each location the table arrivals that beat Z there (a
+        prefix, since Gamma grows; their count is kept per location and
+        recounted only when a kept candidate raised Z), up to the first
+        location all of whose arrivals beat Z, or to the pass's share of
+        _BATCH_CELLS base-row entries or locations.  A location all of whose
+        table arrivals beat Z is past its table, and the next window starts
+        there: its column 0 is the next _ARRIVALS arrivals after the table,
+        those that beat Z listed.  If all of them do, the window ends there
+        and the location stays past; else the table's locations follow from
+        t_{j+1}.  So a replicate's list is one run in the loop's order, and
+        the arrival cursor after the table advances past what column 0 read.
+        """
+        run, m = self.run, self.m
+        # a replicate far ahead of the slowest waits, which bounds the rows kept: it reads no arrivals
+        low = int(run.next_row[run.next_row.argmin()])
+        listing = run.next_row < low + 4 * self.list_cap
+        if self.paths:
+            slowest = run.next_path.argmin()
+            listing &= run.next_path < run.next_path[slowest] + 4 * self.paths.most
             listing[slowest] = True  # so that some replicate lists, whatever its row cursor
-        tab = listing.nonzero()[0]  # the replicates that list this pass
-        # a prefix of t_i's arrivals beats Z(t_i), Z being fixed up to the
-        # first kept candidate; a replicate's window takes whole locations,
-        # up to the first all of whose arrivals do, or to list_cap or span.
-        # Column 0 of a location past its table is its next _ARRIVALS
-        # arrivals after the table
-        first = loc[tab]
-        cells = first[:, None] + np.arange(min(span, m - int(first[first.argmin()])))
-        counts = above[ids[tab][:, None], cells]
-        front = past[tab].nonzero()[0]
+        first, gamma, at_loc, read = run.loc, run.gamma, run.at_loc, np.zeros(run.ids.size, np.int64)
+        cells = first[:, None] + np.arange(min(self.span, m - int(first[first.argmin()])))
+        counts = self.above[run.ids[:, None], cells]
+        front = (run.past & listing).nonzero()[0]
         if front.size:
-            ahead = tab[front]
-            e = more.at(ids[ahead, None], next_arrival[ahead, None] + chunk,
-                        int(next_arrival[next_arrival.argmin()]))
-            g = np.cumsum(np.column_stack([gamma[ahead], e]), axis=1)[:, 1:]
+            e = self.more.at(run.ids[front, None], run.next_arrival[front, None] + self.chunk,
+                             int(run.next_arrival[run.next_arrival.argmin()]))
+            g = np.cumsum(np.column_stack([gamma[front], e]), axis=1)[:, 1:]
             log_zeta = -np.log(g)
-            counts[front, 0] = (log_zeta > log_z[ids[ahead], first[front], None]).sum(axis=1)
+            counts[front, 0] = (log_zeta > self.log_z[run.ids[front], first[front], None]).sum(axis=1)
         full = counts == _ARRIVALS
         has_full = full.any(axis=1)
-        end = stop = np.where(has_full, full.argmax(axis=1) + 1, cells.shape[1])
-        if _ARRIVALS * cells.shape[1] > list_cap:  # else the window fits
-            end = np.minimum(stop, (counts.cumsum(axis=1) <= list_cap).sum(axis=1))
-        if n_points < _ARRIVALS or front.size:
+        stop = np.where(has_full, full.argmax(axis=1) + 1, cells.shape[1])
+        end = np.where(listing, stop, 0)  # a waiting replicate lists nothing
+        if _ARRIVALS * cells.shape[1] > self.list_cap:  # else the window fits
+            end = np.minimum(end, (counts.cumsum(axis=1) <= self.list_cap).sum(axis=1))
+        over = False
+        if self.n_points < _ARRIVALS or front.size:
             # a location lists up to n_points candidates, with those of past passes
-            over_at = np.zeros(ids.size, np.int64) - 1
-            left = np.full(counts.shape, n_points)
-            left[front, 0] -= at_loc[tab[front]]
+            left = np.full(counts.shape, self.n_points)
+            left[front, 0] -= at_loc[front]
             beyond = (counts > left) & (np.arange(cells.shape[1]) < end[:, None])
-            hit = beyond.any(axis=1)
-            end = np.where(hit, beyond.argmax(axis=1) + 1, end)
-            over_at[tab[hit]] = first[hit] + end[hit] - 1
+            over = beyond.any(axis=1)
+            end = np.where(over, beyond.argmax(axis=1) + 1, end)
             np.minimum(counts, left, out=counts)
-        # a window that ends at a location all of whose arrivals beat Z goes
-        # on there next pass, past the table
         full = has_full & (end == stop)
-        nxt_past[tab] = full
-        nxt[tab] = first + end - full
         cols = end[end.argmax()]
         counts = counts[:, :cols]
         if end[end.argmin()] < cols:
             counts[np.arange(cols) >= end[:, None]] = 0
-        listed[tab] = counts.sum(axis=1)
+        listed = counts.sum(axis=1)
         flat = counts.ravel()
         start = flat.cumsum() - flat
         cell = np.repeat(np.arange(flat.size), flat)
-        p = tab[cell // cols]
+        rep = cell // cols
         locs = cells[:, :cols].ravel()[cell]
         c = np.arange(cell.size) - start[cell]
-        zeta = table.ravel()[(ids[p] * _ARRIVALS + c) * m + locs]
+        zeta = self.table.ravel()[(run.ids[rep] * _ARRIVALS + c) * m + locs]
         if front.size:
             # column 0 past the table lists the arrivals that beat Z and reads
             # one more, below Z or past n_points, unless all of them beat Z
             n = counts[front, 0]
-            beat = chunk < n[:, None]
-            zeta[(start[front * cols, None] + chunk)[beat]] = log_zeta[beat]
-            read = np.zeros(ids.size, np.int64)
-            read[ahead] = n + (n < _ARRIVALS)
-            gamma[ahead] = g[np.arange(ahead.size), read[ahead] - 1]
-            at_loc[ahead] += n
-        reps = ids[p]
-        row = np.arange(p.size) + (next_row - listed.cumsum() + listed)[p]  # each candidate's base row
-        x = rows.at(reps, row, low)
-        # the screen at t_{j-1}
-        live = (zeta + screen(x, locs) < log_z[reps, locs - 1]).nonzero()[0]
-        several = live.size and p[live[0]] != p[live[-1]]
-        if several or paths:
-            live_p = p[live]
-            rank = np.arange(live.size) - (live_p.searchsorted(live_p) if several else 0)
-        extra = ()
-        if paths:
-            # each survivor's completion row, in candidate order per replicate
-            path = np.zeros(p.size, np.int64)
-            path[live] = next_path[live_p] + rank
-        # score the survivors, each replicate's in slices of 1, 2, 4, ...:
+            beat = self.chunk < n[:, None]
+            zeta[(start[front * cols, None] + self.chunk)[beat]] = log_zeta[beat]
+            read[front] = n + (n < _ARRIVALS)
+            gamma, at_loc = gamma.copy(), at_loc.copy()
+            gamma[front] = g[np.arange(front.size), read[front] - 1]
+            at_loc[front] += n
+        row = np.arange(rep.size) + (run.next_row - listed.cumsum() + listed)[rep]  # each candidate's base row
+        # a replicate with a candidate past n_points stays at its location
+        ahead = _Running(run.ids, first + end - (full | over), full | (run.past & ~listing), gamma, at_loc,
+                         run.next_arrival + read, run.next_row + listed, run.next_path)
+        return _Candidates(rep, locs, zeta, row), ahead, over
+
+    def screen(self, cand):
+        """The candidates that pass the screen, with their base rows.
+
+        A candidate at t_j (j >= 1) with zeta * Y(t_{j-1}) >= Z(t_{j-1})
+        reaches Z before t_j and is rejected at this screen.  Any earlier
+        location would be as exact a witness; t_{j-1} needs no table, and on
+        an unsorted grid it only screens less.  The screen decides what the
+        full row would only if it gives the full row's entry bit for bit.
+        """
+        run = self.run
+        reps = run.ids[cand.rep]
+        x = self.rows.at(reps, cand.row, int(run.next_row[run.next_row.argmin()]))
+        live = (cand.log_zeta + self.sampler.screen(x, cand.loc) < self.log_z[reps, cand.loc - 1]).nonzero()[0]
+        rep, path = cand.rep[live], None
+        if self.paths:
+            # the completion rows, in candidate order per replicate
+            path = run.next_path[rep] + np.arange(live.size) - rep.searchsorted(rep)
+        return _Candidates(rep, cand.loc[live], cand.log_zeta[live], cand.row[live], path), x[live]
+
+    def score(self, survivors, x):
+        """Each running replicate's first kept candidate, an index into the
+        survivors (-1 if none).  They are scored on all m locations, each
+        replicate's in slices of 1, 2, 4, ... up to the block's share of
+        _BATCH_CELLS / m rows; log Z and ``above`` follow each kept one."""
+        run, s, m = self.run, survivors, self.m
+        reps = run.ids[s.rep]
         # the k-th slices of all replicates at once, in order of rank
+        rank = np.arange(reps.size) - s.rep.searchsorted(s.rep)
+        order = rank.argsort(kind="stable")
         edges, size = [0], 1
-        while edges[-1] < live.size:
+        while edges[-1] < reps.size:
             edges.append(edges[-1] + size)
-            size = min(2 * size, score_cap)
-        if several:
-            order = rank.argsort(kind="stable")
-            live = live[order]
-            edges = rank[order].searchsorted(edges).tolist()
-        found = np.zeros(ids.size, np.int64) - 1  # each replicate's first kept candidate
-        n_found, scored = 0, []
+            size = min(2 * size, self.score_cap)
+        edges = rank[order].searchsorted(edges).tolist()
+        found, extra, n_found = np.zeros(run.ids.size, np.int64) - 1, (), 0
         for lo, hi in zip(edges, edges[1:]):
-            part = live[lo:hi]
+            part = order[lo:hi]
             if n_found:
-                part = part[found[p[part]] < 0]
+                part = part[found[s.rep[part]] < 0]
             if not part.size:
                 break
-            if paths:
-                if several:
-                    part = np.sort(part)  # the completion rows are read per replicate, in order
-                extra = (paths.at(reps[part], path[part], low_path),)
-            scored.append(part)
-            rs, at = reps[part], locs[part]
-            cand = zeta[part, None] + log_y(x[part], at, *extra)
-            kept = _kept(cand, log_z[rs], at).nonzero()[0]
+            if self.paths:
+                part = np.sort(part)  # the completion rows are read per replicate, in order
+                extra = (self.paths.at(reps[part], s.path[part], int(run.next_path[run.next_path.argmin()])),)
+            rs, at = reps[part], s.loc[part]
+            np.add.at(self.scored, rs, 1)
+            cand = s.log_zeta[part, None] + self.sampler.log_y(x[part], at, *extra)
+            # a candidate reaches Z at its own location: it is kept iff that is the first where it does
+            kept = ((cand >= self.log_z[rs]).argmax(axis=1) == at).nonzero()[0]
             if kept.size:
                 if kept.size > 1:
                     # each replicate's first kept candidate of the slice
                     kept = kept[np.unique(rs[kept], return_index=True)[1]]
                 rk, pk = rs[kept], part[kept]
-                log_z[rk] = np.maximum(log_z[rk], cand[kept])
+                self.log_z[rk] = np.maximum(self.log_z[rk], cand[kept])
                 # Z changed only from the kept candidates' locations on
                 j = at[kept][at[kept].argmin()]
-                above[rk, j:m] = (table[rk, :, j:] > log_z[rk, None, j:]).sum(axis=1)
-                found[p[pk]] = pk
+                self.above[rk, j:m] = (self.table[rk, :, j:] > self.log_z[rk, None, j:]).sum(axis=1)
+                found[s.rep[pk]] = pk
                 n_found += kept.size
-                if n_found == ids.size:
-                    break
-        if scored:
-            np.add.at(full_scores, reps[np.concatenate(scored)], 1)
-        if paths:
-            next_path += np.bincount(live_p, minlength=ids.size)
+        return found
+
+    def advance(self, ahead, over, survivors, found):
+        """Each running replicate goes on after its first kept candidate, or
+        where ``list`` left it if it keeps none; past t_{m-1} it leaves ``run``.
+
+        Up to that candidate every decision is the one the location by
+        location loop makes; it sets Z(t_i) = zeta and so is t_i's last, and
+        the row and completion cursors, and the arrival cursor after the
+        table for one in column 0 past t_i's table, move past it alone.
+        n_points is checked only for candidates the scan reaches: one past it
+        that a kept candidate pre-empts does not raise.
+        """
+        run, s = self.run, survivors
+        over = (over & (found < 0)).nonzero()[0]
+        if over.size:
+            raise ValueError(f"grid location {ahead.loc[over[0]]} needs more than n_points = "
+                             f"{self.n_points} spectral draws")
         kept = (found >= 0).nonzero()[0]
-        if over_at is not None:
-            over_at[kept] = -1
-            if over_at.max() >= 0:
-                j = over_at[over_at >= 0][0]
-                raise ValueError(f"grid location {j} needs more than n_points = {n_points} spectral draws")
-        if kept.size:
-            # a kept candidate sets Z(t_i) = zeta and so is t_i's last; one
-            # in column 0 past t_i's table read the arrivals up to its own
-            f = found[kept]
-            used = row[f] - next_row[kept] + 1
-            if front.size:
-                read[kept] = np.minimum(read[kept], used)
-            listed[kept] = used
-            if paths:
-                next_path[kept] = path[f] + 1
-            nxt[kept], nxt_past[kept] = locs[f] + 1, False
-            kept_total[ids[kept]] += 1
-        draws[ids] += listed
-        next_row += listed
-        if front.size:
-            next_arrival += read
-        fresh = (nxt_past & ~(past & (nxt == loc))).nonzero()[0]
-        if fresh.size:
-            # a location whose whole table beat Z this pass goes on after it
-            gamma[fresh] = gammas[ids[fresh], -1, nxt[fresh]]
-            at_loc[fresh] = _ARRIVALS
-        loc, past = nxt, nxt_past
-        if loc[loc.argmax()] >= m:
-            go = loc < m
-            ids, loc, past, gamma, at_loc, next_arrival, next_row, next_path = (
-                a[go] for a in (ids, loc, past, gamma, at_loc, next_arrival, next_row, next_path))
-    return log_z, {"spectral_draws": draws, "rejections": draws - kept_total, "full_scores": full_scores}
-
-
-def _kept(cand, log_z, js):
-    """The keep rule for candidates (rows of cand) at locations js: a
-    candidate reaches Z at its own location, so it is kept iff that is the
-    first location where it does."""
-    return (cand >= log_z).argmax(axis=1) == js
+        f = found[kept]
+        if self.paths:
+            ahead = ahead._replace(next_path=run.next_path + np.bincount(s.rep, minlength=run.ids.size))
+            ahead.next_path[kept] = s.path[f] + 1
+        ahead.next_row[kept] = s.row[f] + 1
+        ahead.loc[kept], ahead.past[kept] = s.loc[f] + 1, False
+        used = ahead.next_row - run.next_row
+        ahead.next_arrival[kept] = np.minimum(ahead.next_arrival, run.next_arrival + used)[kept]
+        self.draws[run.ids] += used
+        self.rejections[run.ids] += used - (found >= 0)
+        # a location whose whole table beat Z this pass goes on after it
+        fresh = (ahead.past & ~(run.past & (ahead.loc == run.loc))).nonzero()[0]
+        ahead.gamma[fresh] = self.gammas[run.ids[fresh], -1, ahead.loc[fresh]]
+        ahead.at_loc[fresh] = _ARRIVALS
+        go = ahead.loc < self.m
+        self.run = ahead if go[go.argmin()] else _Running(*(a[go] for a in ahead))
 
 
 @dataclass(frozen=True)
@@ -625,7 +620,13 @@ def _spectral_law(dist, kappa, grid, n_points, construction) -> PreparedLaw:
     <X, t> is summed in coordinate order, so the screen's entry is log_y's
     bit for bit and a row's values do not depend on its batch."""
     t_mat = grid.locations
-    phi = np.asarray(dist.cgf(t_mat), dtype=float)  # checks the grid against the CGF domain
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        phi = np.asarray(dist.cgf(t_mat), dtype=float)  # checks the grid against the CGF domain
+        # exactly 0.0 when kappa is the CGF of X itself
+        shift = phi - kappa.values(t_mat)
+    bad = np.flatnonzero(~np.isfinite(shift))  # so also wherever phi is not finite
+    if bad.size:
+        raise ValueError(f"phi - kappa is not finite at grid location {bad[0]} (the CGF overflows)")
     draw, tilt = dist.tilted_sampler(t_mat)
 
     def log_y(rows, js):
@@ -636,8 +637,6 @@ def _spectral_law(dist, kappa, grid, n_points, construction) -> PreparedLaw:
         x, cols = tilt(rows, js), js - 1
         return (ordered_dot(x, t_mat[cols]) - phi[cols]) - (ordered_dot(x, t_mat[js]) - phi[js])
 
-    # exactly 0.0 when kappa is the CGF of X itself
-    shift = phi - kappa.values(t_mat)
     prov = {"construction": construction, "dist": dist.spec_string(),
             "kappa": kappa.law.spec_string(), "c0": kappa.c0}
     return _engine_law(grid, _Sampler(draw, log_y, screen), n_points, prov, shift)

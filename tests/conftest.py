@@ -45,7 +45,8 @@ def rng():
     return derive_rng(12345)
 
 
-def extremal_reference(m, draw, candidate, n_points, rng, width=1, slot=0, screen=None, complete=None):
+def extremal_reference(m, draw, candidate, n_points, rng, width=1, slot=0, screen=None, complete=None,
+                       trace=None):
     """The textbook extremal-function loop (Dombry, Engelke & Oesting 2016,
     Algorithm 2) for slot ``slot`` of a block of ``width`` slots whose
     stream is rng, one candidate at a time and nothing drawn ahead.
@@ -65,12 +66,18 @@ def extremal_reference(m, draw, candidate, n_points, rng, width=1, slot=0, scree
     round each, and are candidate(j, row, path).  A kept candidate sets
     Z(t_j) = zeta, so t_j ends with it.  At width 1 this is one field's
     layout.  Returns (log Z, draws, kept).
+
+    A list ``trace`` gets one record of the loop's decisions per candidate,
+    in order: its location j, log zeta and base row (the draws before it);
+    whether it reaches Z at t_{j-1} (j >= 1), where the engine's screen
+    rejects it; the completion rows read before it (None if it reads none);
+    and whether it is kept, with log Z after it if it is.
     """
     rng_e, rng_x, *rng_c = spawn(rng, 3 if complete else 2)
     arrivals = simulator._ARRIVALS
     table = rng_e.exponential(size=(width, arrivals, m))[slot]
     log_z = np.full(m, -np.inf)
-    draws = kept = 0
+    draws = kept = paths = 0
     for j in range(m):
         gamma = table[0, j]
         count = 0
@@ -79,20 +86,30 @@ def extremal_reference(m, draw, candidate, n_points, rng, width=1, slot=0, scree
                 raise ValueError(f"location {j} needs more than n_points = {n_points}")
             row = draw(width, rng_x)[slot]
             count += 1
+            record = {"j": j, "log_zeta": -np.log(gamma), "row": draws + count - 1, "path": None,
+                      "screened": True, "kept": False}
             # a candidate the screen rejects reads no completion row
             if not (complete and j and -np.log(gamma) + screen(j, row) >= log_z[j - 1]):
+                if complete:
+                    record["path"], paths = paths, paths + 1
                 path = (complete(width, rng_c[0])[slot],) if complete else ()
                 cand = -np.log(gamma) + candidate(j, row, *path)
+                # the row's entry at t_{j-1} is the screen's value
+                record["screened"] = bool(j and cand[j - 1] >= log_z[j - 1])
                 if np.all(cand[:j] < log_z[:j]):
                     log_z = np.maximum(log_z, cand)
                     kept += 1
-                    break
+                    record.update(kept=True, log_z=log_z)
+            if trace is not None:
+                trace.append(record)
+            if record["kept"]:
+                break
             gamma += table[count, j] if count < arrivals else rng_e.exponential(size=width)[slot]
         draws += count
     return log_z, draws, kept
 
 
-def general_reference(dist, kappa, grid, n_points, rng, width=1, slot=0):
+def general_reference(dist, kappa, grid, n_points, rng, width=1, slot=0, trace=None):
     """extremal_reference for max_i U_i exp(<X_i, t> - kappa(t)): X from
     the family's one-point tilt at t_j of the row, log Y = a(t) - a(t_j)
     with a(t) = <X, t> - phi(t), the field shifted by phi - kappa."""
@@ -105,11 +122,11 @@ def general_reference(dist, kappa, grid, n_points, rng, width=1, slot=0):
         a = (tilts[j](row[None], 0) @ t.T)[0] - phi
         return a - a[j]
 
-    log_z, draws, kept = extremal_reference(grid.size, draw, candidate, n_points, rng, width, slot)
+    log_z, draws, kept = extremal_reference(grid.size, draw, candidate, n_points, rng, width, slot, trace=trace)
     return np.exp(log_z + (phi - kappa.values(t))), draws, kept
 
 
-def brown_resnick_reference(variogram, grid, n_points, rng, width=1, slot=0):
+def brown_resnick_reference(variogram, grid, n_points, rng, width=1, slot=0, trace=None):
     """extremal_reference for Brown-Resnick: the base row is one standard
     normal N, S = sqrt(gamma_1) N with gamma_1 = gamma(t_j - t_{j-1}) the
     increment D(t_{j-1}) = G(t_{j-1}) - G(t_j), and the screen S - gamma_1 / 2.
@@ -140,7 +157,7 @@ def brown_resnick_reference(variogram, grid, n_points, rng, width=1, slot=0):
         return d - 0.5 * gamma[j]
 
     log_z, draws, kept = extremal_reference(grid.size, draw, candidate, n_points, rng, width, slot,
-                                            screen, complete)
+                                            screen, complete, trace)
     return np.exp(log_z), draws, kept
 
 

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,21 @@ def test_simulate_numeric_error_exit_code(tmp_path, capsys):
     for sigma, grid in [("1,0,0,1", "0,1"), ("1", "0,0;1,1")]:
         assert main(["simulate", "--construction", "mmm", "--sigma", sigma, "--grid", grid]) == 3
         assert "expected points in R^" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("law", [
+    ["--construction", "smith", "--sigma", "1"],
+    ["--construction", "general", "--dist", "gaussian:mu=0;sigma=1"],
+    ["--construction", "br", "--variogram", "fractional:alpha=2"],
+])
+def test_simulate_reports_a_cgf_that_overflows_on_the_grid(law, capsys):
+    # phi(1e160) = 5e319 is inf: no draw is made and no n_points bound is blamed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", *law, "--grid", "0,1e160", "--seed", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numeric error: phi - kappa is not finite at grid location 1 (the CGF overflows)\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from conftest import (
 from maxstable import simulator
 from maxstable.fdd import frechet_cdf, ks_distance, ks_threshold
 from maxstable.pointproc import frechet_cascade
-from maxstable.seeding import derive_rng, spawn
+from maxstable.seeding import block_rng, derive_rng, spawn
 from maxstable.simulator import (
     DEFAULT_N_POINTS,
     Field,
@@ -693,6 +694,21 @@ def test_lattice_brown_resnick_prepare_builds_nothing_m_by_m(monkeypatch):
     assert peak < m * m * 8 / 20
 
 
+def test_the_read_ahead_waits_bound_an_ensembles_memory():
+    # a replicate that runs ahead of the block's slowest waits, so the dealt
+    # buffers keep a few block shares of rows: the peak is about 25 MiB here,
+    # and about 49 MiB if no replicate ever waits
+    law = prepare_brown_resnick(Variogram.fractional(1.0, 0.5), Grid(np.linspace(-5.0, 5.0, 201)),
+                                DEFAULT_N_POINTS)
+    tracemalloc.start()
+    try:
+        law.simulate_many(9001, range(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 2**20
+
+
 def norm_br_cov_factor(variogram, grid):
     """The factor and pairwise table from variogram() on the m x m x d
     differences and a fresh covariance matrix."""
@@ -720,6 +736,154 @@ def test_br_cov_factor_equals_the_norm_expression(d, alpha, origin):
     assert np.array_equal(pairwise, want_pairwise)
     assert np.array_equal(factor, want_factor)
     assert np.count_nonzero(~factor.any(axis=1)) == int(origin)
+
+
+# ---------------------------------------------------------------------------
+# the scan's stages, pass by pass, against the textbook loop's decisions
+
+
+def gaussian_stage_law():
+    dist, kappa, grid = REFERENCE_CASES["gaussian"]
+    return (prepare_general(dist, kappa, grid, DEFAULT_N_POINTS),
+            lambda rng, width, slot, trace: general_reference(dist, kappa, grid, DEFAULT_N_POINTS, rng,
+                                                              width, slot, trace))
+
+
+def brown_resnick_stage_law():
+    grid, _ = BR_PATHS["lattice"]
+    return (prepare_brown_resnick(BR_VARIO, grid, DEFAULT_N_POINTS),
+            lambda rng, width, slot, trace: brown_resnick_reference(BR_VARIO, grid, DEFAULT_N_POINTS, rng,
+                                                                    width, slot, trace))
+
+
+STAGE_LAWS = {"gaussian": gaussian_stage_law, "brown-resnick": brown_resnick_stage_law}
+# a one-slot block per seed, and replicates on both sides of a block edge
+STAGE_LAYOUTS = {"one-slot": [(seed, [0], 1) for seed in range(3)],
+                 "multi-slot": [(17, [0, 1, 5, 63, 64], simulator._REPLICATE_BLOCK)]}
+
+
+def stage_passes(monkeypatch, law, reference, seed, indices, width):
+    """Every pass of the scan of a prepared law on a block layout, stage by
+    stage, and each replicate's textbook trace.  A pass records the running
+    record before it, the candidate table, the survivors, each replicate's
+    first kept survivor, log Z after the score and the counts after it."""
+    stream = (lambda block: derive_rng(seed)) if width == 1 else (lambda block: block_rng(seed, block))
+    taken = []
+
+    def take(m, sampler, n_points, blocks):
+        taken.extend([m, sampler, n_points])
+        return 0.0, {}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_extremal_log_fields", take)
+        law.scan(None)
+    scan = simulator._Scan(*taken, simulator._Blocks(indices, stream, width))
+    passes = []
+    while scan.run.ids.size:
+        before = simulator._Running(*(a.copy() for a in scan.run))
+        cand, ahead, over = scan.list()
+        survivors, x = scan.screen(cand)
+        found = scan.score(survivors, x)
+        log_z = scan.log_z.copy()
+        scan.advance(ahead, over, survivors, found)
+        passes.append(SimpleNamespace(before=before, cand=cand, survivors=survivors, found=found, log_z=log_z,
+                                      after=scan.run, draws=scan.draws.copy(), rejections=scan.rejections.copy()))
+    traces = []
+    for k in indices:
+        traces.append([])
+        block, slot = divmod(k, width)
+        reference(derive_rng(seed) if width == 1 else block_rng(seed, block), width, slot, traces[-1])
+    return passes, traces
+
+
+def stage_cases(monkeypatch, law, layout, arrivals):
+    """(pass, q, listed, records, trace) for every pass and running
+    replicate q of it: q's candidates in the table up to the textbook
+    loop's first kept one, the loop's records of them, and all of q's
+    records."""
+    monkeypatch.setattr(simulator, "_ARRIVALS", arrivals)
+    prepared, reference = STAGE_LAWS[law]()
+    past = 0
+    for seed, indices, width in STAGE_LAYOUTS[layout]:
+        passes, traces = stage_passes(monkeypatch, prepared, reference, seed, indices, width)
+        for p in passes:
+            past += int(p.before.past.sum())
+            for q, r in enumerate(p.before.ids):
+                mine = np.flatnonzero(p.cand.rep == q)
+                records = traces[r][p.before.next_row[q]:p.before.next_row[q] + mine.size]
+                ends = [i + 1 for i, record in enumerate(records) if record["kept"]]
+                n = ends[0] if ends else mine.size
+                yield p, q, mine[:n], records[:n], traces[r]
+    # a one-arrival table puts locations past it
+    assert past > 0 or arrivals > 1
+
+
+@pytest.mark.parametrize("arrivals", [simulator._ARRIVALS, 1])
+@pytest.mark.parametrize("layout", STAGE_LAYOUTS)
+@pytest.mark.parametrize("law", STAGE_LAWS)
+def test_list_stage_lists_the_textbook_loops_candidates(monkeypatch, law, layout, arrivals):
+    # up to its first kept candidate a replicate's run of the table is the
+    # loop's next candidates: same location, log zeta and base row
+    for p, q, listed, records, _ in stage_cases(monkeypatch, law, layout, arrivals):
+        assert np.all(np.diff(p.cand.rep) >= 0)
+        assert len(records) == listed.size
+        assert p.cand.row[listed].tolist() == [record["row"] for record in records]
+        assert p.cand.loc[listed].tolist() == [record["j"] for record in records]
+        assert p.cand.log_zeta[listed].tolist() == [record["log_zeta"] for record in records]
+
+
+@pytest.mark.parametrize("arrivals", [simulator._ARRIVALS, 1])
+@pytest.mark.parametrize("layout", STAGE_LAYOUTS)
+@pytest.mark.parametrize("law", STAGE_LAWS)
+def test_screen_stage_rejects_what_reaches_z_at_the_previous_location(monkeypatch, law, layout, arrivals):
+    # a survivor is a candidate that stays below Z(t_{j-1}); a Brown-Resnick
+    # survivor reads the completion row the loop reads for it
+    for p, q, listed, records, _ in stage_cases(monkeypatch, law, layout, arrivals):
+        mine = p.survivors.rep == q
+        survived = np.isin(p.cand.row[listed], p.survivors.row[mine])
+        assert survived.tolist() == [not record["screened"] for record in records]
+        if law == "brown-resnick":
+            paths = p.survivors.path[mine][:survived.sum()]
+            assert paths.tolist() == [record["path"] for record in records if not record["screened"]]
+
+
+@pytest.mark.parametrize("arrivals", [simulator._ARRIVALS, 1])
+@pytest.mark.parametrize("layout", STAGE_LAYOUTS)
+@pytest.mark.parametrize("law", STAGE_LAWS)
+def test_score_stage_keeps_the_textbook_loops_candidate(monkeypatch, law, layout, arrivals):
+    # the first survivor the loop keeps, and log Z after it, bit for bit
+    for p, q, _, records, _ in stage_cases(monkeypatch, law, layout, arrivals):
+        kept = [record for record in records if record["kept"]]
+        if kept:
+            assert p.survivors.row[p.found[q]] == kept[0]["row"]
+            assert np.array_equal(p.log_z[p.before.ids[q]], kept[0]["log_z"])
+        else:
+            assert p.found[q] == -1
+
+
+@pytest.mark.parametrize("arrivals", [simulator._ARRIVALS, 1])
+@pytest.mark.parametrize("layout", STAGE_LAYOUTS)
+@pytest.mark.parametrize("law", STAGE_LAWS)
+def test_advance_stage_moves_the_cursors_where_the_textbook_loop_goes_on(monkeypatch, law, layout, arrivals):
+    # past the kept candidate, or past the window if none is kept: the loop's
+    # candidates so far come before t_j, or at t_j once its table is spent
+    for p, q, _, records, trace in stage_cases(monkeypatch, law, layout, arrivals):
+        r = p.before.ids[q]
+        decided = p.before.next_row[q] + len(records)
+        assert p.draws[r] == decided
+        assert p.rejections[r] == sum(not record["kept"] for record in trace[:decided])
+        if r not in p.after.ids:
+            assert decided == len(trace)
+            continue
+        a = p.after.ids.tolist().index(r)
+        loc, past = p.after.loc[a], p.after.past[a]
+        assert p.after.next_row[a] == decided
+        assert all(record["j"] < loc + past for record in trace[:decided])
+        assert all(record["j"] >= loc for record in trace[decided:])
+        if past:
+            assert sum(record["j"] == loc for record in trace[:decided]) >= simulator._ARRIVALS
+        if law == "brown-resnick":
+            assert p.after.next_path[a] == sum(record["path"] is not None for record in trace[:decided])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""SHA-256 of ``simulate`` stdout for five laws on small grids, seeds 9001-9003.
+"""SHA-256 of ``simulate`` stdout for five laws on small grids, and of the
+two ensemble commands (``compare-reps`` and ``verify``, 100 replicates
+each), seeds 9001-9003.
 
-The digests pin every byte a field prints: its values, its header and the
-random streams that made it.  They move only when a change moves the
+The digests pin every byte a field or a report prints: its values, its
+header and the random streams that made it.  They move only when a change moves the
 streams (what a replicate reads, or in which order), or when numpy's
 generators change; such a change updates them here and says so in
 CHANGES.md.  A refactor of the engine that keeps its streams leaves them
@@ -45,8 +47,35 @@ DIGESTS = {
 }
 
 
+# the ensemble commands run simulate_many on 64-slot blocks; both exit 1 at
+# these seeds (compare-reps at its default threshold 0.02, verify on the
+# uniform law's non-stationarity)
+ENSEMBLE_CALLS = {
+    "compare-reps": ["compare-reps", "--sigma", "1", "--grid", "0,1", "--replicates", "100"],
+    "verify": ["verify", "--dist", "uniform:a=0;b=1", "--replicates", "100", "--budget", "100"],
+}
+
+ENSEMBLE_DIGESTS = {
+    ("compare-reps", 9001): "05d6c23f12e3609cbebff18d79354a4fe10cfdf5b196df613a63c3a0875b00b2",
+    ("compare-reps", 9002): "9e5bd4c045da58a407f1222641b6b263452221053eaae9016771665ffe5217c5",
+    ("compare-reps", 9003): "a16795b7eeaee83510085bd4f561b38a12e55ac7929992aae9e54c599182d4c6",
+    ("verify", 9001): "92a987c857698589c05dfa5117e91c962c75d3f9d7b28dcef2a18423ecf1069c",
+    ("verify", 9002): "0e3a17626577c8cea7483fc20e980b790f5b93bc50506ab253d9bed2397901a8",
+    ("verify", 9003): "5707744d67fc6e3b13b117bcb549281aacb7952169a779dd4b502b558d2d72f9",
+}
+
+
+def stdout_digest(argv, code, capsys):
+    assert main(argv) == code
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("law, seed", sorted(DIGESTS), ids=lambda v: str(v))
 def test_simulate_stdout_digest(law, seed, capsys):
-    assert main(["simulate", *CALLS[law], "--seed", str(seed)]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[law, seed]
+    assert stdout_digest(["simulate", *CALLS[law], "--seed", str(seed)], 0, capsys) == DIGESTS[law, seed]
+
+
+@pytest.mark.parametrize("command, seed", sorted(ENSEMBLE_DIGESTS), ids=lambda v: str(v))
+def test_ensemble_stdout_digest(command, seed, capsys):
+    argv = [*ENSEMBLE_CALLS[command], "--seed", str(seed)]
+    assert stdout_digest(argv, 1, capsys) == ENSEMBLE_DIGESTS[command, seed]
