@@ -115,10 +115,12 @@ def exponent_mc(
     if m < MIN_SAMPLES:
         raise ValueError(f"mc_n must give each of the {n} query points at least {MIN_SAMPLES} draws")
     dist.check_domain(query.ts)
-    kap = kappa.values(query.ts)
-    phi = np.asarray(dist.cgf(query.ts), dtype=float)
     log_x = np.log(query.xs)
-    weights = np.exp(phi - kap - log_x)
+    with np.errstate(over="ignore", invalid="ignore"):  # a weight that is not finite is reported below
+        kap = kappa.values(query.ts)
+        phi = np.asarray(dist.cgf(query.ts), dtype=float)
+        weights = np.exp(phi - kap - log_x)
+    _check_weights(weights)
     draw, tilt = dist.tilted_sampler(query.ts)
     pairs = np.zeros((n, n), dtype=np.int64)
     for done in range(0, m, _MC_CHUNK):
@@ -173,10 +175,20 @@ def husler_reiss_V(gamma_h: float, x1: float, x2: float) -> ExponentValue:
     return ExponentValue(value, 0.0, "closed-bivariate")
 
 
+def _check_weights(weights):
+    """ValueError at the first query point whose weight e^{phi - kappa} / x
+    is not finite: the CGF overflows there, or the threshold is too small."""
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        raise ValueError(f"the exponent weight e^(phi - kappa) / x is not finite at query point {bad[0]}")
+
+
 def _closed_marginal(dist, kappa, query) -> ExponentValue:
     t = query.ts[0]
-    value = math.exp(cgf(dist, t) - kappa(t)) / float(query.xs[0])
-    return ExponentValue(value, 0.0, "closed-marginal")
+    with np.errstate(over="ignore", invalid="ignore"):  # a weight that is not finite is reported below
+        value = np.exp(cgf(dist, t) - kappa(t)) / query.xs[0]
+    _check_weights(value)
+    return ExponentValue(float(value), 0.0, "closed-marginal")
 
 
 def _closed_bivariate(dist, kappa, query) -> ExponentValue:
@@ -189,7 +201,8 @@ def _closed_bivariate(dist, kappa, query) -> ExponentValue:
                 "at the query points"
             )
     h = query.ts[1] - query.ts[0]
-    gamma_h = float(h @ dist.sigma @ h)
+    with np.errstate(over="ignore"):  # gamma(h) = inf is the independence limit V = 1/x1 + 1/x2
+        gamma_h = float(h @ dist.sigma @ h)
     return husler_reiss_V(gamma_h, float(query.xs[0]), float(query.xs[1]))
 
 

@@ -43,11 +43,13 @@ asked for, nor their order.  The engine splits a block's stream into an
 arrival and a spectral stream, ``spawn(stream, 2)``; Brown-Resnick takes a
 third, a completion stream, from ``spawn(stream, 3)``, whose first two
 children are the same two, so no other construction's streams move.  The
-arrival stream starts with a (W, _ARRIVALS, m) table of standard
-exponentials: arrival c at t_j of slot s is entry (s, c, j), and Gamma its
-running sum over c.  A location that needs more arrivals reads them after
-the table, and each candidate reads one base row of the spectral stream,
-both dealt to the slots in turn: value i of slot s is value i * W + s
+arrival stream is one table of standard exponentials read in layers, each
+(W, _ARRIVALS, m): arrival c at t_j of slot s is entry (s, c mod _ARRIVALS,
+j) of layer c // _ARRIVALS, and Gamma its running sum over c.  The table
+starts one layer deep and grows by one, for every slot and location, when
+a replicate has listed every arrival of the table at its location and
+kept none.  Each candidate reads one base row of the spectral stream,
+dealt to the slots in turn: value i of slot s is value i * W + s
 (``_Dealt``), in the order the slot's scan needs them; so are
 Brown-Resnick's completion rows, one for each candidate that passes the
 screen.  Moving maxima draws W x _STORM_STEP standard exponentials and then
@@ -79,8 +81,8 @@ from .spectral import (
 
 DEFAULT_N_POINTS = 10_000  # most spectral draws at one grid location unless a caller asks otherwise
 _LOG_MAX = math.log(np.finfo(float).max)
-_BLOCK = 64  # arrivals and spectral base rows a block reads ahead at a time
-_ARRIVALS = 8  # arrivals per grid location in the arrival table
+_BLOCK = 64  # spectral base rows a block reads ahead at a time
+_ARRIVALS = 8  # arrivals per grid location in a layer of the arrival table
 _REPLICATE_BLOCK = 64  # replicates that share one stream in an ensemble
 _BATCH_CELLS = 1 << 15  # most candidate-by-location values scored at once
 _STORM_STEP = 32  # storms each moving-maxima replicate adds per lockstep step
@@ -230,6 +232,8 @@ class _Blocks:
 
     def own(self, draws):
         """Each replicate's slot of per-block draws whose leading axis is the slot."""
+        if len(draws) == 1:
+            return draws[0][self.slot]  # one block: not stacked first
         return np.array(draws)[self.owner, self.slot]
 
 
@@ -313,10 +317,7 @@ class _Running(NamedTuple):
 
     ids: np.ndarray  # the replicate
     loc: np.ndarray  # its location t_j
-    past: np.ndarray  # whether t_j is past its table, and once it is
-    gamma: np.ndarray  # the Gamma of t_j's last arrival read
-    at_loc: np.ndarray  # and t_j's candidates so far
-    next_arrival: np.ndarray  # its next arrival after the tables
+    at_loc: np.ndarray  # t_j's next unlisted arrival: its candidates so far
     next_row: np.ndarray  # its next base row
     next_path: np.ndarray  # its next completion row
 
@@ -355,15 +356,9 @@ class _Scan:
     log Z, the per-replicate counts and the running record ``run``."""
 
     def __init__(self, m, sampler, n_points, blocks):
-        self.m, self.sampler, self.n_points = m, sampler, n_points
+        self.m, self.sampler, self.n_points, self.blocks = m, sampler, n_points, blocks
         streams = [spawn(stream, 3 if sampler.complete else 2) for stream in blocks.streams]
-        arrivals, spectral, *completion = zip(*streams)
-        # the arrival table: Gamma of arrival c at t_j, and log zeta = -log Gamma
-        gammas = blocks.own([e.exponential(size=(blocks.width, _ARRIVALS, m)) for e in arrivals])
-        for c in range(1, _ARRIVALS):
-            gammas[:, c] += gammas[:, c - 1]
-        self.gammas, self.table, self.chunk = gammas, -np.log(gammas), np.arange(_ARRIVALS)
-        self.more = _Dealt(blocks, arrivals, lambda n, e: e.exponential(size=n))
+        self.arrivals, spectral, *completion = zip(*streams)
         self.rows = _Dealt(blocks, spectral, sampler.draw)
         # completion rows are few and long: read them one round ahead at least
         self.paths = _Dealt(blocks, completion[0], sampler.complete, rounds=1) if completion else None
@@ -372,17 +367,33 @@ class _Scan:
         self.span = max(_ARRIVALS, _block_share(1, blocks))
         self.score_cap = max(1, _block_share(m, blocks))
         n_rep = blocks.slot.size
+        # the arrival table, by layers: log zeta = -log Gamma of arrival c at t_j
+        self.table, self.gamma = [], np.zeros((n_rep, m))
+        layer = self.grow()
         # t_0's first candidate is kept: nothing comes before it
         ids, zero = np.arange(n_rep), np.zeros(n_rep, np.int64)
         first = (self.paths.at(ids, zero, 0),) if self.paths else ()
-        self.log_z = self.table[:, 0, :1] + sampler.log_y(self.rows.at(ids, zero, 0), zero, *first)
+        self.log_z = layer[:, 0, :1] + sampler.log_y(self.rows.at(ids, zero, 0), zero, *first)
         # table arrivals above Z at each location, and none past the grid
         self.above = np.zeros((n_rep, m + min(self.span, m)), np.int64)
-        self.above[:, :m] = (self.table > self.log_z[:, None]).sum(axis=1)
+        self.above[:, :m] = (layer > self.log_z[:, None]).sum(axis=1)
         self.draws, self.rejections, self.scored = zero + 1, zero.copy(), zero + 1
         n = n_rep if m > 1 else 0
-        self.run = _Running(ids[:n], np.ones(n, np.int64), np.zeros(n, bool), np.zeros(n),
-                            *(np.zeros(n, np.int64) + k for k in (0, 0, 1, 1)))
+        self.run = _Running(ids[:n], np.ones(n, np.int64), *(np.zeros(n, np.int64) + k for k in (0, 1, 1)))
+
+    def grow(self):
+        """Append the arrival table's next layer, read from every block's
+        arrival stream, and return it; ``gamma`` is the Gamma of its last
+        arrival at each location, which the next layer sums on from."""
+        layer = self.blocks.own([e.exponential(size=(self.blocks.width, _ARRIVALS, self.m))
+                                 for e in self.arrivals])
+        layer[:, 0] += self.gamma
+        for c in range(1, _ARRIVALS):
+            layer[:, c] += layer[:, c - 1]
+        self.gamma = layer[:, -1].copy()
+        np.negative(np.log(layer, out=layer), out=layer)
+        self.table.append(layer)
+        return layer
 
     def list(self):
         """The pass's candidate table, the running record as the pass leaves
@@ -393,45 +404,43 @@ class _Scan:
         candidates across locations, in location order, as if none were
         kept: at each location the table arrivals that beat Z there (a
         prefix, since Gamma grows; their count is kept per location and
-        recounted only when a kept candidate raised Z), up to the first
-        location all of whose arrivals beat Z, or to the pass's share of
-        _BATCH_CELLS base-row entries or locations.  A location all of whose
-        table arrivals beat Z is past its table, and the next window starts
-        there: its column 0 is the next _ARRIVALS arrivals after the table,
-        those that beat Z listed.  If all of them do, the window ends there
-        and the location stays past; else the table's locations follow from
-        t_{j+1}.  So a replicate's list is one run in the loop's order, and
-        the arrival cursor after the table advances past what column 0 read.
+        recounted only when a kept candidate raised Z), from the first one
+        not listed yet, up to the first location all of whose arrivals beat
+        Z, or to the pass's share of _BATCH_CELLS base-row entries or
+        locations.  A replicate that lists every arrival of the table at a
+        location, and keeps none, stays there, and the next pass first
+        grows the table by a layer.  So a replicate's list is one run in
+        the loop's order.
         """
         run, m = self.run, self.m
-        # a replicate far ahead of the slowest waits, which bounds the rows kept: it reads no arrivals
+        depth = _ARRIVALS * len(self.table)
+        if run.at_loc[run.at_loc.argmax()] == depth:
+            layer = self.grow()
+            depth += _ARRIVALS
+            self.above[:, :m] += (layer > self.log_z[:, None]).sum(axis=1)
+        # a replicate far ahead of the slowest waits, which bounds the rows kept: it lists nothing
         low = int(run.next_row[run.next_row.argmin()])
         listing = run.next_row < low + 4 * self.list_cap
         if self.paths:
             slowest = run.next_path.argmin()
             listing &= run.next_path < run.next_path[slowest] + 4 * self.paths.most
             listing[slowest] = True  # so that some replicate lists, whatever its row cursor
-        first, gamma, at_loc, read = run.loc, run.gamma, run.at_loc, np.zeros(run.ids.size, np.int64)
+        first, at_loc = run.loc, run.at_loc
         cells = first[:, None] + np.arange(min(self.span, m - int(first[first.argmin()])))
         counts = self.above[run.ids[:, None], cells]
-        front = (run.past & listing).nonzero()[0]
-        if front.size:
-            e = self.more.at(run.ids[front, None], run.next_arrival[front, None] + self.chunk,
-                             int(run.next_arrival[run.next_arrival.argmin()]))
-            g = np.cumsum(np.column_stack([gamma[front], e]), axis=1)[:, 1:]
-            log_zeta = -np.log(g)
-            counts[front, 0] = (log_zeta > self.log_z[run.ids[front], first[front], None]).sum(axis=1)
-        full = counts == _ARRIVALS
+        full = counts == depth
         has_full = full.any(axis=1)
         stop = np.where(has_full, full.argmax(axis=1) + 1, cells.shape[1])
         end = np.where(listing, stop, 0)  # a waiting replicate lists nothing
-        if _ARRIVALS * cells.shape[1] > self.list_cap:  # else the window fits
-            end = np.minimum(end, (counts.cumsum(axis=1) <= self.list_cap).sum(axis=1))
+        counts[:, 0] -= at_loc  # what is left to list at t_j
+        if depth * cells.shape[1] > self.list_cap:  # else the window fits
+            # t_j itself always fits, which a table deeper than list_cap needs
+            end = np.minimum(end, np.maximum(1, (counts.cumsum(axis=1) <= self.list_cap).sum(axis=1)))
         over = False
-        if self.n_points < _ARRIVALS or front.size:
+        if self.n_points < depth:
             # a location lists up to n_points candidates, with those of past passes
             left = np.full(counts.shape, self.n_points)
-            left[front, 0] -= at_loc[front]
+            left[:, 0] -= at_loc
             beyond = (counts > left) & (np.arange(cells.shape[1]) < end[:, None])
             over = beyond.any(axis=1)
             end = np.where(over, beyond.argmax(axis=1) + 1, end)
@@ -444,25 +453,21 @@ class _Scan:
         listed = counts.sum(axis=1)
         flat = counts.ravel()
         start = flat.cumsum() - flat
+        start[::cols] -= at_loc  # so t_j's first listed arrival is at_loc
         cell = np.repeat(np.arange(flat.size), flat)
         rep = cell // cols
         locs = cells[:, :cols].ravel()[cell]
-        c = np.arange(cell.size) - start[cell]
-        zeta = self.table.ravel()[(run.ids[rep] * _ARRIVALS + c) * m + locs]
-        if front.size:
-            # column 0 past the table lists the arrivals that beat Z and reads
-            # one more, below Z or past n_points, unless all of them beat Z
-            n = counts[front, 0]
-            beat = self.chunk < n[:, None]
-            zeta[(start[front * cols, None] + self.chunk)[beat]] = log_zeta[beat]
-            read[front] = n + (n < _ARRIVALS)
-            gamma, at_loc = gamma.copy(), at_loc.copy()
-            gamma[front] = g[np.arange(front.size), read[front] - 1]
-            at_loc[front] += n
+        layer, c = np.divmod(np.arange(cell.size) - start[cell], _ARRIVALS)
+        at = (run.ids[rep] * _ARRIVALS + c) * m + locs
+        zeta = self.table[0].ravel()[at]
+        for k in range(1, len(self.table)):
+            deep = (layer == k).nonzero()[0]
+            zeta[deep] = self.table[k].ravel()[at[deep]]
         row = np.arange(rep.size) + (run.next_row - listed.cumsum() + listed)[rep]  # each candidate's base row
-        # a replicate with a candidate past n_points stays at its location
-        ahead = _Running(run.ids, first + end - (full | over), full | (run.past & ~listing), gamma, at_loc,
-                         run.next_arrival + read, run.next_row + listed, run.next_path)
+        # a replicate with a candidate past n_points stays at its location, as
+        # does one that listed all its table arrivals there
+        ahead = _Running(run.ids, first + end - (full | over), np.where(full, depth, np.where(listing, 0, at_loc)),
+                         run.next_row + listed, run.next_path)
         return _Candidates(rep, locs, zeta, row), ahead, over
 
     def screen(self, cand):
@@ -522,7 +527,7 @@ class _Scan:
                 self.log_z[rk] = np.maximum(self.log_z[rk], cand[kept])
                 # Z changed only from the kept candidates' locations on
                 j = at[kept][at[kept].argmin()]
-                self.above[rk, j:m] = (self.table[rk, :, j:] > self.log_z[rk, None, j:]).sum(axis=1)
+                self.above[rk, j:m] = sum((t[rk, :, j:] > self.log_z[rk, None, j:]).sum(axis=1) for t in self.table)
                 found[s.rep[pk]] = pk
                 n_found += kept.size
         return found
@@ -533,8 +538,7 @@ class _Scan:
 
         Up to that candidate every decision is the one the location by
         location loop makes; it sets Z(t_i) = zeta and so is t_i's last, and
-        the row and completion cursors, and the arrival cursor after the
-        table for one in column 0 past t_i's table, move past it alone.
+        the row and completion cursors move past it alone.
         n_points is checked only for candidates the scan reaches: one past it
         that a kept candidate pre-empts does not raise.
         """
@@ -549,15 +553,10 @@ class _Scan:
             ahead = ahead._replace(next_path=run.next_path + np.bincount(s.rep, minlength=run.ids.size))
             ahead.next_path[kept] = s.path[f] + 1
         ahead.next_row[kept] = s.row[f] + 1
-        ahead.loc[kept], ahead.past[kept] = s.loc[f] + 1, False
+        ahead.loc[kept], ahead.at_loc[kept] = s.loc[f] + 1, 0
         used = ahead.next_row - run.next_row
-        ahead.next_arrival[kept] = np.minimum(ahead.next_arrival, run.next_arrival + used)[kept]
         self.draws[run.ids] += used
         self.rejections[run.ids] += used - (found >= 0)
-        # a location whose whole table beat Z this pass goes on after it
-        fresh = (ahead.past & ~(run.past & (ahead.loc == run.loc))).nonzero()[0]
-        ahead.gamma[fresh] = self.gammas[run.ids[fresh], -1, ahead.loc[fresh]]
-        ahead.at_loc[fresh] = _ARRIVALS
         go = ahead.loc < self.m
         self.run = ahead if go[go.argmin()] else _Running(*(a[go] for a in ahead))
 
@@ -848,8 +847,13 @@ def moving_maxima_buffer(c: float, lam_min: float, core):
     The bound c * exp(-0.5 lam_min r^2) * V_max on what a storm outside the
     buffer adds, with V_max = |buffered window| * 1e3 (the 1e-3 upper
     quantile of the largest storm strength), is brought to 1e-8 by
-    fixed-point iteration; it holds with probability about 1 - 1e-3.
-    Returns (r, the bound).
+    fixed-point iteration; it holds with probability about 1 - 1e-3.  The
+    bound is absolute, so it presumes a field of order 1: a tiny c (a tiny
+    or near-singular Sigma, whose kernel is very wide) can meet it at
+    r = 0, where the window would miss every storm that reaches the grid
+    from outside its box.  So the iteration goes on from
+    sqrt(2 ln 1e8 / lam_min), where the kernel falls to 1e-8 of its peak,
+    instead.  Returns (r, the bound).
     """
     core = np.asarray(core, dtype=float).reshape(-1, 2)
     widths = core[:, 1] - core[:, 0]
@@ -857,7 +861,7 @@ def moving_maxima_buffer(c: float, lam_min: float, core):
     for _ in range(200):
         v_max = float(np.prod(widths + 2.0 * r)) * 1e3
         arg = c * v_max / 1e-8
-        r_new = math.sqrt(2.0 * math.log(arg) / lam_min) if arg > 1.0 else 0.0
+        r_new = math.sqrt(2.0 * math.log(arg if arg > 1.0 else 1e8) / lam_min)
         if abs(r_new - r) < 1e-9:
             return r_new, c * math.exp(-0.5 * lam_min * r_new**2) * v_max
         r = r_new

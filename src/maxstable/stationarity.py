@@ -264,9 +264,10 @@ def search_violation(
     # lowest index wins ties: np.argmax keeps the first maximum
     arg = int(np.argmax(np.abs(defects)))
     max_abs = float(abs(defects[arg]))
-    # S = 0 only where every phi is 0, and then the defect is 0 too
-    in_eps = np.abs(defects) / np.finfo(float).eps
-    ratio = float(np.divide(in_eps, scale, out=np.zeros_like(scale), where=scale > 0).max())
+    # S = 0 only where every phi is 0, and then the defect is 0 too; S >= |defect|,
+    # so dividing by S before eps cannot overflow
+    in_s = np.divide(np.abs(defects), scale, out=np.zeros_like(scale), where=scale > 0)
+    ratio = float(in_s.max()) / np.finfo(float).eps
     verdict = "violated" if ratio > ROUNDOFF_FACTOR else "stationary-consistent"
     best = kept[arg]
     # built from the raw weights, so that SimplexWeights normalises them once

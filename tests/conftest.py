@@ -52,12 +52,13 @@ def extremal_reference(m, draw, candidate, n_points, rng, width=1, slot=0, scree
     stream is rng, one candidate at a time and nothing drawn ahead.
 
     rng splits into an arrival and a spectral stream, and a completion
-    stream when ``complete`` is given.  The arrival stream gives first a
-    (width, C, m) table of standard exponentials (C = simulator._ARRIVALS,
-    read at each call): arrival c at t_j adds entry (slot, c, j) to Gamma.
-    Arrivals past the table are read one round of width at a time, as the
-    loop needs them, and the slot takes entry ``slot`` of each; so are the
-    base rows of the spectral stream, draw(width, rng_x), one round per
+    stream when ``complete`` is given.  The arrival stream is read in
+    layers, each a (width, C, m) table of standard exponentials
+    (C = simulator._ARRIVALS, read at each call), the next one only when
+    the loop needs an arrival past those read: arrival c at t_j adds entry
+    (slot, c mod C, j) of layer c // C to Gamma.  The base rows of the
+    spectral stream are read one round of width at a time, draw(width,
+    rng_x), and the slot takes entry ``slot`` of each, one round per
     candidate.  candidate(j, row) is the row's log Y = log(W / W(t_j)) on
     the m grid locations under the t_j-tilted law.  With ``complete``, a
     candidate at t_j (j >= 1) whose screen(j, row), its log Y at t_{j-1},
@@ -74,12 +75,17 @@ def extremal_reference(m, draw, candidate, n_points, rng, width=1, slot=0, scree
     and whether it is kept, with log Z after it if it is.
     """
     rng_e, rng_x, *rng_c = spawn(rng, 3 if complete else 2)
-    arrivals = simulator._ARRIVALS
-    table = rng_e.exponential(size=(width, arrivals, m))[slot]
+    arrivals, layers = simulator._ARRIVALS, []
+
+    def exponential(c, j):
+        while len(layers) * arrivals <= c:
+            layers.append(rng_e.exponential(size=(width, arrivals, m))[slot])
+        return layers[c // arrivals][c % arrivals, j]
+
     log_z = np.full(m, -np.inf)
     draws = kept = paths = 0
     for j in range(m):
-        gamma = table[0, j]
+        gamma = exponential(0, j)
         count = 0
         while -np.log(gamma) > log_z[j]:
             if count == n_points:
@@ -104,7 +110,7 @@ def extremal_reference(m, draw, candidate, n_points, rng, width=1, slot=0, scree
                 trace.append(record)
             if record["kept"]:
                 break
-            gamma += table[count, j] if count < arrivals else rng_e.exponential(size=width)[slot]
+            gamma += exponential(count, j)
         draws += count
     return log_z, draws, kept
 

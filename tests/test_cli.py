@@ -275,6 +275,16 @@ def test_defect_exponential_exit_one(capsys):
     assert report["max_abs_defect"] > 0.084950 - 1e-9
 
 
+def test_defect_on_a_huge_box_is_violated_not_an_overflow(capsys):
+    # |defect| / eps overflows past about 4e292; |defect| / S <= 1 does not
+    code = main(["defect", "--dist", "uniform:a=0;b=1", "--box=-1e300,1e300"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "violated"
+    assert 0.0 < report["roundoff_ratio"] <= 1.0 / np.finfo(float).eps
+
+
 def test_defect_box_outside_domain_exit_three(capsys):
     assert main(["defect", "--dist", "exp:lambda=1", "--box", "0,2"]) == 3
 

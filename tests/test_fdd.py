@@ -86,6 +86,23 @@ def test_closed_marginal_is_frechet_rate():
     assert ev.value == pytest.approx(0.5, abs=1e-14)
 
 
+@pytest.mark.parametrize("ts, xs, method, point", [
+    ([0.0, 1e200], [1.0, 1.0], "mc", 1),  # phi = kappa = inf
+    ([0.0, 1.0], [1e-320, 1.0], "mc", 0),  # 1 / x overflows
+    ([1e200], [1.0], "closed-marginal", 0),
+])
+def test_a_weight_that_is_not_finite_is_reported_at_its_query_point(ts, xs, method, point):
+    dist, kappa = unit_gaussian()
+    with pytest.raises(ValueError, match=f"is not finite at query point {point}$"):
+        fdd_exponent(dist, kappa, FddQuery(ts, xs), method, derive_rng(1), 2000)
+
+
+def test_closed_bivariate_at_an_overflowing_lag_is_the_independence_limit():
+    # gamma(h) = inf: V = 1 / x1 + 1 / x2
+    dist, kappa = unit_gaussian()
+    assert fdd_exponent(dist, kappa, FddQuery([0.0, 1e200], [1.0, 2.0]), "closed-bivariate").value == 1.5
+
+
 def test_closed_bivariate_requires_gaussian_cgf():
     dist = Exponential(1.0)
     kappa = ShapeFunction.from_cgf(dist)

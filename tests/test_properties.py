@@ -5,6 +5,9 @@ derandomized so that every run draws the same examples)."""
 import contextlib
 import io
 import math
+import os
+import tempfile
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -424,3 +427,103 @@ def test_bivariate_ecdf_distance_equals_the_cell_by_cell_loop(n_a, n_b, seed, th
     b = np.round(-1.0 / np.log(rng.uniform(size=(n_b, 2))), 2)
     ts = np.round(thresholds, 2)
     assert bivariate_ecdf_distance(a, b, ts) == _cell_by_cell_ecdf_distance(a, b, ts)
+
+
+# Each subcommand's flags and the values a call draws from: small sizes
+# (100 replicates, a budget of 1, mc_n 2000, grids of at most 5 points), and
+# the extreme values of overflows that once escaped the contract: a CGF
+# that overflows at a query point, a threshold whose 1 / x overflows, a
+# defect too large to divide by eps, and a Sigma too small for moving
+# maxima to meet its bound inside the grid's box.
+LAWS = ["gaussian:mu=0;sigma=1", "uniform:a=0;b=1", "exp:lambda=1"]
+SMALL_GRIDS = ["0,1", "-2,0,2", "0:0.5:5", "0,1e-9"]
+N_POINTS = ["1", "10", "10000"]
+ARGV_FLAGS = {
+    "simulate-smith": ("simulate", {"construction": ["smith"], "sigma": ["1", "0.1", "1e-30"],
+                                    "grid": SMALL_GRIDS, "n-points": N_POINTS}),
+    "simulate-br": ("simulate", {"construction": ["br"], "grid": SMALL_GRIDS, "n-points": N_POINTS,
+                                 "variogram": ["fractional:alpha=1", "fractional:scale=2;alpha=0.5",
+                                               "quadratic:sigma=1"]}),
+    "simulate-mmm": ("simulate", {"construction": ["mmm"], "sigma": ["1", "0.1", "1e-30"], "grid": SMALL_GRIDS}),
+    "simulate-general": ("simulate", {"construction": ["general"], "dist": LAWS, "kappa": ["cgf"],
+                                      "grid": SMALL_GRIDS, "n-points": N_POINTS}),
+    "defect": ("defect", {"dist": LAWS, "n": ["1", "2"], "budget": ["1"],
+                          "box": ["0,0.6", "-1,1", "-1e300,1e300"]}),
+    "verify": ("verify", {"dist": LAWS, "replicates": ["100"], "budget": ["1"], "grid": SMALL_GRIDS,
+                          "n-points": N_POINTS}),
+    "fdd": ("fdd", {"dist": ["gaussian:mu=0;sigma=1", "exp:lambda=1"], "ts": ["0;1", "0;1e200", "1e200", "0"],
+                    "xs": ["1,1", "1e-320,1", "1"], "method": ["mc", "closed-marginal", "closed-bivariate"],
+                    "mc-n": ["2000"]}),
+    "compare-reps": ("compare-reps", {"sigma": ["1", "1e-30"], "grid": ["0,1", "-1,0,1"], "replicates": ["100"],
+                                      "threshold": ["0.2302"]}),
+}
+
+
+@st.composite
+def whole_argvs(draw):
+    """One call two ways: (argv, argv with some flags moved to a config
+    file, the file's lines).  The flags come in a drawn order, each as
+    ``--flag=value`` or ``--flag value``, one of them given twice with a
+    drawn value first, which the later one overrides."""
+    command, flags = ARGV_FLAGS[draw(st.sampled_from(sorted(ARGV_FLAGS)))]
+    pairs = [(flag, draw(st.sampled_from(values))) for flag, values in flags.items()]
+    pairs.append(("seed", str(draw(st.integers(0, 2**31 - 1)))))
+    pairs = draw(st.permutations(pairs))
+    twice = draw(st.integers(0, len(pairs) - 1))
+    flag = pairs[twice][0]
+    pairs.insert(draw(st.integers(0, twice)), (flag, draw(st.sampled_from(flags.get(flag, ["1"])))))
+    moved = draw(st.sets(st.sampled_from([flag for flag, _ in pairs])))
+    joined = [draw(st.booleans()) for _ in pairs]
+
+    def argv(keep):
+        words = [command]
+        for (flag, value), join in zip(pairs, joined):
+            if keep(flag):
+                words += [f"--{flag}={value}"] if join else [f"--{flag}", value]
+        return words
+
+    lines = [f"{flag} = {value}" for flag, value in dict(pairs).items() if flag in moved]
+    return argv(lambda flag: True), argv(lambda flag: flag not in moved), lines
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr, warnings) of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def config_case(argv, moved):
+    """A case of ``whole_argvs`` written out: ``--flag=value`` words, and
+    the flags in ``moved`` put in the config file."""
+    pairs = [word[2:].split("=", 1) for word in argv[1:]]
+    short = [argv[0]] + [word for word, (flag, _) in zip(argv[1:], pairs) if flag not in moved]
+    return argv, short, [f"{flag} = {value}" for flag, value in pairs if flag in moved]
+
+
+@PROPERTY
+@given(whole_argvs())
+@example(config_case(["fdd", GAUSS, "--ts=0;1e200", "--xs=1,1", "--method=mc", "--mc-n=2000"], ["ts"]))
+@example(config_case(["fdd", GAUSS, "--ts=0;1", "--xs=1e-320,1", "--method=mc", "--mc-n=2000"], ["xs"]))
+@example(config_case(["fdd", GAUSS, "--ts=1e200", "--xs=1", "--method=closed-marginal"], ["dist"]))
+@example(config_case(["fdd", GAUSS, "--ts=0;1e200", "--xs=1,1", "--method=closed-bivariate"], ["method"]))
+@example(config_case(["defect", "--dist=uniform:a=0;b=1", "--box=-1e300,1e300", "--budget=1"], ["box"]))
+@example(config_case(["simulate", "--construction=mmm", "--sigma=1e-30", "--grid=0,1"], ["sigma"]))
+def test_whole_argv_keeps_the_exit_code_contract(case):
+    # flag order, a repeated flag and a config file change nothing; every
+    # call exits 0, 1, 2 or 3 and prints no traceback or warning
+    argv, short_argv, lines = case
+    code, out, err, caught = run_cli(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err and "Warning" not in err and not caught
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        assert run_cli([*short_argv, "--config", path])[:2] == (code, out)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tracemalloc
@@ -184,10 +185,17 @@ def test_engine_equals_the_textbook_loop(case):
         assert prov["spectral_draws"] == prov["rejections"] + kept
 
 
-def test_a_location_past_its_table_continues_from_the_arrival_stream(monkeypatch):
+def test_a_location_past_the_table_reads_its_next_layer(monkeypatch):
     # with a one-arrival table every rejected candidate makes its location
-    # read on, after the table in location order; the textbook loop does too
+    # read on, in the table's next layer; the textbook loop reads it too
     monkeypatch.setattr(simulator, "_ARRIVALS", 1)
+    depths, grow = [], simulator._Scan.grow
+
+    def counted(scan):
+        depths.append(len(scan.table) + 1)
+        return grow(scan)
+
+    monkeypatch.setattr(simulator._Scan, "grow", counted)
     rejections = 0
     for case in ("gaussian", "gamma", "smith", "smith-201"):
         dist, kappa, grid = REFERENCE_CASES[case]
@@ -197,7 +205,7 @@ def test_a_location_past_its_table_continues_from_the_arrival_stream(monkeypatch
             assert np.array_equal(field.values, values)
             assert field.provenance["spectral_draws"] == draws
             rejections += draws - kept
-    assert rejections > 0
+    assert rejections > 0 and max(depths) > 1
 
 
 def engine_and_reference(case):
@@ -221,7 +229,7 @@ def test_n_points_raises_where_the_textbook_loop_does(monkeypatch, law, arrivals
     # every field's first pass lists t_0, where all table arrivals beat
     # Z = -inf: with n_points < _ARRIVALS one past the bound is listed there
     # and pre-empted by the first, which is kept.  A one-arrival table puts
-    # the bound on the arrivals after it.
+    # the bound on the arrivals of its later layers.
     monkeypatch.setattr(simulator, "_ARRIVALS", arrivals)
     prepare, reference = N_POINTS_LAWS[law]
     for n_points in (1, 2, 3):
@@ -280,8 +288,9 @@ ENSEMBLE_INDICES = [0, 1, 62, 63, 64, 65, 127, 128, 200]
 
 
 # (case, _ARRIVALS, _BATCH_CELLS): a one-arrival table makes many slots of a
-# block list column 0 after the table in one pass, keep candidates there and
-# reach list_cap; one cell a batch also makes them wait on each other
+# block list a location over several passes, the table layers deep, keep
+# candidates there and reach list_cap; one cell a batch also makes them wait
+# on each other and lists a table deeper than list_cap
 ENSEMBLE_LAYOUTS = {
     **{case: (case, simulator._ARRIVALS, simulator._BATCH_CELLS) for case in REFERENCE_CASES},
     **{f"{case}-one-arrival": (case, 1, simulator._BATCH_CELLS) for case in REFERENCE_CASES},
@@ -803,19 +812,19 @@ def stage_cases(monkeypatch, law, layout, arrivals):
     records."""
     monkeypatch.setattr(simulator, "_ARRIVALS", arrivals)
     prepared, reference = STAGE_LAWS[law]()
-    past = 0
+    resumed = 0
     for seed, indices, width in STAGE_LAYOUTS[layout]:
         passes, traces = stage_passes(monkeypatch, prepared, reference, seed, indices, width)
         for p in passes:
-            past += int(p.before.past.sum())
+            resumed += int(np.count_nonzero(p.before.at_loc))
             for q, r in enumerate(p.before.ids):
                 mine = np.flatnonzero(p.cand.rep == q)
                 records = traces[r][p.before.next_row[q]:p.before.next_row[q] + mine.size]
                 ends = [i + 1 for i, record in enumerate(records) if record["kept"]]
                 n = ends[0] if ends else mine.size
                 yield p, q, mine[:n], records[:n], traces[r]
-    # a one-arrival table puts locations past it
-    assert past > 0 or arrivals > 1
+    # a one-arrival table makes replicates list a location over several passes
+    assert resumed > 0 or arrivals > 1
 
 
 @pytest.mark.parametrize("arrivals", [simulator._ARRIVALS, 1])
@@ -866,7 +875,7 @@ def test_score_stage_keeps_the_textbook_loops_candidate(monkeypatch, law, layout
 @pytest.mark.parametrize("law", STAGE_LAWS)
 def test_advance_stage_moves_the_cursors_where_the_textbook_loop_goes_on(monkeypatch, law, layout, arrivals):
     # past the kept candidate, or past the window if none is kept: the loop's
-    # candidates so far come before t_j, or at t_j once its table is spent
+    # candidates so far come before t_j, except the at_loc at t_j itself
     for p, q, _, records, trace in stage_cases(monkeypatch, law, layout, arrivals):
         r = p.before.ids[q]
         decided = p.before.next_row[q] + len(records)
@@ -876,12 +885,11 @@ def test_advance_stage_moves_the_cursors_where_the_textbook_loop_goes_on(monkeyp
             assert decided == len(trace)
             continue
         a = p.after.ids.tolist().index(r)
-        loc, past = p.after.loc[a], p.after.past[a]
+        loc = p.after.loc[a]
         assert p.after.next_row[a] == decided
-        assert all(record["j"] < loc + past for record in trace[:decided])
+        assert all(record["j"] <= loc for record in trace[:decided])
+        assert sum(record["j"] == loc for record in trace[:decided]) == p.after.at_loc[a]
         assert all(record["j"] >= loc for record in trace[decided:])
-        if past:
-            assert sum(record["j"] == loc for record in trace[:decided]) >= simulator._ARRIVALS
         if law == "brown-resnick":
             assert p.after.next_path[a] == sum(record["path"] is not None for record in trace[:decided])
 
@@ -938,6 +946,34 @@ def test_moving_maxima_buffer_meets_error_target():
     vol = 1.0 + 2.0 * r
     assert c * math.exp(-0.5 * r * r) * vol * 1e3 <= 1.01e-8
     assert bound == pytest.approx(1e-8, rel=1e-6)
+
+
+def test_moving_maxima_with_a_tiny_sigma_reaches_storms_outside_the_box():
+    # c * V_max meets the 1e-8 bound at r = 0 when Sigma is tiny; a window of
+    # the grid's box alone gave values of about 4e-16 at both points
+    law = prepare_moving_maxima([[1e-30]], Grid([0.0, 1.0]))
+    assert law.provenance["buffer_radius"] >= math.sqrt(2.0 * math.log(1e8) / 1e-30)
+    values, _ = law.simulate_many(1, range(4000))
+    for j in range(2):
+        assert ks_distance(values[:, j], frechet_cdf) < ks_threshold(4000)
+
+
+# sha256 of replicates 0-63 of seed 9001: fields whose buffer iteration
+# never meets the bound at r = 0 keep every bit of their values (Sigma = 1
+# is pinned by the stdout digests)
+MOVING_MAXIMA_DIGESTS = {
+    "0.1": ([[0.1]], "34562df782e013f615ee9b01121fc7d4e58cd7c5bf47f154ece6f3511f0bd392"),
+    "I2": (np.eye(2), "536ffca4366dd7ec4ab64cad9cafba82539df983a714ec022dd2043908630ecb"),
+}
+
+
+@pytest.mark.parametrize("sigma", MOVING_MAXIMA_DIGESTS)
+def test_moving_maxima_fields_of_an_ordinary_sigma_keep_their_bits(sigma):
+    matrix, digest = MOVING_MAXIMA_DIGESTS[sigma]
+    square = Grid(np.array(np.meshgrid(np.arange(4.0), np.arange(3.0))).reshape(2, -1).T)
+    grid = Grid(np.linspace(-5.0, 5.0, 101)) if len(matrix) == 1 else square
+    values, _ = prepare_moving_maxima(matrix, grid).simulate_many(9001, range(64))
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

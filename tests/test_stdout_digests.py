@@ -7,8 +7,8 @@ header and the random streams that made it.  They move only when a change moves 
 streams (what a replicate reads, or in which order), or when numpy's
 generators change; such a change updates them here and says so in
 CHANGES.md.  A refactor of the engine that keeps its streams leaves them
-as they are.  Several of these fields read arrivals past their location's
-arrival table (Smith 1-D on seeds 9002 and 9003, Smith 2-D on 9002,
+as they are.  Several of these fields grow the arrival table to a second
+layer (Smith 1-D on seeds 9002 and 9003, Smith 2-D on 9002,
 Brown-Resnick and the exponential law on 9003).  Brown-Resnick runs on a
 1-D lattice, whose paths need no BLAS; off a lattice its last bits follow
 the BLAS library and thread count, so it is not pinned here.
@@ -30,10 +30,10 @@ CALLS = {
 
 DIGESTS = {
     ("smith-1d", 9001): "a2e2c141f55812e82b1b502ba63055a27daf4d7d28b357e8329192873a9c86b5",
-    ("smith-1d", 9002): "34581484305707db0b2165d9b25512ee640f015ea18d24ee7b77157032f395d4",
+    ("smith-1d", 9002): "ccd78d40fcae8148fd016ea57f17a0d6412bf0ed5bdff8b1399274e06dfb432c",
     ("smith-1d", 9003): "307ed8b117ec2f724b07c179a8a16c1a997e10d64c46aa5b3e476337f6c87dfb",
     ("smith-2d", 9001): "7c9eff9e58e9933a93f655c326095401f197a04a263240b7f680ea20c1a62763",
-    ("smith-2d", 9002): "3bcc0101b50e17b6e1a45bbe1993f9be856847bc3d5a12423cbf25eafc2da5f1",
+    ("smith-2d", 9002): "29fd04e720c900020db5291e03a8c71c15509ad6bddfae32cd88e5716f586662",
     ("smith-2d", 9003): "460d474da9295bfb1cd9a26bebba07b2058b4a9ec117ff4ba35e3a4bf4cc89de",
     ("br-lattice", 9001): "6f21118aa160fd726333276d85824e77b368ed90a64473e05464e0779feb2632",
     ("br-lattice", 9002): "a7002cea9f97735ba9ff51649e743ad3981fe38f53653502d5325483bbda556d",
@@ -43,7 +43,7 @@ DIGESTS = {
     ("mmm", 9003): "9bb9f8cb36252a148bacd997839597af7b8c556efed44b66f9255194d343b7cc",
     ("general-exp", 9001): "caebb8eb30c5565d2c44c8e8033079e068b15f8ccc70028e2351557c11c6a68d",
     ("general-exp", 9002): "d707776260979ffa02c2e7c949f26e09e22f25a78bc8607d4dbf2c92fb29d37a",
-    ("general-exp", 9003): "f92cec28657111b1bae402f912cb53768b0765a8c0e22b65a8f024d7e76538c8",
+    ("general-exp", 9003): "ac3fbd1274f3750e4cf6d8d160f1b6c6f301a3abbd577e4a83631ed30516c759",
 }
 
 
