@@ -723,28 +723,48 @@ def _lattice_step(grid: Grid):
     return abs(h)
 
 
+def _five_smooth(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, for n >= 1."""
+    best = 1 << max(n - 1, 0).bit_length()  # the least power of 2 >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _circulant_increments(variogram: Variogram, m: int, h: float):
     """Paths on a 1-D lattice of step h by circulant embedding (Davies &
     Harte 1987; Wood & Chan 1994; Dietrich & Newsam 1997), or None when the
     embedding has a negative eigenvalue beyond round-off.
 
-    The m - 1 increments G(t_{k+1}) - G(t_k) are stationary with covariance
-    r_k = (gamma((k + 1) h) + gamma(|k - 1| h) - 2 gamma(k h)) / 2, which the
-    circulant of size M = 2(m - 2) with first row r_0 .. r_{m-2},
-    r_{m-3} .. r_1 embeds; its eigenvalues lambda are one real FFT.  A path
-    puts M normals into a Hermitian spectrum, entry k scaled by
-    sqrt(M lambda_k / 2) (sqrt(M lambda_k) at k = 0 and M / 2), whose
-    inverse real FFT has the circulant as its covariance: its first m - 1
-    entries are the increments, and the path their running sum from 0.
-    gamma is read from the m-entry lag table gamma(k h) through a strided
-    view, so nothing m x m is built."""
-    lag = variogram(h * np.arange(m)[:, None])
-    k = np.arange(m - 1)
+    The increments G(t_{k+1}) - G(t_k) are stationary with covariance
+    r_k = (gamma((k + 1) h) + gamma(|k - 1| h) - 2 gamma(k h)) / 2.  The
+    embedding is that of a lattice of m' >= m points, the least m' whose
+    size M = 2(m' - 2) is 5-smooth (``_five_smooth``), so that its FFTs are
+    fast: the circulant with first row r_0 .. r_{m'-2}, r_{m'-3} .. r_1,
+    whose eigenvalues lambda are one real FFT.  A path puts M normals into
+    a Hermitian spectrum, entry k scaled by sqrt(M lambda_k / 2)
+    (sqrt(M lambda_k) at k = 0 and M / 2), whose inverse real FFT has the
+    circulant as its covariance: its first m' - 1 entries are increments of
+    the longer lattice, the first m - 1 of them those of this one, and the
+    path is their running sum from 0.  gamma is read from the m-entry lag
+    table gamma(k h) through a strided view, so nothing m x m is built."""
+    half = _five_smooth(m - 2)  # m' - 2
+    size = 2 * half
+    lag = variogram(h * np.arange(half + 2)[:, None])
+    k = np.arange(half + 1)
     r = 0.5 * (lag[k + 1] + lag[np.abs(k - 1)] - 2.0 * lag[k])
     eig = np.fft.rfft(np.concatenate([r, r[-2:0:-1]])).real
     if eig.min() < -_EMBED_TOL * eig.max():
         return None
-    size, half = 2 * (m - 2), m - 2
+    lag = lag[:m]
     amp = np.sqrt(np.maximum(eig, 0.0) * (size / 2.0))
     amp[[0, half]] *= math.sqrt(2.0)
 
@@ -893,6 +913,19 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
     grid_pts = grid.locations
     if len(sigma) != grid.dim:
         raise ValueError(f"expected points in R^{len(sigma)}, got shape {grid_pts.shape}")
+    # per axis, half the offset between the grid points of least and
+    # greatest coordinate: by convexity every storm has <u, Sigma u> >= the
+    # half offset's form at one of the two, u its offset from the storm, so
+    # a form that overflows leaves every storm's kernel 0 at one end of the
+    # grid, and the field's minimum and the stopping rule out of reach
+    half = 0.5 * (grid_pts[grid_pts.argmax(axis=0)] - grid_pts[grid_pts.argmin(axis=0)])
+    with np.errstate(over="ignore"):
+        form = ordered_dot(ordered_dot(half[:, None, :], sigma), half)
+    if not np.all(np.isfinite(form)):
+        k = int(np.flatnonzero(~np.isfinite(form))[0])
+        raise ValueError(f"moving-maxima grid too wide for its kernel: half its span along axis {k}, "
+                         f"{half[k].tolist()}, has a Mahalanobis form that overflows, so no storm "
+                         "reaches both ends of the grid")
     lo, hi = grid_pts.min(axis=0), grid_pts.max(axis=0)
     pad = np.where(hi - lo > 0, 0.0, 0.5)
     core = np.column_stack([lo - pad, hi + pad])
@@ -923,8 +956,10 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
                 gamma_total[part] = gammas[:, -1]
                 log_strengths = log_c + np.log(vol / gammas)
                 diff = grid_pts - centers[part][:, :, None, :]
-                # summed in coordinate order, so a row does not depend on its slice
-                quad = ordered_dot(ordered_dot(diff[..., None, :], sigma), diff)
+                # summed in coordinate order, so a row does not depend on its slice;
+                # a form that overflows is a kernel of 0 (log -inf)
+                with np.errstate(over="ignore"):
+                    quad = ordered_dot(ordered_dot(diff[..., None, :], sigma), diff)
                 best[part] = np.maximum(best[part], (log_strengths[:, :, None] - 0.5 * quad).max(axis=1))
                 stopped[lo:lo + width] = log_strengths[:, -1] < best[part].min(axis=1)
             n_storms[run] += _STORM_STEP

@@ -435,9 +435,13 @@ class Gamma(SpectralDistribution):
     def tilted_sampler(self, ts):
         # a gamma draw with scale s is s times a standard gamma draw
         scales = 1.0 / (self.rate - ts)
+        # numpy fills the rows in C order from a scalar shape and from a
+        # shape array alike, so a shape shared by every coordinate passes as
+        # a float: the same draws, without numpy's per-element broadcast loop
+        shape = float(self.shape[0]) if np.all(self.shape == self.shape[0]) else self.shape
 
         def draw(n, rng):
-            return np.asarray(rng.standard_gamma(self.shape, size=(int(n), self.dim)))
+            return np.asarray(rng.standard_gamma(shape, size=(int(n), self.dim)))
 
         def tilt(rows, js):
             return rows * scales[js]

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -235,6 +236,24 @@ def test_simulate_numeric_error_exit_code(tmp_path, capsys):
     for sigma, grid in [("1,0,0,1", "0,1"), ("1", "0,0;1,1")]:
         assert main(["simulate", "--construction", "mmm", "--sigma", sigma, "--grid", grid]) == 3
         assert "expected points in R^" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma, grid, axis", [
+    ("1", "0,1e200", "axis 0, [5e+199]"),
+    ("1,-0.5,-0.5,1", "-1,0;1,0;0,1e170;0,-1e170", "axis 1, [0.0, 1e+170]"),
+])
+def test_moving_maxima_on_a_grid_its_kernel_cannot_span_is_rejected_before_any_storm(sigma, grid, axis, capsys):
+    # every storm's kernel is 0 at one end of the grid, so no number of
+    # storms could reach the stopping rule; none is drawn
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--construction", "mmm", "--sigma", sigma, "--grid", grid, "--seed", "1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == (f"numeric error: moving-maxima grid too wide for its kernel: half its span along {axis}, "
+                   "has a Mahalanobis form that overflows, so no storm reaches both ends of the grid\n")
 
 
 @pytest.mark.parametrize("law", [

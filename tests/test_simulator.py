@@ -685,6 +685,35 @@ def test_brown_resnick_screen_is_the_scored_entry_and_log_y_vanishes_at_t_j(case
             assert np.array_equal(sampler.log_y(rows[i:i + 1], js[i:i + 1], paths[i:i + 1])[0], log_y[i])
 
 
+@pytest.mark.parametrize("m, width", [(3, 2), (19, 36), (41, 80), (201, 400), (501, 1000)])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+def test_the_padded_embedding_gives_the_lattices_path_covariance(m, width, alpha):
+    # the embedding is of the least longer lattice whose FFT size is
+    # 5-smooth; the first m points of its paths are G - G(t_0) exactly in law
+    vario = Variogram.fractional(1.3, alpha)
+    h = 10.0 / (m - 1)
+    inc = simulator._circulant_increments(vario, m, h)
+    assert inc.kind == "circulant" and inc.width == width
+    paths = inc.paths(np.eye(width))  # row k: the path of the k-th normal alone
+    lag = vario(h * np.arange(m)[:, None])
+    i = np.arange(m)
+    want = 0.5 * (lag[i][:, None] + lag[i][None, :] - lag[np.abs(i[:, None] - i[None, :])])
+    assert np.allclose(paths.T @ paths, want, rtol=0.0, atol=1e-9 * lag.max())
+    assert np.array_equal(inc.gamma, lag[np.abs(i[:, None] - i[None, :])])
+
+
+def test_five_smooth_is_the_least_2_3_5_number_at_or_above_n():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for n in range(1, 3000):
+        want = next(k for k in range(n, 2 * n + 1) if smooth(k))
+        assert simulator._five_smooth(n) == want
+
+
 def test_lattice_brown_resnick_prepare_builds_nothing_m_by_m(monkeypatch):
     # one FFT and an m-entry lag table: no Cholesky factor, no pairwise table
     def no_factor(*args, **kwargs):

@@ -259,6 +259,34 @@ def test_uniform_tilt_equals_the_scalar_formulas(a, b, d):
         assert tilt(u, j).tobytes() == reference(j).tobytes()
 
 
+class _RecordingGenerator:
+    """A generator that records the shape argument of each standard_gamma call."""
+
+    def __init__(self, seed):
+        self.rng = derive_rng(seed)
+        self.shapes = []
+
+    def standard_gamma(self, shape, size):
+        self.shapes.append(shape)
+        return self.rng.standard_gamma(shape, size=size)
+
+
+@pytest.mark.parametrize("shape", [[2.0], [0.5], [2.0, 2.0], [0.5, 0.5], [2.0, 0.5]])
+def test_gamma_draws_equal_standard_gamma_of_the_shape_vector(shape):
+    # a shape shared by every coordinate is passed to numpy as a float, which
+    # must give the bits of the shape array; distinct shapes pass the array
+    dist = Gamma(shape, np.full(len(shape), 1.5))
+    draw, _ = dist.tilted_sampler(np.zeros((1, len(shape))))
+    rng = _RecordingGenerator(7)
+    rows = draw(1001, rng)
+    expected = derive_rng(7).standard_gamma(dist.shape, size=(1001, len(shape)))
+    assert rows.tobytes() == expected.tobytes()
+    if len(set(shape)) == 1:
+        assert rng.shapes == [shape[0]] and type(rng.shapes[0]) is float
+    else:
+        assert len(rng.shapes) == 1 and rng.shapes[0] is dist.shape
+
+
 def test_gaussian_sample_covariance(rng):
     sigma = np.array([[1.0, 0.6], [0.6, 2.0]])
     x = Gaussian([0.0, 0.0], sigma).sample(300_000, rng)

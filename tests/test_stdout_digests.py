@@ -1,6 +1,6 @@
-"""SHA-256 of ``simulate`` stdout for five laws on small grids, and of the
-two ensemble commands (``compare-reps`` and ``verify``, 100 replicates
-each), seeds 9001-9003.
+"""SHA-256 of ``simulate`` stdout for six laws on small grids, of the two
+ensemble commands (``compare-reps`` and ``verify``, 100 replicates each)
+and of two Monte Carlo ``fdd`` exponents, seeds 9001-9003.
 
 The digests pin every byte a field or a report prints: its values, its
 header and the random streams that made it.  They move only when a change moves the
@@ -26,6 +26,8 @@ CALLS = {
     "mmm": ["--construction", "mmm", "--sigma", "1", "--grid", "-5:0.05:201"],
     "general-exp": ["--construction", "general", "--dist", "exp:lambda=1", "--kappa", "cgf",
                     "--grid", "-5:0.05:119"],
+    "general-gamma": ["--construction", "general", "--dist", "gamma:k=2;theta=1", "--kappa", "cgf",
+                      "--grid", "-0.9:0.05:37"],
 }
 
 DIGESTS = {
@@ -35,15 +37,18 @@ DIGESTS = {
     ("smith-2d", 9001): "7c9eff9e58e9933a93f655c326095401f197a04a263240b7f680ea20c1a62763",
     ("smith-2d", 9002): "29fd04e720c900020db5291e03a8c71c15509ad6bddfae32cd88e5716f586662",
     ("smith-2d", 9003): "460d474da9295bfb1cd9a26bebba07b2058b4a9ec117ff4ba35e3a4bf4cc89de",
-    ("br-lattice", 9001): "6f21118aa160fd726333276d85824e77b368ed90a64473e05464e0779feb2632",
-    ("br-lattice", 9002): "a7002cea9f97735ba9ff51649e743ad3981fe38f53653502d5325483bbda556d",
-    ("br-lattice", 9003): "9adcb228e2cb4d6a8246aff0eef92fff824978d0e5f53e8a34e2d514ad1489c7",
+    ("br-lattice", 9001): "e43f723d108bbe30367a897f3a2dceb46ed71cc7049e62f1bcdd76eb67cdd8a5",
+    ("br-lattice", 9002): "3d8046fdc61c742c597fe3b61e3ba56237962a555506cbccbb623ae12c0ad7cc",
+    ("br-lattice", 9003): "cac109990dd7dd43da057fc860d4a81e473c57cf2c60777e3c6b6d7d3238213b",
     ("mmm", 9001): "b02fc16d38c0e3093771b312ad2fcac91bad7fcfe356490e37af3ff086ab0f31",
     ("mmm", 9002): "783befe7c9b3151ac5971e11fd380e708fead30e671a143d806b5a08f6efee7a",
     ("mmm", 9003): "9bb9f8cb36252a148bacd997839597af7b8c556efed44b66f9255194d343b7cc",
     ("general-exp", 9001): "caebb8eb30c5565d2c44c8e8033079e068b15f8ccc70028e2351557c11c6a68d",
     ("general-exp", 9002): "d707776260979ffa02c2e7c949f26e09e22f25a78bc8607d4dbf2c92fb29d37a",
     ("general-exp", 9003): "ac3fbd1274f3750e4cf6d8d160f1b6c6f301a3abbd577e4a83631ed30516c759",
+    ("general-gamma", 9001): "8e259e835f4e5cce4f22782b3a0bbbd6663d1b11ab81ae3289d7ebff0851b6ea",
+    ("general-gamma", 9002): "1ceffa2cce1e9429c061c9df0ee2a9d70de56d9b0203cd385c547b77edec4b2d",
+    ("general-gamma", 9003): "e3024571f591881cef479e68ee559d2f1072ad53bfe3d37461848d2b9d12d7a5",
 }
 
 
@@ -65,6 +70,23 @@ ENSEMBLE_DIGESTS = {
 }
 
 
+# 200 000 draws give 100 000 and 66 666 base rows, several chunks of
+# exponent_mc at any chunk size from 2^14 to 2^16 rows
+FDD_CALLS = {
+    "fdd-gaussian": ["--dist", "gaussian:mu=0;sigma=4", "--ts", "0;1", "--xs", "1,1"],
+    "fdd-gamma": ["--dist", "gamma:k=2;theta=1", "--ts", "0;0.3;0.6", "--xs", "1,1,1"],
+}
+
+FDD_DIGESTS = {
+    ("fdd-gaussian", 9001): "5c5a7ecdfca549d95f567415b6d9d3be67bebf76d63c3e1ac2d0a9ef45f3f6e3",
+    ("fdd-gaussian", 9002): "a1fed864d9915e98beb35c7fad2cbe9b0fb32663abf25b41236cad58cbbab06e",
+    ("fdd-gaussian", 9003): "714f166417ef7d4aab2a6ff503c01a2e2a64b905314bcf62aa4fd9d68b2f794c",
+    ("fdd-gamma", 9001): "122573f0c6e1aa53a7a1136b2f2a2b7daa89e507f56c0136a09f7fef34a5b236",
+    ("fdd-gamma", 9002): "d9f44ffa785ba2cc4e97834f1e113d5661a47268d82ac8fbb804659ba85e3680",
+    ("fdd-gamma", 9003): "f2ba91d5ecc6266e17a8eeb0e035c1bb28df4c2cb21f35b231c33178d0dc4b39",
+}
+
+
 def stdout_digest(argv, code, capsys):
     assert main(argv) == code
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -79,3 +101,9 @@ def test_simulate_stdout_digest(law, seed, capsys):
 def test_ensemble_stdout_digest(command, seed, capsys):
     argv = [*ENSEMBLE_CALLS[command], "--seed", str(seed)]
     assert stdout_digest(argv, 1, capsys) == ENSEMBLE_DIGESTS[command, seed]
+
+
+@pytest.mark.parametrize("query, seed", sorted(FDD_DIGESTS), ids=lambda v: str(v))
+def test_fdd_mc_stdout_digest(query, seed, capsys):
+    argv = ["fdd", "--method", "mc", *FDD_CALLS[query], "--mc-n", "200000", "--seed", str(seed)]
+    assert stdout_digest(argv, 0, capsys) == FDD_DIGESTS[query, seed]
