@@ -29,6 +29,7 @@ from . import stationarity
 from .seeding import DEFAULT_SEED, derive_rng
 from .simulator import (
     DEFAULT_N_POINTS,
+    Field,
     Grid,
     field_csv_text,
     parse_variogram,
@@ -71,7 +72,8 @@ def parse_grid(spec: str) -> np.ndarray:
             axes = []
             for part in spec.split("x"):
                 start, step, count = part.split(":")
-                axes.append(float(start) + float(step) * np.arange(int(count)))
+                with np.errstate(over="ignore", invalid="ignore"):  # Grid rejects what is not finite
+                    axes.append(float(start) + float(step) * np.arange(int(count)))
             mesh = np.meshgrid(*axes, indexing="ij")
             return np.column_stack([m.ravel() for m in mesh])
         if ";" in spec:
@@ -134,15 +136,20 @@ def write_output(text: str, path):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def run_config_dict(args, keys) -> dict:
+def run_config_dict(parser: argparse.ArgumentParser, args) -> dict:
+    """The run configuration an output embeds: the subcommand, the seed, and
+    every long flag of the subcommand's parser but help, seed, output and
+    config, in parser order."""
     cfg = {"subcommand": args.command, "seed": args.seed}
-    for key in keys:
-        cfg[key] = getattr(args, key.replace("-", "_"))
+    for action in _subparser(parser, args.command)._actions:
+        if action.dest not in ("help", "seed", "output", "config"):
+            cfg[action.dest] = getattr(args, action.dest)
     return cfg
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its result (a JSON dict, or simulate's Field) and
+# its exit code, and ``main`` writes the result with the run configuration
 
 
 def _prepare_general(grid, args):
@@ -164,7 +171,7 @@ SIMULATE_FLAGS = {"sigma": None, "variogram": None, "dist": None, "kappa": "cgf"
                   "n_points": DEFAULT_N_POINTS}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     reads, prepare = CONSTRUCTIONS[args.construction]
     for flag, default in SIMULATE_FLAGS.items():
         option = "--" + flag.replace("_", "-")
@@ -175,12 +182,7 @@ def cmd_simulate(args) -> int:
                 raise UsageError(f"--construction {args.construction} requires {option}")
             setattr(args, flag, default)
     grid = Grid(parse_grid(args.grid))
-    field = prepare(grid, args).simulate(derive_rng(args.seed), seed_record=args.seed)
-    keys = ["construction", "sigma", "variogram", "dist", "kappa", "grid", "n_points"]
-    # every flag read is set now, and every other one of SIMULATE_FLAGS is None
-    header = {k: v for k, v in run_config_dict(args, keys).items() if v is not None}
-    write_output(field_csv_text(field, extra_header=header), args.output)
-    return EXIT_OK
+    return prepare(grid, args).simulate(derive_rng(args.seed), seed_record=args.seed), EXIT_OK
 
 
 def _default_box(dist) -> np.ndarray:
@@ -188,15 +190,12 @@ def _default_box(dist) -> np.ndarray:
     return np.array([[-1.0, 1.0] if np.isinf(u) else [0.0, 0.6 * u] for u in dist.domain_upper()])
 
 
-def cmd_defect(args) -> int:
+def cmd_defect(args):
     dist = parse_distribution(args.dist)
     box = parse_box(args.box) if args.box else _default_box(dist)
     rng = derive_rng(args.seed)
     report = stationarity.search_violation(dist, args.n, args.budget, box, rng)
-    out = report.to_dict()
-    out["config"] = run_config_dict(args, ["dist", "n", "budget", "box"])
-    write_output(dump_json(out), args.output)
-    return EXIT_VIOLATED if report.verdict == "violated" else EXIT_OK
+    return report.to_dict(), EXIT_VIOLATED if report.verdict == "violated" else EXIT_OK
 
 
 def _default_verify_grid(dist) -> Grid:
@@ -207,7 +206,7 @@ def _default_verify_grid(dist) -> Grid:
     return Grid(pts)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     dist = parse_distribution(args.dist)
     grid = Grid(parse_grid(args.grid)) if args.grid else _default_verify_grid(dist)
     report = stationarity.verify_characterization(
@@ -218,13 +217,10 @@ def cmd_verify(args) -> int:
         n_points=args.n_points,
         budget=args.budget,
     )
-    out = report.to_dict()
-    out["config"] = run_config_dict(args, ["dist", "grid", "replicates", "n_points", "budget"])
-    write_output(dump_json(out), args.output)
-    return EXIT_OK if report.verdict == "Gaussian-consistent" else EXIT_VIOLATED
+    return report.to_dict(), EXIT_OK if report.verdict == "Gaussian-consistent" else EXIT_VIOLATED
 
 
-def cmd_fdd(args) -> int:
+def cmd_fdd(args):
     dist = parse_distribution(args.dist)
     kappa = parse_kappa(args.kappa, dist)
     ts = parse_grid(args.ts)
@@ -232,20 +228,12 @@ def cmd_fdd(args) -> int:
     query = fddmod.FddQuery(ts, xs)
     rng = derive_rng(args.seed)
     ev = fddmod.fdd_exponent(dist, kappa, query, args.method, rng, args.mc_n)
-    line = {
-        "ts": query.ts.tolist(),
-        "xs": query.xs.tolist(),
-        "method": ev.method,
-        "V": ev.value,
-        "se": ev.se,
-        "cdf": float(np.exp(-ev.value)),
-        "config": run_config_dict(args, ["dist", "kappa", "ts", "xs", "method", "mc_n"]),
-    }
-    write_output(dump_json(line), args.output)
-    return EXIT_OK
+    line = {"ts": query.ts.tolist(), "xs": query.xs.tolist(), "method": ev.method, "V": ev.value,
+            "se": ev.se, "cdf": float(np.exp(-ev.value))}
+    return line, EXIT_OK
 
 
-def cmd_compare_reps(args) -> int:
+def cmd_compare_reps(args):
     if not np.isfinite(args.threshold):
         raise ValueError("compare-reps threshold must be finite")
     sigma = parse_matrix(args.sigma)
@@ -261,14 +249,8 @@ def cmd_compare_reps(args) -> int:
     mmm_pairs = mmm.simulate_many(args.seed + 1, range(args.replicates))[0][:, :2]
     thresholds = fddmod.frechet_threshold_grid()
     sup = fddmod.bivariate_ecdf_distance(smith_pairs, mmm_pairs, thresholds)
-    out = {
-        "sup_cdf_difference": sup,
-        "threshold": args.threshold,
-        "equivalent": bool(sup < args.threshold),
-        "config": run_config_dict(args, ["sigma", "grid", "replicates", "n_points", "threshold"]),
-    }
-    write_output(dump_json(out), args.output)
-    return EXIT_OK if sup < args.threshold else EXIT_VIOLATED
+    out = {"sup_cdf_difference": sup, "threshold": args.threshold, "equivalent": bool(sup < args.threshold)}
+    return out, EXIT_OK if sup < args.threshold else EXIT_VIOLATED
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +418,15 @@ def main(argv=None) -> int:
         check_flag_values(args)
         check_needed_flags(parser, args)
         args.seed = resolve_seed(args.seed)
-        return args.func(args)
+        result, code = args.func(args)
+        config = run_config_dict(parser, args)
+        if isinstance(result, Field):
+            # simulate set every flag its construction reads, and left the others None
+            text = field_csv_text(result, extra_header={k: v for k, v in config.items() if v is not None})
+        else:
+            text = dump_json({**result, "config": config})
+        write_output(text, args.output)
+        return code
     except (UsageError, SpecParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

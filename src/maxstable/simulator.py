@@ -81,7 +81,7 @@ from .spectral import (
 
 DEFAULT_N_POINTS = 10_000  # most spectral draws at one grid location unless a caller asks otherwise
 _LOG_MAX = math.log(np.finfo(float).max)
-_BLOCK = 64  # spectral base rows a block reads ahead at a time
+_VARIOGRAM_MAX = np.finfo(float).max / 2  # Brown-Resnick adds two variogram values
 _ARRIVALS = 8  # arrivals per grid location in a layer of the arrival table
 _REPLICATE_BLOCK = 64  # replicates that share one stream in an ensemble
 _BATCH_CELLS = 1 << 15  # most candidate-by-location values scored at once
@@ -102,18 +102,21 @@ def has_duplicate_points(points) -> bool:
     m, d = points.shape
     # irrational coordinate ratios: lattice grids have no ties in projection
     v = np.sqrt(np.arange(2.0, d + 2.0))
-    proj = points @ (v / np.linalg.norm(v))
-    order = np.argsort(proj)
-    proj, pts = proj[order], points[order]
-    window = _DUPLICATE_TOL + 8 * d * np.finfo(float).eps * float(np.abs(pts).max(initial=0.0))
-    lo = np.arange(m)
-    lag = 1
-    while lo.size:
-        lo = lo[lo + lag < m]
-        lo = lo[proj[lo + lag] - proj[lo] <= window]
-        if np.any(np.linalg.norm(pts[lo + lag] - pts[lo], axis=1) <= _DUPLICATE_TOL):
-            return True
-        lag += 1
+    # past the double range a projection or a difference is infinite: two
+    # infinite projections (their difference is nan) are compared in full
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = points @ (v / np.linalg.norm(v))
+        order = np.argsort(proj)
+        proj, pts = proj[order], points[order]
+        window = _DUPLICATE_TOL + 8 * d * np.finfo(float).eps * float(np.abs(pts).max(initial=0.0))
+        lo = np.arange(m)
+        lag = 1
+        while lo.size:
+            lo = lo[lo + lag < m]
+            lo = lo[~(proj[lo + lag] - proj[lo] > window)]
+            if np.any(np.linalg.norm(pts[lo + lag] - pts[lo], axis=1) <= _DUPLICATE_TOL):
+                return True
+            lag += 1
     return False
 
 
@@ -246,18 +249,17 @@ def _block_share(width, blocks):
 class _Dealt:
     """One stream per block, dealt to the block's slots in turn: value (or
     row) i of a slot is value i * width + slot of its block's stream.
-    take(n, stream) reads a stream's next n values.  They are read ahead in
-    whole rounds of width, _BLOCK values a block at least and up to as many
-    as were read so far or _BATCH_CELLS, which does not change what a slot
-    reads, into a buffer that keeps only what some replicate may still read.
-    ``rounds`` replaces the _BLOCK values a block reads at least."""
+    take(n, stream) reads a stream's next n values.  They are read in whole
+    rounds of width: one round first, and then what a replicate is short of,
+    or more, up to as many rounds as the buffer holds or a block's share of
+    _BATCH_CELLS.  That does not change what a slot reads.  The buffer keeps
+    only what some replicate may still read."""
 
-    def __init__(self, blocks, streams, take, rounds=None):
+    def __init__(self, blocks, streams, take):
         self.blocks, self.streams, self.take = blocks, streams, take
-        self.rounds = rounds or max(1, _BLOCK // blocks.width)
-        self.values = self._read(self.rounds)
-        self.first, self.filled = 0, self.rounds  # the slot index of values[:, 0], and columns read
-        self.most = max(self.rounds, _block_share(self.values[0, 0].size, blocks))
+        self.values = self._read(1)
+        self.first, self.filled = 0, 1  # the slot index of values[:, 0], and columns read
+        self.most = max(1, _block_share(self.values[0, 0].size, blocks))
 
     def _read(self, rounds):
         width, parts = self.blocks.width, []
@@ -271,7 +273,7 @@ class _Dealt:
         reads below ``low`` any more."""
         short = int(index.flat[index.argmax()]) + 1 - self.first - self.filled if index.size else 0
         if short > 0:
-            more = self._read(max(self.rounds * -(-short // self.rounds), min(self.filled, self.most)))
+            more = self._read(max(short, min(self.filled, self.most)))
             keep = self.filled - (low - self.first)
             if self.filled + len(more[0]) > self.values.shape[1]:
                 # move what is kept to the front, into a larger buffer if need be
@@ -360,8 +362,7 @@ class _Scan:
         streams = [spawn(stream, 3 if sampler.complete else 2) for stream in blocks.streams]
         self.arrivals, spectral, *completion = zip(*streams)
         self.rows = _Dealt(blocks, spectral, sampler.draw)
-        # completion rows are few and long: read them one round ahead at least
-        self.paths = _Dealt(blocks, completion[0], sampler.complete, rounds=1) if completion else None
+        self.paths = _Dealt(blocks, completion[0], sampler.complete) if completion else None
         # a block's pass lists at most _BATCH_CELLS base-row entries and locations
         self.list_cap = max(_ARRIVALS, _block_share(self.rows.values[0, 0].size, blocks))
         self.span = max(_ARRIVALS, _block_share(1, blocks))
@@ -674,17 +675,19 @@ def _br_cov_factor(variogram: Variogram, grid: Grid):
     ``np.linalg.norm`` does, so the tables equal ``variogram(s - t)`` and
     the covariance from them bit for bit."""
     pts = grid.locations
-    g = variogram(pts)
-    pairwise = np.subtract.outer(pts[:, 0], pts[:, 0])
-    pairwise *= pairwise
-    for a in range(1, grid.dim):
-        diff = np.subtract.outer(pts[:, a], pts[:, a])
-        diff *= diff
-        pairwise += diff
-        del diff
-    np.sqrt(pairwise, out=pairwise)
-    pairwise **= variogram.alpha
-    pairwise *= variogram.scale
+    with np.errstate(over="ignore"):  # checked below
+        g = variogram(pts)
+        pairwise = np.subtract.outer(pts[:, 0], pts[:, 0])
+        pairwise *= pairwise
+        for a in range(1, grid.dim):
+            diff = np.subtract.outer(pts[:, a], pts[:, a])
+            diff *= diff
+            pairwise += diff
+            del diff
+        np.sqrt(pairwise, out=pairwise)
+        pairwise **= variogram.alpha
+        pairwise *= variogram.scale
+    _check_variogram_size(np.append(g, pairwise.max()), "this grid")
     moving = np.flatnonzero(g > 0)
     cov = np.add.outer(g[moving], g[moving])
     cov -= pairwise[moving[:, None], moving]
@@ -697,6 +700,15 @@ def _br_cov_factor(variogram: Variogram, grid: Grid):
     factor = np.zeros((grid.size, moving.size))
     factor[moving] = root
     return factor, pairwise
+
+
+def _check_variogram_size(values, where):
+    """A Brown-Resnick scan adds two variogram values, so the values it reads
+    on ``where`` must stay within half the double range."""
+    top = values.max()
+    if not top <= _VARIOGRAM_MAX:
+        raise ValueError(f"variogram is too large on {where}: it reaches {top:.3g}, past half "
+                         "the double range, so sums of its values overflow")
 
 
 class _Increments(NamedTuple):
@@ -742,7 +754,8 @@ def _five_smooth(n: int) -> int:
 def _circulant_increments(variogram: Variogram, m: int, h: float):
     """Paths on a 1-D lattice of step h by circulant embedding (Davies &
     Harte 1987; Wood & Chan 1994; Dietrich & Newsam 1997), or None when the
-    embedding has a negative eigenvalue beyond round-off.
+    embedding has a negative eigenvalue beyond round-off or a spectrum past
+    the double range.
 
     The increments G(t_{k+1}) - G(t_k) are stationary with covariance
     r_k = (gamma((k + 1) h) + gamma(|k - 1| h) - 2 gamma(k h)) / 2.  The
@@ -758,14 +771,16 @@ def _circulant_increments(variogram: Variogram, m: int, h: float):
     table gamma(k h) through a strided view, so nothing m x m is built."""
     half = _five_smooth(m - 2)  # m' - 2
     size = 2 * half
-    lag = variogram(h * np.arange(half + 2)[:, None])
-    k = np.arange(half + 1)
-    r = 0.5 * (lag[k + 1] + lag[np.abs(k - 1)] - 2.0 * lag[k])
-    eig = np.fft.rfft(np.concatenate([r, r[-2:0:-1]])).real
-    if eig.min() < -_EMBED_TOL * eig.max():
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        lag = variogram(h * np.arange(half + 2)[:, None])
+        k = np.arange(half + 1)
+        r = 0.5 * (lag[k + 1] + lag[np.abs(k - 1)] - 2.0 * lag[k])
+        eig = np.fft.rfft(np.concatenate([r, r[-2:0:-1]])).real
+        amp = np.sqrt(np.maximum(eig, 0.0) * (size / 2.0))
+    _check_variogram_size(lag, "this grid's lattice embedding")
+    if not np.all(np.isfinite(amp)) or eig.min() < -_EMBED_TOL * eig.max():
         return None
     lag = lag[:m]
-    amp = np.sqrt(np.maximum(eig, 0.0) * (size / 2.0))
     amp[[0, half]] *= math.sqrt(2.0)
 
     def paths(z):

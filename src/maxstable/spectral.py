@@ -50,9 +50,14 @@ def clamp_psd(sigma, rel_tol: float = PSD_REL_TOL):
     if sigma.shape[0] != sigma.shape[1]:
         raise ValueError(f"covariance matrix must be square, got shape {sigma.shape}")
     scale = np.abs(sigma).max() if sigma.size else 0.0
-    if scale > 0 and np.abs(sigma - sigma.T).max() > 1e-8 * scale:
-        raise ValueError("covariance matrix is not symmetric")
-    sym = 0.5 * (sigma + sigma.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        if scale > 0 and np.abs(sigma - sigma.T).max() > 1e-8 * scale:
+            raise ValueError("covariance matrix is not symmetric")
+        twice = sigma + sigma.T
+    if not np.all(np.isfinite(twice)):
+        raise ValueError(f"covariance matrix entries are too large: Sigma + Sigma^T overflows "
+                         f"(largest |entry| {scale:.3g})")
+    sym = 0.5 * twice
     w, v = np.linalg.eigh(sym)
     lam_max = max(float(w.max()), 0.0) if w.size else 0.0
     floor = -rel_tol * lam_max

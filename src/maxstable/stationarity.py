@@ -241,6 +241,9 @@ def search_violation(
         raise ValueError("box dimension must match the distribution")
     if np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("box must have positive widths")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(box[:, 1] - box[:, 0])):
+            raise ValueError("search box widths must be finite: hi - lo overflows")
     # the box itself must be feasible for the CGF
     dist.check_domain(box.T)
 

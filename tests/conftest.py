@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,3 +229,18 @@ def moving_maxima_block_reference(sigma, grid, seed, k):
     block k // B (B = _REPLICATE_BLOCK), whose stream is block_rng(seed, block)."""
     block, slot = divmod(k, _REPLICATE_BLOCK)
     return moving_maxima_reference(sigma, grid, block_rng(seed, block), _REPLICATE_BLOCK, slot)
+
+
+def load_bench_module(name):
+    """``bench/<name>.py`` loaded read-only from its file, without putting
+    ``bench/`` on the import path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"maxstable_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the classes are made
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module

@@ -4,33 +4,18 @@ that deletes or renames one must fail here, not only in ``bench/tests``.
 ``bench/tracer.py`` is loaded read-only from its file, without putting
 ``bench/`` on the import path.
 """
-import importlib.util
 import inspect
-import sys
-from pathlib import Path
+
+from conftest import load_bench_module
 
 import maxstable.cli  # noqa: F401  (loads every module of the package)
 import maxstable.fdd
 import maxstable.pointproc
 import maxstable.simulator
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("maxstable_bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up while the classes are made
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
 
 def test_every_traced_attribute_exists_on_its_owner():
-    tracer = load_tracer()
+    tracer = load_bench_module("tracer")
     missing = [
         (owner, attr)
         for layer in tracer.LAYERS

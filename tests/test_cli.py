@@ -94,13 +94,22 @@ SPEC_PARSERS = {
 }
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_lines():
+    """The ``maxstable`` commands of the README's CLI example block."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("maxstable ")]
+    assert lines
+    return lines
+
+
 def test_readme_cli_examples_parse():
     # every documented command passes the argument parser and every spec
     # flag its parser, without running the command
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    lines = [line for line in block.splitlines() if line.startswith("maxstable ")]
-    assert lines
+    readme = README.read_text()
+    lines = readme_cli_lines()
     parser = maxstable.cli.build_parser()
     # every --flag the README names, in prose or in a maxstable command (not
     # in the commands of other programs), is a long flag of some subcommand
@@ -133,6 +142,32 @@ def test_readme_cli_examples_parse():
         assert specs, flag
         for spec in specs:
             readers[flag](spec)
+
+
+def test_readme_cli_examples_run(capsys):
+    # as the README's comments say: defect exits 0 for the gaussian law and 1
+    # for the exponential one, and verify 1 for the uniform law
+    for line in readme_cli_lines():
+        argv = shlex.split(line)[1:]
+        want = 1 if "exp:lambda=1" in line or argv[0] == "verify" else 0
+        assert main(argv) == want, line
+        out, err = capsys.readouterr()
+        assert out and err == "", line
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["simulate"], ["construction", "sigma", "variogram", "dist", "kappa", "grid", "n_points"]),
+    (["defect"], ["dist", "n", "budget", "box"]),
+    (["verify"], ["dist", "grid", "replicates", "n_points", "budget"]),
+    (["fdd"], ["dist", "kappa", "ts", "xs", "method", "mc_n"]),
+    (["compare-reps"], ["sigma", "grid", "replicates", "n_points", "threshold"]),
+])
+def test_run_config_records_every_flag_of_the_subcommand_in_parser_order(argv, keys):
+    parser = maxstable.cli.build_parser()
+    args = parser.parse_args([*argv, "--seed", "5", "--output", "x", "--config", "y"])
+    config = maxstable.cli.run_config_dict(parser, args)
+    assert list(config) == ["subcommand", "seed", *keys]
+    assert config["subcommand"] == argv[0] and config["seed"] == 5
 
 
 def test_resolve_seed_precedence(monkeypatch):
@@ -269,6 +304,26 @@ def test_simulate_reports_a_cgf_that_overflows_on_the_grid(law, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "numeric error: phi - kappa is not finite at grid location 1 (the CGF overflows)\n"
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["simulate", "--construction", "br", "--variogram", "fractional:alpha=1;scale=1e308",
+      "--grid", "0:1:5"], "variogram is too large on this grid's lattice embedding"),
+    (["simulate", "--construction", "br", "--variogram", "fractional:alpha=1;scale=1e308",
+      "--grid", "0,0;1,0;0,1"], "variogram is too large on this grid: it reaches 1.41e+308"),
+    (["defect", "--dist", "uniform:a=0;b=1", "--box", "-1e308,1e308"], "search box widths must be finite"),
+    (["verify", "--dist", "gaussian:mu=0;sigma=1", "--grid", "-1e308,1e308", "--replicates", "100"],
+     "search box widths must be finite"),
+    (["simulate", "--construction", "smith", "--sigma", "1e308", "--grid", "0,1"],
+     "covariance matrix entries are too large"),
+    (["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0:inf:3"], "grid locations must be finite"),
+])
+def test_a_value_past_the_double_range_is_reported_where_it_starts(argv, cause, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--seed", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric error: " + cause)
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,15 @@ def config_case(argv, moved):
 @example(config_case(["fdd", GAUSS, "--ts=0;1e200", "--xs=1,1", "--method=closed-bivariate"], ["method"]))
 @example(config_case(["defect", "--dist=uniform:a=0;b=1", "--box=-1e300,1e300", "--budget=1"], ["box"]))
 @example(config_case(["simulate", "--construction=mmm", "--sigma=1e-30", "--grid=0,1"], ["sigma"]))
+# values and spans past the double range, each reported where it starts
+@example(config_case(["simulate", "--construction=br", "--variogram=fractional:alpha=1;scale=1e308",
+                      "--grid=0:1:5"], ["variogram"]))
+@example(config_case(["simulate", "--construction=br", "--variogram=fractional:alpha=1;scale=1e308",
+                      "--grid=0,0;1,0;0,1"], ["grid"]))
+@example(config_case(["defect", "--dist=uniform:a=0;b=1", "--box=-1e308,1e308"], ["box"]))
+@example(config_case(["verify", GAUSS, "--grid=-1e308,1e308", "--replicates=100"], ["grid"]))
+@example(config_case(["simulate", "--construction=smith", "--sigma=1e308", "--grid=0,1"], ["sigma"]))
+@example(config_case(["simulate", "--construction=smith", "--sigma=1", "--grid=0:inf:3"], ["grid"]))
 def test_whole_argv_keeps_the_exit_code_contract(case):
     # flag order, a repeated flag and a config file change nothing; every
     # call exits 0, 1, 2 or 3 and prints no traceback or warning

@@ -70,6 +70,15 @@ def test_grid_duplicate_check_in_2d():
         Grid([[0.0, 0.0], [2e-13, 1.0], [5e-13, 0.0]])
 
 
+def test_grid_duplicate_check_past_the_double_range():
+    # these points project past the double range: their differences are
+    # infinite or nan, and the check still tells them apart, without a warning
+    assert Grid([[-1e308], [1e308]]).size == 2
+    assert Grid([[1.5e308] * 3, [1.5e308, 1.5e308, -1.5e308]]).size == 2
+    with pytest.raises(ValueError, match="duplicate"):
+        Grid([[1.5e308] * 3, [0.0] * 3, [1.5e308] * 3])
+
+
 def test_field_validation():
     grid = Grid([0.0, 1.0])
     with pytest.raises(ValueError):
@@ -415,8 +424,8 @@ def test_output_does_not_depend_on_block_sizes(monkeypatch):
     dist, kappa = unit_smith_dist()
     grid = Grid(np.linspace(-5.0, 5.0, 41))
     base = simulate_general(dist, kappa, grid, DEFAULT_N_POINTS, derive_rng(3)).values
-    for block, cells in [(1, 1), (3, 50), (1000, 1 << 20)]:
-        monkeypatch.setattr(simulator, "_BLOCK", block)
+    # _BATCH_CELLS bounds the batches and, through a block's share, the read-ahead
+    for cells in [1, 50, 1 << 20]:
         monkeypatch.setattr(simulator, "_BATCH_CELLS", cells)
         field = simulate_general(dist, kappa, grid, DEFAULT_N_POINTS, derive_rng(3))
         assert np.array_equal(field.values, base)
@@ -624,13 +633,13 @@ def test_brown_resnick_engine_equals_the_textbook_loop(case):
         assert record["rejections"][r] == draws - kept
 
 
-@pytest.mark.parametrize("arrivals, block, cells", [(1, 64, 1 << 15), (8, 1, 1), (1, 3, 50)])
-def test_brown_resnick_does_not_depend_on_read_ahead_or_batch_sizes(monkeypatch, arrivals, block, cells):
+@pytest.mark.parametrize("arrivals, cells", [(1, 1 << 15), (8, 1), (1, 50)])
+def test_brown_resnick_does_not_depend_on_read_ahead_or_batch_sizes(monkeypatch, arrivals, cells):
     # small batches make an ensemble's replicates wait on each other's row
     # and completion cursors, and a one-arrival table makes locations read
-    # on after it: still the textbook loop's fields, bit for bit
+    # on after it: still the textbook loop's fields, bit for bit; _BATCH_CELLS
+    # also sets how far the dealt streams read ahead
     monkeypatch.setattr(simulator, "_ARRIVALS", arrivals)
-    monkeypatch.setattr(simulator, "_BLOCK", block)
     monkeypatch.setattr(simulator, "_BATCH_CELLS", cells)
     grid, _ = BR_PATHS["lattice"]
     law = prepare_brown_resnick(BR_VARIO, grid, DEFAULT_N_POINTS)
@@ -734,8 +743,8 @@ def test_lattice_brown_resnick_prepare_builds_nothing_m_by_m(monkeypatch):
 
 def test_the_read_ahead_waits_bound_an_ensembles_memory():
     # a replicate that runs ahead of the block's slowest waits, so the dealt
-    # buffers keep a few block shares of rows: the peak is about 25 MiB here,
-    # and about 49 MiB if no replicate ever waits
+    # buffers keep a few block shares of rows: the peak is about 34 MiB here,
+    # close under the bound, and about 57 MiB if no replicate ever waits
     law = prepare_brown_resnick(Variogram.fractional(1.0, 0.5), Grid(np.linspace(-5.0, 5.0, 201)),
                                 DEFAULT_N_POINTS)
     tracemalloc.start()
