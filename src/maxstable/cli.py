@@ -243,10 +243,12 @@ def cmd_compare_reps(args):
     if args.replicates < fddmod.MIN_SAMPLES:
         raise ValueError(f"replicates must be >= {fddmod.MIN_SAMPLES}, the fewest an empirical CDF takes")
 
-    smith = prepare_smith(sigma, grid, args.n_points)
-    mmm = prepare_moving_maxima(sigma, grid)
-    smith_pairs = smith.simulate_many(args.seed, range(args.replicates))[0][:, :2]
-    mmm_pairs = mmm.simulate_many(args.seed + 1, range(args.replicates))[0][:, :2]
+    # the first two grid points are compared, so only they are simulated
+    pair = Grid(grid.locations[:2])
+    smith = prepare_smith(sigma, pair, args.n_points)
+    mmm = prepare_moving_maxima(sigma, pair)
+    smith_pairs = smith.simulate_many(args.seed, range(args.replicates))[0]
+    mmm_pairs = mmm.simulate_many(args.seed + 1, range(args.replicates))[0]
     thresholds = fddmod.frechet_threshold_grid()
     sup = fddmod.bivariate_ecdf_distance(smith_pairs, mmm_pairs, thresholds)
     out = {"sup_cdf_difference": sup, "threshold": args.threshold, "equivalent": bool(sup < args.threshold)}

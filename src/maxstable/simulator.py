@@ -947,6 +947,15 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
     r_buf, edge_bound = moving_maxima_buffer(c, lam_min, core)
     window = np.column_stack([core[:, 0] - r_buf, core[:, 1] + r_buf])
     widths = window[:, 1] - window[:, 0]
+    # the rule needs c |W| / Gamma_K below the field's minimum, at most Z(t_0),
+    # a Frechet variable of scale <= 1, so it holds within K storms with
+    # probability at most e^{-0.3 K} + 2 K / (c |W|): below 1e-9 at the cap
+    # once c |W| > 2 * 10^9 * _MAX_STORMS (in logs, which cannot overflow)
+    log_cw = log_c + float(np.log(widths).sum())
+    if log_cw > math.log(2e9 * _MAX_STORMS):
+        raise ValueError(f"moving-maxima window too wide for the storm cap: c * |W| = "
+                         f"10^{log_cw / math.log(10):.1f} (kernel peak times window volume), so the "
+                         f"stopping rule holds within {_MAX_STORMS} storms with probability below 1e-9")
     vol = float(np.prod(widths))
 
     def scan(blocks):

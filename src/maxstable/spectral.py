@@ -1,12 +1,12 @@
 """Spectral laws and their cumulant generating functions (CGFs).
 
 The analytic backbone of the toolkit: a closed registry of d-variate
-spectral laws -- gaussian, exponential, uniform and gamma (independent
-coordinates for the non-gaussian families) -- each providing a sampler,
-a closed-form CGF phi(t) = log E exp(<X, t>), its domain, and (for the
-gaussian) a closed-form gradient.  The registry is deliberately closed:
-every family needs a matched sampler + closed-form CGF for the
-stationarity experiments.  ``parse_spec`` reads every spec string.
+spectral laws -- gaussian, exponential (gamma of shape 1), uniform and
+gamma, with independent coordinates for the non-gaussian families.  Each
+family states its law once: a closed-form CGF phi(t) = log E exp(<X, t>)
+on its domain, a closed-form gradient, and a tilted sampler; the mean and
+the samplers derive from those, and nothing is differentiated
+numerically.  ``parse_spec`` reads every spec string.
 """
 from __future__ import annotations
 
@@ -15,10 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Central-difference step scale: cbrt(machine epsilon) is the standard
-# optimum for second-order finite differences.
-FD_STEP = float(np.cbrt(np.finfo(float).eps))
-
 # Eigenvalues of a covariance matrix in [-PSD_REL_TOL * lam_max, 0) are
 # treated as round-off and clamped to zero; anything more negative is a
 # hard error.
@@ -26,6 +22,10 @@ PSD_REL_TOL = 1e-10
 
 # Below this |t_j| the uniform tilted sampler draws from the untilted law.
 UNIFORM_SMALL_T = 1e-8
+
+# Taylor coefficients 1/(2k + 1)!, k = 1..8, of sinh v / v - 1 in v^2; the
+# eight terms reach round-off for |v| <= 1
+_SINHC_TERMS = tuple(1.0 / math.factorial(2 * k + 1) for k in range(1, 9))
 
 
 class DomainError(ValueError):
@@ -102,11 +102,10 @@ def _fmt_vec(v) -> str:
 
 
 class SpectralDistribution:
-    """Base class of the spectral-law registry.
-
-    Subclasses implement the closed-form CGF, its domain, the mean vector
-    and a sampler.  All instances are immutable and safe to share.
-    """
+    """Base class of the spectral-law registry: a family implements the
+    CGF, its domain, its gradient and ``tilted_sampler``, and binds
+    ``sample, sample_tilted = _draws, _tilted_draws`` in its own class
+    body.  All instances are immutable and safe to share."""
 
     family: str
     dim: int
@@ -118,18 +117,15 @@ class SpectralDistribution:
     def domain_lower(self) -> np.ndarray:
         return np.full(self.dim, -np.inf)
 
-    def check_domain(self, t, margin: float = 0.0) -> np.ndarray:
-        """Validate point(s) t against the open CGF domain.
-
-        ``margin`` shrinks the domain on each bounded side (used by the
-        finite-difference gradient).  Returns t as a float array.
-        """
+    def check_domain(self, t) -> np.ndarray:
+        """Validate point(s) t against the open CGF domain; returns t as a
+        float array."""
         t = np.asarray(t, dtype=float)
         pts = np.atleast_2d(t)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"expected points in R^{self.dim}, got shape {t.shape}")
-        hi = self.domain_upper() - margin
-        lo = self.domain_lower() + margin
+        hi = self.domain_upper()
+        lo = self.domain_lower()
         bad = (pts >= hi) | (pts <= lo)
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -145,12 +141,14 @@ class SpectralDistribution:
         """phi(t) = log E exp(<X, t>); accepts a point or an (m, d) array."""
         raise NotImplementedError
 
-    def cgf_gradient_closed(self, t):
-        """Closed-form gradient, or None if the family has no closed form."""
-        return None
+    def gradient(self, pts) -> np.ndarray:
+        """grad phi at the rows of an (m, d) array in the domain, shape
+        (m, d), in closed form."""
+        raise NotImplementedError
 
     def mean(self) -> np.ndarray:
-        raise NotImplementedError
+        """E[X] = grad phi(0)."""
+        return self.gradient(np.zeros((1, self.dim)))[0]
 
     def term_scale(self, pts) -> np.ndarray:
         """Size of the terms phi adds up at each row of an (m, d) array, the
@@ -158,30 +156,14 @@ class SpectralDistribution:
         more terms."""
         return np.abs(pts * self.mean()).sum(axis=1)
 
-    def sample(self, n: int, rng) -> np.ndarray:
-        """n independent draws of X, shape (n, d); deterministic per rng state."""
-        raise NotImplementedError
-
-    def sample_tilted(self, t, n: int, rng) -> np.ndarray:
-        """n draws from the exponentially tilted law e^{<x,t> - phi(t)} p(x).
-
-        The tilt of each registry family stays in the family (gaussian: mean
-        shift; exp/gamma: rate shift; uniform: explicit inverse CDF), which
-        is what makes low-variance exponent estimation possible.  Every
-        family draws through its ``tilted_sampler`` (``_tilted_draws``) and
-        defines this method in its own class.  No package code calls it:
-        ``fdd.exponent_mc`` tilts the base rows of ``tilted_sampler`` itself.
-        It stays because the benchmark's tracer (``bench/tracer.py``) wraps
-        it per family, until the benchmark's layers move to the sampler
-        (ROADMAP item 1).
-        """
-        raise NotImplementedError
-
     def tilted_sampler(self, ts):
-        """The tilted laws at the rows of ts, an (m, d) array in the domain,
-        as a pair ``(draw, tilt)``: draw(n, rng) gives n base rows, and
-        tilt(rows, js) maps row r to a draw of X under the ts[js[r]]-tilted
-        law (js an index array, or one index for all rows).  What the tilts
+        """The tilted laws e^{<x,t> - phi(t)} p(x) at the rows t of ts, an
+        (m, d) array in the domain, as a pair ``(draw, tilt)``: draw(n, rng)
+        gives n base rows, and tilt(rows, js) maps row r to a draw of X
+        under the ts[js[r]]-tilted law (js an index array, or one index for
+        all rows).  The tilt stays in the family (gaussian: mean shift;
+        exp/gamma: rate shift; uniform: explicit inverse CDF), which is what
+        makes low-variance exponent estimation possible.  What the tilts
         need of ts is computed once, here.  Base rows are drawn one number
         after another, so n rows drawn at once equal n rows drawn one at a
         time, and each row is mapped on its own.
@@ -200,10 +182,27 @@ class SpectralDistribution:
 
 
 def _tilted_draws(dist: SpectralDistribution, t, n: int, rng) -> np.ndarray:
-    """``sample_tilted`` of every family: n draws of its tilted sampler at t."""
+    """``sample_tilted`` of every family: n draws of its tilted sampler at
+    the point t, shape (n, d).  No package code calls it or ``sample``;
+    both stay, bound in each family's class, because the benchmark's
+    tracer (``bench/tracer.py``) wraps them per family (ROADMAP item 1)."""
     t = dist.check_domain(np.asarray(t, dtype=float))
     draw, tilt = dist.tilted_sampler(t[None, :])
     return tilt(draw(n, rng), 0)
+
+
+def _draws(dist: SpectralDistribution, n: int, rng) -> np.ndarray:
+    """``sample`` of every family: n independent draws of X, shape (n, d),
+    the tilted sampler at t = 0; deterministic per rng state."""
+    return _tilted_draws(dist, np.zeros(dist.dim), n, rng)
+
+
+def _sinhc_series(v2):
+    """sinh v / v - 1 at v^2 = v2 <= 1, by its eight-term Taylor series."""
+    series = 0.0
+    for c in reversed(_SINHC_TERMS):
+        series = (series + c) * v2
+    return series
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,6 +211,7 @@ class Gaussian(SpectralDistribution):
     sigma: np.ndarray
 
     family = "gaussian"
+    sample, sample_tilted = _draws, _tilted_draws
 
     def __init__(self, mu, sigma):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
@@ -233,24 +233,14 @@ class Gaussian(SpectralDistribution):
         val = pts @ self.mu + 0.5 * quad
         return float(val[0]) if t.ndim == 1 else val
 
-    def cgf_gradient_closed(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.sigma @ t + self.mu
-
-    def mean(self) -> np.ndarray:
-        return self.mu.copy()
+    def gradient(self, pts):
+        # Sigma t + mu, Sigma being symmetric
+        return ordered_dot(pts[:, None, :], self.sigma) + self.mu
 
     def term_scale(self, pts) -> np.ndarray:
         # sum_i |mu_i p_i| + 0.5 |p|^T |Sigma| |p|: the linear and quadratic terms may cancel
         size = np.abs(pts)
         return size @ np.abs(self.mu) + 0.5 * np.einsum("md,de,me->m", size, np.abs(self.sigma), size)
-
-    def sample(self, n: int, rng) -> np.ndarray:
-        z = np.asarray(rng.standard_normal((int(n), self.dim)))
-        return z @ self._factor.T + self.mu
-
-    def sample_tilted(self, t, n: int, rng) -> np.ndarray:
-        return _tilted_draws(self, t, n, rng)
 
     def tilted_sampler(self, ts):
         shift = ts @ self.sigma  # row j is Sigma t_j, Sigma being symmetric
@@ -268,57 +258,6 @@ class Gaussian(SpectralDistribution):
 
 
 @dataclass(frozen=True, eq=False)
-class Exponential(SpectralDistribution):
-    """Independent exponential coordinates with rates lambda_j > 0."""
-
-    rate: np.ndarray
-
-    family = "exp"
-
-    def __init__(self, rate):
-        rate = np.atleast_1d(np.asarray(rate, dtype=float))
-        if np.any(rate <= 0):
-            raise ValueError("exponential rates must be positive")
-        object.__setattr__(self, "rate", rate)
-
-    @property
-    def dim(self) -> int:
-        return self.rate.shape[0]
-
-    def domain_upper(self) -> np.ndarray:
-        return self.rate.copy()
-
-    def cgf(self, t):
-        t = self.check_domain(t)
-        pts = np.atleast_2d(t)
-        val = -np.log1p(-pts / self.rate).sum(axis=1)
-        return float(val[0]) if t.ndim == 1 else val
-
-    def mean(self) -> np.ndarray:
-        return 1.0 / self.rate
-
-    def sample(self, n: int, rng) -> np.ndarray:
-        return np.asarray(rng.exponential(size=(int(n), self.dim))) / self.rate
-
-    def sample_tilted(self, t, n: int, rng) -> np.ndarray:
-        return _tilted_draws(self, t, n, rng)
-
-    def tilted_sampler(self, ts):
-        rates = self.rate - ts
-
-        def draw(n, rng):
-            return np.asarray(rng.exponential(size=(int(n), self.dim)))
-
-        def tilt(rows, js):
-            return rows / rates[js]
-
-        return draw, tilt
-
-    def spec_string(self) -> str:
-        return f"exp:lambda={_fmt_vec(self.rate)}"
-
-
-@dataclass(frozen=True, eq=False)
 class Uniform(SpectralDistribution):
     """Independent uniform coordinates on [a_j, b_j]."""
 
@@ -326,6 +265,7 @@ class Uniform(SpectralDistribution):
     b: np.ndarray
 
     family = "uniform"
+    sample, sample_tilted = _draws, _tilted_draws
 
     def __init__(self, a, b):
         a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -346,12 +286,9 @@ class Uniform(SpectralDistribution):
         pts = np.atleast_2d(t)
         # per coordinate: m t + log(sinh v / v), with m = (a + b) / 2 and
         # v = (b - a) t / 2; below |v| = 1 the log is log1p of the Taylor
-        # series of sinh v / v - 1, whose eight terms reach round-off there
+        # series of sinh v / v - 1
         v = np.abs(0.5 * (self.b - self.a) * pts)
-        v2 = np.minimum(v, 1.0) ** 2
-        series = 0.0
-        for k in range(8, 0, -1):
-            series = (series + 1.0 / math.factorial(2 * k + 1)) * v2
+        series = _sinhc_series(np.minimum(v, 1.0) ** 2)
         big = np.maximum(v, 1.0)
         log_sinhc = np.where(
             v < 1.0, np.log1p(series), big + np.log1p(-np.exp(-2.0 * big)) - np.log(2.0 * big)
@@ -359,14 +296,20 @@ class Uniform(SpectralDistribution):
         val = (0.5 * (self.a + self.b) * pts + log_sinhc).sum(axis=1)
         return float(val[0]) if t.ndim == 1 else val
 
-    def mean(self) -> np.ndarray:
-        return (self.a + self.b) / 2.0
-
-    def sample(self, n: int, rng) -> np.ndarray:
-        return np.asarray(rng.uniform(self.a, self.b, size=(int(n), self.dim)))
-
-    def sample_tilted(self, t, n: int, rng) -> np.ndarray:
-        return _tilted_draws(self, t, n, rng)
+    def gradient(self, pts):
+        # per coordinate: m + h (coth v - 1/v), with h = (b - a) / 2 and
+        # v = h t; below |v| = 1, the derivative of cgf's series over 1 plus
+        # the series, so nothing cancels
+        h = 0.5 * (self.b - self.a)
+        v = h * pts
+        near = np.abs(v) < 1.0
+        v2 = np.minimum(np.abs(v), 1.0) ** 2
+        slope = 0.0
+        for k in range(len(_SINHC_TERMS), 0, -1):
+            slope = slope * v2 + 2 * k * _SINHC_TERMS[k - 1]
+        far = np.where(near, 1.0, v)
+        g = np.where(near, v * slope / (1.0 + _sinhc_series(v2)), 1.0 / np.tanh(far) - 1.0 / far)
+        return 0.5 * (self.a + self.b) + h * g
 
     def tilted_sampler(self, ts):
         # inverse CDF of the density proportional to e^{t x} on [a, b], per
@@ -404,6 +347,7 @@ class Gamma(SpectralDistribution):
     rate: np.ndarray
 
     family = "gamma"
+    sample, sample_tilted = _draws, _tilted_draws
 
     def __init__(self, shape, rate):
         shape = np.atleast_1d(np.asarray(shape, dtype=float))
@@ -428,14 +372,8 @@ class Gamma(SpectralDistribution):
         val = (-self.shape * np.log1p(-pts / self.rate)).sum(axis=1)
         return float(val[0]) if t.ndim == 1 else val
 
-    def mean(self) -> np.ndarray:
-        return self.shape / self.rate
-
-    def sample(self, n: int, rng) -> np.ndarray:
-        return np.asarray(rng.gamma(self.shape, 1.0 / self.rate, size=(int(n), self.dim)))
-
-    def sample_tilted(self, t, n: int, rng) -> np.ndarray:
-        return _tilted_draws(self, t, n, rng)
+    def gradient(self, pts):
+        return self.shape / (self.rate - pts)
 
     def tilted_sampler(self, ts):
         # a gamma draw with scale s is s times a standard gamma draw
@@ -455,6 +393,23 @@ class Gamma(SpectralDistribution):
 
     def spec_string(self) -> str:
         return f"gamma:k={_fmt_vec(self.shape)};theta={_fmt_vec(self.rate)}"
+
+
+class Exponential(Gamma):
+    """Independent exponential coordinates with rates lambda_j > 0: the
+    gamma law of shape 1, whose standard draws are numpy's exponentials."""
+
+    family = "exp"
+    sample, sample_tilted = _draws, _tilted_draws
+
+    def __init__(self, rate):
+        rate = np.atleast_1d(np.asarray(rate, dtype=float))
+        if np.any(rate <= 0):
+            raise ValueError("exponential rates must be positive")
+        super().__init__(np.ones_like(rate), rate)
+
+    def spec_string(self) -> str:
+        return f"exp:lambda={_fmt_vec(self.rate)}"
 
 
 # ---------------------------------------------------------------------------
@@ -482,26 +437,9 @@ def cgf_multi(dist: SpectralDistribution, ts, weights: "SimplexWeights") -> floa
 
 
 def cgf_gradient(dist: SpectralDistribution, t) -> np.ndarray:
-    """Gradient of phi at t: closed form for the gaussian family, central
-    finite differences (step FD_STEP * max(1, ||t||)) otherwise.
-
-    Rejects points within one finite-difference step of the domain boundary.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    closed = dist.cgf_gradient_closed(t)
-    if closed is not None:
-        dist.check_domain(t)
-        return np.asarray(closed, dtype=float)
-    h = FD_STEP * max(1.0, float(np.linalg.norm(t)))
-    dist.check_domain(t, margin=h)
-    grad = np.empty(dist.dim)
-    for j in range(dist.dim):
-        tp = t.copy()
-        tm = t.copy()
-        tp[j] += h
-        tm[j] -= h
-        grad[j] = (dist.cgf(tp) - dist.cgf(tm)) / (2.0 * h)
-    return grad
+    """Gradient of phi at the point t, in closed form."""
+    t = dist.check_domain(np.atleast_1d(np.asarray(t, dtype=float)))
+    return dist.gradient(t[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,23 @@ def test_moving_maxima_on_a_grid_its_kernel_cannot_span_is_rejected_before_any_s
                    "has a Mahalanobis form that overflows, so no storm reaches both ends of the grid\n")
 
 
+@pytest.mark.parametrize("sigma, grid, log10_cw", [("1", "0,1e154", "153.6"), ("1e300", "0,1", "149.6")])
+def test_moving_maxima_window_the_storm_cap_cannot_cover_is_rejected_before_any_storm(sigma, grid, log10_cw,
+                                                                                       capsys):
+    # the half-span forms are finite, but the stopping rule holds within the
+    # storm cap with probability below 1e-9; no storm is drawn
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--construction", "mmm", "--sigma", sigma, "--grid", grid, "--seed", "1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == (f"numeric error: moving-maxima window too wide for the storm cap: c * |W| = 10^{log10_cw} "
+                   "(kernel peak times window volume), so the stopping rule holds within 2000000 storms "
+                   "with probability below 1e-9\n")
+
+
 @pytest.mark.parametrize("law", [
     ["--construction", "smith", "--sigma", "1"],
     ["--construction", "general", "--dist", "gaussian:mu=0;sigma=1"],
@@ -464,6 +481,16 @@ def test_compare_reps_and_verify_prepare_each_law_once(monkeypatch, capsys):
         "--n-points", "1000", "--budget", "5",
     ]) == 0
     assert prepared == ["prepare_general", "prepare_general"]
+
+
+def test_compare_reps_simulates_only_the_two_points_it_compares(capsys):
+    # the third point is neither simulated nor compared
+    def sup(grid):
+        argv = ["compare-reps", "--sigma", "1", "--grid", grid, "--replicates", "100", "--threshold", "0.3"]
+        assert main([*argv, "--seed", "5"]) in (0, 1)
+        return json.loads(capsys.readouterr().out)["sup_cdf_difference"]
+
+    assert sup("0,1,2.5") == sup("0,1")
 
 
 def test_verify_checks_the_replicate_count_before_simulating(monkeypatch, capsys):
@@ -796,6 +823,48 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+# runs the package with a finder that refuses every scipy module: each
+# module imports, and one call per subcommand gives its exit code
+WITHOUT_SCIPY = """
+import contextlib, importlib, io, pkgutil, sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+import maxstable
+for info in pkgutil.iter_modules(maxstable.__path__):
+    importlib.import_module("maxstable." + info.name)
+from maxstable.cli import main
+codes = []
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv.split()))
+print(codes)
+"""
+
+
+def test_every_subcommand_runs_without_scipy():
+    src = str(Path(maxstable.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    calls = {
+        "simulate --construction smith --sigma 1 --grid 0,1 --seed 1": 0,
+        "defect --dist gaussian:mu=0;sigma=1 --n 2 --budget 10": 0,
+        "verify --dist uniform:a=0;b=1 --replicates 100 --budget 5 --seed 1": 1,
+        "fdd --dist gaussian:mu=0;sigma=1 --ts 0;2 --xs 1,1 --method closed-bivariate": 0,
+        "compare-reps --sigma 1 --grid 0,1 --replicates 100 --threshold 0.5 --seed 1": 0,
+    }
+    out = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, *calls], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == str(list(calls.values()))
 
 
 def run_with_blas_threads(argv, threads):

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -108,13 +110,6 @@ def test_gamma_domain_error():
         cgf(Gamma(2.0, 1.0), 1.0)
 
 
-def test_check_domain_margin_shrinks_the_interval():
-    dist = Exponential(1.0)
-    dist.check_domain([0.95])
-    with pytest.raises(DomainError):
-        dist.check_domain([0.95], margin=0.1)
-
-
 def test_unbounded_families_accept_large_points():
     for dist in (Gaussian(0.0, 1.0), Uniform(0.0, 1.0)):
         assert np.isfinite(cgf(dist, 50.0))
@@ -169,9 +164,71 @@ def test_fd_gradient_matches_analytic_derivatives():
     assert cgf_gradient(Uniform(0.0, 1.0), [t])[0] == pytest.approx(expected, rel=1e-9)
 
 
-def test_fd_gradient_rejects_boundary_points():
+def test_gradient_is_exact_up_to_the_boundary():
+    # no finite-difference step: 1 - 1e-12 is in the domain, t = 1 is not
+    t = 1.0 - 1e-12
+    assert cgf_gradient(Exponential(1.0), [t])[0] == 1.0 / (1.0 - t) == pytest.approx(1e12, rel=1e-4)
     with pytest.raises(DomainError):
-        cgf_gradient(Exponential(1.0), [1.0 - 1e-12])
+        cgf_gradient(Exponential(1.0), [1.0])
+
+
+def _uniform_gradient_reference(a, b, t):
+    """m + h (coth v - 1/v), h = (b - a)/2, v = h t, in 40-digit decimals."""
+    with decimal.localcontext(prec=40):
+        a, b, t = Decimal(a), Decimal(b), Decimal(t)
+        m, h = (a + b) / 2, (b - a) / 2
+        if t == 0:
+            return m
+        e = (2 * h * t).exp()
+        return m + h * ((e + 1) / (e - 1) - 1 / (h * t))
+
+
+UNIFORM_GRADIENT_TS = [0.0] + [s * t for t in (1e-12, 1e-4, 0.5, 0.999, 1.0, 1.001, 3.0, 40.0, 700.0)
+                               for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0), (-3.0, 0.5), (2.0, 2.5), (0.0, 2.0)])
+def test_uniform_gradient_matches_a_decimal_reference(a, b):
+    # both branches and the switch at |v| = 1 (b - a = 2 puts v = t), to a
+    # few ulps of |m| + h, the size of the terms the gradient adds
+    grad = Uniform(a, b).gradient(np.array(UNIFORM_GRADIENT_TS)[:, None])[:, 0]
+    ulp = np.finfo(float).eps * (abs(a + b) / 2 + (b - a) / 2)
+    for t, g in zip(UNIFORM_GRADIENT_TS, grad):
+        assert abs(Decimal(g) - _uniform_gradient_reference(a, b, t)) <= 4 * Decimal(ulp), t
+
+
+def test_exp_gamma_and_gaussian_gradients_are_their_closed_forms(rng):
+    pts = rng.uniform(-2.0, 0.9, size=(50, 3))
+    rate, shape = np.array([1.0, 2.5, 0.95]), np.array([2.0, 0.5, 1.0])
+    assert Exponential(rate).gradient(pts).tobytes() == (1.0 / (rate - pts)).tobytes()
+    assert Gamma(shape, rate).gradient(pts).tobytes() == (shape / (rate - pts)).tobytes()
+    mu, sigma = rng.standard_normal(3), random_psd(rng, 3)
+    # Sigma t + mu, summed in coordinate order
+    expected = np.array([[sum((sigma[j, k] * p[k] for k in range(1, 3)), sigma[j, 0] * p[0]) + mu[j]
+                          for j in range(3)] for p in pts])
+    assert Gaussian(mu, sigma).gradient(pts).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cgf_gradient_matches_a_central_difference_of_the_cgf(d, rng):
+    h = 1e-5
+    for dist in registry_examples(d):
+        for _ in range(20):
+            t = rng.uniform(-1.0, 0.8, size=d)
+            step = h * np.eye(d)
+            fd = np.array([(dist.cgf(t + e) - dist.cgf(t - e)) / (2 * h) for e in step])
+            assert np.allclose(cgf_gradient(dist, t), fd, rtol=1e-7, atol=1e-8)
+
+
+def test_mean_is_bit_equal_to_the_closed_form_means(rng):
+    rate, shape = rng.uniform(0.1, 5.0, size=4), rng.uniform(0.1, 5.0, size=4)
+    a = rng.uniform(-3.0, 3.0, size=4)
+    b = a + rng.uniform(0.1, 5.0, size=4)
+    mu = rng.standard_normal(4)
+    assert Exponential(rate).mean().tobytes() == (1.0 / rate).tobytes()
+    assert Gamma(shape, rate).mean().tobytes() == (shape / rate).tobytes()
+    assert Uniform(a, b).mean().tobytes() == ((a + b) / 2.0).tobytes()
+    assert Gaussian(mu, random_psd(rng, 4)).mean().tobytes() == mu.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +261,20 @@ def test_sample_tilted_means_match_cgf_gradient(rng):
     ]
     for dist, t in cases:
         x = dist.sample_tilted([t], 200_000, rng)
-        if dist.family == "gaussian":
-            expected = dist.cgf_gradient_closed(np.array([t]))[0]
-        elif dist.family == "uniform":
-            # closed tilted mean e^t/(e^t - 1) - 1/t, stable in both tails
-            expected = 1.0 / -math.expm1(-t) - 1.0 / t
-        else:
-            expected = cgf_gradient(dist, [t])[0]
-        assert x.mean() == pytest.approx(expected, abs=0.01)
+        assert x.mean() == pytest.approx(cgf_gradient(dist, [t])[0], abs=0.01)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_sample_rows_do_not_depend_on_the_batch(d):
+    # 64 rows drawn at once equal 64 one-row draws bit for bit; the
+    # gaussian's factor product is summed in coordinate order, not by BLAS
+    rng = derive_rng(d)
+    laws = [*registry_examples(d), Gaussian(rng.standard_normal(d), random_psd(rng, d)),
+            Gamma(rng.uniform(0.5, 3.0, d), rng.uniform(0.5, 3.0, d))]
+    for dist in laws:
+        batch = dist.sample(64, derive_rng(11))
+        one = derive_rng(11)
+        assert batch.tobytes() == np.vstack([dist.sample(1, one) for _ in range(64)]).tobytes()
 
 
 def test_sample_tilted_rejects_out_of_domain(rng):
