@@ -205,8 +205,8 @@ def _closed_bivariate(dist, kappa, query) -> ExponentValue:
                 "closed bivariate exponent requires kappa equal to the CGF "
                 "at the query points"
             )
-    h = query.ts[1] - query.ts[0]
     with np.errstate(over="ignore"):  # gamma(h) = inf is the independence limit V = 1/x1 + 1/x2
+        h = query.ts[1] - query.ts[0]
         gamma_h = float(h @ dist.sigma @ h)
     return husler_reiss_V(gamma_h, float(query.xs[0]), float(query.xs[1]))
 

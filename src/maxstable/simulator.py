@@ -43,14 +43,14 @@ asked for, nor their order.  The engine splits a block's stream into an
 arrival and a spectral stream, ``spawn(stream, 2)``; Brown-Resnick takes a
 third, a completion stream, from ``spawn(stream, 3)``, whose first two
 children are the same two, so no other construction's streams move.  The
-arrival stream is one table of standard exponentials read in layers, each
-(W, _ARRIVALS, m): arrival c at t_j of slot s is entry (s, c mod _ARRIVALS,
-j) of layer c // _ARRIVALS, and Gamma its running sum over c.  The table
-starts one layer deep and grows by one, for every slot and location, when
-a replicate has listed every arrival of the table at its location and
-kept none.  Each candidate reads one base row of the spectral stream,
-dealt to the slots in turn: value i of slot s is value i * W + s
-(``_Dealt``), in the order the slot's scan needs them; so are
+arrival stream is read in blocks of standard exponentials, each (W,
+_ARRIVALS, m): arrival c at t_j of slot s is entry (s, c, j) of a table
+that grows by _ARRIVALS arrivals at a time, and Gamma its running sum
+over c.  The table starts _ARRIVALS deep and grows, for every slot and
+location, when a replicate has listed every arrival of the table at its
+location and kept none.  Each candidate reads one base row of the
+spectral stream, dealt to the slots in turn: value i of slot s is value
+i * W + s (``_Dealt``), in the order the slot's scan needs them; so are
 Brown-Resnick's completion rows, one for each candidate that passes the
 screen.  Moving maxima draws W x _STORM_STEP standard exponentials and then
 W x _STORM_STEP storm centres per lockstep step, and slot s reads row s of
@@ -82,7 +82,7 @@ from .spectral import (
 DEFAULT_N_POINTS = 10_000  # most spectral draws at one grid location unless a caller asks otherwise
 _LOG_MAX = math.log(np.finfo(float).max)
 _VARIOGRAM_MAX = np.finfo(float).max / 2  # Brown-Resnick adds two variogram values
-_ARRIVALS = 8  # arrivals per grid location in a layer of the arrival table
+_ARRIVALS = 8  # arrivals per grid location the arrival table grows by
 _REPLICATE_BLOCK = 64  # replicates that share one stream in an ensemble
 _BATCH_CELLS = 1 << 15  # most candidate-by-location values scored at once
 _STORM_STEP = 32  # storms each moving-maxima replicate adds per lockstep step
@@ -368,32 +368,32 @@ class _Scan:
         self.span = max(_ARRIVALS, _block_share(1, blocks))
         self.score_cap = max(1, _block_share(m, blocks))
         n_rep = blocks.slot.size
-        # the arrival table, by layers: log zeta = -log Gamma of arrival c at t_j
-        self.table, self.gamma = [], np.zeros((n_rep, m))
-        layer = self.grow()
+        # the arrival table: entry (r, c, j) is log zeta = -log Gamma of arrival c at t_j
+        self.table, self.gamma = np.empty((n_rep, 0, m)), np.zeros((n_rep, m))
+        self.grow()
         # t_0's first candidate is kept: nothing comes before it
         ids, zero = np.arange(n_rep), np.zeros(n_rep, np.int64)
         first = (self.paths.at(ids, zero, 0),) if self.paths else ()
-        self.log_z = layer[:, 0, :1] + sampler.log_y(self.rows.at(ids, zero, 0), zero, *first)
+        self.log_z = self.table[:, 0, :1] + sampler.log_y(self.rows.at(ids, zero, 0), zero, *first)
         # table arrivals above Z at each location, and none past the grid
         self.above = np.zeros((n_rep, m + min(self.span, m)), np.int64)
-        self.above[:, :m] = (layer > self.log_z[:, None]).sum(axis=1)
+        self.above[:, :m] = (self.table > self.log_z[:, None]).sum(axis=1)
         self.draws, self.rejections, self.scored = zero + 1, zero.copy(), zero + 1
         n = n_rep if m > 1 else 0
         self.run = _Running(ids[:n], np.ones(n, np.int64), *(np.zeros(n, np.int64) + k for k in (0, 1, 1)))
 
     def grow(self):
-        """Append the arrival table's next layer, read from every block's
-        arrival stream, and return it; ``gamma`` is the Gamma of its last
-        arrival at each location, which the next layer sums on from."""
+        """Append the arrival table's next _ARRIVALS arrivals at every
+        location, read from every block's arrival stream, and return them;
+        ``gamma`` is the Gamma of the last arrival at each location, which
+        the next ones sum on from."""
         layer = self.blocks.own([e.exponential(size=(self.blocks.width, _ARRIVALS, self.m))
                                  for e in self.arrivals])
         layer[:, 0] += self.gamma
-        for c in range(1, _ARRIVALS):
-            layer[:, c] += layer[:, c - 1]
+        np.cumsum(layer, axis=1, out=layer)
         self.gamma = layer[:, -1].copy()
         np.negative(np.log(layer, out=layer), out=layer)
-        self.table.append(layer)
+        self.table = np.concatenate([self.table, layer], axis=1)
         return layer
 
     def list(self):
@@ -410,15 +410,13 @@ class _Scan:
         Z, or to the pass's share of _BATCH_CELLS base-row entries or
         locations.  A replicate that lists every arrival of the table at a
         location, and keeps none, stays there, and the next pass first
-        grows the table by a layer.  So a replicate's list is one run in
-        the loop's order.
+        grows the table by _ARRIVALS arrivals.  So a replicate's list is one
+        run in the loop's order.
         """
         run, m = self.run, self.m
-        depth = _ARRIVALS * len(self.table)
-        if run.at_loc[run.at_loc.argmax()] == depth:
-            layer = self.grow()
-            depth += _ARRIVALS
-            self.above[:, :m] += (layer > self.log_z[:, None]).sum(axis=1)
+        if run.at_loc[run.at_loc.argmax()] == self.table.shape[1]:
+            self.above[:, :m] += (self.grow() > self.log_z[:, None]).sum(axis=1)
+        depth = self.table.shape[1]
         # a replicate far ahead of the slowest waits, which bounds the rows kept: it lists nothing
         low = int(run.next_row[run.next_row.argmin()])
         listing = run.next_row < low + 4 * self.list_cap
@@ -458,12 +456,8 @@ class _Scan:
         cell = np.repeat(np.arange(flat.size), flat)
         rep = cell // cols
         locs = cells[:, :cols].ravel()[cell]
-        layer, c = np.divmod(np.arange(cell.size) - start[cell], _ARRIVALS)
-        at = (run.ids[rep] * _ARRIVALS + c) * m + locs
-        zeta = self.table[0].ravel()[at]
-        for k in range(1, len(self.table)):
-            deep = (layer == k).nonzero()[0]
-            zeta[deep] = self.table[k].ravel()[at[deep]]
+        c = np.arange(cell.size) - start[cell]
+        zeta = self.table.ravel()[(run.ids[rep] * depth + c) * m + locs]
         row = np.arange(rep.size) + (run.next_row - listed.cumsum() + listed)[rep]  # each candidate's base row
         # a replicate with a candidate past n_points stays at its location, as
         # does one that listed all its table arrivals there
@@ -528,7 +522,7 @@ class _Scan:
                 self.log_z[rk] = np.maximum(self.log_z[rk], cand[kept])
                 # Z changed only from the kept candidates' locations on
                 j = at[kept][at[kept].argmin()]
-                self.above[rk, j:m] = sum((t[rk, :, j:] > self.log_z[rk, None, j:]).sum(axis=1) for t in self.table)
+                self.above[rk, j:m] = (self.table[rk, :, j:] > self.log_z[rk, None, j:]).sum(axis=1)
                 found[s.rep[pk]] = pk
                 n_found += kept.size
         return found
@@ -664,11 +658,12 @@ def prepare_smith(sigma, grid: Grid, n_points: int) -> PreparedLaw:
 
 
 def _br_cov_factor(variogram: Variogram, grid: Grid):
-    """Factor of the covariance C(s, t) = 0.5 (gamma(s) + gamma(t) - gamma(s - t))
-    of G (G(0) = 0, fractional variogram gamma) on the grid, and the
-    pairwise gamma(s - t).  A location with gamma(t) = 0 has G(t) = 0
-    exactly and a zero factor row; the others are positive definite for
-    0 < alpha < 2 and share one Cholesky factor.
+    """Factor of the covariance C(s, t) = 0.5 (gamma(s - t_0) + gamma(t - t_0)
+    - gamma(s - t)) of G - G(t_0) (fractional variogram gamma) on the grid,
+    and the pairwise gamma(s - t).  Row 0 of the factor is zero: G - G(t_0)
+    is 0 at t_0.  The other rows are positive definite for 0 < alpha < 2 and
+    share one Cholesky factor.  Only differences of locations enter, so a
+    grid and its translate give the same factor.
 
     Both are built in place, from one m x m buffer per table: |s - t| sums
     the squared coordinate differences in coordinate order, as
@@ -676,7 +671,6 @@ def _br_cov_factor(variogram: Variogram, grid: Grid):
     the covariance from them bit for bit."""
     pts = grid.locations
     with np.errstate(over="ignore"):  # checked below
-        g = variogram(pts)
         pairwise = np.subtract.outer(pts[:, 0], pts[:, 0])
         pairwise *= pairwise
         for a in range(1, grid.dim):
@@ -687,18 +681,18 @@ def _br_cov_factor(variogram: Variogram, grid: Grid):
         np.sqrt(pairwise, out=pairwise)
         pairwise **= variogram.alpha
         pairwise *= variogram.scale
-    _check_variogram_size(np.append(g, pairwise.max()), "this grid")
-    moving = np.flatnonzero(g > 0)
-    cov = np.add.outer(g[moving], g[moving])
-    cov -= pairwise[moving[:, None], moving]
+    _check_variogram_size(pairwise, "this grid")
+    g = pairwise[0, 1:]
+    cov = np.add.outer(g, g)
+    cov -= pairwise[1:, 1:]
     cov *= 0.5
     try:
         root = psd_factor(cov, rel_tol=1e-8)
     except ValueError as exc:
         raise ValueError(f"variogram is not valid on this grid: {exc}") from exc
     del cov
-    factor = np.zeros((grid.size, moving.size))
-    factor[moving] = root
+    factor = np.zeros((grid.size, grid.size - 1))
+    factor[1:] = root
     return factor, pairwise
 
 
@@ -713,8 +707,8 @@ def _check_variogram_size(values, where):
 
 class _Increments(NamedTuple):
     """Unconditioned paths of G on a grid: paths(z) turns n rows of
-    ``width`` standard normals into n paths on the m locations, each G up
-    to a constant of its own; gamma[i, j] = gamma(t_i - t_j), one symmetric
+    ``width`` standard normals into n paths of G - G(t_0) on the m
+    locations, each 0 at t_0; gamma[i, j] = gamma(t_i - t_j), one symmetric
     (m, m) table (or view) from which every variogram value is read."""
 
     kind: str  # "circulant" or "cholesky"
@@ -729,9 +723,10 @@ def _lattice_step(grid: Grid):
     if grid.dim != 1 or grid.size < 3:
         return None
     t = grid.locations[:, 0]
-    h = (t[-1] - t[0]) / (grid.size - 1)
-    if np.abs(np.diff(t) - h).max() > _LATTICE_TOL * abs(h):
-        return None
+    with np.errstate(over="ignore"):  # a span or step past the double range is no lattice's
+        h = (t[-1] - t[0]) / (grid.size - 1)
+        if not np.isfinite(h) or np.abs(np.diff(t) - h).max() > _LATTICE_TOL * abs(h):
+            return None
     return abs(h)
 
 
@@ -799,8 +794,9 @@ def _circulant_increments(variogram: Variogram, m: int, h: float):
 
 def _br_increments(variogram: Variogram, grid: Grid) -> _Increments:
     """The circulant embedding on a 1-D lattice when it is nonnegative,
-    else the Cholesky factor of the grid's covariance and its pairwise
-    table (BLAS products, which round with the thread count and batch)."""
+    else the Cholesky factor of the covariance of G - G(t_0) on the grid
+    and its pairwise table (BLAS products, which round with the thread
+    count and batch)."""
     h = _lattice_step(grid)
     inc = _circulant_increments(variogram, grid.size, h) if h else None
     if inc is None:
@@ -932,9 +928,10 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
     # greatest coordinate: by convexity every storm has <u, Sigma u> >= the
     # half offset's form at one of the two, u its offset from the storm, so
     # a form that overflows leaves every storm's kernel 0 at one end of the
-    # grid, and the field's minimum and the stopping rule out of reach
-    half = 0.5 * (grid_pts[grid_pts.argmax(axis=0)] - grid_pts[grid_pts.argmin(axis=0)])
-    with np.errstate(over="ignore"):
+    # grid, and the field's minimum and the stopping rule out of reach (an
+    # inf span times a zero entry of Sigma is nan, also not finite)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = 0.5 * (grid_pts[grid_pts.argmax(axis=0)] - grid_pts[grid_pts.argmin(axis=0)])
         form = ordered_dot(ordered_dot(half[:, None, :], sigma), half)
     if not np.all(np.isfinite(form)):
         k = int(np.flatnonzero(~np.isfinite(form))[0])

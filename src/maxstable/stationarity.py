@@ -366,7 +366,9 @@ def empirical_shift_distance(
     index = []
     for p in wanted:
         for k, q in enumerate(uniq):
-            if np.linalg.norm(p - q) <= 1e-12:
+            with np.errstate(over="ignore"):  # a norm past the double range is inf: distinct
+                near = np.linalg.norm(p - q) <= 1e-12
+            if near:
                 index.append(k)
                 break
         else:

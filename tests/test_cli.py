@@ -308,6 +308,18 @@ def test_moving_maxima_window_the_storm_cap_cannot_cover_is_rejected_before_any_
                    "with probability below 1e-9\n")
 
 
+def test_brown_resnick_runs_where_only_the_variogram_from_the_origin_overflows(capsys):
+    # |t| ~ 1e155 squares past the double range, but every pairwise variogram
+    # value is finite, and those are all the Cholesky path reads
+    grid = "1e155,1.00000000000001e155,1.00000000000003e155"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--construction", "br", "--variogram", "fractional:alpha=1",
+                     "--grid", grid, "--seed", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[-3:]
+    assert all(np.isfinite(float(row.split(",")[1])) for row in rows)
+
+
 @pytest.mark.parametrize("law", [
     ["--construction", "smith", "--sigma", "1"],
     ["--construction", "general", "--dist", "gaussian:mu=0;sigma=1"],

@@ -433,10 +433,11 @@ def test_bivariate_ecdf_distance_equals_the_cell_by_cell_loop(n_a, n_b, seed, th
 # (100 replicates, a budget of 1, mc_n 2000, grids of at most 5 points), and
 # the extreme values of overflows that once escaped the contract: a CGF
 # that overflows at a query point, a threshold whose 1 / x overflows, a
-# defect too large to divide by eps, and a Sigma too small for moving
-# maxima to meet its bound inside the grid's box.
+# defect too large to divide by eps, a Sigma too small for moving
+# maxima to meet its bound inside the grid's box, and grids and query
+# points whose spans or norms overflow the double range.
 LAWS = ["gaussian:mu=0;sigma=1", "uniform:a=0;b=1", "exp:lambda=1"]
-SMALL_GRIDS = ["0,1", "-2,0,2", "0:0.5:5", "0,1e-9"]
+SMALL_GRIDS = ["0,1", "-2,0,2", "0:0.5:5", "0,1e-9", "-1e308,1e308", "0,1e155"]
 N_POINTS = ["1", "10", "10000"]
 ARGV_FLAGS = {
     "simulate-smith": ("simulate", {"construction": ["smith"], "sigma": ["1", "0.1", "1e-30"],
@@ -451,7 +452,7 @@ ARGV_FLAGS = {
                           "box": ["0,0.6", "-1,1", "-1e300,1e300"]}),
     "verify": ("verify", {"dist": LAWS, "replicates": ["100"], "budget": ["1"], "grid": SMALL_GRIDS,
                           "n-points": N_POINTS}),
-    "fdd": ("fdd", {"dist": ["gaussian:mu=0;sigma=1", "exp:lambda=1"], "ts": ["0;1", "0;1e200", "1e200", "0"],
+    "fdd": ("fdd", {"dist": ["gaussian:mu=0;sigma=1", "exp:lambda=1"], "ts": ["0;1", "0;1e200", "1e200", "0", "-1e308;1e308"],
                     "xs": ["1,1", "1e-320,1", "1"], "method": ["mc", "closed-marginal", "closed-bivariate"],
                     "mc-n": ["2000"]}),
     "compare-reps": ("compare-reps", {"sigma": ["1", "1e-30"], "grid": ["0,1", "-1,0,1"], "replicates": ["100"],
@@ -524,6 +525,15 @@ def config_case(argv, moved):
 @example(config_case(["verify", GAUSS, "--grid=-1e308,1e308", "--replicates=100"], ["grid"]))
 @example(config_case(["simulate", "--construction=smith", "--sigma=1e308", "--grid=0,1"], ["sigma"]))
 @example(config_case(["simulate", "--construction=smith", "--sigma=1", "--grid=0:inf:3"], ["grid"]))
+@example(config_case(["simulate", "--construction=mmm", "--sigma=1", "--grid=-1e308,1e308"], ["grid"]))
+@example(config_case(["simulate", "--construction=mmm", "--sigma=1,0,0,1", "--grid=-1e308,0;1e308,0"], ["grid"]))
+@example(config_case(["simulate", "--construction=br", "--variogram=fractional:alpha=1", "--grid=-1e308,0,1e308"],
+                     ["grid"]))
+@example(config_case(["simulate", "--construction=br", "--variogram=fractional:alpha=1",
+                      "--grid=0,1.5e308,-1.5e308,1"], ["grid"]))
+@example(config_case(["fdd", GAUSS, "--ts=-1e308;1e308", "--xs=1,1", "--method=closed-bivariate"], ["ts"]))
+@example(config_case(["verify", "--dist=uniform:a=0;b=1", "--grid=0,1e155", "--replicates=100", "--budget=5"],
+                     ["grid"]))
 def test_whole_argv_keeps_the_exit_code_contract(case):
     # flag order, a repeated flag and a config file change nothing; every
     # call exits 0, 1, 2 or 3 and prints no traceback or warning

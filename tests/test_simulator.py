@@ -201,7 +201,7 @@ def test_a_location_past_the_table_reads_its_next_layer(monkeypatch):
     depths, grow = [], simulator._Scan.grow
 
     def counted(scan):
-        depths.append(len(scan.table) + 1)
+        depths.append(scan.table.shape[1] // simulator._ARRIVALS + 1)
         return grow(scan)
 
     monkeypatch.setattr(simulator._Scan, "grow", counted)
@@ -671,6 +671,27 @@ def test_brown_resnick_on_the_origin_alone_equals_the_textbook_loop(origin):
         assert np.array_equal(values[r], want)
 
 
+# dyadic grids off a lattice: a shift by 2^40 keeps every difference exact
+BR_DYADIC = {"1-d": (np.array([0.0, 0.25, 0.75, 1.5, 2.0])[:, None], [2.0**40]),
+             "2-d": (np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 1.0], [1.5, 0.75], [2.0, 2.0]]),
+                     [2.0**40, -(2.0**40)])}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
+@pytest.mark.parametrize("case", BR_DYADIC)
+def test_brown_resnick_off_a_lattice_is_the_same_on_an_exact_translate(case, alpha):
+    # the field is stationary, and its Cholesky path reads only differences
+    # of locations: a grid and its translate give the same fields bit for bit
+    pts, shift = BR_DYADIC[case]
+    vario = Variogram.fractional(1.0, alpha)
+    grid, moved = Grid(pts), Grid(pts + shift)
+    assert np.array_equal(simulator._br_cov_factor(vario, grid)[1], simulator._br_cov_factor(vario, moved)[1])
+    law, moved_law = (prepare_brown_resnick(vario, g, DEFAULT_N_POINTS) for g in (grid, moved))
+    assert moved_law.provenance["increments"] == "cholesky"
+    for seed in range(10):
+        assert np.array_equal(moved_law.simulate(derive_rng(seed)).values, law.simulate(derive_rng(seed)).values)
+
+
 @pytest.mark.parametrize("case", BR_PATHS)
 def test_brown_resnick_screen_is_the_scored_entry_and_log_y_vanishes_at_t_j(case):
     # the screen at t_{j-1} must be the scored row's entry bit for bit, or
@@ -758,14 +779,13 @@ def test_the_read_ahead_waits_bound_an_ensembles_memory():
 
 def norm_br_cov_factor(variogram, grid):
     """The factor and pairwise table from variogram() on the m x m x d
-    differences and a fresh covariance matrix."""
+    differences and a fresh covariance matrix of G - G(t_0) at t_1 ... t_{m-1}."""
     pts = grid.locations
-    g = variogram(pts)
+    g = variogram(pts[1:] - pts[0])
     pairwise = variogram(pts[:, None, :] - pts[None, :, :])
-    moving = g > 0
-    cov = 0.5 * (g[moving, None] + g[None, moving] - pairwise[np.ix_(moving, moving)])
-    factor = np.zeros((grid.size, cov.shape[0]))
-    factor[moving] = psd_factor(cov, rel_tol=1e-8)
+    cov = 0.5 * (g[:, None] + g[None, :] - pairwise[1:, 1:])
+    factor = np.zeros((grid.size, grid.size - 1))
+    factor[1:] = psd_factor(cov, rel_tol=1e-8)
     return factor, pairwise
 
 
@@ -782,7 +802,8 @@ def test_br_cov_factor_equals_the_norm_expression(d, alpha, origin):
     want_factor, want_pairwise = norm_br_cov_factor(vario, grid)
     assert np.array_equal(pairwise, want_pairwise)
     assert np.array_equal(factor, want_factor)
-    assert np.count_nonzero(~factor.any(axis=1)) == int(origin)
+    # G - G(t_0) is 0 at t_0 alone, wherever the origin lies
+    assert np.flatnonzero(~factor.any(axis=1)).tolist() == [0]
 
 
 # ---------------------------------------------------------------------------
