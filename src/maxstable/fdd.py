@@ -10,6 +10,9 @@ these references live here as well.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,7 @@ from .simulator import has_duplicate_points
 from .spectral import ShapeFunction, SpectralDistribution, cgf, ordered_dot
 
 _MC_CHUNK = 1 << 14
+_DRAW_AHEAD = 2  # chunks the draw thread of exponent_mc may be ahead of its caller
 MIN_SAMPLES = 100  # fewest samples of an empirical CDF or KS distance
 
 # lambda below this routes to the complete-dependence branch; the
@@ -97,6 +101,14 @@ def exponent_mc(
     (about 2 MiB) spilled it and took 15-30% longer on the Gaussian and
     gamma queries of the benchmark (Xeon, 2 MiB of L2 per core).
 
+    With two or more usable CPUs and more than one chunk, a helper thread
+    draws the chunks (``_drawn_ahead``), at most two ahead of the chunk
+    being tilted and counted here: it reads the same stream in the same
+    order as an in-line loop and no row past the last chunk, so neither
+    the estimate nor rng's state afterwards moves.  On one usable CPU the
+    draws are made in line, where a second thread would only take turns
+    with this one.
+
     Per chunk and point j, each point l gets one column of log terms
     c_l = (<x, t_l> - kappa(t_l)) - log x_l of the t_j-tilted rows, with
     <x, t_l> summed in coordinate order (``ordered_dot``) and no BLAS
@@ -127,25 +139,33 @@ def exponent_mc(
         weights = np.exp(phi - kap - log_x)
     _check_weights(weights)
     draw, tilt = dist.tilted_sampler(query.ts)
+    chunk = _MC_CHUNK
+    sizes = (min(chunk, m - done) for done in range(0, m, chunk))
+    if m > chunk and _usable_cpus() > 1:
+        chunks = _drawn_ahead(draw, sizes, rng)
+    else:
+        chunks = (draw(size, rng) for size in sizes)
     pairs = np.zeros((n, n), dtype=np.int64)
-    for done in range(0, m, _MC_CHUNK):
-        rows = draw(min(_MC_CHUNK, m - done), rng)
-        hits = []
-        for j in range(n):
-            x = tilt(rows, j)
-            cols = [ordered_dot(x, t) for t in query.ts]
-            for c, k, lx in zip(cols, kap, log_x):
-                c -= k
-                c -= lx
-            hit = np.ones(len(rows), dtype=bool)
-            for c in cols[:j]:
-                hit &= cols[j] > c
-            for c in cols[j + 1:]:
-                hit &= cols[j] >= c
-            hits.append(hit)
-        for j in range(n):
-            for k in range(j, n):
-                pairs[j, k] += np.count_nonzero(hits[j] & hits[k])
+    try:
+        for rows in chunks:
+            hits = []
+            for j in range(n):
+                x = tilt(rows, j)
+                cols = [ordered_dot(x, t) for t in query.ts]
+                for c, k, lx in zip(cols, kap, log_x):
+                    c -= k
+                    c -= lx
+                hit = np.ones(len(rows), dtype=bool)
+                for c in cols[:j]:
+                    hit &= cols[j] > c
+                for c in cols[j + 1:]:
+                    hit &= cols[j] >= c
+                hits.append(hit)
+            for j in range(n):
+                for k in range(j, n):
+                    pairs[j, k] += np.count_nonzero(hits[j] & hits[k])
+    finally:
+        chunks.close()
     pairs += np.triu(pairs, 1).T  # N_kj = N_jk
     p = np.diag(pairs) / m
     cov = pairs / m - p[:, None] * p
@@ -154,6 +174,64 @@ def exponent_mc(
     # variance 0, which round-off can leave a few ulps below 0
     var = float(ordered_dot(ordered_dot(cov, weights), weights)) / m
     return ExponentValue(value, math.sqrt(max(var, 0.0)), "mc")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _drawn_ahead(draw, sizes, rng):
+    """draw(size, rng) for each size in ``sizes``, in order, made on a
+    helper thread at most _DRAW_AHEAD chunks ahead of the caller.
+
+    numpy releases the GIL while it fills a chunk, so the draws overlap
+    the caller's work on the chunks it already has.  Only the helper reads
+    rng, in the order a loop would, and it stops at the last size.  An
+    exception raised by draw is raised here, in turn.  The helper ends
+    with the generator: when the sizes run out, or when the generator is
+    closed, after the draw it is making."""
+    free = threading.Semaphore(_DRAW_AHEAD)
+    ready = threading.Semaphore(0)
+    drawn = deque()  # chunks not yet taken, then None (all drawn) or the exception
+    stop = threading.Event()
+
+    def fill():
+        end = None
+        try:
+            for size in sizes:
+                free.acquire()
+                if stop.is_set():
+                    return
+                drawn.append(draw(size, rng))
+                ready.release()
+        except BaseException as exc:  # raised again in the caller's thread
+            end = exc
+        finally:
+            drawn.append(end)
+            ready.release()
+
+    # joined below; a daemon only so that a helper that failed to end could
+    # not also keep the interpreter from exiting
+    helper = threading.Thread(target=fill, name="exponent_mc draws", daemon=True)
+    helper.start()
+    try:
+        while True:
+            ready.acquire()
+            rows = drawn.popleft()
+            if rows is None:
+                return
+            if isinstance(rows, BaseException):
+                raise rows
+            free.release()
+            yield rows
+    finally:
+        stop.set()
+        free.release()  # wakes a helper that waits for a free slot
+        helper.join()
 
 
 def husler_reiss_V(gamma_h: float, x1: float, x2: float) -> ExponentValue:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -215,10 +217,12 @@ class SmallIntegers(SpectralDistribution):
         return draw, lambda rows, js: rows
 
 
-@pytest.mark.parametrize(
-    "dist, ts, xs",
-    [*MC_LAWS, pytest.param(SmallIntegers(), [[0, 0], [1, 0], [0, 1], [1, 1]], [1.0] * 4, id="ties")],
-)
+MC_LAWS_AND_TIES = [
+    *MC_LAWS, pytest.param(SmallIntegers(), [[0, 0], [1, 0], [0, 1], [1, 1]], [1.0] * 4, id="ties"),
+]
+
+
+@pytest.mark.parametrize("dist, ts, xs", MC_LAWS_AND_TIES)
 def test_exponent_mc_equals_the_argmax_reference(dist, ts, xs, monkeypatch):
     kappa = ShapeFunction.from_cgf(dist)
     q = FddQuery(ts, xs)
@@ -226,6 +230,139 @@ def test_exponent_mc_equals_the_argmax_reference(dist, ts, xs, monkeypatch):
     for seed in (41, 42):
         ev = exponent_mc(dist, kappa, q, 40_000, derive_rng(seed))
         assert (ev.value, ev.se) == argmax_reference(dist, kappa, q, 40_000, derive_rng(seed))
+
+
+def drawing_ahead(monkeypatch, cpus):
+    """Sets the usable CPU count exponent_mc sees; returns the list of the
+    calls it makes to the draw thread."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return draw_ahead(*args)
+
+    draw_ahead = fdd._drawn_ahead
+    monkeypatch.setattr(fdd, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fdd, "_drawn_ahead", spy)
+    return calls
+
+
+def estimate_and_next_number(dist, q, mc_n, seed):
+    rng = derive_rng(seed)
+    ev = exponent_mc(dist, ShapeFunction.from_cgf(dist), q, mc_n, rng)
+    return ev.value, ev.se, rng.random()
+
+
+@pytest.mark.parametrize("dist, ts, xs", MC_LAWS_AND_TIES)
+def test_exponent_mc_draws_the_same_rows_on_a_draw_thread_as_in_line(dist, ts, xs, monkeypatch):
+    # the next number of rng after the call pins that the draw thread reads
+    # no row past the last chunk
+    q = FddQuery(ts, xs)
+    monkeypatch.setattr(fdd, "_MC_CHUNK", 1000)  # m = 10000 rows in ten chunks
+    calls = drawing_ahead(monkeypatch, 1)
+    in_line = estimate_and_next_number(dist, q, 10_000 * q.n, 17)
+    assert not calls
+    calls = drawing_ahead(monkeypatch, 2)
+    assert estimate_and_next_number(dist, q, 10_000 * q.n, 17) == in_line
+    assert len(calls) == 1
+
+
+class ChunkError(Exception):
+    pass
+
+
+class FailingIntegers(SmallIntegers):
+    """SmallIntegers whose draw raises on its third chunk, or whose tilt
+    raises, as ``fails`` says."""
+
+    def __init__(self, fails):
+        self.fails = fails
+
+    def tilted_sampler(self, ts):
+        draw, tilt = super().tilted_sampler(ts)
+        chunks = []
+
+        def failing_draw(n, rng):
+            chunks.append(n)
+            if self.fails == "draw" and len(chunks) == 3:
+                raise ChunkError("third chunk")
+            return draw(n, rng)
+
+        def failing_tilt(rows, js):
+            if self.fails == "tilt":
+                raise ChunkError("tilt")
+            return tilt(rows, js)
+
+        return failing_draw, failing_tilt
+
+
+def outcome_within_a_minute(fn):
+    """fn() run on a thread joined with a timeout, so that a draw thread
+    that never ends fails the test instead of hanging it: what fn returned
+    or raised, and the threads left once it ended."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(fn())
+        except Exception as exc:  # handed to the test
+            outcome.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    return outcome[0], threading.enumerate()
+
+
+@pytest.mark.parametrize("fails", ["draw", "tilt"])
+def test_exponent_mc_raises_a_failure_of_either_thread_and_leaves_no_thread(fails, monkeypatch):
+    calls = drawing_ahead(monkeypatch, 2)
+    dist = FailingIntegers(fails)
+    q = FddQuery([[0, 0], [1, 0]], [1.0, 1.0])
+    before = threading.enumerate()
+    outcome, after = outcome_within_a_minute(
+        lambda: exponent_mc(dist, ShapeFunction.from_cgf(dist), q, 2_000_000, derive_rng(3)))
+    assert type(outcome) is ChunkError
+    assert after == before
+    assert len(calls) == 1
+
+
+def test_exponent_mc_leaves_no_thread_after_a_whole_run(monkeypatch):
+    calls = drawing_ahead(monkeypatch, 2)
+    dist, kappa = unit_gaussian()
+    before = threading.enumerate()
+    outcome, after = outcome_within_a_minute(
+        lambda: exponent_mc(dist, kappa, FddQuery([0.0, 1.0], [1.0, 1.0]), 2_000_000, derive_rng(4)))
+    assert type(outcome) is ExponentValue
+    assert after == before
+    assert len(calls) == 1
+
+
+def test_concurrent_exponent_mc_calls_with_tiny_chunks_hand_over_every_row(monkeypatch):
+    # more callers than cores, a handoff every 100 rows and a thread switch
+    # every microsecond: a chunk lost or taken twice moves the counts
+    monkeypatch.setattr(fdd, "_MC_CHUNK", 100)
+    dist, kappa = unit_gaussian()
+    q = FddQuery([0.0, 1.0], [1.0, 1.0])
+    seeds = range(20, 26)
+    drawing_ahead(monkeypatch, 1)
+    expected = [estimate_and_next_number(dist, q, 40_000, seed) for seed in seeds]
+    drawing_ahead(monkeypatch, 2)
+    got = {}
+    callers = [threading.Thread(target=lambda s=s: got.__setitem__(s, estimate_and_next_number(dist, q, 40_000, s)))
+               for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert [got[s] for s in seeds] == expected
 
 
 @pytest.mark.parametrize(
