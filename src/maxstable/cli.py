@@ -129,11 +129,17 @@ def dump_json(obj) -> str:
 
 
 def write_output(text: str, path):
-    if path:
+    """text, ended by a newline, to the file at path, else to stdout; a file
+    that cannot be written is a usage error."""
+    text = text if text.endswith("\n") else text + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path}: {exc}") from exc
 
 
 def run_config_dict(parser: argparse.ArgumentParser, args) -> dict:
@@ -209,6 +215,8 @@ def _default_verify_grid(dist) -> Grid:
 def cmd_verify(args):
     dist = parse_distribution(args.dist)
     grid = Grid(parse_grid(args.grid)) if args.grid else _default_verify_grid(dist)
+    if grid.size < 2:
+        raise UsageError("verify needs at least two grid points")
     report = stationarity.verify_characterization(
         dist,
         grid,

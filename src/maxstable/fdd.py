@@ -4,8 +4,11 @@ P(eta(t_1) <= x_1, ..., eta(t_n) <= x_n) = exp(-V) where the exponent
 V = E max_j exp(<X, t_j> - kappa(t_j)) / x_j is estimated by Monte Carlo
 for general queries, and available in closed form for the one-point
 marginal and for the bivariate Husler-Reiss case of Gaussian spectral
-vectors.  Empirical-CDF utilities for comparing simulations against
-these references live here as well.
+vectors.  A query's points are validated as a ``Grid``, and every method
+reads the weights w_j = e^{phi(t_j) - kappa(t_j)} / x_j from ``_weights``:
+the closed-form marginal is w_0, a one-point Monte Carlo value bit for
+bit.  Empirical-CDF utilities for comparing simulations against these
+references live here as well.
 """
 from __future__ import annotations
 
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import has_duplicate_points
-from .spectral import ShapeFunction, SpectralDistribution, cgf, ordered_dot
+from .simulator import Grid
+from .spectral import ShapeFunction, SpectralDistribution, ordered_dot
 
 _MC_CHUNK = 1 << 14
 _DRAW_AHEAD = 2  # chunks the draw thread of exponent_mc may be ahead of its caller
@@ -31,24 +34,18 @@ _HR_LAMBDA_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class FddQuery:
-    """Evaluation points and thresholds for one fdd probability."""
+    """Evaluation points (a ``Grid``) and their thresholds for one fdd probability."""
 
     ts: np.ndarray
     xs: np.ndarray
 
     def __init__(self, ts, xs):
-        ts = np.asarray(ts, dtype=float)
-        if ts.ndim == 1:
-            ts = ts[:, None]
+        ts = Grid(ts).locations
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if ts.shape[0] != xs.shape[0] or ts.shape[0] < 1:
-            raise ValueError("need matching, non-empty points and thresholds")
-        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(xs))):
-            raise ValueError("query points and thresholds must be finite")
-        if np.any(xs <= 0):
-            raise ValueError("thresholds must be positive")
-        if has_duplicate_points(ts):
-            raise ValueError("query points must be pairwise distinct")
+        if xs.shape != ts.shape[:1]:
+            raise ValueError("need one threshold per query point")
+        if not np.all(np.isfinite(xs) & (xs > 0)):
+            raise ValueError("thresholds must be finite and positive")
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "xs", xs)
 
@@ -131,13 +128,7 @@ def exponent_mc(
     m = mc_n // n
     if m < MIN_SAMPLES:
         raise ValueError(f"mc_n must give each of the {n} query points at least {MIN_SAMPLES} draws")
-    dist.check_domain(query.ts)
-    log_x = np.log(query.xs)
-    with np.errstate(over="ignore", invalid="ignore"):  # a weight that is not finite is reported below
-        kap = kappa.values(query.ts)
-        phi = np.asarray(dist.cgf(query.ts), dtype=float)
-        weights = np.exp(phi - kap - log_x)
-    _check_weights(weights)
+    kap, log_x, weights = _weights(dist, kappa, query)
     draw, tilt = dist.tilted_sampler(query.ts)
     chunk = _MC_CHUNK
     sizes = (min(chunk, m - done) for done in range(0, m, chunk))
@@ -258,31 +249,27 @@ def husler_reiss_V(gamma_h: float, x1: float, x2: float) -> ExponentValue:
     return ExponentValue(value, 0.0, "closed-bivariate")
 
 
-def _check_weights(weights):
-    """ValueError at the first query point whose weight e^{phi - kappa} / x
-    is not finite: the CGF overflows there, or the threshold is too small."""
+def _weights(dist, kappa, query):
+    """kappa(t_j), log x_j and w_j = e^{phi(t_j) - kappa(t_j)} / x_j at the query
+    points.  ValueError names the first point whose weight is not finite:
+    the CGF overflows there, or the threshold is too small."""
+    log_x = np.log(query.xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # a weight that is not finite is reported below
+        phi = np.asarray(dist.cgf(query.ts), dtype=float)
+        kap = kappa.values(query.ts)
+        weights = np.exp(phi - kap - log_x)
     bad = np.flatnonzero(~np.isfinite(weights))
     if bad.size:
         raise ValueError(f"the exponent weight e^(phi - kappa) / x is not finite at query point {bad[0]}")
-
-
-def _closed_marginal(dist, kappa, query) -> ExponentValue:
-    t = query.ts[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # a weight that is not finite is reported below
-        value = np.exp(cgf(dist, t) - kappa(t)) / query.xs[0]
-    _check_weights(value)
-    return ExponentValue(float(value), 0.0, "closed-marginal")
+    return kap, log_x, weights
 
 
 def _closed_bivariate(dist, kappa, query) -> ExponentValue:
     if not hasattr(dist, "sigma") or dist.family != "gaussian":
         raise ValueError("closed bivariate exponent requires a gaussian spectral law")
-    for t in query.ts:
-        if abs(kappa(t) - cgf(dist, t)) > 1e-12:
-            raise ValueError(
-                "closed bivariate exponent requires kappa equal to the CGF "
-                "at the query points"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at |t| = 1e200 is nan, which passes
+        if np.any(np.abs(kappa.values(query.ts) - dist.cgf(query.ts)) > 1e-12):
+            raise ValueError("closed bivariate exponent requires kappa equal to the CGF at the query points")
     with np.errstate(over="ignore"):  # gamma(h) = inf is the independence limit V = 1/x1 + 1/x2
         h = query.ts[1] - query.ts[0]
         gamma_h = float(h @ dist.sigma @ h)
@@ -299,7 +286,7 @@ def fdd_exponent(dist, kappa, query, method="mc", rng=None, mc_n=100_000) -> Exp
     if method == "closed-marginal":
         if query.n != 1:
             raise ValueError("closed marginal applies to one-point queries only")
-        return _closed_marginal(dist, kappa, query)
+        return ExponentValue(float(_weights(dist, kappa, query)[2][0]), 0.0, "closed-marginal")
     if method == "closed-bivariate":
         if query.n != 2:
             raise ValueError("closed bivariate applies to two-point queries only")

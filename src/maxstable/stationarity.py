@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fdd
 from .seeding import derive_rng
-from .simulator import DEFAULT_N_POINTS, Grid, prepare_general
+from .simulator import _DUPLICATE_TOL, DEFAULT_N_POINTS, Grid, prepare_general
 from .spectral import (
     DomainError,
     ShapeFunction,
@@ -359,15 +359,16 @@ def empirical_shift_distance(
     t1 = np.atleast_1d(np.asarray(t1, dtype=float))
     t2 = np.atleast_1d(np.asarray(t2, dtype=float))
     h = np.atleast_1d(np.asarray(h, dtype=float))
-    # the four query points may coincide (e.g. t2 = t1 + h); simulate on the
-    # distinct locations and index back into them
+    # the four query points may coincide (e.g. t2 = t1 + h): each joins the
+    # first kept point within Grid's duplicate tolerance, so the kept ones
+    # form a valid grid; simulate on them and index back into them
     wanted = np.vstack([t1, t2, t1 + h, t2 + h])
     uniq: list = []
     index = []
     for p in wanted:
         for k, q in enumerate(uniq):
             with np.errstate(over="ignore"):  # a norm past the double range is inf: distinct
-                near = np.linalg.norm(p - q) <= 1e-12
+                near = np.linalg.norm(p - q) <= _DUPLICATE_TOL
             if near:
                 index.append(k)
                 break

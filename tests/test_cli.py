@@ -748,6 +748,25 @@ def test_bad_input_exit_codes(argv, code, capsys):
     assert out == "" and "Traceback" not in err and err.startswith(("error:", "numeric error:"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0,1", "--n-points", "10"],
+    ["defect", "--dist", "exp:lambda=1", "--box", "0,0.6", "--budget", "5"],
+], ids=["simulate", "defect"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_an_output_file_that_cannot_be_written_exits_2(argv, where, tmp_path, capsys):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    assert main([*argv, "--output", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write output file {path}: ") and "Traceback" not in err
+
+
+def test_verify_on_a_one_point_grid_is_a_usage_error(capsys):
+    # as compare-reps: the shift comparison needs two points
+    assert main(["verify", "--dist", "gaussian:mu=0;sigma=1", "--grid", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: verify needs at least two grid points\n"
+
+
 def test_out_of_memory_exits_3_without_a_traceback(monkeypatch, capsys):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB for an array")

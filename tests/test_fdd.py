@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from maxstable.fdd import (
     std_normal_cdf,
 )
 from maxstable.seeding import derive_rng
+from maxstable.simulator import Grid
 from maxstable.spectral import (
     Exponential,
     Gamma,
@@ -50,6 +52,26 @@ def test_query_validation():
         FddQuery([0.0, 1.0], [1.0, 0.0])
     with pytest.raises(ValueError):
         FddQuery([0.0], [1.0, 2.0])
+
+
+def test_query_points_are_validated_as_a_grid():
+    # a scalar point or a 3-D array is not an (m, d) array of locations
+    for ts, xs in ((0.5, 1.0), ([[[0.0]]], [1.0])):
+        with pytest.raises(ValueError, match=r"^grid must be a non-empty \(m, d\) array of locations$"):
+            FddQuery(ts, xs)
+    with pytest.raises(ValueError, match=r"^grid contains duplicate locations \(tolerance 1e-12\)$"):
+        FddQuery([0.0, 1e-13], [1.0, 1.0])
+
+
+def test_many_coincident_points_are_rejected_at_the_first_pair():
+    # the duplicate check stops at the first close pair, so a long run of
+    # equal points fails in about the time of one sort
+    zeros = np.zeros(10**5)
+    for build in (lambda: Grid(zeros), lambda: FddQuery(zeros, np.ones(10**5))):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="duplicate locations"):
+            build()
+        assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +108,20 @@ def test_closed_marginal_is_frechet_rate():
     dist, kappa = unit_gaussian()
     ev = fdd_exponent(dist, kappa, FddQuery([1.3], [2.0]), "closed-marginal")
     assert ev.value == pytest.approx(0.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("dist", [Gaussian([0.3], [[2.0]]), Exponential(1.0), Uniform(0.0, 1.0), Gamma(2.0, 1.0)],
+                         ids=lambda d: d.family)
+@pytest.mark.parametrize("quadratic", [False, True], ids=["cgf", "quadratic"])
+def test_closed_marginal_equals_the_one_point_mc_value_bit_for_bit(dist, quadratic):
+    # the Monte Carlo value of a one-point query is its weight times a hit
+    # rate of exactly 1, and the closed form is that weight
+    kappa = ShapeFunction.quadratic([0.1], [[0.7]], 0.2) if quadratic else ShapeFunction.from_cgf(dist)
+    for t in (0.1, 0.37, 0.5):
+        for x in (0.3, 1.7, 2.9, 13.0):
+            q = FddQuery([t], [x])
+            closed = fdd_exponent(dist, kappa, q, "closed-marginal")
+            assert closed.value == exponent_mc(dist, kappa, q, 1000, derive_rng(3)).value
 
 
 @pytest.mark.parametrize("ts, xs, method, point", [

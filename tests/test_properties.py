@@ -534,6 +534,7 @@ def config_case(argv, moved):
 @example(config_case(["fdd", GAUSS, "--ts=-1e308;1e308", "--xs=1,1", "--method=closed-bivariate"], ["ts"]))
 @example(config_case(["verify", "--dist=uniform:a=0;b=1", "--grid=0,1e155", "--replicates=100", "--budget=5"],
                      ["grid"]))
+@example(config_case(["defect", "--dist=exp:lambda=1", "--box=0,0.6", "--budget=5", "--output=/"], ["output"]))
 def test_whole_argv_keeps_the_exit_code_contract(case):
     # flag order, a repeated flag and a config file change nothing; every
     # call exits 0, 1, 2 or 3 and prints no traceback or warning

@@ -9,12 +9,14 @@ import pytest
 from maxstable import stationarity
 from maxstable.cli import dump_json
 from maxstable.seeding import derive_rng
-from maxstable.simulator import Grid
+from maxstable.fdd import bivariate_ecdf_distance, frechet_threshold_grid
+from maxstable.simulator import _DUPLICATE_TOL, Grid, prepare_general
 from maxstable.spectral import (
     DomainError,
     Exponential,
     Gamma,
     Gaussian,
+    ShapeFunction,
     SpectralDistribution,
     Uniform,
     cgf_multi,
@@ -368,6 +370,19 @@ def test_empirical_shift_distance_gaussian_small():
         Gaussian([0.0], [[1.0]]), [0.0], [1.0], [0.7], 400, 35, n_points=2000
     )
     assert 0.0 <= d < 0.15
+
+
+def test_empirical_shift_distance_merges_each_point_into_the_first_kept_one_within_tolerance():
+    # t1 + h = t2 = 2^-40 lies within the tolerance of t1 = 0, and t2 + h =
+    # 2^-39 within that of t2 but not of t1: merged greedily the kept points
+    # are 0 and 2^-39, a valid grid (0 and 2^-40 would not be one)
+    dist = Gaussian([0.0], [[1.0]])
+    h = 2.0**-40
+    assert h <= _DUPLICATE_TOL < 2 * h
+    got = empirical_shift_distance(dist, [0.0], [h], [h], 200, 41, n_points=1000)
+    law = prepare_general(dist, ShapeFunction.from_cgf(dist), Grid([[0.0], [2.0**-39]]), 1000)
+    pairs = law.simulate_many(41, range(200))[0][:, [0, 0, 0, 1]]
+    assert got == bivariate_ecdf_distance(pairs[:, :2], pairs[:, 2:], frechet_threshold_grid())
 
 
 def test_verify_characterization_verdicts():
