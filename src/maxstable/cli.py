@@ -234,6 +234,8 @@ def cmd_fdd(args):
     ts = parse_grid(args.ts)
     xs = parse_floats(args.xs, "threshold list")
     query = fddmod.FddQuery(ts, xs)
+    if args.method == "closed-bivariate" and query.n != 2:
+        raise UsageError("--method closed-bivariate needs exactly two query points")
     rng = derive_rng(args.seed)
     ev = fddmod.fdd_exponent(dist, kappa, query, args.method, rng, args.mc_n)
     line = {"ts": query.ts.tolist(), "xs": query.xs.tolist(), "method": ev.method, "V": ev.value,
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", default="cgf")
     p.add_argument("--ts", help="query points, ';'-separated")
     p.add_argument("--xs", help="thresholds, comma-separated")
-    p.add_argument("--method", choices=["mc", "closed-marginal", "closed-bivariate"], default="mc")
+    p.add_argument("--method", choices=["mc", "closed-bivariate"], default="mc")
     p.add_argument("--mc-n", type=int, default=100_000)
     common(p)
     p.set_defaults(func=cmd_fdd, needs=("dist", "ts", "xs"))

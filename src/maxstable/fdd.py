@@ -2,13 +2,14 @@
 
 P(eta(t_1) <= x_1, ..., eta(t_n) <= x_n) = exp(-V) where the exponent
 V = E max_j exp(<X, t_j> - kappa(t_j)) / x_j is estimated by Monte Carlo
-for general queries, and available in closed form for the one-point
-marginal and for the bivariate Husler-Reiss case of Gaussian spectral
-vectors.  A query's points are validated as a ``Grid``, and every method
-reads the weights w_j = e^{phi(t_j) - kappa(t_j)} / x_j from ``_weights``:
-the closed-form marginal is w_0, a one-point Monte Carlo value bit for
-bit.  Empirical-CDF utilities for comparing simulations against these
-references live here as well.
+for general queries, and available in closed form for the bivariate
+Husler-Reiss case of Gaussian spectral vectors.  kappa only rescales the
+kappa = phi process (phi the CGF of X), so a query under kappa is the
+kappa = phi query at the thresholds x'_j = x_j e^{kappa(t_j) - phi(t_j)}:
+``_weights`` is the one reader of kappa, and gives every method x'_j and
+the weights w_j = 1 / x'_j.  A query's points are validated as a
+``Grid``.  Empirical-CDF utilities for comparing simulations against
+these references live here as well.
 """
 from __future__ import annotations
 
@@ -79,7 +80,7 @@ def exponent_mc(
     Uses the exact tilted decomposition
 
         V = sum_j  w_j * P(argmax is j under the t_j-tilted law of X),
-        w_j = e^{phi(t_j) - kappa(t_j)} / x_j,
+        w_j = e^{phi(t_j) - kappa(t_j)} / x_j = 1 / x'_j,
 
     obtained by splitting the max over the (first-wins) argmax partition
     and absorbing each factor e^{<X, t_j>} into a change of measure.  Each
@@ -107,12 +108,12 @@ def exponent_mc(
     with this one.
 
     Per chunk and point j, each point l gets one column of log terms
-    c_l = (<x, t_l> - kappa(t_l)) - log x_l of the t_j-tilted rows, with
-    <x, t_l> summed in coordinate order (``ordered_dot``) and no BLAS
-    product, so the estimate does not depend on the BLAS thread count
-    either.  A row is a hit for j under the first-wins rule: c_j > c_l for
-    every l < j and c_j >= c_l for every l > j, so a tie goes to the first
-    tied point.
+    c_l = (<x, t_l> - phi(t_l)) - log x'_l of the t_j-tilted rows (kappa
+    enters through x'_l, from ``_weights``), with <x, t_l> summed in
+    coordinate order (``ordered_dot``) and no BLAS product, so the
+    estimate does not depend on the BLAS thread count either.  A row is a
+    hit for j under the first-wins rule: c_j > c_l for every l < j and
+    c_j >= c_l for every l > j, so a tie goes to the first tied point.
 
     With N_jk the number of rows that hit both j and k (N_jj the hits of
     j) and p_j = N_jj / m, V = sum_j w_j p_j is the mean over the rows of
@@ -128,7 +129,7 @@ def exponent_mc(
     m = mc_n // n
     if m < MIN_SAMPLES:
         raise ValueError(f"mc_n must give each of the {n} query points at least {MIN_SAMPLES} draws")
-    kap, log_x, weights = _weights(dist, kappa, query)
+    phi, _, log_x, weights = _weights(dist, kappa, query)
     draw, tilt = dist.tilted_sampler(query.ts)
     chunk = _MC_CHUNK
     sizes = (min(chunk, m - done) for done in range(0, m, chunk))
@@ -143,8 +144,8 @@ def exponent_mc(
             for j in range(n):
                 x = tilt(rows, j)
                 cols = [ordered_dot(x, t) for t in query.ts]
-                for c, k, lx in zip(cols, kap, log_x):
-                    c -= k
+                for c, f, lx in zip(cols, phi, log_x):
+                    c -= f
                     c -= lx
                 hit = np.ones(len(rows), dtype=bool)
                 for c in cols[:j]:
@@ -250,43 +251,44 @@ def husler_reiss_V(gamma_h: float, x1: float, x2: float) -> ExponentValue:
 
 
 def _weights(dist, kappa, query):
-    """kappa(t_j), log x_j and w_j = e^{phi(t_j) - kappa(t_j)} / x_j at the query
-    points.  ValueError names the first point whose weight is not finite:
-    the CGF overflows there, or the threshold is too small."""
-    log_x = np.log(query.xs)
+    """phi(t_j), the kappa = phi thresholds x'_j = x_j e^{kappa(t_j) - phi(t_j)},
+    log x'_j and w_j = e^{-log x'_j} at the query points; at kappa = phi
+    they are x_j, log x_j and 1 / x_j.  log x'_j = log x_j + (kappa - phi)
+    and x'_j = e^{log x'_j} hold wherever x'_j is a double, also where
+    e^{kappa - phi} alone is not.  ValueError names the first point whose
+    weight is not finite: the CGF overflows there, or the threshold is too
+    small."""
     with np.errstate(over="ignore", invalid="ignore"):  # a weight that is not finite is reported below
         phi = np.asarray(dist.cgf(query.ts), dtype=float)
-        kap = kappa.values(query.ts)
-        weights = np.exp(phi - kap - log_x)
+        shift = kappa.values(query.ts) - phi
+        log_x = np.log(query.xs) + shift
+        xs = np.where(shift == 0, query.xs, np.exp(log_x))
+        weights = np.exp(-log_x)
     bad = np.flatnonzero(~np.isfinite(weights))
     if bad.size:
         raise ValueError(f"the exponent weight e^(phi - kappa) / x is not finite at query point {bad[0]}")
-    return kap, log_x, weights
+    return phi, xs, log_x, weights
 
 
 def _closed_bivariate(dist, kappa, query) -> ExponentValue:
     if not hasattr(dist, "sigma") or dist.family != "gaussian":
         raise ValueError("closed bivariate exponent requires a gaussian spectral law")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at |t| = 1e200 is nan, which passes
-        if np.any(np.abs(kappa.values(query.ts) - dist.cgf(query.ts)) > 1e-12):
-            raise ValueError("closed bivariate exponent requires kappa equal to the CGF at the query points")
-    with np.errstate(over="ignore"):  # gamma(h) = inf is the independence limit V = 1/x1 + 1/x2
+    xs = _weights(dist, kappa, query)[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # gamma(h) = inf is the independence limit V = 1/x1 + 1/x2
         h = query.ts[1] - query.ts[0]
         gamma_h = float(h @ dist.sigma @ h)
-    return husler_reiss_V(gamma_h, float(query.xs[0]), float(query.xs[1]))
+    if math.isnan(gamma_h):  # inf * 0 in the product
+        raise ValueError(f"the variogram h' Sigma h overflows at lag h = {h.tolist()}")
+    return husler_reiss_V(gamma_h, float(xs[0]), float(xs[1]))
 
 
 def fdd_exponent(dist, kappa, query, method="mc", rng=None, mc_n=100_000) -> ExponentValue:
-    """The exponent V by the chosen method ({mc, closed-marginal,
-    closed-bivariate}); the probability is exp(-V)."""
+    """The exponent V by the chosen method ({mc, closed-bivariate}); the
+    probability is exp(-V)."""
     if method == "mc":
         if rng is None:
             raise ValueError("mc method requires a generator")
         return exponent_mc(dist, kappa, query, mc_n, rng)
-    if method == "closed-marginal":
-        if query.n != 1:
-            raise ValueError("closed marginal applies to one-point queries only")
-        return ExponentValue(float(_weights(dist, kappa, query)[2][0]), 0.0, "closed-marginal")
     if method == "closed-bivariate":
         if query.n != 2:
             raise ValueError("closed bivariate applies to two-point queries only")

@@ -578,7 +578,7 @@ def test_config_file_defaults_do_not_outlive_their_call(tmp_path, capsys):
     # its file's values behind as defaults of later calls
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mc-n = 5000\n")
-    argv = ["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0", "--xs", "1", "--method", "closed-marginal"]
+    argv = ["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0", "--xs", "1", "--method", "mc"]
     assert main([*argv, "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["mc_n"] == 5000
     assert main(argv) == 0
@@ -708,7 +708,7 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
           "--ts", "0;1", "--xs", "1,1"], 2),
         (["compare-reps", "--sigma", "1", "--grid", "0,1", "--threshold", "inf"], 3),
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0", "--xs", "1e-320",
-          "--method", "closed-marginal"], 3),
+          "--method", "mc"], 3),
         (["simulate", "--construction", "br", "--variogram", "fractional:alpha=1;sacle=2",
           "--grid", "0,1"], 2),
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--kappa", "quadratic:mu=0;sigma=1;sgima=3",
@@ -765,6 +765,14 @@ def test_verify_on_a_one_point_grid_is_a_usage_error(capsys):
     assert main(["verify", "--dist", "gaussian:mu=0;sigma=1", "--grid", "0"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: verify needs at least two grid points\n"
+
+
+@pytest.mark.parametrize("ts, xs", [("0", "1"), ("0;1;2", "1,1,1")], ids=["one-point", "three-point"])
+def test_closed_bivariate_on_other_than_two_points_is_a_usage_error(ts, xs, capsys):
+    argv = ["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", ts, "--xs", xs, "--method", "closed-bivariate"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --method closed-bivariate needs exactly two query points\n"
 
 
 def test_out_of_memory_exits_3_without_a_traceback(monkeypatch, capsys):

@@ -104,30 +104,34 @@ def test_husler_reiss_validation():
         husler_reiss_V(-0.1, 1.0, 1.0)
 
 
-def test_closed_marginal_is_frechet_rate():
+def test_one_point_mc_is_the_frechet_rate():
     dist, kappa = unit_gaussian()
-    ev = fdd_exponent(dist, kappa, FddQuery([1.3], [2.0]), "closed-marginal")
+    q = FddQuery([1.3], [2.0])
+    ev = exponent_mc(dist, kappa, q, 1000, derive_rng(3))
     assert ev.value == pytest.approx(0.5, abs=1e-14)
+    assert ev.value == fdd._weights(dist, kappa, q)[3][0]
 
 
 @pytest.mark.parametrize("dist", [Gaussian([0.3], [[2.0]]), Exponential(1.0), Uniform(0.0, 1.0), Gamma(2.0, 1.0)],
                          ids=lambda d: d.family)
 @pytest.mark.parametrize("quadratic", [False, True], ids=["cgf", "quadratic"])
-def test_closed_marginal_equals_the_one_point_mc_value_bit_for_bit(dist, quadratic):
-    # the Monte Carlo value of a one-point query is its weight times a hit
-    # rate of exactly 1, and the closed form is that weight
+def test_one_point_mc_value_is_its_weight_bit_for_bit(dist, quadratic):
+    # the Monte Carlo value of a one-point query is its weight
+    # w_0 = e^(phi - kappa) / x_0 times a hit rate of exactly 1
     kappa = ShapeFunction.quadratic([0.1], [[0.7]], 0.2) if quadratic else ShapeFunction.from_cgf(dist)
     for t in (0.1, 0.37, 0.5):
         for x in (0.3, 1.7, 2.9, 13.0):
             q = FddQuery([t], [x])
-            closed = fdd_exponent(dist, kappa, q, "closed-marginal")
-            assert closed.value == exponent_mc(dist, kappa, q, 1000, derive_rng(3)).value
+            weight = fdd._weights(dist, kappa, q)[3][0]
+            assert weight == pytest.approx(math.exp(dist.cgf([t]) - kappa(t)) / x, rel=1e-14)
+            assert exponent_mc(dist, kappa, q, 1000, derive_rng(3)).value == weight
 
 
 @pytest.mark.parametrize("ts, xs, method, point", [
     ([0.0, 1e200], [1.0, 1.0], "mc", 1),  # phi = kappa = inf
     ([0.0, 1.0], [1e-320, 1.0], "mc", 0),  # 1 / x overflows
-    ([1e200], [1.0], "closed-marginal", 0),
+    ([1e200], [1.0], "mc", 0),
+    ([0.0, 1e200], [1.0, 1.0], "closed-bivariate", 1),  # phi - kappa = inf - inf
 ])
 def test_a_weight_that_is_not_finite_is_reported_at_its_query_point(ts, xs, method, point):
     dist, kappa = unit_gaussian()
@@ -138,7 +142,7 @@ def test_a_weight_that_is_not_finite_is_reported_at_its_query_point(ts, xs, meth
 def test_closed_bivariate_at_an_overflowing_lag_is_the_independence_limit():
     # gamma(h) = inf: V = 1 / x1 + 1 / x2
     dist, kappa = unit_gaussian()
-    assert fdd_exponent(dist, kappa, FddQuery([0.0, 1e200], [1.0, 2.0]), "closed-bivariate").value == 1.5
+    assert fdd_exponent(dist, kappa, FddQuery([-1e154, 1e154], [1.0, 2.0]), "closed-bivariate").value == 1.5
 
 
 def test_closed_bivariate_requires_gaussian_cgf():
@@ -146,10 +150,6 @@ def test_closed_bivariate_requires_gaussian_cgf():
     kappa = ShapeFunction.from_cgf(dist)
     with pytest.raises(ValueError):
         fdd_exponent(dist, kappa, FddQuery([0.0, 0.5], [1.0, 1.0]), "closed-bivariate")
-    gdist, _ = unit_gaussian()
-    wrong_kappa = ShapeFunction.quadratic([0.5], [[1.0]])
-    with pytest.raises(ValueError):
-        fdd_exponent(gdist, wrong_kappa, FddQuery([0.0, 2.0], [1.0, 1.0]), "closed-bivariate")
 
 
 def test_closed_bivariate_matches_husler_reiss():
@@ -182,6 +182,43 @@ def test_exponent_mc_matches_closed_bivariate():
     closed = fdd_exponent(dist, kappa, q, "closed-bivariate").value
     assert ev.se > 0
     assert abs(ev.value - closed) < 3.0 * ev.se
+
+
+# (law, kappa, points, thresholds): kappa differs from the law's CGF phi in
+# its slope, its curvature and its constant, in d = 1 and 2
+OTHER_KAPPAS = [
+    pytest.param(Gaussian([0.0], [[1.0]]), ShapeFunction.quadratic([0.5], [[1.0]]), [0.0, 2.0], [1.0, 2.0],
+                 id="slope"),
+    pytest.param(Gaussian([0.3], [[2.0]]), ShapeFunction.quadratic([0.2], [[0.5]], 0.3), [-0.4, 0.7], [1.5, 0.8],
+                 id="curvature-c0"),
+    pytest.param(Gaussian([0.1, -0.2], [[1.0, 0.3], [0.3, 2.0]]),
+                 ShapeFunction.quadratic([0.0, 0.1], [[0.8, 0.0], [0.0, 1.5]], -0.4),
+                 [[0.0, 0.0], [0.5, -0.6]], [1.0, 1.5], id="gaussian-2d"),
+]
+
+
+@pytest.mark.parametrize("dist, kappa, ts, xs", OTHER_KAPPAS)
+def test_closed_bivariate_matches_mc_under_any_kappa(dist, kappa, ts, xs):
+    # kappa only rescales the kappa = phi process, so the closed form at the
+    # thresholds x' = x e^(kappa - phi) is exact; 400 000 draws land within
+    # 4 se of it
+    q = FddQuery(ts, xs)
+    ev = exponent_mc(dist, kappa, q, 400_000, derive_rng(102))
+    closed = fdd_exponent(dist, kappa, q, "closed-bivariate").value
+    assert closed != fdd_exponent(dist, ShapeFunction.from_cgf(dist), q, "closed-bivariate").value
+    assert ev.se > 0
+    assert abs(ev.value - closed) < 4.0 * ev.se
+
+
+def test_a_kappa_far_from_phi_is_read_in_logs():
+    # e^(kappa - phi) = e^710 overflows, but x'_0 = 1e-308 e^710 is a
+    # double; point 1's weight e^(0.5 - 710) is 0, so V = w_0
+    dist, _ = unit_gaussian()
+    kappa = ShapeFunction.quadratic([0.0], [[0.0]], 710.0)
+    q = FddQuery([0.0, 1.0], [1e-308, 1.0])
+    w0 = math.exp(-710.0 - math.log(1e-308))
+    for method in ("mc", "closed-bivariate"):
+        assert fdd_exponent(dist, kappa, q, method, derive_rng(4), 2000).value == pytest.approx(w0, rel=1e-13)
 
 
 def test_exponent_mc_is_deterministic():

@@ -1,7 +1,9 @@
 """Property tests of the stationarity criterion and its verdict, the
-uniform CGF, the exponent V, the bivariate ECDF distance, the replicate
-layout, the spec grammar and the CLI's value parsers (hypothesis,
-derandomized so that every run draws the same examples)."""
+uniform CGF, the exponent V and its closed form, the bivariate ECDF
+distance, the convexity of log eta + kappa on every field of affine
+functions, the replicate layout, the spec grammar and the CLI's value
+parsers (hypothesis, derandomized so that every run draws the same
+examples)."""
 import contextlib
 import io
 import math
@@ -11,6 +13,7 @@ import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -240,8 +243,7 @@ def test_every_fdd_method_keeps_v_within_its_bounds(family, n, d, data):
     ts = ts * np.where(np.isinf(upper), 2.0, 0.9 * upper)
     xs = data.draw(hnp.arrays(float, n, elements=THRESHOLD))
     query = FddQuery(ts, xs)
-    methods = ["mc"] + (["closed-marginal"] if n == 1 else [])
-    methods += ["closed-bivariate"] if n == 2 and family == "gaussian" else []
+    methods = ["mc"] + (["closed-bivariate"] if n == 2 and family == "gaussian" else [])
     lo, hi_v = max(1.0 / xs), sum(1.0 / xs)
     for method in methods:
         ev = fdd_exponent(dist, kappa, query, method, derive_rng(n, d), 4000)
@@ -272,6 +274,99 @@ def test_husler_reiss_v_is_symmetric_and_non_increasing(gamma_h, x1, x2, factor)
     assert husler_reiss_V(gamma_h, x1 * factor, x2).value <= v * (1 + ROUND_OFF)
     assert husler_reiss_V(gamma_h, x1, x2 * factor).value <= v * (1 + ROUND_OFF)
     assert max(1 / x1, 1 / x2) * (1 - ROUND_OFF) <= v <= (1 / x1 + 1 / x2) * (1 + ROUND_OFF)
+
+
+@PROPERTY
+@given(st.integers(1, 2), st.booleans(), st.data())
+def test_closed_bivariate_is_symmetric_homogeneous_and_scaled_by_c0(d, quadratic, data):
+    # a Gaussian law under kappa = phi or a quadratic kappa: V is symmetric
+    # under swapping the (t, x) pairs, V(ts, c xs) = V(ts, xs) / c, and
+    # kappa + c0 gives e^(-c0) V, each to a relative 1e-14
+    dist = _law("gaussian", d)
+    kappa = (ShapeFunction.quadratic(0.2 * np.ones(d), 0.5 * np.eye(d) + 0.1, 0.3) if quadratic
+             else ShapeFunction.from_cgf(dist))
+    points = hnp.arrays(float, (2, d), elements=st.sampled_from([-2.0, -1.0, -0.3, 0.0, 0.3, 1.0, 2.0]))
+    ts = data.draw(points.filter(lambda p: len(np.unique(p, axis=0)) == 2))
+    xs = data.draw(hnp.arrays(float, 2, elements=THRESHOLD))
+    c, c0 = data.draw(st.floats(0.1, 10.0)), data.draw(st.floats(-3.0, 3.0))
+
+    def v(ts, xs, kappa=kappa):
+        return fdd_exponent(dist, kappa, FddQuery(ts, xs), "closed-bivariate").value
+
+    value = v(ts, xs)
+    assert math.isclose(v(ts[::-1], xs[::-1]), value, rel_tol=1e-14)
+    assert math.isclose(v(ts, c * xs) * c, value, rel_tol=1e-14)
+    shifted = ShapeFunction(kappa.law, kappa.c0 + c0)
+    assert math.isclose(v(ts, xs, shifted), math.exp(-c0) * value, rel_tol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# fields as upper envelopes: H = log eta + kappa is the maximum of the
+# affine functions <X_k, t> + c_k of the kept points, so it is convex
+
+# how far H_i may rise above the chord of its neighbours, in units of
+# eps * max |H| over the three points: the fields below reach a few 10^2,
+# and moving maxima read with Sigma's inverse in place of Sigma 10^13-10^14
+CONVEX_SLACK = 1e6
+
+
+def chord_excess(t, h):
+    """max over interior i of (H_i - chord(H_{i-1}, H_{i+1}) at t_i) in units
+    of eps * max |H| over the triple, for increasing t."""
+    lo, mid, hi = h[:-2], h[1:-1], h[2:]
+    chord = lo + (hi - lo) * ((t[1:-1] - t[:-2]) / (t[2:] - t[:-2]))
+    scale = np.maximum(np.maximum(np.abs(lo), np.abs(mid)), np.abs(hi))
+    return float(((mid - chord) / (np.finfo(float).eps * scale)).max())
+
+
+def sorted_grids(lo, hi):
+    """A 1001-point uniform grid and 400 sorted random points on [lo, hi]."""
+    return [np.linspace(lo, hi, 1001), np.sort(np.random.default_rng(5).uniform(lo, hi, 400))]
+
+
+EXP = Exponential(1.0)
+ENVELOPE_LAWS = [
+    (Gaussian([0.3], [[2.0]]), None, (-5.0, 5.0)),
+    (EXP, None, (-5.0, 0.9)),
+    (Uniform(0.0, 1.0), None, (-5.0, 5.0)),
+    (Gamma(2.0, 1.0), None, (-5.0, 0.9)),
+    (EXP, ShapeFunction.quadratic([0.2], [[0.5]], 0.3), (-5.0, 0.9)),
+]
+
+
+@pytest.mark.parametrize("dist, kappa, span", ENVELOPE_LAWS,
+                         ids=["gaussian", "exp", "uniform", "gamma", "exp-quadratic-kappa"])
+def test_a_general_field_is_an_upper_envelope_of_affine_functions(dist, kappa, span):
+    kappa = kappa or ShapeFunction.from_cgf(dist)
+    for t in sorted_grids(*span):
+        values, _ = prepare_general(dist, kappa, Grid(t), 10_000).simulate_many(11, range(3))
+        for h in np.log(values) + kappa.values(t[:, None]):
+            assert chord_excess(t, h) < CONVEX_SLACK
+
+
+@pytest.mark.parametrize("sigma", [1.0, 4.0])
+def test_smith_and_moving_maxima_fields_are_upper_envelopes(sigma):
+    # H = log Z + sigma t^2 / 2 for both: a storm's log kernel is
+    # -sigma (t - c)^2 / 2 plus a constant; with 1 / sigma in its place the
+    # moving-maxima field of sigma = 4 is far from convex, so the check
+    # tells Sigma from its inverse (sigma = 1 is its own)
+    for t in sorted_grids(-5.0, 5.0):
+        smith, _ = prepare_smith([[sigma]], Grid(t), 10_000).simulate_many(12, range(3))
+        mmm, _ = prepare_moving_maxima([[sigma]], Grid(t)).simulate_many(13, range(3))
+        for h in np.log(np.vstack([smith, mmm])) + 0.5 * sigma * t * t:
+            assert chord_excess(t, h) < CONVEX_SLACK
+        if sigma != 1.0:
+            assert max(chord_excess(t, h) for h in np.log(mmm) + 0.5 / sigma * t * t) > CONVEX_SLACK
+
+
+def test_a_smith_lattice_field_is_convex_along_every_row_and_column():
+    sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
+    axis = np.linspace(-3.0, 3.0, 30)
+    points = np.array([(a, b) for a in axis for b in axis])
+    values, _ = prepare_smith(sigma, Grid(points), 10_000).simulate_many(14, range(2))
+    for row in values:
+        h = (np.log(row) + 0.5 * np.einsum("id,de,ie->i", points, sigma, points)).reshape(30, 30)
+        assert max(chord_excess(axis, line) for line in [*h, *h.T]) < CONVEX_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +548,7 @@ ARGV_FLAGS = {
     "verify": ("verify", {"dist": LAWS, "replicates": ["100"], "budget": ["1"], "grid": SMALL_GRIDS,
                           "n-points": N_POINTS}),
     "fdd": ("fdd", {"dist": ["gaussian:mu=0;sigma=1", "exp:lambda=1"], "ts": ["0;1", "0;1e200", "1e200", "0", "-1e308;1e308"],
-                    "xs": ["1,1", "1e-320,1", "1"], "method": ["mc", "closed-marginal", "closed-bivariate"],
+                    "xs": ["1,1", "1e-320,1", "1"], "method": ["mc", "closed-bivariate"],
                     "mc-n": ["2000"]}),
     "compare-reps": ("compare-reps", {"sigma": ["1", "1e-30"], "grid": ["0,1", "-1,0,1"], "replicates": ["100"],
                                       "threshold": ["0.2302"]}),
@@ -512,7 +607,7 @@ def config_case(argv, moved):
 @given(whole_argvs())
 @example(config_case(["fdd", GAUSS, "--ts=0;1e200", "--xs=1,1", "--method=mc", "--mc-n=2000"], ["ts"]))
 @example(config_case(["fdd", GAUSS, "--ts=0;1", "--xs=1e-320,1", "--method=mc", "--mc-n=2000"], ["xs"]))
-@example(config_case(["fdd", GAUSS, "--ts=1e200", "--xs=1", "--method=closed-marginal"], ["dist"]))
+@example(config_case(["fdd", GAUSS, "--ts=1e200", "--xs=1", "--method=mc"], ["dist"]))
 @example(config_case(["fdd", GAUSS, "--ts=0;1e200", "--xs=1,1", "--method=closed-bivariate"], ["method"]))
 @example(config_case(["defect", "--dist=uniform:a=0;b=1", "--box=-1e300,1e300", "--budget=1"], ["box"]))
 @example(config_case(["simulate", "--construction=mmm", "--sigma=1e-30", "--grid=0,1"], ["sigma"]))
@@ -532,6 +627,8 @@ def config_case(argv, moved):
 @example(config_case(["simulate", "--construction=br", "--variogram=fractional:alpha=1",
                       "--grid=0,1.5e308,-1.5e308,1"], ["grid"]))
 @example(config_case(["fdd", GAUSS, "--ts=-1e308;1e308", "--xs=1,1", "--method=closed-bivariate"], ["ts"]))
+@example(config_case(["fdd", "--dist=gaussian:mu=0,0;sigma=0,0,0,1", "--ts=-1e308,0;1e308,0", "--xs=1,1",
+                      "--method=closed-bivariate"], ["ts"]))
 @example(config_case(["verify", "--dist=uniform:a=0;b=1", "--grid=0,1e155", "--replicates=100", "--budget=5"],
                      ["grid"]))
 @example(config_case(["defect", "--dist=exp:lambda=1", "--box=0,0.6", "--budget=5", "--output=/"], ["output"]))
