@@ -11,7 +11,8 @@ defect (the difference of the two sides), tests the equivalent affinity
 of the CGF gradient, searches for violations, and runs the end-to-end
 characterization experiment: marginals are Frechet for any spectral law
 once kappa is its CGF, but the defect vanishes identically only for
-Gaussian laws (quadratic phi).
+Gaussian laws (quadratic phi).  Its marginal and shift checks read one
+simulated ensemble, on the grid and two shifted grid points.
 """
 from __future__ import annotations
 
@@ -317,6 +318,42 @@ def default_shift(dist: SpectralDistribution, grid: Grid) -> np.ndarray:
     return h
 
 
+def _simulate_at(dist, grid: Grid, extra, replicates: int, seed: int, n_points: int) -> np.ndarray:
+    """Replicates 0 .. replicates - 1 of seed, with kappa the CGF of the
+    spectral law, at the grid's points followed by the ``extra`` points,
+    shape (replicates, grid.size + len(extra)).  Each extra point joins the
+    first earlier point within Grid's duplicate tolerance (e.g. t2 = t1 + h),
+    so one law is prepared on the distinct points and read back at all."""
+    kept = grid.locations
+    index = list(range(grid.size))
+    for p in extra:
+        with np.errstate(over="ignore"):  # a norm past the double range is inf: distinct
+            near = np.flatnonzero(np.linalg.norm(kept - p, axis=1) <= _DUPLICATE_TOL)
+        index.append(int(near[0]) if near.size else len(kept))
+        if not near.size:
+            kept = np.vstack([kept, p])
+    law = prepare_general(dist, ShapeFunction.from_cgf(dist), Grid(kept), n_points)
+    values, _ = law.simulate_many(seed, range(replicates))
+    return values[:, index]
+
+
+def _ks_table(grid: Grid, values: np.ndarray) -> list:
+    """KS distance against unit Frechet of the first grid.size columns of
+    ``values`` (one per grid point), against the 1%-level threshold."""
+    threshold = fdd.ks_threshold(len(values))
+    ks = [fdd.ks_distance(values[:, j], fdd.frechet_cdf) for j in range(grid.size)]
+    return [
+        {"t": t.tolist(), "ks": k, "threshold": threshold, "pass": bool(k < threshold)}
+        for t, k in zip(grid.locations, ks)
+    ]
+
+
+def _shift_distance(values: np.ndarray) -> float:
+    """Sup distance between the bivariate empirical CDFs of columns (0, 1)
+    and (2, 3), the fields at (t1, t2) and at (t1 + h, t2 + h)."""
+    return fdd.bivariate_ecdf_distance(values[:, :2], values[:, 2:], fdd.frechet_threshold_grid())
+
+
 def marginal_frechet_ks(
     dist: SpectralDistribution,
     grid: Grid,
@@ -327,21 +364,7 @@ def marginal_frechet_ks(
     """KS distance of simulated marginals against unit Frechet at each grid
     point, with kappa equal to the CGF of the spectral law, against the
     1%-level threshold; replicates 0 .. replicates - 1 of seed."""
-    law = prepare_general(dist, ShapeFunction.from_cgf(dist), grid, n_points)
-    values, _ = law.simulate_many(seed, range(replicates))
-    threshold = fdd.ks_threshold(replicates)
-    table = []
-    for j in range(grid.size):
-        ks = fdd.ks_distance(values[:, j], fdd.frechet_cdf)
-        table.append(
-            {
-                "t": grid.locations[j].tolist(),
-                "ks": ks,
-                "threshold": threshold,
-                "pass": bool(ks < threshold),
-            }
-        )
-    return table
+    return _ks_table(grid, _simulate_at(dist, grid, [], replicates, seed, n_points))
 
 
 def empirical_shift_distance(
@@ -359,27 +382,9 @@ def empirical_shift_distance(
     t1 = np.atleast_1d(np.asarray(t1, dtype=float))
     t2 = np.atleast_1d(np.asarray(t2, dtype=float))
     h = np.atleast_1d(np.asarray(h, dtype=float))
-    # the four query points may coincide (e.g. t2 = t1 + h): each joins the
-    # first kept point within Grid's duplicate tolerance, so the kept ones
-    # form a valid grid; simulate on them and index back into them
-    wanted = np.vstack([t1, t2, t1 + h, t2 + h])
-    uniq: list = []
-    index = []
-    for p in wanted:
-        for k, q in enumerate(uniq):
-            with np.errstate(over="ignore"):  # a norm past the double range is inf: distinct
-                near = np.linalg.norm(p - q) <= _DUPLICATE_TOL
-            if near:
-                index.append(k)
-                break
-        else:
-            index.append(len(uniq))
-            uniq.append(p)
-    law = prepare_general(dist, ShapeFunction.from_cgf(dist), Grid(np.array(uniq)), n_points)
-    values, _ = law.simulate_many(seed, range(replicates))
-    pairs = values[:, index]
-    thresholds = fdd.frechet_threshold_grid()
-    return fdd.bivariate_ecdf_distance(pairs[:, :2], pairs[:, 2:], thresholds)
+    # the four points may coincide: t2, t1 + h and t2 + h are merged after t1
+    extra = np.vstack([t2, t1 + h, t2 + h])
+    return _shift_distance(_simulate_at(dist, Grid(t1[None]), extra, replicates, seed, n_points))
 
 
 def verify_characterization(
@@ -392,10 +397,11 @@ def verify_characterization(
     budget: int = 1000,
 ) -> CharacterizationReport:
     """End-to-end experiment with kappa set to the CGF of the spectral law:
-    (a) the analytic defect search on derive_rng(seed), (b) simulated
-    marginals vs unit Frechet at every grid point, from replicates of seed,
-    (c) the empirical bivariate shift comparison, from replicates of
-    seed + 1.
+    (a) the analytic defect search on derive_rng(seed), then from one
+    ensemble, replicates 0 .. replicates - 1 of seed on the grid and
+    t1 + h, t2 + h (t1, t2 the grid's first two points, h the default
+    shift), (b) simulated marginals vs unit Frechet at every grid point and
+    (c) the empirical bivariate shift comparison.
 
     Concludes "Gaussian-consistent" when the defect search finds nothing,
     "non-stationary in dimension 2" otherwise (marginals are Frechet
@@ -413,9 +419,11 @@ def verify_characterization(
 
     # the search checks its budget, so it runs before anything is simulated
     report = search_violation(dist, 2, budget, box, derive_rng(seed))
-    marg = marginal_frechet_ks(dist, grid, replicates, seed, n_points)
-    t1, t2 = grid.locations[0], grid.locations[1]
-    shift_dist = empirical_shift_distance(dist, t1, t2, shift, replicates, seed + 1, n_points)
+    # one ensemble on the grid and t1 + h, t2 + h serves both checks: the
+    # simulation is exact, so each subset of its points has the field's law
+    values = _simulate_at(dist, grid, grid.locations[:2] + shift, replicates, seed, n_points)
+    marg = _ks_table(grid, values)
+    shift_dist = _shift_distance(values[:, [0, 1, -2, -1]])
     verdict = (
         "Gaussian-consistent"
         if report.verdict == "stationary-consistent"

@@ -486,13 +486,14 @@ def test_compare_reps_and_verify_prepare_each_law_once(monkeypatch, capsys):
     mmm = np.exp([moving_maxima_block_reference([[1.0]], grid, 18, k)[0] for k in range(100)])
     sup = bivariate_ecdf_distance(smith, mmm, frechet_threshold_grid())
     assert json.loads(capsys.readouterr().out)["sup_cdf_difference"] == sup
-    # verify: one law for the marginal ensemble, one for the shift ensemble
+    # verify: one law, on the grid and its two shifted points, serves the
+    # marginal check and the shift check
     prepared.clear()
     assert main([
         "verify", "--dist", "gaussian:mu=0;sigma=1", "--replicates", "100",
         "--n-points", "1000", "--budget", "5",
     ]) == 0
-    assert prepared == ["prepare_general", "prepare_general"]
+    assert prepared == ["prepare_general"]
 
 
 def test_compare_reps_simulates_only_the_two_points_it_compares(capsys):
@@ -524,7 +525,7 @@ def test_verify_checks_the_replicate_count_before_simulating(monkeypatch, capsys
         "verify", "--dist", "gaussian:mu=0;sigma=1", "--replicates", str(MIN_SAMPLES),
         "--n-points", "1000", "--budget", "5",
     ]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_compare_reps_needs_two_points(capsys):

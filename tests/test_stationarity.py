@@ -9,8 +9,8 @@ import pytest
 from maxstable import stationarity
 from maxstable.cli import dump_json
 from maxstable.seeding import derive_rng
-from maxstable.fdd import bivariate_ecdf_distance, frechet_threshold_grid
-from maxstable.simulator import _DUPLICATE_TOL, Grid, prepare_general
+from maxstable.fdd import bivariate_ecdf_distance, frechet_cdf, frechet_threshold_grid, ks_distance
+from maxstable.simulator import _DUPLICATE_TOL, Grid, PreparedLaw, prepare_general
 from maxstable.spectral import (
     DomainError,
     Exponential,
@@ -410,6 +410,46 @@ def test_verify_characterization_verdicts():
     assert rep.verdict == "non-stationary in dimension 2"
     assert rep.marginals_pass  # marginals are Frechet regardless
     assert rep.defect_report.verdict == "violated"
+
+
+# (law, grid, the points verify simulates on, the columns of (t1, t2, t1 + h, t2 + h))
+ONE_ENSEMBLE_CASES = {
+    # h = 0.7: t1 + h and t2 + h are two more points
+    "uniform-default-grid": (Uniform(0.0, 1.0), [0.0, 0.5, 1.0], [0.0, 0.5, 1.0, 0.7, 1.2], [0, 1, 3, 4]),
+    # h = 0.7 moves t1 and t2 onto the grid's second and third points
+    "gaussian-shift-on-grid": (Gaussian([0.0], [[1.0]]), [0.0, 0.7, 1.4], [0.0, 0.7, 1.4], [0, 1, 1, 2]),
+    "gaussian-2d": (Gaussian([0.0, 0.0], [[1.0, 0.3], [0.3, 2.0]]), [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]],
+                    [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.7, 0.7], [1.2, 0.7]], [0, 1, 3, 4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_ENSEMBLE_CASES))
+def test_verify_reads_both_checks_from_one_ensemble(case, monkeypatch):
+    dist, grid, points, columns = ONE_ENSEMBLE_CASES[case]
+    prepared, simulated = [], []
+    prepare = stationarity.prepare_general
+    simulate_many = PreparedLaw.simulate_many
+
+    def counted_prepare(*args):
+        prepared.append(args[2])
+        return prepare(*args)
+
+    def counted_simulate_many(self, *args):
+        simulated.append(args)
+        return simulate_many(self, *args)
+
+    monkeypatch.setattr(stationarity, "prepare_general", counted_prepare)
+    monkeypatch.setattr(PreparedLaw, "simulate_many", counted_simulate_many)
+    rep = verify_characterization(dist, Grid(grid), 100, 43, n_points=1000, budget=20)
+    assert len(prepared) == 1 and len(simulated) == 1
+    assert np.array_equal(prepared[0].locations, Grid(points).locations)
+    # by hand: one law on the merged points, replicates 0 .. 99 of the seed
+    values, _ = prepare(dist, ShapeFunction.from_cgf(dist), Grid(points), 1000).simulate_many(43, range(100))
+    assert [row["ks"] for row in rep.marginal_ks] == [
+        ks_distance(values[:, j], frechet_cdf) for j in range(len(grid))
+    ]
+    pairs = values[:, columns]
+    assert rep.shift_distance == bivariate_ecdf_distance(pairs[:, :2], pairs[:, 2:], frechet_threshold_grid())
 
 
 def test_verify_checks_the_grid_domain():

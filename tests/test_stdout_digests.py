@@ -64,9 +64,9 @@ ENSEMBLE_DIGESTS = {
     ("compare-reps", 9001): "05d6c23f12e3609cbebff18d79354a4fe10cfdf5b196df613a63c3a0875b00b2",
     ("compare-reps", 9002): "9e5bd4c045da58a407f1222641b6b263452221053eaae9016771665ffe5217c5",
     ("compare-reps", 9003): "a16795b7eeaee83510085bd4f561b38a12e55ac7929992aae9e54c599182d4c6",
-    ("verify", 9001): "92a987c857698589c05dfa5117e91c962c75d3f9d7b28dcef2a18423ecf1069c",
-    ("verify", 9002): "0e3a17626577c8cea7483fc20e980b790f5b93bc50506ab253d9bed2397901a8",
-    ("verify", 9003): "5707744d67fc6e3b13b117bcb549281aacb7952169a779dd4b502b558d2d72f9",
+    ("verify", 9001): "1b018aa769a87e4229b246558a1370565c864a59b41f7c953081fabb13ba97f6",
+    ("verify", 9002): "34a9aeb355c8b5ad78a8e62ede1627585b53d6233149cb879a22fddd4fc019c0",
+    ("verify", 9003): "4dabeb5c770d69f585d3f01b7bbd9fd0418fa1b1a3c7d70e4808a2bc1084c772",
 }
 
 
