@@ -244,8 +244,9 @@ def cmd_fdd(args):
 
 
 def cmd_compare_reps(args):
-    if not np.isfinite(args.threshold):
-        raise ValueError("compare-reps threshold must be finite")
+    # the verdict is sup < threshold with sup >= 0: a threshold <= 0 could never pass
+    if not 0.0 < args.threshold < np.inf:
+        raise ValueError(f"compare-reps threshold must be finite and positive, got {args.threshold!r}")
     sigma = parse_matrix(args.sigma)
     grid = Grid(parse_grid(args.grid))
     if grid.size < 2:

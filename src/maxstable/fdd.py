@@ -17,10 +17,10 @@ import math
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
+from .frozen import Frozen
 from .simulator import Grid
 from .spectral import ShapeFunction, SpectralDistribution, ordered_dot
 
@@ -33,12 +33,10 @@ MIN_SAMPLES = 100  # fewest samples of an empirical CDF or KS distance
 _HR_LAMBDA_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class FddQuery:
+class FddQuery(Frozen):
     """Evaluation points (a ``Grid``) and their thresholds for one fdd probability."""
 
-    ts: np.ndarray
-    xs: np.ndarray
+    _fields = ("ts", "xs")
 
     def __init__(self, ts, xs):
         ts = Grid(ts).locations
@@ -47,19 +45,20 @@ class FddQuery:
             raise ValueError("need one threshold per query point")
         if not np.all(np.isfinite(xs) & (xs > 0)):
             raise ValueError("thresholds must be finite and positive")
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "xs", xs)
+        self._set_fields(ts, xs)
 
     @property
     def n(self) -> int:
         return self.xs.shape[0]
 
 
-@dataclass(frozen=True)
-class ExponentValue:
-    value: float
-    se: float
-    method: str
+class ExponentValue(Frozen):
+    """An exponent V, its standard error (0 in closed form) and the method."""
+
+    _fields = ("value", "se", "method")
+
+    def __init__(self, value: float, se: float, method: str):
+        self._set_fields(value, se, method)
 
 
 def std_normal_cdf(z: float) -> float:

@@ -1,0 +1,42 @@
+"""The immutable base of the package's value classes.
+
+A subclass names its fields in the class-level tuple ``_fields`` and sets
+them in its own ``__init__`` with ``_set_fields`` (or, for an attribute
+outside ``_fields``, ``object.__setattr__``); after that, setting or
+deleting any attribute raises ``AttributeError``.  Equality,
+hashing and repr read the fields in order: two instances of the same
+class are equal when their field tuples are, and the repr is
+``Name(field=value, ...)`` (the spectral families compare and print by
+their spec string instead).  Nothing is generated at import.
+"""
+from __future__ import annotations
+
+
+class Frozen:
+    _fields: tuple = ()
+
+    def _set_fields(self, *values):
+        """Set the fields, in ``_fields`` order: once, from ``__init__``."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"

@@ -7,25 +7,23 @@ streamed in decreasing order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .frozen import Frozen
 
-@dataclass(frozen=True)
-class FrechetCascade:
+
+class FrechetCascade(Frozen):
     """The n largest points U_1 > U_2 > ... of the u^-2 du Poisson process."""
 
-    points: np.ndarray
-    seed_record: tuple | None = None
+    _fields = ("points", "seed_record")
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+    def __init__(self, points, seed_record: tuple | None = None):
+        pts = np.asarray(points, dtype=float)
         if pts.ndim != 1 or pts.size < 1:
             raise ValueError("cascade must hold at least one point")
         if np.any(pts <= 0) or np.any(np.diff(pts) >= 0):
             raise ValueError("cascade points must be positive and strictly decreasing")
-        object.__setattr__(self, "points", pts)
+        self._set_fields(pts, seed_record)
 
     @property
     def count(self) -> int:

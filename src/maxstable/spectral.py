@@ -11,9 +11,10 @@ numerically.  ``parse_spec`` reads every spec string.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .frozen import Frozen
 
 # Eigenvalues of a covariance matrix in [-PSD_REL_TOL * lam_max, 0) are
 # treated as round-off and clamped to zero; anything more negative is a
@@ -205,11 +206,8 @@ def _sinhc_series(v2):
     return series
 
 
-@dataclass(frozen=True, eq=False)
-class Gaussian(SpectralDistribution):
-    mu: np.ndarray
-    sigma: np.ndarray
-
+class Gaussian(SpectralDistribution, Frozen):
+    _fields = ("mu", "sigma")
     family = "gaussian"
     sample, sample_tilted = _draws, _tilted_draws
 
@@ -218,8 +216,7 @@ class Gaussian(SpectralDistribution):
         sym, _, _ = clamp_psd(sigma)
         if sym.shape[0] != mu.shape[0]:
             raise ValueError("mu and sigma dimensions disagree")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sym)
+        self._set_fields(mu, sym)
         object.__setattr__(self, "_factor", psd_factor(sym))
 
     @property
@@ -257,13 +254,10 @@ class Gaussian(SpectralDistribution):
         return f"gaussian:mu={_fmt_vec(self.mu)};sigma={_fmt_vec(self.sigma)}"
 
 
-@dataclass(frozen=True, eq=False)
-class Uniform(SpectralDistribution):
+class Uniform(SpectralDistribution, Frozen):
     """Independent uniform coordinates on [a_j, b_j]."""
 
-    a: np.ndarray
-    b: np.ndarray
-
+    _fields = ("a", "b")
     family = "uniform"
     sample, sample_tilted = _draws, _tilted_draws
 
@@ -274,8 +268,7 @@ class Uniform(SpectralDistribution):
             raise ValueError("interval endpoint vectors disagree in length")
         if np.any(b <= a):
             raise ValueError("uniform intervals must have b > a")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self._set_fields(a, b)
 
     @property
     def dim(self) -> int:
@@ -339,13 +332,10 @@ class Uniform(SpectralDistribution):
         return f"uniform:a={_fmt_vec(self.a)};b={_fmt_vec(self.b)}"
 
 
-@dataclass(frozen=True, eq=False)
-class Gamma(SpectralDistribution):
+class Gamma(SpectralDistribution, Frozen):
     """Independent gamma coordinates with shape k_j and rate theta_j."""
 
-    shape: np.ndarray
-    rate: np.ndarray
-
+    _fields = ("shape", "rate")
     family = "gamma"
     sample, sample_tilted = _draws, _tilted_draws
 
@@ -356,8 +346,7 @@ class Gamma(SpectralDistribution):
             raise ValueError("shape and rate vectors disagree in length")
         if np.any(shape <= 0) or np.any(rate <= 0):
             raise ValueError("gamma shape and rate must be positive")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rate", rate)
+        self._set_fields(shape, rate)
 
     @property
     def dim(self) -> int:
@@ -446,11 +435,10 @@ def cgf_gradient(dist: SpectralDistribution, t) -> np.ndarray:
 # shape function and simplex weights
 
 
-@dataclass(frozen=True)
-class SimplexWeights:
+class SimplexWeights(Frozen):
     """Weights u_1..u_n in [0, 1] summing to 1 (renormalized on construction)."""
 
-    u: np.ndarray
+    _fields = ("u",)
 
     def __init__(self, u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -461,21 +449,22 @@ class SimplexWeights:
         if total <= 0:
             raise ValueError("simplex weights must have positive sum")
         u = u / total
-        object.__setattr__(self, "u", u)
+        self._set_fields(u)
 
     def __len__(self):
         return len(self.u)
 
 
-@dataclass(frozen=True)
-class ShapeFunction:
+class ShapeFunction(Frozen):
     """The normalizer kappa(t) = phi_law(t) + c0 in the max-stable
     construction: the CGF of a spectral law plus a constant.  The
     characterization reads kappa only through kappa(t) - kappa(0), which
     must be a CGF, so this is every kappa it admits."""
 
-    law: SpectralDistribution
-    c0: float = 0.0
+    _fields = ("law", "c0")
+
+    def __init__(self, law: SpectralDistribution, c0: float = 0.0):
+        self._set_fields(law, c0)
 
     @classmethod
     def from_cgf(cls, dist: SpectralDistribution) -> "ShapeFunction":

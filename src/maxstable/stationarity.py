@@ -17,11 +17,11 @@ simulated ensemble, on the grid and two shifted grid points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fdd
+from .frozen import Frozen
 from .seeding import derive_rng
 from .simulator import _DUPLICATE_TOL, DEFAULT_N_POINTS, Grid, prepare_general
 from .spectral import (
@@ -40,13 +40,10 @@ _GRID_CAP = 20_000
 _CONFIG_BLOCK = 4096  # configs per CGF pass of the search, which bounds its memory
 
 
-@dataclass(frozen=True)
-class CriterionConfig:
+class CriterionConfig(Frozen):
     """One probe of the shift-invariance criterion: points, weights, shift."""
 
-    ts: np.ndarray
-    weights: SimplexWeights
-    h: np.ndarray
+    _fields = ("ts", "weights", "h")
 
     def __init__(self, ts, weights, h):
         ts = np.atleast_2d(np.asarray(ts, dtype=float))
@@ -57,9 +54,7 @@ class CriterionConfig:
             raise ValueError("weights must match the number of points")
         if h.shape[0] != ts.shape[1]:
             raise ValueError("shift dimension must match the points")
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "h", h)
+        self._set_fields(ts, weights, h)
 
     def to_dict(self) -> dict:
         return {
@@ -139,17 +134,15 @@ def gradient_affinity_defect(dist, t1, t2, delta: float, h_dir) -> float:
     return float(gap @ h_dir)
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(Frozen):
     """Outcome of a violation search over many criterion configs."""
 
-    defects: np.ndarray
-    max_abs_defect: float
-    argmax_config: CriterionConfig | None
-    verdict: str
-    roundoff_ratio: float
-    n_evaluated: int
-    n_skipped: int
+    _fields = ("defects", "max_abs_defect", "argmax_config", "verdict", "roundoff_ratio",
+               "n_evaluated", "n_skipped")
+
+    def __init__(self, defects: np.ndarray, max_abs_defect: float, argmax_config: CriterionConfig | None,
+                 verdict: str, roundoff_ratio: float, n_evaluated: int, n_skipped: int):
+        self._set_fields(defects, max_abs_defect, argmax_config, verdict, roundoff_ratio, n_evaluated, n_skipped)
 
     def to_dict(self) -> dict:
         return {
@@ -285,15 +278,17 @@ def search_violation(
 # characterization experiment
 
 
-@dataclass(frozen=True)
-class CharacterizationReport:
-    dist_spec: str
-    verdict: str
-    marginal_ks: list
-    marginals_pass: bool
-    defect_report: DefectReport
-    shift_distance: float
-    replicates: int
+class CharacterizationReport(Frozen):
+    """Outcome of ``verify_characterization``: the verdict of the defect
+    search, the marginal KS table and the shift distance."""
+
+    _fields = ("dist_spec", "verdict", "marginal_ks", "marginals_pass", "defect_report",
+               "shift_distance", "replicates")
+
+    def __init__(self, dist_spec: str, verdict: str, marginal_ks: list, marginals_pass: bool,
+                 defect_report: DefectReport, shift_distance: float, replicates: int):
+        self._set_fields(dist_spec, verdict, marginal_ks, marginals_pass, defect_report, shift_distance,
+                         replicates)
 
     def to_dict(self) -> dict:
         return {

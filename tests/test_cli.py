@@ -708,6 +708,8 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--kappa", "quadratic:mu",
           "--ts", "0;1", "--xs", "1,1"], 2),
         (["compare-reps", "--sigma", "1", "--grid", "0,1", "--threshold", "inf"], 3),
+        (["compare-reps", "--sigma", "1", "--grid", "0,1", "--threshold", "0"], 3),
+        (["compare-reps", "--sigma", "1", "--grid", "0,1", "--threshold", "-0.5"], 3),
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0", "--xs", "1e-320",
           "--method", "mc"], 3),
         (["simulate", "--construction", "br", "--variogram", "fractional:alpha=1;sacle=2",
@@ -736,7 +738,8 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         "zero-replicates", "negative-replicates", "too-few-replicates", "verify-zero-replicates",
         "nan-point", "inf-threshold", "sigma-not-a-number", "threshold-not-a-number",
         "variogram-param-without-equals", "kappa-param-without-equals",
-        "inf-compare-threshold", "infinite-exponent",
+        "inf-compare-threshold", "zero-compare-threshold", "negative-compare-threshold",
+        "infinite-exponent",
         "misspelt-variogram-key", "misspelt-kappa-key", "repeated-key",
         "variogram-alpha-out-of-range", "indefinite-kappa-sigma", "cgf-overflow", "nan-box",
         "double-dash-value", "fdd-kappa-dimension", "simulate-kappa-dimension",
@@ -855,14 +858,29 @@ def test_config_file_keys_follow_the_flag_contract(tmp_path, capsys, argv, line)
     assert out == "" and err.startswith("error:") and key in err and "Traceback" not in err
 
 
-def test_cli_import_does_not_load_scipy():
+def fresh_python(code, *args):
+    """The stdout of ``python -c code args`` in a new process that imports
+    this package from its source tree."""
     src = str(Path(maxstable.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    code = "import sys, maxstable.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, maxstable.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert fresh_python(code).strip() == "[]"
+
+
+def test_cli_import_and_call_do_not_load_dataclasses():
+    # the package's value classes are plain classes: nothing is generated at import
+    code = ("import contextlib, io, sys, maxstable.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = maxstable.cli.main(sys.argv[1:])\n"
+            "print(code, 'dataclasses' in sys.modules)")
+    argv = ["defect", "--dist", "exp:lambda=1", "--box", "0,0.6", "--budget", "5"]
+    assert fresh_python(code, *argv).strip() == "1 False"
 
 
 # runs the package with a finder that refuses every scipy module: each
@@ -892,8 +910,6 @@ print(codes)
 
 
 def test_every_subcommand_runs_without_scipy():
-    src = str(Path(maxstable.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     calls = {
         "simulate --construction smith --sigma 1 --grid 0,1 --seed 1": 0,
         "defect --dist gaussian:mu=0;sigma=1 --n 2 --budget 10": 0,
@@ -901,10 +917,7 @@ def test_every_subcommand_runs_without_scipy():
         "fdd --dist gaussian:mu=0;sigma=1 --ts 0;2 --xs 1,1 --method closed-bivariate": 0,
         "compare-reps --sigma 1 --grid 0,1 --replicates 100 --threshold 0.5 --seed 1": 0,
     }
-    out = subprocess.run(
-        [sys.executable, "-c", WITHOUT_SCIPY, *calls], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == str(list(calls.values()))
+    assert fresh_python(WITHOUT_SCIPY, *calls).strip() == str(list(calls.values()))
 
 
 def run_with_blas_threads(argv, threads):

@@ -22,16 +22,19 @@ from maxstable.fdd import (
     ks_threshold,
     std_normal_cdf,
 )
+from maxstable.pointproc import FrechetCascade
 from maxstable.seeding import derive_rng
-from maxstable.simulator import Grid
+from maxstable.simulator import Field, Grid, prepare_smith
 from maxstable.spectral import (
     Exponential,
     Gamma,
     Gaussian,
     ShapeFunction,
+    SimplexWeights,
     SpectralDistribution,
     Uniform,
 )
+from maxstable.stationarity import CharacterizationReport, CriterionConfig, DefectReport
 
 
 def unit_gaussian():
@@ -474,10 +477,58 @@ def test_exponent_mc_needs_min_samples_draws_per_point(n, ok, rng):
             exponent_mc(dist, kappa, q, 1000, rng)
 
 
-def test_exponent_value_is_frozen():
-    ev = ExponentValue(1.0, 0.0, "mc")
+def _defect_report():
+    return DefectReport(np.zeros(1), 0.0, None, "stationary-consistent", 0.0, 1, 0)
+
+
+# one instance of each of the package's value classes, and one of its fields
+VALUE_CLASSES = {
+    "FddQuery": (lambda: FddQuery([0.0, 1.0], [1.0, 1.0]), "xs"),
+    "ExponentValue": (lambda: ExponentValue(1.0, 0.0, "mc"), "value"),
+    "FrechetCascade": (lambda: FrechetCascade([2.0, 1.0]), "points"),
+    "Grid": (lambda: Grid([0.0, 1.0]), "locations"),
+    "Field": (lambda: Field(Grid([0.0, 1.0]), [1.0, 2.0], {}), "values"),
+    "PreparedLaw": (lambda: prepare_smith(1.0, Grid([0.0, 1.0]), 10), "grid"),
+    "Gaussian": (lambda: Gaussian(0.0, 1.0), "mu"),
+    "Uniform": (lambda: Uniform(0.0, 1.0), "b"),
+    "Gamma": (lambda: Gamma(2.0, 1.0), "rate"),
+    "SimplexWeights": (lambda: SimplexWeights([1.0, 1.0]), "u"),
+    "ShapeFunction": (lambda: ShapeFunction(Gaussian(0.0, 1.0)), "c0"),
+    "CriterionConfig": (lambda: CriterionConfig([[0.0], [1.0]], [0.5, 0.5], [0.3]), "h"),
+    "DefectReport": (_defect_report, "verdict"),
+    "CharacterizationReport": (
+        lambda: CharacterizationReport("exp:lambda=1.0", "violated", [], True, _defect_report(), 0.1, 100),
+        "verdict"),
+}
+
+
+@pytest.mark.parametrize("make, field", VALUE_CLASSES.values(), ids=VALUE_CLASSES)
+def test_value_classes_are_frozen(make, field):
+    obj = make()
+    before = getattr(obj, field)
     with pytest.raises(AttributeError):
-        ev.value = 2.0
+        setattr(obj, field, 2.0)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    assert getattr(obj, field) is before
+
+
+def test_exponent_value_compares_and_prints_its_fields():
+    ev = ExponentValue(1.0, 0.5, "mc")
+    assert repr(ev) == "ExponentValue(value=1.0, se=0.5, method='mc')"
+    assert ev == ExponentValue(value=1.0, se=0.5, method="mc")
+    assert hash(ev) == hash(ExponentValue(1.0, 0.5, "mc"))
+    assert ev != ExponentValue(1.0, 0.4, "mc") and ev != (1.0, 0.5, "mc")
+
+
+def test_criterion_config_compares_and_prints_its_fields():
+    cfg = CriterionConfig([[0.5]], [1.0], [0.3])
+    assert repr(cfg) == "CriterionConfig(ts=array([[0.5]]), weights=SimplexWeights(u=array([1.])), h=array([0.3]))"
+    assert cfg == CriterionConfig([[0.5]], [1.0], [0.3])
+    assert cfg != CriterionConfig([[0.5]], [1.0], [0.4])
+    two = CriterionConfig([[0.0], [1.0]], [0.5, 0.5], [0.3])
+    assert repr(two) == ("CriterionConfig(ts=array([[0.],\n       [1.]]), "
+                         "weights=SimplexWeights(u=array([0.5, 0.5])), h=array([0.3]))")
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,13 @@ def test_parse_format_round_trip():
         assert parse_distribution(dist.spec_string()) == dist
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_family_prints_its_spec_string(d):
+    for dist in registry_examples(d):
+        assert repr(dist) == f"{type(dist).__name__}({dist.spec_string()!r})"
+    assert repr(Exponential(1.0)) == "Exponential('exp:lambda=1.0')"
+
+
 def test_parse_examples():
     dist = parse_distribution("gaussian:mu=0,0;sigma=1,0.5,0.5,1")
     assert isinstance(dist, Gaussian) and dist.dim == 2
