@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("defect", help="search for stationarity-criterion violations")
     p.add_argument("--dist")
-    p.add_argument("--n", type=int, default=2, help="tuple size of the criterion")
+    p.add_argument("--n", type=int, default=2, help="tuple size of the criterion, at least 2")
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--box", default=None, help="search box, lo,hi per axis")
     common(p)

@@ -3,13 +3,23 @@
 A subclass names its fields in the class-level tuple ``_fields`` and sets
 them in its own ``__init__`` with ``_set_fields`` (or, for an attribute
 outside ``_fields``, ``object.__setattr__``); after that, setting or
-deleting any attribute raises ``AttributeError``.  Equality,
-hashing and repr read the fields in order: two instances of the same
-class are equal when their field tuples are, and the repr is
-``Name(field=value, ...)`` (the spectral families compare and print by
+deleting any attribute raises ``AttributeError``.  Equality, hashing and
+repr read the fields in order: two instances of the same class are equal
+when their fields are, pair by pair, a numpy field when its shape and
+values are (so nan never equals nan, and -0.0 equals 0.0); the hash is
+that of the field tuple, so a class with an array field is unhashable;
+the repr is ``Name(field=value, ...)`` (the spectral families print by
 their spec string instead).  Nothing is generated at import.
 """
 from __future__ import annotations
+
+import numpy as np
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 class Frozen:
@@ -31,7 +41,7 @@ class Frozen:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return all(map(_same, self._values(), other._values()))
         return NotImplemented
 
     def __hash__(self):

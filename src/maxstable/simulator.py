@@ -59,7 +59,7 @@ each.  Reading ahead, in any amount, does not change what a slot reads.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -170,26 +170,29 @@ def _check_values(values):
         raise ValueError("field values must be strictly positive and finite")
 
 
-class Variogram:
+class Variogram(Frozen):
     """Variogram gamma(h) >= 0 with gamma(0) = 0, gamma(h) = gamma(-h).
 
     Kinds: fractional  gamma(h) = scale * ||h||^alpha, alpha in (0, 2];
            quadratic   gamma(h) = <h, Sigma h> with Sigma PSD.
+    The fields of the other kind are None.
     """
 
+    _fields = ("kind", "scale", "alpha", "sigma")
+
     def __init__(self, kind: str, *, scale=None, alpha=None, sigma=None):
-        self.kind = kind
         if kind == "fractional":
-            self.scale = float(scale)
-            self.alpha = float(alpha)
-            if self.scale <= 0:
+            scale, alpha, sigma = float(scale), float(alpha), None
+            if scale <= 0:
                 raise ValueError("variogram scale must be positive")
-            if not 0.0 < self.alpha <= 2.0:
+            if not 0.0 < alpha <= 2.0:
                 raise ValueError("variogram exponent must lie in (0, 2]")
         elif kind == "quadratic":
-            self.sigma, _, _ = clamp_psd(sigma)
+            scale = alpha = None
+            sigma, _, _ = clamp_psd(sigma)
         else:
             raise ValueError(f"unknown variogram kind {kind!r}")
+        self._set_fields(kind, scale, alpha, sigma)
 
     @classmethod
     def fractional(cls, scale: float, alpha: float) -> "Variogram":
@@ -297,33 +300,23 @@ class _Dealt:
 # exact simulation by extremal functions
 
 
-class _Sampler(NamedTuple):
-    """A construction's candidates for the engine (see _extremal_log_fields)."""
+# A construction's candidates for the engine (see _extremal_log_fields):
+# draw(n, rng) gives n base rows; log_y(rows, js[, paths]) the (n, m) log Y,
+# row r tilted at t_{js[r]}; screen(rows, js) log Y at t_{js[r] - 1}, log_y's
+# entry bit for bit; complete(n, rng) n completion rows, or None.
+_Sampler = namedtuple("_Sampler", "draw log_y screen complete", defaults=(None,))
 
-    draw: object  # draw(n, rng): n base rows
-    log_y: object  # log_y(rows, js[, paths]): the (n, m) log Y, row r tilted at t_{js[r]}
-    screen: object  # screen(rows, js): log Y at t_{js[r] - 1}, log_y's entry bit for bit
-    complete: object = None  # complete(n, rng): n completion rows, or None
+# A pass's candidate table, in list order (see _Scan.list): rep, the position
+# of the candidate's replicate in the running record; loc, its location j;
+# log_zeta; row, its base row's index in its slot's share of the spectral
+# stream; path, a survivor's completion row index if the sampler has
+# ``complete``.
+_Candidates = namedtuple("_Candidates", "rep loc log_zeta row path", defaults=(None,))
 
-
-class _Candidates(NamedTuple):
-    """A pass's candidate table, in list order (see _Scan.list)."""
-
-    rep: np.ndarray  # the position of the candidate's replicate in the running record
-    loc: np.ndarray  # its location j
-    log_zeta: np.ndarray
-    row: np.ndarray  # its base row's index in its slot's share of the spectral stream
-    path: np.ndarray = None  # a survivor's completion row index, if the sampler has ``complete``
-
-
-class _Running(NamedTuple):
-    """The running replicates' cursors, by position."""
-
-    ids: np.ndarray  # the replicate
-    loc: np.ndarray  # its location t_j
-    at_loc: np.ndarray  # t_j's next unlisted arrival: its candidates so far
-    next_row: np.ndarray  # its next base row
-    next_path: np.ndarray  # its next completion row
+# The running replicates' cursors, by position: ids, the replicate; loc, its
+# location t_j; at_loc, t_j's next unlisted arrival (its candidates so far);
+# next_row, its next base row; next_path, its next completion row.
+_Running = namedtuple("_Running", "ids loc at_loc next_row next_path")
 
 
 def _extremal_log_fields(m, sampler, n_points, blocks):
@@ -707,16 +700,11 @@ def _check_variogram_size(values, where):
                          "the double range, so sums of its values overflow")
 
 
-class _Increments(NamedTuple):
-    """Unconditioned paths of G on a grid: paths(z) turns n rows of
-    ``width`` standard normals into n paths of G - G(t_0) on the m
-    locations, each 0 at t_0; gamma[i, j] = gamma(t_i - t_j), one symmetric
-    (m, m) table (or view) from which every variogram value is read."""
-
-    kind: str  # "circulant" or "cholesky"
-    width: int
-    paths: object
-    gamma: object
+# Unconditioned paths of G on a grid: paths(z) turns n rows of ``width``
+# standard normals into n paths of G - G(t_0) on the m locations, each 0 at
+# t_0; gamma[i, j] = gamma(t_i - t_j), one symmetric (m, m) table (or view)
+# from which every variogram value is read; kind is "circulant" or "cholesky".
+_Increments = namedtuple("_Increments", "kind width paths gamma")
 
 
 def _lattice_step(grid: Grid):
@@ -996,7 +984,6 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
         "window": window.tolist(),
         "buffer_radius": r_buf,
         "edge_error_bound": edge_bound,
-        "truncation": {"exact_on_grid": True},
     }
     return PreparedLaw(grid, prov, scan)
 

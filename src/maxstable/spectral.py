@@ -177,10 +177,6 @@ class SpectralDistribution:
     def __repr__(self):
         return f"{type(self).__name__}({self.spec_string()!r})"
 
-    def __eq__(self, other):
-        # spec_string prints every float with repr, which round-trips
-        return type(other) is type(self) and other.spec_string() == self.spec_string()
-
 
 def _tilted_draws(dist: SpectralDistribution, t, n: int, rng) -> np.ndarray:
     """``sample_tilted`` of every family: n draws of its tilted sampler at

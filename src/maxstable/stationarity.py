@@ -224,8 +224,9 @@ def search_violation(
     whose shifted points leave the CGF domain are skipped; a defect that is
     not finite (the CGF overflows) raises ValueError, so no verdict is given.
     """
-    if n < 1:
-        raise ValueError("criterion tuple size n must be >= 1")
+    if n < 2:
+        raise ValueError("criterion tuple size n must be >= 2: with one point both "
+                         "sides of the criterion are 0 for every law")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     box = np.asarray(box, dtype=float).reshape(-1, 2)

@@ -266,7 +266,7 @@ def test_criterion_8_numerical_hygiene(report):
             exact_fields += int(np.array_equal(field.values, values) and np.array_equal(many[rep], block))
     exact_ok = exact_fields == len(configs) * EXACTNESS_FIELDS
     mmm_field = simulate_moving_maxima([[1.0]], grid, derive_rng(8401))
-    exact_ok = exact_ok and mmm_field.provenance["truncation"]["exact_on_grid"]
+    exact_ok = exact_ok and mmm_field.provenance["edge_error_bound"] <= 1.01e-8
 
     ok = grad_ok and replicate_ok and exact_ok
     report(

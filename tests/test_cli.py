@@ -725,6 +725,7 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         (["defect", "--dist", "gaussian:mu=0;sigma=1", "--n", "2", "--budget", "5",
           "--box", "0,1e160"], 3),
         (["defect", "--dist", "gaussian:mu=0;sigma=1", "--box", "nan,nan"], 3),
+        (["defect", "--dist", "exp:lambda=1", "--n", "1", "--budget", "50", "--seed", "1"], 3),
         (["verify", "--dist", "gaussian:mu=0;sigma=1", "--replicates=--"], 2),
         (["fdd", "--dist", "exp:lambda=1", "--kappa", "quadratic:mu=0,0;sigma=1,0,0,1",
           "--ts", "0;0.3", "--xs", "1,1"], 2),
@@ -742,6 +743,7 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         "infinite-exponent",
         "misspelt-variogram-key", "misspelt-kappa-key", "repeated-key",
         "variogram-alpha-out-of-range", "indefinite-kappa-sigma", "cgf-overflow", "nan-box",
+        "one-point-criterion",
         "double-dash-value", "fdd-kappa-dimension", "simulate-kappa-dimension",
         "fdd-too-few-draws-per-point",
     ],

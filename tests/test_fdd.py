@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import maxstable
 from maxstable import fdd
 from maxstable.fdd import (
     ExponentValue,
@@ -22,9 +23,10 @@ from maxstable.fdd import (
     ks_threshold,
     std_normal_cdf,
 )
+from maxstable.frozen import Frozen
 from maxstable.pointproc import FrechetCascade
 from maxstable.seeding import derive_rng
-from maxstable.simulator import Field, Grid, prepare_smith
+from maxstable.simulator import Field, Grid, PreparedLaw, Variogram, prepare_smith
 from maxstable.spectral import (
     Exponential,
     Gamma,
@@ -33,6 +35,7 @@ from maxstable.spectral import (
     SimplexWeights,
     SpectralDistribution,
     Uniform,
+    parse_distribution,
 )
 from maxstable.stationarity import CharacterizationReport, CriterionConfig, DefectReport
 
@@ -477,28 +480,30 @@ def test_exponent_mc_needs_min_samples_draws_per_point(n, ok, rng):
             exponent_mc(dist, kappa, q, 1000, rng)
 
 
-def _defect_report():
-    return DefectReport(np.zeros(1), 0.0, None, "stationary-consistent", 0.0, 1, 0)
+def _defect_report(v=0.0):
+    return DefectReport(np.zeros(1), v, None, "stationary-consistent", 0.0, 1, 0)
 
 
-# one instance of each of the package's value classes, and one of its fields
+# one instance of each of the package's value classes, made by make(), and
+# one of its fields, the one that make(v) sets from v
 VALUE_CLASSES = {
-    "FddQuery": (lambda: FddQuery([0.0, 1.0], [1.0, 1.0]), "xs"),
-    "ExponentValue": (lambda: ExponentValue(1.0, 0.0, "mc"), "value"),
-    "FrechetCascade": (lambda: FrechetCascade([2.0, 1.0]), "points"),
-    "Grid": (lambda: Grid([0.0, 1.0]), "locations"),
-    "Field": (lambda: Field(Grid([0.0, 1.0]), [1.0, 2.0], {}), "values"),
-    "PreparedLaw": (lambda: prepare_smith(1.0, Grid([0.0, 1.0]), 10), "grid"),
-    "Gaussian": (lambda: Gaussian(0.0, 1.0), "mu"),
-    "Uniform": (lambda: Uniform(0.0, 1.0), "b"),
-    "Gamma": (lambda: Gamma(2.0, 1.0), "rate"),
-    "SimplexWeights": (lambda: SimplexWeights([1.0, 1.0]), "u"),
-    "ShapeFunction": (lambda: ShapeFunction(Gaussian(0.0, 1.0)), "c0"),
-    "CriterionConfig": (lambda: CriterionConfig([[0.0], [1.0]], [0.5, 0.5], [0.3]), "h"),
-    "DefectReport": (_defect_report, "verdict"),
+    "FddQuery": (lambda v=1.0: FddQuery([0.0, 1.0], [1.0, v]), "xs"),
+    "ExponentValue": (lambda v=1.0: ExponentValue(v, 0.0, "mc"), "value"),
+    "FrechetCascade": (lambda v=1.0: FrechetCascade([2.0, v]), "points"),
+    "Grid": (lambda v=1.0: Grid([0.0, v]), "locations"),
+    "Field": (lambda v=2.0: Field(Grid([0.0, 1.0]), [1.0, v], {}), "values"),
+    "PreparedLaw": (lambda v=1.0: prepare_smith(1.0, Grid([0.0, v]), 10), "grid"),
+    "Variogram": (lambda v=1.0: Variogram.fractional(1.0, v), "alpha"),
+    "Gaussian": (lambda v=0.0: Gaussian(v, 1.0), "mu"),
+    "Uniform": (lambda v=1.0: Uniform(0.0, v), "b"),
+    "Gamma": (lambda v=1.0: Gamma(2.0, v), "rate"),
+    "SimplexWeights": (lambda v=1.0: SimplexWeights([0.5, v - 0.5]), "u"),
+    "ShapeFunction": (lambda v=1.0: ShapeFunction(Gaussian(0.0, v)), "law"),
+    "CriterionConfig": (lambda v=0.3: CriterionConfig([[0.0], [1.0]], [0.5, 0.5], [v]), "h"),
+    "DefectReport": (_defect_report, "max_abs_defect"),
     "CharacterizationReport": (
-        lambda: CharacterizationReport("exp:lambda=1.0", "violated", [], True, _defect_report(), 0.1, 100),
-        "verdict"),
+        lambda v=0.0: CharacterizationReport("exp:lambda=1.0", "violated", [], True, _defect_report(v), 0.1, 100),
+        "defect_report"),
 }
 
 
@@ -511,6 +516,38 @@ def test_value_classes_are_frozen(make, field):
     with pytest.raises(AttributeError):
         delattr(obj, field)
     assert getattr(obj, field) is before
+
+
+@pytest.mark.parametrize("make, field", VALUE_CLASSES.values(), ids=VALUE_CLASSES)
+def test_value_classes_compare_by_their_fields(make, field):
+    obj = make()
+    # a PreparedLaw's scan is a closure, which compares by identity
+    twin = obj if isinstance(obj, PreparedLaw) else make()
+    assert obj == twin and not obj != twin
+    changed = make(1.5)
+    assert obj != changed and changed != obj
+
+
+def test_array_fields_compare_by_shape_and_value():
+    assert Grid([0.0, 1.0]) != Grid([0.0, 1.0, 2.0])
+    assert Gaussian(-0.0, 1.0) == Gaussian(0.0, 1.0)
+    assert ExponentValue(math.nan, 0.0, "mc") != ExponentValue(math.nan, 0.0, "mc")
+    with pytest.raises(TypeError):
+        hash(Grid([0.0, 1.0]))
+
+
+def test_every_exported_value_class_is_frozen():
+    exported = [obj for obj in vars(maxstable).values() if isinstance(obj, type)]
+    assert Grid in exported
+    for cls in exported:
+        if not issubclass(cls, Exception) and cls is not SpectralDistribution:
+            assert issubclass(cls, Frozen), cls.__name__
+
+
+def test_spectral_families_compare_by_class_and_fields():
+    assert Exponential(1.0) != Gamma(1.0, 1.0) and Gamma(1.0, 1.0) != Exponential(1.0)
+    dist = Gaussian([0.0, 1.0], [[1.0, 0.3], [0.3, 2.0]])
+    assert dist == parse_distribution("gaussian:mu=0,1;sigma=1,0.3,0.3,2")
 
 
 def test_exponent_value_compares_and_prints_its_fields():

@@ -970,7 +970,6 @@ def test_moving_maxima_single_stub_storm(stub_rng):
     for value in field.values:
         assert value == pytest.approx(c * (hi - lo) * math.exp(-1.0 / 8.0), rel=1e-14)
     assert field.provenance["n_points"] == simulator._STORM_STEP
-    assert field.provenance["truncation"]["exact_on_grid"]
 
 
 def test_moving_maxima_streaming_run():
@@ -979,7 +978,6 @@ def test_moving_maxima_streaming_run():
     b = simulate_moving_maxima([[1.0]], grid, derive_rng(17))
     assert np.array_equal(a.values, b.values)
     prov = a.provenance
-    assert prov["truncation"]["exact_on_grid"]
     assert prov["edge_error_bound"] <= 1.01e-8
     assert prov["buffer_radius"] > 0
 

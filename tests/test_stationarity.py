@@ -115,8 +115,9 @@ def test_search_violation_input_checks(rng):
     dist = Gaussian([0.0], [[1.0]])
     with pytest.raises(ValueError):
         search_violation(dist, 2, 0, [[-1.0, 1.0]], rng)
-    with pytest.raises(ValueError):
-        search_violation(dist, 0, 10, [[-1.0, 1.0]], rng)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            search_violation(dist, n, 10, [[-1.0, 1.0]], rng)
     with pytest.raises(ValueError):
         search_violation(dist, 2, 10, [[1.0, -1.0]], rng)
     with pytest.raises(ValueError):
