@@ -72,6 +72,8 @@ def parse_grid(spec: str) -> np.ndarray:
             axes = []
             for part in spec.split("x"):
                 start, step, count = part.split(":")
+                if int(count) < 1:
+                    raise ValueError(f"axis {part!r} has count {int(count)}, below 1")
                 with np.errstate(over="ignore", invalid="ignore"):  # Grid rejects what is not finite
                     axes.append(float(start) + float(step) * np.arange(int(count)))
             mesh = np.meshgrid(*axes, indexing="ij")

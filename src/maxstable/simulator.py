@@ -15,13 +15,15 @@ grid and at one location per row (a ``_Sampler``): the family's
 Brown-Resnick (whose quadratic variograms give Smith's field, simulated
 as one).  The engine runs in passes of four stages (``_Scan``): it lists
 candidates from a table of arrivals, screens each at t_{j-1}, where on a
-dense grid nearly every rejected candidate already reaches the field,
-scores the few left on all m locations, and advances past the first one
-kept.  It works in log space and exponentiates once, so a single huge
-value cannot overflow intermediate arithmetic.  ``n_points`` is a loop
-guard, not a truncation: the most spectral draws at one grid location; a
-field that needs more raises ValueError.  The moving-maxima construction
-uses an exact-on-grid stopping rule with an explicit edge-error bound.
+dense grid nearly every rejected candidate already reaches the field (a
+spectral law's on a product lattice also one step back along each slower
+axis), scores the few left on all m locations, and advances past the
+first one kept.  It works in log space and exponentiates once, so a
+single huge value cannot overflow intermediate arithmetic.  ``n_points``
+is a loop guard, not a truncation: the most spectral draws at one grid
+location; a field that needs more raises ValueError.  The moving-maxima
+construction uses an exact-on-grid stopping rule with an explicit
+edge-error bound.
 
 Each construction is prepared once per grid by its ``prepare_*``
 function, into a ``PreparedLaw`` that holds what all its fields share (phi
@@ -121,8 +123,45 @@ def has_duplicate_points(points) -> bool:
     return False
 
 
+def _product_lattice(points):
+    """The axes of an (m, d) grid that is the full product of per-axis
+    values, nested in any order (``parse_grid``'s, first axis slowest,
+    numpy ``meshgrid``'s default 'xy', or another): per axis, its distinct
+    values in grid order and its stride, the run of consecutive locations
+    that share a value (m on an axis of one value).  Values are told apart
+    by their bits, so -0.0 is not 0.0.  None for a 1-D grid and for any
+    grid that is no such product."""
+    m, d = points.shape
+    if d < 2:
+        return None
+    bits = np.ascontiguousarray(points).view(np.int64)
+    axes = []
+    for a in range(d):
+        col = bits[:, a]
+        change = np.flatnonzero(col != col[0])
+        stride = int(change[0]) if change.size else m
+        runs = col[::stride]
+        again = np.flatnonzero(runs[1:] == runs[0])
+        n = int(again[0]) + 1 if again.size else runs.size
+        ordered = np.sort(runs[:n])  # not np.unique, which imports numpy.ma (1.6 MB)
+        if m % (n * stride) or np.any(ordered[1:] == ordered[:-1]) \
+                or np.any(col.reshape(-1, n, stride) != runs[:n, None]):
+            return None
+        axes.append((points[:n * stride:stride, a], stride))
+    # the strides nest: in stride order, each axis of more than one value
+    # steps by the product of the counts of the faster ones, and all of
+    # them together cover the grid once
+    size = 1
+    for values, stride in sorted((axis for axis in axes if axis[0].size > 1), key=lambda axis: axis[1]):
+        if stride != size:
+            return None
+        size *= values.size
+    return tuple(axes) if size == m else None
+
+
 class Grid(Frozen):
-    """Finite set of evaluation locations in R^d (no duplicates)."""
+    """Finite set of evaluation locations in R^d (no duplicates).
+    ``lattice`` is the grid's ``_product_lattice`` record, or None."""
 
     _fields = ("locations",)
 
@@ -137,6 +176,7 @@ class Grid(Frozen):
         if pts.shape[0] > 1 and has_duplicate_points(pts):
             raise ValueError(f"grid contains duplicate locations (tolerance {_DUPLICATE_TOL:g})")
         self._set_fields(pts)
+        object.__setattr__(self, "lattice", _product_lattice(pts))
 
     @property
     def size(self) -> int:
@@ -302,9 +342,12 @@ class _Dealt:
 
 # A construction's candidates for the engine (see _extremal_log_fields):
 # draw(n, rng) gives n base rows; log_y(rows, js[, paths]) the (n, m) log Y,
-# row r tilted at t_{js[r]}; screen(rows, js) log Y at t_{js[r] - 1}, log_y's
-# entry bit for bit; complete(n, rng) n completion rows, or None.
-_Sampler = namedtuple("_Sampler", "draw log_y screen complete", defaults=(None,))
+# row r tilted at t_{js[r]}; screen(rows, js[, cols]) row r's log Y at
+# t_{js[r] - 1}, or at t_{cols[r]} if cols are given, log_y's entry bit for
+# bit; complete(n, rng) n completion rows, or None; witnesses, the offsets
+# s > 1 at which the engine also screens, cols = js - s (none unless given;
+# a sampler with witnesses takes cols).
+_Sampler = namedtuple("_Sampler", "draw log_y screen complete witnesses", defaults=(None, ()))
 
 # A pass's candidate table, in list order (see _Scan.list): rep, the position
 # of the candidate's replicate in the running record; loc, its location j;
@@ -464,15 +507,24 @@ class _Scan:
         """The candidates that pass the screen, with their base rows.
 
         A candidate at t_j (j >= 1) with zeta * Y(t_{j-1}) >= Z(t_{j-1})
-        reaches Z before t_j and is rejected at this screen.  Any earlier
-        location would be as exact a witness; t_{j-1} needs no table, and on
-        an unsorted grid it only screens less.  The screen decides what the
-        full row would only if it gives the full row's entry bit for bit.
+        reaches Z before t_j and is rejected at this screen; one that passes
+        is then screened the same way at t_{j-s} (t_0 if j < s), for each of
+        the sampler's witness offsets s.  Any earlier location is as exact a
+        witness.  t_{j-1} needs no table, and on an unsorted grid it only
+        screens less.  On a product lattice the offsets are the strides of
+        its slower axes, so a candidate is also screened one row back: a
+        row's first location, whose t_{j-1} is the far end of the row
+        before, mostly finds its rejection there.  The screen decides what
+        the full row would only if it gives the full row's entry bit for bit.
         """
-        run = self.run
+        run, sampler = self.run, self.sampler
         reps = run.ids[cand.rep]
         x = self.rows.at(reps, cand.row, int(run.next_row[run.next_row.argmin()]))
-        live = (cand.log_zeta + self.sampler.screen(x, cand.loc) < self.log_z[reps, cand.loc - 1]).nonzero()[0]
+        live = (cand.log_zeta + sampler.screen(x, cand.loc) < self.log_z[reps, cand.loc - 1]).nonzero()[0]
+        for s in sampler.witnesses:
+            j = cand.loc[live]
+            back = np.maximum(j - s, 0)  # t_0 for j < s: any earlier location is exact
+            live = live[cand.log_zeta[live] + sampler.screen(x[live], j, back) < self.log_z[reps[live], back]]
         rep, path = cand.rep[live], None
         if self.paths:
             # the completion rows, in candidate order per replicate
@@ -622,13 +674,20 @@ def _spectral_law(dist, kappa, grid, n_points, construction) -> PreparedLaw:
         a = ordered_dot(tilt(rows, js)[:, None, :], t_mat) - phi
         return a - a[np.arange(len(js)), js][:, None]
 
-    def screen(rows, js):
-        x, cols = tilt(rows, js), js - 1
+    def screen(rows, js, cols=None):
+        x, cols = tilt(rows, js), (js - 1 if cols is None else cols)
         return (ordered_dot(x, t_mat[cols]) - phi[cols]) - (ordered_dot(x, t_mat[js]) - phi[js])
 
     prov = {"construction": construction, "dist": dist.spec_string(),
             "kappa": kappa.law.spec_string(), "c0": kappa.c0}
-    return _engine_law(grid, _Sampler(draw, log_y, screen), n_points, prov, shift)
+    return _engine_law(grid, _Sampler(draw, log_y, screen, witnesses=_witnesses(grid)), n_points, prov, shift)
+
+
+def _witnesses(grid: Grid):
+    """The spectral screen's witness offsets on a product lattice: the
+    strides above 1 of its axes of more than one value, in increasing
+    order; none on any other grid."""
+    return tuple(sorted(stride for values, stride in grid.lattice or () if values.size > 1 and stride > 1))
 
 
 def _smith_law(sigma):
@@ -1025,7 +1084,18 @@ def field_csv_text(field: Field, extra_header: dict | None = None) -> str:
     if extra_header:
         for key, value in extra_header.items():
             lines.append(f"# {key}={value}")
-    # "%.17g" % x is format(x, ".17g"): one format operation for the table
-    row = ",".join(["%.17g"] * (field.grid.dim + 1)) + "\n"
-    table = np.column_stack([field.grid.locations, field.values])
-    return "\n".join(lines) + "\n" + (row * field.grid.size) % tuple(table.ravel().tolist())
+    grid = field.grid
+    if grid.lattice is None:
+        # "%.17g" % x is format(x, ".17g"): one format operation for the table
+        row = ",".join(["%.17g"] * (grid.dim + 1)) + "\n"
+        table = np.column_stack([grid.locations, field.values])
+    else:
+        # a product lattice formats each axis's values once and repeats the
+        # strings by stride; one format operation fills in the rows
+        row = "%s," * grid.dim + "%.17g\n"
+        table = np.empty((grid.size, grid.dim + 1), object)
+        for a, (values, stride) in enumerate(grid.lattice):
+            strings = np.array(["%.17g" % v for v in values.tolist()], object)
+            table[:, a] = np.tile(np.repeat(strings, stride), grid.size // (values.size * stride))
+        table[:, -1] = field.values
+    return "\n".join(lines) + "\n" + (row * grid.size) % tuple(table.ravel().tolist())

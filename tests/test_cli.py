@@ -65,6 +65,12 @@ def test_parse_grid_point_lists():
         parse_grid("a,b")
 
 
+@pytest.mark.parametrize("spec", ["0:1:0", "0:1:-2", "0:1:3x0:1:0", "0:1:2.5"])
+def test_parse_grid_rejects_an_axis_count_below_one(spec):
+    with pytest.raises(UsageError):
+        parse_grid(spec)
+
+
 def test_parse_matrix_and_box():
     assert parse_matrix("1,0.5,0.5,1").shape == (2, 2)
     with pytest.raises(SpecParseError):
@@ -734,6 +740,9 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         # 1000 draws over 600 points would leave one row per point and se = 0
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", ";".join(str(i / 100) for i in range(600)),
           "--xs", ",".join(["1"] * 600), "--mc-n", "1000"], 3),
+        (["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0:0.1:0"], 2),
+        (["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0:0.1:-2"], 2),
+        (["simulate", "--construction", "smith", "--sigma", "1,0,0,1", "--grid", "0:0.1:3x0:0.1:0"], 2),
     ],
     ids=[
         "zero-replicates", "negative-replicates", "too-few-replicates", "verify-zero-replicates",
@@ -745,7 +754,7 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         "variogram-alpha-out-of-range", "indefinite-kappa-sigma", "cgf-overflow", "nan-box",
         "one-point-criterion",
         "double-dash-value", "fdd-kappa-dimension", "simulate-kappa-dimension",
-        "fdd-too-few-draws-per-point",
+        "fdd-too-few-draws-per-point", "zero-grid-count", "negative-grid-count", "zero-grid-count-2d",
     ],
 )
 def test_bad_input_exit_codes(argv, code, capsys):

@@ -14,6 +14,8 @@ from conftest import (
     moving_maxima_block_reference,
     moving_maxima_reference,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxstable import simulator
 from maxstable.fdd import frechet_cdf, ks_distance, ks_threshold
@@ -368,6 +370,112 @@ def test_ensemble_n_points_guard_and_overflow():
 def test_ensemble_rejects_bad_indices(indices):
     with pytest.raises(ValueError):
         prepare_smith([[1.0]], Grid([0.0, 1.0]), 100).simulate_many(1, indices)
+
+
+# ---------------------------------------------------------------------------
+# product lattices: the screen's witnesses one row back
+
+
+def mesh(indexing, *axes):
+    return np.column_stack([a.ravel() for a in np.meshgrid(*axes, indexing=indexing)])
+
+
+# (points, Sigma, the witness offsets): parse_grid's order (first axis
+# slowest), numpy meshgrid's 'xy' order and a 3-D lattice
+LATTICES = {
+    "parse-order-12x12": (mesh("ij", 0.2 * np.arange(12), 0.2 * np.arange(12)), np.eye(2), (12,)),
+    "xy-9x7": (mesh("xy", 0.25 * np.arange(9), 0.3 * np.arange(7) - 1.0), [[1.0, 0.3], [0.3, 2.0]], (9,)),
+    "6x5x4": (mesh("ij", 0.4 * np.arange(6), 0.3 * np.arange(5), 0.5 * np.arange(4)), np.eye(3), (4, 20)),
+}
+
+
+def prepared_with_witnesses(prepare, offsets):
+    """The law ``prepare()`` makes, its screen's witness offsets replaced by
+    ``offsets`` (its own if None)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if offsets is not None:
+            patch.setattr(simulator, "_witnesses", lambda grid: tuple(offsets))
+        return prepare()
+
+
+@pytest.mark.parametrize("case", LATTICES)
+def test_the_lattice_witnesses_change_no_field_and_score_fewer_rows(case):
+    # any earlier location is an exact witness: the fields and every
+    # decision stay those of the t_{j-1} screen alone, bit for bit
+    points, sigma, offsets = LATTICES[case]
+    grid = Grid(points)
+    assert simulator._witnesses(grid) == offsets
+    laws = [prepared_with_witnesses(lambda: prepare_smith(sigma, grid, DEFAULT_N_POINTS), w) for w in (None, ())]
+    (witnessed, counts), (alone, counts_alone) = map(fields_and_counts, laws)
+    for one, other in zip(witnessed, alone):
+        assert np.array_equal(one, other)
+    assert np.array_equal(counts["spectral_draws"], counts_alone["spectral_draws"])
+    assert np.array_equal(counts["rejections"], counts_alone["rejections"])
+    assert np.all(counts["full_scores"] <= counts_alone["full_scores"])
+    assert counts["full_scores"].sum() < counts_alone["full_scores"].sum()
+
+
+def fields_and_counts(law):
+    """Five one-field simulations and a 64-slot ensemble of a prepared law:
+    their values, and their per-replicate counts."""
+    fields = [law.simulate(derive_rng(seed)) for seed in range(5)]
+    values, record = law.simulate_many(17, ENSEMBLE_INDICES)
+    counts = {key: np.concatenate([[field.provenance[key] for field in fields], record[key]])
+              for key in ("spectral_draws", "rejections", "full_scores")}
+    return [field.values for field in fields] + [values], counts
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from(["smith", "gamma"]), st.integers(2, 40), st.integers(0, 2**32 - 1), st.data())
+def test_any_earlier_location_is_an_exact_witness(law, m, seed, data):
+    # arbitrary offsets on grids that are no lattice leave every field as it is
+    offsets = data.draw(st.lists(st.integers(1, m - 1), max_size=4))
+    points = np.random.default_rng(seed).uniform(-2.0, 0.9, size=(m, 2))
+    grid = Grid(points)
+    if law == "smith":
+        def prepare():
+            return prepare_smith([[1.0, 0.3], [0.3, 2.0]], grid, DEFAULT_N_POINTS)
+    else:
+        def prepare():
+            dist = Gamma([2.0, 3.0], [1.0, 1.5])
+            return prepare_general(dist, ShapeFunction.from_cgf(dist), grid, DEFAULT_N_POINTS)
+    laws = [prepared_with_witnesses(prepare, w) for w in (offsets, ())]
+    for k in range(3):
+        fields = [law.simulate(derive_rng(seed + k)) for law in laws]
+        assert np.array_equal(fields[0].values, fields[1].values)
+        assert fields[0].provenance["spectral_draws"] == fields[1].provenance["spectral_draws"]
+    values = [law.simulate_many(seed, [0, 1, 63, 64])[0] for law in laws]
+    assert np.array_equal(*values)
+
+
+@pytest.mark.parametrize("case", LATTICES)
+def test_the_lattice_record_rebuilds_the_grid_from_its_axes(case):
+    points = LATTICES[case][0]
+    lattice = Grid(points).lattice
+    assert len(lattice) == points.shape[1]
+    for column, (values, stride) in zip(points.T, lattice):
+        assert np.unique(values).size == values.size
+        assert np.array_equal(np.tile(np.repeat(values, stride), len(points) // (values.size * stride)), column)
+    # any nesting order of the axes, and an axis of one value
+    xy = mesh("xy", np.arange(3.0), np.arange(4.0), np.arange(5.0))
+    assert [(values.size, stride) for values, stride in simulator._product_lattice(xy)] == [(3, 5), (4, 15), (5, 1)]
+    flat = mesh("ij", np.arange(3.0), np.array([7.0]))
+    assert [(values.size, stride) for values, stride in simulator._product_lattice(flat)] == [(3, 1), (1, 3)]
+    assert simulator._witnesses(Grid(flat)) == ()
+
+
+def test_the_lattice_record_is_none_off_a_full_product():
+    square = LATTICES["parse-order-12x12"][0]
+    rng = np.random.default_rng(3)
+    assert Grid(np.linspace(0.0, 1.0, 12)).lattice is None  # a 1-D grid: no witnesses, one-format CSV
+    assert simulator._product_lattice(rng.uniform(size=(144, 2))) is None
+    assert simulator._product_lattice(rng.permutation(square)) is None
+    for missing in (0, 50, 143):
+        assert simulator._product_lattice(np.delete(square, missing, axis=0)) is None
+    # a staircase whose columns repeat, and an axis holding both -0.0 and 0.0
+    assert simulator._product_lattice(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]])) is None
+    assert simulator._product_lattice(np.array([[-0.0, 0.0], [-0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])) is None
+    assert Grid(rng.permutation(square)).lattice is None and simulator._witnesses(Grid(square[:-1])) == ()
 
 
 MMM_ENSEMBLE_INDICES = [4, 0, 130, 63, 64, 9]
@@ -1104,3 +1212,45 @@ def test_field_csv_text_equals_the_row_by_row_writer(d, extra_header):
     values = np.exp(rng.normal(scale=100.0, size=25))
     field = Field(grid, values, {"construction": "general", "seed": None, "n_points": 7})
     assert field_csv_text(field, extra_header) == row_by_row_csv_text(field, extra_header)
+
+
+def one_format_csv_text(field, extra_header=None):
+    """field_csv_text as one format operation over the whole table."""
+    prov = field.provenance
+    lines = [f"# construction={prov.get('construction', '?')}"
+             f" seed={prov.get('seed') if prov.get('seed') is not None else 'none'}"
+             f" n_points={prov.get('n_points', '?')}"]
+    for key, value in (extra_header or {}).items():
+        lines.append(f"# {key}={value}")
+    row = ",".join(["%.17g"] * (field.grid.dim + 1)) + "\n"
+    table = np.column_stack([field.grid.locations, field.values])
+    return "\n".join(lines) + "\n" + (row * field.grid.size) % tuple(table.ravel().tolist())
+
+
+def digit_axis(rng, n):
+    # values that need all 17 digits, from small to huge, and a signed zero
+    return np.concatenate([[-0.0], rng.normal(size=n - 1) * 10.0 ** rng.integers(-3, 150, size=n - 1)])
+
+
+CSV_GRIDS = {
+    "parse-order": lambda rng: mesh("ij", digit_axis(rng, 7), digit_axis(rng, 5)),
+    "xy": lambda rng: mesh("xy", digit_axis(rng, 6), digit_axis(rng, 4)),
+    "3-d": lambda rng: mesh("ij", digit_axis(rng, 3), digit_axis(rng, 4), digit_axis(rng, 5)),
+    # no product, though every coordinate repeats
+    "staircase": lambda rng: mesh("ij", digit_axis(rng, 6), digit_axis(rng, 6))[np.add.outer(
+        np.arange(6), np.arange(6)).ravel() < 6],
+    "1-d": lambda rng: digit_axis(rng, 30)[:, None],
+    # a product if -0.0 were 0.0
+    "signed-zeros": lambda rng: np.array([[-0.0, 0.0], [-0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]),
+}
+
+
+@pytest.mark.parametrize("case", CSV_GRIDS)
+@pytest.mark.parametrize("extra_header", [None, {"note": "x"}])
+def test_field_csv_text_is_the_one_format_table_on_lattices_and_off(case, extra_header):
+    rng = np.random.default_rng(len(case))
+    grid = Grid(CSV_GRIDS[case](rng))
+    assert (grid.lattice is not None) == (case in ("parse-order", "xy", "3-d"))
+    values = np.exp(rng.normal(scale=100.0, size=grid.size))
+    field = Field(grid, values, {"construction": "smith", "seed": 5, "n_points": 7})
+    assert field_csv_text(field, extra_header) == one_format_csv_text(field, extra_header)

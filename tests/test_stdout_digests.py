@@ -1,6 +1,7 @@
-"""SHA-256 of ``simulate`` stdout for six laws on small grids, of the two
-ensemble commands (``compare-reps`` and ``verify``, 100 replicates each)
-and of two Monte Carlo ``fdd`` exponents, seeds 9001-9003.
+"""SHA-256 of ``simulate`` stdout for seven fields on small grids (Smith
+in one, two and three dimensions), of the two ensemble commands
+(``compare-reps`` and ``verify``, 100 replicates each) and of two Monte
+Carlo ``fdd`` exponents, seeds 9001-9003.
 
 The digests pin every byte a field or a report prints: its values, its
 header and the random streams that made it.  They move only when a change moves the
@@ -28,6 +29,7 @@ CALLS = {
                     "--grid", "-5:0.05:119"],
     "general-gamma": ["--construction", "general", "--dist", "gamma:k=2;theta=1", "--kappa", "cgf",
                       "--grid", "-0.9:0.05:37"],
+    "smith-3d": ["--construction", "smith", "--sigma", "1,0,0,0,1,0,0,0,1", "--grid", "0:0.5:5x0:0.5:4x0:0.5:3"],
 }
 
 DIGESTS = {
@@ -49,6 +51,9 @@ DIGESTS = {
     ("general-gamma", 9001): "8e259e835f4e5cce4f22782b3a0bbbd6663d1b11ab81ae3289d7ebff0851b6ea",
     ("general-gamma", 9002): "1ceffa2cce1e9429c061c9df0ee2a9d70de56d9b0203cd385c547b77edec4b2d",
     ("general-gamma", 9003): "e3024571f591881cef479e68ee559d2f1072ad53bfe3d37461848d2b9d12d7a5",
+    ("smith-3d", 9001): "bd3125e28bd8018adcfb653feaf8bc1b8e8fa3c1d483d32847de8b0de1fd9391",
+    ("smith-3d", 9002): "18ac3ef8a0794a998cb7d306c5fdc04bc52104e9ee00f0e9bef8e4f8e0d17aee",
+    ("smith-3d", 9003): "c0987beeaaf3e0974d6a5a8e2b38b2f60779b3e77cad1f421199ee662c2cebbf",
 }
 
 
