@@ -9,7 +9,6 @@ Gaussian spectral vector with quadratic normalizer.
 from .fdd import (
     ExponentValue,
     FddQuery,
-    empirical_cdf,
     exponent_mc,
     frechet_cdf,
     husler_reiss_V,

@@ -314,14 +314,6 @@ def frechet_quantile(p: float) -> float:
     return -1.0 / math.log(p)
 
 
-def empirical_cdf(samples, x) -> float:
-    """Right-continuous empirical CDF of >= MIN_SAMPLES samples at x."""
-    samples = np.sort(np.asarray(samples, dtype=float))
-    if samples.size < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    return float(np.searchsorted(samples, x, side="right")) / samples.size
-
-
 def ks_distance(samples, reference_cdf) -> float:
     """sup over sample points of |F_emp - F_ref| (both one-sided gaps)."""
     samples = np.sort(np.asarray(samples, dtype=float))

@@ -637,7 +637,11 @@ class PreparedLaw(Frozen):
         if np.any(log_z > _LOG_MAX):
             raise ValueError(f"{self.provenance['construction']} field overflows the double "
                              f"range (max log value {log_z.max():.3g})")
-        return np.exp(log_z)
+        values = np.exp(log_z)
+        if np.any(values == 0.0):
+            raise ValueError(f"{self.provenance['construction']} field underflows the double "
+                             f"range (min log value {log_z.min():.3g})")
+        return values
 
 
 def _engine_law(grid, sampler, n_points, provenance, shift=0.0) -> PreparedLaw:

@@ -4,9 +4,9 @@ The analytic backbone of the toolkit: a closed registry of d-variate
 spectral laws -- gaussian, exponential (gamma of shape 1), uniform and
 gamma, with independent coordinates for the non-gaussian families.  Each
 family states its law once: a closed-form CGF phi(t) = log E exp(<X, t>)
-on its domain, a closed-form gradient, and a tilted sampler; the mean and
-the samplers derive from those, and nothing is differentiated
-numerically.  ``parse_spec`` reads every spec string.
+on its domain, a closed-form gradient, a tilted sampler and its spec
+keys; ``SpectralDistribution`` derives the rest, and nothing is
+differentiated numerically.  ``parse_spec`` reads every spec string.
 """
 from __future__ import annotations
 
@@ -102,14 +102,94 @@ def _fmt_vec(v) -> str:
     return ",".join(_fmt(x) for x in np.ravel(v))
 
 
+# ---------------------------------------------------------------------------
+# specification strings
+
+
+def parse_spec(spec: str, kinds: dict):
+    """``make(*read(take))`` for the kind a ``kind:key=value;...`` string names.
+
+    ``kinds`` maps each kind, in lower case, to ``(make, read)``; ``take(key,
+    default=None)`` gives a value's text, stripped (no default: the key must
+    be given).  A part without '=', a repeated key, an unknown kind, a
+    missing key, a key not taken and a value ``read`` cannot read each raise
+    SpecParseError; a value ``make`` rejects raises its own ValueError."""
+    name, _, body = spec.partition(":")
+    kind = name.strip().lower()
+    if kind not in kinds:
+        known = ", ".join(kinds)
+        raise SpecParseError(f"unknown kind {name.strip()!r} in {spec!r} (expected one of {known})")
+    make, read = kinds[kind]
+    texts = {}
+    for part in body.split(";"):
+        key, eq, value = (s.strip() for s in part.partition("="))
+        if not (eq or key):
+            continue
+        if not eq:
+            raise SpecParseError(f"malformed parameter {part!r} in {spec!r} (expected key=value)")
+        if key in texts:
+            raise SpecParseError(f"repeated parameter {key!r} in {spec!r}")
+        texts[key] = value
+
+    def take(key, default=None):
+        if default is None and key not in texts:
+            raise SpecParseError(f"missing parameter {key!r}")
+        return texts.pop(key, default)
+
+    try:
+        args = read(take)
+    except SpecParseError as exc:
+        raise SpecParseError(f"{exc} in {spec!r}") from exc
+    if texts:
+        raise SpecParseError(f"unknown parameter {next(iter(texts))!r} in {spec!r}")
+    return make(*args)
+
+
+def parse_numbers(text: str, size: int | None = None) -> np.ndarray:
+    """Comma-separated finite numbers, ``size`` of them if given."""
+    try:
+        vec = np.array([float(x) for x in text.split(",")])
+    except ValueError as exc:
+        raise SpecParseError(f"bad number list {text!r}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise SpecParseError(f"non-finite number in {text!r}")
+    if size is not None and vec.size != size:
+        raise SpecParseError(f"expected {size} number(s), got {text!r}")
+    return vec
+
+
+def parse_matrix(text: str) -> np.ndarray:
+    """A square matrix from its row-major entries, comma-separated."""
+    vec = parse_numbers(text)
+    d = math.isqrt(vec.size)
+    if d * d != vec.size:
+        raise SpecParseError(f"matrix {text!r} must have a square number of entries (row-major)")
+    return vec.reshape(d, d)
+
+
+# ---------------------------------------------------------------------------
+# the registry
+
+
 class SpectralDistribution:
-    """Base class of the spectral-law registry: a family implements the
-    CGF, its domain, its gradient and ``tilted_sampler``, and binds
+    """Base class of the spectral-law registry.  A family states its law
+    and nothing else: ``_cgf``, the CGF at the rows of an (m, d) array
+    inside the domain; ``gradient``; ``tilted_sampler``; its domain, if
+    not all of R^d; and ``_spec``, its spec keys in spec order as (key,
+    field, reader) entries, the fields in constructor order.  It binds
     ``sample, sample_tilted = _draws, _tilted_draws`` in its own class
-    body.  All instances are immutable and safe to share."""
+    body.  The base derives the rest from that one statement: ``cgf`` at
+    a point or at rows, behind the domain check; ``dim``, the length of
+    the first field; the mean; ``spec_string`` and the repr; and the
+    parse, through ``_DISTRIBUTIONS``.  All instances are immutable and
+    safe to share."""
 
     family: str
-    dim: int
+    _spec: tuple = ()
+
+    @property
+    def dim(self) -> int:
+        return len(getattr(self, self._fields[0]))
 
     # domain -----------------------------------------------------------
     def domain_upper(self) -> np.ndarray:
@@ -118,6 +198,11 @@ class SpectralDistribution:
     def domain_lower(self) -> np.ndarray:
         return np.full(self.dim, -np.inf)
 
+    def inside(self, pts) -> np.ndarray:
+        """Which coordinates of pts lie in the open CGF domain, lo < x < hi
+        (so nan never does)."""
+        return (pts > self.domain_lower()) & (pts < self.domain_upper())
+
     def check_domain(self, t) -> np.ndarray:
         """Validate point(s) t against the open CGF domain; returns t as a
         float array."""
@@ -125,21 +210,28 @@ class SpectralDistribution:
         pts = np.atleast_2d(t)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"expected points in R^{self.dim}, got shape {t.shape}")
-        hi = self.domain_upper()
-        lo = self.domain_lower()
-        bad = (pts >= hi) | (pts <= lo)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
+        inside = self.inside(pts)
+        if not inside.all():
+            i, j = np.argwhere(~inside)[0]
             raise DomainError(
                 f"coordinate {j} of point {pts[i]} outside the CGF domain "
-                f"of {self.family} (open interval ({lo[j]:g}, {hi[j]:g}))",
+                f"of {self.family} (open interval ({self.domain_lower()[j]:g}, "
+                f"{self.domain_upper()[j]:g}))",
                 coordinate=int(j),
             )
         return t
 
     # analytics --------------------------------------------------------
     def cgf(self, t):
-        """phi(t) = log E exp(<X, t>); accepts a point or an (m, d) array."""
+        """phi(t) = log E exp(<X, t>): a float at a point, shape (m,) at the
+        rows of an (m, d) array."""
+        t = self.check_domain(t)
+        val = self._cgf(np.atleast_2d(t))
+        return float(val[0]) if t.ndim == 1 else val
+
+    def _cgf(self, pts) -> np.ndarray:
+        """phi at the rows of an (m, d) array inside the domain, shape (m,),
+        each row on its own: a point's value is its row's in any batch."""
         raise NotImplementedError
 
     def gradient(self, pts) -> np.ndarray:
@@ -172,7 +264,13 @@ class SpectralDistribution:
         raise NotImplementedError
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        fields = ";".join(f"{key}={_fmt_vec(getattr(self, field))}" for key, field, _ in self._spec)
+        return f"{self.family}:{fields}"
+
+    @classmethod
+    def _read_spec(cls, take) -> tuple:
+        """The constructor's arguments, read key by key from ``parse_spec``'s take."""
+        return tuple(read(take(key)) for key, _, read in cls._spec)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.spec_string()!r})"
@@ -205,6 +303,7 @@ def _sinhc_series(v2):
 class Gaussian(SpectralDistribution, Frozen):
     _fields = ("mu", "sigma")
     family = "gaussian"
+    _spec = (("mu", "mu", parse_numbers), ("sigma", "sigma", parse_matrix))
     sample, sample_tilted = _draws, _tilted_draws
 
     def __init__(self, mu, sigma):
@@ -215,16 +314,10 @@ class Gaussian(SpectralDistribution, Frozen):
         self._set_fields(mu, sym)
         object.__setattr__(self, "_factor", psd_factor(sym))
 
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
-
-    def cgf(self, t):
-        t = self.check_domain(t)
-        pts = np.atleast_2d(t)
-        quad = np.einsum("md,de,me->m", pts, self.sigma, pts)
-        val = pts @ self.mu + 0.5 * quad
-        return float(val[0]) if t.ndim == 1 else val
+    def _cgf(self, pts):
+        # <t, mu> + 0.5 <Sigma t, t>, summed in coordinate order: a point's
+        # value is its row's in any batch, as BLAS and einsum do not give
+        return ordered_dot(pts, self.mu) + 0.5 * ordered_dot(ordered_dot(pts[:, None, :], self.sigma), pts)
 
     def gradient(self, pts):
         # Sigma t + mu, Sigma being symmetric
@@ -246,15 +339,13 @@ class Gaussian(SpectralDistribution, Frozen):
 
         return draw, tilt
 
-    def spec_string(self) -> str:
-        return f"gaussian:mu={_fmt_vec(self.mu)};sigma={_fmt_vec(self.sigma)}"
-
 
 class Uniform(SpectralDistribution, Frozen):
     """Independent uniform coordinates on [a_j, b_j]."""
 
     _fields = ("a", "b")
     family = "uniform"
+    _spec = (("a", "a", parse_numbers), ("b", "b", parse_numbers))
     sample, sample_tilted = _draws, _tilted_draws
 
     def __init__(self, a, b):
@@ -266,13 +357,7 @@ class Uniform(SpectralDistribution, Frozen):
             raise ValueError("uniform intervals must have b > a")
         self._set_fields(a, b)
 
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    def cgf(self, t):
-        t = self.check_domain(t)
-        pts = np.atleast_2d(t)
+    def _cgf(self, pts):
         # per coordinate: m t + log(sinh v / v), with m = (a + b) / 2 and
         # v = (b - a) t / 2; below |v| = 1 the log is log1p of the Taylor
         # series of sinh v / v - 1
@@ -282,8 +367,7 @@ class Uniform(SpectralDistribution, Frozen):
         log_sinhc = np.where(
             v < 1.0, np.log1p(series), big + np.log1p(-np.exp(-2.0 * big)) - np.log(2.0 * big)
         )
-        val = (0.5 * (self.a + self.b) * pts + log_sinhc).sum(axis=1)
-        return float(val[0]) if t.ndim == 1 else val
+        return (0.5 * (self.a + self.b) * pts + log_sinhc).sum(axis=1)
 
     def gradient(self, pts):
         # per coordinate: m + h (coth v - 1/v), with h = (b - a) / 2 and
@@ -324,15 +408,13 @@ class Uniform(SpectralDistribution, Frozen):
 
         return draw, tilt
 
-    def spec_string(self) -> str:
-        return f"uniform:a={_fmt_vec(self.a)};b={_fmt_vec(self.b)}"
-
 
 class Gamma(SpectralDistribution, Frozen):
     """Independent gamma coordinates with shape k_j and rate theta_j."""
 
     _fields = ("shape", "rate")
     family = "gamma"
+    _spec = (("k", "shape", parse_numbers), ("theta", "rate", parse_numbers))
     sample, sample_tilted = _draws, _tilted_draws
 
     def __init__(self, shape, rate):
@@ -344,18 +426,11 @@ class Gamma(SpectralDistribution, Frozen):
             raise ValueError("gamma shape and rate must be positive")
         self._set_fields(shape, rate)
 
-    @property
-    def dim(self) -> int:
-        return self.shape.shape[0]
-
     def domain_upper(self) -> np.ndarray:
         return self.rate.copy()
 
-    def cgf(self, t):
-        t = self.check_domain(t)
-        pts = np.atleast_2d(t)
-        val = (-self.shape * np.log1p(-pts / self.rate)).sum(axis=1)
-        return float(val[0]) if t.ndim == 1 else val
+    def _cgf(self, pts):
+        return (-self.shape * np.log1p(-pts / self.rate)).sum(axis=1)
 
     def gradient(self, pts):
         return self.shape / (self.rate - pts)
@@ -376,15 +451,13 @@ class Gamma(SpectralDistribution, Frozen):
 
         return draw, tilt
 
-    def spec_string(self) -> str:
-        return f"gamma:k={_fmt_vec(self.shape)};theta={_fmt_vec(self.rate)}"
-
 
 class Exponential(Gamma):
     """Independent exponential coordinates with rates lambda_j > 0: the
     gamma law of shape 1, whose standard draws are numpy's exponentials."""
 
     family = "exp"
+    _spec = (("lambda", "rate", parse_numbers),)
     sample, sample_tilted = _draws, _tilted_draws
 
     def __init__(self, rate):
@@ -393,8 +466,15 @@ class Exponential(Gamma):
             raise ValueError("exponential rates must be positive")
         super().__init__(np.ones_like(rate), rate)
 
-    def spec_string(self) -> str:
-        return f"exp:lambda={_fmt_vec(self.rate)}"
+
+_DISTRIBUTIONS = {cls.family: (cls, cls._read_spec) for cls in (Gaussian, Exponential, Uniform, Gamma)}
+
+
+def parse_distribution(spec: str) -> SpectralDistribution:
+    """A spectral law from its spec, such as ``gaussian:mu=0,0;sigma=1,0.5,0.5,1``
+    (row-major Sigma), ``exp:lambda=1``, ``uniform:a=0;b=1``
+    or ``gamma:k=2;theta=1``."""
+    return parse_spec(spec, _DISTRIBUTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -494,92 +574,3 @@ def parse_kappa(spec: str, dist: SpectralDistribution) -> ShapeFunction:
                              f"{dist.spec_string()!r} is in R^{dist.dim}")
     return kappa
 
-
-# ---------------------------------------------------------------------------
-# specification strings
-
-
-def parse_spec(spec: str, kinds: dict):
-    """``make(*read(take))`` for the kind a ``kind:key=value;...`` string names.
-
-    ``kinds`` maps each kind, in lower case, to ``(make, read)``; ``take(key,
-    default=None)`` gives a value's text, stripped (no default: the key must
-    be given).  A part without '=', a repeated key, an unknown kind, a
-    missing key, a key not taken and a value ``read`` cannot read each raise
-    SpecParseError; a value ``make`` rejects raises its own ValueError."""
-    name, _, body = spec.partition(":")
-    kind = name.strip().lower()
-    if kind not in kinds:
-        known = ", ".join(kinds)
-        raise SpecParseError(f"unknown kind {name.strip()!r} in {spec!r} (expected one of {known})")
-    make, read = kinds[kind]
-    texts = {}
-    for part in body.split(";"):
-        key, eq, value = (s.strip() for s in part.partition("="))
-        if not (eq or key):
-            continue
-        if not eq:
-            raise SpecParseError(f"malformed parameter {part!r} in {spec!r} (expected key=value)")
-        if key in texts:
-            raise SpecParseError(f"repeated parameter {key!r} in {spec!r}")
-        texts[key] = value
-
-    def take(key, default=None):
-        if default is None and key not in texts:
-            raise SpecParseError(f"missing parameter {key!r}")
-        return texts.pop(key, default)
-
-    try:
-        args = read(take)
-    except SpecParseError as exc:
-        raise SpecParseError(f"{exc} in {spec!r}") from exc
-    if texts:
-        raise SpecParseError(f"unknown parameter {next(iter(texts))!r} in {spec!r}")
-    return make(*args)
-
-
-def parse_numbers(text: str, size: int | None = None) -> np.ndarray:
-    """Comma-separated finite numbers, ``size`` of them if given."""
-    try:
-        vec = np.array([float(x) for x in text.split(",")])
-    except ValueError as exc:
-        raise SpecParseError(f"bad number list {text!r}") from exc
-    if not np.all(np.isfinite(vec)):
-        raise SpecParseError(f"non-finite number in {text!r}")
-    if size is not None and vec.size != size:
-        raise SpecParseError(f"expected {size} number(s), got {text!r}")
-    return vec
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    """A square matrix from its row-major entries, comma-separated."""
-    vec = parse_numbers(text)
-    d = math.isqrt(vec.size)
-    if d * d != vec.size:
-        raise SpecParseError(f"matrix {text!r} must have a square number of entries (row-major)")
-    return vec.reshape(d, d)
-
-
-_DISTRIBUTIONS = {
-    "gaussian": (Gaussian, lambda take: (parse_numbers(take("mu")), parse_matrix(take("sigma")))),
-    "exp": (Exponential, lambda take: (parse_numbers(take("lambda")),)),
-    "uniform": (Uniform, lambda take: (parse_numbers(take("a")), parse_numbers(take("b")))),
-    "gamma": (Gamma, lambda take: (parse_numbers(take("k")), parse_numbers(take("theta")))),
-}
-
-
-def parse_distribution(spec: str) -> SpectralDistribution:
-    """A spectral law from its spec, such as ``gaussian:mu=0,0;sigma=1,0.5,0.5,1``
-    (row-major Sigma), ``exp:lambda=1``, ``uniform:a=0;b=1``
-    or ``gamma:k=2;theta=1``."""
-    return parse_spec(spec, _DISTRIBUTIONS)
-
-
-def registry_examples(d: int = 1) -> list:
-    """One representative instance per family (used by experiments/tests)."""
-    return [
-        Gaussian(np.zeros(d), np.eye(d)),
-        Exponential(np.ones(d)),
-        Uniform(np.zeros(d), np.ones(d)),
-        Gamma(2.0 * np.ones(d), np.ones(d)),
-    ]

@@ -86,12 +86,11 @@ def _centred_cgfs(dist: SpectralDistribution, ts, u, h):
     S = s(sum u_i t_i) + s(sum u_i (t_i + h)) + sum u_i (s(t_i) + s(t_i + h)).
     """
     n = ts.shape[1]
-    lo, hi = dist.domain_lower(), dist.domain_upper()
     blocks = []
     for start in range(0, len(ts), _CONFIG_BLOCK):
         block = slice(start, start + _CONFIG_BLOCK)
         pts = _criterion_points(ts[block], u[block], h[block])
-        feasible = ~((pts >= hi) | (pts <= lo)).any(axis=(1, 2))
+        feasible = dist.inside(pts).all(axis=(1, 2))
         # the last point, sum u_i t_i + h, is only checked, never evaluated
         pts = pts[feasible, :-1]
         w = u[block][feasible, None, :]

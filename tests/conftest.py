@@ -5,11 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from maxstable import simulator
 from maxstable.seeding import block_rng, derive_rng, spawn
 from maxstable.simulator import _REPLICATE_BLOCK, _STORM_STEP, prepare_moving_maxima
-from maxstable.spectral import clamp_psd
+from maxstable.spectral import Exponential, Gamma, Gaussian, Uniform, clamp_psd
 
 
 class StubRng:
@@ -244,3 +246,26 @@ def load_bench_module(name):
     finally:
         del sys.modules[spec.name]
     return module
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+POSITIVE = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def distributions(draw, d=None):
+    """A law of any family in R^d, d drawn from 1..3 unless given, with
+    random valid parameters."""
+    if d is None:
+        d = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(["gaussian", "exp", "uniform", "gamma"]))
+    if family == "gaussian":
+        a = draw(hnp.arrays(float, (d, d), elements=st.floats(-10.0, 10.0)))
+        return Gaussian(draw(hnp.arrays(float, d, elements=FINITE)), a @ a.T + 0.1 * np.eye(d))
+    if family == "exp":
+        return Exponential(draw(hnp.arrays(float, d, elements=POSITIVE)))
+    if family == "uniform":
+        a = draw(hnp.arrays(float, d, elements=FINITE))
+        return Uniform(a, a + draw(hnp.arrays(float, d, elements=st.floats(1.0, 1e6))))
+    shape, rate = (draw(hnp.arrays(float, d, elements=POSITIVE)) for _ in range(2))
+    return Gamma(shape, rate)

@@ -743,6 +743,8 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         (["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0:0.1:0"], 2),
         (["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0:0.1:-2"], 2),
         (["simulate", "--construction", "smith", "--sigma", "1,0,0,1", "--grid", "0:0.1:3x0:0.1:0"], 2),
+        (["simulate", "--construction", "general", "--dist", "gaussian:mu=0;sigma=1",
+          "--kappa", "quadratic:mu=0;sigma=1;c0=800", "--grid", "0,1"], 3),
     ],
     ids=[
         "zero-replicates", "negative-replicates", "too-few-replicates", "verify-zero-replicates",
@@ -755,6 +757,7 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         "one-point-criterion",
         "double-dash-value", "fdd-kappa-dimension", "simulate-kappa-dimension",
         "fdd-too-few-draws-per-point", "zero-grid-count", "negative-grid-count", "zero-grid-count-2d",
+        "field-underflow",
     ],
 )
 def test_bad_input_exit_codes(argv, code, capsys):

@@ -12,7 +12,6 @@ from maxstable.fdd import (
     ExponentValue,
     FddQuery,
     bivariate_ecdf_distance,
-    empirical_cdf,
     exponent_mc,
     fdd_exponent,
     frechet_cdf,
@@ -286,8 +285,8 @@ class SmallIntegers(SpectralDistribution):
     family = "small-integers"
     dim = 2
 
-    def cgf(self, t):
-        return np.zeros(len(np.atleast_2d(t)))
+    def _cgf(self, pts):
+        return np.zeros(len(pts))
 
     def tilted_sampler(self, ts):
         def draw(n, rng):
@@ -578,14 +577,6 @@ def test_frechet_cdf_and_quantile_round_trip():
     assert frechet_cdf(np.array([-1.0, 0.0]))[0] == 0.0
     with pytest.raises(ValueError):
         frechet_quantile(1.0)
-
-
-def test_empirical_cdf_basics():
-    samples = np.arange(1, 201, dtype=float)
-    assert empirical_cdf(samples, 100.0) == pytest.approx(0.5)
-    assert empirical_cdf(samples, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        empirical_cdf(samples[:50], 1.0)
 
 
 def test_ks_distance_of_frechet_sample(rng):

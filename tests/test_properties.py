@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from conftest import distributions
 
 from maxstable import stationarity
 from maxstable.cli import UsageError, main, parse_box, parse_floats, parse_grid
@@ -156,25 +157,6 @@ def test_uniform_cgf_is_accurate_to_round_off(a, width, log_t, sign):
 
 # ---------------------------------------------------------------------------
 # spec strings
-
-FINITE = st.floats(-1e6, 1e6, allow_nan=False)
-POSITIVE = st.floats(1e-6, 1e6)
-
-
-@st.composite
-def distributions(draw):
-    d = draw(st.integers(1, 3))
-    family = draw(st.sampled_from(["gaussian", "exp", "uniform", "gamma"]))
-    if family == "gaussian":
-        a = draw(hnp.arrays(float, (d, d), elements=st.floats(-10.0, 10.0)))
-        return Gaussian(draw(hnp.arrays(float, d, elements=FINITE)), a @ a.T + 0.1 * np.eye(d))
-    if family == "exp":
-        return Exponential(draw(hnp.arrays(float, d, elements=POSITIVE)))
-    if family == "uniform":
-        a = draw(hnp.arrays(float, d, elements=FINITE))
-        return Uniform(a, a + draw(hnp.arrays(float, d, elements=st.floats(1.0, 1e6))))
-    shape, rate = (draw(hnp.arrays(float, d, elements=POSITIVE)) for _ in range(2))
-    return Gamma(shape, rate)
 
 
 @PROPERTY

@@ -591,6 +591,18 @@ def test_overflowing_contribution_raises(rng):
         simulate_general(dist, kappa, Grid([0.0, 1.0]), 10, rng)
 
 
+def test_underflowing_field_names_the_underflow():
+    # kappa = phi + 800 scales the field by e^-800, below the least subnormal
+    dist, _ = unit_smith_dist()
+    law = simulator.prepare_general(dist, ShapeFunction.quadratic([0.0], [[1.0]], c0=800.0),
+                                    Grid([0.0, 1.0]), 10)
+    message = r"general field underflows the double range \(min log value -\d"
+    with pytest.raises(ValueError, match=message):
+        law.simulate(derive_rng(3))
+    with pytest.raises(ValueError, match=message):
+        law.simulate_many(3, [0, 1])
+
+
 def test_provenance_records_run():
     # with seed 12349 the second location draws a candidate
     field = prepare_smith([[1.0]], Grid([0.0, 1.0]), 5000).simulate(derive_rng(12349), seed_record=42)

@@ -4,6 +4,10 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from conftest import distributions
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from maxstable.seeding import derive_rng
 from maxstable.spectral import (
@@ -22,8 +26,17 @@ from maxstable.spectral import (
     clamp_psd,
     parse_distribution,
     psd_factor,
-    registry_examples,
 )
+
+
+def registry_examples(d: int = 1) -> list:
+    """One representative instance per family."""
+    return [
+        Gaussian(np.zeros(d), np.eye(d)),
+        Exponential(np.ones(d)),
+        Uniform(np.zeros(d), np.ones(d)),
+        Gamma(2.0 * np.ones(d), np.ones(d)),
+    ]
 
 
 def random_psd(rng, d):
@@ -108,6 +121,16 @@ def test_exponential_domain_is_open_at_rate():
 def test_gamma_domain_error():
     with pytest.raises(DomainError):
         cgf(Gamma(2.0, 1.0), 1.0)
+
+
+@pytest.mark.parametrize("dist", [Gamma(2.0, 1.0), Gaussian(0.0, 1.0)], ids=["gamma", "gaussian"])
+def test_a_nan_coordinate_lies_outside_every_domain(dist):
+    # lo < x < hi is false for nan, on a bounded domain and on all of R alike
+    for t in (np.array([np.nan]), np.array([[0.5], [np.nan]])):
+        with pytest.raises(DomainError):
+            dist.cgf(t)
+    with pytest.raises(DomainError):
+        cgf_gradient(dist, [np.nan])
 
 
 def test_unbounded_families_accept_large_points():
@@ -413,13 +436,24 @@ def test_psd_factor_reconstructs_matrix(rng):
 # spec strings
 
 
-def test_parse_format_round_trip():
-    examples = registry_examples(1) + [
-        Gaussian([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]]),
-        Exponential([1.0, 3.0]),
-    ]
-    for dist in examples:
-        assert parse_distribution(dist.spec_string()) == dist
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_parse_format_round_trip(data):
+    # what the registry base derives from a family's statement of its law:
+    # the spec string and its parse, dim, and cgf at a point or at rows
+    d = data.draw(st.integers(1, 3))
+    dist = data.draw(distributions(d))
+    assert parse_distribution(dist.spec_string()) == dist
+    assert dist.dim == d
+    rows = data.draw(hnp.arrays(float, (4, d), elements=st.floats(-2.0, 2.0)))
+    rows = np.minimum(rows, 0.5 * dist.domain_upper())
+    assert np.array([dist.cgf(row) for row in rows]).tobytes() == dist.cgf(rows).tobytes()
+    if isinstance(dist, Gamma):
+        edge = np.zeros(d)
+        edge[-1] = dist.rate[-1]
+        for t in (edge, np.vstack([np.zeros(d), edge])):
+            with pytest.raises(DomainError):
+                dist.cgf(t)
 
 
 @pytest.mark.parametrize("d", [1, 2])

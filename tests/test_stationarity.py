@@ -53,6 +53,14 @@ def test_config_domain_includes_shifted_points():
         defect(Exponential(1.0), cfg)
 
 
+@pytest.mark.parametrize("dist", [Exponential(1.0), Gaussian(0.0, 1.0)], ids=["exp", "gaussian"])
+@pytest.mark.parametrize("ts, h", [([[0.0], [np.nan]], [0.4]), ([[0.0], [0.5]], [np.nan])],
+                         ids=["point", "shift"])
+def test_a_nan_config_lies_outside_the_domain(dist, ts, h):
+    with pytest.raises(DomainError):
+        defect(dist, CriterionConfig(ts, [0.5, 0.5], h))
+
+
 def test_gaussian_defect_vanishes(rng):
     dist = Gaussian([0.2, -0.1], [[1.0, 0.3], [0.3, 0.5]])
     for _ in range(100):
@@ -255,11 +263,9 @@ class _LocationMixture(SpectralDistribution):
     def __init__(self, a):
         self.a = a
 
-    def cgf(self, t):
-        t = self.check_domain(t)
-        s = np.atleast_2d(t)[:, 0]
-        val = 0.5 * s**2 + np.logaddexp(self.a * s, -self.a * s) - math.log(2.0)
-        return float(val[0]) if t.ndim == 1 else val
+    def _cgf(self, pts):
+        s = pts[:, 0]
+        return 0.5 * s**2 + np.logaddexp(self.a * s, -self.a * s) - math.log(2.0)
 
     def mean(self):
         return np.zeros(1)
