@@ -39,8 +39,6 @@ from .spectral import (
     SimplexWeights,
     SpectralDistribution,
     Uniform,
-    cgf,
-    cgf_gradient,
     cgf_multi,
     parse_distribution,
 )

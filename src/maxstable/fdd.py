@@ -235,16 +235,21 @@ def husler_reiss_V(gamma_h: float, x1: float, x2: float) -> ExponentValue:
     """
     if x1 <= 0 or x2 <= 0:
         raise ValueError("thresholds must be positive")
+    return _husler_reiss(gamma_h, math.log(x2) - math.log(x1), 1.0 / x1, 1.0 / x2)
+
+
+def _husler_reiss(gamma_h: float, log_ratio: float, w1: float, w2: float) -> ExponentValue:
+    """``husler_reiss_V`` from log(x2/x1) and the weights w_j = 1 / x_j,
+    which exist also where x2/x1 or x_j itself is not a double."""
     if gamma_h < 0:
         raise ValueError("variogram value must be nonnegative")
     lam = math.sqrt(gamma_h) / 2.0
     if lam < _HR_LAMBDA_FLOOR:
-        value = max(1.0 / x1, 1.0 / x2)
+        value = max(w1, w2)
     else:
-        log_ratio = math.log(x2 / x1)
         value = float(
-            std_normal_cdf(lam + log_ratio / (2.0 * lam)) / x1
-            + std_normal_cdf(lam - log_ratio / (2.0 * lam)) / x2
+            std_normal_cdf(lam + log_ratio / (2.0 * lam)) * w1
+            + std_normal_cdf(lam - log_ratio / (2.0 * lam)) * w2
         )
     return ExponentValue(value, 0.0, "closed-bivariate")
 
@@ -258,7 +263,7 @@ def _weights(dist, kappa, query):
     weight is not finite: the CGF overflows there, or the threshold is too
     small."""
     with np.errstate(over="ignore", invalid="ignore"):  # a weight that is not finite is reported below
-        phi = np.asarray(dist.cgf(query.ts), dtype=float)
+        phi = dist.cgf(query.ts)
         shift = kappa.values(query.ts) - phi
         log_x = np.log(query.xs) + shift
         xs = np.where(shift == 0, query.xs, np.exp(log_x))
@@ -272,13 +277,15 @@ def _weights(dist, kappa, query):
 def _closed_bivariate(dist, kappa, query) -> ExponentValue:
     if not hasattr(dist, "sigma") or dist.family != "gaussian":
         raise ValueError("closed bivariate exponent requires a gaussian spectral law")
-    xs = _weights(dist, kappa, query)[1]
+    _, xs, log_x, weights = _weights(dist, kappa, query)
+    # 1 / x'_j where x'_j is a double, else e^{-log x'_j}
+    w = np.where(np.isfinite(xs), 1.0 / xs, weights)
     with np.errstate(over="ignore", invalid="ignore"):  # gamma(h) = inf is the independence limit V = 1/x1 + 1/x2
         h = query.ts[1] - query.ts[0]
         gamma_h = float(h @ dist.sigma @ h)
     if math.isnan(gamma_h):  # inf * 0 in the product
         raise ValueError(f"the variogram h' Sigma h overflows at lag h = {h.tolist()}")
-    return husler_reiss_V(gamma_h, float(xs[0]), float(xs[1]))
+    return _husler_reiss(gamma_h, float(log_x[1] - log_x[0]), float(w[0]), float(w[1]))
 
 
 def fdd_exponent(dist, kappa, query, method="mc", rng=None, mc_n=100_000) -> ExponentValue:

@@ -666,7 +666,7 @@ def _spectral_law(dist, kappa, grid, n_points, construction) -> PreparedLaw:
     bit for bit and a row's values do not depend on its batch."""
     t_mat = grid.locations
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        phi = np.asarray(dist.cgf(t_mat), dtype=float)  # checks the grid against the CGF domain
+        phi = dist.cgf(t_mat)  # checks the grid against the CGF domain
         # exactly 0.0 when kappa is the CGF of X itself
         shift = phi - kappa.values(t_mat)
     bad = np.flatnonzero(~np.isfinite(shift))  # so also wherever phi is not finite
@@ -698,7 +698,7 @@ def _smith_law(sigma):
     """Smith's law: gaussian(0, Sigma) X and, as kappa, its CGF 0.5 <t, Sigma t>."""
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     law = Gaussian(np.zeros(sigma.shape[0]), sigma)
-    return law, ShapeFunction.from_cgf(law)
+    return law, ShapeFunction(law)
 
 
 def prepare_general(

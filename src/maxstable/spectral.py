@@ -6,7 +6,8 @@ gamma, with independent coordinates for the non-gaussian families.  Each
 family states its law once: a closed-form CGF phi(t) = log E exp(<X, t>)
 on its domain, a closed-form gradient, a tilted sampler and its spec
 keys; ``SpectralDistribution`` derives the rest, and nothing is
-differentiated numerically.  ``parse_spec`` reads every spec string.
+differentiated numerically.  Every quantity of a law is asked of the law
+itself, at a point or at rows.  ``parse_spec`` reads every spec string.
 """
 from __future__ import annotations
 
@@ -173,16 +174,17 @@ def parse_matrix(text: str) -> np.ndarray:
 
 class SpectralDistribution:
     """Base class of the spectral-law registry.  A family states its law
-    and nothing else: ``_cgf``, the CGF at the rows of an (m, d) array
-    inside the domain; ``gradient``; ``tilted_sampler``; its domain, if
-    not all of R^d; and ``_spec``, its spec keys in spec order as (key,
-    field, reader) entries, the fields in constructor order.  It binds
-    ``sample, sample_tilted = _draws, _tilted_draws`` in its own class
-    body.  The base derives the rest from that one statement: ``cgf`` at
-    a point or at rows, behind the domain check; ``dim``, the length of
-    the first field; the mean; ``spec_string`` and the repr; and the
-    parse, through ``_DISTRIBUTIONS``.  All instances are immutable and
-    safe to share."""
+    and nothing else: ``_cgf`` and ``_gradient``, the CGF and its gradient
+    at the rows of an (m, d) array inside the domain; ``tilted_sampler``;
+    its domain, if not all of R^d; and ``_spec``, its spec keys in spec
+    order as (key, field, reader) entries, the fields in constructor
+    order.  It binds ``sample, sample_tilted = _draws, _tilted_draws`` in
+    its own class body.  The base derives the rest from that one
+    statement: ``cgf`` and ``gradient`` at a point (a scalar is a point of
+    a 1-D law) or at rows, behind the one domain check; ``dim``, the
+    length of the first field; the mean; the round-off scale
+    ``term_scale``; ``spec_string`` and the repr; and the parse, through
+    ``_DISTRIBUTIONS``.  All instances are immutable and safe to share."""
 
     family: str
     _spec: tuple = ()
@@ -227,26 +229,33 @@ class SpectralDistribution:
         rows of an (m, d) array."""
         t = self.check_domain(t)
         val = self._cgf(np.atleast_2d(t))
-        return float(val[0]) if t.ndim == 1 else val
+        return float(val[0]) if t.ndim < 2 else val
 
     def _cgf(self, pts) -> np.ndarray:
         """phi at the rows of an (m, d) array inside the domain, shape (m,),
         each row on its own: a point's value is its row's in any batch."""
         raise NotImplementedError
 
-    def gradient(self, pts) -> np.ndarray:
-        """grad phi at the rows of an (m, d) array in the domain, shape
-        (m, d), in closed form."""
+    def gradient(self, t) -> np.ndarray:
+        """grad phi(t), in closed form: shape (d,) at a point, (m, d) at the
+        rows of an (m, d) array."""
+        t = self.check_domain(t)
+        grad = self._gradient(np.atleast_2d(t))
+        return grad[0] if t.ndim < 2 else grad
+
+    def _gradient(self, pts) -> np.ndarray:
+        """grad phi at the rows of an (m, d) array inside the domain, shape
+        (m, d), each row on its own."""
         raise NotImplementedError
 
     def mean(self) -> np.ndarray:
         """E[X] = grad phi(0)."""
-        return self.gradient(np.zeros((1, self.dim)))[0]
+        return self._gradient(np.zeros((1, self.dim)))[0]
 
     def term_scale(self, pts) -> np.ndarray:
         """Size of the terms phi adds up at each row of an (m, d) array, the
-        scale of its round-off: sum_i |E[X_i] p_i| unless the family knows
-        more terms."""
+        scale of its round-off, each row on its own: sum_i |E[X_i] p_i|
+        unless the family knows more terms."""
         return np.abs(pts * self.mean()).sum(axis=1)
 
     def tilted_sampler(self, ts):
@@ -280,9 +289,10 @@ def _tilted_draws(dist: SpectralDistribution, t, n: int, rng) -> np.ndarray:
     """``sample_tilted`` of every family: n draws of its tilted sampler at
     the point t, shape (n, d).  No package code calls it or ``sample``;
     both stay, bound in each family's class, because the benchmark's
-    tracer (``bench/tracer.py``) wraps them per family (ROADMAP item 1)."""
-    t = dist.check_domain(np.asarray(t, dtype=float))
-    draw, tilt = dist.tilted_sampler(t[None, :])
+    tracer (``bench/tracer.py``) wraps them per family: with
+    ``cgf_multi`` they are the only spectral names it wraps (ROADMAP
+    item 1)."""
+    draw, tilt = dist.tilted_sampler(dist.check_domain(t)[None, :])
     return tilt(draw(n, rng), 0)
 
 
@@ -319,14 +329,16 @@ class Gaussian(SpectralDistribution, Frozen):
         # value is its row's in any batch, as BLAS and einsum do not give
         return ordered_dot(pts, self.mu) + 0.5 * ordered_dot(ordered_dot(pts[:, None, :], self.sigma), pts)
 
-    def gradient(self, pts):
+    def _gradient(self, pts):
         # Sigma t + mu, Sigma being symmetric
         return ordered_dot(pts[:, None, :], self.sigma) + self.mu
 
     def term_scale(self, pts) -> np.ndarray:
-        # sum_i |mu_i p_i| + 0.5 |p|^T |Sigma| |p|: the linear and quadratic terms may cancel
+        # sum_i |mu_i p_i| + 0.5 |p|^T |Sigma| |p|, in coordinate order as
+        # _cgf: the linear and quadratic terms may cancel
         size = np.abs(pts)
-        return size @ np.abs(self.mu) + 0.5 * np.einsum("md,de,me->m", size, np.abs(self.sigma), size)
+        quadratic = ordered_dot(ordered_dot(size[:, None, :], np.abs(self.sigma)), size)
+        return ordered_dot(size, np.abs(self.mu)) + 0.5 * quadratic
 
     def tilted_sampler(self, ts):
         shift = ts @ self.sigma  # row j is Sigma t_j, Sigma being symmetric
@@ -369,7 +381,7 @@ class Uniform(SpectralDistribution, Frozen):
         )
         return (0.5 * (self.a + self.b) * pts + log_sinhc).sum(axis=1)
 
-    def gradient(self, pts):
+    def _gradient(self, pts):
         # per coordinate: m + h (coth v - 1/v), with h = (b - a) / 2 and
         # v = h t; below |v| = 1, the derivative of cgf's series over 1 plus
         # the series, so nothing cancels
@@ -432,7 +444,7 @@ class Gamma(SpectralDistribution, Frozen):
     def _cgf(self, pts):
         return (-self.shape * np.log1p(-pts / self.rate)).sum(axis=1)
 
-    def gradient(self, pts):
+    def _gradient(self, pts):
         return self.shape / (self.rate - pts)
 
     def tilted_sampler(self, ts):
@@ -481,12 +493,6 @@ def parse_distribution(spec: str) -> SpectralDistribution:
 # operations
 
 
-def cgf(dist: SpectralDistribution, t) -> float:
-    """phi(t) = log E exp(<X, t>) at a single point t."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return float(dist.cgf(t))
-
-
 def cgf_multi(dist: SpectralDistribution, ts, weights: "SimplexWeights") -> float:
     """Centered multivariate CGF: phi(sum u_i t_i) - sum u_i phi(t_i).
 
@@ -497,14 +503,7 @@ def cgf_multi(dist: SpectralDistribution, ts, weights: "SimplexWeights") -> floa
     u = weights.u if isinstance(weights, SimplexWeights) else SimplexWeights(weights).u
     if len(u) != ts.shape[0]:
         raise ValueError("number of weights must match number of points")
-    combo = u @ ts
-    return float(dist.cgf(combo)) - float(u @ np.asarray(dist.cgf(ts)))
-
-
-def cgf_gradient(dist: SpectralDistribution, t) -> np.ndarray:
-    """Gradient of phi at the point t, in closed form."""
-    t = dist.check_domain(np.atleast_1d(np.asarray(t, dtype=float)))
-    return dist.gradient(t[None, :])[0]
+    return dist.cgf(u @ ts) - float(u @ dist.cgf(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -543,21 +542,13 @@ class ShapeFunction(Frozen):
         self._set_fields(law, c0)
 
     @classmethod
-    def from_cgf(cls, dist: SpectralDistribution) -> "ShapeFunction":
-        return cls(dist)
-
-    @classmethod
     def quadratic(cls, mu, sigma, c0: float = 0.0) -> "ShapeFunction":
         """<mu, t> + 0.5 <t, Sigma t> + c0, the gaussian(mu, Sigma) CGF plus c0."""
         return cls(Gaussian(mu, sigma), float(c0))
 
-    def values(self, points) -> np.ndarray:
-        """kappa at an (m, d) array of points, shape (m,)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.asarray(self.law.cgf(pts), dtype=float) + self.c0
-
-    def __call__(self, t) -> float:
-        return float(self.values(np.atleast_1d(np.asarray(t, dtype=float))[None, :])[0])
+    def values(self, t):
+        """kappa(t): a float at a point, shape (m,) at the rows of an (m, d) array."""
+        return self.law.cgf(t) + self.c0
 
 
 def parse_kappa(spec: str, dist: SpectralDistribution) -> ShapeFunction:
@@ -565,7 +556,7 @@ def parse_kappa(spec: str, dist: SpectralDistribution) -> ShapeFunction:
     ``quadratic:mu=..;sigma=..;c0=..`` (c0 = 0 unless given), which must
     have dist's dimension."""
     kappa = parse_spec(spec, {
-        "cgf": (ShapeFunction.from_cgf, lambda take: (dist,)),
+        "cgf": (ShapeFunction, lambda take: (dist,)),
         "quadratic": (ShapeFunction.quadratic, lambda take: (parse_numbers(take("mu")),
                       parse_matrix(take("sigma")), parse_numbers(take("c0", "0"), 1)[0])),
     })

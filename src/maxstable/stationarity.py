@@ -29,7 +29,6 @@ from .spectral import (
     ShapeFunction,
     SimplexWeights,
     SpectralDistribution,
-    cgf_gradient,
 )
 
 # "violated" iff some |defect| > ROUNDOFF_FACTOR * eps * S (S: see _centred_cgfs); on
@@ -126,9 +125,9 @@ def gradient_affinity_defect(dist, t1, t2, delta: float, h_dir) -> float:
     h_dir = np.atleast_1d(np.asarray(h_dir, dtype=float))
     mid = (1.0 - delta) * t1 + delta * t2
     gap = (
-        cgf_gradient(dist, mid)
-        - (1.0 - delta) * cgf_gradient(dist, t1)
-        - delta * cgf_gradient(dist, t2)
+        dist.gradient(mid)
+        - (1.0 - delta) * dist.gradient(t1)
+        - delta * dist.gradient(t2)
     )
     return float(gap @ h_dir)
 
@@ -327,7 +326,7 @@ def _simulate_at(dist, grid: Grid, extra, replicates: int, seed: int, n_points: 
         index.append(int(near[0]) if near.size else len(kept))
         if not near.size:
             kept = np.vstack([kept, p])
-    law = prepare_general(dist, ShapeFunction.from_cgf(dist), Grid(kept), n_points)
+    law = prepare_general(dist, ShapeFunction(dist), Grid(kept), n_points)
     values, _ = law.simulate_many(seed, range(replicates))
     return values[:, index]
 

@@ -30,7 +30,6 @@ from maxstable.spectral import (
     Gaussian,
     ShapeFunction,
     Uniform,
-    cgf_gradient,
 )
 from maxstable.stationarity import (
     CriterionConfig,
@@ -176,7 +175,7 @@ def test_criterion_5_closed_vs_mc_exponent(report):
     ok = True
     for i, g in enumerate(gammas):
         dist = Gaussian([0.0], [[g]])
-        kappa = ShapeFunction.from_cgf(dist)
+        kappa = ShapeFunction(dist)
         for j, r in enumerate(ratios):
             q = FddQuery([[0.0], [1.0]], [1.0, r])
             ev = exponent_mc(dist, kappa, q, 1_000_000, derive_rng(5001 + 10 * i + j))
@@ -229,7 +228,7 @@ def test_criterion_8_numerical_hygiene(report):
         for t in rng.uniform(lo, hi, size=250):
             h = 1e-6 * max(1.0, abs(t))
             fd = (dist.cgf(np.array([t + h])) - dist.cgf(np.array([t - h]))) / (2 * h)
-            grad = cgf_gradient(dist, [t])[0]
+            grad = dist.gradient([t])[0]
             worst_rel = max(worst_rel, abs(grad - fd) / max(1.0, abs(fd)))
     grad_ok = worst_rel < 1e-6
 
@@ -248,8 +247,8 @@ def test_criterion_8_numerical_hygiene(report):
     # and for an ensemble (``simulate_many``, the block layout); moving
     # maxima is exact on the grid
     configs = [
-        (lambda g, d=dist: prepare_general(d, ShapeFunction.from_cgf(d), g, N_POINTS),
-         dist, ShapeFunction.from_cgf(dist), fam_grid)
+        (lambda g, d=dist: prepare_general(d, ShapeFunction(d), g, N_POINTS),
+         dist, ShapeFunction(dist), fam_grid)
         for dist, fam_grid in FAMILY_GRIDS
     ] + [
         (lambda g: prepare_smith([[1.0]], g, N_POINTS), *_smith_law([[1.0]]), g)

@@ -436,6 +436,16 @@ def test_fdd_closed_bivariate(capsys):
     assert line["cdf"] == pytest.approx(np.exp(-line["V"]), abs=1e-15)
 
 
+@pytest.mark.parametrize("dist, xs, kappa", [
+    ("gaussian:mu=0;sigma=4", "1e300,1e-300", "cgf"),  # x2 / x1 is not a double
+    ("gaussian:mu=0;sigma=1", "1,1", "quadratic:mu=0;sigma=1;c0=800"),  # x' = e^800 is not a double
+], ids=["threshold-ratio-underflows", "kappa-threshold-overflows"])
+def test_fdd_closed_bivariate_exits_0_wherever_the_exponent_exists(dist, xs, kappa, capsys):
+    code = main(["fdd", "--dist", dist, "--ts", "0;1", "--xs", xs, "--kappa", kappa, "--method", "closed-bivariate"])
+    assert code == 0
+    assert np.isfinite(json.loads(capsys.readouterr().out)["V"])
+
+
 def test_fdd_mc_reports_se(capsys):
     code = main([
         "fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0;1", "--xs", "1,1",

@@ -41,7 +41,7 @@ from maxstable.stationarity import CharacterizationReport, CriterionConfig, Defe
 
 def unit_gaussian():
     dist = Gaussian([0.0], [[1.0]])
-    return dist, ShapeFunction.from_cgf(dist)
+    return dist, ShapeFunction(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +123,12 @@ def test_one_point_mc_is_the_frechet_rate():
 def test_one_point_mc_value_is_its_weight_bit_for_bit(dist, quadratic):
     # the Monte Carlo value of a one-point query is its weight
     # w_0 = e^(phi - kappa) / x_0 times a hit rate of exactly 1
-    kappa = ShapeFunction.quadratic([0.1], [[0.7]], 0.2) if quadratic else ShapeFunction.from_cgf(dist)
+    kappa = ShapeFunction.quadratic([0.1], [[0.7]], 0.2) if quadratic else ShapeFunction(dist)
     for t in (0.1, 0.37, 0.5):
         for x in (0.3, 1.7, 2.9, 13.0):
             q = FddQuery([t], [x])
             weight = fdd._weights(dist, kappa, q)[3][0]
-            assert weight == pytest.approx(math.exp(dist.cgf([t]) - kappa(t)) / x, rel=1e-14)
+            assert weight == pytest.approx(math.exp(dist.cgf([t]) - kappa.values(t)) / x, rel=1e-14)
             assert exponent_mc(dist, kappa, q, 1000, derive_rng(3)).value == weight
 
 
@@ -152,7 +152,7 @@ def test_closed_bivariate_at_an_overflowing_lag_is_the_independence_limit():
 
 def test_closed_bivariate_requires_gaussian_cgf():
     dist = Exponential(1.0)
-    kappa = ShapeFunction.from_cgf(dist)
+    kappa = ShapeFunction(dist)
     with pytest.raises(ValueError):
         fdd_exponent(dist, kappa, FddQuery([0.0, 0.5], [1.0, 1.0]), "closed-bivariate")
 
@@ -210,7 +210,7 @@ def test_closed_bivariate_matches_mc_under_any_kappa(dist, kappa, ts, xs):
     q = FddQuery(ts, xs)
     ev = exponent_mc(dist, kappa, q, 400_000, derive_rng(102))
     closed = fdd_exponent(dist, kappa, q, "closed-bivariate").value
-    assert closed != fdd_exponent(dist, ShapeFunction.from_cgf(dist), q, "closed-bivariate").value
+    assert closed != fdd_exponent(dist, ShapeFunction(dist), q, "closed-bivariate").value
     assert ev.se > 0
     assert abs(ev.value - closed) < 4.0 * ev.se
 
@@ -245,7 +245,7 @@ MC_LAWS = [
 
 @pytest.mark.parametrize("dist, ts, xs", MC_LAWS)
 def test_exponent_mc_does_not_depend_on_the_chunk_size(dist, ts, xs, monkeypatch):
-    kappa = ShapeFunction.from_cgf(dist)
+    kappa = ShapeFunction(dist)
     q = FddQuery(ts, xs)
     whole = exponent_mc(dist, kappa, q, 30_000, derive_rng(8))
     monkeypatch.setattr(fdd, "_MC_CHUNK", 1000)
@@ -302,7 +302,7 @@ MC_LAWS_AND_TIES = [
 
 @pytest.mark.parametrize("dist, ts, xs", MC_LAWS_AND_TIES)
 def test_exponent_mc_equals_the_argmax_reference(dist, ts, xs, monkeypatch):
-    kappa = ShapeFunction.from_cgf(dist)
+    kappa = ShapeFunction(dist)
     q = FddQuery(ts, xs)
     monkeypatch.setattr(fdd, "_MC_CHUNK", 7000)  # several chunks, the last one short
     for seed in (41, 42):
@@ -327,7 +327,7 @@ def drawing_ahead(monkeypatch, cpus):
 
 def estimate_and_next_number(dist, q, mc_n, seed):
     rng = derive_rng(seed)
-    ev = exponent_mc(dist, ShapeFunction.from_cgf(dist), q, mc_n, rng)
+    ev = exponent_mc(dist, ShapeFunction(dist), q, mc_n, rng)
     return ev.value, ev.se, rng.random()
 
 
@@ -400,7 +400,7 @@ def test_exponent_mc_raises_a_failure_of_either_thread_and_leaves_no_thread(fail
     q = FddQuery([[0, 0], [1, 0]], [1.0, 1.0])
     before = threading.enumerate()
     outcome, after = outcome_within_a_minute(
-        lambda: exponent_mc(dist, ShapeFunction.from_cgf(dist), q, 2_000_000, derive_rng(3)))
+        lambda: exponent_mc(dist, ShapeFunction(dist), q, 2_000_000, derive_rng(3)))
     assert type(outcome) is ChunkError
     assert after == before
     assert len(calls) == 1
@@ -453,7 +453,7 @@ def test_exponent_mc_se_matches_the_spread_of_v(dist, ts, xs):
     # the query points share their rows, so the hits at different points are
     # correlated: an se without the N_jk cross terms overstates the spread of
     # V over these seeds by about a third (spread / se 0.73 and 0.74)
-    kappa = ShapeFunction.from_cgf(dist)
+    kappa = ShapeFunction(dist)
     q = FddQuery(ts, xs)
     evs = [exponent_mc(dist, kappa, q, 6000, derive_rng(7000 + seed)) for seed in range(400)]
     spread = np.std([ev.value for ev in evs], ddof=1)

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from conftest import distributions
 
 from maxstable import stationarity
 from maxstable.cli import UsageError, main, parse_box, parse_floats, parse_grid
@@ -159,12 +158,6 @@ def test_uniform_cgf_is_accurate_to_round_off(a, width, log_t, sign):
 # spec strings
 
 
-@PROPERTY
-@given(distributions())
-def test_format_then_parse_is_the_identity(dist):
-    assert parse_distribution(dist.spec_string()) == dist
-
-
 KEYS = {
     "gaussian": ["mu", "sigma"], "exp": ["lambda"], "uniform": ["a", "b"],
     "gamma": ["k", "theta"], "cgf": [], "quadratic": ["mu", "sigma", "c0"],
@@ -218,7 +211,7 @@ ROUND_OFF = 1e-12
        st.integers(1, 2), st.data())
 def test_every_fdd_method_keeps_v_within_its_bounds(family, n, d, data):
     dist = _law(family, d)
-    kappa = ShapeFunction.from_cgf(dist)
+    kappa = ShapeFunction(dist)
     upper = dist.domain_upper()
     fractions = hnp.arrays(float, (n, d), elements=st.sampled_from([0.0, 0.3, 0.6, 1.0]))
     ts = data.draw(fractions.filter(lambda f: len(np.unique(f, axis=0)) == n))
@@ -243,7 +236,7 @@ def test_exponent_mc_lands_within_4_se_of_husler_reiss(variance, x1, ratio, seed
     dist = Gaussian([0.0], [[variance]])
     x2 = x1 * ratio
     mc_n = 20_000
-    ev = exponent_mc(dist, ShapeFunction.from_cgf(dist), FddQuery([0.0, 1.0], [x1, x2]), mc_n, derive_rng(seed))
+    ev = exponent_mc(dist, ShapeFunction(dist), FddQuery([0.0, 1.0], [x1, x2]), mc_n, derive_rng(seed))
     closed = husler_reiss_V(variance, x1, x2).value
     assert abs(ev.value - closed) <= 4 * ev.se + (1 / x1 + 1 / x2) / (mc_n // 2)
 
@@ -263,13 +256,16 @@ def test_husler_reiss_v_is_symmetric_and_non_increasing(gamma_h, x1, x2, factor)
 def test_closed_bivariate_is_symmetric_homogeneous_and_scaled_by_c0(d, quadratic, data):
     # a Gaussian law under kappa = phi or a quadratic kappa: V is symmetric
     # under swapping the (t, x) pairs, V(ts, c xs) = V(ts, xs) / c, and
-    # kappa + c0 gives e^(-c0) V, each to a relative 1e-14
+    # kappa + c0 gives e^(-c0) V, each to a relative 1e-14; at thresholds
+    # near 1e+-300, whose ratio need not be a double, V stays finite and
+    # symmetric
     dist = _law("gaussian", d)
     kappa = (ShapeFunction.quadratic(0.2 * np.ones(d), 0.5 * np.eye(d) + 0.1, 0.3) if quadratic
-             else ShapeFunction.from_cgf(dist))
+             else ShapeFunction(dist))
     points = hnp.arrays(float, (2, d), elements=st.sampled_from([-2.0, -1.0, -0.3, 0.0, 0.3, 1.0, 2.0]))
     ts = data.draw(points.filter(lambda p: len(np.unique(p, axis=0)) == 2))
     xs = data.draw(hnp.arrays(float, 2, elements=THRESHOLD))
+    far = data.draw(hnp.arrays(float, 2, elements=st.sampled_from([1e-300, 3.7e-299, 2.9e299, 1e300])))
     c, c0 = data.draw(st.floats(0.1, 10.0)), data.draw(st.floats(-3.0, 3.0))
 
     def v(ts, xs, kappa=kappa):
@@ -280,6 +276,8 @@ def test_closed_bivariate_is_symmetric_homogeneous_and_scaled_by_c0(d, quadratic
     assert math.isclose(v(ts, c * xs) * c, value, rel_tol=1e-14)
     shifted = ShapeFunction(kappa.law, kappa.c0 + c0)
     assert math.isclose(v(ts, xs, shifted), math.exp(-c0) * value, rel_tol=1e-14)
+    far_value = v(ts, far)
+    assert math.isfinite(far_value) and math.isclose(v(ts[::-1], far[::-1]), far_value, rel_tol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +317,7 @@ ENVELOPE_LAWS = [
 @pytest.mark.parametrize("dist, kappa, span", ENVELOPE_LAWS,
                          ids=["gaussian", "exp", "uniform", "gamma", "exp-quadratic-kappa"])
 def test_a_general_field_is_an_upper_envelope_of_affine_functions(dist, kappa, span):
-    kappa = kappa or ShapeFunction.from_cgf(dist)
+    kappa = kappa or ShapeFunction(dist)
     for t in sorted_grids(*span):
         values, _ = prepare_general(dist, kappa, Grid(t), 10_000).simulate_many(11, range(3))
         for h in np.log(values) + kappa.values(t[:, None]):
@@ -358,8 +356,8 @@ UNIFORM = Uniform([0.0], [1.0])
 GAUSSIAN_2D = Gaussian([0.5, -1.0], [[1.0, 0.3], [0.3, 2.0]])
 LAYOUT_LAWS = {
     "smith": prepare_smith([[1.0]], Grid([0.0, 1.0, -2.0]), 10_000),
-    "uniform": prepare_general(UNIFORM, ShapeFunction.from_cgf(UNIFORM), Grid([-1.0, 0.3, 1.0]), 10_000),
-    "gaussian-2d": prepare_general(GAUSSIAN_2D, ShapeFunction.from_cgf(GAUSSIAN_2D),
+    "uniform": prepare_general(UNIFORM, ShapeFunction(UNIFORM), Grid([-1.0, 0.3, 1.0]), 10_000),
+    "gaussian-2d": prepare_general(GAUSSIAN_2D, ShapeFunction(GAUSSIAN_2D),
                                    Grid([[0.0, 0.0], [1.0, 0.5], [-2.0, 1.5], [0.5, -1.0]]), 10_000),
     "moving-maxima": prepare_moving_maxima([[2.0]], Grid([0.0, 0.5, -3.0])),
     "brown-resnick-lattice": prepare_brown_resnick(Variogram.fractional(1.0, 1.0),

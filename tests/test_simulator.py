@@ -148,7 +148,7 @@ def test_first_location_is_the_first_arrival(dist):
     # at t_1 the one candidate is zeta = 1/E_1 with Y(t_1) = 1, and kappa = phi
     grid = Grid([0.7, 0.1, 0.4])
     for seed in range(4):
-        field = simulate_general(dist, ShapeFunction.from_cgf(dist), grid, 100, derive_rng(seed))
+        field = simulate_general(dist, ShapeFunction(dist), grid, 100, derive_rng(seed))
         e_1 = spawn(derive_rng(seed), 2)[0].exponential()
         assert field.values[0] == pytest.approx(1.0 / e_1, rel=1e-15)
 
@@ -162,7 +162,7 @@ def test_simulate_general_determinism():
 
 
 def with_cgf(dist, grid):
-    return dist, ShapeFunction.from_cgf(dist), grid
+    return dist, ShapeFunction(dist), grid
 
 
 # grids that reach far from the origin, where candidates are often rejected
@@ -438,7 +438,7 @@ def test_any_earlier_location_is_an_exact_witness(law, m, seed, data):
     else:
         def prepare():
             dist = Gamma([2.0, 3.0], [1.0, 1.5])
-            return prepare_general(dist, ShapeFunction.from_cgf(dist), grid, DEFAULT_N_POINTS)
+            return prepare_general(dist, ShapeFunction(dist), grid, DEFAULT_N_POINTS)
     laws = [prepared_with_witnesses(prepare, w) for w in (offsets, ())]
     for k in range(3):
         fields = [law.simulate(derive_rng(seed + k)) for law in laws]
@@ -569,7 +569,7 @@ def test_simulate_general_validates_inputs(rng):
     with pytest.raises(ValueError):
         simulate_general(dist, kappa, grid, 0, rng)
     with pytest.raises(DomainError):
-        simulate_general(Exponential(1.0), ShapeFunction.from_cgf(Exponential(1.0)),
+        simulate_general(Exponential(1.0), ShapeFunction(Exponential(1.0)),
                          Grid([0.0, 1.5]), 10, rng)
 
 
@@ -624,7 +624,7 @@ GAMMA = Gamma(2.0, 1.0)
          Grid([0.0, 3.0, 4.0, 5.0]), [1, 2, 3], 9101),
         (lambda g: prepare_brown_resnick(Variogram.fractional(1.0, 1.0), g, DEFAULT_N_POINTS),
          Grid([0.0, 5.0]), [1], 9201),
-        (lambda g: prepare_general(GAMMA, ShapeFunction.from_cgf(GAMMA), g, DEFAULT_N_POINTS),
+        (lambda g: prepare_general(GAMMA, ShapeFunction(GAMMA), g, DEFAULT_N_POINTS),
          Grid([0.0, 0.9]), [1], 9301),
     ],
     ids=["smith", "brown-resnick", "general-gamma"],
@@ -1162,7 +1162,7 @@ def test_moving_maxima_fields_of_an_ordinary_sigma_keep_their_bits(sigma):
     "simulate",
     [
         lambda n, rng: simulate_general(
-            GAMMA, ShapeFunction.from_cgf(GAMMA), Grid([0.0, 0.5, 0.9, 0.99]), n, rng
+            GAMMA, ShapeFunction(GAMMA), Grid([0.0, 0.5, 0.9, 0.99]), n, rng
         ),
         lambda n, rng: simulate_smith([[1.0]], Grid([0.0, 2.0, 5.0, 8.0]), n, rng),
         lambda n, rng: simulate_brown_resnick(

@@ -20,8 +20,6 @@ from maxstable.spectral import (
     SpecParseError,
     UNIFORM_SMALL_T,
     Uniform,
-    cgf,
-    cgf_gradient,
     cgf_multi,
     clamp_psd,
     parse_distribution,
@@ -50,7 +48,7 @@ def random_psd(rng, d):
 
 def test_exponential_cgf_frozen_value():
     # -log(1 - 0.5) for rate 1 at t = 0.5
-    assert cgf(Exponential(1.0), 0.5) == pytest.approx(0.6931471805599453, abs=1e-15)
+    assert Exponential(1.0).cgf(0.5) == pytest.approx(0.6931471805599453, abs=1e-15)
 
 
 def test_gaussian_cgf_matches_direct_formula(rng):
@@ -61,34 +59,34 @@ def test_gaussian_cgf_matches_direct_formula(rng):
         for _ in range(20):
             t = rng.standard_normal(d)
             expected = float(mu @ t + 0.5 * t @ sigma @ t)
-            assert cgf(dist, t) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+            assert dist.cgf(t) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
 def test_gamma_cgf_is_shape_times_exponential():
-    assert cgf(Gamma(2.0, 1.0), 0.4) == pytest.approx(2.0 * cgf(Exponential(1.0), 0.4), abs=1e-14)
+    assert Gamma(2.0, 1.0).cgf(0.4) == pytest.approx(2.0 * Exponential(1.0).cgf(0.4), abs=1e-14)
 
 
 def test_uniform_cgf_moderate_t_matches_direct_formula():
     dist = Uniform(-0.5, 2.0)
     for t in (-3.0, -0.7, 0.2, 1.0, 4.0):
         expected = math.log((math.exp(2.0 * t) - math.exp(-0.5 * t)) / (2.5 * t))
-        assert cgf(dist, t) == pytest.approx(expected, rel=1e-12)
+        assert dist.cgf(t) == pytest.approx(expected, rel=1e-12)
 
 
 def test_uniform_cgf_small_t_limit():
     dist = Uniform(0.0, 1.0)
-    assert cgf(dist, 1e-12) == pytest.approx(0.5e-12, rel=1e-6)
-    assert cgf(dist, 0.0) == 0.0
+    assert dist.cgf(1e-12) == pytest.approx(0.5e-12, rel=1e-6)
+    assert dist.cgf(0.0) == 0.0
 
 
 def test_uniform_cgf_large_t_branches_are_continuous():
     dist = Uniform(0.0, 1.0)
     for w in (29.999, 30.001, -29.999, -30.001):
         direct = math.log(abs(math.expm1(w)) / abs(w))
-        assert cgf(dist, w) == pytest.approx(direct, rel=1e-12)
+        assert dist.cgf(w) == pytest.approx(direct, rel=1e-12)
     # far into the asymptotic regime, exact to the stated tails
-    assert cgf(dist, 200.0) == pytest.approx(200.0 - math.log(200.0), rel=1e-14)
-    assert cgf(dist, -200.0) == pytest.approx(-math.log(200.0), rel=1e-12)
+    assert dist.cgf(200.0) == pytest.approx(200.0 - math.log(200.0), rel=1e-14)
+    assert dist.cgf(-200.0) == pytest.approx(-math.log(200.0), rel=1e-12)
 
 
 def test_cgf_batch_matches_pointwise(rng):
@@ -103,7 +101,7 @@ def test_cgf_batch_matches_pointwise(rng):
 
 def test_cgf_at_zero_is_zero():
     for dist in registry_examples(3):
-        assert cgf(dist, np.zeros(3)) == 0.0
+        assert dist.cgf(np.zeros(3)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +112,13 @@ def test_exponential_domain_is_open_at_rate():
     dist = Exponential([1.0, 2.0])
     dist.check_domain([0.9, 1.9])
     with pytest.raises(DomainError) as err:
-        cgf(dist, [0.5, 2.0])
+        dist.cgf([0.5, 2.0])
     assert err.value.coordinate == 1
 
 
 def test_gamma_domain_error():
     with pytest.raises(DomainError):
-        cgf(Gamma(2.0, 1.0), 1.0)
+        Gamma(2.0, 1.0).cgf(1.0)
 
 
 @pytest.mark.parametrize("dist", [Gamma(2.0, 1.0), Gaussian(0.0, 1.0)], ids=["gamma", "gaussian"])
@@ -130,12 +128,12 @@ def test_a_nan_coordinate_lies_outside_every_domain(dist):
         with pytest.raises(DomainError):
             dist.cgf(t)
     with pytest.raises(DomainError):
-        cgf_gradient(dist, [np.nan])
+        dist.gradient([np.nan])
 
 
 def test_unbounded_families_accept_large_points():
     for dist in (Gaussian(0.0, 1.0), Uniform(0.0, 1.0)):
-        assert np.isfinite(cgf(dist, 50.0))
+        assert np.isfinite(dist.cgf(50.0))
 
 
 # ---------------------------------------------------------------------------
@@ -174,25 +172,25 @@ def test_gaussian_gradient_closed_form(rng):
     sigma = random_psd(rng, 2)
     dist = Gaussian(mu, sigma)
     t = np.array([0.7, -1.1])
-    assert np.allclose(cgf_gradient(dist, t), sigma @ t + mu, atol=1e-14)
+    assert np.allclose(dist.gradient(t), sigma @ t + mu, atol=1e-14)
 
 
 def test_fd_gradient_matches_analytic_derivatives():
     # exp(rate): phi' = 1/(rate - t); gamma(k, rate): phi' = k/(rate - t)
     t = 0.4
-    assert cgf_gradient(Exponential(1.0), [t])[0] == pytest.approx(1.0 / 0.6, rel=1e-9)
-    assert cgf_gradient(Gamma(2.0, 1.0), [t])[0] == pytest.approx(2.0 / 0.6, rel=1e-9)
+    assert Exponential(1.0).gradient([t])[0] == pytest.approx(1.0 / 0.6, rel=1e-9)
+    assert Gamma(2.0, 1.0).gradient([t])[0] == pytest.approx(2.0 / 0.6, rel=1e-9)
     # uniform(0, 1): phi' = e^t/(e^t - 1) - 1/t
     expected = math.exp(t) / math.expm1(t) - 1.0 / t
-    assert cgf_gradient(Uniform(0.0, 1.0), [t])[0] == pytest.approx(expected, rel=1e-9)
+    assert Uniform(0.0, 1.0).gradient([t])[0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_gradient_is_exact_up_to_the_boundary():
     # no finite-difference step: 1 - 1e-12 is in the domain, t = 1 is not
     t = 1.0 - 1e-12
-    assert cgf_gradient(Exponential(1.0), [t])[0] == 1.0 / (1.0 - t) == pytest.approx(1e12, rel=1e-4)
+    assert Exponential(1.0).gradient([t])[0] == 1.0 / (1.0 - t) == pytest.approx(1e12, rel=1e-4)
     with pytest.raises(DomainError):
-        cgf_gradient(Exponential(1.0), [1.0])
+        Exponential(1.0).gradient([1.0])
 
 
 def _uniform_gradient_reference(a, b, t):
@@ -240,7 +238,7 @@ def test_cgf_gradient_matches_a_central_difference_of_the_cgf(d, rng):
             t = rng.uniform(-1.0, 0.8, size=d)
             step = h * np.eye(d)
             fd = np.array([(dist.cgf(t + e) - dist.cgf(t - e)) / (2 * h) for e in step])
-            assert np.allclose(cgf_gradient(dist, t), fd, rtol=1e-7, atol=1e-8)
+            assert np.allclose(dist.gradient(t), fd, rtol=1e-7, atol=1e-8)
 
 
 def test_mean_is_bit_equal_to_the_closed_form_means(rng):
@@ -284,7 +282,7 @@ def test_sample_tilted_means_match_cgf_gradient(rng):
     ]
     for dist, t in cases:
         x = dist.sample_tilted([t], 200_000, rng)
-        assert x.mean() == pytest.approx(cgf_gradient(dist, [t])[0], abs=0.01)
+        assert x.mean() == pytest.approx(dist.gradient([t])[0], abs=0.01)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -401,15 +399,15 @@ def test_shape_function_quadratic_equals_gaussian_cgf(rng):
     sigma = random_psd(rng, 2)
     dist = Gaussian(mu, sigma)
     quad = ShapeFunction.quadratic(mu, sigma)
-    from_cgf = ShapeFunction.from_cgf(dist)
+    from_cgf = ShapeFunction(dist)
     pts = rng.standard_normal((40, 2))
     assert np.allclose(quad.values(pts), from_cgf.values(pts), atol=1e-12)
-    assert quad(pts[0]) == pytest.approx(from_cgf(pts[0]), abs=1e-12)
+    assert quad.values(pts[0]) == pytest.approx(from_cgf.values(pts[0]), abs=1e-12)
 
 
 def test_shape_function_constant_offset():
     quad = ShapeFunction.quadratic([0.0], [[1.0]], c0=2.5)
-    assert quad([0.0]) == 2.5
+    assert quad.values([0.0]) == 2.5
 
 
 def test_clamp_psd_accepts_roundoff_negatives():
@@ -440,20 +438,32 @@ def test_psd_factor_reconstructs_matrix(rng):
 @given(st.data())
 def test_parse_format_round_trip(data):
     # what the registry base derives from a family's statement of its law:
-    # the spec string and its parse, dim, and cgf at a point or at rows
+    # the spec string and its parse, dim, the mean, and cgf, gradient,
+    # term_scale and kappa = phi at a point or at rows, a point's value
+    # its row's bit for bit
     d = data.draw(st.integers(1, 3))
     dist = data.draw(distributions(d))
     assert parse_distribution(dist.spec_string()) == dist
     assert dist.dim == d
     rows = data.draw(hnp.arrays(float, (4, d), elements=st.floats(-2.0, 2.0)))
     rows = np.minimum(rows, 0.5 * dist.domain_upper())
+    kappa = ShapeFunction(dist)
     assert np.array([dist.cgf(row) for row in rows]).tobytes() == dist.cgf(rows).tobytes()
+    assert np.array([dist.gradient(row) for row in rows]).tobytes() == dist.gradient(rows).tobytes()
+    assert np.array([dist.term_scale(row[None]) for row in rows]).tobytes() == dist.term_scale(rows).tobytes()
+    assert all(type(kappa.values(row)) is float for row in rows)
+    assert np.array([kappa.values(row) for row in rows]).tobytes() == kappa.values(rows).tobytes()
+    assert dist.mean().tobytes() == dist.gradient(np.zeros(d)).tobytes()
+    if d == 1:  # a scalar is a point of a 1-D law
+        assert type(dist.cgf(float(rows[0, 0]))) is float and dist.cgf(float(rows[0, 0])) == dist.cgf(rows[0])
+        assert dist.gradient(float(rows[0, 0])).tobytes() == dist.gradient(rows[0]).tobytes()
     if isinstance(dist, Gamma):
         edge = np.zeros(d)
         edge[-1] = dist.rate[-1]
         for t in (edge, np.vstack([np.zeros(d), edge])):
-            with pytest.raises(DomainError):
-                dist.cgf(t)
+            for value in (dist.cgf, dist.gradient):
+                with pytest.raises(DomainError):
+                    value(t)
 
 
 @pytest.mark.parametrize("d", [1, 2])

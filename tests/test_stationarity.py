@@ -387,7 +387,7 @@ def test_empirical_shift_distance_merges_each_point_into_the_first_kept_one_with
     h = 2.0**-40
     assert h <= _DUPLICATE_TOL < 2 * h
     got = empirical_shift_distance(dist, [0.0], [h], [h], 200, 41, n_points=1000)
-    law = prepare_general(dist, ShapeFunction.from_cgf(dist), Grid([[0.0], [2.0**-39]]), 1000)
+    law = prepare_general(dist, ShapeFunction(dist), Grid([[0.0], [2.0**-39]]), 1000)
     pairs = law.simulate_many(41, range(200))[0][:, [0, 0, 0, 1]]
     assert got == bivariate_ecdf_distance(pairs[:, :2], pairs[:, 2:], frechet_threshold_grid())
 
@@ -451,7 +451,7 @@ def test_verify_reads_both_checks_from_one_ensemble(case, monkeypatch):
     assert len(prepared) == 1 and len(simulated) == 1
     assert np.array_equal(prepared[0].locations, Grid(points).locations)
     # by hand: one law on the merged points, replicates 0 .. 99 of the seed
-    values, _ = prepare(dist, ShapeFunction.from_cgf(dist), Grid(points), 1000).simulate_many(43, range(100))
+    values, _ = prepare(dist, ShapeFunction(dist), Grid(points), 1000).simulate_many(43, range(100))
     assert [row["ks"] for row in rep.marginal_ks] == [
         ks_distance(values[:, j], frechet_cdf) for j in range(len(grid))
     ]
