@@ -236,10 +236,12 @@ def cmd_fdd(args):
     ts = parse_grid(args.ts)
     xs = parse_floats(args.xs, "threshold list")
     query = fddmod.FddQuery(ts, xs)
-    if args.method == "closed-bivariate" and query.n != 2:
+    if args.method == "mc":
+        ev = fddmod.exponent_mc(dist, kappa, query, args.mc_n, derive_rng(args.seed))
+    elif query.n != 2:
         raise UsageError("--method closed-bivariate needs exactly two query points")
-    rng = derive_rng(args.seed)
-    ev = fddmod.fdd_exponent(dist, kappa, query, args.method, rng, args.mc_n)
+    else:
+        ev = fddmod.closed_bivariate(dist, kappa, query)
     line = {"ts": query.ts.tolist(), "xs": query.xs.tolist(), "method": ev.method, "V": ev.value,
             "se": ev.se, "cdf": float(np.exp(-ev.value))}
     return line, EXIT_OK

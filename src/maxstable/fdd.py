@@ -2,14 +2,15 @@
 
 P(eta(t_1) <= x_1, ..., eta(t_n) <= x_n) = exp(-V) where the exponent
 V = E max_j exp(<X, t_j> - kappa(t_j)) / x_j is estimated by Monte Carlo
-for general queries, and available in closed form for the bivariate
-Husler-Reiss case of Gaussian spectral vectors.  kappa only rescales the
-kappa = phi process (phi the CGF of X), so a query under kappa is the
-kappa = phi query at the thresholds x'_j = x_j e^{kappa(t_j) - phi(t_j)}:
-``_weights`` is the one reader of kappa, and gives every method x'_j and
-the weights w_j = 1 / x'_j.  A query's points are validated as a
-``Grid``.  Empirical-CDF utilities for comparing simulations against
-these references live here as well.
+(``exponent_mc``) for general queries, and available in closed form
+(``closed_bivariate``) for the bivariate Husler-Reiss case of Gaussian
+spectral vectors.  kappa only rescales the kappa = phi process (phi the
+CGF of X), so a query under kappa is the kappa = phi query at the
+thresholds x'_j = x_j e^{kappa(t_j) - phi(t_j)}: ``_weights`` is the one
+reader of kappa, and gives both methods log x'_j and the one weight
+w_j = 1 / x'_j.  A query's points are validated as a ``Grid``.
+Empirical-CDF utilities for comparing simulations against these
+references live here as well.
 """
 from __future__ import annotations
 
@@ -108,9 +109,10 @@ def exponent_mc(
 
     Per chunk and point j, each point l gets one column of log terms
     c_l = (<x, t_l> - phi(t_l)) - log x'_l of the t_j-tilted rows (kappa
-    enters through x'_l, from ``_weights``), with <x, t_l> summed in
-    coordinate order (``ordered_dot``) and no BLAS product, so the
-    estimate does not depend on the BLAS thread count either.  A row is a
+    enters through log x'_l and w_j, both from ``_weights``), with
+    <x, t_l> summed in coordinate order (``ordered_dot``) and no BLAS
+    product, so the estimate does not depend on the BLAS thread count
+    either.  A row is a
     hit for j under the first-wins rule: c_j > c_l for every l < j and
     c_j >= c_l for every l > j, so a tie goes to the first tied point.
 
@@ -128,7 +130,7 @@ def exponent_mc(
     m = mc_n // n
     if m < MIN_SAMPLES:
         raise ValueError(f"mc_n must give each of the {n} query points at least {MIN_SAMPLES} draws")
-    phi, _, log_x, weights = _weights(dist, kappa, query)
+    phi, log_x, weights = _weights(dist, kappa, query)
     draw, tilt = dist.tilted_sampler(query.ts)
     chunk = _MC_CHUNK
     sizes = (min(chunk, m - done) for done in range(0, m, chunk))
@@ -255,51 +257,42 @@ def _husler_reiss(gamma_h: float, log_ratio: float, w1: float, w2: float) -> Exp
 
 
 def _weights(dist, kappa, query):
-    """phi(t_j), the kappa = phi thresholds x'_j = x_j e^{kappa(t_j) - phi(t_j)},
-    log x'_j and w_j = e^{-log x'_j} at the query points; at kappa = phi
-    they are x_j, log x_j and 1 / x_j.  log x'_j = log x_j + (kappa - phi)
-    and x'_j = e^{log x'_j} hold wherever x'_j is a double, also where
-    e^{kappa - phi} alone is not.  ValueError names the first point whose
-    weight is not finite: the CGF overflows there, or the threshold is too
-    small."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a weight that is not finite is reported below
+    """phi(t_j), log x'_j and the weights w_j = 1 / x'_j at the query
+    points, x'_j = x_j e^{kappa(t_j) - phi(t_j)} being the kappa = phi
+    thresholds; at kappa = phi they are log x_j and 1 / x_j.  w_j is
+    1 / x'_j wherever e^{kappa - phi} and x'_j are normal doubles, a few
+    ulps from exact at any threshold, and e^{-log x'_j} elsewhere, which
+    exists also where e^{kappa - phi} alone is not a double.  ValueError
+    names the first point whose weight is not finite: the CGF overflows
+    there, or the threshold is too small."""
+    with np.errstate(all="ignore"):  # a weight that is not finite is reported below
         phi = dist.cgf(query.ts)
         shift = kappa.values(query.ts) - phi
         log_x = np.log(query.xs) + shift
-        xs = np.where(shift == 0, query.xs, np.exp(log_x))
-        weights = np.exp(-log_x)
+        scale = np.exp(shift)
+        xs = query.xs * scale
+        normal = (np.minimum(scale, xs) >= np.finfo(float).tiny) & (xs < np.inf)
+        weights = np.where(normal, 1.0 / xs, np.exp(-log_x))
     bad = np.flatnonzero(~np.isfinite(weights))
     if bad.size:
         raise ValueError(f"the exponent weight e^(phi - kappa) / x is not finite at query point {bad[0]}")
-    return phi, xs, log_x, weights
+    return phi, log_x, weights
 
 
-def _closed_bivariate(dist, kappa, query) -> ExponentValue:
+def closed_bivariate(dist, kappa, query) -> ExponentValue:
+    """V of a two-point query of a Gaussian law in closed form: Husler-Reiss
+    at the thresholds x'_j and the variogram value h' Sigma h, h = t_2 - t_1."""
+    if query.n != 2:
+        raise ValueError("closed bivariate applies to two-point queries only")
     if not hasattr(dist, "sigma") or dist.family != "gaussian":
         raise ValueError("closed bivariate exponent requires a gaussian spectral law")
-    _, xs, log_x, weights = _weights(dist, kappa, query)
-    # 1 / x'_j where x'_j is a double, else e^{-log x'_j}
-    w = np.where(np.isfinite(xs), 1.0 / xs, weights)
+    _, log_x, weights = _weights(dist, kappa, query)
     with np.errstate(over="ignore", invalid="ignore"):  # gamma(h) = inf is the independence limit V = 1/x1 + 1/x2
         h = query.ts[1] - query.ts[0]
         gamma_h = float(h @ dist.sigma @ h)
     if math.isnan(gamma_h):  # inf * 0 in the product
         raise ValueError(f"the variogram h' Sigma h overflows at lag h = {h.tolist()}")
-    return _husler_reiss(gamma_h, float(log_x[1] - log_x[0]), float(w[0]), float(w[1]))
-
-
-def fdd_exponent(dist, kappa, query, method="mc", rng=None, mc_n=100_000) -> ExponentValue:
-    """The exponent V by the chosen method ({mc, closed-bivariate}); the
-    probability is exp(-V)."""
-    if method == "mc":
-        if rng is None:
-            raise ValueError("mc method requires a generator")
-        return exponent_mc(dist, kappa, query, mc_n, rng)
-    if method == "closed-bivariate":
-        if query.n != 2:
-            raise ValueError("closed bivariate applies to two-point queries only")
-        return _closed_bivariate(dist, kappa, query)
-    raise ValueError(f"unknown fdd method {method!r}")
+    return _husler_reiss(gamma_h, float(log_x[1] - log_x[0]), float(weights[0]), float(weights[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -287,12 +287,15 @@ class SpectralDistribution:
 
 def _tilted_draws(dist: SpectralDistribution, t, n: int, rng) -> np.ndarray:
     """``sample_tilted`` of every family: n draws of its tilted sampler at
-    the point t, shape (n, d).  No package code calls it or ``sample``;
-    both stay, bound in each family's class, because the benchmark's
-    tracer (``bench/tracer.py``) wraps them per family: with
-    ``cgf_multi`` they are the only spectral names it wraps (ROADMAP
-    item 1)."""
-    draw, tilt = dist.tilted_sampler(dist.check_domain(t)[None, :])
+    the one point t (a scalar for a 1-D law), shape (n, d).  No package
+    code calls it or ``sample``; both stay, bound in each family's class,
+    because the benchmark's tracer (``bench/tracer.py``) wraps them per
+    family: with ``cgf_multi`` they are the only spectral names it wraps
+    (ROADMAP item 1)."""
+    t = dist.check_domain(t)
+    if t.ndim > 1:
+        raise ValueError(f"sample_tilted draws at one point t, got an array of shape {t.shape}")
+    draw, tilt = dist.tilted_sampler(t.reshape(1, -1))
     return tilt(draw(n, rng), 0)
 
 
@@ -341,13 +344,13 @@ class Gaussian(SpectralDistribution, Frozen):
         return ordered_dot(size, np.abs(self.mu)) + 0.5 * quadratic
 
     def tilted_sampler(self, ts):
-        shift = ts @ self.sigma  # row j is Sigma t_j, Sigma being symmetric
+        mean = self._gradient(ts)  # the t_j-tilted law is N(grad phi(t_j), Sigma)
 
         def draw(n, rng):
             return np.asarray(rng.standard_normal((int(n), self.dim)))
 
         def tilt(rows, js):
-            return ordered_dot(rows[:, None, :], self._factor) + self.mu + shift[js]
+            return ordered_dot(rows[:, None, :], self._factor) + mean[js]
 
         return draw, tilt
 

@@ -16,6 +16,7 @@ import maxstable
 import maxstable.cli
 from maxstable.cli import (
     UsageError,
+    dump_json,
     main,
     parse_box,
     parse_grid,
@@ -755,6 +756,14 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         (["simulate", "--construction", "smith", "--sigma", "1,0,0,1", "--grid", "0:0.1:3x0:0.1:0"], 2),
         (["simulate", "--construction", "general", "--dist", "gaussian:mu=0;sigma=1",
           "--kappa", "quadratic:mu=0;sigma=1;c0=800", "--grid", "0,1"], 3),
+        (["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0,0;1,1"], 3),
+        (["simulate", "--construction", "general", "--dist", "gaussian:mu=0,0;sigma=1,0,0,1",
+          "--grid", "0,1"], 3),
+        (["simulate", "--construction", "br", "--variogram", "fractional:alpha=1,2", "--grid", "0,1"], 2),
+        (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--kappa", "quadratic:mu=0;sigma=1;c0=1,2",
+          "--ts", "0;1", "--xs", "1,1"], 2),
+        (["simulate", "--construction", "general", "--dist", "uniform:a=0,0;b=1", "--grid", "0,1"], 3),
+        (["simulate", "--construction", "general", "--dist", "gamma:k=1,2;theta=1", "--grid", "0,1"], 3),
     ],
     ids=[
         "zero-replicates", "negative-replicates", "too-few-replicates", "verify-zero-replicates",
@@ -767,13 +776,28 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         "one-point-criterion",
         "double-dash-value", "fdd-kappa-dimension", "simulate-kappa-dimension",
         "fdd-too-few-draws-per-point", "zero-grid-count", "negative-grid-count", "zero-grid-count-2d",
-        "field-underflow",
+        "field-underflow", "smith-grid-dimension", "general-grid-dimension", "variogram-alpha-vector",
+        "kappa-c0-vector", "uniform-endpoint-lengths", "gamma-parameter-lengths",
     ],
 )
 def test_bad_input_exit_codes(argv, code, capsys):
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err and err.startswith(("error:", "numeric error:"))
+
+
+def test_defect_on_a_box_without_a_feasible_config_is_a_domain_error(capsys):
+    # inside [0.6, 0.9] no criterion config keeps all of its points in the
+    # exponential law's domain t < 1
+    assert main(["defect", "--dist", "exp:lambda=1", "--box", "0.6,0.9"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "domain error: no feasible criterion configs inside the box\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64(-np.inf)])
+def test_dump_json_rejects_a_number_that_is_not_finite(value):
+    with pytest.raises(ValueError, match="non-finite number"):
+        dump_json({"V": [1.0, value]})
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,8 +12,8 @@ from maxstable.fdd import (
     ExponentValue,
     FddQuery,
     bivariate_ecdf_distance,
+    closed_bivariate,
     exponent_mc,
-    fdd_exponent,
     frechet_cdf,
     frechet_quantile,
     frechet_threshold_grid,
@@ -114,7 +114,7 @@ def test_one_point_mc_is_the_frechet_rate():
     q = FddQuery([1.3], [2.0])
     ev = exponent_mc(dist, kappa, q, 1000, derive_rng(3))
     assert ev.value == pytest.approx(0.5, abs=1e-14)
-    assert ev.value == fdd._weights(dist, kappa, q)[3][0]
+    assert ev.value == fdd._weights(dist, kappa, q)[2][0]
 
 
 @pytest.mark.parametrize("dist", [Gaussian([0.3], [[2.0]]), Exponential(1.0), Uniform(0.0, 1.0), Gamma(2.0, 1.0)],
@@ -127,7 +127,7 @@ def test_one_point_mc_value_is_its_weight_bit_for_bit(dist, quadratic):
     for t in (0.1, 0.37, 0.5):
         for x in (0.3, 1.7, 2.9, 13.0):
             q = FddQuery([t], [x])
-            weight = fdd._weights(dist, kappa, q)[3][0]
+            weight = fdd._weights(dist, kappa, q)[2][0]
             assert weight == pytest.approx(math.exp(dist.cgf([t]) - kappa.values(t)) / x, rel=1e-14)
             assert exponent_mc(dist, kappa, q, 1000, derive_rng(3)).value == weight
 
@@ -140,40 +140,37 @@ def test_one_point_mc_value_is_its_weight_bit_for_bit(dist, quadratic):
 ])
 def test_a_weight_that_is_not_finite_is_reported_at_its_query_point(ts, xs, method, point):
     dist, kappa = unit_gaussian()
+    query = FddQuery(ts, xs)
     with pytest.raises(ValueError, match=f"is not finite at query point {point}$"):
-        fdd_exponent(dist, kappa, FddQuery(ts, xs), method, derive_rng(1), 2000)
+        if method == "mc":
+            exponent_mc(dist, kappa, query, 2000, derive_rng(1))
+        else:
+            closed_bivariate(dist, kappa, query)
 
 
 def test_closed_bivariate_at_an_overflowing_lag_is_the_independence_limit():
     # gamma(h) = inf: V = 1 / x1 + 1 / x2
     dist, kappa = unit_gaussian()
-    assert fdd_exponent(dist, kappa, FddQuery([-1e154, 1e154], [1.0, 2.0]), "closed-bivariate").value == 1.5
+    assert closed_bivariate(dist, kappa, FddQuery([-1e154, 1e154], [1.0, 2.0])).value == 1.5
 
 
 def test_closed_bivariate_requires_gaussian_cgf():
     dist = Exponential(1.0)
     kappa = ShapeFunction(dist)
     with pytest.raises(ValueError):
-        fdd_exponent(dist, kappa, FddQuery([0.0, 0.5], [1.0, 1.0]), "closed-bivariate")
+        closed_bivariate(dist, kappa, FddQuery([0.0, 0.5], [1.0, 1.0]))
 
 
 def test_closed_bivariate_matches_husler_reiss():
     dist, kappa = unit_gaussian()
-    ev = fdd_exponent(dist, kappa, FddQuery([0.0, 2.0], [1.0, 3.0]), "closed-bivariate")
+    ev = closed_bivariate(dist, kappa, FddQuery([0.0, 2.0], [1.0, 3.0]))
     assert ev.value == pytest.approx(husler_reiss_V(4.0, 1.0, 3.0).value, abs=1e-15)
 
 
-def test_method_dispatch_errors(rng):
+def test_closed_bivariate_takes_two_points_only():
     dist, kappa = unit_gaussian()
-    q = FddQuery([0.0, 1.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        fdd_exponent(dist, kappa, q, "closed-marginal")
-    with pytest.raises(ValueError):
-        fdd_exponent(dist, kappa, FddQuery([0.0], [1.0]), "closed-bivariate")
-    with pytest.raises(ValueError):
-        fdd_exponent(dist, kappa, q, "saddlepoint", rng)
-    with pytest.raises(ValueError):
-        fdd_exponent(dist, kappa, q, "mc")  # no generator
+    with pytest.raises(ValueError, match="two-point queries only"):
+        closed_bivariate(dist, kappa, FddQuery([0.0], [1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +181,7 @@ def test_exponent_mc_matches_closed_bivariate():
     dist, kappa = unit_gaussian()
     q = FddQuery([0.0, 2.0], [1.0, 2.0])
     ev = exponent_mc(dist, kappa, q, 400_000, derive_rng(101))
-    closed = fdd_exponent(dist, kappa, q, "closed-bivariate").value
+    closed = closed_bivariate(dist, kappa, q).value
     assert ev.se > 0
     assert abs(ev.value - closed) < 3.0 * ev.se
 
@@ -209,8 +206,8 @@ def test_closed_bivariate_matches_mc_under_any_kappa(dist, kappa, ts, xs):
     # 4 se of it
     q = FddQuery(ts, xs)
     ev = exponent_mc(dist, kappa, q, 400_000, derive_rng(102))
-    closed = fdd_exponent(dist, kappa, q, "closed-bivariate").value
-    assert closed != fdd_exponent(dist, ShapeFunction(dist), q, "closed-bivariate").value
+    closed = closed_bivariate(dist, kappa, q).value
+    assert closed != closed_bivariate(dist, ShapeFunction(dist), q).value
     assert ev.se > 0
     assert abs(ev.value - closed) < 4.0 * ev.se
 
@@ -222,8 +219,8 @@ def test_a_kappa_far_from_phi_is_read_in_logs():
     kappa = ShapeFunction.quadratic([0.0], [[0.0]], 710.0)
     q = FddQuery([0.0, 1.0], [1e-308, 1.0])
     w0 = math.exp(-710.0 - math.log(1e-308))
-    for method in ("mc", "closed-bivariate"):
-        assert fdd_exponent(dist, kappa, q, method, derive_rng(4), 2000).value == pytest.approx(w0, rel=1e-13)
+    assert exponent_mc(dist, kappa, q, 2000, derive_rng(4)).value == pytest.approx(w0, rel=1e-13)
+    assert closed_bivariate(dist, kappa, q).value == pytest.approx(w0, rel=1e-13)
 
 
 def test_exponent_mc_is_deterministic():
@@ -589,6 +586,11 @@ def test_ks_distance_of_frechet_sample(rng):
 def test_ks_distance_detects_wrong_reference(rng):
     samples = rng.uniform(0.0, 1.0, size=5000)
     assert ks_distance(samples, frechet_cdf) > 0.5
+
+
+def test_ks_distance_needs_min_samples(rng):
+    with pytest.raises(ValueError, match=f"at least {fdd.MIN_SAMPLES} samples"):
+        ks_distance(rng.uniform(0.0, 1.0, size=fdd.MIN_SAMPLES - 1), frechet_cdf)
 
 
 def test_ks_threshold_values():

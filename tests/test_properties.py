@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from maxstable import stationarity
 from maxstable.cli import UsageError, main, parse_box, parse_floats, parse_grid
-from maxstable.fdd import FddQuery, bivariate_ecdf_distance, exponent_mc, fdd_exponent, husler_reiss_V
+from maxstable.fdd import FddQuery, bivariate_ecdf_distance, closed_bivariate, exponent_mc, husler_reiss_V
 from maxstable.seeding import derive_rng
 from maxstable.simulator import (
     _REPLICATE_BLOCK,
@@ -218,10 +218,11 @@ def test_every_fdd_method_keeps_v_within_its_bounds(family, n, d, data):
     ts = ts * np.where(np.isinf(upper), 2.0, 0.9 * upper)
     xs = data.draw(hnp.arrays(float, n, elements=THRESHOLD))
     query = FddQuery(ts, xs)
-    methods = ["mc"] + (["closed-bivariate"] if n == 2 and family == "gaussian" else [])
+    evs = [exponent_mc(dist, kappa, query, 4000, derive_rng(n, d))]
+    if n == 2 and family == "gaussian":
+        evs.append(closed_bivariate(dist, kappa, query))
     lo, hi_v = max(1.0 / xs), sum(1.0 / xs)
-    for method in methods:
-        ev = fdd_exponent(dist, kappa, query, method, derive_rng(n, d), 4000)
+    for ev in evs:
         # the Monte Carlo estimate of a probability can fall below its floor
         # by sampling error, never above 1
         assert lo * (1 - ROUND_OFF) - 6 * ev.se <= ev.value <= hi_v * (1 + ROUND_OFF)
@@ -257,8 +258,8 @@ def test_closed_bivariate_is_symmetric_homogeneous_and_scaled_by_c0(d, quadratic
     # a Gaussian law under kappa = phi or a quadratic kappa: V is symmetric
     # under swapping the (t, x) pairs, V(ts, c xs) = V(ts, xs) / c, and
     # kappa + c0 gives e^(-c0) V, each to a relative 1e-14; at thresholds
-    # near 1e+-300, whose ratio need not be a double, V stays finite and
-    # symmetric
+    # near 1e+-300, whose ratio need not be a double, V stays finite,
+    # symmetric and homogeneous
     dist = _law("gaussian", d)
     kappa = (ShapeFunction.quadratic(0.2 * np.ones(d), 0.5 * np.eye(d) + 0.1, 0.3) if quadratic
              else ShapeFunction(dist))
@@ -269,7 +270,7 @@ def test_closed_bivariate_is_symmetric_homogeneous_and_scaled_by_c0(d, quadratic
     c, c0 = data.draw(st.floats(0.1, 10.0)), data.draw(st.floats(-3.0, 3.0))
 
     def v(ts, xs, kappa=kappa):
-        return fdd_exponent(dist, kappa, FddQuery(ts, xs), "closed-bivariate").value
+        return closed_bivariate(dist, kappa, FddQuery(ts, xs)).value
 
     value = v(ts, xs)
     assert math.isclose(v(ts[::-1], xs[::-1]), value, rel_tol=1e-14)
@@ -278,6 +279,7 @@ def test_closed_bivariate_is_symmetric_homogeneous_and_scaled_by_c0(d, quadratic
     assert math.isclose(v(ts, xs, shifted), math.exp(-c0) * value, rel_tol=1e-14)
     far_value = v(ts, far)
     assert math.isfinite(far_value) and math.isclose(v(ts[::-1], far[::-1]), far_value, rel_tol=1e-14)
+    assert math.isclose(v(ts, c * far) * c, far_value, rel_tol=1e-14)
 
 
 # ---------------------------------------------------------------------------

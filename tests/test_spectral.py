@@ -287,8 +287,10 @@ def test_sample_tilted_means_match_cgf_gradient(rng):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_sample_rows_do_not_depend_on_the_batch(d):
-    # 64 rows drawn at once equal 64 one-row draws bit for bit; the
-    # gaussian's factor product is summed in coordinate order, not by BLAS
+    # 64 rows drawn at once equal 64 one-row draws bit for bit, and the
+    # tilt of a base row to ts[j] equals its tilt by a sampler of ts[j]
+    # alone; the gaussian's factor product and its tilted mean grad phi(t)
+    # are summed in coordinate order, not by BLAS
     rng = derive_rng(d)
     laws = [*registry_examples(d), Gaussian(rng.standard_normal(d), random_psd(rng, d)),
             Gamma(rng.uniform(0.5, 3.0, d), rng.uniform(0.5, 3.0, d))]
@@ -296,6 +298,11 @@ def test_sample_rows_do_not_depend_on_the_batch(d):
         batch = dist.sample(64, derive_rng(11))
         one = derive_rng(11)
         assert batch.tobytes() == np.vstack([dist.sample(1, one) for _ in range(64)]).tobytes()
+        ts = np.minimum(rng.uniform(-2.0, 2.0, (8, d)), 0.5 * dist.domain_upper())
+        draw, tilt = dist.tilted_sampler(ts)
+        base = draw(64, derive_rng(11))
+        for j in range(len(ts)):
+            assert tilt(base, j).tobytes() == dist.tilted_sampler(ts[j:j + 1])[1](base, 0).tobytes()
 
 
 def test_sample_tilted_rejects_out_of_domain(rng):
@@ -439,8 +446,8 @@ def test_psd_factor_reconstructs_matrix(rng):
 def test_parse_format_round_trip(data):
     # what the registry base derives from a family's statement of its law:
     # the spec string and its parse, dim, the mean, and cgf, gradient,
-    # term_scale and kappa = phi at a point or at rows, a point's value
-    # its row's bit for bit
+    # term_scale and kappa = phi at a point or at rows, a point's value its
+    # row's bit for bit, and sample_tilted at a point
     d = data.draw(st.integers(1, 3))
     dist = data.draw(distributions(d))
     assert parse_distribution(dist.spec_string()) == dist
@@ -457,6 +464,10 @@ def test_parse_format_round_trip(data):
     if d == 1:  # a scalar is a point of a 1-D law
         assert type(dist.cgf(float(rows[0, 0]))) is float and dist.cgf(float(rows[0, 0])) == dist.cgf(rows[0])
         assert dist.gradient(float(rows[0, 0])).tobytes() == dist.gradient(rows[0]).tobytes()
+        tilted = dist.sample_tilted(float(rows[0, 0]), 3, derive_rng(1))
+        assert tilted.tobytes() == dist.sample_tilted(rows[0], 3, derive_rng(1)).tobytes()
+    with pytest.raises(ValueError, match="one point"):
+        dist.sample_tilted(rows, 3, derive_rng(1))
     if isinstance(dist, Gamma):
         edge = np.zeros(d)
         edge[-1] = dist.rate[-1]
