@@ -108,6 +108,18 @@ def parse_box(spec: str) -> np.ndarray:
         raise UsageError(f"bad box spec {spec!r}: {exc}") from exc
 
 
+def check_space(flag, spec, dim, law, law_dim):
+    """Points in R^dim, given as ``flag spec``, for a law in R^law_dim
+    named ``law``: points in another space than the law's are a usage
+    error, as a kappa is (``parse_kappa``)."""
+    if dim != law_dim:
+        raise UsageError(f"{flag} {spec!r} is in R^{dim}, but {law} is in R^{law_dim}")
+
+
+def check_dist_space(flag, spec, dim, dist):
+    check_space(flag, spec, dim, f"the law {dist.spec_string()!r}", dist.dim)
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -160,19 +172,32 @@ def run_config_dict(parser: argparse.ArgumentParser, args) -> dict:
 # its exit code, and ``main`` writes the result with the run configuration
 
 
+def _sigma(grid, args):
+    """--sigma's matrix, in the grid's space."""
+    sigma = parse_matrix(args.sigma)
+    check_space("--grid", args.grid, grid.dim, f"--sigma {args.sigma!r}", len(sigma))
+    return sigma
+
+
 def _prepare_general(grid, args):
     dist = parse_distribution(args.dist)
+    check_dist_space("--grid", args.grid, grid.dim, dist)
     return prepare_general(dist, parse_kappa(args.kappa, dist), grid, args.n_points)
+
+
+def _prepare_brown_resnick(grid, args):
+    variogram = parse_variogram(args.variogram)
+    if variogram.kind == "quadratic":  # a fractional variogram is one in every dimension
+        check_space("--grid", args.grid, grid.dim, f"--variogram {args.variogram!r}", len(variogram.sigma))
+    return prepare_brown_resnick(variogram, grid, args.n_points)
 
 
 # construction -> the flags it reads, and its law on a grid from their values.
 # SIMULATE_FLAGS: each flag's default (None: required); one not read exits 2.
 CONSTRUCTIONS = {
-    "smith": (("sigma", "n_points"),
-              lambda grid, a: prepare_smith(parse_matrix(a.sigma), grid, a.n_points)),
-    "br": (("variogram", "n_points"),
-           lambda grid, a: prepare_brown_resnick(parse_variogram(a.variogram), grid, a.n_points)),
-    "mmm": (("sigma",), lambda grid, a: prepare_moving_maxima(parse_matrix(a.sigma), grid)),
+    "smith": (("sigma", "n_points"), lambda grid, a: prepare_smith(_sigma(grid, a), grid, a.n_points)),
+    "br": (("variogram", "n_points"), _prepare_brown_resnick),
+    "mmm": (("sigma",), lambda grid, a: prepare_moving_maxima(_sigma(grid, a), grid)),
     "general": (("dist", "kappa", "n_points"), _prepare_general),
 }
 SIMULATE_FLAGS = {"sigma": None, "variogram": None, "dist": None, "kappa": "cgf",
@@ -201,6 +226,7 @@ def _default_box(dist) -> np.ndarray:
 def cmd_defect(args):
     dist = parse_distribution(args.dist)
     box = parse_box(args.box) if args.box else _default_box(dist)
+    check_dist_space("--box", args.box, len(box), dist)  # a row per axis
     rng = derive_rng(args.seed)
     report = stationarity.search_violation(dist, args.n, args.budget, box, rng)
     return report.to_dict(), EXIT_VIOLATED if report.verdict == "violated" else EXIT_OK
@@ -217,6 +243,7 @@ def _default_verify_grid(dist) -> Grid:
 def cmd_verify(args):
     dist = parse_distribution(args.dist)
     grid = Grid(parse_grid(args.grid)) if args.grid else _default_verify_grid(dist)
+    check_dist_space("--grid", args.grid, grid.dim, dist)
     if grid.size < 2:
         raise UsageError("verify needs at least two grid points")
     report = stationarity.verify_characterization(
@@ -236,6 +263,7 @@ def cmd_fdd(args):
     ts = parse_grid(args.ts)
     xs = parse_floats(args.xs, "threshold list")
     query = fddmod.FddQuery(ts, xs)
+    check_dist_space("--ts", args.ts, query.ts.shape[1], dist)
     if args.method == "mc":
         ev = fddmod.exponent_mc(dist, kappa, query, args.mc_n, derive_rng(args.seed))
     elif query.n != 2:
@@ -251,8 +279,8 @@ def cmd_compare_reps(args):
     # the verdict is sup < threshold with sup >= 0: a threshold <= 0 could never pass
     if not 0.0 < args.threshold < np.inf:
         raise ValueError(f"compare-reps threshold must be finite and positive, got {args.threshold!r}")
-    sigma = parse_matrix(args.sigma)
     grid = Grid(parse_grid(args.grid))
+    sigma = _sigma(grid, args)
     if grid.size < 2:
         raise UsageError("compare-reps needs at least two grid points")
     if args.replicates < fddmod.MIN_SAMPLES:

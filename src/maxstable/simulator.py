@@ -28,8 +28,8 @@ edge-error bound.
 Each construction is prepared once per grid by its ``prepare_*``
 function, into a ``PreparedLaw`` that holds what all its fields share (phi
 on the grid, the tilted-sampler tables and the shift phi - kappa, the
-Brown-Resnick embedding or factor, or moving maxima's checked Sigma,
-buffer and window).  Its ``simulate(rng)`` draws one field and its
+Brown-Resnick increments, or moving maxima's checked Sigma, buffer and
+window).  Its ``simulate(rng)`` draws one field and its
 ``simulate_many(seed, indices)`` a whole ensemble; ``simulate_*`` draw one
 field.  Both run one scan per construction, over the replicates of a
 block layout.
@@ -715,18 +715,12 @@ def prepare_smith(sigma, grid: Grid, n_points: int) -> PreparedLaw:
     return _spectral_law(*_smith_law(sigma), grid, n_points, "smith")
 
 
-def _br_cov_factor(variogram: Variogram, grid: Grid):
-    """Factor of the covariance C(s, t) = 0.5 (gamma(s - t_0) + gamma(t - t_0)
-    - gamma(s - t)) of G - G(t_0) (fractional variogram gamma) on the grid,
-    and the pairwise gamma(s - t).  Row 0 of the factor is zero: G - G(t_0)
-    is 0 at t_0.  The other rows are positive definite for 0 < alpha < 2 and
-    share one Cholesky factor.  Only differences of locations enter, so a
-    grid and its translate give the same factor.
-
-    Both are built in place, from one m x m buffer per table: |s - t| sums
-    the squared coordinate differences in coordinate order, as
-    ``np.linalg.norm`` does, so the tables equal ``variogram(s - t)`` and
-    the covariance from them bit for bit."""
+def _br_pairwise(variogram: Variogram, grid: Grid):
+    """The pairwise table gamma(s - t) of a fractional variogram on the
+    grid, built in place in one m x m buffer: |s - t| sums the squared
+    coordinate differences in coordinate order, as ``np.linalg.norm`` does,
+    so the table equals ``variogram(s - t)`` bit for bit.  Only differences
+    of locations enter, so a grid and its translate give the same table."""
     pts = grid.locations
     with np.errstate(over="ignore"):  # checked below
         pairwise = np.subtract.outer(pts[:, 0], pts[:, 0])
@@ -740,6 +734,19 @@ def _br_cov_factor(variogram: Variogram, grid: Grid):
         pairwise **= variogram.alpha
         pairwise *= variogram.scale
     _check_variogram_size(pairwise, "this grid")
+    return pairwise
+
+
+def _br_cov_factor(variogram: Variogram, grid: Grid):
+    """Factor of the covariance C(s, t) = 0.5 (gamma(s - t_0) + gamma(t - t_0)
+    - gamma(s - t)) of G - G(t_0) (fractional variogram gamma) on the grid,
+    and the pairwise gamma(s - t) (``_br_pairwise``).  Row 0 of the factor
+    is zero: G - G(t_0) is 0 at t_0.  The other rows are positive definite
+    for 0 < alpha < 2 and share one Cholesky factor.  The covariance is
+    built in place from the pairwise table, so it equals the one from
+    ``variogram(s - t)`` bit for bit, and a grid and its translate give the
+    same factor."""
+    pairwise = _br_pairwise(variogram, grid)
     g = pairwise[0, 1:]
     cov = np.add.outer(g, g)
     cov -= pairwise[1:, 1:]
@@ -766,7 +773,8 @@ def _check_variogram_size(values, where):
 # Unconditioned paths of G on a grid: paths(z) turns n rows of ``width``
 # standard normals into n paths of G - G(t_0) on the m locations, each 0 at
 # t_0; gamma[i, j] = gamma(t_i - t_j), one symmetric (m, m) table (or view)
-# from which every variogram value is read; kind is "circulant" or "cholesky".
+# from which every variogram value is read; kind is "brownian", "circulant"
+# or "cholesky".
 _Increments = namedtuple("_Increments", "kind width paths gamma")
 
 
@@ -840,17 +848,59 @@ def _circulant_increments(variogram: Variogram, m: int, h: float):
         np.cumsum(steps[:, :m - 1], axis=1, out=g[:, 1:])
         return g
 
+    return _Increments("circulant", size, paths, _lag_view(lag))
+
+
+def _lag_view(lag):
+    """The (m, m) table gamma(t_i - t_j) = lag[|i - j|] of a 1-D lattice
+    from its m-entry lag table, as a strided view: nothing m x m is built."""
     # row j of the view is lag[|i - j|] over i
-    gamma = np.lib.stride_tricks.sliding_window_view(np.concatenate([lag[:0:-1], lag]), m)[::-1]
-    return _Increments("circulant", size, paths, gamma)
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([lag[:0:-1], lag]), lag.size)[::-1]
+
+
+def _brownian_increments(variogram: Variogram, grid: Grid, h):
+    """Paths for gamma(h) = s |h| on a 1-D grid, lattice (step h) or not,
+    sorted or not: G is sqrt(s) times a two-sided Brownian motion (Brown &
+    Resnick 1977), so its steps between neighbours in sorted order are
+    independent, step k with standard deviation sigma_k = sqrt(s Delta_k).
+    A path is the running sum of sigma_k N_k over the m - 1 steps, read
+    back in grid order, minus its value at t_0, so exactly 0 there: one
+    product and one running sum per row, no FFT and no BLAS, so a row does
+    not depend on its batch.  gamma is the lag view on a lattice and the
+    pairwise table elsewhere, and sigma_k^2 = gamma(Delta_k) is read from it."""
+    m = grid.size
+    if h:
+        with np.errstate(over="ignore"):  # checked below
+            lag = variogram(h * np.arange(m)[:, None])
+        _check_variogram_size(lag, "this grid")
+        gamma = _lag_view(lag)
+    else:
+        gamma = _br_pairwise(variogram, grid)
+    order = np.argsort(grid.locations[:, 0])
+    sigma = np.sqrt(gamma[order[1:], order[:-1]])
+    rank = order.argsort()  # location i is entry rank[i] of the sorted path
+    ascending = bool(np.all(rank == np.arange(m)))  # then t_0 comes first and the sum is the path
+
+    def paths(z):
+        g = np.zeros((len(z), m))
+        np.cumsum(z * sigma, axis=1, out=g[:, 1:])
+        if ascending:
+            return g
+        g = g[:, rank]
+        return g - g[:, :1]
+
+    return _Increments("brownian", m - 1, paths, gamma)
 
 
 def _br_increments(variogram: Variogram, grid: Grid) -> _Increments:
-    """The circulant embedding on a 1-D lattice when it is nonnegative,
-    else the Cholesky factor of the covariance of G - G(t_0) on the grid
-    and its pairwise table (BLAS products, which round with the thread
-    count and batch)."""
+    """The variogram and the grid select the increments: independent
+    Brownian steps for alpha = 1 on any 1-D grid; else the circulant
+    embedding on a 1-D lattice when it is nonnegative; else the Cholesky
+    factor of the covariance of G - G(t_0) on the grid and its pairwise
+    table (BLAS products, which round with the thread count and batch)."""
     h = _lattice_step(grid)
+    if grid.dim == 1 and variogram.alpha == 1.0:
+        return _brownian_increments(variogram, grid, h)
     inc = _circulant_increments(variogram, grid.size, h) if h else None
     if inc is None:
         factor, pairwise = _br_cov_factor(variogram, grid)
@@ -877,7 +927,12 @@ def prepare_brown_resnick(variogram: Variogram, grid: Grid, n_points: int) -> Pr
     D(t_{j-1}), and D(t_{j-1}) set to S.  So the scored row's entry at
     t_{j-1} is the screen value bit for bit, and since every gamma is read
     from one symmetric table, k_j(t_j) = 0 and log Y(t_j) = 0 exactly.  t_0's
-    first candidate has no screen: D = D~ there."""
+    first candidate has no screen: D = D~ there.
+
+    The variogram and the grid select the increments, and the provenance
+    records their kind: "brownian" for alpha = 1 on any 1-D grid (m - 1
+    independent steps a completion row), "circulant" on other 1-D lattices
+    whose embedding is nonnegative, and "cholesky" elsewhere."""
     quadratic = variogram.kind == "quadratic"
     if quadratic or variogram.alpha == 2.0:
         sigma = variogram.sigma if quadratic else variogram.scale * np.eye(grid.dim)

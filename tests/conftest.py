@@ -255,12 +255,14 @@ POSITIVE = st.floats(1e-6, 1e6)
 @st.composite
 def distributions(draw, d=None):
     """A law of any family in R^d, d drawn from 1..3 unless given, with
-    random valid parameters."""
+    random valid parameters.  A Gaussian's Sigma = A A^T + 0.1 I takes A
+    from a seeded generator, not from a strategy that shrinks it to zero:
+    no Sigma is 0.1 I, and no row of A is zero."""
     if d is None:
         d = draw(st.integers(1, 3))
     family = draw(st.sampled_from(["gaussian", "exp", "uniform", "gamma"]))
     if family == "gaussian":
-        a = draw(hnp.arrays(float, (d, d), elements=st.floats(-10.0, 10.0)))
+        a = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-10.0, 10.0, (d, d))
         return Gaussian(draw(hnp.arrays(float, d, elements=FINITE)), a @ a.T + 0.1 * np.eye(d))
     if family == "exp":
         return Exponential(draw(hnp.arrays(float, d, elements=POSITIVE)))

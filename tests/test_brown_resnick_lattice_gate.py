@@ -1,8 +1,10 @@
 """Closed-form gate on Brown-Resnick fields simulated on a 1-D lattice.
 
 On a lattice the engine draws a candidate's path by circulant embedding
-(``simulator._circulant_increments``), not from the Cholesky factor that
-the 6-point grids of ``test_bivariate_gate.py`` take.  Each variogram
+(``simulator._circulant_increments``), or for alpha = 1 from independent
+Brownian steps (``simulator._brownian_increments``), not from the Cholesky
+factor that the 6-point grids of ``test_bivariate_gate.py`` take for
+alpha != 1.  Each variogram
 gamma(h) = |h|^alpha is simulated on one lattice that reaches far from the
 origin, and the fields are checked against the law every Brown-Resnick
 field has: unit Frechet marginals, by a KS distance at several locations,
@@ -41,7 +43,7 @@ Z_BOUND = NormalDist().inv_cdf(1.0 - TEST_LEVEL / 2.0)  # 4.27 for 51 tests
 def test_lattice_fields_have_frechet_marginals_and_husler_reiss_pairs(alpha):
     vario = Variogram.fractional(1.0, alpha)
     law = prepare_brown_resnick(vario, LATTICE, N_POINTS)
-    assert law.provenance["increments"] == "circulant"
+    assert law.provenance["increments"] == ("brownian" if alpha == 1.0 else "circulant")
     values, _ = law.simulate_many(ALPHAS[alpha], range(REPLICATES))
     worst_ks = 0.0
     for j in LOCATIONS:

@@ -28,6 +28,7 @@ from maxstable.simulator import (
     Grid,
     PreparedLaw,
     parse_variogram,
+    prepare_moving_maxima,
     prepare_smith,
 )
 from maxstable.spectral import (
@@ -274,10 +275,13 @@ def test_simulate_numeric_error_exit_code(tmp_path, capsys):
     # Sigma is checked before anything is computed from it
     assert main(["simulate", "--construction", "mmm", "--sigma", "-1", "--grid", "0,1"]) == 3
     assert "not positive semidefinite" in capsys.readouterr().err
-    # Sigma must have the grid's dimension, as for Smith
+    # Sigma must have the grid's dimension, as for Smith: the library raises
+    # ValueError, and the command line reports a usage error
     for sigma, grid in [("1,0,0,1", "0,1"), ("1", "0,0;1,1")]:
-        assert main(["simulate", "--construction", "mmm", "--sigma", sigma, "--grid", grid]) == 3
-        assert "expected points in R^" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=re.escape("expected points in R^")):
+            prepare_moving_maxima(parse_matrix(sigma), Grid(parse_grid(grid)))
+        assert main(["simulate", "--construction", "mmm", "--sigma", sigma, "--grid", grid]) == 2
+        assert f"error: --grid '{grid}' is in R^" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sigma, grid, axis", [
@@ -343,7 +347,7 @@ def test_simulate_reports_a_cgf_that_overflows_on_the_grid(law, capsys):
 
 
 @pytest.mark.parametrize("argv, cause", [
-    (["simulate", "--construction", "br", "--variogram", "fractional:alpha=1;scale=1e308",
+    (["simulate", "--construction", "br", "--variogram", "fractional:alpha=0.5;scale=1e308",
       "--grid", "0:1:5"], "variogram is too large on this grid's lattice embedding"),
     (["simulate", "--construction", "br", "--variogram", "fractional:alpha=1;scale=1e308",
       "--grid", "0,0;1,0;0,1"], "variogram is too large on this grid: it reaches 1.41e+308"),
@@ -756,14 +760,20 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         (["simulate", "--construction", "smith", "--sigma", "1,0,0,1", "--grid", "0:0.1:3x0:0.1:0"], 2),
         (["simulate", "--construction", "general", "--dist", "gaussian:mu=0;sigma=1",
           "--kappa", "quadratic:mu=0;sigma=1;c0=800", "--grid", "0,1"], 3),
-        (["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0,0;1,1"], 3),
+        (["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0,0;1,1"], 2),
         (["simulate", "--construction", "general", "--dist", "gaussian:mu=0,0;sigma=1,0,0,1",
-          "--grid", "0,1"], 3),
+          "--grid", "0,1"], 2),
         (["simulate", "--construction", "br", "--variogram", "fractional:alpha=1,2", "--grid", "0,1"], 2),
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--kappa", "quadratic:mu=0;sigma=1;c0=1,2",
           "--ts", "0;1", "--xs", "1,1"], 2),
         (["simulate", "--construction", "general", "--dist", "uniform:a=0,0;b=1", "--grid", "0,1"], 3),
         (["simulate", "--construction", "general", "--dist", "gamma:k=1,2;theta=1", "--grid", "0,1"], 3),
+        (["simulate", "--construction", "mmm", "--sigma", "1,0,0,1", "--grid", "0,1"], 2),
+        (["simulate", "--construction", "br", "--variogram", "quadratic:sigma=1", "--grid", "0,0;1,1"], 2),
+        (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", "0,0;1,1", "--xs", "1,1"], 2),
+        (["verify", "--dist", "gaussian:mu=0;sigma=1", "--grid", "0,0;1,1", "--replicates", "100"], 2),
+        (["defect", "--dist", "gaussian:mu=0;sigma=1", "--box", "0,1;0,1"], 2),
+        (["compare-reps", "--sigma", "1", "--grid", "0,0;1,1"], 2),
     ],
     ids=[
         "zero-replicates", "negative-replicates", "too-few-replicates", "verify-zero-replicates",
@@ -778,6 +788,8 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         "fdd-too-few-draws-per-point", "zero-grid-count", "negative-grid-count", "zero-grid-count-2d",
         "field-underflow", "smith-grid-dimension", "general-grid-dimension", "variogram-alpha-vector",
         "kappa-c0-vector", "uniform-endpoint-lengths", "gamma-parameter-lengths",
+        "mmm-grid-dimension", "br-quadratic-grid-dimension", "fdd-ts-dimension", "verify-grid-dimension",
+        "defect-box-dimension", "compare-reps-grid-dimension",
     ],
 )
 def test_bad_input_exit_codes(argv, code, capsys):
@@ -906,11 +918,14 @@ def test_config_file_keys_follow_the_flag_contract(tmp_path, capsys, argv, line)
     assert out == "" and err.startswith("error:") and key in err and "Traceback" not in err
 
 
-def fresh_python(code, *args):
+def fresh_python(code, *args, blas_threads=None):
     """The stdout of ``python -c code args`` in a new process that imports
-    this package from its source tree."""
+    this package from its source tree, with OpenBLAS on ``blas_threads``
+    threads if given."""
     src = str(Path(maxstable.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     return subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     ).stdout
@@ -929,6 +944,40 @@ def test_cli_import_and_call_do_not_load_dataclasses():
             "print(code, 'dataclasses' in sys.modules)")
     argv = ["defect", "--dist", "exp:lambda=1", "--box", "0,0.6", "--budget", "5"]
     assert fresh_python(code, *argv).strip() == "1 False"
+
+
+# calls sys.argv[2:] in turn and prints their exit codes and which of the
+# modules sys.argv[1] names (comma-separated) they loaded
+CALLS_AND_MODULES = """
+import contextlib, io, sys
+from maxstable.cli import main
+codes = []
+for argv in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv.split()))
+print(codes, [name for name in sys.argv[1].split(",") if name in sys.modules])
+"""
+
+# one call per subcommand -> its exit code
+SUBCOMMAND_CALLS = {
+    "simulate --construction smith --sigma 1 --grid 0,1 --seed 1": 0,
+    "defect --dist gaussian:mu=0;sigma=1 --n 2 --budget 10": 0,
+    "verify --dist uniform:a=0;b=1 --replicates 100 --budget 5 --seed 1": 1,
+    "fdd --dist gaussian:mu=0;sigma=1 --ts 0;2 --xs 1,1 --method closed-bivariate": 0,
+    "compare-reps --sigma 1 --grid 0,1 --replicates 100 --threshold 0.5 --seed 1": 0,
+}
+
+
+def test_no_subcommand_loads_numpy_ma():
+    # np.unique imports numpy.ma (1.6 MB); the package sorts instead
+    out = fresh_python(CALLS_AND_MODULES, "numpy.ma", *SUBCOMMAND_CALLS)
+    assert out.strip() == f"{list(SUBCOMMAND_CALLS.values())} []"
+
+
+def test_a_brownian_brown_resnick_field_loads_no_fft():
+    # alpha = 1 in 1-D sums independent steps: no circulant embedding
+    argv = "simulate --construction br --variogram fractional:alpha=1 --grid -5:0.02:501 --seed 1"
+    assert fresh_python(CALLS_AND_MODULES, "numpy.fft", argv).strip() == "[0] []"
 
 
 # runs the package with a finder that refuses every scipy module: each
@@ -958,35 +1007,21 @@ print(codes)
 
 
 def test_every_subcommand_runs_without_scipy():
-    calls = {
-        "simulate --construction smith --sigma 1 --grid 0,1 --seed 1": 0,
-        "defect --dist gaussian:mu=0;sigma=1 --n 2 --budget 10": 0,
-        "verify --dist uniform:a=0;b=1 --replicates 100 --budget 5 --seed 1": 1,
-        "fdd --dist gaussian:mu=0;sigma=1 --ts 0;2 --xs 1,1 --method closed-bivariate": 0,
-        "compare-reps --sigma 1 --grid 0,1 --replicates 100 --threshold 0.5 --seed 1": 0,
-    }
-    assert fresh_python(WITHOUT_SCIPY, *calls).strip() == str(list(calls.values()))
+    assert fresh_python(WITHOUT_SCIPY, *SUBCOMMAND_CALLS).strip() == str(list(SUBCOMMAND_CALLS.values()))
 
 
 def run_with_blas_threads(argv, threads):
-    """stdout of ``python -m maxstable.cli argv`` with OpenBLAS on ``threads`` threads."""
-    src = str(Path(maxstable.__file__).resolve().parents[1])
-    env = {
-        **os.environ,
-        "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-        "OPENBLAS_NUM_THREADS": str(threads),
-    }
-    return subprocess.run(
-        [sys.executable, "-m", "maxstable.cli", *argv],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
+    """stdout of the command line called with argv, with OpenBLAS on ``threads`` threads."""
+    return fresh_python("import sys; from maxstable.cli import main; sys.exit(main())", *argv,
+                        blas_threads=threads)
 
 
 def test_brown_resnick_does_not_depend_on_the_blas_thread_count():
-    # a 1-D lattice takes its increments from FFTs, with no BLAS: equal
-    # bytes; off a lattice LAPACK's Cholesky and the increment product round
-    # with the BLAS thread count, so a field agrees to round-off; a quadratic
-    # variogram is Smith's field, which takes no such factor: equal bytes
+    # a 1-D lattice takes its increments from running sums (alpha = 1) or
+    # FFTs, with no BLAS: equal bytes; off a lattice, at alpha != 1,
+    # LAPACK's Cholesky and the increment product round with the BLAS
+    # thread count, so a field agrees to round-off; a quadratic variogram is
+    # Smith's field, which takes no such factor: equal bytes
     def run(variogram, grid, threads):
         argv = ["simulate", "--construction", "br", "--variogram", variogram, "--grid", grid, "--seed", "3"]
         return run_with_blas_threads(argv, threads)
@@ -999,10 +1034,37 @@ def test_brown_resnick_does_not_depend_on_the_blas_thread_count():
     assert values(lattice[0]).shape == (501,)
     assert lattice[0] == lattice[1]
     irregular = ",".join(f"{t:.6f}" for t in np.random.default_rng(3).uniform(-5.0, 5.0, 300))
-    one, two = (values(run("fractional:scale=1;alpha=1", irregular, n)) for n in (1, 2))
+    one, two = (values(run("fractional:scale=1;alpha=0.5", irregular, n)) for n in (1, 2))
     assert one.shape == (300,)
     assert np.allclose(one, two, rtol=1e-10, atol=0.0)
     assert run("quadratic:sigma=2", "-5:0.02:501", 1) == run("quadratic:sigma=2", "-5:0.02:501", 2)
+
+
+# an ensemble on a 150-point irregular 1-D grid at alpha = 1: its kind of
+# increments, whether block-sized batches and sys.argv[1:] alone give the
+# rows of the whole range(1024), and the digest of those rows
+BROWNIAN_LAYOUTS = """
+import hashlib, sys
+import numpy as np
+from maxstable.simulator import Grid, Variogram, prepare_brown_resnick
+indices = [int(k) for k in sys.argv[1:]]
+grid = Grid(np.sort(np.random.default_rng(5).uniform(-5.0, 5.0, 150)))
+law = prepare_brown_resnick(Variogram.fractional(1.0, 1.0), grid, 10_000)
+whole, _ = law.simulate_many(8, range(1024))
+blocks = np.concatenate([law.simulate_many(8, range(k, k + 64))[0] for k in range(0, 1024, 64)])
+print(law.provenance["increments"], np.array_equal(blocks, whole),
+      np.array_equal(law.simulate_many(8, indices)[0], whole[indices]), hashlib.sha256(whole.tobytes()).hexdigest())
+"""
+
+
+def test_brownian_rows_do_not_depend_on_the_batch_or_the_blas_thread_count():
+    # alpha = 1 in 1-D takes independent steps, summed row by row with no
+    # BLAS product: off a lattice too, a replicate keeps its bits in any
+    # batch and on any thread count
+    indices = ["0", "1", "62", "63", "64", "65", "127", "128", "200"]  # on both sides of block edges
+    one, two = (fresh_python(BROWNIAN_LAYOUTS, *indices, blas_threads=n) for n in (1, 2))
+    assert one.split()[:3] == ["brownian", "True", "True"]
+    assert one == two
 
 
 def test_fdd_mc_does_not_depend_on_the_blas_thread_count():

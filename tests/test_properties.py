@@ -362,8 +362,10 @@ LAYOUT_LAWS = {
     "gaussian-2d": prepare_general(GAUSSIAN_2D, ShapeFunction(GAUSSIAN_2D),
                                    Grid([[0.0, 0.0], [1.0, 0.5], [-2.0, 1.5], [0.5, -1.0]]), 10_000),
     "moving-maxima": prepare_moving_maxima([[2.0]], Grid([0.0, 0.5, -3.0])),
-    "brown-resnick-lattice": prepare_brown_resnick(Variogram.fractional(1.0, 1.0),
+    "brown-resnick-lattice": prepare_brown_resnick(Variogram.fractional(1.0, 0.5),
                                                    Grid(np.linspace(-2.0, 3.0, 11)), 10_000),
+    "brown-resnick-brownian": prepare_brown_resnick(Variogram.fractional(1.0, 1.0),
+                                                    Grid([0.0, 1.3, -0.4, 2.0, 5.0, -3.0, 0.9, 0.95]), 10_000),
     "moving-maxima-2d": prepare_moving_maxima([[1.0, 0.6], [0.6, 0.5]],
                                               Grid([[0.0, 0.0], [0.5, 0.5], [3.0, -2.0]])),
 }
@@ -383,12 +385,15 @@ def replicate_subsets(draw):
 @given(st.sampled_from(list(LAYOUT_LAWS)), st.integers(0, 2**32 - 1), replicate_subsets())
 # a BLAS product of X with the grid rounded this lone replicate's row differently
 @example("gaussian-2d", 4, [63])
+# a Cholesky product would round this one; alpha = 1 in 1-D sums its steps instead
+@example("brown-resnick-brownian", 1, [63])
 def test_an_ensemble_row_depends_only_on_seed_and_index(law, seed, idx):
     # the spectral laws sum <X, t> in coordinate order, moving maxima its
     # storms' quadratic forms, and Brown-Resnick on a 1-D lattice takes its
-    # paths from FFTs, so a row does not depend on the other rows of its
-    # batch; off a lattice Brown-Resnick's BLAS product may round
-    # differently with the batch
+    # paths from FFTs, and at alpha = 1 on any 1-D grid, sorted or not, from
+    # running sums of independent steps, so a row does not depend on the
+    # other rows of its batch; elsewhere Brown-Resnick's BLAS product may
+    # round differently with the batch
     values, record = LAYOUT_LAWS[law].simulate_many(seed, idx)
     full, full_record = LAYOUT_LAWS[law].simulate_many(seed, range(max(idx) + 1))
     assert np.array_equal(values, full[idx])

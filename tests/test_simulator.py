@@ -225,7 +225,7 @@ def engine_and_reference(case):
             lambda n, rng: general_reference(dist, kappa, grid, n, rng))
 
 
-BR_LINE, BR_VARIO = Grid(np.linspace(-1.0, 3.0, 9)), Variogram.fractional(1.0, 1.0)
+BR_LINE, BR_VARIO = Grid(np.linspace(-1.0, 3.0, 9)), Variogram.fractional(1.0, 0.5)
 N_POINTS_LAWS = {
     "gaussian": engine_and_reference("gaussian"),
     "gamma": engine_and_reference("gamma"),
@@ -686,7 +686,7 @@ def test_fractional_brown_resnick_never_eigendecomposes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     grid = Grid(np.linspace(-5.0, 5.0, 101) ** 3 / 25.0)
-    field = simulate_brown_resnick(Variogram.fractional(1.0, 1.0), grid, DEFAULT_N_POINTS, derive_rng(4))
+    field = simulate_brown_resnick(Variogram.fractional(1.0, 0.5), grid, DEFAULT_N_POINTS, derive_rng(4))
     assert field.values.shape == (101,)
     assert field.provenance["increments"] == "cholesky"
 
@@ -708,6 +708,8 @@ BR_PATHS = {
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_brown_resnick_takes_the_circulant_embedding_on_1d_lattices_only(case, alpha):
     grid, kind = BR_PATHS[case]
+    if alpha == 1.0 and grid.dim == 1:
+        kind = "brownian"  # independent steps on any 1-D grid
     law = prepare_brown_resnick(Variogram.fractional(1.0, alpha), grid, DEFAULT_N_POINTS)
     assert law.provenance["increments"] == kind
     _, record = law.simulate_many(1, [0, 1])
@@ -727,27 +729,30 @@ def test_a_lattice_whose_embedding_is_negative_takes_the_cholesky_factor(monkeyp
 
 
 @pytest.mark.parametrize("case", BR_PATHS)
-def test_brown_resnick_engine_equals_the_textbook_loop(case):
-    # the lattice's FFT paths and elementwise conditioning give every row
-    # bit for bit; the Cholesky path's GEMM agrees to round-off
-    grid, kind = BR_PATHS[case]
-    law = prepare_brown_resnick(BR_VARIO, grid, DEFAULT_N_POINTS)
+@pytest.mark.parametrize("alpha", [BR_VARIO.alpha, 1.0])
+def test_brown_resnick_engine_equals_the_textbook_loop(case, alpha):
+    # the lattice's FFT paths, the Brownian running sums and elementwise
+    # conditioning give every row bit for bit; the Cholesky path's GEMM
+    # agrees to round-off
+    grid, _ = BR_PATHS[case]
+    vario = Variogram.fractional(1.0, alpha)
+    law = prepare_brown_resnick(vario, grid, DEFAULT_N_POINTS)
 
     def agree(got, want):
-        if kind == "circulant":
+        if law.provenance["increments"] in ("brownian", "circulant"):
             assert np.array_equal(got, want)
         else:
             assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     for seed in range(4):
         field = law.simulate(derive_rng(seed))
-        want, draws, kept = brown_resnick_reference(BR_VARIO, grid, DEFAULT_N_POINTS, derive_rng(seed))
+        want, draws, kept = brown_resnick_reference(vario, grid, DEFAULT_N_POINTS, derive_rng(seed))
         agree(field.values, want)
         assert field.provenance["spectral_draws"] == draws
         assert field.provenance["rejections"] == draws - kept
     values, record = law.simulate_many(5, ENSEMBLE_INDICES)
     for r, k in enumerate(ENSEMBLE_INDICES):
-        want, draws, kept = brown_resnick_block_reference(BR_VARIO, grid, DEFAULT_N_POINTS, 5, k)
+        want, draws, kept = brown_resnick_block_reference(vario, grid, DEFAULT_N_POINTS, 5, k)
         agree(values[r], want)
         assert record["spectral_draws"][r] == draws
         assert record["rejections"][r] == draws - kept
@@ -800,25 +805,27 @@ BR_DYADIC = {"1-d": (np.array([0.0, 0.25, 0.75, 1.5, 2.0])[:, None], [2.0**40]),
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
 @pytest.mark.parametrize("case", BR_DYADIC)
 def test_brown_resnick_off_a_lattice_is_the_same_on_an_exact_translate(case, alpha):
-    # the field is stationary, and its Cholesky path reads only differences
-    # of locations: a grid and its translate give the same fields bit for bit
+    # the field is stationary, and its Cholesky and Brownian paths read only
+    # differences of locations: a grid and its translate give the same
+    # fields bit for bit
     pts, shift = BR_DYADIC[case]
     vario = Variogram.fractional(1.0, alpha)
     grid, moved = Grid(pts), Grid(pts + shift)
     assert np.array_equal(simulator._br_cov_factor(vario, grid)[1], simulator._br_cov_factor(vario, moved)[1])
     law, moved_law = (prepare_brown_resnick(vario, g, DEFAULT_N_POINTS) for g in (grid, moved))
-    assert moved_law.provenance["increments"] == "cholesky"
+    assert moved_law.provenance["increments"] == ("brownian" if alpha == 1.0 and case == "1-d" else "cholesky")
     for seed in range(10):
         assert np.array_equal(moved_law.simulate(derive_rng(seed)).values, law.simulate(derive_rng(seed)).values)
 
 
 @pytest.mark.parametrize("case", BR_PATHS)
-def test_brown_resnick_screen_is_the_scored_entry_and_log_y_vanishes_at_t_j(case):
+@pytest.mark.parametrize("alpha", [0.8, 1.0])
+def test_brown_resnick_screen_is_the_scored_entry_and_log_y_vanishes_at_t_j(case, alpha):
     # the screen at t_{j-1} must be the scored row's entry bit for bit, or
     # it could reject a candidate the row keeps; log Y(t_j) = 0 exactly
     grid, kind = BR_PATHS[case]
-    sampler, got_kind = simulator._brown_resnick_sampler(Variogram.fractional(1.3, 0.8), grid)
-    assert got_kind == kind
+    sampler, got_kind = simulator._brown_resnick_sampler(Variogram.fractional(1.3, alpha), grid)
+    assert got_kind == ("brownian" if alpha == 1.0 and grid.dim == 1 else kind)
     rng = np.random.default_rng(11)
     js = np.repeat(np.arange(1, grid.size), 5)
     n = np.arange(js.size)
@@ -829,7 +836,7 @@ def test_brown_resnick_screen_is_the_scored_entry_and_log_y_vanishes_at_t_j(case
     # t_0's first candidate has no screen
     first = sampler.log_y(rows[:4], np.zeros(4, np.int64), paths[:4])
     assert np.all(first[:, 0] == 0.0)
-    if kind == "circulant":
+    if got_kind in ("brownian", "circulant"):
         # a row does not depend on the rows scored with it
         for i in (0, 3, js.size - 1):
             assert np.array_equal(sampler.log_y(rows[i:i + 1], js[i:i + 1], paths[i:i + 1])[0], log_y[i])
@@ -874,7 +881,7 @@ def test_lattice_brown_resnick_prepare_builds_nothing_m_by_m(monkeypatch):
     grid = Grid(np.linspace(-10.0, 10.0, m))
     tracemalloc.start()
     try:
-        law = prepare_brown_resnick(Variogram.fractional(1.0, 1.0), grid, DEFAULT_N_POINTS)
+        law = prepare_brown_resnick(Variogram.fractional(1.0, 0.5), grid, DEFAULT_N_POINTS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

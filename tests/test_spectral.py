@@ -448,7 +448,7 @@ def test_parse_format_round_trip(data):
     # the spec string and its parse, dim, the mean, and cgf, gradient,
     # term_scale and kappa = phi at a point or at rows, a point's value its
     # row's bit for bit, and sample_tilted at a point
-    d = data.draw(st.integers(1, 3))
+    d = data.draw(st.integers(1, 4))
     dist = data.draw(distributions(d))
     assert parse_distribution(dist.spec_string()) == dist
     assert dist.dim == d

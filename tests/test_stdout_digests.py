@@ -11,8 +11,9 @@ CHANGES.md.  A refactor of the engine that keeps its streams leaves them
 as they are.  Several of these fields grow the arrival table to a second
 layer (Smith 1-D on seeds 9002 and 9003, Smith 2-D on 9002,
 Brown-Resnick and the exponential law on 9003).  Brown-Resnick runs on a
-1-D lattice, whose paths need no BLAS; off a lattice its last bits follow
-the BLAS library and thread count, so it is not pinned here.
+1-D lattice, whose paths need no BLAS; off a lattice at alpha != 1 its
+last bits follow the BLAS library and thread count, so it is not pinned
+here.
 """
 import hashlib
 
