@@ -82,6 +82,8 @@ def parse_grid(spec: str) -> np.ndarray:
             points = [
                 [float(x) for x in pt.split(",")] for pt in spec.split(";") if pt.strip()
             ]
+            if not points:
+                raise ValueError("the list holds no point")
             return np.array(points, dtype=float)
         return np.array([[float(x)] for x in spec.split(",")])
     except (ValueError, IndexError) as exc:
@@ -225,7 +227,7 @@ def _default_box(dist) -> np.ndarray:
 
 def cmd_defect(args):
     dist = parse_distribution(args.dist)
-    box = parse_box(args.box) if args.box else _default_box(dist)
+    box = parse_box(args.box) if args.box is not None else _default_box(dist)
     check_dist_space("--box", args.box, len(box), dist)  # a row per axis
     rng = derive_rng(args.seed)
     report = stationarity.search_violation(dist, args.n, args.budget, box, rng)
@@ -242,7 +244,7 @@ def _default_verify_grid(dist) -> Grid:
 
 def cmd_verify(args):
     dist = parse_distribution(args.dist)
-    grid = Grid(parse_grid(args.grid)) if args.grid else _default_verify_grid(dist)
+    grid = Grid(parse_grid(args.grid)) if args.grid is not None else _default_verify_grid(dist)
     check_dist_space("--grid", args.grid, grid.dim, dist)
     if grid.size < 2:
         raise UsageError("verify needs at least two grid points")

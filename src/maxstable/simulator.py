@@ -715,50 +715,61 @@ def prepare_smith(sigma, grid: Grid, n_points: int) -> PreparedLaw:
     return _spectral_law(*_smith_law(sigma), grid, n_points, "smith")
 
 
-def _br_pairwise(variogram: Variogram, grid: Grid):
-    """The pairwise table gamma(s - t) of a fractional variogram on the
-    grid, built in place in one m x m buffer: |s - t| sums the squared
-    coordinate differences in coordinate order, as ``np.linalg.norm`` does,
-    so the table equals ``variogram(s - t)`` bit for bit.  Only differences
-    of locations enter, so a grid and its translate give the same table."""
-    pts = grid.locations
+def _lag_view(lag):
+    """The (m, m) table gamma(t_i - t_j) = lag[|i - j|] of a 1-D lattice
+    from its m-entry lag table, as a strided view: nothing m x m is built."""
+    # row j of the view is lag[|i - j|] over i
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([lag[:0:-1], lag]), lag.size)[::-1]
+
+
+def _gamma_table(variogram: Variogram, grid: Grid, h):
+    """The table gamma[i, j] = gamma(t_i - t_j) of a fractional variogram on
+    the grid, from which every Brown-Resnick path kind reads every variogram
+    value.  On a 1-D lattice of step h it is the lag view of gamma(k h),
+    k < m (``_lag_view``), so nothing m x m is built.  Elsewhere it is
+    built in place in one m x m buffer: |s - t| sums the squared coordinate
+    differences in coordinate order, as ``np.linalg.norm`` does, so the
+    table equals ``variogram(s - t)`` bit for bit, and a grid and its
+    translate give the same table.  A scan adds two of its values, so they
+    must stay within half the double range."""
     with np.errstate(over="ignore"):  # checked below
-        pairwise = np.subtract.outer(pts[:, 0], pts[:, 0])
-        pairwise *= pairwise
-        for a in range(1, grid.dim):
-            diff = np.subtract.outer(pts[:, a], pts[:, a])
-            diff *= diff
-            pairwise += diff
-            del diff
-        np.sqrt(pairwise, out=pairwise)
-        pairwise **= variogram.alpha
-        pairwise *= variogram.scale
-    _check_variogram_size(pairwise, "this grid")
-    return pairwise
+        if h:
+            values = variogram(h * np.arange(grid.size)[:, None])
+        else:
+            pts = grid.locations
+            values = np.subtract.outer(pts[:, 0], pts[:, 0])
+            values *= values
+            for a in range(1, grid.dim):
+                diff = np.subtract.outer(pts[:, a], pts[:, a])
+                diff *= diff
+                values += diff
+                del diff
+            np.sqrt(values, out=values)
+            values **= variogram.alpha
+            values *= variogram.scale
+    _check_variogram_size(values, "this grid")  # the m lags, not the m x m view
+    return _lag_view(values) if h else values
 
 
-def _br_cov_factor(variogram: Variogram, grid: Grid):
+def _br_cov_factor(gamma):
     """Factor of the covariance C(s, t) = 0.5 (gamma(s - t_0) + gamma(t - t_0)
-    - gamma(s - t)) of G - G(t_0) (fractional variogram gamma) on the grid,
-    and the pairwise gamma(s - t) (``_br_pairwise``).  Row 0 of the factor
-    is zero: G - G(t_0) is 0 at t_0.  The other rows are positive definite
-    for 0 < alpha < 2 and share one Cholesky factor.  The covariance is
-    built in place from the pairwise table, so it equals the one from
-    ``variogram(s - t)`` bit for bit, and a grid and its translate give the
-    same factor."""
-    pairwise = _br_pairwise(variogram, grid)
-    g = pairwise[0, 1:]
+    - gamma(s - t)) of G - G(t_0) on the grid, from its table
+    (``_gamma_table``).  Row 0 of the factor is zero: G - G(t_0) is 0 at t_0.
+    The other rows are positive definite for 0 < alpha < 2 and share one
+    Cholesky factor.  The covariance is built in place from the table, so a
+    grid and its translate give the same factor."""
+    g = gamma[0, 1:]
     cov = np.add.outer(g, g)
-    cov -= pairwise[1:, 1:]
+    cov -= gamma[1:, 1:]
     cov *= 0.5
     try:
         root = psd_factor(cov, rel_tol=1e-8)
     except ValueError as exc:
         raise ValueError(f"variogram is not valid on this grid: {exc}") from exc
     del cov
-    factor = np.zeros((grid.size, grid.size - 1))
+    factor = np.zeros((len(gamma), len(gamma) - 1))
     factor[1:] = root
-    return factor, pairwise
+    return factor
 
 
 def _check_variogram_size(values, where):
@@ -772,10 +783,8 @@ def _check_variogram_size(values, where):
 
 # Unconditioned paths of G on a grid: paths(z) turns n rows of ``width``
 # standard normals into n paths of G - G(t_0) on the m locations, each 0 at
-# t_0; gamma[i, j] = gamma(t_i - t_j), one symmetric (m, m) table (or view)
-# from which every variogram value is read; kind is "brownian", "circulant"
-# or "cholesky".
-_Increments = namedtuple("_Increments", "kind width paths gamma")
+# t_0; kind is "brownian", "circulant" or "cholesky".
+_Increments = namedtuple("_Increments", "kind width paths")
 
 
 def _lattice_step(grid: Grid):
@@ -823,8 +832,8 @@ def _circulant_increments(variogram: Variogram, m: int, h: float):
     (sqrt(M lambda_k) at k = 0 and M / 2), whose inverse real FFT has the
     circulant as its covariance: its first m' - 1 entries are increments of
     the longer lattice, the first m - 1 of them those of this one, and the
-    path is their running sum from 0.  gamma is read from the m-entry lag
-    table gamma(k h) through a strided view, so nothing m x m is built."""
+    path is their running sum from 0.  The grid's own lags are checked in
+    ``_gamma_table``; the embedding's check here catches the lags past it."""
     half = _five_smooth(m - 2)  # m' - 2
     size = 2 * half
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -836,7 +845,6 @@ def _circulant_increments(variogram: Variogram, m: int, h: float):
     _check_variogram_size(lag, "this grid's lattice embedding")
     if not np.all(np.isfinite(amp)) or eig.min() < -_EMBED_TOL * eig.max():
         return None
-    lag = lag[:m]
     amp[[0, half]] *= math.sqrt(2.0)
 
     def paths(z):
@@ -848,34 +856,20 @@ def _circulant_increments(variogram: Variogram, m: int, h: float):
         np.cumsum(steps[:, :m - 1], axis=1, out=g[:, 1:])
         return g
 
-    return _Increments("circulant", size, paths, _lag_view(lag))
+    return _Increments("circulant", size, paths)
 
 
-def _lag_view(lag):
-    """The (m, m) table gamma(t_i - t_j) = lag[|i - j|] of a 1-D lattice
-    from its m-entry lag table, as a strided view: nothing m x m is built."""
-    # row j of the view is lag[|i - j|] over i
-    return np.lib.stride_tricks.sliding_window_view(np.concatenate([lag[:0:-1], lag]), lag.size)[::-1]
-
-
-def _brownian_increments(variogram: Variogram, grid: Grid, h):
-    """Paths for gamma(h) = s |h| on a 1-D grid, lattice (step h) or not,
-    sorted or not: G is sqrt(s) times a two-sided Brownian motion (Brown &
+def _brownian_increments(grid: Grid, gamma):
+    """Paths for gamma(h) = s |h| on a 1-D grid, lattice or not, sorted or
+    not: G is sqrt(s) times a two-sided Brownian motion (Brown &
     Resnick 1977), so its steps between neighbours in sorted order are
     independent, step k with standard deviation sigma_k = sqrt(s Delta_k).
     A path is the running sum of sigma_k N_k over the m - 1 steps, read
     back in grid order, minus its value at t_0, so exactly 0 there: one
     product and one running sum per row, no FFT and no BLAS, so a row does
-    not depend on its batch.  gamma is the lag view on a lattice and the
-    pairwise table elsewhere, and sigma_k^2 = gamma(Delta_k) is read from it."""
+    not depend on its batch.  sigma_k^2 = gamma(Delta_k) is read from the
+    grid's table (``_gamma_table``)."""
     m = grid.size
-    if h:
-        with np.errstate(over="ignore"):  # checked below
-            lag = variogram(h * np.arange(m)[:, None])
-        _check_variogram_size(lag, "this grid")
-        gamma = _lag_view(lag)
-    else:
-        gamma = _br_pairwise(variogram, grid)
     order = np.argsort(grid.locations[:, 0])
     sigma = np.sqrt(gamma[order[1:], order[:-1]])
     rank = order.argsort()  # location i is entry rank[i] of the sorted path
@@ -889,23 +883,22 @@ def _brownian_increments(variogram: Variogram, grid: Grid, h):
         g = g[:, rank]
         return g - g[:, :1]
 
-    return _Increments("brownian", m - 1, paths, gamma)
+    return _Increments("brownian", m - 1, paths)
 
 
-def _br_increments(variogram: Variogram, grid: Grid) -> _Increments:
-    """The variogram and the grid select the increments: independent
-    Brownian steps for alpha = 1 on any 1-D grid; else the circulant
-    embedding on a 1-D lattice when it is nonnegative; else the Cholesky
-    factor of the covariance of G - G(t_0) on the grid and its pairwise
-    table (BLAS products, which round with the thread count and batch)."""
-    h = _lattice_step(grid)
+def _br_increments(variogram: Variogram, grid: Grid, h, gamma) -> _Increments:
+    """The variogram and the grid (a 1-D lattice of step h, or h None)
+    select the increments: independent Brownian steps for alpha = 1 on any
+    1-D grid; else the circulant embedding on a 1-D lattice when it is
+    nonnegative; else the Cholesky factor of the covariance of G - G(t_0)
+    from the grid's table gamma (BLAS products, which round with the thread
+    count and batch)."""
     if grid.dim == 1 and variogram.alpha == 1.0:
-        return _brownian_increments(variogram, grid, h)
+        return _brownian_increments(grid, gamma)
     inc = _circulant_increments(variogram, grid.size, h) if h else None
     if inc is None:
-        factor, pairwise = _br_cov_factor(variogram, grid)
-        factor_t = factor.T
-        inc = _Increments("cholesky", factor.shape[1], lambda z: z @ factor_t, pairwise)
+        factor_t = _br_cov_factor(gamma).T
+        inc = _Increments("cholesky", len(factor_t), lambda z: z @ factor_t)
     return inc
 
 
@@ -926,8 +919,9 @@ def prepare_brown_resnick(variogram: Variogram, grid: Grid, n_points: int) -> Pr
     (gamma(t - t_j) + gamma_1 - gamma(t - t_{j-1})) / 2 of D(t) and
     D(t_{j-1}), and D(t_{j-1}) set to S.  So the scored row's entry at
     t_{j-1} is the screen value bit for bit, and since every gamma is read
-    from one symmetric table, k_j(t_j) = 0 and log Y(t_j) = 0 exactly.  t_0's
-    first candidate has no screen: D = D~ there.
+    from one symmetric table (``_gamma_table``), k_j(t_j) = 0 and
+    log Y(t_j) = 0 exactly.  t_0's first candidate has no screen: D = D~
+    there.
 
     The variogram and the grid select the increments, and the provenance
     records their kind: "brownian" for alpha = 1 on any 1-D grid (m - 1
@@ -945,8 +939,9 @@ def prepare_brown_resnick(variogram: Variogram, grid: Grid, n_points: int) -> Pr
 def _brown_resnick_sampler(variogram: Variogram, grid: Grid):
     """prepare_brown_resnick's ``_Sampler`` for a fractional variogram, and
     the kind of its increments."""
-    inc = _br_increments(variogram, grid)
-    gamma = inc.gamma
+    h = _lattice_step(grid)
+    gamma = _gamma_table(variogram, grid, h)
+    inc = _br_increments(variogram, grid, h, gamma)
 
     def draw(n, rng_z):
         return np.asarray(rng_z.standard_normal((int(n), 1)))

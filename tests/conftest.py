@@ -143,9 +143,17 @@ def brown_resnick_reference(variogram, grid, n_points, rng, width=1, slot=0, tra
     increment D(t_{j-1}) = G(t_{j-1}) - G(t_j), and the screen S - gamma_1 / 2.
     A completion row gives an unconditioned path of the prepared law's
     increments, D~ = G~ - G~(t_j), and D is D~ conditioned on D(t_{j-1}) = S
-    by kriging its residual, with D(t_{j-1}) = S; log Y = D - gamma(t - t_j) / 2."""
-    inc = simulator._br_increments(variogram, grid)
-    gamma = inc.gamma
+    by kriging its residual, with D(t_{j-1}) = S; log Y = D - gamma(t - t_j) / 2.
+    gamma is the variogram's own, gamma(|i - j| h) on a 1-D lattice of step h
+    and gamma(t_i - t_j) elsewhere: only the paths come from the engine."""
+    h = simulator._lattice_step(grid)
+    if h:
+        i = np.arange(grid.size)
+        gamma = variogram(np.abs(i[:, None] - i[None, :])[..., None] * h)
+    else:
+        t = grid.locations
+        gamma = variogram(t[:, None, :] - t[None, :, :])
+    inc = simulator._br_increments(variogram, grid, h, gamma)
 
     def draw(n, rng_x):
         return rng_x.standard_normal((n, 1))

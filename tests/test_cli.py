@@ -321,7 +321,7 @@ def test_moving_maxima_window_the_storm_cap_cannot_cover_is_rejected_before_any_
 
 def test_brown_resnick_runs_where_only_the_variogram_from_the_origin_overflows(capsys):
     # |t| ~ 1e155 squares past the double range, but every pairwise variogram
-    # value is finite, and those are all the Cholesky path reads
+    # value is finite, and the table of those is all the paths read
     grid = "1e155,1.00000000000001e155,1.00000000000003e155"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -348,7 +348,9 @@ def test_simulate_reports_a_cgf_that_overflows_on_the_grid(law, capsys):
 
 @pytest.mark.parametrize("argv, cause", [
     (["simulate", "--construction", "br", "--variogram", "fractional:alpha=0.5;scale=1e308",
-      "--grid", "0:1:5"], "variogram is too large on this grid's lattice embedding"),
+      "--grid", "0:1:5"], "variogram is too large on this grid: it reaches inf"),
+    (["simulate", "--construction", "br", "--variogram", "fractional:alpha=0.5;scale=3.1e307",
+      "--grid", "0:1:9"], "variogram is too large on this grid's lattice embedding"),
     (["simulate", "--construction", "br", "--variogram", "fractional:alpha=1;scale=1e308",
       "--grid", "0,0;1,0;0,1"], "variogram is too large on this grid: it reaches 1.41e+308"),
     (["defect", "--dist", "uniform:a=0;b=1", "--box", "-1e308,1e308"], "search box widths must be finite"),
@@ -774,6 +776,10 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         (["verify", "--dist", "gaussian:mu=0;sigma=1", "--grid", "0,0;1,1", "--replicates", "100"], 2),
         (["defect", "--dist", "gaussian:mu=0;sigma=1", "--box", "0,1;0,1"], 2),
         (["compare-reps", "--sigma", "1", "--grid", "0,0;1,1"], 2),
+        (["simulate", "--construction", "smith", "--sigma", "1", "--grid", ";"], 2),
+        (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", ";", "--xs", "1"], 2),
+        (["defect", "--dist", "gaussian:mu=0;sigma=1", "--box", ""], 2),
+        (["verify", "--dist", "gaussian:mu=0;sigma=1", "--grid", "", "--replicates", "100"], 2),
     ],
     ids=[
         "zero-replicates", "negative-replicates", "too-few-replicates", "verify-zero-replicates",
@@ -789,7 +795,8 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         "field-underflow", "smith-grid-dimension", "general-grid-dimension", "variogram-alpha-vector",
         "kappa-c0-vector", "uniform-endpoint-lengths", "gamma-parameter-lengths",
         "mmm-grid-dimension", "br-quadratic-grid-dimension", "fdd-ts-dimension", "verify-grid-dimension",
-        "defect-box-dimension", "compare-reps-grid-dimension",
+        "defect-box-dimension", "compare-reps-grid-dimension", "simulate-empty-point-list", "fdd-empty-ts",
+        "defect-empty-box", "verify-empty-grid",
     ],
 )
 def test_bad_input_exit_codes(argv, code, capsys):

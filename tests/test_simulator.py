@@ -811,7 +811,8 @@ def test_brown_resnick_off_a_lattice_is_the_same_on_an_exact_translate(case, alp
     pts, shift = BR_DYADIC[case]
     vario = Variogram.fractional(1.0, alpha)
     grid, moved = Grid(pts), Grid(pts + shift)
-    assert np.array_equal(simulator._br_cov_factor(vario, grid)[1], simulator._br_cov_factor(vario, moved)[1])
+    tables = [simulator._gamma_table(vario, g, simulator._lattice_step(g)) for g in (grid, moved)]
+    assert np.array_equal(*tables)
     law, moved_law = (prepare_brown_resnick(vario, g, DEFAULT_N_POINTS) for g in (grid, moved))
     assert moved_law.provenance["increments"] == ("brownian" if alpha == 1.0 and case == "1-d" else "cholesky")
     for seed in range(10):
@@ -856,7 +857,8 @@ def test_the_padded_embedding_gives_the_lattices_path_covariance(m, width, alpha
     i = np.arange(m)
     want = 0.5 * (lag[i][:, None] + lag[i][None, :] - lag[np.abs(i[:, None] - i[None, :])])
     assert np.allclose(paths.T @ paths, want, rtol=0.0, atol=1e-9 * lag.max())
-    assert np.array_equal(inc.gamma, lag[np.abs(i[:, None] - i[None, :])])
+    gamma = simulator._gamma_table(vario, Grid(h * np.arange(m)), h)
+    assert np.array_equal(gamma, lag[np.abs(i[:, None] - i[None, :])])
 
 
 def test_five_smooth_is_the_least_2_3_5_number_at_or_above_n():
@@ -871,8 +873,10 @@ def test_five_smooth_is_the_least_2_3_5_number_at_or_above_n():
         assert simulator._five_smooth(n) == want
 
 
-def test_lattice_brown_resnick_prepare_builds_nothing_m_by_m(monkeypatch):
-    # one FFT and an m-entry lag table: no Cholesky factor, no pairwise table
+@pytest.mark.parametrize("alpha, kind", [(0.5, "circulant"), (1.0, "brownian")])
+def test_lattice_brown_resnick_prepare_builds_nothing_m_by_m(monkeypatch, alpha, kind):
+    # an m-entry lag table and an FFT or m - 1 independent steps: no
+    # Cholesky factor, no pairwise table
     def no_factor(*args, **kwargs):
         raise AssertionError("psd_factor called")
 
@@ -881,11 +885,11 @@ def test_lattice_brown_resnick_prepare_builds_nothing_m_by_m(monkeypatch):
     grid = Grid(np.linspace(-10.0, 10.0, m))
     tracemalloc.start()
     try:
-        law = prepare_brown_resnick(Variogram.fractional(1.0, 0.5), grid, DEFAULT_N_POINTS)
+        law = prepare_brown_resnick(Variogram.fractional(1.0, alpha), grid, DEFAULT_N_POINTS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert law.provenance["increments"] == "circulant"
+    assert law.provenance["increments"] == kind
     assert peak < m * m * 8 / 20
 
 
@@ -925,7 +929,8 @@ def test_br_cov_factor_equals_the_norm_expression(d, alpha, origin):
         pts[4] = 0.0
     grid = Grid(pts)
     vario = Variogram.fractional(1.7, alpha)
-    factor, pairwise = simulator._br_cov_factor(vario, grid)
+    pairwise = simulator._gamma_table(vario, grid, simulator._lattice_step(grid))
+    factor = simulator._br_cov_factor(pairwise)
     want_factor, want_pairwise = norm_br_cov_factor(vario, grid)
     assert np.array_equal(pairwise, want_pairwise)
     assert np.array_equal(factor, want_factor)

@@ -1,4 +1,4 @@
-"""SHA-256 of ``simulate`` stdout for seven fields on small grids (Smith
+"""SHA-256 of ``simulate`` stdout for nine fields on small grids (Smith
 in one, two and three dimensions), of the two ensemble commands
 (``compare-reps`` and ``verify``, 100 replicates each) and of two Monte
 Carlo ``fdd`` exponents, seeds 9001-9003.
@@ -10,10 +10,12 @@ generators change; such a change updates them here and says so in
 CHANGES.md.  A refactor of the engine that keeps its streams leaves them
 as they are.  Several of these fields grow the arrival table to a second
 layer (Smith 1-D on seeds 9002 and 9003, Smith 2-D on 9002,
-Brown-Resnick and the exponential law on 9003).  Brown-Resnick runs on a
-1-D lattice, whose paths need no BLAS; off a lattice at alpha != 1 its
-last bits follow the BLAS library and thread count, so it is not pinned
-here.
+Brown-Resnick at alpha = 0.5 and the exponential law on 9003).
+Brown-Resnick runs where its paths use no BLAS and do not depend on the
+batch: circulant paths on a 1-D lattice at alpha = 0.5, and Brownian
+steps at alpha = 1 on a lattice and on an unsorted, irregular point
+list.  Off a 1-D lattice at alpha != 1 (Cholesky paths) its last bits
+follow the BLAS library and thread count, so it is not pinned here.
 """
 import hashlib
 
@@ -21,10 +23,14 @@ import pytest
 
 from maxstable.cli import main
 
+# 40 points 0.3 j + 0.01 (j^2 mod 7), j = 17 k mod 40: irregular steps, unsorted
+IRREGULAR = ",".join(str(round(0.3 * j + 0.01 * (j * j % 7), 2)) for j in (k * 17 % 40 for k in range(40)))
 CALLS = {
     "smith-1d": ["--construction", "smith", "--sigma", "0.1", "--grid", "-5:0.05:201"],
     "smith-2d": ["--construction", "smith", "--sigma", "0.1,0,0,0.1", "--grid", "0:0.2:12x0:0.2:12"],
     "br-lattice": ["--construction", "br", "--variogram", "fractional:alpha=0.5", "--grid", "-5:0.05:201"],
+    "br-brownian": ["--construction", "br", "--variogram", "fractional:alpha=1", "--grid", "-5:0.05:201"],
+    "br-brownian-unsorted": ["--construction", "br", "--variogram", "fractional:alpha=1", "--grid", IRREGULAR],
     "mmm": ["--construction", "mmm", "--sigma", "1", "--grid", "-5:0.05:201"],
     "general-exp": ["--construction", "general", "--dist", "exp:lambda=1", "--kappa", "cgf",
                     "--grid", "-5:0.05:119"],
@@ -43,6 +49,12 @@ DIGESTS = {
     ("br-lattice", 9001): "e43f723d108bbe30367a897f3a2dceb46ed71cc7049e62f1bcdd76eb67cdd8a5",
     ("br-lattice", 9002): "3d8046fdc61c742c597fe3b61e3ba56237962a555506cbccbb623ae12c0ad7cc",
     ("br-lattice", 9003): "cac109990dd7dd43da057fc860d4a81e473c57cf2c60777e3c6b6d7d3238213b",
+    ("br-brownian", 9001): "0eb3db52bd9dcf4a0f7adb990d2e5987f827f165a23115a88446ffd521f24f3c",
+    ("br-brownian", 9002): "8284921c2855e097b140dd934f0fca02597c6a2fea1910d35a766bf1f4634245",
+    ("br-brownian", 9003): "ae8ed92d65d9cf506560cb18306cc5147591119d5bce5a351a3f219b86a4751c",
+    ("br-brownian-unsorted", 9001): "d26a28345343e01d16666f385a5343057b9d96b546744195a09e1ca3ba6ed830",
+    ("br-brownian-unsorted", 9002): "8da15e31af6306b78abda075e348fb27d0b42b308c209b008ea6ed15ac90ba4c",
+    ("br-brownian-unsorted", 9003): "ab09f34513069580c40aa6d2cc16e3656a5e2752a1269231a85493c47d32682d",
     ("mmm", 9001): "b02fc16d38c0e3093771b312ad2fcac91bad7fcfe356490e37af3ff086ab0f31",
     ("mmm", 9002): "783befe7c9b3151ac5971e11fd380e708fead30e671a143d806b5a08f6efee7a",
     ("mmm", 9003): "9bb9f8cb36252a148bacd997839597af7b8c556efed44b66f9255194d343b7cc",
