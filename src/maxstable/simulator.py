@@ -731,7 +731,8 @@ def _gamma_table(variogram: Variogram, grid: Grid, h):
     differences in coordinate order, as ``np.linalg.norm`` does, so the
     table equals ``variogram(s - t)`` bit for bit, and a grid and its
     translate give the same table.  A scan adds two of its values, so they
-    must stay within half the double range."""
+    must stay within half the double range: this is the one check of the
+    variogram's size, for every path kind."""
     with np.errstate(over="ignore"):  # checked below
         if h:
             values = variogram(h * np.arange(grid.size)[:, None])
@@ -747,7 +748,10 @@ def _gamma_table(variogram: Variogram, grid: Grid, h):
             np.sqrt(values, out=values)
             values **= variogram.alpha
             values *= variogram.scale
-    _check_variogram_size(values, "this grid")  # the m lags, not the m x m view
+    top = values.max()  # the m lags, not the m x m view
+    if not top <= _VARIOGRAM_MAX:
+        raise ValueError(f"variogram is too large on this grid: it reaches {top:.3g}, past half "
+                         "the double range, so sums of its values overflow")
     return _lag_view(values) if h else values
 
 
@@ -770,15 +774,6 @@ def _br_cov_factor(gamma):
     factor = np.zeros((len(gamma), len(gamma) - 1))
     factor[1:] = root
     return factor
-
-
-def _check_variogram_size(values, where):
-    """A Brown-Resnick scan adds two variogram values, so the values it reads
-    on ``where`` must stay within half the double range."""
-    top = values.max()
-    if not top <= _VARIOGRAM_MAX:
-        raise ValueError(f"variogram is too large on {where}: it reaches {top:.3g}, past half "
-                         "the double range, so sums of its values overflow")
 
 
 # Unconditioned paths of G on a grid: paths(z) turns n rows of ``width``
@@ -816,7 +811,7 @@ def _five_smooth(n: int) -> int:
     return best
 
 
-def _circulant_increments(variogram: Variogram, m: int, h: float):
+def _circulant_increments(variogram: Variogram, gamma, h: float):
     """Paths on a 1-D lattice of step h by circulant embedding (Davies &
     Harte 1987; Wood & Chan 1994; Dietrich & Newsam 1997), or None when the
     embedding has a negative eigenvalue beyond round-off or a spectrum past
@@ -832,17 +827,19 @@ def _circulant_increments(variogram: Variogram, m: int, h: float):
     (sqrt(M lambda_k) at k = 0 and M / 2), whose inverse real FFT has the
     circulant as its covariance: its first m' - 1 entries are increments of
     the longer lattice, the first m - 1 of them those of this one, and the
-    path is their running sum from 0.  The grid's own lags are checked in
-    ``_gamma_table``; the embedding's check here catches the lags past it."""
+    path is their running sum from 0.  The grid's m lags are row 0 of its
+    table gamma (``_gamma_table``), checked there; only the padding's lags
+    k >= m are evaluated here, and one past the double range leaves an
+    amplitude that is not finite, so None."""
+    m = len(gamma)
     half = _five_smooth(m - 2)  # m' - 2
     size = 2 * half
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        lag = variogram(h * np.arange(half + 2)[:, None])
+        lag = np.concatenate([gamma[0], variogram(h * np.arange(m, half + 2)[:, None])])
         k = np.arange(half + 1)
         r = 0.5 * (lag[k + 1] + lag[np.abs(k - 1)] - 2.0 * lag[k])
         eig = np.fft.rfft(np.concatenate([r, r[-2:0:-1]])).real
         amp = np.sqrt(np.maximum(eig, 0.0) * (size / 2.0))
-    _check_variogram_size(lag, "this grid's lattice embedding")
     if not np.all(np.isfinite(amp)) or eig.min() < -_EMBED_TOL * eig.max():
         return None
     amp[[0, half]] *= math.sqrt(2.0)
@@ -895,7 +892,7 @@ def _br_increments(variogram: Variogram, grid: Grid, h, gamma) -> _Increments:
     count and batch)."""
     if grid.dim == 1 and variogram.alpha == 1.0:
         return _brownian_increments(grid, gamma)
-    inc = _circulant_increments(variogram, grid.size, h) if h else None
+    inc = _circulant_increments(variogram, gamma, h) if h else None
     if inc is None:
         factor_t = _br_cov_factor(gamma).T
         inc = _Increments("cholesky", len(factor_t), lambda z: z @ factor_t)

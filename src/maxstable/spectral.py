@@ -22,7 +22,8 @@ from .frozen import Frozen
 # hard error.
 PSD_REL_TOL = 1e-10
 
-# Below this |t_j| the uniform tilted sampler draws from the untilted law.
+# Below this |w_j|, w_j = (b_j - a_j) t_j, the uniform tilted sampler draws
+# from the untilted law: the tilt's shape depends on t_j only through w_j.
 UNIFORM_SMALL_T = 1e-8
 
 # Taylor coefficients 1/(2k + 1)!, k = 1..8, of sinh v / v - 1 in v^2; the
@@ -401,12 +402,12 @@ class Uniform(SpectralDistribution, Frozen):
 
     def tilted_sampler(self, ts):
         # inverse CDF of the density proportional to e^{t x} on [a, b], per
-        # coordinate: flat below |t| = UNIFORM_SMALL_T, else anchored at b
+        # coordinate: flat below |w| = UNIFORM_SMALL_T, else anchored at b
         # where w = (b - a) t > 0 (stable for arbitrarily large w), else at
         # a.  Each table is filled only where its branch is taken (e^{-w}
         # overflows at w < -709); 1 and 0 elsewhere keep the others finite.
         w = (self.b - self.a) * ts
-        flat = np.abs(ts) < UNIFORM_SMALL_T
+        flat = np.abs(w) < UNIFORM_SMALL_T
         up = ~flat & (w > 0)
         divisor = np.where(flat, 1.0, ts)
         exp_neg = np.array([math.exp(-x) if x > 0 else 1.0 for x in w.ravel()]).reshape(w.shape)

@@ -1,10 +1,13 @@
 """Closed-form gate on Brown-Resnick fields simulated on a 1-D lattice.
 
 On a lattice the engine draws a candidate's path by circulant embedding
-(``simulator._circulant_increments``), or for alpha = 1 from independent
-Brownian steps (``simulator._brownian_increments``), not from the Cholesky
-factor that the 6-point grids of ``test_bivariate_gate.py`` take for
-alpha != 1.  Each variogram
+(``simulator._circulant_increments``, which reads the lattice's lags from
+the grid's variogram table and evaluates only its padding lags), or for
+alpha = 1 from independent Brownian steps
+(``simulator._brownian_increments``), not from the Cholesky factor that the
+6-point grids of ``test_bivariate_gate.py`` take for alpha != 1, and that a
+lattice takes only when its embedding is negative or its padding
+overflows.  Each variogram
 gamma(h) = |h|^alpha is simulated on one lattice that reaches far from the
 origin, and the fields are checked against the law every Brown-Resnick
 field has: unit Frechet marginals, by a KS distance at several locations,

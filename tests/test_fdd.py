@@ -307,6 +307,15 @@ def test_exponent_mc_equals_the_argmax_reference(dist, ts, xs, monkeypatch):
         assert (ev.value, ev.se) == argmax_reference(dist, kappa, q, 40_000, derive_rng(seed))
 
 
+def test_usable_cpus_is_the_cpu_count_without_an_affinity_mask(monkeypatch):
+    # platforms without sched_getaffinity (macOS, Windows) count the machine's CPUs
+    monkeypatch.delattr(fdd.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(fdd.os, "cpu_count", lambda: 6)
+    assert fdd._usable_cpus() == 6
+    monkeypatch.setattr(fdd.os, "cpu_count", lambda: None)
+    assert fdd._usable_cpus() == 1
+
+
 def drawing_ahead(monkeypatch, cpus):
     """Sets the usable CPU count exponent_mc sees; returns the list of the
     calls it makes to the draw thread."""

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxstable import simulator
+from maxstable.cli import main
 from maxstable.fdd import frechet_cdf, ks_distance, ks_threshold
 from maxstable.pointproc import frechet_cascade
 from maxstable.seeding import block_rng, derive_rng, spawn
@@ -728,6 +730,26 @@ def test_a_lattice_whose_embedding_is_negative_takes_the_cholesky_factor(monkeyp
     assert field.provenance["spectral_draws"] == draws
 
 
+def test_a_lattice_whose_embedding_overflows_takes_the_cholesky_factor(capsys):
+    # gamma(8) = 8.8e307 fits on the grid, but the embedding's padding lag
+    # gamma(9) = 9.3e307 passes half the double range and its spectrum
+    # overflows: the Cholesky factor reads only the grid's lags
+    vario = Variogram.fractional(3.1e307, 0.5)
+    grid = Grid(np.arange(9.0))
+    law = prepare_brown_resnick(vario, grid, DEFAULT_N_POINTS)
+    assert law.provenance["increments"] == "cholesky"
+    field = law.simulate(derive_rng(2))
+    want, draws, _ = brown_resnick_reference(vario, grid, DEFAULT_N_POINTS, derive_rng(2))
+    assert np.allclose(field.values, want, rtol=1e-13, atol=0.0)
+    assert field.provenance["spectral_draws"] == draws
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--construction", "br", "--variogram", "fractional:alpha=0.5;scale=3.1e307",
+                     "--grid", "0:1:9", "--seed", "1"]) == 0
+    values = [float(row.split(",")[1]) for row in capsys.readouterr().out.splitlines() if not row.startswith("#")]
+    assert len(values) == 9 and all(np.isfinite(v) and v > 0 for v in values)
+
+
 @pytest.mark.parametrize("case", BR_PATHS)
 @pytest.mark.parametrize("alpha", [BR_VARIO.alpha, 1.0])
 def test_brown_resnick_engine_equals_the_textbook_loop(case, alpha):
@@ -850,14 +872,14 @@ def test_the_padded_embedding_gives_the_lattices_path_covariance(m, width, alpha
     # 5-smooth; the first m points of its paths are G - G(t_0) exactly in law
     vario = Variogram.fractional(1.3, alpha)
     h = 10.0 / (m - 1)
-    inc = simulator._circulant_increments(vario, m, h)
+    gamma = simulator._gamma_table(vario, Grid(h * np.arange(m)), h)
+    inc = simulator._circulant_increments(vario, gamma, h)
     assert inc.kind == "circulant" and inc.width == width
     paths = inc.paths(np.eye(width))  # row k: the path of the k-th normal alone
     lag = vario(h * np.arange(m)[:, None])
     i = np.arange(m)
     want = 0.5 * (lag[i][:, None] + lag[i][None, :] - lag[np.abs(i[:, None] - i[None, :])])
     assert np.allclose(paths.T @ paths, want, rtol=0.0, atol=1e-9 * lag.max())
-    gamma = simulator._gamma_table(vario, Grid(h * np.arange(m)), h)
     assert np.array_equal(gamma, lag[np.abs(i[:, None] - i[None, :])])
 
 

@@ -116,6 +116,11 @@ def test_exponential_domain_is_open_at_rate():
     assert err.value.coordinate == 1
 
 
+def test_check_domain_rejects_points_of_another_dimension():
+    with pytest.raises(ValueError, match=r"expected points in R\^2, got shape \(3,\)"):
+        Exponential([1.0, 2.0]).check_domain([0.1, 0.2, 0.3])
+
+
 def test_gamma_domain_error():
     with pytest.raises(DomainError):
         Gamma(2.0, 1.0).cgf(1.0)
@@ -285,6 +290,16 @@ def test_sample_tilted_means_match_cgf_gradient(rng):
         assert x.mean() == pytest.approx(dist.gradient([t])[0], abs=0.01)
 
 
+@pytest.mark.parametrize("t", [5e-9, -5e-9])
+def test_uniform_tilt_of_a_wide_interval_has_mean_grad_phi(t):
+    # the tilt's shape depends on w = (b - a) t, here +-5, not on t alone:
+    # a t this small still pulls the mean far from the midpoint
+    dist = Uniform([0.0], [1e9])
+    x = dist.sample_tilted([t], 200_000, derive_rng(5))[:, 0]
+    se = x.std() / math.sqrt(x.size)
+    assert abs(x.mean() - dist.gradient([t])[0]) < 4.0 * se
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_sample_rows_do_not_depend_on_the_batch(d):
     # 64 rows drawn at once equal 64 one-row draws bit for bit, and the
@@ -318,9 +333,9 @@ def test_uniform_sample_tilted_stays_in_interval(rng):
 
 def _uniform_tilt_reference(a, b, t, u):
     """One coordinate of one row of the uniform tilt, by the scalar formulas."""
-    if abs(t) < UNIFORM_SMALL_T:
-        return a + (b - a) * u
     w = (b - a) * t
+    if abs(w) < UNIFORM_SMALL_T:
+        return a + (b - a) * u
     if w > 0:
         return b + np.log(u + (1 - u) * math.exp(-w)) / t
     return a + np.log1p(u * math.expm1(w)) / t
@@ -329,11 +344,12 @@ def _uniform_tilt_reference(a, b, t, u):
 TILT_TS = [0.0, 1e-9, -1e-9, 1e-8, -1e-8, 0.3, -0.3, 2.0, -2.0, 45.0, -45.0, 700.0, -700.0]
 
 
-@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0), (-3.0, 0.5)])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0), (-3.0, 0.5), (0.0, 1e9)])
 @pytest.mark.parametrize("d", [1, 2])
 def test_uniform_tilt_equals_the_scalar_formulas(a, b, d):
     # bit for bit, with js an index array and with one index for all rows;
-    # |w| up to 2450, where e^{-w} of the other branch would overflow
+    # |w| up to 7e11, where e^{-w} of the other branch would overflow; on
+    # [0, 1e9], t = +-1e-9 is below UNIFORM_SMALL_T but w = +-1 is tilted
     dist = Uniform(np.full(d, a), np.full(d, b))
     ts = np.array(TILT_TS)[:, None] if d == 1 else np.column_stack([TILT_TS, TILT_TS[::-1]])
     draw, tilt = dist.tilted_sampler(ts)
@@ -425,6 +441,8 @@ def test_clamp_psd_accepts_roundoff_negatives():
         clamp_psd(np.array([[1.0, 0.0], [0.0, -0.5]]))
     with pytest.raises(ValueError):
         clamp_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))  # not symmetric
+    with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
+        clamp_psd(np.ones((2, 3)))
 
 
 def test_psd_factor_reconstructs_matrix(rng):

@@ -1,4 +1,4 @@
-"""SHA-256 of ``simulate`` stdout for nine fields on small grids (Smith
+"""SHA-256 of ``simulate`` stdout for ten fields on small grids (Smith
 in one, two and three dimensions), of the two ensemble commands
 (``compare-reps`` and ``verify``, 100 replicates each) and of two Monte
 Carlo ``fdd`` exponents, seeds 9001-9003.
@@ -37,6 +37,7 @@ CALLS = {
     "general-gamma": ["--construction", "general", "--dist", "gamma:k=2;theta=1", "--kappa", "cgf",
                       "--grid", "-0.9:0.05:37"],
     "smith-3d": ["--construction", "smith", "--sigma", "1,0,0,0,1,0,0,0,1", "--grid", "0:0.5:5x0:0.5:4x0:0.5:3"],
+    "general-uniform": ["--construction", "general", "--dist", "uniform:a=-1;b=2", "--grid", "-2:0.05:81"],
 }
 
 DIGESTS = {
@@ -67,6 +68,9 @@ DIGESTS = {
     ("smith-3d", 9001): "bd3125e28bd8018adcfb653feaf8bc1b8e8fa3c1d483d32847de8b0de1fd9391",
     ("smith-3d", 9002): "18ac3ef8a0794a998cb7d306c5fdc04bc52104e9ee00f0e9bef8e4f8e0d17aee",
     ("smith-3d", 9003): "c0987beeaaf3e0974d6a5a8e2b38b2f60779b3e77cad1f421199ee662c2cebbf",
+    ("general-uniform", 9001): "43db2e5bba41d45c4a80b7e648756b619a5253344680fdf4e5d14d639a6d62c0",
+    ("general-uniform", 9002): "d4f984c11c5c440fde7cb4c7f462cc9482b9d1be790b33f2961d78e855bbc3a8",
+    ("general-uniform", 9003): "150d41f086f8fc7c32428300baa35955620bb502d3b08cb97da03eeb0455476b",
 }
 
 
