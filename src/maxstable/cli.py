@@ -403,15 +403,21 @@ def load_config_file(path: str) -> dict:
 
 
 def resolve_seed(seed) -> int:
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get("MAXSTABLE_SEED")
-    if env is not None:
+    """The flag's seed, else MAXSTABLE_SEED's, else DEFAULT_SEED.  A seed is
+    one 64-bit word: outside [0, 2^64) two seeds would make one stream."""
+    source = "--seed"
+    if seed is None:
+        env = os.environ.get("MAXSTABLE_SEED")
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env, 0)
+            seed = int(env, 0)
         except ValueError as exc:
             raise UsageError(f"bad MAXSTABLE_SEED value {env!r}") from exc
-    return DEFAULT_SEED
+        source = "MAXSTABLE_SEED"
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"{source} {seed} is outside [0, 2^64)")
+    return int(seed)
 
 
 def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:

@@ -241,6 +241,18 @@ def moving_maxima_block_reference(sigma, grid, seed, k):
     return moving_maxima_reference(sigma, grid, block_rng(seed, block), _REPLICATE_BLOCK, slot)
 
 
+def seed_rejecting_once_at_location_1():
+    """The first seed in 0-99 whose Smith field (sigma = 1) on {0, 1} at
+    the default n_points draws two candidates at location 1 and rejects
+    one of them: no bit generator's stream is assumed."""
+    grid = simulator.Grid([0.0, 1.0])
+    for seed in range(100):
+        prov = simulator.simulate_smith([[1.0]], grid, simulator.DEFAULT_N_POINTS, derive_rng(seed)).provenance
+        if (prov["spectral_draws"], prov["rejections"]) == (3, 1):
+            return seed
+    raise AssertionError("no seed in 0-99 rejects a candidate at location 1")
+
+
 def load_bench_module(name):
     """``bench/<name>.py`` loaded read-only from its file, without putting
     ``bench/`` on the import path."""

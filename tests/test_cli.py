@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import moving_maxima_block_reference
+from conftest import moving_maxima_block_reference, seed_rejecting_once_at_location_1
 
 import maxstable
 import maxstable.cli
@@ -187,6 +187,21 @@ def test_resolve_seed_precedence(monkeypatch):
     monkeypatch.setenv("MAXSTABLE_SEED", "not-a-seed")
     with pytest.raises(UsageError):
         resolve_seed(None)
+    # derive_rng reads a seed's low 64 bits: seed and seed mod 2^64 would print one field
+    for seed in (-1, 2**64):
+        with pytest.raises(UsageError, match=re.escape(f"--seed {seed} is outside [0, 2^64)")):
+            resolve_seed(seed)
+        monkeypatch.setenv("MAXSTABLE_SEED", str(seed))
+        with pytest.raises(UsageError, match=re.escape(f"MAXSTABLE_SEED {seed} is outside [0, 2^64)")):
+            resolve_seed(None)
+    assert resolve_seed(2**64 - 1) == 2**64 - 1
+
+
+def test_compare_reps_runs_at_the_last_seed(capsys):
+    # it seeds its moving-maxima ensemble with seed + 1, here 2^64
+    seed = 2**64 - 1
+    assert main(["compare-reps", "--sigma", "1", "--grid", "0,1", "--replicates", "100", "--seed", str(seed)]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == seed
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +274,9 @@ def test_simulate_missing_required_parameter():
 
 
 def test_simulate_n_points_bounds_the_draws_at_one_location(capsys):
-    # with seed 2 the second grid location needs two spectral draws
-    args = ["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0,1", "--seed", "2"]
+    # with this seed the second grid location needs two spectral draws
+    seed = seed_rejecting_once_at_location_1()
+    args = ["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0,1", "--seed", str(seed)]
     assert main(args + ["--n-points", "1"]) == 3
     assert "n_points = 1" in capsys.readouterr().err
     assert main(args + ["--n-points", "2"]) == 0
@@ -778,6 +794,8 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         (["fdd", "--dist", "gaussian:mu=0;sigma=1", "--ts", ";", "--xs", "1"], 2),
         (["defect", "--dist", "gaussian:mu=0;sigma=1", "--box", ""], 2),
         (["verify", "--dist", "gaussian:mu=0;sigma=1", "--grid", "", "--replicates", "100"], 2),
+        (["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0,1", "--seed", "-1"], 2),
+        (["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0,1", "--seed", str(2**64)], 2),
     ],
     ids=[
         "zero-replicates", "negative-replicates", "too-few-replicates", "verify-zero-replicates",
@@ -794,7 +812,7 @@ def test_simulate_header_lists_only_the_flags_read(argv, header, capsys):
         "kappa-c0-vector", "uniform-endpoint-lengths", "gamma-parameter-lengths",
         "mmm-grid-dimension", "br-quadratic-grid-dimension", "fdd-ts-dimension", "verify-grid-dimension",
         "defect-box-dimension", "compare-reps-grid-dimension", "simulate-empty-point-list", "fdd-empty-ts",
-        "defect-empty-box", "verify-empty-grid",
+        "defect-empty-box", "verify-empty-grid", "negative-seed", "seed-past-64-bits",
     ],
 )
 def test_bad_input_exit_codes(argv, code, capsys):

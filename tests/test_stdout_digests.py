@@ -1,16 +1,18 @@
-"""SHA-256 of ``simulate`` stdout for ten fields on small grids (Smith
-in one, two and three dimensions), of the two ensemble commands
+"""SHA-256 of ``simulate`` stdout for eleven fields (ten on small grids,
+Smith in one, two and three dimensions), of the two ensemble commands
 (``compare-reps`` and ``verify``, 100 replicates each) and of two Monte
 Carlo ``fdd`` exponents, seeds 9001-9003.
 
 The digests pin every byte a field or a report prints: its values, its
 header and the random streams that made it.  They move only when a change moves the
-streams (what a replicate reads, or in which order), or when numpy's
-generators change; such a change updates them here and says so in
-CHANGES.md.  A refactor of the engine that keeps its streams leaves them
-as they are.  Several of these fields grow the arrival table to a second
-layer (Smith 1-D on seeds 9002 and 9003, Smith 2-D on 9002,
-Brown-Resnick at alpha = 0.5 and the exponential law on 9003).
+streams (what a replicate reads, or in which order), or when the bit
+generator that ``seeding.derive_rng`` builds, or numpy's generators, change;
+such a change updates them here and says so in CHANGES.md.  A refactor of the engine that keeps its streams leaves them
+as they are.  Some of these fields grow the arrival table to a second
+layer: Smith 2-D and 3-D on seed 9001, and Brown-Resnick at alpha = 1 on
+the 501-point lattice of the benchmark's ``wide-grid`` workload
+(``br-wide``) on 9001, which also carries its Brownian paths across the
+layers; so do the ``verify`` ensembles on 9001 and 9003.
 Brown-Resnick runs where its paths use no BLAS and do not depend on the
 batch: circulant paths on a 1-D lattice at alpha = 0.5, and Brownian
 steps at alpha = 1 on a lattice and on an unsorted, irregular point
@@ -38,39 +40,43 @@ CALLS = {
                       "--grid", "-0.9:0.05:37"],
     "smith-3d": ["--construction", "smith", "--sigma", "1,0,0,0,1,0,0,0,1", "--grid", "0:0.5:5x0:0.5:4x0:0.5:3"],
     "general-uniform": ["--construction", "general", "--dist", "uniform:a=-1;b=2", "--grid", "-2:0.05:81"],
+    "br-wide": ["--construction", "br", "--variogram", "fractional:scale=1;alpha=1", "--grid", "-5:0.02:501"],
 }
 
 DIGESTS = {
-    ("smith-1d", 9001): "a2e2c141f55812e82b1b502ba63055a27daf4d7d28b357e8329192873a9c86b5",
-    ("smith-1d", 9002): "ccd78d40fcae8148fd016ea57f17a0d6412bf0ed5bdff8b1399274e06dfb432c",
-    ("smith-1d", 9003): "307ed8b117ec2f724b07c179a8a16c1a997e10d64c46aa5b3e476337f6c87dfb",
-    ("smith-2d", 9001): "7c9eff9e58e9933a93f655c326095401f197a04a263240b7f680ea20c1a62763",
-    ("smith-2d", 9002): "29fd04e720c900020db5291e03a8c71c15509ad6bddfae32cd88e5716f586662",
-    ("smith-2d", 9003): "460d474da9295bfb1cd9a26bebba07b2058b4a9ec117ff4ba35e3a4bf4cc89de",
-    ("br-lattice", 9001): "e43f723d108bbe30367a897f3a2dceb46ed71cc7049e62f1bcdd76eb67cdd8a5",
-    ("br-lattice", 9002): "3d8046fdc61c742c597fe3b61e3ba56237962a555506cbccbb623ae12c0ad7cc",
-    ("br-lattice", 9003): "cac109990dd7dd43da057fc860d4a81e473c57cf2c60777e3c6b6d7d3238213b",
-    ("br-brownian", 9001): "0eb3db52bd9dcf4a0f7adb990d2e5987f827f165a23115a88446ffd521f24f3c",
-    ("br-brownian", 9002): "8284921c2855e097b140dd934f0fca02597c6a2fea1910d35a766bf1f4634245",
-    ("br-brownian", 9003): "ae8ed92d65d9cf506560cb18306cc5147591119d5bce5a351a3f219b86a4751c",
-    ("br-brownian-unsorted", 9001): "d26a28345343e01d16666f385a5343057b9d96b546744195a09e1ca3ba6ed830",
-    ("br-brownian-unsorted", 9002): "8da15e31af6306b78abda075e348fb27d0b42b308c209b008ea6ed15ac90ba4c",
-    ("br-brownian-unsorted", 9003): "ab09f34513069580c40aa6d2cc16e3656a5e2752a1269231a85493c47d32682d",
-    ("mmm", 9001): "b02fc16d38c0e3093771b312ad2fcac91bad7fcfe356490e37af3ff086ab0f31",
-    ("mmm", 9002): "783befe7c9b3151ac5971e11fd380e708fead30e671a143d806b5a08f6efee7a",
-    ("mmm", 9003): "9bb9f8cb36252a148bacd997839597af7b8c556efed44b66f9255194d343b7cc",
-    ("general-exp", 9001): "caebb8eb30c5565d2c44c8e8033079e068b15f8ccc70028e2351557c11c6a68d",
-    ("general-exp", 9002): "d707776260979ffa02c2e7c949f26e09e22f25a78bc8607d4dbf2c92fb29d37a",
-    ("general-exp", 9003): "ac3fbd1274f3750e4cf6d8d160f1b6c6f301a3abbd577e4a83631ed30516c759",
-    ("general-gamma", 9001): "8e259e835f4e5cce4f22782b3a0bbbd6663d1b11ab81ae3289d7ebff0851b6ea",
-    ("general-gamma", 9002): "1ceffa2cce1e9429c061c9df0ee2a9d70de56d9b0203cd385c547b77edec4b2d",
-    ("general-gamma", 9003): "e3024571f591881cef479e68ee559d2f1072ad53bfe3d37461848d2b9d12d7a5",
-    ("smith-3d", 9001): "bd3125e28bd8018adcfb653feaf8bc1b8e8fa3c1d483d32847de8b0de1fd9391",
-    ("smith-3d", 9002): "18ac3ef8a0794a998cb7d306c5fdc04bc52104e9ee00f0e9bef8e4f8e0d17aee",
-    ("smith-3d", 9003): "c0987beeaaf3e0974d6a5a8e2b38b2f60779b3e77cad1f421199ee662c2cebbf",
-    ("general-uniform", 9001): "43db2e5bba41d45c4a80b7e648756b619a5253344680fdf4e5d14d639a6d62c0",
-    ("general-uniform", 9002): "d4f984c11c5c440fde7cb4c7f462cc9482b9d1be790b33f2961d78e855bbc3a8",
-    ("general-uniform", 9003): "150d41f086f8fc7c32428300baa35955620bb502d3b08cb97da03eeb0455476b",
+    ("smith-1d", 9001): "c73517ef1a16a0fa53bea2aed813181515f7bdbc0e478f84c6a9aa60e3c66e7f",
+    ("smith-1d", 9002): "1085e32679afc76459c5a9332bd2ecac405013e30fb883c723038f3c887c8af0",
+    ("smith-1d", 9003): "8e8c7b5dbf1aa3535f736b92d8db8d0b40827929980763e29e03545b2149c7ee",
+    ("smith-2d", 9001): "b310494f2bcae557c420bb307db2fc55a75849e7036443040be791b4748752a9",
+    ("smith-2d", 9002): "b1914fc63be2291db27f6d91cd4fcf1af318ff642a86e68e43defd0565c80f6e",
+    ("smith-2d", 9003): "e465b324895c87096e9b01b6ca57d93f050529c23f50a9521a37b8e5c27affa8",
+    ("br-lattice", 9001): "920d0db2d0f25c9dd4680563ee7fde8bf8d6e0eb61797530066fd6b9b9bd05de",
+    ("br-lattice", 9002): "ab80f6f9df4712a80066d3a51acc01b8ed324475df3683972d2b83239ec4427f",
+    ("br-lattice", 9003): "f6b2ef22c3c468739a06edc70022e5039bf586d61b861193b45a41adc248bc27",
+    ("br-brownian", 9001): "62ea26a2b4b037ec37616f883243afa20d7a1d7f896ca9c489b03ed134c0b5a1",
+    ("br-brownian", 9002): "ae30f8f926a69fdb7f966b5d16e8b6ab25b8cab7f193024c5b20c0244593d531",
+    ("br-brownian", 9003): "8b8f70916ab84587f9278405b63df46bfd26bcdf7ead26f61c5a41fc4ff210c3",
+    ("br-brownian-unsorted", 9001): "34d42ad1b1fdf2fb158f168330434a118cc9836bbd5983fea339b629d02b6f2d",
+    ("br-brownian-unsorted", 9002): "10370e9f1dc55a3166f9871043a8270171f99904e0031dc53cf93c6fa7753bcb",
+    ("br-brownian-unsorted", 9003): "12d91369c0db76f2a2cf12e570131b0d4606505ca1c8c3b64431ac867c9399a5",
+    ("mmm", 9001): "897e1faab7681c091c41a51ef48c23a179519bc10dda867320522c7c9f8be46f",
+    ("mmm", 9002): "8a5326d4863cc7a2edd075322e99e096de2a9ba5d53198824bea379cf06f373b",
+    ("mmm", 9003): "c04cea824027a37c55b34f840dcdd0bd4a03be623d69e03da48523a18530a562",
+    ("general-exp", 9001): "c4a98fe143403c3cf25875cb8def6b9b13e780c253f9352b870d441934715ff7",
+    ("general-exp", 9002): "f8b13923ff8c87f78a4a49822a28bb39806407c7813f608e3487bbc9be46d46a",
+    ("general-exp", 9003): "9de5380dc4a94e33119599616197405659524df904690881372349ba6d1a02ba",
+    ("general-gamma", 9001): "1d5849601f3caebfaeea5daa7efd89e338389d6f14bb0ce52ebcc6ee8de62c60",
+    ("general-gamma", 9002): "db972d561064c43c8996807d511ef192b0a7a6e7429efe26cfeb4b8f609fe9a8",
+    ("general-gamma", 9003): "8f0810740c070b676a6fe0714b84395f5a1f8c3401e6bd8c1bb062049b1c9196",
+    ("smith-3d", 9001): "2b2b7aba53d7d79a8d00e28b3bac5e263bd11f5ab481c542876107718b015fee",
+    ("smith-3d", 9002): "7efb365bab50263aa3995358ce8f818b0b6e76d3d7783e69aea13ae90a46fe5f",
+    ("smith-3d", 9003): "b9a620a48a6d4a504a017a6914661e1d00fcb38d478796fa7f49740620fc7311",
+    ("general-uniform", 9001): "2ca0f4608d65a916873ba82127ea8eaa759bdeaee52c82751f7f8083ee18d7fe",
+    ("general-uniform", 9002): "4c373052d9b5688f5825dd9dc6f4c936bf03da4eca11f88a3e41e70afbbc80d0",
+    ("general-uniform", 9003): "92732d89cf4355d27d0ffa392c94ad71bd979eb783e4ca34874bb1750801e448",
+    ("br-wide", 9001): "354bc644d656a42636082e4bb1a992e5d9b3026af4da1a2c4eeb55d41e91df04",
+    ("br-wide", 9002): "0643ea89cac3c4d9c1efb9fc4917790e9e77b6ee7e2af08e09eedfd065474449",
+    ("br-wide", 9003): "3536e692d21b73dade2f6b0ccbbc566bfde35a776256c0f452efad5cccca70bb",
 }
 
 
@@ -83,12 +89,12 @@ ENSEMBLE_CALLS = {
 }
 
 ENSEMBLE_DIGESTS = {
-    ("compare-reps", 9001): "05d6c23f12e3609cbebff18d79354a4fe10cfdf5b196df613a63c3a0875b00b2",
-    ("compare-reps", 9002): "9e5bd4c045da58a407f1222641b6b263452221053eaae9016771665ffe5217c5",
-    ("compare-reps", 9003): "a16795b7eeaee83510085bd4f561b38a12e55ac7929992aae9e54c599182d4c6",
-    ("verify", 9001): "1b018aa769a87e4229b246558a1370565c864a59b41f7c953081fabb13ba97f6",
-    ("verify", 9002): "34a9aeb355c8b5ad78a8e62ede1627585b53d6233149cb879a22fddd4fc019c0",
-    ("verify", 9003): "4dabeb5c770d69f585d3f01b7bbd9fd0418fa1b1a3c7d70e4808a2bc1084c772",
+    ("compare-reps", 9001): "23892f8f7d1ccf1160dd92059bf83384b9ab447de6de8a07fc240cb10533483d",
+    ("compare-reps", 9002): "332dca10ab9ee8f09f25c1841c83908acbaabc3817c96e02cf0df69f2ee6314a",
+    ("compare-reps", 9003): "34445c6fa69a13fae3c936b15d712a06e2b1caa235a23d26bf50ade3391d7ac3",
+    ("verify", 9001): "accd3a6f3b2e62cb5bbc7095b21c61e73ff788f1e9beb76274d017e446b96a65",
+    ("verify", 9002): "5eef0d70f64b3671c0a874e3aa7eac5cb323a8860d90c2d798b9ad04391c701b",
+    ("verify", 9003): "cbc8ac7185639bf7073f6a777b5d5714965604eb99be1395f0521cf57fe7b6c8",
 }
 
 
@@ -100,12 +106,12 @@ FDD_CALLS = {
 }
 
 FDD_DIGESTS = {
-    ("fdd-gaussian", 9001): "5c5a7ecdfca549d95f567415b6d9d3be67bebf76d63c3e1ac2d0a9ef45f3f6e3",
-    ("fdd-gaussian", 9002): "a1fed864d9915e98beb35c7fad2cbe9b0fb32663abf25b41236cad58cbbab06e",
-    ("fdd-gaussian", 9003): "714f166417ef7d4aab2a6ff503c01a2e2a64b905314bcf62aa4fd9d68b2f794c",
-    ("fdd-gamma", 9001): "122573f0c6e1aa53a7a1136b2f2a2b7daa89e507f56c0136a09f7fef34a5b236",
-    ("fdd-gamma", 9002): "d9f44ffa785ba2cc4e97834f1e113d5661a47268d82ac8fbb804659ba85e3680",
-    ("fdd-gamma", 9003): "f2ba91d5ecc6266e17a8eeb0e035c1bb28df4c2cb21f35b231c33178d0dc4b39",
+    ("fdd-gaussian", 9001): "95dc4e48ba4eaa88cc2e85f76fa65ffdc1f21ffb4371705c879eb1868dd691f1",
+    ("fdd-gaussian", 9002): "cadd78c928a94df7b761d62904d7fe03c790a315a4096f11af03fec09400857a",
+    ("fdd-gaussian", 9003): "7e2ade42b993ee13c5c0129f828a32f032b002d2fe150bea24995e7aa33012bb",
+    ("fdd-gamma", 9001): "812265a9dc4bf4a8c9767256c2eae8b0d0ca0264fab604e1306163e7d3381dea",
+    ("fdd-gamma", 9002): "7c02950b03a0b65b650cd652d5c8197b8229d5988fe10ba683d4464e41e69ec2",
+    ("fdd-gamma", 9003): "49bdd28f9c4421bc0fdcca5930295ffc03e86f64756d5a5b64dceeb1dff73dbc",
 }
 
 
