@@ -293,7 +293,8 @@ def cmd_compare_reps(args):
     smith = prepare_smith(sigma, pair, args.n_points)
     mmm = prepare_moving_maxima(sigma, pair)
     smith_pairs = smith.simulate_many(args.seed, range(args.replicates))[0]
-    mmm_pairs = mmm.simulate_many(args.seed + 1, range(args.replicates))[0]
+    # the next seed, wrapping past the last 64-bit word: a seed is one word
+    mmm_pairs = mmm.simulate_many((args.seed + 1) % 2**64, range(args.replicates))[0]
     thresholds = fddmod.frechet_threshold_grid()
     sup = fddmod.bivariate_ecdf_distance(smith_pairs, mmm_pairs, thresholds)
     out = {"sup_cdf_difference": sup, "threshold": args.threshold, "equivalent": bool(sup < args.threshold)}

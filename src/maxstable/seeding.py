@@ -16,7 +16,7 @@ caller that makes one field at a time takes from ``derive_rng(seed,
 ...)``.
 
 Every generator comes from ``derive_rng``: numpy's SFC64 bit generator,
-seeded by a ``SeedSequence`` of the seed's low 64 bits and the indices,
+seeded by a ``SeedSequence`` of the seed, one 64-bit word, and the indices,
 and ``spawn`` gives children of the same kind.  SFC64 is one of numpy's
 own bit generators; it fills standard normals and Gamma variates faster
 than numpy's default PCG64 (on a 2-core Xeon about 9.9 against 12.3 ns a
@@ -33,8 +33,12 @@ _BLOCK_STREAM = 0xB10C
 
 
 def derive_rng(seed: int, *indices: int) -> np.random.Generator:
-    """Generator seeded from (seed, index, ...)."""
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF, *(int(i) for i in indices)]
+    """Generator seeded from (seed, index, ...).  A seed is one 64-bit word:
+    outside [0, 2^64) two seeds would make one stream, so it raises."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
+    entropy = [seed, *(int(i) for i in indices)]
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 
 

@@ -18,9 +18,11 @@ candidates from a table of arrivals, screens each at t_{j-1}, where on a
 dense grid nearly every rejected candidate already reaches the field (a
 spectral law's on a product lattice also one step back along each slower
 axis), scores the few left on all m locations, and advances past the
-first one kept.  It works in log space and exponentiates once, so a
-single huge value cannot overflow intermediate arithmetic.  ``n_points``
-is a loop guard, not a truncation: the most spectral draws at one grid
+first one kept.  An ensemble runs the passes of all its replicates in
+lockstep; one field runs them alone, with scalar cursors, and gets the
+same bits.  It works in log space and exponentiates once, so a single
+huge value cannot overflow intermediate arithmetic.  ``n_points`` is a
+loop guard, not a truncation: the most spectral draws at one grid
 location; a field that needs more raises ValueError.  The moving-maxima
 construction uses an exact-on-grid stopping rule with an explicit
 edge-error bound.
@@ -32,7 +34,8 @@ Brown-Resnick increments, or moving maxima's checked Sigma, buffer and
 window).  Its ``simulate(rng)`` draws one field and its
 ``simulate_many(seed, indices)`` a whole ensemble; ``simulate_*`` draw one
 field.  Both run one scan per construction, over the replicates of a
-block layout.
+block layout; for the engine, the layout picks the scan: one field's
+one-slot block takes the scalar one, anything else the lockstep one.
 
 Randomness layout.  Replicates come in blocks of W slots that share one
 stream (``_Blocks``): an ensemble's replicate k is slot k mod W of block
@@ -41,11 +44,12 @@ block)``; one field is the one replicate of a one-slot block on its own
 generator.  A block draws for all its slots, and a slot reads only its
 own share, so a replicate's field depends only on its stream and slot
 (for an ensemble on (seed, k)), not on which or how many replicates are
-asked for, nor their order.  The engine splits a block's stream into an
-arrival and a spectral stream, ``spawn(stream, 2)``; Brown-Resnick takes a
-third, a completion stream, from ``spawn(stream, 3)``, whose first two
-children are the same two, so no other construction's streams move.  The
-arrival stream is read in blocks of standard exponentials, each (W,
+asked for, nor their order, nor on which of the engine's two scans runs
+it: the one-slot scan reads its block's streams as the lockstep scan
+does.  The engine splits a block's stream into an arrival and a spectral
+stream, ``spawn(stream, 2)``; Brown-Resnick takes a third, a completion
+stream, from ``spawn(stream, 3)``, whose first two children are the same
+two, so no other construction's streams move.  The arrival stream is read in blocks of standard exponentials, each (W,
 _ARRIVALS, m): arrival c at t_j of slot s is entry (s, c, j) of a table
 that grows by _ARRIVALS arrivals at a time, and Gamma its running sum
 over c.  The table starts _ARRIVALS deep and grows, for every slot and
@@ -330,9 +334,6 @@ class _Dealt:
                 self.first, self.filled = low, keep
             self.values[:, self.filled:self.filled + len(more[0])] = more
             self.filled += len(more[0])
-        if index.ndim == 1 and index.size and replicates[0] == replicates[-1]:
-            # one replicate's values are a run of its own: no copy
-            return self.values[replicates[0], index[0] - self.first:index[-1] + 1 - self.first]
         return self.values[replicates, index - self.first]
 
 
@@ -365,8 +366,7 @@ _Running = namedtuple("_Running", "ids loc at_loc next_row next_path")
 def _extremal_log_fields(m, sampler, n_points, blocks):
     """log Z on m grid locations of every replicate of ``blocks`` (the
     module docstring's layout), exactly, by extremal functions (Dombry,
-    Engelke & Oesting, Biometrika 2016, Algorithm 2), the replicates in
-    lockstep.
+    Engelke & Oesting, Biometrika 2016, Algorithm 2).
 
     Location t_j runs its own Poisson process of arrivals zeta = 1 / Gamma
     while zeta > Z(t_j).  Each arrival is a candidate zeta * Y, where
@@ -378,17 +378,40 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
     candidate it scores in full (t_0's first, and each that passes the
     screen), in candidate order.
 
-    A pass runs the four stages of ``_Scan`` on every running replicate at
-    once.  A replicate's passes depend on nothing but its own draws, so
-    neither do its counts.  Returns log Z (R, m) and, per replicate, the
-    spectral draws, the rejections and the rows scored in full.
+    The scan runs in passes of four stages (``_Scan``).  The layout picks
+    the scan: one replicate in a one-slot block (one field) runs the passes
+    with scalar cursors (``_one_slot_log_field``), every other layout (an
+    ensemble) runs them on all its running replicates in lockstep
+    (``_lockstep_log_fields``), with the same log Z and counts bit for bit.
+    A replicate's passes depend on nothing but its own draws, so neither do
+    its counts.  Returns log Z (R, m) and, per replicate, the spectral
+    draws, the rejections and the rows scored in full.
     """
+    if blocks.width == 1 and blocks.slot.size == 1:
+        return _one_slot_log_field(m, sampler, n_points, blocks.streams[0])
+    return _lockstep_log_fields(m, sampler, n_points, blocks)
+
+
+def _lockstep_log_fields(m, sampler, n_points, blocks):
+    """``_extremal_log_fields`` by the passes of ``_Scan``, all replicates at once."""
     scan = _Scan(m, sampler, n_points, blocks)
     while scan.run.ids.size:
         cand, ahead, over = scan.list()
         survivors, x = scan.screen(cand)
         scan.advance(ahead, over, survivors, scan.score(survivors, x))
     return scan.log_z, {"spectral_draws": scan.draws, "rejections": scan.rejections, "full_scores": scan.scored}
+
+
+def _arrival_layer(layer, gamma):
+    """The arrival table's next layer from a (..., _ARRIVALS, m) layer of
+    standard exponentials, in place: log zeta = -log Gamma, Gamma summing on
+    from ``gamma``, the Gamma of the last arrival at each location; returns
+    the layer and its own last Gamma."""
+    layer[..., 0, :] += gamma
+    np.cumsum(layer, axis=-2, out=layer)
+    gamma = layer[..., -1, :].copy()
+    np.negative(np.log(layer, out=layer), out=layer)
+    return layer, gamma
 
 
 class _Scan:
@@ -425,12 +448,9 @@ class _Scan:
         location, read from every block's arrival stream, and return them;
         ``gamma`` is the Gamma of the last arrival at each location, which
         the next ones sum on from."""
-        layer = self.blocks.own([e.exponential(size=(self.blocks.width, _ARRIVALS, self.m))
-                                 for e in self.arrivals])
-        layer[:, 0] += self.gamma
-        np.cumsum(layer, axis=1, out=layer)
-        self.gamma = layer[:, -1].copy()
-        np.negative(np.log(layer, out=layer), out=layer)
+        exponentials = self.blocks.own([e.exponential(size=(self.blocks.width, _ARRIVALS, self.m))
+                                        for e in self.arrivals])
+        layer, self.gamma = _arrival_layer(exponentials, self.gamma)
         self.table = np.concatenate([self.table, layer], axis=1)
         return layer
 
@@ -601,6 +621,123 @@ class _Scan:
         self.rejections[run.ids] += used - (found >= 0)
         go = ahead.loc < self.m
         self.run = ahead if go[go.argmin()] else _Running(*(a[go] for a in ahead))
+
+
+class _Rows:
+    """One stream's rows in order, for one replicate: rows(lo, hi) gives rows
+    lo .. hi - 1, none below lo is read again.  The stream is read ahead,
+    which does not change what a row holds."""
+
+    def __init__(self, take, stream):
+        self.take, self.stream = take, stream
+        self.values, self.first = take(1, stream), 0
+        self.most = max(1, _BATCH_CELLS // max(1, self.values[0].size))
+
+    def rows(self, lo, hi):
+        have = self.first + len(self.values)
+        if hi > have:
+            more = self.take(max(hi - have, min(have, self.most)), self.stream)
+            self.values, self.first = np.concatenate([self.values[lo - self.first:], more]), lo
+        return self.values[lo - self.first:hi - self.first]
+
+
+def _one_slot_log_field(m, sampler, n_points, stream):
+    """``_extremal_log_fields`` for the one replicate of a one-slot block on
+    ``stream``: the passes of ``_Scan`` with its cursors as Python ints.
+
+    It reads what ``_Scan`` reads on that block, in the same order and in
+    the same batches: the streams of ``spawn(stream, 2 or 3)``, the arrival
+    table in layers of _ARRIVALS, base rows and then completion rows in
+    candidate order, the same lists, screens and score slices.  So log Z
+    and the counts are ``_Scan``'s bit for bit, and an ensemble keeps the
+    lockstep scan, whose bookkeeping pays off over many replicates.
+    """
+    arrivals, spectral, *completion = spawn(stream, 3 if sampler.complete else 2)
+    rows = _Rows(sampler.draw, spectral)
+    paths = _Rows(sampler.complete, completion[0]) if completion else None
+    list_cap = max(_ARRIVALS, _BATCH_CELLS // max(1, rows.values[0].size))
+    span = max(_ARRIVALS, _BATCH_CELLS)
+    score_cap = max(1, _BATCH_CELLS // m)
+    # the arrival table: entry (c, j) is log zeta = -log Gamma of arrival c at t_j
+    table, gamma = _arrival_layer(arrivals.exponential(size=(1, _ARRIVALS, m))[0], np.zeros(m))
+    # t_0's first candidate is kept: nothing comes before it
+    first = (paths.rows(0, 1),) if paths else ()
+    log_z = table[0, 0] + sampler.log_y(rows.rows(0, 1), np.zeros(1, np.int64), *first)[0]
+    above = (table > log_z).sum(axis=0)  # table arrivals above Z at each location
+    draws, rejections, scored = 1, 0, 1
+    # the cursors: location t_j, its arrivals listed so far, the next base and completion rows
+    j, at_j, next_row, next_path = 1, 0, 1, 1
+    while j < m:
+        depth = len(table)
+        if at_j == depth:
+            layer, gamma = _arrival_layer(arrivals.exponential(size=(1, _ARRIVALS, m))[0], gamma)
+            table = np.concatenate([table, layer])
+            above += (layer > log_z).sum(axis=0)
+            depth += _ARRIVALS
+        # list: one window of locations, as if none were kept (``_Scan.list``)
+        counts = above[j:j + span].copy()
+        stop = int((counts == depth).argmax())
+        full = counts[stop] == depth
+        stop = stop + 1 if full else counts.size
+        end = stop
+        counts[0] -= at_j
+        if depth * counts.size > list_cap:
+            end = min(end, max(1, int(counts[:end].cumsum().searchsorted(list_cap, "right"))))
+        over = False
+        if n_points < depth:
+            left = np.full(end, n_points)
+            left[0] -= at_j
+            beyond = counts[:end] > left
+            over = bool(beyond.any())
+            if over:
+                end = int(beyond.argmax()) + 1
+            counts[:end] = np.minimum(counts[:end], left[:end])
+        full = full and end == stop
+        counts = counts[:end]
+        listed = int(counts.sum())
+        locs = np.repeat(np.arange(j, j + end), counts)
+        c = np.arange(listed) - np.repeat(counts.cumsum() - counts, counts)
+        c[:counts[0]] += at_j
+        log_zeta = table[c, locs]
+        x = rows.rows(next_row, next_row + listed)
+        # screen (``_Scan.screen``)
+        live = (log_zeta + sampler.screen(x, locs) < log_z[locs - 1]).nonzero()[0]
+        for s in sampler.witnesses:
+            back = np.maximum(locs[live] - s, 0)
+            live = live[log_zeta[live] + sampler.screen(x[live], locs[live], back) < log_z[back]]
+        x = x[live]
+        # score in slices of 1, 2, 4, ... (``_Scan.score``): k, the first kept survivor
+        k, lo, size = -1, 0, 1
+        while k < 0 and lo < live.size:
+            part = live[lo:lo + size]
+            extra = (paths.rows(next_path + lo, next_path + lo + part.size),) if paths else ()
+            at = locs[part]
+            scored += part.size
+            cand = log_zeta[part, None] + sampler.log_y(x[lo:lo + size], at, *extra)
+            kept = ((cand >= log_z).argmax(axis=1) == at).nonzero()[0]
+            if kept.size:
+                k = lo + int(kept[0])
+                log_z = np.maximum(log_z, cand[kept[0]])
+                i = int(at[kept[0]])  # Z changed only from here on
+                above[i:] = (table[:, i:] > log_z[i:]).sum(axis=0)
+            lo += size
+            size = min(2 * size, score_cap)
+        # advance (``_Scan.advance``)
+        if k >= 0:
+            used = int(live[k]) + 1
+            j, at_j, next_path = int(locs[live[k]]) + 1, 0, next_path + k + 1
+        elif over:
+            raise ValueError(f"grid location {j + end - 1} needs more than n_points = "
+                             f"{n_points} spectral draws")
+        else:
+            # a full last location stays, to read on in the next layer
+            used, next_path = listed, next_path + live.size
+            j, at_j = (j + end - 1, depth) if full else (j + end, 0)
+        next_row += used
+        draws += used
+        rejections += used - (k >= 0)
+    counts = {"spectral_draws": draws, "rejections": rejections, "full_scores": scored}
+    return log_z[None], {key: np.array([value]) for key, value in counts.items()}
 
 
 class PreparedLaw(Frozen):

@@ -203,13 +203,14 @@ def test_a_location_past_the_table_reads_its_next_layer(monkeypatch):
     # with a one-arrival table every rejected candidate makes its location
     # read on, in the table's next layer; the textbook loop reads it too
     monkeypatch.setattr(simulator, "_ARRIVALS", 1)
-    depths, grow = [], simulator._Scan.grow
+    depths, layer = [], simulator._arrival_layer
 
-    def counted(scan):
-        depths.append(scan.table.shape[1] // simulator._ARRIVALS + 1)
-        return grow(scan)
+    def counted(exponentials, gamma):
+        # the table's depth in layers: a field's first layer sums on from Gamma = 0
+        depths.append(depths[-1] + 1 if gamma.any() else 1)
+        return layer(exponentials, gamma)
 
-    monkeypatch.setattr(simulator._Scan, "grow", counted)
+    monkeypatch.setattr(simulator, "_arrival_layer", counted)
     rejections = 0
     for case in ("gaussian", "gamma", "smith", "smith-201"):
         dist, kappa, grid = REFERENCE_CASES[case]
@@ -1107,6 +1108,78 @@ def test_advance_stage_moves_the_cursors_where_the_textbook_loop_goes_on(monkeyp
         assert all(record["j"] >= loc for record in trace[decided:])
         if law == "brown-resnick":
             assert p.after.next_path[a] == sum(record["path"] is not None for record in trace[:decided])
+
+
+# ---------------------------------------------------------------------------
+# one field's scan against the lockstep scan on its one-slot block
+
+
+def engine_inputs(monkeypatch, law):
+    """The grid size, sampler and n_points a prepared engine law scans with."""
+    taken = []
+
+    def take(m, sampler, n_points, blocks):
+        taken.extend([m, sampler, n_points])
+        return 0.0, {}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_extremal_log_fields", take)
+        law.scan(None)
+    return taken
+
+
+def scan_outcome(scan):
+    """log Z and the counts of a scan, or the message of the ValueError it raises."""
+    try:
+        log_z, counts = scan()
+    except ValueError as exc:
+        return str(exc)
+    return log_z.tobytes(), {key: value.tolist() for key, value in counts.items()}
+
+
+ONE_SLOT_LAWS = {
+    **{case: (lambda case=case: prepare_general(*REFERENCE_CASES[case], DEFAULT_N_POINTS))
+       for case in ("gaussian", "exp", "gamma", "uniform", "smith", "smith-201")},
+    **{f"smith-{case}": (lambda case=case: prepare_smith(LATTICES[case][1], Grid(LATTICES[case][0]),
+                                                          DEFAULT_N_POINTS))
+       for case in LATTICES},
+    **{f"br-{kind}": (lambda grid=grid, alpha=alpha: prepare_brown_resnick(Variogram.fractional(1.0, alpha), grid,
+                                                                           DEFAULT_N_POINTS))
+       for kind, grid, alpha in (("brownian", BR_PATHS["irregular"][0], 1.0),
+                                 ("circulant", BR_PATHS["lattice"][0], 0.5),
+                                 ("cholesky", BR_PATHS["irregular"][0], 1.5),
+                                 ("cholesky-2d", BR_SQUARE, 0.5))},
+    # the embedding's padding overflows, so the lattice falls back to the Cholesky factor
+    "br-padding-overflow": lambda: prepare_brown_resnick(Variogram.fractional(3.1e307, 0.5), Grid(np.arange(9.0)),
+                                                         DEFAULT_N_POINTS),
+    # fields past n_points
+    **{f"gaussian-n-points-{n}": (lambda n=n: prepare_general(*REFERENCE_CASES["gaussian"], n)) for n in (1, 2, 3)},
+    **{f"br-n-points-{n}": (lambda n=n: prepare_brown_resnick(BR_VARIO, BR_LINE, n)) for n in (1, 2, 3)},
+}
+
+
+# (_ARRIVALS, _BATCH_CELLS): 64 cells cut a pass's window, list and score
+# slices short on every grid above
+ONE_SLOT_CAPS = {"default": (simulator._ARRIVALS, simulator._BATCH_CELLS),
+                 "one-arrival": (1, simulator._BATCH_CELLS), "one-arrival-64-cells": (1, 64)}
+
+
+@pytest.mark.parametrize("caps", ONE_SLOT_CAPS)
+@pytest.mark.parametrize("law", ONE_SLOT_LAWS)
+def test_one_field_scan_is_the_lockstep_scan_on_its_one_slot_block(monkeypatch, law, caps):
+    # log Z and every count bit for bit, and the same n_points error
+    arrivals, cells = ONE_SLOT_CAPS[caps]
+    monkeypatch.setattr(simulator, "_ARRIVALS", arrivals)
+    monkeypatch.setattr(simulator, "_BATCH_CELLS", cells)
+    m, sampler, n_points = engine_inputs(monkeypatch, ONE_SLOT_LAWS[law]())
+    raised = 0
+    for seed in range(50):
+        one = scan_outcome(lambda: simulator._one_slot_log_field(m, sampler, n_points, derive_rng(seed)))
+        lockstep = scan_outcome(lambda: simulator._lockstep_log_fields(
+            m, sampler, n_points, simulator._Blocks([0], lambda block: derive_rng(seed), 1)))
+        assert one == lockstep
+        raised += isinstance(one, str)
+    assert (raised > 0) == ("n-points" in law)
 
 
 # ---------------------------------------------------------------------------
