@@ -18,9 +18,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -130,15 +132,17 @@ def dump_json(obj) -> str:
     """JSON with every number printed at 17 significant digits; a number
     that is not finite has no JSON form and raises ValueError."""
     if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {dump_json(v)}" for k, v in obj.items()) + "}"
+        return "{" + ", ".join(f"{encode_basestring_ascii(str(k))}: {dump_json(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dump_json(v) for v in obj) + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)  # json.dumps' own string encoder
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        if not np.isfinite(obj):
+        if not math.isfinite(obj):
             raise ValueError(f"non-finite number {float(obj)!r} in the output")
         return format(float(obj), ".17g")
     return json.dumps(obj)

@@ -63,15 +63,19 @@ class CriterionConfig(Frozen):
         }
 
 
-def _criterion_points(ts, u, h) -> np.ndarray:
-    """The 2n + 3 points each of K configs touches, shape (K, 2n + 3, d):
-    ts, ts + h, sum u_i t_i, sum u_i (t_i + h) and sum u_i t_i + h, for
-    ts (K, n, d), simplex weights u (K, n) and shifts h (K, d)."""
-    shifted = ts + h[:, None, :]
+def _criterion_points(ts, u, h):
+    """For ts (K, n, d), simplex weights u (K, n) and shifts h (K, d): the
+    (K, 2n + 2, d) table of the points the criterion evaluates, ts, ts + h,
+    sum u_i t_i and sum u_i (t_i + h), filled in place, and the point it
+    only checks against the CGF domain, sum u_i t_i + h (K, d)."""
+    n = ts.shape[1]
+    table = np.empty((len(ts), 2 * n + 2, ts.shape[2]))
+    table[:, :n] = ts
+    np.add(ts, h[:, None, :], out=table[:, n : 2 * n])
     # stacked matmul rounds each config exactly as u @ ts does for one
-    combo = np.matmul(u[:, None, :], ts)
-    combo_shifted = np.matmul(u[:, None, :], shifted)
-    return np.concatenate([ts, shifted, combo, combo_shifted, combo + h[:, None, :]], axis=1)
+    np.matmul(u[:, None, :], ts, out=table[:, 2 * n : 2 * n + 1])
+    np.matmul(u[:, None, :], table[:, n : 2 * n], out=table[:, 2 * n + 1 :])
+    return table, table[:, 2 * n] + h
 
 
 def _centred_cgfs(dist: SpectralDistribution, ts, u, h):
@@ -88,17 +92,17 @@ def _centred_cgfs(dist: SpectralDistribution, ts, u, h):
     blocks = []
     for start in range(0, len(ts), _CONFIG_BLOCK):
         block = slice(start, start + _CONFIG_BLOCK)
-        pts = _criterion_points(ts[block], u[block], h[block])
-        feasible = dist.inside(pts).all(axis=(1, 2))
-        # the last point, sum u_i t_i + h, is only checked, never evaluated
-        pts = pts[feasible, :-1]
-        w = u[block][feasible, None, :]
+        pts, last = _criterion_points(ts[block], u[block], h[block])
+        feasible = dist.inside(pts).all(axis=(1, 2)) & dist.inside(last).all(axis=1)
+        w = u[block, None, :]
+        if not feasible.all():
+            pts, w = pts[feasible], w[feasible]
         points = pts.reshape(-1, dist.dim)
-        phi = dist.cgf(points).reshape(len(pts), 2 * n + 2)
+        phi = dist._cgf(points).reshape(len(pts), 2 * n + 2)
         base = phi[:, 2 * n] - np.matmul(w, phi[:, :n, None])[:, 0, 0]
         shifted = phi[:, 2 * n + 1] - np.matmul(w, phi[:, n : 2 * n, None])[:, 0, 0]
         size = np.abs(phi) + dist.term_scale(points).reshape(phi.shape)
-        scale = size[:, 2 * n :].sum(axis=1) + (w[:, 0] * (size[:, :n] + size[:, n : 2 * n])).sum(axis=1)
+        scale = size[:, 2 * n] + size[:, 2 * n + 1] + (w[:, 0] * (size[:, :n] + size[:, n : 2 * n])).sum(axis=1)
         blocks.append((feasible, base, shifted, scale))
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
@@ -107,7 +111,8 @@ def defect(dist: SpectralDistribution, cfg: CriterionConfig) -> float:
     """Difference of the two sides of the shift-invariance criterion;
     zero for all configs iff the construction is stationary."""
     ts, u, h = cfg.ts[None], cfg.weights.u[None], cfg.h[None]
-    dist.check_domain(_criterion_points(ts, u, h)[0])
+    pts, last = _criterion_points(ts, u, h)
+    dist.check_domain(np.vstack([pts[0], last]))
     _, base, shifted, _ = _centred_cgfs(dist, ts, u, h)
     return float(base[0] - shifted[0])
 
@@ -241,9 +246,13 @@ def search_violation(
     dist.check_domain(box.T)
 
     grid_ts, grid_u, grid_h = _coarse_grid(n, box)
-    ts = np.concatenate([grid_ts, rng.uniform(box[:, 0], box[:, 1], size=(budget, n, dist.dim))])
-    h = np.concatenate([grid_h, rng.uniform(box[:, 0], box[:, 1], size=(budget, dist.dim))])
-    raw_u = np.concatenate([grid_u, rng.dirichlet(np.ones(n), size=budget)])
+    g = len(grid_ts)
+    ts, h, raw_u = (np.empty((g + budget, *a.shape[1:])) for a in (grid_ts, grid_h, grid_u))
+    ts[:g], h[:g], raw_u[:g] = grid_ts, grid_h, grid_u
+    # lo + (hi - lo) U is rng.uniform(lo, hi) bit for bit, without its broadcast loop
+    for drawn in (ts[g:], h[g:]):
+        np.add(box[:, 0], np.multiply(box[:, 1] - box[:, 0], rng.random(out=drawn), out=drawn), out=drawn)
+    raw_u[g:] = rng.dirichlet(np.ones(n), size=budget)
     # SimplexWeights' normalisation, row by row (its clip to [0, 1] is a
     # no-op on grid and Dirichlet weights)
     u = raw_u / raw_u.sum(axis=1, keepdims=True)

@@ -835,6 +835,45 @@ def test_dump_json_rejects_a_number_that_is_not_finite(value):
         dump_json({"V": [1.0, value]})
 
 
+def _dump_json_reference(obj) -> str:
+    """dump_json as first written, with one json.dumps call per key and
+    string and np.isfinite on every number: the reference of its bytes."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_dump_json_reference(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_dump_json_reference(v) for v in obj) + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise ValueError(f"non-finite number {float(obj)!r} in the output")
+        return format(float(obj), ".17g")
+    return json.dumps(obj)
+
+
+JSON_PAYLOAD = {
+    "verdict": "violated",
+    "dist": "gaussian:mu=0;sigma=1",
+    "text": ["σ² é \u00e9", "\U0001f600 \ud800", "\x00\x01\x1f\x7f \t\n\r \"quoted\" back\\slash /", ""],
+    "flags": [True, False, None],
+    "ints": [0, -7, 2**64 + 1, np.int64(-3), np.uint8(255), np.intp(12)],
+    "floats": [0.1, -0.0, 0.0, np.float64(-0.0), 5e-324, 1.7976931348623157e308, np.float32(0.1),
+               np.float64(2.5635324028778097), 1.0, -1e-300],
+    "nested": {"argmax_config": {"ts": [[0.8, -0.6]], "u": (0.25, 0.75), "h": [0.79]}, 7: None, "é": {}},
+    "empty": [],
+}
+
+
+def test_dump_json_writes_the_bytes_of_its_reference():
+    assert dump_json(JSON_PAYLOAD) == _dump_json_reference(JSON_PAYLOAD)
+    for value in (float("nan"), float("inf"), -np.inf, np.float32("nan"), np.float64(np.inf)):
+        for dump in (dump_json, _dump_json_reference):
+            with pytest.raises(ValueError, match=r"non-finite number (nan|-?inf) in the output"):
+                dump({"nested": [{"V": [1.0, value]}]})
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--construction", "smith", "--sigma", "1", "--grid", "0,1", "--n-points", "10"],
     ["defect", "--dist", "exp:lambda=1", "--box", "0,0.6", "--budget", "5"],

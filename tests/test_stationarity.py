@@ -253,6 +253,27 @@ def test_search_does_not_depend_on_the_config_block(dist, n, box, small_grid_cap
     assert blocks.to_dict() == whole.to_dict()
 
 
+@pytest.mark.parametrize(
+    "dist, n, box", SEARCH_CASES, ids=[f"{c[0].family}-d{c[0].dim}-n{c[1]}-{c[2][0][1]}" for c in SEARCH_CASES]
+)
+def test_search_checks_only_the_box_against_the_domain(dist, n, box, monkeypatch):
+    # each block's point table is checked once, by the feasible mask, and
+    # evaluated without a second check; the box is the only check_domain call
+    monkeypatch.setattr(stationarity, "_GRID_CAP", 100)
+    monkeypatch.setattr(stationarity, "_CONFIG_BLOCK", 7)
+    checked = []
+    check = SpectralDistribution.check_domain
+
+    def spy(self, t):
+        checked.append(np.array(t, dtype=float))
+        return check(self, t)
+
+    monkeypatch.setattr(SpectralDistribution, "check_domain", spy)
+    report = search_violation(dist, n, 20, box, derive_rng(4545))
+    assert report.n_evaluated + report.n_skipped > 10 * stationarity._CONFIG_BLOCK
+    assert len(checked) == 1 and _bits(checked[0]) == _bits(np.asarray(box, dtype=float).T)
+
+
 class _LocationMixture(SpectralDistribution):
     """1/2 N(-a, 1) + 1/2 N(a, 1): phi(t) = t^2/2 + log cosh(a t), quadratic
     only at a = 0, with a defect of order a^4."""

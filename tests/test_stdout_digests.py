@@ -1,7 +1,7 @@
 """SHA-256 of ``simulate`` stdout for eleven fields (ten on small grids,
 Smith in one, two and three dimensions), of the two ensemble commands
-(``compare-reps`` and ``verify``, 100 replicates each) and of two Monte
-Carlo ``fdd`` exponents, seeds 9001-9003.
+(``compare-reps`` and ``verify``, 100 replicates each), of two Monte
+Carlo ``fdd`` exponents and of four ``defect`` searches, seeds 9001-9003.
 
 The digests pin every byte a field or a report prints: its values, its
 header and the random streams that made it.  They move only when a change moves the
@@ -135,3 +135,36 @@ def test_ensemble_stdout_digest(command, seed, capsys):
 def test_fdd_mc_stdout_digest(query, seed, capsys):
     argv = ["fdd", "--method", "mc", *FDD_CALLS[query], "--mc-n", "200000", "--seed", str(seed)]
     assert stdout_digest(argv, 0, capsys) == FDD_DIGESTS[query, seed]
+
+
+# the benchmark's two searches (every config feasible; a bounded domain that
+# skips some), n = 3, and a 2-D law with independent coordinates, whose
+# 20 532 configs span several CGF blocks; a 2-D Gaussian is left out, as its
+# batched CGF may round with the BLAS kernel
+DEFECT_CALLS = {
+    "defect-gaussian": (["--dist", "gaussian:mu=0;sigma=1", "--n", "2", "--budget", "1000"], 0),
+    "defect-exp": (["--dist", "exp:lambda=1", "--n", "2", "--budget", "1000", "--box", "0,0.6"], 1),
+    "defect-gamma-n3": (["--dist", "gamma:k=2;theta=1", "--n", "3"], 1),
+    "defect-exp-2d": (["--dist", "exp:lambda=1,2"], 1),
+}
+
+DEFECT_DIGESTS = {
+    ("defect-gaussian", 9001): "9d761bf72b287a4a07b8d1d68981b44cf375db343d853e4f42eccabc319545a2",
+    ("defect-gaussian", 9002): "5dbfa025d2031e88aa7a036ef120cc00fcb42c3a81bb0220e5e7f028b2e99533",
+    ("defect-gaussian", 9003): "04b10d65f40ebba03b9977e3510c30115440d1022b14fe5f59870f557d831e69",
+    ("defect-exp", 9001): "53cd86c38d94aa854b4290774eebd7748ef21802d4a56a322d97e6dad4e77d86",
+    ("defect-exp", 9002): "a6a235cbab041ae76bce6ea24e6b1ff888e86f4c8d1e75fce195008b44be2949",
+    ("defect-exp", 9003): "81f8859fa5bfb4e4f1fd4bbf40751dfc61a33ab3ed36bbf3fce1c0207871fddd",
+    ("defect-gamma-n3", 9001): "ed22186ea87a8b791d37988b1ce0040c73476bf3d7c0690ad527fbf4be500cb2",
+    ("defect-gamma-n3", 9002): "670bd077f7de121740f171ea677146c2d67a530e071510ec2172cecfcd696726",
+    ("defect-gamma-n3", 9003): "9fd52d0d632ee2d77fc32300c003c8de1216928c5eb271fa9ecbef171194b450",
+    ("defect-exp-2d", 9001): "711ebca09ed0bd07823caa0277dffee793e2dff3333da59a46325d3ac6b60d7a",
+    ("defect-exp-2d", 9002): "e1e8b281654784bda23e6fad9c2190be916aecac6fad7ec05835983d1e687151",
+    ("defect-exp-2d", 9003): "034b19852bb61d71659fd15d7036709d4f0569e434de37970ab510e4012c46c7",
+}
+
+
+@pytest.mark.parametrize("query, seed", sorted(DEFECT_DIGESTS), ids=lambda v: str(v))
+def test_defect_stdout_digest(query, seed, capsys):
+    argv, code = DEFECT_CALLS[query]
+    assert stdout_digest(["defect", *argv, "--seed", str(seed)], code, capsys) == DEFECT_DIGESTS[query, seed]
