@@ -25,6 +25,8 @@ exponent's critical path is those fills.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 DEFAULT_SEED = 0xC0FFEE
@@ -34,11 +36,14 @@ _BLOCK_STREAM = 0xB10C
 
 def derive_rng(seed: int, *indices: int) -> np.random.Generator:
     """Generator seeded from (seed, index, ...).  A seed is one 64-bit word:
-    outside [0, 2^64) two seeds would make one stream, so it raises."""
-    seed = int(seed)
+    outside [0, 2^64) two seeds would make one stream, so it raises
+    ValueError.  The seed and the indices are integers (``operator.index``):
+    any other number raises TypeError, where ``int`` would put 2.7 on seed
+    2's stream."""
+    seed = operator.index(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2^64)")
-    entropy = [seed, *(int(i) for i in indices)]
+    entropy = [seed, *map(operator.index, indices)]
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 
 

@@ -18,14 +18,14 @@ candidates from a table of arrivals, screens each at t_{j-1}, where on a
 dense grid nearly every rejected candidate already reaches the field (a
 spectral law's on a product lattice also one step back along each slower
 axis), scores the few left on all m locations, and advances past the
-first one kept.  An ensemble runs the passes of all its replicates in
-lockstep; one field runs them alone, with scalar cursors, and gets the
-same bits.  It works in log space and exponentiates once, so a single
-huge value cannot overflow intermediate arithmetic.  ``n_points`` is a
-loop guard, not a truncation: the most spectral draws at one grid
-location; a field that needs more raises ValueError.  The moving-maxima
-construction uses an exact-on-grid stopping rule with an explicit
-edge-error bound.
+first one kept.  One scan state serves two drivers: an ensemble runs the
+passes of all its replicates in lockstep, one field runs them on its row
+of the same state, with scalar cursors, and gets the same bits.  It
+works in log space and exponentiates once, so a single huge value cannot
+overflow intermediate arithmetic.  ``n_points`` is a loop guard, not a
+truncation: the most spectral draws at one grid location; a field that
+needs more raises ValueError.  The moving-maxima construction uses an
+exact-on-grid stopping rule with an explicit edge-error bound.
 
 Each construction is prepared once per grid by its ``prepare_*``
 function, into a ``PreparedLaw`` that holds what all its fields share (phi
@@ -34,7 +34,7 @@ Brown-Resnick increments, or moving maxima's checked Sigma, buffer and
 window).  Its ``simulate(rng)`` draws one field and its
 ``simulate_many(seed, indices)`` a whole ensemble; ``simulate_*`` draw one
 field.  Both run one scan per construction, over the replicates of a
-block layout; for the engine, the layout picks the scan: one field's
+block layout; for the engine, the layout picks the driver: one field's
 one-slot block takes the scalar one, anything else the lockstep one.
 
 Randomness layout.  Replicates come in blocks of W slots that share one
@@ -44,12 +44,11 @@ block)``; one field is the one replicate of a one-slot block on its own
 generator.  A block draws for all its slots, and a slot reads only its
 own share, so a replicate's field depends only on its stream and slot
 (for an ensemble on (seed, k)), not on which or how many replicates are
-asked for, nor their order, nor on which of the engine's two scans runs
-it: the one-slot scan reads its block's streams as the lockstep scan
-does.  The engine splits a block's stream into an arrival and a spectral
-stream, ``spawn(stream, 2)``; Brown-Resnick takes a third, a completion
-stream, from ``spawn(stream, 3)``, whose first two children are the same
-two, so no other construction's streams move.  The arrival stream is read in blocks of standard exponentials, each (W,
+asked for, nor their order.  The engine splits a block's stream into an
+arrival and a spectral stream, ``spawn(stream, 2)``; Brown-Resnick takes
+a third, a completion stream, from ``spawn(stream, 3)``, whose first two
+children are the same two, so no other construction's streams move.  The
+arrival stream is read in blocks of standard exponentials, each (W,
 _ARRIVALS, m): arrival c at t_j of slot s is entry (s, c, j) of a table
 that grows by _ARRIVALS arrivals at a time, and Gamma its running sum
 over c.  The table starts _ARRIVALS deep and grows, for every slot and
@@ -276,14 +275,18 @@ class _Blocks:
     ``stream(block)``."""
 
     def __init__(self, indices, stream, width):
-        blocks, self.slot = np.divmod(np.asarray(indices), width)
+        blocks, slot = np.divmod(np.asarray(indices), width)
         block_ids = sorted(set(blocks.tolist()))
         self.owner = np.searchsorted(block_ids, blocks)
         self.streams = [stream(b) for b in block_ids]
         self.width = width
+        # one block whose every slot is asked for, in order, owns its draws as they come
+        whole = len(block_ids) == 1 and slot.size == width and slot.tolist() == list(range(width))
+        self.slot = slice(None) if whole else slot
 
     def own(self, draws):
-        """Each replicate's slot of per-block draws whose leading axis is the slot."""
+        """Each replicate's slot of per-block draws whose leading axis is the
+        slot: a view of them for one whole block in order, else a copy."""
         if len(draws) == 1:
             return draws[0][self.slot]  # one block: not stacked first
         return np.array(draws)[self.owner, self.slot]
@@ -300,14 +303,13 @@ class _Dealt:
     row) i of a slot is value i * width + slot of its block's stream.
     take(n, stream) reads a stream's next n values.  They are read in whole
     rounds of width: one round first, and then what a replicate is short of,
-    or more, up to as many rounds as the buffer holds or a block's share of
+    or more, up to as many rounds as were read before or a block's share of
     _BATCH_CELLS.  That does not change what a slot reads.  The buffer keeps
     only what some replicate may still read."""
 
     def __init__(self, blocks, streams, take):
         self.blocks, self.streams, self.take = blocks, streams, take
-        self.values = self._read(1)
-        self.first, self.filled = 0, 1  # the slot index of values[:, 0], and columns read
+        self.values, self.first = self._read(1), 0  # the slot index of values[:, 0]
         self.most = max(1, _block_share(self.values[0, 0].size, blocks))
 
     def _read(self, rounds):
@@ -320,21 +322,23 @@ class _Dealt:
     def at(self, replicates, index, low):
         """Value index[i] of replicate replicates[i]'s slot; no replicate
         reads below ``low`` any more."""
-        short = int(index.flat[index.argmax()]) + 1 - self.first - self.filled if index.size else 0
-        if short > 0:
-            more = self._read(max(short, min(self.filled, self.most)))
-            keep = self.filled - (low - self.first)
-            if self.filled + len(more[0]) > self.values.shape[1]:
-                # move what is kept to the front, into a larger buffer if need be
-                size = max(self.values.shape[1], 2 * (keep + len(more[0])))
-                kept = self.values[:, self.filled - keep:self.filled]
-                if size > self.values.shape[1]:
-                    self.values = np.empty((len(kept), size, *kept.shape[2:]))
-                self.values[:, :keep] = kept
-                self.first, self.filled = low, keep
-            self.values[:, self.filled:self.filled + len(more[0])] = more
-            self.filled += len(more[0])
+        if index.size:
+            self._cover(int(index.flat[index.argmax()]) + 1, low)
         return self.values[replicates, index - self.first]
+
+    def rows_of(self, replicate, lo, hi):
+        """Values lo .. hi - 1 of one replicate's slot, as a view; no
+        replicate reads below lo any more."""
+        self._cover(hi, lo)
+        return self.values[replicate, lo - self.first:hi - self.first]
+
+    def _cover(self, end, low):
+        """Read on until the buffer holds every slot's values below ``end``,
+        and drop those below ``low``."""
+        read = self.first + self.values.shape[1]
+        if end > read:
+            more = self._read(max(end - read, min(read, self.most)))
+            self.values, self.first = np.concatenate([self.values[:, low - self.first:], more], axis=1), low
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +347,8 @@ class _Dealt:
 
 # A construction's candidates for the engine (see _extremal_log_fields):
 # draw(n, rng) gives n base rows; log_y(rows, js[, paths]) the (n, m) log Y,
-# row r tilted at t_{js[r]}; screen(rows, js[, cols]) row r's log Y at
+# row r tilted at t_{js[r]}, for a batch of t_0's first candidates (js all
+# 0) or of none of them; screen(rows, js[, cols]) row r's log Y at
 # t_{js[r] - 1}, or at t_{cols[r]} if cols are given, log_y's entry bit for
 # bit; complete(n, rng) n completion rows, or None; witnesses, the offsets
 # s > 1 at which the engine also screens, cols = js - s (none unless given;
@@ -378,45 +383,28 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
     candidate it scores in full (t_0's first, and each that passes the
     screen), in candidate order.
 
-    The scan runs in passes of four stages (``_Scan``).  The layout picks
-    the scan: one replicate in a one-slot block (one field) runs the passes
-    with scalar cursors (``_one_slot_log_field``), every other layout (an
-    ensemble) runs them on all its running replicates in lockstep
-    (``_lockstep_log_fields``), with the same log Z and counts bit for bit.
-    A replicate's passes depend on nothing but its own draws, so neither do
-    its counts.  Returns log Z (R, m) and, per replicate, the spectral
-    draws, the rejections and the rows scored in full.
+    The scan runs in passes of four stages on one state (``_Scan``), driven
+    one of two ways, as the layout picks: one replicate in a one-slot block
+    (one field) runs the passes with scalar cursors (``_Scan.one_field``),
+    every other layout (an ensemble) runs them on all its running
+    replicates in lockstep (``_Scan.lockstep``), with the same log Z and
+    counts bit for bit.  A replicate's passes depend on nothing but its own
+    draws, so neither do its counts.  Returns log Z (R, m) and, per
+    replicate, the spectral draws, the rejections and the rows scored in
+    full.
     """
-    if blocks.width == 1 and blocks.slot.size == 1:
-        return _one_slot_log_field(m, sampler, n_points, blocks.streams[0])
-    return _lockstep_log_fields(m, sampler, n_points, blocks)
-
-
-def _lockstep_log_fields(m, sampler, n_points, blocks):
-    """``_extremal_log_fields`` by the passes of ``_Scan``, all replicates at once."""
     scan = _Scan(m, sampler, n_points, blocks)
-    while scan.run.ids.size:
-        cand, ahead, over = scan.list()
-        survivors, x = scan.screen(cand)
-        scan.advance(ahead, over, survivors, scan.score(survivors, x))
+    if blocks.width == 1 and blocks.owner.size == 1:
+        scan.one_field()
+    else:
+        scan.lockstep()
     return scan.log_z, {"spectral_draws": scan.draws, "rejections": scan.rejections, "full_scores": scan.scored}
-
-
-def _arrival_layer(layer, gamma):
-    """The arrival table's next layer from a (..., _ARRIVALS, m) layer of
-    standard exponentials, in place: log zeta = -log Gamma, Gamma summing on
-    from ``gamma``, the Gamma of the last arrival at each location; returns
-    the layer and its own last Gamma."""
-    layer[..., 0, :] += gamma
-    np.cumsum(layer, axis=-2, out=layer)
-    gamma = layer[..., -1, :].copy()
-    np.negative(np.log(layer, out=layer), out=layer)
-    return layer, gamma
 
 
 class _Scan:
     """The state a pass's stages share: the arrival table, the dealt streams,
-    log Z, the per-replicate counts and the running record ``run``."""
+    log Z, the per-replicate counts and the running record ``run``; and its
+    two drivers, ``lockstep`` and ``one_field``."""
 
     def __init__(self, m, sampler, n_points, blocks):
         self.m, self.sampler, self.n_points, self.blocks = m, sampler, n_points, blocks
@@ -425,33 +413,41 @@ class _Scan:
         self.rows = _Dealt(blocks, spectral, sampler.draw)
         self.paths = _Dealt(blocks, completion[0], sampler.complete) if completion else None
         # a block's pass lists at most _BATCH_CELLS base-row entries and locations
-        self.list_cap = max(_ARRIVALS, _block_share(self.rows.values[0, 0].size, blocks))
+        self.list_cap = max(_ARRIVALS, self.rows.most)
         self.span = max(_ARRIVALS, _block_share(1, blocks))
         self.score_cap = max(1, _block_share(m, blocks))
-        n_rep = blocks.slot.size
+        n_rep = blocks.owner.size
         # the arrival table: entry (r, c, j) is log zeta = -log Gamma of arrival c at t_j
-        self.table, self.gamma = np.empty((n_rep, 0, m)), np.zeros((n_rep, m))
+        self.table, self.gamma = None, 0.0  # the first layer sums from Gamma = 0
         self.grow()
-        # t_0's first candidate is kept: nothing comes before it
-        ids, zero = np.arange(n_rep), np.zeros(n_rep, np.int64)
-        first = (self.paths.at(ids, zero, 0),) if self.paths else ()
-        self.log_z = self.table[:, 0, :1] + sampler.log_y(self.rows.at(ids, zero, 0), zero, *first)
+        # t_0's first candidate is kept: nothing comes before it; its rows
+        # are the first round the streams are dealt in
+        zero = np.zeros(n_rep, np.int64)
+        first = (self.paths.values[:, 0],) if self.paths else ()
+        self.log_z = self.table[:, 0, :1] + sampler.log_y(self.rows.values[:, 0], zero, *first)
         # table arrivals above Z at each location, and none past the grid
         self.above = np.zeros((n_rep, m + min(self.span, m)), np.int64)
         self.above[:, :m] = (self.table > self.log_z[:, None]).sum(axis=1)
-        self.draws, self.rejections, self.scored = zero + 1, zero.copy(), zero + 1
+        self.draws, self.rejections, self.scored = zero + 1, zero, zero + 1
+        # every replicate at t_1, past one base and one completion row; the
+        # stages write no cursor in place, so the ones may share an array
         n = n_rep if m > 1 else 0
-        self.run = _Running(ids[:n], np.ones(n, np.int64), *(np.zeros(n, np.int64) + k for k in (0, 1, 1)))
+        one = np.ones(n, np.int64)
+        self.run = _Running(np.arange(n), one, one - 1, one, one)
 
     def grow(self):
         """Append the arrival table's next _ARRIVALS arrivals at every
         location, read from every block's arrival stream, and return them;
         ``gamma`` is the Gamma of the last arrival at each location, which
         the next ones sum on from."""
-        exponentials = self.blocks.own([e.exponential(size=(self.blocks.width, _ARRIVALS, self.m))
-                                        for e in self.arrivals])
-        layer, self.gamma = _arrival_layer(exponentials, self.gamma)
-        self.table = np.concatenate([self.table, layer], axis=1)
+        layer = self.blocks.own([e.standard_exponential((self.blocks.width, _ARRIVALS, self.m))
+                                 for e in self.arrivals])
+        # Gamma's running sum, row by row: np.cumsum along axis 1 takes several times as long
+        for c in range(_ARRIVALS):
+            layer[:, c] += layer[:, c - 1] if c else self.gamma
+        self.gamma = layer[:, -1].copy()
+        np.negative(np.log(layer, out=layer), out=layer)
+        self.table = layer if self.table is None else np.concatenate([self.table, layer], axis=1)
         return layer
 
     def list(self):
@@ -622,122 +618,98 @@ class _Scan:
         go = ahead.loc < self.m
         self.run = ahead if go[go.argmin()] else _Running(*(a[go] for a in ahead))
 
+    def lockstep(self):
+        """The passes of all running replicates at once, until none runs."""
+        while self.run.ids.size:
+            cand, ahead, over = self.list()
+            survivors, x = self.screen(cand)
+            self.advance(ahead, over, survivors, self.score(survivors, x))
 
-class _Rows:
-    """One stream's rows in order, for one replicate: rows(lo, hi) gives rows
-    lo .. hi - 1, none below lo is read again.  The stream is read ahead,
-    which does not change what a row holds."""
-
-    def __init__(self, take, stream):
-        self.take, self.stream = take, stream
-        self.values, self.first = take(1, stream), 0
-        self.most = max(1, _BATCH_CELLS // max(1, self.values[0].size))
-
-    def rows(self, lo, hi):
-        have = self.first + len(self.values)
-        if hi > have:
-            more = self.take(max(hi - have, min(have, self.most)), self.stream)
-            self.values, self.first = np.concatenate([self.values[lo - self.first:], more]), lo
-        return self.values[lo - self.first:hi - self.first]
-
-
-def _one_slot_log_field(m, sampler, n_points, stream):
-    """``_extremal_log_fields`` for the one replicate of a one-slot block on
-    ``stream``: the passes of ``_Scan`` with its cursors as Python ints.
-
-    It reads what ``_Scan`` reads on that block, in the same order and in
-    the same batches: the streams of ``spawn(stream, 2 or 3)``, the arrival
-    table in layers of _ARRIVALS, base rows and then completion rows in
-    candidate order, the same lists, screens and score slices.  So log Z
-    and the counts are ``_Scan``'s bit for bit, and an ensemble keeps the
-    lockstep scan, whose bookkeeping pays off over many replicates.
-    """
-    arrivals, spectral, *completion = spawn(stream, 3 if sampler.complete else 2)
-    rows = _Rows(sampler.draw, spectral)
-    paths = _Rows(sampler.complete, completion[0]) if completion else None
-    list_cap = max(_ARRIVALS, _BATCH_CELLS // max(1, rows.values[0].size))
-    span = max(_ARRIVALS, _BATCH_CELLS)
-    score_cap = max(1, _BATCH_CELLS // m)
-    # the arrival table: entry (c, j) is log zeta = -log Gamma of arrival c at t_j
-    table, gamma = _arrival_layer(arrivals.exponential(size=(1, _ARRIVALS, m))[0], np.zeros(m))
-    # t_0's first candidate is kept: nothing comes before it
-    first = (paths.rows(0, 1),) if paths else ()
-    log_z = table[0, 0] + sampler.log_y(rows.rows(0, 1), np.zeros(1, np.int64), *first)[0]
-    above = (table > log_z).sum(axis=0)  # table arrivals above Z at each location
-    draws, rejections, scored = 1, 0, 1
-    # the cursors: location t_j, its arrivals listed so far, the next base and completion rows
-    j, at_j, next_row, next_path = 1, 0, 1, 1
-    while j < m:
-        depth = len(table)
-        if at_j == depth:
-            layer, gamma = _arrival_layer(arrivals.exponential(size=(1, _ARRIVALS, m))[0], gamma)
-            table = np.concatenate([table, layer])
-            above += (layer > log_z).sum(axis=0)
-            depth += _ARRIVALS
-        # list: one window of locations, as if none were kept (``_Scan.list``)
-        counts = above[j:j + span].copy()
-        stop = int((counts == depth).argmax())
-        full = counts[stop] == depth
-        stop = stop + 1 if full else counts.size
-        end = stop
-        counts[0] -= at_j
-        if depth * counts.size > list_cap:
-            end = min(end, max(1, int(counts[:end].cumsum().searchsorted(list_cap, "right"))))
-        over = False
-        if n_points < depth:
-            left = np.full(end, n_points)
-            left[0] -= at_j
-            beyond = counts[:end] > left
-            over = bool(beyond.any())
-            if over:
-                end = int(beyond.argmax()) + 1
-            counts[:end] = np.minimum(counts[:end], left[:end])
-        full = full and end == stop
-        counts = counts[:end]
-        listed = int(counts.sum())
-        locs = np.repeat(np.arange(j, j + end), counts)
-        c = np.arange(listed) - np.repeat(counts.cumsum() - counts, counts)
-        c[:counts[0]] += at_j
-        log_zeta = table[c, locs]
-        x = rows.rows(next_row, next_row + listed)
-        # screen (``_Scan.screen``)
-        live = (log_zeta + sampler.screen(x, locs) < log_z[locs - 1]).nonzero()[0]
-        for s in sampler.witnesses:
-            back = np.maximum(locs[live] - s, 0)
-            live = live[log_zeta[live] + sampler.screen(x[live], locs[live], back) < log_z[back]]
-        x = x[live]
-        # score in slices of 1, 2, 4, ... (``_Scan.score``): k, the first kept survivor
-        k, lo, size = -1, 0, 1
-        while k < 0 and lo < live.size:
-            part = live[lo:lo + size]
-            extra = (paths.rows(next_path + lo, next_path + lo + part.size),) if paths else ()
-            at = locs[part]
-            scored += part.size
-            cand = log_zeta[part, None] + sampler.log_y(x[lo:lo + size], at, *extra)
-            kept = ((cand >= log_z).argmax(axis=1) == at).nonzero()[0]
-            if kept.size:
-                k = lo + int(kept[0])
-                log_z = np.maximum(log_z, cand[kept[0]])
-                i = int(at[kept[0]])  # Z changed only from here on
-                above[i:] = (table[:, i:] > log_z[i:]).sum(axis=0)
-            lo += size
-            size = min(2 * size, score_cap)
-        # advance (``_Scan.advance``)
-        if k >= 0:
-            used = int(live[k]) + 1
-            j, at_j, next_path = int(locs[live[k]]) + 1, 0, next_path + k + 1
-        elif over:
-            raise ValueError(f"grid location {j + end - 1} needs more than n_points = "
-                             f"{n_points} spectral draws")
-        else:
-            # a full last location stays, to read on in the next layer
-            used, next_path = listed, next_path + live.size
-            j, at_j = (j + end - 1, depth) if full else (j + end, 0)
-        next_row += used
-        draws += used
-        rejections += used - (k >= 0)
-    counts = {"spectral_draws": draws, "rejections": rejections, "full_scores": scored}
-    return log_z[None], {key: np.array([value]) for key, value in counts.items()}
+    def one_field(self):
+        """The passes of a one-slot block's one replicate, with its cursors
+        as Python ints, on its row of the state: the table, log Z and
+        ``above`` in place, the rows from the dealt streams, and the caps and
+        the table's growth of the lockstep passes.  It lists, screens and
+        scores what they do, in the same slices, and reads the same rows, so
+        log Z and the counts are theirs bit for bit; their bookkeeping pays
+        off only over many replicates."""
+        if not self.run.ids.size:
+            return  # one location: t_0's first candidate is the field
+        m, sampler, n_points = self.m, self.sampler, self.n_points
+        log_z, above = self.log_z[0], self.above[0, :m]
+        draws = rejections = scored = 0
+        # the cursors: location t_j, its arrivals listed so far, the next base and completion rows
+        j, at_j, next_row, next_path = (int(cursor[0]) for cursor in self.run[1:])
+        while j < m:
+            if at_j == self.table.shape[1]:
+                above += (self.grow()[0] > log_z).sum(axis=0)
+            table = self.table[0]
+            depth = len(table)
+            # list: one window of locations, as if none were kept
+            counts = above[j:j + self.span].copy()
+            stop = int((counts == depth).argmax())
+            full = counts[stop] == depth
+            stop = stop + 1 if full else counts.size
+            end = stop
+            counts[0] -= at_j
+            if depth * counts.size > self.list_cap:
+                end = min(end, max(1, int(counts[:end].cumsum().searchsorted(self.list_cap, "right"))))
+            over = False
+            if n_points < depth:
+                left = np.full(end, n_points)
+                left[0] -= at_j
+                beyond = counts[:end] > left
+                over = bool(beyond.any())
+                if over:
+                    end = int(beyond.argmax()) + 1
+                counts[:end] = np.minimum(counts[:end], left[:end])
+            full = full and end == stop
+            counts = counts[:end]
+            listed = int(counts.sum())
+            locs = np.repeat(np.arange(j, j + end), counts)
+            c = np.arange(listed) - np.repeat(counts.cumsum() - counts, counts)
+            c[:counts[0]] += at_j
+            log_zeta = table[c, locs]
+            x = self.rows.rows_of(0, next_row, next_row + listed)
+            # screen
+            live = (log_zeta + sampler.screen(x, locs) < log_z[locs - 1]).nonzero()[0]
+            for s in sampler.witnesses:
+                back = np.maximum(locs[live] - s, 0)
+                live = live[log_zeta[live] + sampler.screen(x[live], locs[live], back) < log_z[back]]
+            x = x[live]
+            # score in slices of 1, 2, 4, ...: k, the first kept survivor
+            k, lo, size = -1, 0, 1
+            while k < 0 and lo < live.size:
+                part = live[lo:lo + size]
+                extra = (self.paths.rows_of(0, next_path + lo, next_path + lo + part.size),) if self.paths else ()
+                at = locs[part]
+                scored += part.size
+                cand = log_zeta[part, None] + sampler.log_y(x[lo:lo + size], at, *extra)
+                kept = ((cand >= log_z).argmax(axis=1) == at).nonzero()[0]
+                if kept.size:
+                    k = lo + int(kept[0])
+                    np.maximum(log_z, cand[kept[0]], out=log_z)
+                    i = int(at[kept[0]])  # Z changed only from here on
+                    above[i:] = (table[:, i:] > log_z[i:]).sum(axis=0)
+                lo += size
+                size = min(2 * size, self.score_cap)
+            # advance
+            if k >= 0:
+                used = int(live[k]) + 1
+                j, at_j, next_path = int(locs[live[k]]) + 1, 0, next_path + k + 1
+            elif over:
+                raise ValueError(f"grid location {j + end - 1} needs more than n_points = "
+                                 f"{n_points} spectral draws")
+            else:
+                # a full last location stays, to read on in the next layer
+                used, next_path = listed, next_path + live.size
+                j, at_j = (j + end - 1, depth) if full else (j + end, 0)
+            next_row += used
+            draws += used
+            rejections += used - (k >= 0)
+        self.draws += draws
+        self.rejections += rejections
+        self.scored += scored
 
 
 class PreparedLaw(Frozen):
@@ -764,7 +736,7 @@ class PreparedLaw(Frozen):
         whose row r is replicate indices[r] on the grid, and one record of
         the law, the seed and the per-replicate counts.  A replicate's row
         depends only on (seed, index): see the module docstring's layout."""
-        blocks = _Blocks(replicate_indices(indices), lambda block: block_rng(int(seed), block), _REPLICATE_BLOCK)
+        blocks = _Blocks(replicate_indices(indices), lambda block: block_rng(seed, block), _REPLICATE_BLOCK)
         log_z, counts = self.scan(blocks)
         values = self._exp(log_z)
         _check_values(values)
@@ -1089,16 +1061,15 @@ def _brown_resnick_sampler(variogram: Variogram, grid: Grid):
 
     def log_y(rows, js, z):
         g = inc.paths(z)
-        d = g - g[np.arange(len(js)), js][:, None]  # D~, exactly 0 at t_j
+        n = np.arange(len(js))
+        d = g - g[n, js][:, None]  # D~, exactly 0 at t_j
         g_j = gamma[js]
-        up = js.nonzero()[0]  # t_0's first candidate has no screen
-        if up.size:
-            j = js[up]
-            g1 = g_j[up, j - 1]
-            s = np.sqrt(g1) * rows[up, 0]
-            k = 0.5 * (g_j[up] + g1[:, None] - gamma[j - 1])
-            d[up] += k * ((s - d[up, j - 1]) / g1)[:, None]
-            d[up, j - 1] = s
+        if js.all():  # else t_0's first candidates, which have no screen
+            g1 = g_j[n, js - 1]
+            s = np.sqrt(g1) * rows[:, 0]
+            k = 0.5 * (g_j + g1[:, None] - gamma[js - 1])
+            d += k * ((s - d[n, js - 1]) / g1)[:, None]
+            d[n, js - 1] = s
         return d - 0.5 * g_j
 
     return _Sampler(draw, log_y, screen, complete), inc.kind
@@ -1157,7 +1128,10 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
     if lam_min <= 0:
         raise ValueError("moving-maxima representation requires nonsingular Sigma")
     c = math.sqrt(float(np.linalg.det(sigma))) / (2.0 * math.pi) ** (sigma.shape[0] / 2.0)
-    log_c = math.log(c) if c > 0 else -math.inf
+    if not c > 0.0:
+        raise ValueError("moving-maxima kernel constant c = det(Sigma)^1/2 / (2 pi)^{d/2} underflows to 0 "
+                         "though Sigma is nonsingular, so every storm is 0 and the stopping rule is out of reach")
+    log_c = math.log(c)
     grid_pts = grid.locations
     if len(sigma) != grid.dim:
         raise ValueError(f"expected points in R^{len(sigma)}, got shape {grid_pts.shape}")
@@ -1199,7 +1173,7 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
             return (stream.exponential(size=(blocks.width, _STORM_STEP)),
                     window[:, 0] + widths * stream.random((blocks.width, _STORM_STEP, grid.dim)))
 
-        n_rep = blocks.slot.size
+        n_rep = blocks.owner.size
         best = np.full((n_rep, grid.size), -np.inf)
         gamma_total = np.zeros(n_rep)
         n_storms = np.zeros(n_rep, dtype=np.int64)

@@ -17,12 +17,15 @@ from maxstable.spectral import Exponential, Gamma, Gaussian, Uniform, clamp_psd
 class StubRng:
     """Deterministic generator stand-in for construction-level tests.
 
-    exponential -> ones (so cascades become 1, 1/2, 1/3, ...),
-    standard_normal -> zeros, uniform -> interval midpoints, random -> 0.5.
+    exponential and standard_exponential -> ones (so cascades become 1,
+    1/2, 1/3, ...), standard_normal -> zeros, uniform -> interval
+    midpoints, random -> 0.5.
     """
 
     def exponential(self, size=None):
         return np.ones(size if size is not None else ())
+
+    standard_exponential = exponential
 
     def standard_normal(self, shape=None):
         return np.zeros(shape if shape is not None else ())

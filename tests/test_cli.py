@@ -318,6 +318,22 @@ def test_moving_maxima_on_a_grid_its_kernel_cannot_span_is_rejected_before_any_s
                    "has a Mahalanobis form that overflows, so no storm reaches both ends of the grid\n")
 
 
+def test_moving_maxima_whose_kernel_constant_underflows_is_rejected_before_any_storm(capsys):
+    # det Sigma = 1e-400 is 0 in double precision though Sigma is
+    # nonsingular: c = 0 would make every storm 0, so no number of storms
+    # could reach the stopping rule; none is drawn
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--construction", "mmm", "--sigma", "1e-200,0,0,1e-200", "--grid", "0,0;1,1",
+                     "--seed", "1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == ("numeric error: moving-maxima kernel constant c = det(Sigma)^1/2 / (2 pi)^{d/2} underflows "
+                   "to 0 though Sigma is nonsingular, so every storm is 0 and the stopping rule is out of reach\n")
+
+
 @pytest.mark.parametrize("sigma, grid, log10_cw", [("1", "0,1e154", "153.6"), ("1e300", "0,1", "149.6")])
 def test_moving_maxima_window_the_storm_cap_cannot_cover_is_rejected_before_any_storm(sigma, grid, log10_cw,
                                                                                        capsys):

@@ -24,3 +24,21 @@ def test_a_seed_outside_one_64_bit_word_raises(seed):
         block_rng(seed, 0)
     with pytest.raises(ValueError, match=re.escape(f"seed {seed} is outside [0, 2^64)")):
         prepare_smith([[1.0]], Grid([0.0, 1.0]), 10_000).simulate_many(seed, range(3))
+
+
+@pytest.mark.parametrize("seed, indices", [(2.7, ()), (np.float64(3.9), ()), (2, (1.5,))])
+def test_a_seed_or_index_that_is_no_integer_raises(seed, indices):
+    # int() would truncate it onto an integer's streams: seed 2.7 would draw seed 2's
+    with pytest.raises(TypeError):
+        derive_rng(seed, *indices)
+    with pytest.raises(TypeError):
+        block_rng(seed, *(indices or (0,)))
+    if not indices:
+        with pytest.raises(TypeError):
+            prepare_smith([[1.0]], Grid([0.0, 1.0]), 10_000).simulate_many(seed, range(3))
+
+
+def test_a_numpy_integer_seed_is_its_integer():
+    law = prepare_smith([[1.0]], Grid([0.0, 1.0]), 10_000)
+    assert derive_rng(np.int64(7), np.int64(2)).random() == derive_rng(7, 2).random()
+    assert np.array_equal(law.simulate_many(np.int64(7), range(3))[0], law.simulate_many(7, range(3))[0])

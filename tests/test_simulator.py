@@ -203,14 +203,14 @@ def test_a_location_past_the_table_reads_its_next_layer(monkeypatch):
     # with a one-arrival table every rejected candidate makes its location
     # read on, in the table's next layer; the textbook loop reads it too
     monkeypatch.setattr(simulator, "_ARRIVALS", 1)
-    depths, layer = [], simulator._arrival_layer
+    depths, grow = [], simulator._Scan.grow
 
-    def counted(exponentials, gamma):
-        # the table's depth in layers: a field's first layer sums on from Gamma = 0
-        depths.append(depths[-1] + 1 if gamma.any() else 1)
-        return layer(exponentials, gamma)
+    def counted(scan):
+        layer = grow(scan)
+        depths.append(scan.table.shape[1] // simulator._ARRIVALS)
+        return layer
 
-    monkeypatch.setattr(simulator, "_arrival_layer", counted)
+    monkeypatch.setattr(simulator._Scan, "grow", counted)
     rejections = 0
     for case in ("gaussian", "gamma", "smith", "smith-201"):
         dist, kappa, grid = REFERENCE_CASES[case]
@@ -1137,6 +1137,13 @@ def scan_outcome(scan):
     return log_z.tobytes(), {key: value.tolist() for key, value in counts.items()}
 
 
+def one_slot_scan(driver, m, sampler, n_points, seed):
+    """log Z and the counts of a scan of the one-slot block on derive_rng(seed), run by ``driver``."""
+    scan = simulator._Scan(m, sampler, n_points, simulator._Blocks([0], lambda block: derive_rng(seed), 1))
+    driver(scan)
+    return scan.log_z, {"spectral_draws": scan.draws, "rejections": scan.rejections, "full_scores": scan.scored}
+
+
 ONE_SLOT_LAWS = {
     **{case: (lambda case=case: prepare_general(*REFERENCE_CASES[case], DEFAULT_N_POINTS))
        for case in ("gaussian", "exp", "gamma", "uniform", "smith", "smith-201")},
@@ -1174,9 +1181,8 @@ def test_one_field_scan_is_the_lockstep_scan_on_its_one_slot_block(monkeypatch, 
     m, sampler, n_points = engine_inputs(monkeypatch, ONE_SLOT_LAWS[law]())
     raised = 0
     for seed in range(50):
-        one = scan_outcome(lambda: simulator._one_slot_log_field(m, sampler, n_points, derive_rng(seed)))
-        lockstep = scan_outcome(lambda: simulator._lockstep_log_fields(
-            m, sampler, n_points, simulator._Blocks([0], lambda block: derive_rng(seed), 1)))
+        one = scan_outcome(lambda: one_slot_scan(simulator._Scan.one_field, m, sampler, n_points, seed))
+        lockstep = scan_outcome(lambda: one_slot_scan(simulator._Scan.lockstep, m, sampler, n_points, seed))
         assert one == lockstep
         raised += isinstance(one, str)
     assert (raised > 0) == ("n-points" in law)
