@@ -24,8 +24,12 @@ of the same state, with scalar cursors, and gets the same bits.  It
 works in log space and exponentiates once, so a single huge value cannot
 overflow intermediate arithmetic.  ``n_points`` is a loop guard, not a
 truncation: the most spectral draws at one grid location; a field that
-needs more raises ValueError.  The moving-maxima construction uses an
-exact-on-grid stopping rule with an explicit edge-error bound.
+needs more raises ValueError, naming the location and its point.  A pass
+lists its candidates without regard to it; each driver checks it once, on
+the candidates the pass uses (up to the first one kept), so a field
+raises where the location by location loop does.  The moving-maxima
+construction uses an exact-on-grid stopping rule with an explicit
+edge-error bound.
 
 Each construction is prepared once per grid by its ``prepare_*``
 function, into a ``PreparedLaw`` that holds what all its fields share (phi
@@ -368,10 +372,10 @@ _Candidates = namedtuple("_Candidates", "rep loc log_zeta row path", defaults=(N
 _Running = namedtuple("_Running", "ids loc at_loc next_row next_path")
 
 
-def _extremal_log_fields(m, sampler, n_points, blocks):
-    """log Z on m grid locations of every replicate of ``blocks`` (the
-    module docstring's layout), exactly, by extremal functions (Dombry,
-    Engelke & Oesting, Biometrika 2016, Algorithm 2).
+def _extremal_log_fields(points, sampler, n_points, blocks):
+    """log Z on the m grid locations ``points`` of every replicate of
+    ``blocks`` (the module docstring's layout), exactly, by extremal
+    functions (Dombry, Engelke & Oesting, Biometrika 2016, Algorithm 2).
 
     Location t_j runs its own Poisson process of arrivals zeta = 1 / Gamma
     while zeta > Z(t_j).  Each arrival is a candidate zeta * Y, where
@@ -393,7 +397,7 @@ def _extremal_log_fields(m, sampler, n_points, blocks):
     replicate, the spectral draws, the rejections and the rows scored in
     full.
     """
-    scan = _Scan(m, sampler, n_points, blocks)
+    scan = _Scan(points, sampler, n_points, blocks)
     if blocks.width == 1 and blocks.owner.size == 1:
         scan.one_field()
     else:
@@ -406,8 +410,9 @@ class _Scan:
     log Z, the per-replicate counts and the running record ``run``; and its
     two drivers, ``lockstep`` and ``one_field``."""
 
-    def __init__(self, m, sampler, n_points, blocks):
-        self.m, self.sampler, self.n_points, self.blocks = m, sampler, n_points, blocks
+    def __init__(self, points, sampler, n_points, blocks):
+        m = len(points)
+        self.points, self.m, self.sampler, self.n_points, self.blocks = points, m, sampler, n_points, blocks
         streams = [spawn(stream, 3 if sampler.complete else 2) for stream in blocks.streams]
         self.arrivals, spectral, *completion = zip(*streams)
         self.rows = _Dealt(blocks, spectral, sampler.draw)
@@ -435,6 +440,11 @@ class _Scan:
         one = np.ones(n, np.int64)
         self.run = _Running(np.arange(n), one, one - 1, one, one)
 
+    def past_n_points(self, j):
+        """The error of a pass that uses a candidate past n_points at t_j."""
+        return ValueError(f"grid location {j} needs more than n_points = {self.n_points} spectral draws "
+                          f"(t = {self.points[j].tolist()})")
+
     def grow(self):
         """Append the arrival table's next _ARRIVALS arrivals at every
         location, read from every block's arrival stream, and return them;
@@ -452,7 +462,8 @@ class _Scan:
 
     def list(self):
         """The pass's candidate table, the running record as the pass leaves
-        each replicate that keeps none, and which ones reach past n_points.
+        each replicate that keeps none, and the listed candidates past
+        n_points at their location (None on a table no deeper than that).
 
         Z changes only when a candidate is kept, which is rare on a dense
         grid.  So a pass lists, for every running replicate, one window of
@@ -465,7 +476,8 @@ class _Scan:
         locations.  A replicate that lists every arrival of the table at a
         location, and keeps none, stays there, and the next pass first
         grows the table by _ARRIVALS arrivals.  So a replicate's list is one
-        run in the loop's order.
+        run in the loop's order.  Listing does not know n_points: ``advance``
+        checks it on the candidates the pass uses.
         """
         run, m = self.run, self.m
         if run.at_loc[run.at_loc.argmax()] == self.table.shape[1]:
@@ -489,15 +501,6 @@ class _Scan:
         if depth * cells.shape[1] > self.list_cap:  # else the window fits
             # t_j itself always fits, which a table deeper than list_cap needs
             end = np.minimum(end, np.maximum(1, (counts.cumsum(axis=1) <= self.list_cap).sum(axis=1)))
-        over = False
-        if self.n_points < depth:
-            # a location lists up to n_points candidates, with those of past passes
-            left = np.full(counts.shape, self.n_points)
-            left[:, 0] -= at_loc
-            beyond = (counts > left) & (np.arange(cells.shape[1]) < end[:, None])
-            over = beyond.any(axis=1)
-            end = np.where(over, beyond.argmax(axis=1) + 1, end)
-            np.minimum(counts, left, out=counts)
         full = has_full & (end == stop)
         cols = end[end.argmax()]
         counts = counts[:, :cols]
@@ -513,10 +516,13 @@ class _Scan:
         c = np.arange(cell.size) - start[cell]
         zeta = self.table.ravel()[(run.ids[rep] * depth + c) * m + locs]
         row = np.arange(rep.size) + (run.next_row - listed.cumsum() + listed)[rep]  # each candidate's base row
-        # a replicate with a candidate past n_points stays at its location, as
-        # does one that listed all its table arrivals there
-        ahead = _Running(run.ids, first + end - (full | over), np.where(full, depth, np.where(listing, 0, at_loc)),
+        # a replicate that listed all its table arrivals at a location stays there
+        ahead = _Running(run.ids, first + end - full, np.where(full, depth, np.where(listing, 0, at_loc)),
                          run.next_row + listed, run.next_path)
+        over = None
+        if self.n_points < depth:
+            late = c >= self.n_points
+            over = _Candidates(rep[late], locs[late], zeta[late], row[late])
         return _Candidates(rep, locs, zeta, row), ahead, over
 
     def screen(self, cand):
@@ -596,21 +602,21 @@ class _Scan:
 
         Up to that candidate every decision is the one the location by
         location loop makes; it sets Z(t_i) = zeta and so is t_i's last, and
-        the row and completion cursors move past it alone.
-        n_points is checked only for candidates the scan reaches: one past it
-        that a kept candidate pre-empts does not raise.
+        the row and completion cursors move past it alone.  Of the
+        candidates the pass uses, those below the new row cursors, the
+        first past n_points raises; one a kept candidate pre-empts does not.
         """
         run, s = self.run, survivors
-        over = (over & (found < 0)).nonzero()[0]
-        if over.size:
-            raise ValueError(f"grid location {ahead.loc[over[0]]} needs more than n_points = "
-                             f"{self.n_points} spectral draws")
         kept = (found >= 0).nonzero()[0]
         f = found[kept]
+        ahead.next_row[kept] = s.row[f] + 1
+        if over is not None:
+            late = (over.row < ahead.next_row[over.rep]).nonzero()[0]
+            if late.size:
+                raise self.past_n_points(over.loc[late[0]])
         if self.paths:
             ahead = ahead._replace(next_path=run.next_path + np.bincount(s.rep, minlength=run.ids.size))
             ahead.next_path[kept] = s.path[f] + 1
-        ahead.next_row[kept] = s.row[f] + 1
         ahead.loc[kept], ahead.at_loc[kept] = s.loc[f] + 1, 0
         used = ahead.next_row - run.next_row
         self.draws[run.ids] += used
@@ -632,7 +638,7 @@ class _Scan:
         the table's growth of the lockstep passes.  It lists, screens and
         scores what they do, in the same slices, and reads the same rows, so
         log Z and the counts are theirs bit for bit; their bookkeeping pays
-        off only over many replicates."""
+        off only over many replicates.  It checks n_points as ``advance`` does."""
         if not self.run.ids.size:
             return  # one location: t_0's first candidate is the field
         m, sampler, n_points = self.m, self.sampler, self.n_points
@@ -654,15 +660,6 @@ class _Scan:
             counts[0] -= at_j
             if depth * counts.size > self.list_cap:
                 end = min(end, max(1, int(counts[:end].cumsum().searchsorted(self.list_cap, "right"))))
-            over = False
-            if n_points < depth:
-                left = np.full(end, n_points)
-                left[0] -= at_j
-                beyond = counts[:end] > left
-                over = bool(beyond.any())
-                if over:
-                    end = int(beyond.argmax()) + 1
-                counts[:end] = np.minimum(counts[:end], left[:end])
             full = full and end == stop
             counts = counts[:end]
             listed = int(counts.sum())
@@ -697,13 +694,14 @@ class _Scan:
             if k >= 0:
                 used = int(live[k]) + 1
                 j, at_j, next_path = int(locs[live[k]]) + 1, 0, next_path + k + 1
-            elif over:
-                raise ValueError(f"grid location {j + end - 1} needs more than n_points = "
-                                 f"{n_points} spectral draws")
             else:
                 # a full last location stays, to read on in the next layer
                 used, next_path = listed, next_path + live.size
                 j, at_j = (j + end - 1, depth) if full else (j + end, 0)
+            if n_points < depth:
+                late = (c[:used] >= n_points).nonzero()[0]
+                if late.size:
+                    raise self.past_n_points(locs[late[0]])
             next_row += used
             draws += used
             rejections += used - (k >= 0)
@@ -759,7 +757,7 @@ def _engine_law(grid, sampler, n_points, provenance, shift=0.0) -> PreparedLaw:
         raise ValueError("n_points must be >= 1")
 
     def scan(blocks):
-        log_z, counts = _extremal_log_fields(grid.size, sampler, n_points, blocks)
+        log_z, counts = _extremal_log_fields(grid.locations, sampler, n_points, blocks)
         return log_z + shift, counts
 
     return PreparedLaw(grid, {**provenance, "n_points": n_points}, scan)
@@ -1127,10 +1125,13 @@ def prepare_moving_maxima(sigma, grid: Grid) -> PreparedLaw:
     lam_min = float(eigs.min())
     if lam_min <= 0:
         raise ValueError("moving-maxima representation requires nonsingular Sigma")
-    c = math.sqrt(float(np.linalg.det(sigma))) / (2.0 * math.pi) ** (sigma.shape[0] / 2.0)
-    if not c > 0.0:
-        raise ValueError("moving-maxima kernel constant c = det(Sigma)^1/2 / (2 pi)^{d/2} underflows to 0 "
-                         "though Sigma is nonsingular, so every storm is 0 and the stopping rule is out of reach")
+    with np.errstate(over="ignore", under="ignore"):  # c is checked below
+        c = math.sqrt(float(np.linalg.det(sigma))) / (2.0 * math.pi) ** (sigma.shape[0] / 2.0)
+    if not 0.0 < c < math.inf:
+        fault = ("underflows to 0 though Sigma is nonsingular, so every storm is 0" if c == 0.0 else
+                 "overflows the double range, as det(Sigma) does, so every storm is infinite")
+        raise ValueError(f"moving-maxima kernel constant c = det(Sigma)^1/2 / (2 pi)^{{d/2}} {fault} "
+                         "and the stopping rule is out of reach")
     log_c = math.log(c)
     grid_pts = grid.locations
     if len(sigma) != grid.dim:

@@ -273,6 +273,17 @@ def test_simulate_missing_required_parameter():
     assert main(["simulate", "--construction", "smith", "--grid", "0,1"]) == 2
 
 
+def test_verify_n_points_error_names_the_point_of_its_own_grid(capsys):
+    # verify adds the shifted points t_1 + h and t_2 + h (h = 0.25) to the
+    # grid 0, 0.5: location 2 is no point the user gave, so it is named
+    args = ["verify", "--dist", "exp:lambda=1", "--grid", "0,0.5", "--replicates", "100", "--budget", "5",
+            "--n-points", "5"]
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == "numeric error: grid location 2 needs more than n_points = 5 spectral draws (t = [0.25])\n"
+
+
 def test_simulate_n_points_bounds_the_draws_at_one_location(capsys):
     # with this seed the second grid location needs two spectral draws
     seed = seed_rejecting_once_at_location_1()
@@ -332,6 +343,23 @@ def test_moving_maxima_whose_kernel_constant_underflows_is_rejected_before_any_s
     assert out == "" and "Traceback" not in err
     assert err == ("numeric error: moving-maxima kernel constant c = det(Sigma)^1/2 / (2 pi)^{d/2} underflows "
                    "to 0 though Sigma is nonsingular, so every storm is 0 and the stopping rule is out of reach\n")
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e160"])
+def test_moving_maxima_whose_kernel_constant_overflows_is_rejected_before_any_storm(scale, capsys):
+    # every entry of Sigma is finite, but det Sigma = scale^2 is past the
+    # double range: c = inf would make every storm infinite; no determinant
+    # warning is printed and no storm is drawn
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--construction", "mmm", "--sigma", f"{scale},0,0,{scale}", "--grid", "0,0;1,1",
+                     "--seed", "1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("numeric error: moving-maxima kernel constant c = det(Sigma)^1/2 / (2 pi)^{d/2} overflows")
+    assert "every storm is 0" not in err
 
 
 @pytest.mark.parametrize("sigma, grid, log10_cw", [("1", "0,1e154", "153.6"), ("1e300", "0,1", "149.6")])

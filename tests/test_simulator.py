@@ -370,6 +370,48 @@ def test_ensemble_n_points_guard_and_overflow():
         simulator.prepare_general(dist, kappa, Grid([0.0, 1.0]), 10).simulate_many(1, [0])
 
 
+MULTI_SLOT_N_POINTS_LAWS = {
+    "exp": (REFERENCE_CASES["exp"][2],
+            lambda n: prepare_general(*REFERENCE_CASES["exp"], n),
+            lambda n, seed, k: general_block_reference(*REFERENCE_CASES["exp"], n, seed, k)),
+    "brown-resnick": (BR_LINE, lambda n: prepare_brown_resnick(BR_VARIO, BR_LINE, n),
+                      lambda n, seed, k: brown_resnick_block_reference(BR_VARIO, BR_LINE, n, seed, k)),
+}
+
+
+@pytest.mark.parametrize("arrivals", [simulator._ARRIVALS, 1])
+@pytest.mark.parametrize("law", MULTI_SLOT_N_POINTS_LAWS)
+def test_ensemble_n_points_guard_on_multi_slot_blocks(monkeypatch, law, arrivals):
+    # replicates 0-69 fill one block and start the next: an ensemble raises
+    # iff some replicate's textbook loop does, naming a location and point
+    # where one does; else its rows, draws and rejections are theirs
+    monkeypatch.setattr(simulator, "_ARRIVALS", arrivals)
+    grid, prepare, reference = MULTI_SLOT_N_POINTS_LAWS[law]
+    outcomes = []
+    for n_points in (2, 3, 6, 10, 40):
+        prepared = prepare(n_points)
+        for seed in (29, 30):
+            wants, failed = [], {}
+            for k in range(70):
+                try:
+                    wants.append(reference(n_points, seed, k))
+                except ValueError as exc:
+                    failed[int(re.match(r"location (\d+) ", str(exc))[1])] = str(exc)
+            outcomes.append(bool(failed))
+            if failed:
+                with pytest.raises(ValueError) as info:
+                    prepared.simulate_many(seed, range(70))
+                j = int(re.match(r"grid location (\d+) ", str(info.value))[1])
+                assert str(info.value) == f"grid {failed[j]} spectral draws (t = {grid.locations[j].tolist()})"
+                continue
+            values, record = prepared.simulate_many(seed, range(70))
+            for k, (want, draws, kept) in enumerate(wants):
+                assert np.array_equal(values[k], want)
+                assert record["spectral_draws"][k] == draws
+                assert record["rejections"][k] == draws - kept
+    assert any(outcomes) and not all(outcomes)
+
+
 @pytest.mark.parametrize("indices", [[], range(0), [-1], [0.5], [[0, 1]]])
 def test_ensemble_rejects_bad_indices(indices):
     with pytest.raises(ValueError):
