@@ -14,9 +14,11 @@ references live here as well.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
+import time
 from collections import deque
 
 import numpy as np
@@ -27,6 +29,11 @@ from .spectral import ShapeFunction, SpectralDistribution, ordered_dot
 
 _MC_CHUNK = 1 << 14
 _DRAW_AHEAD = 2  # chunks the draw thread of exponent_mc may be ahead of its caller
+_CELL_BAND = 32  # a cell end's band in units of u = 2^-53 (see exponent_mc)
+_SEPARATION = 2.0 ** -30  # closest 1-D points counted by their cells, relative to |t_j| + |t_l|
+_PROBE_FILLS = 4  # fills of a 2^12 buffer per round of the thread probe
+_PROBE_ROUNDS = 3
+_PROBE_LOCK = threading.Lock()
 MIN_SAMPLES = 100  # fewest samples of an empirical CDF or KS distance
 
 # lambda below this routes to the complete-dependence branch; the
@@ -99,22 +106,49 @@ def exponent_mc(
     (about 2 MiB) spilled it and took 15-30% longer on the Gaussian and
     gamma queries of the benchmark (Xeon, 2 MiB of L2 per core).
 
-    With two or more usable CPUs and more than one chunk, a helper thread
-    draws the chunks (``_drawn_ahead``), at most two ahead of the chunk
-    being tilted and counted here: it reads the same stream in the same
-    order as an in-line loop and no row past the last chunk, so neither
-    the estimate nor rng's state afterwards moves.  On one usable CPU the
-    draws are made in line, where a second thread would only take turns
-    with this one.
+    With more than one chunk, and where two threads here run numpy work at
+    once (``_threads_overlap``, a probe made once per process), a helper
+    thread draws the chunks (``_drawn_ahead``), at most two ahead of the
+    chunk being tilted and counted here: it reads the same stream in the
+    same order as an in-line loop and no row past the last chunk, so
+    neither the estimate nor rng's state afterwards moves.  Elsewhere (one
+    usable CPU, or a second one busy with other work) the draws are made
+    in line, where a second thread would only take turns with this one.
 
-    Per chunk and point j, each point l gets one column of log terms
-    c_l = (<x, t_l> - phi(t_l)) - log x'_l of the t_j-tilted rows (kappa
+    Per chunk and point j, each point l has the log terms
+    c_l = (<x, t_l> - phi(t_l)) - log x'_l of the t_j-tilted rows x (kappa
     enters through log x'_l and w_j, both from ``_weights``), with
     <x, t_l> summed in coordinate order (``ordered_dot``) and no BLAS
     product, so the estimate does not depend on the BLAS thread count
-    either.  A row is a
-    hit for j under the first-wins rule: c_j > c_l for every l < j and
-    c_j >= c_l for every l > j, so a tie goes to the first tied point.
+    either.  A row is a hit for j under the first-wins rule: c_j > c_l for
+    every l < j and c_j >= c_l for every l > j, so a tie goes to the first
+    tied point.  A tilted value that is not finite raises ValueError
+    naming its point.
+
+    In d = 1 each c_l is a line in x, so in exact arithmetic the rows that
+    hit j are those whose x lies strictly inside j's cell (lower, upper):
+    with the crossings x = ((phi_j - phi_l) + (log x'_j - log x'_l)) /
+    (t_j - t_l) of c_j with the other lines, lower is the largest crossing
+    with a point t_l < t_j and upper the least with a point t_l > t_j
+    (``_cells``, once per call).  The computed c_l is within 3u (|x t_l| + |phi_l| + |log x'_l|)
+    of the line (u = 2^-53, three roundings), and a computed crossing
+    within 5u S_l / |t_j - t_l|, S_l = |phi_j| + |phi_l| + |log x'_j| +
+    |log x'_l|.  So where |x - crossing| exceeds 8u (|x| (|t_j| + |t_l|) +
+    S_l) / |t_j - t_l|, plus a term of the order of the least normal
+    double for underflow, the computed comparison of c_j with c_l has the
+    sign of the exact one.  The band of a cell end is _CELL_BAND = 32 u
+    times that bound's factors, maximised over l, at the largest |x| that
+    can lie within it: four times the bound, which leaves room for the
+    rounding of the band and of the end +- band themselves.  A chunk whose
+    tilted values all lie outside the bands of their points' cell ends is
+    counted from the cells (``_count_by_cells``: at most four comparisons
+    a point), and it counts what the log terms would; a chunk with a value
+    inside a band, such as an exact tie, is counted by the log terms
+    themselves (``_count_by_terms``).  The count is therefore the same bit
+    for bit; no property of the family's tilt is used, since both read
+    the same tilted values.  Queries in d >= 2, and those with two points
+    closer than 2^-30 (|t_j| + |t_l|), where the band would cover the
+    draws, are counted by their terms throughout.
 
     With N_jk the number of rows that hit both j and k (N_jj the hits of
     j) and p_j = N_jj / m, V = sum_j w_j p_j is the mean over the rows of
@@ -132,30 +166,22 @@ def exponent_mc(
         raise ValueError(f"mc_n must give each of the {n} query points at least {MIN_SAMPLES} draws")
     phi, log_x, weights = _weights(dist, kappa, query)
     draw, tilt = dist.tilted_sampler(query.ts)
+    cells = _cells(query.ts, phi, log_x)
     chunk = _MC_CHUNK
     sizes = (min(chunk, m - done) for done in range(0, m, chunk))
-    if m > chunk and _usable_cpus() > 1:
+    if m > chunk and _threads_overlap():
         chunks = _drawn_ahead(draw, sizes, rng)
     else:
         chunks = (draw(size, rng) for size in sizes)
     pairs = np.zeros((n, n), dtype=np.int64)
     try:
         for rows in chunks:
-            hits = []
+            hits = None if cells is None else _count_by_cells(rows, tilt, cells)
+            if hits is None:
+                hits = _count_by_terms(rows, tilt, query.ts, phi, log_x)
             for j in range(n):
-                x = tilt(rows, j)
-                cols = [ordered_dot(x, t) for t in query.ts]
-                for c, f, lx in zip(cols, phi, log_x):
-                    c -= f
-                    c -= lx
-                hit = np.ones(len(rows), dtype=bool)
-                for c in cols[:j]:
-                    hit &= cols[j] > c
-                for c in cols[j + 1:]:
-                    hit &= cols[j] >= c
-                hits.append(hit)
-            for j in range(n):
-                for k in range(j, n):
+                pairs[j, j] += np.count_nonzero(hits[j])
+                for k in range(j + 1, n):
                     pairs[j, k] += np.count_nonzero(hits[j] & hits[k])
     finally:
         chunks.close()
@@ -169,12 +195,157 @@ def exponent_mc(
     return ExponentValue(value, math.sqrt(max(var, 0.0)), "mc")
 
 
+def _tilted(rows, tilt, j):
+    """tilt(rows, j).  ValueError names the point j if a tilted value is
+    not finite (the tilt overflowed): its log terms would be nan or tie at
+    infinity, and count as no row of the law does."""
+    with np.errstate(all="ignore"):  # a value that is not finite is reported below
+        x = tilt(rows, j)
+    if not np.isfinite(x).all():
+        raise ValueError(f"a draw tilted to query point {j} is not finite")
+    return x
+
+
+def _count_by_terms(rows, tilt, ts, phi, log_x):
+    """Each point j's hit mask over the rows tilted to t_j, from the n
+    columns of log terms c_l of those rows under the first-wins rule."""
+    hits = []
+    for j in range(len(ts)):
+        x = _tilted(rows, tilt, j)
+        cols = [ordered_dot(x, t) for t in ts]
+        for c, f, lx in zip(cols, phi, log_x):
+            c -= f
+            c -= lx
+        hit = np.ones(len(rows), dtype=bool)
+        for c in cols[:j]:
+            hit &= cols[j] > c
+        for c in cols[j + 1:]:
+            hit &= cols[j] >= c
+        hits.append(hit)
+    return hits
+
+
+def _cells(ts, phi, log_x):
+    """The argmax cell (lower, upper) of each point of a 1-D query, less
+    and more its band at each end (``exponent_mc``): for point j the
+    thresholds (lower - band, lower + band, upper - band, upper + band),
+    infinite at a missing end.  None, so that every chunk is counted by
+    its terms, for a query in d >= 2 or of one point, one with two points
+    closer than _SEPARATION (|t_j| + |t_l|), or one whose ends or bands
+    are not finite."""
+    if ts.shape[1] != 1 or len(ts) < 2 or not (np.all(np.isfinite(phi)) and np.all(np.isfinite(log_x))):
+        return None
+    t = ts[:, 0]
+    other = ~np.eye(len(t), dtype=bool)
+    tiny = np.finfo(float).tiny
+    unit = _CELL_BAND * np.finfo(float).epsneg  # _CELL_BAND u, u = 2^-53
+    with np.errstate(all="ignore"):  # 0 / 0 on the diagonal, masked; an overflow is checked below
+        gap = t[:, None] - t  # t_j - t_l
+        size = np.abs(t[:, None]) + np.abs(t)
+        # c_j = c_l at x = ((phi_j - phi_l) + (log x'_j - log x'_l)) / (t_j - t_l)
+        crossings = ((phi[:, None] - phi) + (log_x[:, None] - log_x)) / gap
+        scale = np.abs(phi[:, None]) + np.abs(phi) + np.abs(log_x[:, None]) + np.abs(log_x)
+        slope = np.where(other, unit * size / np.abs(gap), 0.0).max(axis=1)
+        offset = np.where(other, unit * (scale + tiny) / np.abs(gap), 0.0).max(axis=1) + tiny
+        ends = np.array([np.where(gap > 0, crossings, -np.inf).max(axis=1),
+                         np.where(gap < 0, crossings, np.inf).min(axis=1)])
+        # a tilted value x near an end has |x| <= (|end| + offset) / (1 - slope);
+        # at slope >= 1 (only for a _CELL_BAND far above its value) any x may be
+        band = np.where(slope < 1.0, slope * (np.abs(ends) + offset) / (1.0 - slope) + offset, np.inf)
+        (below_lower, below_upper), (above_lower, above_upper) = np.where(
+            np.isinf(ends), ends, [ends - band, ends + band]).tolist()
+    if np.any(np.abs(gap[other]) < _SEPARATION * size[other]):
+        return None
+    if not all(np.all(np.isfinite(v)) for v in (crossings[other], slope, offset)):
+        return None
+    return list(zip(below_lower, above_lower, below_upper, above_upper))
+
+
+def _count_by_cells(rows, tilt, cells):
+    """Each point j's hit mask over the rows tilted to t_j, from the
+    point's cell alone: x above its lower end and below its upper end.
+    None if a tilted value lies within the band of an end, where only the
+    log terms themselves tell (``_count_by_terms``)."""
+    hits = []
+    for j, (below_lower, above_lower, below_upper, above_upper) in enumerate(cells):
+        x = _tilted(rows, tilt, j).reshape(-1)
+        hit = wide = None  # x in the cell narrowed, and widened, by the bands of its ends
+        if above_lower > -math.inf:
+            hit, wide = x > above_lower, x >= below_lower
+        if below_upper < math.inf:
+            under, over = x < below_upper, x <= above_upper
+            hit = under if hit is None else hit & under
+            wide = over if wide is None else wide & over
+        if np.count_nonzero(wide) != np.count_nonzero(hit):  # a value within a band
+            return None
+        hits.append(hit)
+    return hits
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one, else the machine's count."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _threads_overlap() -> bool:
+    """Whether two threads here run numpy work at once, so that a draw
+    thread can gain (``_probe_overlap``, made once per process)."""
+    with _PROBE_LOCK:
+        return _probe_overlap()
+
+
+@functools.cache
+def _probe_overlap() -> bool:
+    """False on one usable CPU, starting no thread.  Else _PROBE_FILLS
+    fills of a 2^12 buffer with normals are timed alone, then beside a
+    second thread that makes the same fills from the same barrier, best
+    of _PROBE_ROUNDS each: the threads overlap if the pair took less than
+    1.5 times the fills alone, and take turns if about twice (as where
+    the other CPU is busy with other work).  About 2-3 ms; reads no
+    caller's stream."""
+    if _usable_cpus() < 2:
+        return False
+    buffers = [np.empty(1 << 12) for _ in range(2)]
+    rngs = [np.random.Generator(np.random.SFC64(k)) for k in range(2)]
+
+    def fill(k):
+        for _ in range(_PROBE_FILLS):
+            rngs[k].standard_normal(out=buffers[k])
+
+    barrier = threading.Barrier(2)
+
+    def timed(paired):
+        start = time.perf_counter()
+        fill(0)
+        if paired:
+            barrier.wait()  # until the helper's fills are done too
+        return time.perf_counter() - start
+
+    def beside():
+        try:
+            for _ in range(_PROBE_ROUNDS):
+                barrier.wait()
+                fill(1)
+                barrier.wait()
+        except threading.BrokenBarrierError:  # the caller was interrupted
+            pass
+
+    fill(0)  # first touch
+    alone = min(timed(False) for _ in range(_PROBE_ROUNDS))
+    helper = threading.Thread(target=beside, name="exponent_mc probe", daemon=True)
+    helper.start()
+    try:
+        paired = []
+        for _ in range(_PROBE_ROUNDS):
+            barrier.wait()
+            paired.append(timed(True))
+    finally:
+        barrier.abort()  # frees a helper still waiting
+        helper.join()
+    return min(paired) < 1.5 * alone
 
 
 def _drawn_ahead(draw, sizes, rng):

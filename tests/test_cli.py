@@ -521,6 +521,17 @@ def test_fdd_mc_reports_se(capsys):
     assert line["method"] == "mc" and line["se"] > 0
 
 
+def test_fdd_mc_exits_3_where_a_tilted_draw_overflows(capsys):
+    # the law tilted to t = 0 has scale 1 / theta = 1e308: its draws above
+    # 1.8 overflow, and their log terms would be nan (RuntimeWarnings are
+    # errors in this suite, so none may be printed either)
+    code = main(["fdd", "--dist", "gamma:k=2;theta=1e-308", "--ts", "0;-1", "--xs", "1,1",
+                 "--method", "mc", "--mc-n", "100000", "--seed", "1"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "numeric error: a draw tilted to query point 0 is not finite\n"
+
+
 def test_fdd_closed_bivariate_needs_gaussian(capsys):
     assert main([
         "fdd", "--dist", "exp:lambda=1", "--ts", "0;0.5", "--xs", "1,1",

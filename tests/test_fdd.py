@@ -1,10 +1,13 @@
 import math
+import re
 import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import maxstable
 from maxstable import fdd
@@ -307,6 +310,156 @@ def test_exponent_mc_equals_the_argmax_reference(dist, ts, xs, monkeypatch):
         assert (ev.value, ev.se) == argmax_reference(dist, kappa, q, 40_000, derive_rng(seed))
 
 
+# ---------------------------------------------------------------------------
+# the 1-D cell count, against the term count
+
+
+class IntegersOnALine(SmallIntegers):
+    """SmallIntegers in R^1: at the points 0, 1, 2 and unit thresholds the
+    log terms are 0, x and 2x, so every cell ends at x = 0, a row value."""
+
+    dim = 1
+
+
+def counting_paths(monkeypatch):
+    """Spies on the two counting paths of exponent_mc; returns the lists of
+    what the cell count returned per chunk and of the term-count calls."""
+    cells, terms = [], []
+    by_cells, by_terms = fdd._count_by_cells, fdd._count_by_terms
+
+    def cells_spy(*args):
+        cells.append(by_cells(*args))
+        return cells[-1]
+
+    def terms_spy(*args):
+        terms.append(args)
+        return by_terms(*args)
+
+    monkeypatch.setattr(fdd, "_count_by_cells", cells_spy)
+    monkeypatch.setattr(fdd, "_count_by_terms", terms_spy)
+    return cells, terms
+
+
+def by_terms_alone(dist, q, mc_n, seed):
+    """exponent_mc with every chunk counted by its terms."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fdd, "_cells", lambda *args: None)
+        return exponent_mc(dist, ShapeFunction(dist), q, mc_n, derive_rng(seed))
+
+
+def test_rows_that_tie_at_the_cell_ends_are_counted_by_their_terms(monkeypatch):
+    dist = IntegersOnALine()
+    q = FddQuery([0.0, 1.0, 2.0], [1.0] * 3)
+    monkeypatch.setattr(fdd, "_MC_CHUNK", 7000)
+    cells, terms = counting_paths(monkeypatch)
+    for seed in (41, 42):
+        ev = exponent_mc(dist, ShapeFunction(dist), q, 40_000, derive_rng(seed))
+        assert (ev.value, ev.se) == argmax_reference(dist, ShapeFunction(dist), q, 40_000, derive_rng(seed))
+    # 13333 rows a call: two chunks, each with a row at 0
+    assert cells == [None] * 4 and len(terms) == 4
+
+
+def test_points_too_close_for_their_cells_are_counted_by_their_terms(monkeypatch):
+    # |t_1 - t_0| = 1e-5 is below 2^-30 (|t_0| + |t_1|), about 18.6
+    dist, kappa = unit_gaussian()
+    q = FddQuery([1e10, 1e10 + 1e-5], [1.0, 1.0])
+    assert fdd._cells(q.ts, *fdd._weights(dist, kappa, q)[:2]) is None
+    cells, terms = counting_paths(monkeypatch)
+    exponent_mc(dist, kappa, q, 100_000, derive_rng(3))
+    assert not cells and len(terms) == 4  # 50 000 rows in 2^14-row chunks
+
+
+@pytest.mark.parametrize("dist, ts, xs", MC_LAWS[:4])
+def test_a_band_wider_than_every_chunk_counts_every_chunk_by_its_terms(dist, ts, xs, monkeypatch):
+    q = FddQuery(ts, xs)
+    mine = exponent_mc(dist, ShapeFunction(dist), q, 90_000, derive_rng(5))
+    assert mine == by_terms_alone(dist, q, 90_000, 5)
+    # 2^60 u = 128 takes the band's slope past 1: no tilted value is safe
+    monkeypatch.setattr(fdd, "_CELL_BAND", 2.0 ** 60)
+    cells, terms = counting_paths(monkeypatch)
+    assert exponent_mc(dist, ShapeFunction(dist), q, 90_000, derive_rng(5)) == mine
+    assert cells == [None] * 2 and len(terms) == 2  # 30 000 rows in 2^14-row chunks
+
+
+def close_to(t, step):
+    """t moved by the relative step, or by the step itself at t = 0."""
+    return t * (1.0 + step) if t else step
+
+
+@st.composite
+def one_dimensional_queries(draw):
+    """A 1-D law and a query of two to four points, some of them negative,
+    large, or close to another one (and then often at its threshold, so
+    that their cells meet among the draws), thresholds across six decades."""
+    family = draw(st.sampled_from(["gaussian", "exp", "uniform", "gamma"]))
+    rate = 10.0 ** draw(st.floats(-1.0, 1.0))
+    dist = {
+        "gaussian": Gaussian([draw(st.floats(-3.0, 3.0))], [[10.0 ** draw(st.floats(-2.0, 2.0))]]),
+        "exp": Exponential(rate),
+        "uniform": Uniform(0.0, 10.0 ** draw(st.floats(-1.0, 1.0))),
+        "gamma": Gamma(10.0 ** draw(st.floats(-1.0, 1.0)), rate),
+    }[family]
+    sign = st.sampled_from([-1.0, 1.0])
+    # a gamma or exponential point is rate - s, s > 0; the others are s
+    spread, twins = [10.0 ** draw(st.floats(-3.0, 6.0)) * draw(sign)], [None]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):  # relative steps down to the cells' separation, 2^-29
+            twin = draw(st.integers(0, len(spread) - 1))
+            spread.append(close_to(spread[twin], 10.0 ** draw(st.floats(-8.7, -3.0)) * draw(sign)))
+            twins.append(twin)
+        else:
+            spread.append(10.0 ** draw(st.floats(-3.0, 6.0)) * draw(sign))
+            twins.append(None)
+    if family in ("exp", "gamma"):
+        spread = [abs(s) for s in spread]
+    ts = [rate - s for s in spread] if family in ("exp", "gamma") else spread
+    xs = []
+    for twin in twins:
+        same = twin is not None and draw(st.booleans())
+        xs.append(xs[twin] if same else 10.0 ** draw(st.floats(-3.0, 3.0)))
+    try:
+        return dist, FddQuery(ts, xs)
+    except ValueError:  # two points within the grid's duplicate tolerance
+        assume(False)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(one_dimensional_queries())
+# the log terms' round-off is about the spread of the draws at the shared
+# end of these cells, so that most chunks fall back
+@example((Gaussian([0.0], [[100.0]]), FddQuery([1e6, 1e6 * (1 + 3e-9)], [1.0, 1.0])))
+@example((Uniform(0.0, 1.0), FddQuery([1e3, 1e3 * (1 + 3e-9), -2.0], [1.0, 1.0, 0.5])))
+# t_0 - t_1 and |t_0| + |t_1| overflow, silently: the terms count every chunk
+@example((Uniform(0.0, 1.0), FddQuery([1e308, -1e308, 0.0], [1.0, 1.0, 1.0])))
+def test_the_cell_count_equals_the_term_count_bit_for_bit(law_and_query):
+    dist, q = law_and_query
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fdd, "_MC_CHUNK", 400)
+        mp.setattr(fdd, "_threads_overlap", lambda: False)
+        mc_n = 1500 * q.n  # four chunks, the last one short
+        try:
+            mine = exponent_mc(dist, ShapeFunction(dist), q, mc_n, derive_rng(11))
+        except ValueError as exc:  # the weights, or a tilt, overflow
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                by_terms_alone(dist, q, mc_n, 11)
+        else:
+            assert mine == by_terms_alone(dist, q, mc_n, 11)
+
+
+@pytest.mark.parametrize("dist, ts", [
+    (Gamma(2.0, 1e-308), [0.0, -1.0]),  # 1-D: counted by the cells
+    (Gamma([2.0, 2.0], [1e-308, 1.0]), [[0.0, 0.0], [-1.0, 0.0]]),  # 2-D: by the terms
+])
+def test_a_tilted_draw_that_is_not_finite_is_reported_at_its_query_point(dist, ts):
+    # scale 1 / (theta - 0) = 1e308 overflows: the log terms would be nan
+    q = FddQuery(ts, [1.0, 1.0])
+    message = "a draw tilted to query point 0 is not finite"
+    with pytest.raises(ValueError, match=message):
+        exponent_mc(dist, ShapeFunction(dist), q, 100_000, derive_rng(1))
+    with pytest.raises(ValueError, match=message):
+        by_terms_alone(dist, q, 100_000, 1)
+
+
 def test_usable_cpus_is_the_cpu_count_without_an_affinity_mask(monkeypatch):
     # platforms without sched_getaffinity (macOS, Windows) count the machine's CPUs
     monkeypatch.delattr(fdd.os, "sched_getaffinity", raising=False)
@@ -317,7 +470,8 @@ def test_usable_cpus_is_the_cpu_count_without_an_affinity_mask(monkeypatch):
 
 
 def drawing_ahead(monkeypatch, cpus):
-    """Sets the usable CPU count exponent_mc sees; returns the list of the
+    """Makes exponent_mc's thread predicate answer as on a host with
+    ``cpus`` usable CPUs whose threads overlap; returns the list of the
     calls it makes to the draw thread."""
     calls = []
 
@@ -326,7 +480,7 @@ def drawing_ahead(monkeypatch, cpus):
         return draw_ahead(*args)
 
     draw_ahead = fdd._drawn_ahead
-    monkeypatch.setattr(fdd, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fdd, "_threads_overlap", lambda: cpus > 1)
     monkeypatch.setattr(fdd, "_drawn_ahead", spy)
     return calls
 
@@ -349,6 +503,45 @@ def test_exponent_mc_draws_the_same_rows_on_a_draw_thread_as_in_line(dist, ts, x
     calls = drawing_ahead(monkeypatch, 2)
     assert estimate_and_next_number(dist, q, 10_000 * q.n, 17) == in_line
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dist, ts, xs", MC_LAWS)
+def test_the_thread_predicate_moves_no_estimate_and_no_stream(dist, ts, xs, monkeypatch):
+    # at the chunk size itself, three whole chunks and a short one
+    q = FddQuery(ts, xs)
+    triples = []
+    for overlap in (False, True):
+        monkeypatch.setattr(fdd, "_threads_overlap", lambda: overlap)
+        triples.append(estimate_and_next_number(dist, q, (3 * fdd._MC_CHUNK + 77) * q.n, 23))
+    assert triples[0] == triples[1]
+
+
+@pytest.fixture
+def fresh_probe(monkeypatch):
+    """The thread probe's verdict forgotten before and after the test;
+    yields the names of the threads started meanwhile."""
+    started = []
+    thread = threading.Thread
+
+    def spy(*args, **kwargs):
+        started.append(kwargs.get("name"))
+        return thread(*args, **kwargs)
+
+    fdd._probe_overlap.cache_clear()
+    monkeypatch.setattr(threading, "Thread", spy)
+    yield started
+    fdd._probe_overlap.cache_clear()
+
+
+def test_the_thread_probe_runs_once_and_starts_no_thread_on_one_cpu(fresh_probe, monkeypatch):
+    monkeypatch.setattr(fdd, "_usable_cpus", lambda: 1)
+    assert [fdd._threads_overlap() for _ in range(3)] == [False] * 3
+    assert fresh_probe == []
+    fdd._probe_overlap.cache_clear()
+    monkeypatch.setattr(fdd, "_usable_cpus", lambda: 2)
+    verdicts = [fdd._threads_overlap() for _ in range(3)]
+    assert verdicts[0] in (True, False) and verdicts == verdicts[:1] * 3
+    assert fresh_probe == ["exponent_mc probe"]
 
 
 class ChunkError(Exception):
